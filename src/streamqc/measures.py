@@ -8,14 +8,23 @@ them (completeness, volume, ordering).
 The registry maps measure ids from configuration to validation, evaluation,
 and (where meaningful) a per-element checker used for per-element records and
 side-output routing.
+
+Measures that merge (mean, std, completeness, distinct_count, uniqueness) are
+written once as a partial over a run of elements and a finish over the
+partials of a pane. Each slice of a sliding pane computes its partial once,
+memoized on the slice, so the panes that overlap on it share the work; a
+pane without slices is one part.
 """
 
 from __future__ import annotations
 
+import functools
+import json
 import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from typing import Any, Callable
+from itertools import chain
+from typing import Any, Callable, Sequence
 
 from . import expression
 from .model import (
@@ -81,13 +90,18 @@ class MeasureDef:
 # Shared helpers
 
 
-def _non_null(window: WindowInstance, column: str) -> list[Value]:
-    return [v for v in window.values(column) if v is not None]
-
-
-def _numbers(window: WindowInstance, column: str) -> list[float | int]:
+def _non_null(elements: Sequence[StreamElement], column: str) -> list[Value]:
     out = []
-    for e in window.elements:
+    for e in elements:
+        v = e.attrs.get(column)
+        if v is not None:
+            out.append(v)
+    return out
+
+
+def _numbers(elements: Sequence[StreamElement], column: str) -> list[float | int]:
+    out = []
+    for e in elements:
         v = e.attrs.get(column)
         if v is not None and not isinstance(v, bool) and isinstance(v, (int, float)):
             out.append(v)
@@ -111,7 +125,7 @@ def basic_stats(window: WindowInstance, column: str) -> dict[str, Value]:
     count is always an Int; the others are Null when no non-Null values exist.
     min/max keep the original value type; mean/std are Floats (numeric input).
     """
-    values = _non_null(window, column)
+    values = _non_null(window.elements, column)
     if not values:
         return {"count": 0, "min": None, "max": None, "mean": None, "std": None}
     out: dict[str, Value] = {"count": len(values)}
@@ -137,6 +151,32 @@ def percentile(sorted_values: list, q: float) -> float:
     if frac == 0.0:
         return float(sorted_values[lo])
     return float(sorted_values[lo]) + frac * (float(sorted_values[lo + 1]) - float(sorted_values[lo]))
+
+
+def _merged(partial: Callable[[dict, Sequence[StreamElement], EngineEnv], Any],
+            finish: Callable[[dict, list, int, EngineEnv], MeasureResult]):
+    """apply() of a measure kept as partial state per slice.
+
+    partial(params, elements, env) summarizes one run of elements; it is
+    computed once per slice and kept in the slice's memo under the partial
+    and its parameters, so measures sharing a partial share the entry.
+    finish(params, partials, n, env) merges the pane's partials, in slice
+    order, into the result; n is the pane's element count.
+    """
+    def apply(params, window, env):
+        key = (partial, json.dumps(params, sort_keys=True, default=repr), env.hash_seed)
+        partials = []
+        for part in window.slices():
+            memo = part.memo
+            if key not in memo:
+                memo[key] = partial(params, part.elements, env)
+            partials.append(memo[key])
+        return finish(params, partials, len(window.elements), env)
+    return apply
+
+
+def _concat(lists: list[list]) -> list:
+    return lists[0] if len(lists) == 1 else list(chain.from_iterable(lists))
 
 
 def _json_values(raw_list: list) -> list[Value]:
@@ -194,28 +234,33 @@ def _stat_validate(types: tuple[str, ...]):
 
 
 def _apply_count(params, window, env):
-    return MeasureResult(len(_non_null(window, params["column"])))
+    return MeasureResult(len(_non_null(window.elements, params["column"])))
 
 
 def _apply_min(params, window, env):
-    values = _non_null(window, params["column"])
+    values = _non_null(window.elements, params["column"])
     return MeasureResult(min(values) if values else None)
 
 
 def _apply_max(params, window, env):
-    values = _non_null(window, params["column"])
+    values = _non_null(window.elements, params["column"])
     return MeasureResult(max(values) if values else None)
 
 
-def _apply_mean(params, window, env):
-    numbers = _numbers(window, params["column"])
+def _numbers_partial(params, elements, env):
+    return _numbers(elements, params["column"])
+
+
+def _finish_mean(params, partials, n, env):
+    # The concatenated lists are the pane's numbers in pane order.
+    numbers = _concat(partials)
     if not numbers:
         return MeasureResult(None)
-    return MeasureResult(_mean_std(numbers)[0])
+    return MeasureResult(math.fsum(numbers) / len(numbers))
 
 
-def _apply_std(params, window, env):
-    numbers = _numbers(window, params["column"])
+def _finish_std(params, partials, n, env):
+    numbers = _concat(partials)
     if not numbers:
         return MeasureResult(None)
     return MeasureResult(_mean_std(numbers)[1])
@@ -231,7 +276,7 @@ def _validate_z_outliers(params, columns):
 
 
 def _apply_z_outliers(params, window, env):
-    numbers = _numbers(window, params["column"])
+    numbers = _numbers(window.elements, params["column"])
     if not numbers:
         return MeasureResult(0)
     mean, std = _mean_std(numbers)
@@ -273,12 +318,13 @@ def _completeness_checker(params, env) -> ElemChecker:
     return check
 
 
-def _apply_completeness(params, window, env):
-    if not window.elements:
-        return MeasureResult(None)
+def _present_partial(params, elements, env):
     check = _completeness_checker(params, env)
-    present = sum(1 for e in window.elements if check(e) is True)
-    return MeasureResult(present / len(window.elements))
+    return sum(1 for e in elements if check(e) is True)
+
+
+def _finish_completeness(params, partials, n, env):
+    return MeasureResult(sum(partials) / n if n else None)
 
 
 def _validate_placeholders(params, columns):
@@ -295,7 +341,7 @@ def _validate_placeholders(params, columns):
 
 def _apply_placeholders(params, window, env):
     tokens = _json_values(params["tokens"])
-    values = _non_null(window, params["column"])
+    values = _non_null(window.elements, params["column"])
     seen: set[bytes] = set()
     hits = 0
     for v in values:
@@ -326,14 +372,27 @@ def _validate_distinct(params, columns):
     return errors
 
 
-def _apply_distinct(params, window, env):
-    values = _non_null(window, params["column"])
+def _distinct_partial(params, elements, env):
+    """Canonical encodings (exact), or the value count and the occupied
+    registers of a sketch over the elements (approx)."""
+    values = _non_null(elements, params["column"])
     if params.get("mode", "exact") == "approx":
         est = CardinalityEstimator(params.get("precision", 14), env.hash_seed)
         for v in values:
             est.add(v)
-        return MeasureResult(est.estimate() if values else 0.0)
-    return MeasureResult(len({canonical_bytes(v) for v in values}))
+        return len(values), est.occupied()
+    return {canonical_bytes(v) for v in values}
+
+
+def _finish_distinct(params, partials, n, env):
+    if params.get("mode", "exact") == "approx":
+        # Register-wise max gives the registers of one sketch over the pane.
+        est = CardinalityEstimator(params.get("precision", 14), env.hash_seed)
+        for _, registers in partials:
+            est.merge(registers)
+        present = any(count for count, _ in partials)
+        return MeasureResult(est.estimate() if present else 0.0)
+    return MeasureResult(len(set().union(*partials)))
 
 
 def _validate_uniqueness(params, columns):
@@ -344,14 +403,24 @@ def _validate_uniqueness(params, columns):
     return errors
 
 
-def _apply_uniqueness(params, window, env):
-    values = _non_null(window, params["column"])
+def _counts_partial(params, elements, env):
     counts: dict[bytes, int] = {}
-    for v in values:
+    for v in _non_null(elements, params["column"]):
         k = canonical_bytes(v)
         counts[k] = counts.get(k, 0) + 1
+    return counts
+
+
+def _finish_uniqueness(params, partials, n, env):
+    counts = partials[0]
+    if len(partials) > 1:
+        counts = dict(counts)  # partials are shared through the slice memo
+        for part in partials[1:]:
+            for k, c in part.items():
+                counts[k] = counts.get(k, 0) + c
+    total = sum(counts.values())
     unique = sum(1 for c in counts.values() if c == 1)
-    ratio = unique / len(values) if values else None
+    ratio = unique / total if total else None
     detail = {"unique_count": unique, "ratio": ratio}
     value: Value = unique if params.get("output") == "unique_count" else ratio
     return MeasureResult(value, detail)
@@ -372,7 +441,7 @@ def _validate_heavy_hitters(params, columns):
 
 
 def _apply_heavy_hitters(params, window, env):
-    values = _non_null(window, params["column"])
+    values = _non_null(window.elements, params["column"])
     phi = params["phi"]
     n = len(values)
     if params.get("mode", "exact") == "approx":
@@ -416,7 +485,7 @@ def _validate_percentiles(params, columns):
 
 
 def _apply_percentiles(params, window, env):
-    numbers = sorted(_numbers(window, params["column"]))
+    numbers = sorted(_numbers(window.elements, params["column"]))
     points = params["points"]
     if not numbers:
         return MeasureResult(None, {"points": points, "values": None})
@@ -944,10 +1013,14 @@ def _validate_conforms(params, columns):
     return errors
 
 
+@functools.lru_cache(maxsize=256)
+def _compiled(text: str) -> expression.Expr:
+    """Parse an expression once per text, not once per pane (Expr is immutable)."""
+    return expression.parse(text)
+
+
 def _conforms_checker(params, env) -> ElemChecker:
-    expr = params.get("_expr")
-    if expr is None:
-        expr = expression.parse(params["expression"])
+    expr = _compiled(params["expression"])
 
     def check(e: StreamElement) -> bool | None:
         verdict = expr.evaluate(e)
@@ -998,20 +1071,23 @@ _register(MeasureDef("count", frozenset({"column"}),
                      _apply_count, _static_type("int")))
 _register(MeasureDef("min", frozenset({"column"}), _stat_validate(_ORDERED_TYPES), _apply_min, _column_type))
 _register(MeasureDef("max", frozenset({"column"}), _stat_validate(_ORDERED_TYPES), _apply_max, _column_type))
-_register(MeasureDef("mean", frozenset({"column"}), _stat_validate(_NUMERIC_TYPES), _apply_mean, _static_type("float")))
-_register(MeasureDef("std", frozenset({"column"}), _stat_validate(_NUMERIC_TYPES), _apply_std, _static_type("float")))
+_register(MeasureDef("mean", frozenset({"column"}), _stat_validate(_NUMERIC_TYPES),
+                     _merged(_numbers_partial, _finish_mean), _static_type("float")))
+_register(MeasureDef("std", frozenset({"column"}), _stat_validate(_NUMERIC_TYPES),
+                     _merged(_numbers_partial, _finish_std), _static_type("float")))
 _register(MeasureDef("z_outlier_count", frozenset({"column", "z"}), _validate_z_outliers, _apply_z_outliers, _static_type("int")))
 _register(MeasureDef("completeness", frozenset({"column", "missing_tokens", "empty_text_missing"}),
-                     _validate_completeness, _apply_completeness, _static_type("float"),
+                     _validate_completeness, _merged(_present_partial, _finish_completeness),
+                     _static_type("float"),
                      _completeness_checker))
 _register(MeasureDef("placeholder_report", frozenset({"column", "tokens", "output"}),
                      _validate_placeholders, _apply_placeholders,
                      lambda p, c: "float" if p.get("output") == "fraction" else "int"))
 _register(MeasureDef("distinct_count", frozenset({"column", "mode", "precision"}),
-                     _validate_distinct, _apply_distinct,
+                     _validate_distinct, _merged(_distinct_partial, _finish_distinct),
                      lambda p, c: "float" if p.get("mode") == "approx" else "int"))
 _register(MeasureDef("uniqueness", frozenset({"column", "output"}),
-                     _validate_uniqueness, _apply_uniqueness,
+                     _validate_uniqueness, _merged(_counts_partial, _finish_uniqueness),
                      lambda p, c: "int" if p.get("output") == "unique_count" else "float"))
 _register(MeasureDef("heavy_hitters", frozenset({"column", "phi", "mode", "capacity"}),
                      _validate_heavy_hitters, _apply_heavy_hitters, _static_type("int")))

@@ -295,18 +295,37 @@ class WindowSpec:
         raise ModelError("session windows have no grid step")
 
 
+class Slice:
+    """The elements of one key in one non-overlapping span of event time,
+    ordered like a pane, with a memo of what was computed from them.
+
+    A sliding pane is the concatenation of the slices it spans, so values
+    kept in the memo (per-slice partial aggregates, key partitions) are
+    computed once and shared by every pane over the slice. The memo lives
+    and dies with the slice.
+    """
+
+    __slots__ = ("elements", "memo")
+
+    def __init__(self, elements: list[StreamElement] | tuple[StreamElement, ...]):
+        self.elements = elements
+        self.memo: dict[Any, Any] = {}
+
+
 @dataclass(frozen=True)
 class WindowInstance:
     """A closed pane: bounds, optional key, and its elements.
 
     Elements are ordered by (event_time, arrival_seq) and every event time
-    lies in [start, end). Both are verified at construction.
+    lies in [start, end). Both are verified at construction. parts, when
+    given, are the slices whose elements concatenate to `elements`.
     """
 
     start: datetime
     end: datetime
     key: Value = None
     elements: tuple[StreamElement, ...] = ()
+    parts: tuple[Slice, ...] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.start >= self.end:
@@ -325,6 +344,10 @@ class WindowInstance:
     def values(self, column: str) -> list[Value]:
         """Column projection in element order (Nulls included)."""
         return [e.attrs.get(column) for e in self.elements]
+
+    def slices(self) -> tuple[Slice, ...]:
+        """The pane's parts, or the whole pane as one part when it has none."""
+        return self.parts if self.parts is not None else (Slice(self.elements),)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,8 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
-from typing import Any, Callable, Iterable
+from itertools import chain
+from typing import Any, Callable, Iterable, Sequence
 
 from . import expression
 from .measures import (
@@ -31,6 +32,7 @@ from .model import (
     MeasureSpec,
     MetaRecord,
     Predicate,
+    Slice,
     StreamElement,
     Threshold,
     Value,
@@ -406,22 +408,30 @@ class SuiteState:
     # -- helpers -------------------------------------------------------------
 
     def _partition(self, w: WindowInstance, key_by: str | None) -> list[tuple[Value, WindowInstance]]:
-        """Key groups of a pane; elements with a Null key are skipped."""
+        """Key groups of a pane; elements with a Null key are skipped.
+
+        Each slice of the pane is partitioned once (memoized on the slice),
+        and a group's pane keeps the group's share of each slice as its parts.
+        """
         if key_by is None:
             return [(w.key, w)]
-        groups: dict[bytes, tuple[Value, list[StreamElement]]] = {}
-        for e in w.elements:
-            key = e.attrs.get(key_by)
-            if key is None:
-                continue
-            enc = canonical_bytes(key)
-            slot = groups.get(enc)
-            if slot is None:
-                groups[enc] = (key, [e])
-            else:
-                slot[1].append(e)
-        return [(groups[enc][0], WindowInstance(w.start, w.end, groups[enc][0], tuple(groups[enc][1])))
-                for enc in sorted(groups)]
+        groups: dict[bytes, tuple[Value, list[Slice]]] = {}
+        for part in w.slices():
+            split = part.memo.get(("partition", key_by))
+            if split is None:
+                split = part.memo[("partition", key_by)] = _split(part.elements, key_by)
+            for enc, (key, sub) in split.items():
+                slot = groups.get(enc)
+                if slot is None:
+                    groups[enc] = (key, [sub])
+                else:
+                    slot[1].append(sub)
+        out = []
+        for enc in sorted(groups):
+            key, parts = groups[enc]
+            elements = tuple(chain.from_iterable(sub.elements for sub in parts))
+            out.append((key, WindowInstance(w.start, w.end, key, elements, tuple(parts))))
+        return out
 
     def _context_for(self, check: CheckDefinition, key: Value) -> ContextState:
         slot = (check.id, canonical_bytes(key))
@@ -532,6 +542,22 @@ class SuiteState:
                     elif check.id not in slot[1]:
                         slot[1].append(check.id)
         return records
+
+
+def _split(elements: Sequence[StreamElement], key_by: str) -> dict[bytes, tuple[Value, Slice]]:
+    """Elements by the canonical encoding of their key, order kept; Null keys dropped."""
+    groups: dict[bytes, tuple[Value, Slice]] = {}
+    for e in elements:
+        key = e.attrs.get(key_by)
+        if key is None:
+            continue
+        enc = canonical_bytes(key)
+        slot = groups.get(enc)
+        if slot is None:
+            groups[enc] = (key, Slice([e]))
+        else:
+            slot[1].elements.append(e)
+    return groups
 
 
 def relative_volume_check(check_id: str, lo_factor: float, hi_factor: float,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import math
+from itertools import compress
 
 from .model import Value, canonical_bytes
 
@@ -66,6 +67,22 @@ class CardinalityEstimator:
             rho = self.REGISTER_MAX
         if rho > self._registers[idx]:
             self._registers[idx] = rho
+
+    def occupied(self) -> dict[int, int]:
+        """The non-zero registers, index -> value: all the state a merge needs."""
+        registers = self._registers
+        return {i: registers[i] for i in compress(range(self._m), registers)}
+
+    def merge(self, occupied: dict[int, int]) -> None:
+        """Fold in another sketch's occupied registers by register-wise max.
+
+        The result equals the sketch of both inputs' values, and the cost is
+        proportional to the registers given, not to 2**precision.
+        """
+        registers = self._registers
+        for i, r in occupied.items():
+            if r > registers[i]:
+                registers[i] = r
 
     def estimate(self) -> float:
         m = self._m

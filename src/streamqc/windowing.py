@@ -4,22 +4,28 @@ Panes are half-open [start, end). A single watermark tracks max(event_time)
 minus a bounded delay; a pane closes once watermark >= end + allowed_lateness.
 Elements older than watermark - allowed_lateness are discarded and counted.
 
-For tumbling and sliding specs the store materializes empty panes between the
-first and last observed event times, so downstream consumers see silence as
-zero-volume windows. Session panes are built per key by gap extension and are
-never empty.
+Tumbling and sliding panes are built from slices: non-overlapping spans of
+width gcd(duration, slide) on the same grid. Each element is stored once, in
+its slice, and a pane is the concatenation of the slices it spans (a
+tumbling pane is one slice). For these specs the store materializes empty
+panes between the first and last observed event times, so downstream
+consumers see silence as zero-volume windows. Session panes are built per
+key by gap extension and are never empty.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from enum import Enum
+from itertools import chain
 
 from .model import (
     TS_MAX,
     TS_MIN,
+    Slice,
     StreamElement,
     Value,
     WindowInstance,
@@ -106,6 +112,9 @@ class _Session:
     token: int  # invalidated on merge/extension for lazy heap entries
 
 
+_UNKEYED = canonical_bytes(None)
+
+
 class PaneStore:
     """Open panes for one window spec, indexed by (key, start).
 
@@ -120,11 +129,16 @@ class PaneStore:
         self.discarded = 0
         self.late_accepted = 0
         self.assigned = 0
-        # Grid state: start -> {canonical key -> (key value, [elements])}
-        self._grid: dict[datetime, dict[bytes, tuple[Value, list[StreamElement]]]] = {}
+        # Grid state: slice start -> {canonical key -> (key value, slice)}.
+        # Slices before _sorted_to are sorted; before _cursor, dropped.
+        self._slices: dict[datetime, dict[bytes, tuple[Value, Slice]]] = {}
+        if spec.kind != "session":
+            micros = timedelta(microseconds=1)
+            self._width = math.gcd(spec.duration // micros, spec.step // micros) * micros
         self._min_start: datetime | None = None
         self._max_start: datetime | None = None
         self._cursor: datetime | None = None
+        self._sorted_to: datetime = TS_MIN
         # Session state: canonical key -> sessions
         self._sessions: dict[bytes, list[_Session]] = {}
         self._session_heap: list[tuple[datetime, int, bytes, int]] = []
@@ -157,25 +171,31 @@ class PaneStore:
         return outcome
 
     def _add_grid(self, key: Value, e: StreamElement) -> None:
-        if self.spec.kind == "tumbling":
-            starts = [assign_tumbling(e.event_time, self.spec)[0]]
+        origin, width = self.spec.origin, self._width
+        start = origin + (e.event_time - origin) // width * width
+        by_key = self._slices.get(start)
+        if by_key is None:
+            by_key = self._slices[start] = {}
+            # Every element of a slice lies in the same panes, those of its start.
+            first, last = self._pane_starts(start)
+            if self._min_start is None or first < self._min_start:
+                self._min_start = first
+            if self._max_start is None or last > self._max_start:
+                self._max_start = last
+        key_enc = canonical_bytes(key) if self.key_by is not None else _UNKEYED
+        slot = by_key.get(key_enc)
+        if slot is None:
+            by_key[key_enc] = (key, Slice([e]))
         else:
-            starts = [s for s, _ in assign_sliding(e.event_time, self.spec)]
-        key_enc = canonical_bytes(key)
-        for start in starts:
-            by_key = self._grid.get(start)
-            if by_key is None:
-                by_key = {}
-                self._grid[start] = by_key
-                if self._min_start is None or start < self._min_start:
-                    self._min_start = start
-                if self._max_start is None or start > self._max_start:
-                    self._max_start = start
-            slot = by_key.get(key_enc)
-            if slot is None:
-                by_key[key_enc] = (key, [e])
-            else:
-                slot[1].append(e)
+            slot[1].elements.append(e)
+
+    def _pane_starts(self, t: datetime) -> tuple[datetime, datetime]:
+        """First and last start of the grid panes containing t."""
+        if self.spec.kind == "tumbling":
+            start = assign_tumbling(t, self.spec)[0]
+            return start, start
+        panes = assign_sliding(t, self.spec)
+        return panes[0][0], panes[-1][0]
 
     def update_session(self, key: Value, e: StreamElement) -> str:
         """Fold an element into the per-key session set.
@@ -231,25 +251,47 @@ class PaneStore:
         return self.close_ready(TS_MAX)
 
     def _close_grid(self, wm_value: datetime) -> list[WindowInstance]:
+        """Build each closing pane from its slices, sorting a slice when a
+        pane first uses it and dropping it once no open pane spans it.
+
+        No element can reach a slice after a pane over it has closed: such
+        an element would lie below the lateness floor and be discarded.
+        """
         if self._max_start is None:
             return []
         duration = self.spec.duration
         threshold = _minus_clamped(wm_value, duration + self.spec.allowed_lateness)
-        cursor = self._cursor if self._cursor is not None else self._min_start
+        first = cursor = self._cursor if self._cursor is not None else self._min_start
         out: list[WindowInstance] = []
         step = self.spec.step
+        slices = self._slices
         while cursor <= self._max_start and cursor <= threshold:
-            by_key = self._grid.pop(cursor, None)
             end = cursor + duration
+            starts = sorted(s for s in slices if s < end)
+            by_key: dict[bytes, tuple[Value, list[Slice]]] = {}
+            for start in starts:
+                for key_enc, (key, part) in slices[start].items():
+                    if start >= self._sorted_to:
+                        part.elements.sort(key=_pane_order)
+                    slot = by_key.get(key_enc)
+                    if slot is None:
+                        by_key[key_enc] = (key, [part])
+                    else:
+                        slot[1].append(part)
+            self._sorted_to = end  # pane ends only grow
             if by_key:
                 for key_enc in sorted(by_key):
-                    key, elements = by_key[key_enc]
-                    elements.sort(key=lambda e: (e.event_time, e.arrival_seq))
-                    out.append(WindowInstance(cursor, end, key, tuple(elements)))
+                    key, parts = by_key[key_enc]
+                    elements = tuple(chain.from_iterable(part.elements for part in parts))
+                    out.append(WindowInstance(cursor, end, key, elements, tuple(parts)))
             elif self.key_by is None:
                 out.append(WindowInstance(cursor, end, None, ()))
             cursor += step
-        if out:
+            for start in starts:
+                if start >= cursor:
+                    break
+                del slices[start]
+        if cursor != first:
             self._cursor = cursor
         return out
 
@@ -267,12 +309,32 @@ class PaneStore:
             sessions.remove(live)
             if not sessions:
                 del self._sessions[key_enc]
-            live.elements.sort(key=lambda e: (e.event_time, e.arrival_seq))
+            live.elements.sort(key=_pane_order)
             end = _plus_clamped(live.max_t, self.spec.gap)
             out.append(WindowInstance(live.min_t, end, live.key, tuple(live.elements)))
         return out
 
     def open_pane_count(self) -> int:
+        """Panes (per key) that hold at least one element and have not closed."""
         if self.spec.kind == "session":
             return sum(len(s) for s in self._sessions.values())
-        return sum(len(by_key) for by_key in self._grid.values())
+        step = self.spec.step
+        panes: set[tuple[datetime, bytes]] = set()
+        for start, by_key in self._slices.items():
+            pane, last = self._pane_starts(start)
+            while pane <= last:
+                if self._cursor is None or pane >= self._cursor:
+                    panes.update((pane, key_enc) for key_enc in by_key)
+                pane += step
+        return len(panes)
+
+    def open_element_count(self) -> int:
+        """Elements held for panes that have not closed, each counted once."""
+        if self.spec.kind == "session":
+            return sum(len(s.elements) for ss in self._sessions.values() for s in ss)
+        return sum(len(part.elements) for by_key in self._slices.values()
+                   for _, part in by_key.values())
+
+
+def _pane_order(e: StreamElement) -> tuple[datetime, int]:
+    return e.event_time, e.arrival_seq

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from streamqc.measures import EngineEnv, apply_measure, elem_checker_for, validate_measure
-from streamqc.model import MeasureSpec, WindowInstance, ts
+from streamqc.model import MeasureSpec, Slice, WindowInstance, ts
 
 from helpers import at, elem, elems, values_win, win
 
@@ -515,3 +515,59 @@ def test_validate_measure_catches_problems():
 def test_underscore_params_are_rejected():
     assert validate_measure(MeasureSpec("conforms", {"expression": "fare > 0", "_expr": 1}),
                             {"fare": "float"})
+
+
+# ---------------------------------------------------------------------------
+# Per-slice partials merged per pane
+
+
+MERGED_SPECS = [
+    ("mean", {"column": "x"}),
+    ("std", {"column": "x"}),
+    ("completeness", {"column": "x"}),
+    ("completeness", {"column": "x", "missing_tokens": [-1, "?"], "empty_text_missing": True}),
+    ("distinct_count", {"column": "x"}),
+    ("distinct_count", {"column": "x", "mode": "approx"}),
+    ("distinct_count", {"column": "x", "mode": "approx", "precision": 6}),
+    ("uniqueness", {"column": "x"}),
+    ("uniqueness", {"column": "x", "output": "unique_count"}),
+]
+
+
+def _random_value(rng):
+    roll = rng.random()
+    if roll < 0.15:
+        return None
+    if roll < 0.25:
+        return rng.choice([-1, "?", ""])
+    if roll < 0.6:
+        return rng.randint(-50, 50)
+    return round(rng.uniform(-1e6, 1e6), rng.randint(0, 9))
+
+
+@pytest.mark.parametrize("mid,params", MERGED_SPECS)
+def test_partials_over_random_splits_equal_the_whole_pane(mid, params):
+    rng = random.Random(f"{mid}{sorted(params.items())}")
+    env = EngineEnv(hash_seed=rng.randint(0, 1 << 30))
+    spec = MeasureSpec(mid, params)
+    for size in [0, 1, 2, 7, 60, 400, 3000]:
+        whole = win(elems([_random_value(rng) for _ in range(size)]))
+        want = apply_measure(spec, whole, env)
+        for _ in range(4):
+            cuts = sorted(rng.randint(0, size) for _ in range(rng.randint(0, 6)))
+            bounds = [0] + cuts + [size]
+            parts = tuple(Slice(list(whole.elements[a:b])) for a, b in zip(bounds, bounds[1:]))
+            split = WindowInstance(whole.start, whole.end, None, whole.elements, parts)
+            assert apply_measure(spec, split, env) == want, (mid, params, size, bounds)
+            # A second pane over the same slices reads the memoized partials.
+            assert all(part.memo for part in parts)
+            assert apply_measure(spec, split, env) == want
+
+
+def test_mean_and_std_share_one_partial_per_slice():
+    part = Slice(elems([1.0, 2.0, None, 4.0]))
+    w = WindowInstance(part.elements[0].event_time, at(60), None,
+                       tuple(part.elements), (part,))
+    run("mean", {"column": "x"}, w)
+    run("std", {"column": "x"}, w)
+    assert len(part.memo) == 1

@@ -2,10 +2,13 @@
 
 import json
 import math
+import random
+from dataclasses import replace
 from datetime import timedelta
 
 import pytest
 
+from streamqc import expression
 from streamqc.model import (
     CheckDefinition,
     ColumnSpec,
@@ -31,6 +34,8 @@ from streamqc.monitor import (
     relative_volume_check,
     validate_suite,
 )
+from streamqc.sketches import CardinalityEstimator
+from streamqc.windowing import PaneStore, Watermark
 
 from helpers import T0, at, elem, elems, values_win, win
 
@@ -709,3 +714,87 @@ def test_validate_detectors():
 def test_suite_state_refuses_invalid():
     with pytest.raises(ValueError, match="invalid suite"):
         suite([mean_check(), mean_check()])
+
+
+# ---------------------------------------------------------------------------
+# Sliding panes assessed from slices
+
+
+def test_sliced_panes_assess_like_whole_panes():
+    """Records from slice-built panes equal those from the same panes with
+    no parts, for unkeyed, keyed, context and detector paths."""
+    window = WindowSpec("sliding", duration=10 * MIN, slide=4 * MIN)  # 2m slices
+    checks = [
+        mean_check(),
+        CheckDefinition(id="fare_std", measure=MeasureSpec("std", {"column": "fare"}),
+                        constraint=Threshold(">=", 0.0)),
+        CheckDefinition(id="fare_complete",
+                        measure=MeasureSpec("completeness", {"column": "fare"}),
+                        constraint=Threshold(">=", 0.5)),
+        CheckDefinition(id="zones", measure=MeasureSpec("distinct_count", {"column": "zone"}),
+                        constraint=Threshold(">", 0)),
+        CheckDefinition(id="zones_approx",
+                        measure=MeasureSpec("distinct_count",
+                                            {"column": "fare", "mode": "approx"}),
+                        constraint=Threshold(">", 0)),
+        CheckDefinition(id="fare_unique", measure=MeasureSpec("uniqueness", {"column": "fare"}),
+                        constraint=Threshold(">=", 0.5)),
+        CheckDefinition(id="zone_mean", measure=MeasureSpec("mean", {"column": "fare"}),
+                        key_by="zone", context=ContextSpec(horizon=20 * MIN),
+                        constraint=Predicate("value <= mu_H + 3 * sigma_H")),
+    ]
+    detectors = DetectorSpecs(frozen=(FrozenColumnSpec("fare", 2, key_by="zone"),))
+    sliced = suite(checks, window=window, detectors=detectors)
+    whole = suite(checks, window=window, detectors=detectors)
+    store = PaneStore(window)
+    wm = Watermark(delay=MIN)
+    rng = random.Random(3)
+    panes = []
+    for seq in range(900):
+        t = at(seq * 4 + rng.uniform(-50, 0))
+        e = elem(t, seq, fare=rng.choice([None, 1.0, 2.5, float(seq % 17)]),
+                 zone=rng.choice([None, "a", "b", "c"]))
+        wm.observe(t)
+        store.route(e, wm)
+        panes.extend(store.close_ready(wm.value))
+    panes.extend(store.flush())
+    assert sum(1 for p in panes if p.parts is not None and len(p.parts) == 5) > 10
+    for p in panes:
+        got, _ = sliced.on_window_close(p, watermark=wm.value)
+        want, _ = whole.on_window_close(replace(p, parts=None), watermark=wm.value)
+        assert [r.to_json_line() for r in got] == [r.to_json_line() for r in want]
+
+
+def test_conforms_parses_its_expression_once_per_check(monkeypatch):
+    calls = []
+    parse = expression.parse
+    monkeypatch.setattr(expression, "parse", lambda text: calls.append(text) or parse(text))
+    text = "fare > -7.25 and fare < 1000"
+    check = CheckDefinition(id="fare_ok", measure=MeasureSpec("conforms", {"expression": text}),
+                            constraint=Threshold(">=", 0.5))
+
+    def parses(panes):
+        calls.clear()
+        eng = engine_with([check])
+        drive(eng, fare_elems([1.0] * panes, step_s=60.0))
+        assert eng.stats.panes_closed == panes
+        return len(calls)
+
+    few, many = parses(3), parses(40)
+    assert many <= few < 3
+
+
+def test_sliding_sketch_sees_each_value_once(monkeypatch):
+    adds = []
+    add = CardinalityEstimator.add
+    monkeypatch.setattr(CardinalityEstimator, "add",
+                        lambda self, v: adds.append(v) or add(self, v))
+    check = CheckDefinition(id="fare_distinct",
+                            measure=MeasureSpec("distinct_count",
+                                                {"column": "fare", "mode": "approx"}),
+                            constraint=Threshold(">", 0))
+    eng = engine_with([check], window=WindowSpec("sliding", duration=5 * MIN, slide=MIN))
+    values = [None if i % 7 == 0 else float(i % 50) for i in range(600)]
+    drive(eng, fare_elems(values, step_s=3.0))
+    assert eng.stats.panes_closed == 34  # 30 minutes of rows, 5 panes over each
+    assert len(adds) == sum(v is not None for v in values)

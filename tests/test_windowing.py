@@ -319,3 +319,116 @@ def test_flush_equals_close_at_infinity():
     store2.route(elem(at(30), 0), wm)
     assert [p.start for p in store.flush()] == \
         [p.start for p in store2.close_ready(TS_MAX)]
+
+
+# ---------------------------------------------------------------------------
+# Slices against a brute-force oracle
+
+
+def _grid_starts(spec, t):
+    if spec.kind == "tumbling":
+        return [assign_tumbling(t, spec)[0]]
+    return [s for s, _ in assign_sliding(t, spec)]
+
+
+def _replay(spec, key_by, rows, delay):
+    """Route rows through a store, closing after each; returns (panes, kept)."""
+    store = PaneStore(spec, key_by=key_by)
+    wm = Watermark(delay=delay)
+    panes, kept = [], []
+    for e in rows:
+        wm.observe(e.event_time)
+        if store.route(e, wm) is not RouteOutcome.DISCARDED:
+            kept.append(e)
+        panes.extend(store.close_ready(wm.value))
+    panes.extend(store.flush())
+    assert store.open_element_count() == 0
+    return panes, kept
+
+
+def _brute_force(spec, key_by, kept):
+    """Every pane the store must emit, by filtering and sorting all kept rows."""
+    starts = [s for e in kept for s in _grid_starts(spec, e.event_time)]
+    if key_by is None:
+        grid, s = [], min(starts)
+        while s <= max(starts):
+            grid.append((s, None))
+            s += spec.step
+    else:
+        grid = sorted({(s, e.attrs[key_by]) for e in kept
+                       for s in _grid_starts(spec, e.event_time)})
+    out = []
+    for start, key in grid:
+        end = start + spec.duration
+        members = [e for e in kept if start <= e.event_time < end
+                   and (key_by is None or e.attrs[key_by] == key)]
+        members.sort(key=lambda e: (e.event_time, e.arrival_seq))
+        out.append((start, end, key, [e.arrival_seq for e in members]))
+    return out
+
+
+@pytest.mark.parametrize("duration,slide", [
+    (5, None), (10, 4), (5, 1), (6, 6), (7, 3)])
+def test_slice_panes_match_brute_force(duration, slide):
+    rng = random.Random(duration * 100 + (slide or 0))
+    for trial in range(12):
+        lateness = rng.choice([0, 1, 3])
+        if slide is None:
+            spec = spec_tumbling(duration, lateness=lateness)
+        else:
+            spec = spec_sliding(duration, slide, lateness=lateness)
+        key_by = rng.choice([None, "k"])
+        delay = timedelta(seconds=rng.choice([0, 30, 90]))
+        rows = []
+        t = 0.0
+        for seq in range(rng.randint(1, 150)):
+            t += rng.expovariate(1 / 20.0)
+            if rng.random() < 0.1:
+                t += rng.uniform(300, 900)  # a silent stretch: empty panes
+            jitter = rng.uniform(0, 400) if rng.random() < 0.25 else 0.0
+            rows.append(elem(at(t - jitter), seq, k=rng.choice(["a", "b", "c"])))
+        panes, kept = _replay(spec, key_by, rows, delay)
+        got = [(p.start, p.end, p.key, [e.arrival_seq for e in p.elements])
+               for p in panes]
+        assert sorted(got, key=lambda p: (p[0], str(p[2]))) == \
+            _brute_force(spec, key_by, kept), (trial, spec, key_by)
+        for p in panes:
+            if p.parts is not None:
+                assert tuple(e for part in p.parts for e in part.elements) == p.elements
+
+
+def test_late_rows_reach_the_slices_of_open_panes():
+    spec = spec_sliding(10, 4, lateness=3)  # 2m slices
+    rows = [elem(at(60 * m), i) for i, m in enumerate([1, 9, 13, 11, 10.5, 5, 17, 15])]
+    panes, kept = _replay(spec, None, rows, timedelta(0))
+    assert [e.arrival_seq for e in kept] == [0, 1, 2, 3, 4, 6, 7]  # row 5 is too late
+    got = [(p.start, p.end, p.key, [e.arrival_seq for e in p.elements]) for p in panes]
+    assert sorted(got, key=lambda p: p[0]) == _brute_force(spec, None, kept)
+
+
+# ---------------------------------------------------------------------------
+# Each row is stored once
+
+
+def test_sliding_store_holds_each_open_row_once():
+    spec = spec_sliding(5, 1)
+    store = PaneStore(spec)
+    wm = Watermark(delay=timedelta(seconds=20))
+    rng = random.Random(5)
+    routed: list = []
+    next_open = None  # start of the earliest pane not yet closed
+    for seq in range(3000):
+        t = at(seq * 0.5 + rng.uniform(-10, 0))
+        e = elem(t, seq)
+        wm.observe(t)
+        if store.route(e, wm) is not RouteOutcome.DISCARDED:
+            routed.append(e)
+        closed = store.close_ready(wm.value)
+        if closed or seq % 97 == 0:
+            if closed:
+                next_open = closed[-1].start + spec.slide
+            # A row is dropped once no open pane can hold it.
+            held = [e for e in routed if next_open is None
+                    or max(_grid_starts(spec, e.event_time)) >= next_open]
+            assert store.open_element_count() == len(held)
+    assert store.open_element_count() < len(routed) / 4
