@@ -18,6 +18,7 @@ from typing import Any, Iterator
 from .config import (
     ConfigError,
     SuiteConfig,
+    check_config,
     load_config,
     resolve_path,
     semantic_errors,
@@ -28,7 +29,6 @@ from .connectors import (
     iter_csv,
     iter_jsonl,
     iter_socket,
-    load_reference,
     open_sink,
     paced,
     parse_time,
@@ -40,7 +40,7 @@ from .model import (
     WindowSpec,
     parse_duration,
 )
-from .monitor import MonitorEngine, SuiteState
+from .monitor import MonitorEngine, ReferenceTable, SuiteState
 from .windowing import assign_sliding, assign_tumbling
 
 HASH_SEED_ENV = "STREAMQC_HASH_SEED"
@@ -124,14 +124,13 @@ def _cmd_validate(args) -> int:
 def _cmd_run(args) -> int:
     cfg = load_config(args.config)
     cfg = _apply_overrides(cfg, args)
-    errors = semantic_errors(cfg, args.config)
+    references, errors = check_config(cfg, args.config)
     if errors:
         for message in errors:
             print(f"error: {message}", file=sys.stderr)
         return 1
-    hash_seed = _hash_seed(cfg, args.config)
     counters = SourceCounters()
-    engine, close_sinks = _build_engine(cfg, args.config, hash_seed)
+    engine, close_sinks = _build_engine(cfg, args.config, references, _hash_seed(cfg))
     try:
         elements = _open_source(cfg.source, args.config, counters, args.limit)
         if cfg.source.replay_mode == "scaled":
@@ -176,11 +175,10 @@ def _apply_overrides(cfg: SuiteConfig, args) -> SuiteConfig:
     return cfg
 
 
-def _hash_seed(cfg: SuiteConfig, config_path: str) -> int:
-    """Config beats the environment; the environment beats the default."""
-    with open(config_path, "r", encoding="utf-8") as fp:
-        raw = json.load(fp)
-    if isinstance(raw, dict) and "hash_seed" in raw.get("engine", {}):
+def _hash_seed(cfg: SuiteConfig) -> int:
+    """A seed pinned in the config beats the environment; the environment
+    beats the default."""
+    if cfg.engine.hash_seed_pinned:
         return cfg.engine.hash_seed
     env = os.environ.get(HASH_SEED_ENV)
     if env is not None:
@@ -194,12 +192,10 @@ def _hash_seed(cfg: SuiteConfig, config_path: str) -> int:
     return cfg.engine.hash_seed
 
 
-def _build_engine(cfg: SuiteConfig, config_path: str, hash_seed: int,
+def _build_engine(cfg: SuiteConfig, config_path: str,
+                  references: dict[str, ReferenceTable], hash_seed: int,
                   meta_sink: Any | None = None,
                   collect_timings: bool = False) -> tuple[MonitorEngine, Any]:
-    references = {
-        ref.id: load_reference(ref.id, resolve_path(config_path, ref.path), ref.key)
-        for ref in cfg.references}
     secondary = _build_secondary(cfg, config_path) if cfg.secondary_source else None
     state = SuiteState(list(cfg.checks), list(cfg.source.schema), cfg.window,
                        references=references, detectors=cfg.detectors,
@@ -300,7 +296,7 @@ def _cmd_bench(args) -> int:
         return 1
     if cfg.source.replay_mode != "fast":
         cfg = replace(cfg, source=replace(cfg.source, replay_mode="fast"))
-    errors = semantic_errors(cfg, args.config)
+    references, errors = check_config(cfg, args.config)
     if errors:
         for message in errors:
             print(f"error: {message}", file=sys.stderr)
@@ -314,12 +310,12 @@ def _cmd_bench(args) -> int:
     if not sizes or any(s <= 0 for s in sizes):
         print("error: --sizes must be positive", file=sys.stderr)
         return 1
-    hash_seed = _hash_seed(cfg, args.config)
+    hash_seed = _hash_seed(cfg)
 
-    _bench_once(cfg, args.config, hash_seed, min(sizes))  # warm-up, untimed
+    _bench_once(cfg, args.config, references, hash_seed, min(sizes))  # warm-up, untimed
     rows = []
     for size in sizes:
-        runs = [_bench_once(cfg, args.config, hash_seed, size)
+        runs = [_bench_once(cfg, args.config, references, hash_seed, size)
                 for _ in range(max(1, args.repeats))]
         runs.sort(key=lambda r: r["wall_seconds"])
         rows.append(runs[len(runs) // 2])  # median wall time
@@ -347,9 +343,10 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def _bench_once(cfg: SuiteConfig, config_path: str, hash_seed: int, size: int) -> dict[str, Any]:
+def _bench_once(cfg: SuiteConfig, config_path: str, references: dict[str, ReferenceTable],
+                hash_seed: int, size: int) -> dict[str, Any]:
     counters = SourceCounters()
-    engine, close_sinks = _build_engine(cfg, config_path, hash_seed,
+    engine, close_sinks = _build_engine(cfg, config_path, references, hash_seed,
                                         meta_sink=_NullSink(), collect_timings=True)
     elements = _open_source(cfg.source, config_path, counters, size)
     t0 = time.perf_counter()
@@ -359,7 +356,7 @@ def _bench_once(cfg: SuiteConfig, config_path: str, hash_seed: int, size: int) -
     wall = time.perf_counter() - t0
     close_sinks()
 
-    nets = sorted(seconds for _, seconds, _ in engine.pane_timings)
+    nets = sorted(engine.pane_timings)
     panes = len(nets)
     share = engine.routing_seconds / panes if panes else 0.0
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from typing import Any
 
+from . import connectors
 from .model import (
     EPOCH,
     CheckDefinition,
@@ -34,12 +35,18 @@ from .model import (
     value_from_json,
     value_to_json,
 )
-from .monitor import DeadStreamSpec, DetectorSpecs, FrozenColumnSpec, validate_suite
+from .monitor import (
+    DeadStreamSpec,
+    DetectorSpecs,
+    FrozenColumnSpec,
+    ReferenceTable,
+    validate_suite,
+)
 
 __all__ = [
     "ConfigError", "SourceConfig", "ReferenceConfig", "SinksConfig",
     "EngineConfig", "SuiteConfig", "parse_config", "load_config",
-    "dump_config", "semantic_errors", "resolve_path",
+    "dump_config", "check_config", "semantic_errors", "resolve_path",
 ]
 
 
@@ -79,8 +86,11 @@ class SinksConfig:
 
 @dataclass(frozen=True)
 class EngineConfig:
-    workers: int = 1
+    """hash_seed_pinned: the config sets hash_seed, so it beats the
+    STREAMQC_HASH_SEED environment variable."""
+
     hash_seed: int = 0
+    hash_seed_pinned: bool = False
 
 
 @dataclass(frozen=True)
@@ -460,17 +470,14 @@ def _parse_sinks(raw: Any, errs: _Errors) -> SinksConfig:
 
 def _parse_engine(raw: Any, errs: _Errors) -> EngineConfig:
     obj = _obj(raw, "engine", errs)
-    if obj is None or not _keys(obj, "engine", errs, optional=("workers", "hash_seed")):
+    if obj is None or not _keys(obj, "engine", errs, optional=("hash_seed",)) \
+            or "hash_seed" not in obj:
         return EngineConfig()
-    workers = obj.get("workers", 1)
-    if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
-        errs.add("engine.workers", "must be an integer >= 1")
-        workers = 1
-    seed = obj.get("hash_seed", 0)
+    seed = obj["hash_seed"]
     if not isinstance(seed, int) or isinstance(seed, bool) or not (0 <= seed < 2 ** 64):
         errs.add("engine.hash_seed", "must be an integer in [0, 2^64)")
-        seed = 0
-    return EngineConfig(workers=workers, hash_seed=seed)
+        return EngineConfig()
+    return EngineConfig(hash_seed=seed, hash_seed_pinned=True)
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +588,7 @@ def dump_config(cfg: SuiteConfig) -> dict[str, Any]:
     if sinks:
         out["sinks"] = sinks
     if cfg.engine != EngineConfig():
-        out["engine"] = {"workers": cfg.engine.workers, "hash_seed": cfg.engine.hash_seed}
+        out["engine"] = {"hash_seed": cfg.engine.hash_seed}
     return out
 
 
@@ -635,14 +642,19 @@ def _dump_check(check: CheckDefinition) -> dict[str, Any]:
 
 def semantic_errors(cfg: SuiteConfig, config_path: str | None = None) -> list[str]:
     """Everything wrong with a structurally valid config, as messages."""
-    from .connectors import load_reference
+    return check_config(cfg, config_path)[1]
 
+
+def check_config(cfg: SuiteConfig, config_path: str | None = None
+                 ) -> tuple[dict[str, ReferenceTable], list[str]]:
+    """The config's reference tables, each loaded once, and everything wrong
+    with a structurally valid config (semantic_errors)."""
     errors: list[str] = []
     tables = {}
     for ref in cfg.references:
         path = resolve_path(config_path, ref.path) if config_path else ref.path
         try:
-            tables[ref.id] = load_reference(ref.id, path, ref.key)
+            tables[ref.id] = connectors.load_reference(ref.id, path, ref.key)
         except (OSError, ValueError) as exc:
             errors.append(f"reference {ref.id!r}: {exc}")
     errors.extend(validate_suite(
@@ -651,5 +663,5 @@ def semantic_errors(cfg: SuiteConfig, config_path: str | None = None) -> list[st
         has_secondary=cfg.secondary_source is not None))
     if cfg.secondary_source is not None and cfg.window.kind == "session":
         errors.append("secondary sources require tumbling or sliding windows")
-    return errors
+    return tables, errors
 

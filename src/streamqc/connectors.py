@@ -14,6 +14,7 @@ import json
 import logging
 import random
 import socket
+import sys
 import time
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
@@ -586,8 +587,6 @@ class FileSink:
 
 class StdoutSink:
     def __init__(self, stream: io.TextIOBase | None = None):
-        import sys
-
         self._fp = stream if stream is not None else sys.stdout
 
     def write_line(self, line: str) -> None:

@@ -25,9 +25,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from datetime import datetime
 from typing import Any, Callable, Iterator
 
-from .model import StreamElement, Value
+from .model import StreamElement, Value, threshold_holds
 
 __all__ = [
     "ExpressionError", "Expr", "Literal", "Name", "Unary", "Binary", "Call",
@@ -481,17 +482,11 @@ def evaluate(node: Expr, element: StreamElement | None,
         left = evaluate(node.left, element, bindings)
         right = evaluate(node.right, element, bindings)
         if op in ("<", "<=", "=", "!=", ">=", ">"):
-            return _compare_values(op, left, right)
+            return threshold_holds(left, op, right)
         return _arith(op, left, right)
     if isinstance(node, Call):
         return _call(node, element, bindings)
     return None
-
-
-def _compare_values(op: str, left: Value, right: Value) -> Value:
-    from .model import threshold_holds
-
-    return threshold_holds(left, op, right)
 
 
 def _arith(op: str, left: Value, right: Value) -> Value:
@@ -513,8 +508,6 @@ def _arith(op: str, left: Value, right: Value) -> Value:
 
 def _call(node: Call, element: StreamElement | None,
           bindings: dict[str, Value] | None) -> Value:
-    from datetime import datetime
-
     args = [evaluate(a, element, bindings) for a in node.args]
     name = node.name
     if name == "is_null":

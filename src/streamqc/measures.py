@@ -9,6 +9,9 @@ The registry maps measure ids from configuration to validation, evaluation,
 and (where meaningful) a per-element checker used for per-element records and
 side-output routing.
 
+Each check's measure is compiled once (compile_measure) into the function
+that measures one pane, its parameters and checker resolved in advance.
+
 Measures that merge (mean, std, completeness, distinct_count, uniqueness) are
 written once as a partial over a run of elements and a finish over the
 partials of a pane. Each slice of a sliding pane computes its partial once,
@@ -21,6 +24,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import re
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from itertools import chain
@@ -28,6 +32,8 @@ from typing import Any, Callable, Sequence
 
 from . import expression
 from .model import (
+    TS_MAX,
+    TS_MIN,
     MeasureSpec,
     StreamElement,
     Value,
@@ -44,7 +50,7 @@ from .model import (
 from .sketches import CardinalityEstimator, FrequentItemsSketch
 
 __all__ = ["MeasureResult", "EngineEnv", "MEASURES", "MeasureDef",
-           "basic_stats", "percentile"]
+           "percentile", "compile_measure"]
 
 _NUMERIC_TYPES = ("int", "float")
 _ORDERED_TYPES = ("int", "float", "timestamp")
@@ -72,16 +78,19 @@ class EngineEnv:
 
 
 ElemChecker = Callable[[StreamElement], "bool | None"]
+MeasureRun = Callable[[WindowInstance, EngineEnv], MeasureResult]
 
 
 @dataclass(frozen=True)
 class MeasureDef:
-    """Registry entry for one measure id."""
+    """Registry entry for one measure id. compile(params, env, checker)
+    returns the function that measures one pane; checker is the spec's
+    make_elem_checker result, or None."""
 
     id: str
     params_allowed: frozenset[str]
     validate: Callable[[dict, dict[str, str]], list[str]]
-    apply: Callable[[dict, WindowInstance, EngineEnv], MeasureResult]
+    compile: Callable[[dict, EngineEnv, ElemChecker | None], MeasureRun]
     result_type: Callable[[dict, dict[str, str]], str | None]
     make_elem_checker: Callable[[dict, EngineEnv], ElemChecker] | None = None
 
@@ -119,27 +128,6 @@ def _mean_std(xs: list) -> tuple[float, float]:
     return mean, math.sqrt(var if var > 0.0 else 0.0)
 
 
-def basic_stats(window: WindowInstance, column: str) -> dict[str, Value]:
-    """count/min/max/mean/std of a column's non-Null values in one pass set.
-
-    count is always an Int; the others are Null when no non-Null values exist.
-    min/max keep the original value type; mean/std are Floats (numeric input).
-    """
-    values = _non_null(window.elements, column)
-    if not values:
-        return {"count": 0, "min": None, "max": None, "mean": None, "std": None}
-    out: dict[str, Value] = {"count": len(values)}
-    out["min"] = min(values)
-    out["max"] = max(values)
-    numbers = [v for v in values if not isinstance(v, bool) and isinstance(v, (int, float))]
-    if numbers and len(numbers) == len(values):
-        mean, std = _mean_std(numbers)
-        out["mean"], out["std"] = mean, std
-    else:
-        out["mean"] = out["std"] = None
-    return out
-
-
 def percentile(sorted_values: list, q: float) -> float:
     """Linear-interpolation percentile (h = (n-1)q) over a sorted list."""
     n = len(sorted_values)
@@ -153,26 +141,34 @@ def percentile(sorted_values: list, q: float) -> float:
     return float(sorted_values[lo]) + frac * (float(sorted_values[lo + 1]) - float(sorted_values[lo]))
 
 
-def _merged(partial: Callable[[dict, Sequence[StreamElement], EngineEnv], Any],
-            finish: Callable[[dict, list, int, EngineEnv], MeasureResult]):
-    """apply() of a measure kept as partial state per slice.
+def _per_pane(apply: Callable[[dict, WindowInstance, EngineEnv], MeasureResult]):
+    """compile() of a measure that reads its parameters as it measures."""
+    return lambda params, env, checker: functools.partial(apply, params)
 
-    partial(params, elements, env) summarizes one run of elements; it is
-    computed once per slice and kept in the slice's memo under the partial
-    and its parameters, so measures sharing a partial share the entry.
-    finish(params, partials, n, env) merges the pane's partials, in slice
-    order, into the result; n is the pane's element count.
+
+def _merged(name: str, prepare):
+    """compile() of a measure kept as partial state per slice.
+
+    prepare(params, env, checker) returns (partial, finish): partial(elements)
+    summarizes one run of elements, and finish(partials, n) merges a pane's
+    partials, in slice order, into the result (n is the pane's element
+    count). A slice computes each partial once and keeps it in its memo under
+    the partial's name and parameters, so checks sharing a partial share it.
     """
-    def apply(params, window, env):
-        key = (partial, json.dumps(params, sort_keys=True, default=repr), env.hash_seed)
-        partials = []
-        for part in window.slices():
-            memo = part.memo
-            if key not in memo:
-                memo[key] = partial(params, part.elements, env)
-            partials.append(memo[key])
-        return finish(params, partials, len(window.elements), env)
-    return apply
+    def compile(params, env, checker):
+        partial, finish = prepare(params, env, checker)
+        key = (name, json.dumps(params, sort_keys=True, default=repr), env.hash_seed)
+
+        def run(window, env):
+            partials = []
+            for part in window.slices():
+                memo = part.memo
+                if key not in memo:
+                    memo[key] = partial(part.elements)
+                partials.append(memo[key])
+            return finish(partials, len(window.elements))
+        return run
+    return compile
 
 
 def _concat(lists: list[list]) -> list:
@@ -247,23 +243,17 @@ def _apply_max(params, window, env):
     return MeasureResult(max(values) if values else None)
 
 
-def _numbers_partial(params, elements, env):
-    return _numbers(elements, params["column"])
+def _numbers_stat(stat: Callable[[list], float]):
+    """prepare() of a statistic of a column's numbers (Null without any)."""
+    def prepare(params, env, checker):
+        column = params["column"]
 
-
-def _finish_mean(params, partials, n, env):
-    # The concatenated lists are the pane's numbers in pane order.
-    numbers = _concat(partials)
-    if not numbers:
-        return MeasureResult(None)
-    return MeasureResult(math.fsum(numbers) / len(numbers))
-
-
-def _finish_std(params, partials, n, env):
-    numbers = _concat(partials)
-    if not numbers:
-        return MeasureResult(None)
-    return MeasureResult(_mean_std(numbers)[1])
+        def finish(partials, n):
+            # The concatenated lists are the pane's numbers in pane order.
+            numbers = _concat(partials)
+            return MeasureResult(stat(numbers) if numbers else None)
+        return (lambda elements: _numbers(elements, column)), finish
+    return prepare
 
 
 def _validate_z_outliers(params, columns):
@@ -318,13 +308,13 @@ def _completeness_checker(params, env) -> ElemChecker:
     return check
 
 
-def _present_partial(params, elements, env):
-    check = _completeness_checker(params, env)
-    return sum(1 for e in elements if check(e) is True)
+def _prepare_completeness(params, env, check):
+    def present(elements):
+        return sum(1 for e in elements if check(e) is True)
 
-
-def _finish_completeness(params, partials, n, env):
-    return MeasureResult(sum(partials) / n if n else None)
+    def finish(partials, n):
+        return MeasureResult(sum(partials) / n if n else None)
+    return present, finish
 
 
 def _validate_placeholders(params, columns):
@@ -339,21 +329,25 @@ def _validate_placeholders(params, columns):
     return errors
 
 
-def _apply_placeholders(params, window, env):
+def _compile_placeholders(params, env, checker):
+    column = params["column"]
     tokens = _json_values(params["tokens"])
-    values = _non_null(window.elements, params["column"])
-    seen: set[bytes] = set()
-    hits = 0
-    for v in values:
-        for t in tokens:
-            if values_equal(v, t) is True:
-                hits += 1
-                seen.add(canonical_bytes(t))
-                break
-    fraction = hits / len(values) if values else None
-    detail = {"distinct_placeholders_present": len(seen), "placeholder_fraction": fraction}
-    value: Value = fraction if params.get("output") == "fraction" else len(seen)
-    return MeasureResult(value, detail)
+    as_fraction = params.get("output") == "fraction"
+
+    def run(window, env):
+        values = _non_null(window.elements, column)
+        seen: set[bytes] = set()
+        hits = 0
+        for v in values:
+            for t in tokens:
+                if values_equal(v, t) is True:
+                    hits += 1
+                    seen.add(canonical_bytes(t))
+                    break
+        fraction = hits / len(values) if values else None
+        detail = {"distinct_placeholders_present": len(seen), "placeholder_fraction": fraction}
+        return MeasureResult(fraction if as_fraction else len(seen), detail)
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -372,27 +366,30 @@ def _validate_distinct(params, columns):
     return errors
 
 
-def _distinct_partial(params, elements, env):
-    """Canonical encodings (exact), or the value count and the occupied
-    registers of a sketch over the elements (approx)."""
-    values = _non_null(elements, params["column"])
-    if params.get("mode", "exact") == "approx":
-        est = CardinalityEstimator(params.get("precision", 14), env.hash_seed)
+def _prepare_distinct(params, env, checker):
+    """Partials are canonical encodings (exact), or the value count and the
+    occupied registers of a sketch over the elements (approx)."""
+    column = params["column"]
+    if params.get("mode", "exact") == "exact":
+        return (lambda elements: {canonical_bytes(v) for v in _non_null(elements, column)},
+                lambda partials, n: MeasureResult(len(set().union(*partials))))
+    precision, seed = params.get("precision", 14), env.hash_seed
+
+    def partial(elements):
+        values = _non_null(elements, column)
+        est = CardinalityEstimator(precision, seed)
         for v in values:
             est.add(v)
         return len(values), est.occupied()
-    return {canonical_bytes(v) for v in values}
 
-
-def _finish_distinct(params, partials, n, env):
-    if params.get("mode", "exact") == "approx":
+    def finish(partials, n):
         # Register-wise max gives the registers of one sketch over the pane.
-        est = CardinalityEstimator(params.get("precision", 14), env.hash_seed)
+        est = CardinalityEstimator(precision, seed)
         for _, registers in partials:
             est.merge(registers)
         present = any(count for count, _ in partials)
         return MeasureResult(est.estimate() if present else 0.0)
-    return MeasureResult(len(set().union(*partials)))
+    return partial, finish
 
 
 def _validate_uniqueness(params, columns):
@@ -403,27 +400,29 @@ def _validate_uniqueness(params, columns):
     return errors
 
 
-def _counts_partial(params, elements, env):
-    counts: dict[bytes, int] = {}
-    for v in _non_null(elements, params["column"]):
-        k = canonical_bytes(v)
-        counts[k] = counts.get(k, 0) + 1
-    return counts
+def _prepare_uniqueness(params, env, checker):
+    column = params["column"]
+    as_count = params.get("output") == "unique_count"
 
+    def counts(elements):
+        out: dict[bytes, int] = {}
+        for v in _non_null(elements, column):
+            k = canonical_bytes(v)
+            out[k] = out.get(k, 0) + 1
+        return out
 
-def _finish_uniqueness(params, partials, n, env):
-    counts = partials[0]
-    if len(partials) > 1:
-        counts = dict(counts)  # partials are shared through the slice memo
-        for part in partials[1:]:
-            for k, c in part.items():
-                counts[k] = counts.get(k, 0) + c
-    total = sum(counts.values())
-    unique = sum(1 for c in counts.values() if c == 1)
-    ratio = unique / total if total else None
-    detail = {"unique_count": unique, "ratio": ratio}
-    value: Value = unique if params.get("output") == "unique_count" else ratio
-    return MeasureResult(value, detail)
+    def finish(partials, n):
+        merged = partials[0]
+        if len(partials) > 1:
+            merged = dict(merged)  # partials are shared through the slice memo
+            for part in partials[1:]:
+                for k, c in part.items():
+                    merged[k] = merged.get(k, 0) + c
+        total = sum(merged.values())
+        unique = sum(1 for c in merged.values() if c == 1)
+        ratio = unique / total if total else None
+        return MeasureResult(unique if as_count else ratio, {"unique_count": unique, "ratio": ratio})
+    return counts, finish
 
 
 def _validate_heavy_hitters(params, columns):
@@ -685,18 +684,19 @@ def _validate_freshness(params, columns):
     return errors
 
 
-def _apply_freshness(params, window, env):
-    if not window.elements:
-        return MeasureResult(None)
-    newest = max(e.event_time for e in window.elements)
+def _compile_freshness(params, env, checker):
     ref = params.get("reference", "watermark")
-    if ref == "watermark":
-        if env.watermark is None:
+    fixed = None if ref == "watermark" else parse_ts(ref)
+
+    def run(window, env):
+        if not window.elements:
+            return MeasureResult(None)
+        newest = max(e.event_time for e in window.elements)
+        ref_ts = fixed if fixed is not None else env.watermark
+        if ref_ts is None:
             return MeasureResult(None, {"reference": "watermark", "missing": True})
-        ref_ts = env.watermark
-    else:
-        ref_ts = parse_ts(ref)
-    return MeasureResult((ref_ts - newest) / timedelta(seconds=1))
+        return MeasureResult((ref_ts - newest) / timedelta(seconds=1))
+    return run
 
 
 def _apply_volume(params, window, env):
@@ -735,10 +735,11 @@ def _schema_checker(params, env) -> ElemChecker:
     return check
 
 
-def _apply_schema_check(params, window, env):
-    check = _schema_checker(params, env)
-    violations = sum(1 for e in window.elements if check(e) is not True)
-    return MeasureResult(violations == 0, {"violations": violations})
+def _compile_schema_check(params, env, check):
+    def run(window, env):
+        violations = sum(1 for e in window.elements if check(e) is not True)
+        return MeasureResult(violations == 0, {"violations": violations})
+    return run
 
 
 _TYPE_CHECK_TYPES = ("int", "float", "bool", "timestamp", "text")
@@ -826,20 +827,19 @@ def _type_checker(params, env) -> ElemChecker:
     return check
 
 
-def _apply_type_check(params, window, env):
-    check = _type_checker(params, env)
-    passes = 0
-    considered = 0
-    for e in window.elements:
-        verdict = check(e)
-        if verdict is None:
-            continue
-        considered += 1
-        if verdict:
-            passes += 1
-    if considered == 0:
-        return MeasureResult(None)
-    return MeasureResult(passes / considered)
+def _compile_type_check(params, env, check):
+    def run(window, env):
+        passes = 0
+        considered = 0
+        for e in window.elements:
+            verdict = check(e)
+            if verdict is None:
+                continue
+            considered += 1
+            if verdict:
+                passes += 1
+        return MeasureResult(passes / considered if considered else None)
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -901,7 +901,6 @@ def _range_checker(params, env) -> ElemChecker:
     lo = value_from_json(params["lo"]) if params.get("lo") is not None else -math.inf
     hi = value_from_json(params["hi"]) if params.get("hi") is not None else math.inf
     if isinstance(lo, datetime) or isinstance(hi, datetime):
-        from .model import TS_MAX, TS_MIN
         lo = lo if isinstance(lo, datetime) else TS_MIN
         hi = hi if isinstance(hi, datetime) else TS_MAX
     bounds = ValueRange(lo, hi,
@@ -941,18 +940,20 @@ def _in_set_checker(params, env) -> ElemChecker:
     return check
 
 
-def _apply_in_set(params, window, env):
-    check = _in_set_checker(params, env)
-    n = len(window.elements)
-    if n == 0:
-        return MeasureResult(None)
-    passes = sum(1 for e in window.elements if check(e) is True)
-    result = MeasureResult(passes / n)
-    if params.get("proper", False):
-        allowed = _json_values(params["allowed"])
+def _compile_in_set(params, env, check):
+    fraction = _fraction(params, env, check)
+    if not params.get("proper", False):
+        return fraction
+    column = params["column"]
+    allowed = _json_values(params["allowed"])
+
+    def run(window, env):
+        result = fraction(window, env)
+        if result.value is None:
+            return result  # empty pane
         observed = []
         seen: set[bytes] = set()
-        for v in window.values(params["column"]):
+        for v in window.values(column):
             if v is not None and canonical_bytes(v) not in seen:
                 seen.add(canonical_bytes(v))
                 observed.append(v)
@@ -962,7 +963,8 @@ def _apply_in_set(params, window, env):
             # Observed set equals the allowed set: proper subset demanded.
             result.force_fail = True
             result.detail = {"proper_subset_violated": True}
-    return result
+        return result
+    return run
 
 
 def _validate_matches_pattern(params, columns):
@@ -980,10 +982,8 @@ def _validate_matches_pattern(params, columns):
 
 
 def _pattern_checker(params, env) -> ElemChecker:
-    import re as _re
-
     column = params["column"]
-    regex = _re.compile(params["pattern"])
+    regex = re.compile(params["pattern"])
 
     def check(e: StreamElement) -> bool | None:
         v = e.attrs.get(column)
@@ -1013,14 +1013,8 @@ def _validate_conforms(params, columns):
     return errors
 
 
-@functools.lru_cache(maxsize=256)
-def _compiled(text: str) -> expression.Expr:
-    """Parse an expression once per text, not once per pane (Expr is immutable)."""
-    return expression.parse(text)
-
-
 def _conforms_checker(params, env) -> ElemChecker:
-    expr = _compiled(params["expression"])
+    expr = expression.parse(params["expression"])
 
     def check(e: StreamElement) -> bool | None:
         verdict = expr.evaluate(e)
@@ -1031,15 +1025,14 @@ def _conforms_checker(params, env) -> ElemChecker:
     return check
 
 
-def _fraction_apply(make_checker):
-    def apply(params, window, env):
+def _fraction(params, env, check):
+    """compile() of the share of a pane's elements that the checker accepts."""
+    def run(window, env):
         n = len(window.elements)
         if n == 0:
             return MeasureResult(None)
-        check = make_checker(params, env)
-        passes = sum(1 for e in window.elements if check(e) is True)
-        return MeasureResult(passes / n)
-    return apply
+        return MeasureResult(sum(1 for e in window.elements if check(e) is True) / n)
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -1068,64 +1061,64 @@ def _register(measure: MeasureDef) -> None:
 
 _register(MeasureDef("count", frozenset({"column"}),
                      _stat_validate(("bool", "int", "float", "text", "timestamp")),
-                     _apply_count, _static_type("int")))
-_register(MeasureDef("min", frozenset({"column"}), _stat_validate(_ORDERED_TYPES), _apply_min, _column_type))
-_register(MeasureDef("max", frozenset({"column"}), _stat_validate(_ORDERED_TYPES), _apply_max, _column_type))
+                     _per_pane(_apply_count), _static_type("int")))
+_register(MeasureDef("min", frozenset({"column"}), _stat_validate(_ORDERED_TYPES), _per_pane(_apply_min), _column_type))
+_register(MeasureDef("max", frozenset({"column"}), _stat_validate(_ORDERED_TYPES), _per_pane(_apply_max), _column_type))
 _register(MeasureDef("mean", frozenset({"column"}), _stat_validate(_NUMERIC_TYPES),
-                     _merged(_numbers_partial, _finish_mean), _static_type("float")))
+                     _merged("numbers", _numbers_stat(lambda xs: math.fsum(xs) / len(xs))), _static_type("float")))
 _register(MeasureDef("std", frozenset({"column"}), _stat_validate(_NUMERIC_TYPES),
-                     _merged(_numbers_partial, _finish_std), _static_type("float")))
-_register(MeasureDef("z_outlier_count", frozenset({"column", "z"}), _validate_z_outliers, _apply_z_outliers, _static_type("int")))
+                     _merged("numbers", _numbers_stat(lambda xs: _mean_std(xs)[1])), _static_type("float")))
+_register(MeasureDef("z_outlier_count", frozenset({"column", "z"}), _validate_z_outliers, _per_pane(_apply_z_outliers), _static_type("int")))
 _register(MeasureDef("completeness", frozenset({"column", "missing_tokens", "empty_text_missing"}),
-                     _validate_completeness, _merged(_present_partial, _finish_completeness),
+                     _validate_completeness, _merged("present", _prepare_completeness),
                      _static_type("float"),
                      _completeness_checker))
 _register(MeasureDef("placeholder_report", frozenset({"column", "tokens", "output"}),
-                     _validate_placeholders, _apply_placeholders,
+                     _validate_placeholders, _compile_placeholders,
                      lambda p, c: "float" if p.get("output") == "fraction" else "int"))
 _register(MeasureDef("distinct_count", frozenset({"column", "mode", "precision"}),
-                     _validate_distinct, _merged(_distinct_partial, _finish_distinct),
+                     _validate_distinct, _merged("distinct", _prepare_distinct),
                      lambda p, c: "float" if p.get("mode") == "approx" else "int"))
 _register(MeasureDef("uniqueness", frozenset({"column", "output"}),
-                     _validate_uniqueness, _merged(_counts_partial, _finish_uniqueness),
+                     _validate_uniqueness, _merged("counts", _prepare_uniqueness),
                      lambda p, c: "int" if p.get("output") == "unique_count" else "float"))
 _register(MeasureDef("heavy_hitters", frozenset({"column", "phi", "mode", "capacity"}),
-                     _validate_heavy_hitters, _apply_heavy_hitters, _static_type("int")))
+                     _validate_heavy_hitters, _per_pane(_apply_heavy_hitters), _static_type("int")))
 _register(MeasureDef("percentiles", frozenset({"column", "points"}),
-                     _validate_percentiles, _apply_percentiles, _static_type("float")))
+                     _validate_percentiles, _per_pane(_apply_percentiles), _static_type("float")))
 _register(MeasureDef("length_stats", frozenset({"column", "statistic"}),
-                     _validate_length_stats, _apply_length_stats,
+                     _validate_length_stats, _per_pane(_apply_length_stats),
                      lambda p, c: "int" if p.get("statistic") in ("min", "max") else "float"))
 _register(MeasureDef("correlation", frozenset({"column_a", "column_b", "method"}),
-                     _validate_correlation, _apply_correlation, _static_type("float")))
+                     _validate_correlation, _per_pane(_apply_correlation), _static_type("float")))
 _register(MeasureDef("ordering_violations", frozenset({"column", "direction", "strict"}),
-                     _validate_ordering, _apply_ordering, _static_type("int")))
+                     _validate_ordering, _per_pane(_apply_ordering), _static_type("int")))
 _register(MeasureDef("interval_conflicts", frozenset({"start_column", "end_column", "policy"}),
-                     _validate_intervals, _apply_intervals, _static_type("int")))
+                     _validate_intervals, _per_pane(_apply_intervals), _static_type("int")))
 _register(MeasureDef("out_of_order_count", frozenset({"column"}),
-                     _validate_out_of_order, _apply_out_of_order, _static_type("int")))
+                     _validate_out_of_order, _per_pane(_apply_out_of_order), _static_type("int")))
 _register(MeasureDef("freshness", frozenset({"reference"}),
-                     _validate_freshness, _apply_freshness, _static_type("float")))
-_register(MeasureDef("volume", frozenset(), _no_params, _apply_volume, _static_type("int")))
+                     _validate_freshness, _compile_freshness, _static_type("float")))
+_register(MeasureDef("volume", frozenset(), _no_params, _per_pane(_apply_volume), _static_type("int")))
 _register(MeasureDef("schema_check", frozenset({"expected", "mode"}),
-                     _validate_schema_check, _apply_schema_check, _static_type("bool"),
+                     _validate_schema_check, _compile_schema_check, _static_type("bool"),
                      _schema_checker))
 _register(MeasureDef("type_check", frozenset({"column", "expected", "formats"}),
-                     _validate_type_check, _apply_type_check, _static_type("float"),
+                     _validate_type_check, _compile_type_check, _static_type("float"),
                      _type_checker))
 _register(MeasureDef("match_ratio", frozenset({"on"}),
-                     _validate_match_ratio, _apply_match_ratio, _static_type("float")))
+                     _validate_match_ratio, _per_pane(_apply_match_ratio), _static_type("float")))
 _register(MeasureDef("valid_range", frozenset({"column", "lo", "hi", "lo_inclusive", "hi_inclusive"}),
-                     _validate_valid_range, _fraction_apply(_range_checker), _static_type("float"),
+                     _validate_valid_range, _fraction, _static_type("float"),
                      _range_checker))
 _register(MeasureDef("in_set", frozenset({"column", "allowed", "proper"}),
-                     _validate_in_set, _apply_in_set, _static_type("float"),
+                     _validate_in_set, _compile_in_set, _static_type("float"),
                      _in_set_checker))
 _register(MeasureDef("matches_pattern", frozenset({"column", "pattern"}),
-                     _validate_matches_pattern, _fraction_apply(_pattern_checker), _static_type("float"),
+                     _validate_matches_pattern, _fraction, _static_type("float"),
                      _pattern_checker))
 _register(MeasureDef("conforms", frozenset({"expression"}),
-                     _validate_conforms, _fraction_apply(_conforms_checker), _static_type("float"),
+                     _validate_conforms, _fraction, _static_type("float"),
                      _conforms_checker))
 
 
@@ -1140,9 +1133,23 @@ def validate_measure(spec: MeasureSpec, columns: dict[str, str]) -> list[str]:
     return errors
 
 
-def apply_measure(spec: MeasureSpec, window: WindowInstance, env: EngineEnv) -> MeasureResult:
-    """Evaluate a (validated) measure spec against one closed pane."""
-    return MEASURES[spec.id].apply(spec.params, window, env)
+def compile_measure(spec: MeasureSpec, env: EngineEnv, checker: ElemChecker | None) -> MeasureRun:
+    """The function that measures one pane for a (validated) spec, with its
+    parameters resolved once; checker is the spec's per-element checker
+    (elem_checker_for), which measures with a per-element form count with."""
+    return MEASURES[spec.id].compile(spec.params, env, checker)
+
+
+def apply_measure(spec: MeasureSpec, window: WindowInstance, env: EngineEnv,
+                  run: MeasureRun | None = None) -> MeasureResult:
+    """Evaluate a (validated) measure spec against one closed pane.
+
+    run is the spec's compiled form (compile_measure), as a suite keeps it;
+    without it the spec is compiled for this one call.
+    """
+    if run is None:
+        run = compile_measure(spec, env, elem_checker_for(spec, env))
+    return run(window, env)
 
 
 def elem_checker_for(spec: MeasureSpec, env: EngineEnv) -> ElemChecker | None:

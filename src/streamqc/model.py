@@ -13,7 +13,10 @@ import re
 import struct
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
-from typing import Any, Literal
+from typing import TYPE_CHECKING, Any, Literal
+
+if TYPE_CHECKING:
+    from .expression import Expr
 
 # The value domain: Null, Bool, Int (64-bit by convention), Float (IEEE 754),
 # Text (unicode), Timestamp (tz-aware UTC datetime, millisecond precision).
@@ -418,12 +421,11 @@ class ValueRange:
 class Predicate:
     """A boolean expression over the measured value and context bindings.
 
-    text is the source; expr is the compiled form attached during suite
-    validation (excluded from equality so Predicate('x>1') == Predicate('x>1')).
+    text is the source; a suite parses it once, when it is built, and
+    evaluates the parsed form (see compare_verdict).
     """
 
     text: str
-    expr: Any = field(default=None, compare=False, repr=False)
 
 
 ConstraintSpec = Threshold | ValueRange | Predicate
@@ -458,7 +460,6 @@ class ReferenceSpec:
 
     table: str
     key_expr: str
-    expr: Any = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -541,13 +542,14 @@ def threshold_holds(value: Value, op: str, bound: Value) -> bool | None:
     return {"<": cmp < 0, "<=": cmp <= 0, ">=": cmp >= 0, ">": cmp > 0}[op]
 
 
-def compare_verdict(value: Value, constraint: ConstraintSpec,
+def compare_verdict(value: Value, constraint: Threshold | ValueRange | Expr,
                     bindings: dict[str, Value] | None = None) -> bool | None:
     """Evaluate a constraint against a measured value.
 
-    Returns True/False, or None for a Null verdict (Null inputs, type
-    confusion, or a predicate that evaluates to Null). Callers decide what a
-    Null verdict means (strict fail vs lenient skip).
+    A predicate is given in its parsed form, an expression over `value` and
+    the bindings. Returns True/False, or None for a Null verdict (Null
+    inputs, type confusion, or a predicate that evaluates to Null). Callers
+    decide what a Null verdict means (strict fail vs lenient skip).
     """
     if isinstance(constraint, Threshold):
         return threshold_holds(value, constraint.op, constraint.bound)
@@ -561,23 +563,13 @@ def compare_verdict(value: Value, constraint: ConstraintSpec,
         if lo is None or hi is None:
             return None
         return True
-    if isinstance(constraint, Predicate):
-        if constraint.expr is None:
-            raise ModelError(f"predicate {constraint.text!r} was not compiled")
-        merged = {"value": value}
-        if bindings:
-            merged.update(bindings)
-        result = constraint.expr.evaluate(None, merged)
-        if isinstance(result, bool):
-            return result
-        return None
-    raise ModelError(f"unknown constraint {constraint!r}")
-
-
-def compare(value: Value, constraint: ConstraintSpec,
-            bindings: dict[str, Value] | None = None) -> bool:
-    """Strict form of compare_verdict: a Null verdict counts as failure."""
-    return compare_verdict(value, constraint, bindings) is True
+    if not hasattr(constraint, "evaluate"):
+        raise ModelError(f"unknown constraint {constraint!r}")
+    merged = {"value": value}
+    if bindings:
+        merged.update(bindings)
+    result = constraint.evaluate(None, merged)
+    return result if isinstance(result, bool) else None
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,11 @@ reserved "_" check-id prefix.
 
 from __future__ import annotations
 
+import json
 import math
+import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timedelta
 from itertools import chain
 from typing import Any, Callable, Iterable, Sequence
@@ -20,8 +22,11 @@ from typing import Any, Callable, Iterable, Sequence
 from . import expression
 from .measures import (
     EngineEnv,
+    ElemChecker,
     MEASURES,
+    MeasureRun,
     apply_measure,
+    compile_measure,
     elem_checker_for,
     validate_measure,
 )
@@ -41,15 +46,17 @@ from .model import (
     WindowSpec,
     canonical_bytes,
     compare_verdict,
+    format_ts,
     schema_types,
     value_to_json,
+    value_type,
 )
 from .windowing import PaneStore, RouteOutcome, Watermark
 
 __all__ = [
     "ReferenceTable", "ContextState", "DeadStreamSpec", "FrozenColumnSpec",
     "DetectorSpecs", "validate_suite", "SuiteState", "MonitorEngine",
-    "RunStats", "relative_volume_check",
+    "RunStats", "CheckPlan", "relative_volume_check",
 ]
 
 
@@ -189,7 +196,7 @@ class _DeadDetector:
                 out.append(MetaRecord(
                     w.start, w.end, None, "_dead_stream",
                     span / timedelta(seconds=1), False,
-                    {"silent_since": _iso(self._run_start)}))
+                    {"silent_since": format_ts(self._run_start)}))
         else:
             if self._alerted and self.spec.restart == "auto":
                 span = (self._run_end - self._run_start) / timedelta(seconds=1)
@@ -236,12 +243,6 @@ class _FrozenDetector:
         return out
 
 
-def _iso(dt: datetime) -> str:
-    from .model import format_ts
-
-    return format_ts(dt)
-
-
 # ---------------------------------------------------------------------------
 # Suite validation
 
@@ -257,11 +258,20 @@ def validate_suite(checks: Iterable[CheckDefinition],
     """Validate a whole suite, returning every problem found (empty = ok).
 
     All-or-nothing: callers must refuse to run when any message comes back.
-    Predicate and reference-key expressions are compiled here, once.
     """
-    references = references or {}
+    return _check_suite(checks, schema, window_spec, references or {}, detectors,
+                        has_secondary)[0]
+
+
+def _check_suite(checks: Iterable[CheckDefinition], schema: Iterable[ColumnSpec],
+                 window_spec: WindowSpec, references: dict[str, ReferenceTable],
+                 detectors: DetectorSpecs | None, has_secondary: bool
+                 ) -> tuple[list[str], list[tuple[Any, expression.Expr | None]]]:
+    """validate_suite's messages, and each check's constraint and reference
+    key ready to evaluate (predicate texts parsed), in check order."""
     columns = schema_types(list(schema))
     errors: list[str] = []
+    compiled: list[tuple[Any, expression.Expr | None]] = []
     seen_ids: set[str] = set()
     for check in checks:
         prefix = f"check {check.id!r}: "
@@ -287,16 +297,17 @@ def validate_suite(checks: Iterable[CheckDefinition],
         allowed_bindings = {"value"}
         if check.context is not None:
             allowed_bindings.update(check.context.statistics)
+        reference_key = None
         if check.reference is not None:
             table = references.get(check.reference.table)
             if table is None:
                 errors.append(f"{prefix}unknown reference table {check.reference.table!r}")
             else:
                 allowed_bindings.update(f"ref_{c}" for c in table.columns)
-            _compile(check.reference, "expr", check.reference.key_expr,
-                     {"window_start", "window_end"}, errors,
-                     f"{prefix}reference key expression: ")
-        errors.extend(_validate_constraint(check, columns, allowed_bindings, prefix))
+            reference_key = _parse(check.reference.key_expr, {"window_start", "window_end"},
+                                   errors, f"{prefix}reference key expression: ")
+        constraint = _compile_constraint(check, columns, allowed_bindings, errors, prefix)
+        compiled.append((constraint, reference_key))
     if detectors is not None:
         if detectors.dead is not None:
             if detectors.dead.threshold <= timedelta(0):
@@ -312,56 +323,49 @@ def validate_suite(checks: Iterable[CheckDefinition],
                 errors.append("frozen detector needs windows >= 1")
             if frozen.key_by is not None and frozen.key_by not in columns:
                 errors.append(f"frozen detector key_by {frozen.key_by!r} is not in the schema")
-    return errors
+    return errors, compiled
 
 
-def _compile(holder: Any, attr: str, text: str, allowed: set[str],
-             errors: list[str], prefix: str) -> None:
+def _parse(text: str, allowed: set[str], errors: list[str],
+           prefix: str) -> expression.Expr | None:
     try:
         expr = expression.parse(text)
     except expression.ExpressionError as exc:
         errors.append(prefix + str(exc))
-        return
+        return None
     unknown = expr.free_names() - allowed
     if unknown:
         errors.append(prefix + f"unknown names {sorted(unknown)} "
                                f"(allowed: {sorted(allowed)})")
-        return
-    object.__setattr__(holder, attr, expr)  # compile cache on the frozen spec
+        return None
+    return expr
 
 
-def _validate_constraint(check: CheckDefinition, columns: dict[str, str],
-                         allowed_bindings: set[str], prefix: str) -> list[str]:
-    errors: list[str] = []
+def _compile_constraint(check: CheckDefinition, columns: dict[str, str],
+                        allowed_bindings: set[str], errors: list[str], prefix: str):
+    """The check's constraint ready to evaluate: a Threshold or ValueRange as
+    is, a Predicate parsed. Problems are appended to errors."""
     constraint = check.constraint
+    if isinstance(constraint, Predicate):
+        return _parse(constraint.text, allowed_bindings, errors,
+                      f"{prefix}constraint predicate: ")
     measure = MEASURES.get(check.measure.id)
     result_type = measure.result_type(check.measure.params, columns) if measure else None
-    if isinstance(constraint, Predicate):
-        _compile(constraint, "expr", constraint.text, allowed_bindings, errors,
-                 f"{prefix}constraint predicate: ")
-        return errors
     if isinstance(constraint, Threshold):
-        bound_type = _vtype(constraint.bound)
+        bound_type = value_type(constraint.bound)
         if result_type is not None:
             if not _comparable(result_type, bound_type, constraint.op):
                 errors.append(f"{prefix}constraint bound type {bound_type} does not fit "
                               f"measure result type {result_type}")
-        return errors
-    if isinstance(constraint, ValueRange):
+    elif isinstance(constraint, ValueRange):
         if result_type is not None:
             for label, bound in (("lo", constraint.lo), ("hi", constraint.hi)):
-                if not _comparable(result_type, _vtype(bound), "<"):
-                    errors.append(f"{prefix}range {label} type {_vtype(bound)} does not fit "
+                if not _comparable(result_type, value_type(bound), "<"):
+                    errors.append(f"{prefix}range {label} type {value_type(bound)} does not fit "
                                   f"measure result type {result_type}")
-        return errors
-    errors.append(f"{prefix}unknown constraint type {type(constraint).__name__}")
-    return errors
-
-
-def _vtype(v: Value) -> str:
-    from .model import value_type
-
-    return value_type(v)
+    else:
+        errors.append(f"{prefix}unknown constraint type {type(constraint).__name__}")
+    return constraint
 
 
 def _comparable(result_type: str, bound_type: str, op: str) -> bool:
@@ -379,8 +383,21 @@ def _comparable(result_type: str, bound_type: str, op: str) -> bool:
 # Suite state (pure assessment, no I/O)
 
 
+@dataclass(frozen=True)
+class CheckPlan:
+    """One check compiled when its suite is built; panes only read it.
+    A Predicate constraint and the reference key are held parsed."""
+
+    check: CheckDefinition
+    measure: MeasureRun
+    checker: ElemChecker | None
+    constraint: Threshold | ValueRange | expression.Expr
+    reference_key: expression.Expr | None
+
+
 class SuiteState:
-    """Everything the monitor remembers across panes for one suite."""
+    """Everything the monitor remembers across panes for one suite.
+    Construction validates each check and compiles it into a CheckPlan."""
 
     def __init__(self, checks: list[CheckDefinition],
                  schema: list[ColumnSpec],
@@ -389,18 +406,22 @@ class SuiteState:
                  detectors: DetectorSpecs | None = None,
                  hash_seed: int = 0,
                  secondary: Callable[[datetime, datetime, Value], WindowInstance | None] | None = None):
-        problems = validate_suite(checks, schema, window_spec, references,
-                                  detectors, has_secondary=secondary is not None)
+        checks = list(checks)
+        self.references = references or {}
+        problems, compiled = _check_suite(checks, schema, window_spec, self.references,
+                                          detectors, has_secondary=secondary is not None)
         if problems:
             raise ValueError("invalid suite: " + "; ".join(problems))
-        self.checks = list(checks)
-        self.schema = list(schema)
         self.window_spec = window_spec
-        self.references = references or {}
         self.hash_seed = hash_seed
         self.secondary = secondary
+        env = EngineEnv(hash_seed=hash_seed, secondary=secondary)
+        self.plans: list[CheckPlan] = []
+        for check, (constraint, reference_key) in zip(checks, compiled):
+            checker = elem_checker_for(check.measure, env)
+            self.plans.append(CheckPlan(check, compile_measure(check.measure, env, checker),
+                                        checker, constraint, reference_key))
         self._contexts: dict[tuple[str, bytes], ContextState] = {}
-        self._checkers: dict[str, Any] = {}
         detectors = detectors or DetectorSpecs()
         self._dead = _DeadDetector(detectors.dead) if detectors.dead else None
         self._frozen = [_FrozenDetector(f) for f in detectors.frozen]
@@ -441,13 +462,6 @@ class SuiteState:
             self._contexts[slot] = ctx
         return ctx
 
-    def _checker(self, check: CheckDefinition, env: EngineEnv):
-        fn = self._checkers.get(check.id)
-        if fn is None:
-            fn = elem_checker_for(check.measure, env)
-            self._checkers[check.id] = fn
-        return fn
-
     # -- assessment ----------------------------------------------------------
 
     def on_window_close(self, w: WindowInstance, watermark: datetime | None = None
@@ -462,9 +476,9 @@ class SuiteState:
                         secondary=self.secondary)
         records: list[MetaRecord] = []
         failing: dict[int, tuple[StreamElement, list[str]]] = {}
-        for check in self.checks:
-            for key, sub in self._partition(w, check.key_by):
-                records.extend(self._evaluate(check, key, sub, env, failing))
+        for plan in self.plans:
+            for key, sub in self._partition(w, plan.check.key_by):
+                records.extend(self._evaluate(plan, key, sub, env, failing))
         if self._dead is not None:
             records.extend(self._dead.on_pane(w))
         for det in self._frozen:
@@ -472,9 +486,10 @@ class SuiteState:
         records.sort(key=MetaRecord.order_key)
         return records, failing
 
-    def _evaluate(self, check: CheckDefinition, key: Value, sub: WindowInstance,
+    def _evaluate(self, plan: CheckPlan, key: Value, sub: WindowInstance,
                   env: EngineEnv, failing: dict[int, tuple[StreamElement, list[str]]]
                   ) -> list[MetaRecord]:
+        check = plan.check
         bindings: dict[str, Value] = {}
         warming = False
         if check.context is not None:
@@ -485,7 +500,7 @@ class SuiteState:
         ref_key: Value = None
         if check.reference is not None:
             table = self.references[check.reference.table]
-            ref_key = check.reference.expr.evaluate(
+            ref_key = plan.reference_key.evaluate(
                 None, {"window_start": sub.start, "window_end": sub.end})
             row = table.lookup(ref_key)
             if row is None:
@@ -494,7 +509,7 @@ class SuiteState:
                 for col, v in row.items():
                     bindings[f"ref_{col}"] = v
 
-        result = apply_measure(check.measure, sub, env)
+        result = apply_measure(check.measure, sub, env, plan.measure)
         if check.context is not None:
             # Fold after computing this window's bindings: a window never
             # contributes to its own context.
@@ -512,7 +527,7 @@ class SuiteState:
                                 True, detail)
             return [record]
 
-        verdict = compare_verdict(result.value, check.constraint, bindings)
+        verdict = compare_verdict(result.value, plan.constraint, bindings)
         if verdict is None:
             if check.null_verdict == "skip":
                 detail["skipped_null"] = True
@@ -527,7 +542,7 @@ class SuiteState:
         records = [MetaRecord(sub.start, sub.end, key, check.id, result.value,
                               ok, detail or None)]
         if check.emit_per_element:
-            checker = self._checker(check, env)
+            checker = plan.checker
             for e in sub.elements:
                 ev = checker(e)
                 if ev is None and check.null_verdict == "skip":
@@ -567,12 +582,10 @@ def relative_volume_check(check_id: str, lo_factor: float, hi_factor: float,
     The first pane of a series has no history and reports ok (warming).
     """
     text = f"value >= {lo_factor!r} * mu_H and value <= {hi_factor!r} * mu_H"
-    predicate = Predicate(text)
-    object.__setattr__(predicate, "expr", expression.parse(text))
     return CheckDefinition(
         id=check_id,
         measure=MeasureSpec("volume"),
-        constraint=predicate,
+        constraint=Predicate(text),
         key_by=key_by,
         context=ContextSpec(horizon=horizon),
     )
@@ -597,17 +610,8 @@ class RunStats:
     parse_failures: dict[str, int] = field(default_factory=dict)
 
     def as_dict(self) -> dict[str, Any]:
-        return {
-            "read": self.read,
-            "assigned": self.assigned,
-            "late_accepted": self.late_accepted,
-            "discarded": self.discarded,
-            "panes_closed": self.panes_closed,
-            "records_emitted": self.records_emitted,
-            "side_routed": self.side_routed,
-            "skipped_bad_time": self.skipped_bad_time,
-            "parse_failures": dict(self.parse_failures),
-        }
+        """Every counter, in field order (the stats line's key order)."""
+        return asdict(self)
 
 
 class MonitorEngine:
@@ -633,14 +637,9 @@ class MonitorEngine:
         self.collected: list[MetaRecord] | None = None if meta_sink is not None else []
         self._discards_reported = 0
         self._routed_seqs: set[int] = set()
-        self.collect_timings = collect_timings
         self.routing_seconds = 0.0
-        self.pane_timings: list[tuple[datetime, float, int]] = []  # (end, seconds, batch size)
-        self._perf = None
-        if collect_timings:
-            import time
-
-            self._perf = time.perf_counter
+        self.pane_timings: list[float] = []  # assessment seconds per pane
+        self._perf = time.perf_counter if collect_timings else None
 
     def process(self, element: StreamElement) -> None:
         t0 = self._perf() if self._perf else 0.0
@@ -682,7 +681,7 @@ class MonitorEngine:
                     batch_failing.append(failing[seq])
             batch_records.extend(records)
             if self._perf:
-                self.pane_timings.append((pane.end, self._perf() - t0, len(panes)))
+                self.pane_timings.append(self._perf() - t0)
         batch_records.sort(key=MetaRecord.order_key)
         for record in batch_records:
             self.stats.records_emitted += 1
@@ -698,18 +697,14 @@ class MonitorEngine:
     def _late_discards_record(self, pane: WindowInstance, first: bool) -> MetaRecord:
         delta = 0
         if first:
-            delta = self.store.discarded - self._discards_reported
-            self._discards_reported = self.store.discarded
+            delta = self.stats.discarded - self._discards_reported
+            self._discards_reported = self.stats.discarded
         return MetaRecord(pane.start, pane.end, pane.key, "_late_discards",
                           delta, delta == 0,
                           {"total": self._discards_reported} if delta else None)
 
 
 def _side_line(element: StreamElement, check_ids: list[str]) -> str:
-    import json
-
-    from .model import format_ts
-
     obj = {
         "seq": element.arrival_seq,
         "event_time": format_ts(element.event_time),

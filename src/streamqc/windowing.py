@@ -2,7 +2,8 @@
 
 Panes are half-open [start, end). A single watermark tracks max(event_time)
 minus a bounded delay; a pane closes once watermark >= end + allowed_lateness.
-Elements older than watermark - allowed_lateness are discarded and counted.
+Elements older than watermark - allowed_lateness are discarded (route says
+which; the monitor's RunStats counts them).
 
 Tumbling and sliding panes are built from slices: non-overlapping spans of
 width gcd(duration, slide) on the same grid. Each element is stored once, in
@@ -126,9 +127,6 @@ class PaneStore:
     def __init__(self, spec: WindowSpec, key_by: str | None = None):
         self.spec = spec
         self.key_by = key_by
-        self.discarded = 0
-        self.late_accepted = 0
-        self.assigned = 0
         # Grid state: slice start -> {canonical key -> (key value, slice)}.
         # Slices before _sorted_to are sorted; before _cursor, dropped.
         self._slices: dict[datetime, dict[bytes, tuple[Value, Slice]]] = {}
@@ -151,18 +149,15 @@ class PaneStore:
 
         On time (event_time >= watermark) assigns normally; within
         allowed_lateness assigns to still-open panes flagged late; older
-        elements are dropped and counted in `discarded`.
+        elements are dropped. The caller counts the outcomes.
         """
         t = e.event_time
         if t >= wm.value:
             outcome = RouteOutcome.ASSIGNED
         elif t >= _minus_clamped(wm.value, self.spec.allowed_lateness):
             outcome = RouteOutcome.LATE
-            self.late_accepted += 1
         else:
-            self.discarded += 1
             return RouteOutcome.DISCARDED
-        self.assigned += 1
         key = e.attrs.get(self.key_by) if self.key_by is not None else None
         if self.spec.kind == "session":
             self.update_session(key, e)

@@ -7,6 +7,7 @@ from datetime import timedelta
 
 import pytest
 
+from streamqc import cli, connectors
 from streamqc.cli import HASH_SEED_ENV, _hash_seed, main
 from streamqc.config import (
     ConfigError,
@@ -57,7 +58,7 @@ def test_parse_minimal_config():
     assert cfg.checks[0].id == "fare_mean"
     assert cfg.checks[0].measure.params == {"column": "fare"}
     assert cfg.checks[0].constraint == Threshold("<=", 10.0)
-    assert cfg.engine.workers == 1 and cfg.engine.hash_seed == 0
+    assert cfg.engine.hash_seed == 0
 
 
 def test_unknown_keys_rejected_with_path():
@@ -180,8 +181,6 @@ def test_context_and_reference_blocks():
 
 def test_engine_bounds():
     obj = base_config()
-    obj["engine"] = {"workers": 0}
-    assert any("workers" in m for m in parse_errors(obj))
     obj["engine"] = {"hash_seed": 2 ** 64}
     assert any("hash_seed" in m for m in parse_errors(obj))
     obj["engine"] = {"hash_seed": 7}
@@ -237,7 +236,7 @@ def maximal_config():
     obj["detectors"] = {"dead": {"threshold": "5m"},
                         "frozen": [{"column": "fare", "windows": 4}]}
     obj["sinks"] = {"meta": "meta.jsonl", "side": "side.jsonl"}
-    obj["engine"] = {"workers": 2, "hash_seed": 11}
+    obj["engine"] = {"hash_seed": 11}
     return obj
 
 
@@ -382,6 +381,30 @@ def test_cli_run_writes_meta(tmp_path, capsys):
     assert "read=10" in err
 
 
+def test_cli_run_reads_each_reference_table_once(tmp_path, monkeypatch):
+    (tmp_path / "caps.csv").write_text("hour,cap\n11,10.0\n")
+    (tmp_path / "zones.csv").write_text("zone,cap\nuptown,9.0\nairport,99.0\n")
+
+    def mutate(obj):
+        obj["checks"][0]["constraint"] = {"predicate": "value <= ref_cap"}
+        obj["checks"][0]["reference"] = {"table": "caps", "key": "hour_of(window_start)"}
+        obj["references"] = [{"id": "caps", "path": "caps.csv", "key": "hour"},
+                             {"id": "zones", "path": "zones.csv", "key": "zone"}]
+    cfg_path = cli_setup(tmp_path, mutate)
+    loads = []
+    load = connectors.load_reference
+
+    def counting(table_id, path, key):
+        loads.append(table_id)
+        return load(table_id, path, key)
+    monkeypatch.setattr(connectors, "load_reference", counting)
+    monkeypatch.setattr(cli, "load_reference", counting, raising=False)
+    meta = tmp_path / "meta.jsonl"
+    assert main(["run", cfg_path, "--meta", str(meta)]) == 0
+    assert sorted(loads) == ["caps", "zones"]
+    assert any(json.loads(l)["check"] == "fare_mean" for l in meta.read_text().splitlines())
+
+
 def test_cli_run_failures_do_not_change_exit(tmp_path):
     # Means rise to 13+: the constraint fails but the run still succeeds.
     cfg_path = cli_setup(tmp_path, rows=stream_rows(fare=lambda i: 20.0))
@@ -512,11 +535,26 @@ def test_hash_seed_precedence(tmp_path, monkeypatch):
     pinned = write_config(tmp_path, with_seed, name="pinned.json")
 
     monkeypatch.delenv(HASH_SEED_ENV, raising=False)
-    assert _hash_seed(load_config(plain), plain) == 0
-    assert _hash_seed(load_config(pinned), pinned) == 5
+    assert _hash_seed(load_config(plain)) == 0
+    assert _hash_seed(load_config(pinned)) == 5
     monkeypatch.setenv(HASH_SEED_ENV, "9")
-    assert _hash_seed(load_config(plain), plain) == 9   # env fills the gap
-    assert _hash_seed(load_config(pinned), pinned) == 5  # config still wins
+    assert _hash_seed(load_config(plain)) == 9   # env fills the gap
+    assert _hash_seed(load_config(pinned)) == 5  # config still wins
     monkeypatch.setenv(HASH_SEED_ENV, "banana")
     with pytest.raises(ConfigError):
-        _hash_seed(load_config(plain), plain)
+        _hash_seed(load_config(plain))
+
+
+def test_pinned_hash_seed_survives_dump_and_parse(monkeypatch):
+    obj = base_config()
+    obj["engine"] = {"hash_seed": 0}  # pinned to the default value
+    reparsed = parse_config(dump_config(parse_config(obj)))
+    monkeypatch.setenv(HASH_SEED_ENV, "9")
+    assert _hash_seed(reparsed) == 0
+    assert _hash_seed(parse_config(base_config())) == 9
+
+
+def test_engine_workers_is_an_unknown_key():
+    obj = base_config()
+    obj["engine"] = {"workers": 2}
+    assert any("unknown key 'workers'" in m for m in parse_errors(obj))

@@ -236,11 +236,12 @@ def test_compare_verdict_threshold_and_range():
 def test_compare_verdict_predicate_binds_value():
     from streamqc import expression
 
-    p = Predicate("value > 2 * mu")
-    object.__setattr__(p, "expr", expression.parse(p.text))
+    p = expression.parse("value > 2 * mu")  # a Predicate's compiled form
     assert compare_verdict(7, p, {"mu": 3}) is True
     assert compare_verdict(5, p, {"mu": 3}) is False
     assert compare_verdict(5, p, {"mu": None}) is None
+    with pytest.raises(ModelError):  # the text alone is not evaluable
+        compare_verdict(7, Predicate("value > 2 * mu"), {"mu": 3})
 
 
 # ---------------------------------------------------------------------------

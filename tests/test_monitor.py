@@ -3,12 +3,13 @@
 import json
 import math
 import random
+from collections import Counter
 from dataclasses import replace
 from datetime import timedelta
 
 import pytest
 
-from streamqc import expression
+from streamqc import expression, measures
 from streamqc.model import (
     CheckDefinition,
     ColumnSpec,
@@ -782,6 +783,57 @@ def test_conforms_parses_its_expression_once_per_check(monkeypatch):
 
     few, many = parses(3), parses(40)
     assert many <= few < 3
+
+
+def test_checks_compile_once_when_the_suite_is_built(monkeypatch):
+    """Expressions are parsed and per-element checkers built while SuiteState
+    is built, and not again on any pane."""
+    parses = []
+    parse = expression.parse
+    monkeypatch.setattr(expression, "parse", lambda text: parses.append(text) or parse(text))
+    made = Counter()
+    for measure_id, name in (("conforms", "_conforms_checker"), ("in_set", "_in_set_checker"),
+                             ("valid_range", "_range_checker"),
+                             ("completeness", "_completeness_checker")):
+        factory = getattr(measures, name)
+
+        def counting(params, env, factory=factory, measure_id=measure_id):
+            made[measure_id] += 1
+            return factory(params, env)
+        monkeypatch.setattr(measures, name, counting)
+        monkeypatch.setitem(measures.MEASURES, measure_id,
+                            replace(measures.MEASURES[measure_id], make_elem_checker=counting))
+    text = "fare > -3.75 and fare < 987"  # a text no other test parses
+    checks = [
+        pe_check(),
+        CheckDefinition(id="fare_conforms", measure=MeasureSpec("conforms", {"expression": text}),
+                        constraint=Threshold(">=", 0.5), emit_per_element=True),
+        CheckDefinition(id="zone_known",
+                        measure=MeasureSpec("in_set", {"column": "zone", "allowed": ["a", "b"],
+                                                       "proper": True}),
+                        constraint=Threshold(">=", 0.5), emit_per_element=True),
+        CheckDefinition(id="fare_present",
+                        measure=MeasureSpec("completeness", {"column": "fare",
+                                                             "missing_tokens": [-1.0]}),
+                        constraint=Threshold(">=", 0.5), key_by="zone", emit_per_element=True),
+        CheckDefinition(id="zone_mean", measure=MeasureSpec("mean", {"column": "fare"}),
+                        constraint=Predicate("value <= mu_H + 3 * sigma_H"), key_by="zone",
+                        context=ContextSpec(horizon=3 * MIN)),
+        ref_check(),
+    ]
+    state = suite(checks, references={"hourly": ref_table()})
+    built_parses, built_made = list(parses), Counter(made)
+    assert set(built_parses) == {text, "value <= mu_H + 3 * sigma_H", "value <= ref_max_mean",
+                                 "hour_of(window_start)"}
+    assert set(built_made) == {"conforms", "in_set", "valid_range", "completeness"}
+    eng = MonitorEngine(state)
+    rng = random.Random(5)
+    drive(eng, [elem(at(i * 7), i, fare=rng.choice([None, -1.0, 2.0, 50.0, 150.0]),
+                     zone=rng.choice(["a", "b", "c"])) for i in range(200)])
+    assert eng.stats.panes_closed == 24
+    assert any(r.detail and "element_ref" in r.detail for r in eng.collected)
+    assert parses == built_parses
+    assert made == built_made
 
 
 def test_sliding_sketch_sees_each_value_once(monkeypatch):
