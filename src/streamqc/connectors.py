@@ -9,9 +9,11 @@ or unparseable is skipped entirely. Sinks are line-oriented and fail-stop.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import logging
+import math
 import random
 import socket
 import sys
@@ -30,6 +32,7 @@ from .model import (
     format_ts,
     from_epoch_millis,
     parse_duration,
+    parse_iso,
     utc_ms,
     value_from_json,
 )
@@ -60,129 +63,174 @@ class SourceCounters:
         self.parse_failures[column] = self.parse_failures.get(column, 0) + 1
 
 
+# A coercer maps one raw cell to a value, or to _BAD when the cell does not
+# parse. Coercers are built once per (type, format) and shared by the
+# per-cell functions below and by the compiled source decoders.
+_BAD = object()
+
+
+@functools.lru_cache(maxsize=128)
+def _time_parser(fmt: str) -> Callable[[Any], datetime | None]:
+    """The parser of one timestamp format; it returns None for a bad cell."""
+    if fmt == "iso":
+        def parse(raw: Any) -> datetime | None:
+            if not isinstance(raw, str):
+                return None
+            try:
+                return parse_iso(raw)
+            except (ValueError, OverflowError):
+                return None
+    elif fmt == "epoch_s":
+        def parse(raw: Any) -> datetime | None:
+            try:
+                return from_epoch_millis(round(float(raw) * 1000.0))
+            except (ValueError, TypeError, OverflowError):
+                return None
+    elif fmt == "epoch_ms":
+        def parse(raw: Any) -> datetime | None:
+            try:
+                return from_epoch_millis(int(raw))
+            except (ValueError, TypeError, OverflowError):
+                return None
+    else:
+        def parse(raw: Any) -> datetime | None:
+            if not isinstance(raw, str):
+                return None
+            try:
+                dt = datetime.strptime(raw, fmt)
+                if dt.tzinfo is None:
+                    dt = dt.replace(tzinfo=timezone.utc)
+                return utc_ms(dt)
+            except (ValueError, TypeError, OverflowError):
+                return None
+    return parse
+
+
 def parse_time(raw: Any, fmt: str) -> datetime | None:
     """Parse one timestamp cell; None means unparseable.
 
     fmt is "iso", "epoch_s", "epoch_ms", or a strptime pattern. Naive results
     are taken as UTC; everything is truncated to millisecond precision.
     """
-    try:
-        if fmt == "iso":
-            if not isinstance(raw, str):
-                return None
-            text = raw[:-1] + "+00:00" if raw.endswith("Z") else raw
-            dt = datetime.fromisoformat(text)
-        elif fmt == "epoch_s":
-            number = float(raw)
-            return from_epoch_millis(round(number * 1000.0))
-        elif fmt == "epoch_ms":
-            return from_epoch_millis(int(raw))
-        else:
-            if not isinstance(raw, str):
-                return None
-            dt = datetime.strptime(raw, fmt)
-    except (ValueError, TypeError, OverflowError):
+    return _time_parser(fmt)(raw)
+
+
+@functools.lru_cache(maxsize=128)
+def _csv_coercer(type_name: str, fmt: str) -> Callable[[str], Value] | None:
+    """The coercer of a CSV column; None for text, whose cell is its value.
+
+    Empty cells are Null for every other type.
+    """
+    if type_name == "text":
         return None
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-    try:
-        return utc_ms(dt)
-    except Exception:
-        return None
+    if type_name == "bool":
+        def coerce(text: str) -> Value:
+            low = text.lower()
+            if low == "true":
+                return True
+            if low == "false":
+                return False
+            return None if text == "" else _BAD
+    elif type_name == "int":
+        def coerce(text: str) -> Value:
+            try:
+                return int(text)
+            except ValueError:
+                return None if text == "" else _BAD
+    elif type_name == "float":
+        def coerce(text: str) -> Value:
+            try:
+                value = float(text)
+            except ValueError:
+                return None if text == "" else _BAD
+            return None if math.isnan(value) else value
+    elif type_name == "timestamp":
+        parse = _time_parser(fmt)
+
+        def coerce(text: str) -> Value:
+            if text == "":
+                return None
+            dt = parse(text)
+            return _BAD if dt is None else dt
+    else:
+        raise ValueError(f"unknown column type {type_name!r}")
+    return coerce
+
+
+@functools.lru_cache(maxsize=128)
+def _json_coercer(type_name: str, fmt: str) -> Callable[[Any], Value]:
+    """The coercer of a JSON field. Null stays Null; type mismatches fail,
+    they are never silently reinterpreted; the one widening is int -> float."""
+    if type_name == "bool":
+        def coerce(raw: Any) -> Value:
+            return raw if raw is True or raw is False or raw is None else _BAD
+    elif type_name == "int":
+        def coerce(raw: Any) -> Value:
+            if isinstance(raw, int) and not isinstance(raw, bool):
+                return raw
+            return None if raw is None else _BAD
+    elif type_name == "float":
+        def coerce(raw: Any) -> Value:
+            if isinstance(raw, (int, float)) and not isinstance(raw, bool):
+                try:
+                    value = float(raw)
+                except OverflowError:  # an int beyond the float range
+                    return _BAD
+                return None if math.isnan(value) else value
+            return None if raw is None else _BAD
+    elif type_name == "text":
+        def coerce(raw: Any) -> Value:
+            return raw if raw is None or isinstance(raw, str) else _BAD
+    elif type_name == "timestamp":
+        parse = _time_parser(fmt)
+
+        def coerce(raw: Any) -> Value:
+            if raw is None:
+                return None
+            dt = parse(raw)
+            return _BAD if dt is None else dt
+    else:
+        raise ValueError(f"unknown column type {type_name!r}")
+    return coerce
 
 
 def coerce_csv_cell(text: str, type_name: str, fmt: str = "iso") -> tuple[Value, bool]:
     """(value, ok). Empty cells are Null for every type except text."""
-    if text == "":
-        return ("", True) if type_name == "text" else (None, True)
-    if type_name == "text":
-        return text, True
-    if type_name == "bool":
-        low = text.lower()
-        if low == "true":
-            return True, True
-        if low == "false":
-            return False, True
-        return None, False
-    if type_name == "int":
-        try:
-            return int(text), True
-        except ValueError:
-            return None, False
-    if type_name == "float":
-        try:
-            return ensure_value(float(text)), True
-        except ValueError:
-            return None, False
-    if type_name == "timestamp":
-        dt = parse_time(text, fmt)
-        return (dt, True) if dt is not None else (None, False)
-    raise ValueError(f"unknown column type {type_name!r}")
+    coerce = _csv_coercer(type_name, fmt)
+    value = text if coerce is None else coerce(text)
+    return (None, False) if value is _BAD else (value, True)
 
 
 def coerce_json_value(raw: Any, type_name: str, fmt: str = "iso") -> tuple[Value, bool]:
     """(value, ok) for a decoded JSON field. Type mismatches fail, they are
     never silently reinterpreted; the one widening is int -> float."""
-    if raw is None:
-        return None, True
-    if type_name == "bool":
-        return (raw, True) if isinstance(raw, bool) else (None, False)
-    if type_name == "int":
-        if isinstance(raw, bool) or not isinstance(raw, int):
-            return None, False
-        return raw, True
-    if type_name == "float":
-        if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-            return None, False
-        return ensure_value(float(raw)), True
-    if type_name == "text":
-        return (raw, True) if isinstance(raw, str) else (None, False)
-    if type_name == "timestamp":
-        dt = parse_time(raw, fmt)
-        return (dt, True) if dt is not None else (None, False)
-    raise ValueError(f"unknown column type {type_name!r}")
+    value = _json_coercer(type_name, fmt)(raw)
+    return (None, False) if value is _BAD else (value, True)
 
 
 # ---------------------------------------------------------------------------
 # Sources
+#
+# Each source compiles its schema once into a decode plan: one
+# (column, cell index, coercer, nullable) entry per schema column, in schema
+# order, then the columns outside the schema, which ride along untyped. A
+# record's attrs are the schema columns followed by the ride-along columns
+# in source order. A cell that does not parse, or a Null in a non-nullable
+# column, becomes Null and counts as a parse failure of its column; a record
+# whose event time is not a timestamp is skipped.
 
 
-def _element(seq: int, row: dict[str, Value], event_time: datetime) -> StreamElement:
-    return StreamElement(event_time=event_time, arrival_seq=seq, attrs=row)
-
-
-def _coerce_row(raw: dict[str, Any], schema: list[ColumnSpec], event_time: str,
-                formats: dict[str, str], counters: SourceCounters,
-                from_csv: bool) -> tuple[dict[str, Value], datetime] | None:
-    """Coerce one raw record; None means skip (bad event time)."""
-    coerce = coerce_csv_cell if from_csv else coerce_json_value
-    row: dict[str, Value] = {}
-    for col in schema:
-        fmt = formats.get(col.name, "iso")
-        if col.name not in raw:
-            value, ok = None, True
-        else:
-            value, ok = coerce(raw[col.name], col.type, fmt)
-        if not ok or (value is None and not col.nullable):
-            counters.fail(col.name)
-        row[col.name] = value
+def _csv_plan(header: list[str], schema: list[ColumnSpec], formats: dict[str, str]
+              ) -> tuple[tuple, tuple]:
+    """(plan, ride-along (column, cell index) pairs in header order). A name
+    repeated in the header takes its last cell."""
+    index = {name: i for i, name in enumerate(header)}
+    plan = tuple((col.name, index[col.name],
+                  _csv_coercer(col.type, formats.get(col.name, "iso")), col.nullable)
+                 for col in schema)
     known = {col.name for col in schema}
-    for name, raw_value in raw.items():
-        if name in known:
-            continue
-        # Columns outside the schema ride along untyped.
-        if from_csv:
-            row[name] = raw_value if raw_value != "" else None
-        elif isinstance(raw_value, (list, dict)):
-            # Nested payloads are out of the value domain; keep them readable.
-            row[name] = json.dumps(raw_value, separators=(",", ":"), ensure_ascii=True)
-        else:
-            row[name] = value_from_json(raw_value)
-    t = row.get(event_time)
-    if not isinstance(t, datetime):
-        counters.skipped_bad_time += 1
-        return None
-    return row, t
+    extras = tuple((name, index[name]) for name in index if name not in known)
+    return plan, extras
 
 
 def iter_csv(path: str, schema: list[ColumnSpec], event_time: str,
@@ -206,16 +254,34 @@ def _iter_csv_fp(fp, schema, event_time, formats, counters, limit) -> Iterator[S
     missing = [c.name for c in schema if c.name not in header]
     if missing:
         raise ValueError(f"csv header is missing schema columns: {missing}")
+    plan, extras = _csv_plan(header, schema, formats)
+    width = len(header)
+    fail = counters.fail
     seq = 0
     for cells in reader:
         if limit is not None and seq >= limit:
             return
-        raw = {name: cells[i] if i < len(cells) else "" for i, name in enumerate(header)}
-        coerced = _coerce_row(raw, schema, event_time, formats, counters, from_csv=True)
-        if coerced is None:
+        if len(cells) < width:
+            cells += [""] * (width - len(cells))  # a short row's missing cells are empty
+        row: dict[str, Value] = {}
+        for name, i, coerce, nullable in plan:
+            if coerce is None:
+                row[name] = cells[i]
+                continue
+            value = coerce(cells[i])
+            if value is _BAD:
+                fail(name)
+                value = None
+            elif value is None and not nullable:
+                fail(name)
+            row[name] = value
+        for name, i in extras:
+            row[name] = cells[i] or None
+        t = row.get(event_time)
+        if not isinstance(t, datetime):
+            counters.skipped_bad_time += 1
             continue
-        row, t = coerced
-        yield _element(seq, row, t)
+        yield StreamElement(t, seq, row)
         seq += 1
 
 
@@ -231,6 +297,10 @@ def iter_jsonl(path: str, schema: list[ColumnSpec], event_time: str,
 
 def _iter_jsonl_lines(lines: Iterable[str], schema, event_time, formats,
                       counters, limit) -> Iterator[StreamElement]:
+    plan = tuple((col.name, _json_coercer(col.type, formats.get(col.name, "iso")),
+                  col.nullable) for col in schema)
+    known = frozenset(col.name for col in schema)
+    fail = counters.fail
     seq = 0
     for line in lines:
         if limit is not None and seq >= limit:
@@ -240,17 +310,36 @@ def _iter_jsonl_lines(lines: Iterable[str], schema, event_time, formats,
             continue
         try:
             raw = json.loads(line)
-        except json.JSONDecodeError:
+        except (ValueError, RecursionError):  # also too many digits, too deep
             counters.skipped_bad_time += 1
             continue
         if not isinstance(raw, dict):
             counters.skipped_bad_time += 1
             continue
-        coerced = _coerce_row(raw, schema, event_time, formats, counters, from_csv=False)
-        if coerced is None:
+        row: dict[str, Value] = {}
+        get = raw.get
+        for name, coerce, nullable in plan:
+            value = coerce(get(name))  # a missing field is Null
+            if value is _BAD:
+                fail(name)
+                value = None
+            elif value is None and not nullable:
+                fail(name)
+            row[name] = value
+        if not raw.keys() <= known:
+            for name, raw_value in raw.items():
+                if name in known:
+                    continue
+                if isinstance(raw_value, (list, dict)):
+                    # Nested payloads are out of the value domain; keep them readable.
+                    row[name] = json.dumps(raw_value, separators=(",", ":"), ensure_ascii=True)
+                else:
+                    row[name] = value_from_json(raw_value)
+        t = row.get(event_time)
+        if not isinstance(t, datetime):
+            counters.skipped_bad_time += 1
             continue
-        row, t = coerced
-        yield _element(seq, row, t)
+        yield StreamElement(t, seq, row)
         seq += 1
 
 

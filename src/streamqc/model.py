@@ -46,6 +46,8 @@ def utc_ms(dt: datetime) -> datetime:
 
     Naive datetimes are rejected: event time without a zone is ambiguous.
     """
+    if dt.tzinfo is timezone.utc and dt.microsecond % 1000 == 0:
+        return dt  # already normalized, as every timestamp inside the engine is
     if dt.tzinfo is None:
         raise ModelError("naive datetime has no timezone; timestamps are UTC")
     dt = dt.astimezone(timezone.utc)
@@ -74,22 +76,31 @@ def format_ts(dt: datetime) -> str:
     return f"{dt.year:04d}-{dt.month:02d}-{dt.day:02d}T{dt.hour:02d}:{dt.minute:02d}:{dt.second:02d}.{dt.microsecond // 1000:03d}Z"
 
 
-def parse_ts(text: str) -> datetime:
-    """Parse an ISO-8601 timestamp, normalizing to UTC millisecond precision.
+def parse_iso(text: str) -> datetime:
+    """Parse an ISO-8601 timestamp into UTC at millisecond precision.
 
-    Accepts a trailing Z or an explicit offset; fractional seconds beyond
-    milliseconds are truncated.
+    The one ISO parser of the package: a trailing Z or z means UTC, an
+    explicit offset is converted, a naive time is taken as UTC, and
+    fractional seconds beyond milliseconds are truncated. Raises ValueError
+    or OverflowError when the text is not a representable timestamp.
     """
-    raw = text.strip()
-    if raw.endswith(("Z", "z")):
-        raw = raw[:-1] + "+00:00"
-    try:
-        dt = datetime.fromisoformat(raw)
-    except ValueError as exc:
-        raise ModelError(f"invalid timestamp {text!r}: {exc}") from None
+    if text.endswith(("Z", "z")):
+        text = text[:-1] + "+00:00"
+    dt = datetime.fromisoformat(text)
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
     return utc_ms(dt)
+
+
+def parse_ts(text: str) -> datetime:
+    """Parse an ISO-8601 timestamp given in config or wire input.
+
+    Surrounding whitespace is ignored; otherwise this is parse_iso.
+    """
+    try:
+        return parse_iso(text.strip())
+    except (ValueError, OverflowError) as exc:
+        raise ModelError(f"invalid timestamp {text!r}: {exc}") from None
 
 
 def parse_duration(raw: str | int | float) -> timedelta:
@@ -305,14 +316,33 @@ class Slice:
     A sliding pane is the concatenation of the slices it spans, so values
     kept in the memo (per-slice partial aggregates, key partitions) are
     computed once and shared by every pane over the slice. The memo lives
-    and dies with the slice.
+    and dies with the slice. `ordered` counts the leading elements already
+    verified to be in pane order, so each element is walked once however
+    many panes span the slice.
     """
 
-    __slots__ = ("elements", "memo")
+    __slots__ = ("elements", "memo", "ordered")
 
     def __init__(self, elements: list[StreamElement] | tuple[StreamElement, ...]):
         self.elements = elements
         self.memo: dict[Any, Any] = {}
+        self.ordered = 0
+
+
+def _check_order(elements: list[StreamElement] | tuple[StreamElement, ...],
+                 begin: int = 0) -> None:
+    """Raise unless elements are ordered by (event_time, arrival_seq), given
+    that the first `begin` of them are: only the rest is walked."""
+    if begin >= len(elements):
+        return
+    prev = elements[max(begin - 1, 0)]
+    pt, ps = prev.event_time, prev.arrival_seq
+    for i in range(begin, len(elements)):
+        e = elements[i]
+        t = e.event_time
+        if t < pt or (t == pt and e.arrival_seq < ps):
+            raise ModelError("window elements must be ordered by (event_time, arrival_seq)")
+        pt, ps = t, e.arrival_seq
 
 
 @dataclass(frozen=True)
@@ -321,7 +351,10 @@ class WindowInstance:
 
     Elements are ordered by (event_time, arrival_seq) and every event time
     lies in [start, end). Both are verified at construction. parts, when
-    given, are the slices whose elements concatenate to `elements`.
+    given, are the slices whose elements concatenate to `elements`; each
+    slice is then walked once for order (see Slice.ordered), and the pane
+    checks only the ends of its parts: the bounds of each part's first and
+    last element, and the order across each boundary between parts.
     """
 
     start: datetime
@@ -333,13 +366,25 @@ class WindowInstance:
     def __post_init__(self) -> None:
         if self.start >= self.end:
             raise ModelError(f"window bounds must satisfy start < end, got [{self.start}, {self.end})")
-        prev: StreamElement | None = None
-        for e in self.elements:
-            if not (self.start <= e.event_time < self.end):
-                raise ModelError(f"element at {e.event_time} outside [{self.start}, {self.end})")
-            if prev is not None and (e.event_time, e.arrival_seq) < (prev.event_time, prev.arrival_seq):
-                raise ModelError("window elements must be ordered by (event_time, arrival_seq)")
-            prev = e
+        if self.parts is None:
+            _check_order(self.elements)
+            runs = (self.elements,) if self.elements else ()
+        else:
+            runs = []
+            for part in self.parts:
+                elements = part.elements
+                if part.ordered < len(elements):
+                    _check_order(elements, part.ordered)
+                    part.ordered = len(elements)
+                if elements:
+                    runs.append(elements)
+            if sum(map(len, runs)) != len(self.elements):
+                raise ModelError("window parts must concatenate to its elements")
+            _check_order([e for run in runs for e in (run[0], run[-1])])
+        for run in runs:
+            for e in (run[0], run[-1]):
+                if not (self.start <= e.event_time < self.end):
+                    raise ModelError(f"element at {e.event_time} outside [{self.start}, {self.end})")
 
     def __len__(self) -> int:
         return len(self.elements)

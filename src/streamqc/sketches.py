@@ -36,6 +36,23 @@ def _alpha(m: int) -> float:
     return 0.7213 / (1.0 + 1.079 / m)
 
 
+def _inverse_sum(registers: bytearray, precision: int) -> float:
+    """The sum of 2**-r over the registers, as a left-to-right float loop gives it.
+
+    Every term is a multiple of 2**-top (top = the largest register) and the
+    sum is at most 2**precision, so when precision + top <= 53 every partial
+    sum is exact, the order of addition cannot matter, and the sum is formed
+    from one count per register value. Otherwise the loop runs as written.
+    """
+    top = max(registers)
+    if precision + top <= 53:
+        return sum(registers.count(r) * 2.0 ** -r for r in range(top, -1, -1))
+    inv_sum = 0.0
+    for r in registers:
+        inv_sum += 2.0 ** -r
+    return inv_sum
+
+
 class CardinalityEstimator:
     """Probabilistic distinct counter over 2**precision six-bit registers.
 
@@ -86,12 +103,9 @@ class CardinalityEstimator:
 
     def estimate(self) -> float:
         m = self._m
-        inv_sum = 0.0
-        zeros = 0
-        for r in self._registers:
-            inv_sum += 2.0 ** -r
-            if r == 0:
-                zeros += 1
+        registers = self._registers
+        inv_sum = _inverse_sum(registers, self.precision)
+        zeros = registers.count(0)
         raw = _alpha(m) * m * m / inv_sum
         if raw <= 2.5 * m and zeros > 0:
             est = m * math.log(m / zeros)

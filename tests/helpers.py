@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from datetime import datetime, timedelta
 
+from streamqc import model
 from streamqc.model import StreamElement, Value, WindowInstance, ts
 
 T0 = ts(2015, 5, 7, 11, 0, 0)
@@ -39,3 +40,20 @@ def win(elements, start: datetime | None = None, end: datetime | None = None,
 
 def values_win(values, column: str = "x", **kwargs) -> WindowInstance:
     return win(elems(values, column=column), **kwargs)
+
+
+def count_order_walks(monkeypatch) -> list:
+    """Record (elements, count walked) for every order check a pane makes."""
+    walked = []
+    check = model._check_order
+
+    def counting(elements, begin=0):
+        walked.append((elements, max(len(elements) - begin, 0)))
+        check(elements, begin)
+
+    monkeypatch.setattr(model, "_check_order", counting)
+    return walked
+
+
+def walks_of(walked, elements) -> int:
+    return sum(n for seen, n in walked if seen is elements)

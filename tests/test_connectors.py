@@ -3,10 +3,12 @@
 import csv
 import json
 import logging
+import math
+import random
 import socket
 import threading
 import time
-from datetime import timedelta
+from datetime import datetime, timedelta
 
 import pytest
 
@@ -26,7 +28,7 @@ from streamqc.connectors import (
     paced,
     parse_time,
 )
-from streamqc.model import ColumnSpec, canonical_bytes, ts
+from streamqc.model import ColumnSpec, canonical_bytes, parse_ts, ts, value_from_json
 
 from helpers import T0
 
@@ -72,6 +74,12 @@ def test_coerce_csv_cell_types():
     assert coerce_csv_cell("yes", "bool") == (None, False)  # strict spelling
     assert coerce_csv_cell("4.2", "int") == (None, False)
     assert coerce_csv_cell("x", "float") == (None, False)
+    assert coerce_csv_cell("nan", "float") == (None, True)  # NaN is not a value
+    assert coerce_csv_cell("-inf", "float") == (-math.inf, True)
+    assert coerce_csv_cell(" 3.5 ", "float") == (3.5, True)
+    assert coerce_csv_cell("1_000", "int") == (1000, True)
+    assert coerce_csv_cell(" ", "int") == (None, False)
+    assert coerce_csv_cell(" ", "text") == (" ", True)
 
 
 def test_coerce_json_value_strictness():
@@ -80,6 +88,9 @@ def test_coerce_json_value_strictness():
     assert coerce_json_value(True, "int") == (None, False)  # bool is not int
     assert coerce_json_value(1, "bool") == (None, False)
     assert coerce_json_value("5", "int") == (None, False)  # no string casts
+    assert coerce_json_value(math.nan, "float") == (None, True)
+    assert coerce_json_value(10 ** 400, "float") == (None, False)
+    assert coerce_json_value(1, "text") == (None, False)
     assert coerce_json_value("2015-05-07T11:35:00Z", "timestamp") == \
         (ts(2015, 5, 7, 11, 35), True)
 
@@ -196,6 +207,199 @@ def test_iter_jsonl_typed_and_resilient(tmp_path):
     assert out[0].attrs["fare"] == 9.5
     assert out[0].attrs["extra"] == "[1,2]"  # nested payloads kept as text
     assert counters.skipped_bad_time == 2  # unparseable lines count here too
+
+
+def test_iter_jsonl_out_of_range_float_is_a_parse_failure(tmp_path):
+    p = tmp_path / "in.jsonl"
+    p.write_text('{"t": "2015-05-07T11:00:00Z", "fare": 1' + "0" * 400 + '}\n')
+    counters = SourceCounters()
+    out = list(iter_jsonl(str(p), SCHEMA, "t", counters=counters))
+    assert out[0].attrs["fare"] is None
+    assert counters.parse_failures == {"fare": 1}
+
+
+def test_iter_jsonl_skips_lines_json_cannot_represent(tmp_path):
+    p = tmp_path / "in.jsonl"
+    good = json.dumps({"t": "2015-05-07T11:00:00Z", "fare": 1.0})
+    p.write_text("\n".join([
+        '{"t": "2015-05-07T11:00:00Z", "n": 1' + "0" * 5000 + "}",  # too many digits
+        "[" * 100_000,  # nested too deep
+        good,
+    ]) + "\n")
+    counters = SourceCounters()
+    out = list(iter_jsonl(str(p), SCHEMA, "t", counters=counters))
+    assert [e.attrs["fare"] for e in out] == [1.0]
+    assert counters.skipped_bad_time == 2
+
+
+def test_lowercase_z_event_time_is_utc_in_both_sources(tmp_path):
+    # The one ISO parser: sources accept what config and wire input accept.
+    assert parse_time("2015-05-07T11:00:00.000z", "iso") == parse_ts("2015-05-07T11:00:00.000z") == T0
+    p = tmp_path / "in.csv"
+    write_csv(p, [["2015-05-07T11:00:00.000z", "1.0", "a", "1", "true"]])
+    counters = SourceCounters()
+    assert [e.event_time for e in iter_csv(str(p), SCHEMA, "t", counters=counters)] == [T0]
+    assert counters.skipped_bad_time == 0 and counters.parse_failures == {}
+    p = tmp_path / "in.jsonl"
+    p.write_text(json.dumps({"t": "2015-05-07T11:00:00.000z", "fare": 1.0}) + "\n")
+    counters = SourceCounters()
+    assert [e.event_time for e in iter_jsonl(str(p), SCHEMA, "t", counters=counters)] == [T0]
+    assert counters.skipped_bad_time == 0 and counters.parse_failures == {}
+
+
+# ---------------------------------------------------------------------------
+# Decoder oracle: the compiled plans against one coercion call per cell
+
+
+ORACLE_SCHEMA = [
+    ColumnSpec("t", "timestamp", nullable=False),
+    ColumnSpec("fare", "float"),
+    ColumnSpec("n", "int", nullable=False),
+    ColumnSpec("flag", "bool"),
+    ColumnSpec("zone", "text", nullable=False),
+    ColumnSpec("s", "timestamp"),
+    ColumnSpec("ms", "timestamp", nullable=False),
+    ColumnSpec("d", "timestamp"),
+]
+ORACLE_FORMATS = {"s": "epoch_s", "ms": "epoch_ms", "d": "%d/%m/%Y %H:%M"}
+
+
+def _reference_decode(records, from_csv):
+    """Decode raw records (dicts of cells) one public coercion call per cell.
+
+    Schema columns come first, in schema order, then the others in record
+    order; a bad cell or a non-nullable Null counts a failure; a record
+    without a timestamp event time is skipped.
+    """
+    coerce = coerce_csv_cell if from_csv else coerce_json_value
+    names = {col.name for col in ORACLE_SCHEMA}
+    counters = SourceCounters()
+    out = []
+    for raw in records:
+        if raw is None:  # a line that is not a JSON object
+            counters.skipped_bad_time += 1
+            continue
+        row = {}
+        for col in ORACLE_SCHEMA:
+            value, ok = (coerce(raw[col.name], col.type, ORACLE_FORMATS.get(col.name, "iso"))
+                         if col.name in raw else (None, True))
+            if not ok or (value is None and not col.nullable):
+                counters.fail(col.name)
+            row[col.name] = value
+        for name, cell in raw.items():
+            if name in names:
+                continue
+            if from_csv:
+                row[name] = cell if cell != "" else None
+            elif isinstance(cell, (list, dict)):
+                row[name] = json.dumps(cell, separators=(",", ":"))
+            else:
+                row[name] = value_from_json(cell)
+        t = row.get("t")
+        if not isinstance(t, datetime):
+            counters.skipped_bad_time += 1
+            continue
+        out.append((t, len(out), row))
+    return out, counters
+
+
+def _typed(decoded):
+    """Elements as comparable tuples that keep attr order and value types."""
+    return [(t, seq, [(k, type(v).__name__, repr(v)) for k, v in row.items()])
+            for t, seq, row in decoded]
+
+
+def _assert_same_decoding(elements, counters, reference):
+    expected, ref_counters = reference
+    got = [(e.event_time, e.arrival_seq, e.attrs) for e in elements]
+    assert _typed(got) == _typed(expected)
+    assert list(counters.parse_failures.items()) == list(ref_counters.parse_failures.items())
+    assert counters.skipped_bad_time == ref_counters.skipped_bad_time
+
+
+ORACLE_CELLS = [
+    "", " ", "x", "1", "-3", " 42 ", "1_000", "4.2", " 3.5 ", "nan", "NaN", "inf",
+    "-Infinity", "1e400", "true", "True", "FALSE", "yes", "0",
+    "2015-05-07T11:00:00Z", "2015-05-07T11:00:00.000z", "2015-05-07T13:00:00+02:00",
+    "2015-05-07T11:00:00.123456Z", "2015-05-07T11:00:00.999999-00:30",
+    "2015-05-07 11:00:00", "2015-05-07", "not a time", "1431000900", "1431000900.5",
+    "1431000900123", "07/05/2015 11:35",
+]
+
+
+def test_csv_plan_matches_per_cell_coercion(tmp_path):
+    header = ["note", "t", "fare", "n", "flag", "zone", "s", "ms", "d", "note", "fare"]
+    rows = [
+        ["a", "2015-05-07T11:00:00Z", "3.5", "1", "true", "up", "1431000900",
+         "1431000900123", "07/05/2015 11:35", "b", "4.5"],  # duplicates: the last cell wins
+        ["a", "2015-05-07T11:00:01.5Z"],  # short row: the rest are empty
+        ["", "2015-05-07T13:00:02+02:00", "nan", "1_000", "FALSE", "", "1431000900.25",
+         "12", "", "", " 7 ", "extra", "cells"],  # extra cells are dropped
+        ["", "2015-05-07T11:00:03", "inf", " 42 ", "", "z", "", "", "07/05/2015 11:35"],
+        ["", "2015-05-07T11:00:04.123999Z", "-inf", "", "yes", "z", "x", "x", "x", "", " 3.5 "],
+        ["", "not a time", "1", "1", "true", "z", "", "", ""],  # skipped, failures counted
+        ["", "", "1", "1", "true", "z", "", "", ""],  # empty event time
+        ["", "2015-05-07T11:00:05.000z", "1e400", "4.2", "True", "z", "nan", "1.5", "", ""],
+    ]
+    rng = random.Random(11)
+    for _ in range(400):
+        width = rng.choice([len(header)] * 5 + [0, 1, 4, len(header) + 2])
+        rows.append([rng.choice(ORACLE_CELLS) for _ in range(width)])
+    p = tmp_path / "in.csv"
+    write_csv(p, rows, header=header)
+    with open(p, newline="") as fp:
+        reader = csv.reader(fp)
+        names = next(reader)
+        raws = [{name: cells[i] if i < len(cells) else "" for i, name in enumerate(names)}
+                for cells in reader]
+    counters = SourceCounters()
+    elements = list(iter_csv(str(p), ORACLE_SCHEMA, "t", ORACLE_FORMATS, counters))
+    _assert_same_decoding(elements, counters, _reference_decode(raws, from_csv=True))
+    assert counters.skipped_bad_time > 0 and set(counters.parse_failures) == {
+        "t", "fare", "n", "flag", "s", "ms", "d"}  # text never fails
+    first = elements[0].attrs
+    assert list(first) == ["t", "fare", "n", "flag", "zone", "s", "ms", "d", "note"]
+    assert first["fare"] == 4.5 and first["note"] == "b"
+
+
+def test_jsonl_plan_matches_per_field_coercion(tmp_path):
+    lines = [
+        {"t": "2015-05-07T11:00:00Z", "fare": 3, "n": 2, "flag": True, "zone": "up",
+         "s": 1431000900, "ms": 1431000900123, "d": "07/05/2015 11:35", "tags": ["a"],
+         "meta": {"k": 1}, "seen": "2015-05-07T11:00:00.000Z", "big": "Infinity"},
+        {"t": "2015-05-07T11:00:01.000z"},  # every other field missing
+        {"t": "2015-05-07T11:00:02Z", "n": True, "flag": 1, "fare": False, "zone": 5},
+        {"t": "2015-05-07T13:00:03.123456+02:00", "fare": None, "n": 1.0, "ms": "12",
+         "s": "1431000900.5", "zone": None, "d": 5},
+        {"t": 1431000900, "fare": 1.0},  # an ISO event time must be text
+        {"t": "2015-05-07T11:00:04", "fare": 10 ** 400, "extra": None},
+    ]
+    rng = random.Random(12)
+    pool = [None, True, False, 0, 7, -1.5, 2 ** 70, "x", "1", [1, [2]], {"a": None},
+            *ORACLE_CELLS]
+    keys = [col.name for col in ORACLE_SCHEMA] + ["extra", "other"]
+    for _ in range(400):
+        lines.append({k: rng.choice(pool) for k in rng.sample(keys, rng.randint(0, len(keys)))})
+    text = [json.dumps(obj) for obj in lines]
+    text[3:3] = ["", "not json", json.dumps([1, 2]), json.dumps("text"), "null"]
+    p = tmp_path / "in.jsonl"
+    p.write_text("\n".join(text) + "\n")
+    raws = []
+    for line in text:
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except ValueError:
+            obj = None
+        raws.append(obj if isinstance(obj, dict) else None)
+    counters = SourceCounters()
+    elements = list(iter_jsonl(str(p), ORACLE_SCHEMA, "t", ORACLE_FORMATS, counters))
+    _assert_same_decoding(elements, counters, _reference_decode(raws, from_csv=False))
+    first = elements[0].attrs
+    assert list(first)[8:] == ["tags", "meta", "seen", "big"]
+    assert first["fare"] == 3.0 and isinstance(first["fare"], float)
+    assert first["meta"] == '{"k":1}' and first["seen"] == T0 and first["big"] == math.inf
 
 
 def test_iter_socket(tmp_path):

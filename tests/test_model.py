@@ -15,6 +15,7 @@ from streamqc.model import (
     MetaRecord,
     ModelError,
     Predicate,
+    Slice,
     Threshold,
     ValueRange,
     WindowInstance,
@@ -274,6 +275,44 @@ def test_window_instance_validates_bounds_and_order():
     with pytest.raises(ModelError):
         WindowInstance(start=at(0), end=at(60),
                        elements=(elem(at(2), 0), elem(at(1), 1)))
+
+
+def _sliced(*runs, start=at(0), end=at(60)):
+    """A pane built from parts, one Slice per run of elements."""
+    parts = tuple(Slice(list(run)) for run in runs)
+    return WindowInstance(start, end, None, tuple(e for run in runs for e in run), parts)
+
+
+def test_window_instance_from_parts_keeps_the_invariant():
+    a = [elem(at(1), 0), elem(at(2), 1)]
+    b = [elem(at(2), 2), elem(at(59), 3)]
+    assert len(_sliced(a, [], b)) == 4
+    with pytest.raises(ModelError, match="ordered"):  # disorder inside one part
+        _sliced([elem(at(2), 0), elem(at(1), 1)], b)
+    with pytest.raises(ModelError, match="ordered"):  # an arrival-order tie inside one part
+        _sliced([elem(at(1), 1), elem(at(1), 0)])
+    with pytest.raises(ModelError, match="ordered"):  # disorder across a part boundary
+        _sliced(b, a)
+    with pytest.raises(ModelError, match="ordered"):  # across an empty part too
+        _sliced([elem(at(3), 5)], [], [elem(at(3), 4)])
+    with pytest.raises(ModelError, match="outside"):  # first element before start
+        _sliced([elem(at(-1), 0)] + a)
+    with pytest.raises(ModelError, match="outside"):  # last element at end
+        _sliced(a, [elem(at(60), 5)])
+    with pytest.raises(ModelError, match="outside"):  # a later part past the end
+        _sliced(a, b, start=at(0), end=at(50))
+    with pytest.raises(ModelError, match="concatenate"):
+        WindowInstance(at(0), at(60), None, tuple(a), (Slice(a), Slice(b)))
+
+
+def test_slice_order_is_checked_once_and_again_after_it_grows():
+    part = Slice([elem(at(1), 0), elem(at(2), 1)])
+    WindowInstance(at(0), at(60), None, tuple(part.elements), (part,))
+    assert part.ordered == 2
+    part.elements.append(elem(at(1), 2))  # out of order, added after the check
+    with pytest.raises(ModelError, match="ordered"):
+        WindowInstance(at(0), at(60), None, tuple(part.elements), (part,))
+    assert part.ordered == 2  # a failed check marks nothing
 
 
 def test_column_spec_rejects_unknown_type():

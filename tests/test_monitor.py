@@ -38,7 +38,7 @@ from streamqc.monitor import (
 from streamqc.sketches import CardinalityEstimator
 from streamqc.windowing import PaneStore, Watermark
 
-from helpers import T0, at, elem, elems, values_win, win
+from helpers import T0, at, count_order_walks, elem, elems, values_win, walks_of, win
 
 MIN = timedelta(minutes=1)
 
@@ -764,6 +764,34 @@ def test_sliced_panes_assess_like_whole_panes():
         got, _ = sliced.on_window_close(p, watermark=wm.value)
         want, _ = whole.on_window_close(replace(p, parts=None), watermark=wm.value)
         assert [r.to_json_line() for r in got] == [r.to_json_line() for r in want]
+
+
+def test_key_sub_slices_are_walked_once(monkeypatch):
+    """Two checks keyed by zone over 5m/1m panes: each key's share of a
+    slice is checked for order once, however many panes and checks use it."""
+    walked = count_order_walks(monkeypatch)
+    window = WindowSpec("sliding", duration=5 * MIN, slide=MIN)
+    checks = [CheckDefinition(id=f"zone_{m}", measure=MeasureSpec(m, {"column": "fare"}),
+                              key_by="zone", constraint=Threshold(">=", 0.0))
+              for m in ("mean", "std")]
+    st = suite(checks, window=window)
+    store = PaneStore(window)
+    wm = Watermark(delay=MIN)
+    rng = random.Random(4)
+    panes = []
+    for seq in range(400):
+        t = at(seq * 6 + rng.uniform(-30, 0))
+        wm.observe(t)
+        store.route(elem(t, seq, fare=float(seq % 7), zone=rng.choice([None, "a", "b"])), wm)
+        panes.extend(store.close_ready(wm.value))
+    panes.extend(store.flush())
+    for p in panes:
+        st.on_window_close(p, watermark=wm.value)
+    subs = [sub for p in panes for part in p.parts or ()
+            for _, sub in part.memo[("partition", "zone")].values()]
+    assert len({id(sub) for sub in subs}) * 4 < len(subs)  # shared by panes and checks
+    for sub in {id(sub): sub for sub in subs}.values():
+        assert walks_of(walked, sub.elements) == len(sub.elements)
 
 
 def test_conforms_parses_its_expression_once_per_check(monkeypatch):

@@ -1,11 +1,18 @@
 """Cardinality and frequent-items sketches: accuracy and hard guarantees."""
 
+import math
 import random
 from collections import Counter
 
 import pytest
 
-from streamqc.sketches import CardinalityEstimator, FrequentItemsSketch, hash64
+from streamqc.sketches import (
+    CardinalityEstimator,
+    FrequentItemsSketch,
+    _alpha,
+    _inverse_sum,
+    hash64,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +101,47 @@ def test_cardinality_determinism():
         return est.estimate()
 
     assert run() == run()
+
+
+@pytest.mark.parametrize("precision", [4, 10, 14, 16])
+def test_inverse_sum_equals_the_register_loop_bit_for_bit(precision):
+    """The count-based sum equals the float loop over the registers, bit for
+    bit, both where it applies (precision + max register <= 53) and in the
+    fallback beyond it."""
+    rng = random.Random(precision)
+    m = 1 << precision
+    # Large terms first, then terms at or below half an ulp of their sum,
+    # which the loop drops and an exact sum keeps.
+    half = m // 2
+    cases = [bytearray([0]) * half + bytearray([top]) * half
+             for top in (53 - precision, 54 - precision, 63)]
+    for top in [0, 1, 7, 20, 53 - precision, 54 - precision, 40, 63]:
+        for _ in range(3):
+            registers = bytearray(rng.randint(0, top) for _ in range(m))
+            registers[rng.randrange(m)] = top
+            cases.append(registers)
+    for registers in cases:
+        loop = 0.0
+        for r in registers:
+            loop += 2.0 ** -r
+        assert _inverse_sum(registers, precision).hex() == loop.hex(), max(registers)
+
+
+def test_estimate_matches_the_register_loop_at_every_size():
+    est = CardinalityEstimator(precision=10, seed=3)
+    m = 1 << 10
+    peak = 0.0
+    for i in range(40_000):
+        est.add(i)
+        if i % 997 == 0:
+            loop = 0.0
+            for r in est._registers:
+                loop += 2.0 ** -r
+            zeros = est._registers.count(0)
+            raw = _alpha(m) * m * m / loop
+            want = m * math.log(m / zeros) if raw <= 2.5 * m and zeros > 0 else raw
+            peak = max(peak, want)
+            assert est.estimate() == peak
 
 
 # ---------------------------------------------------------------------------

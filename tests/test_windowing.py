@@ -1,6 +1,7 @@
 """Pane assignment, watermarks, lateness routing, and session merging."""
 
 import random
+from collections import Counter
 from datetime import timedelta
 
 import pytest
@@ -14,7 +15,7 @@ from streamqc.windowing import (
     assign_tumbling,
 )
 
-from helpers import T0, at, elem
+from helpers import T0, at, count_order_walks, elem, walks_of
 
 MIN = timedelta(minutes=1)
 
@@ -430,3 +431,17 @@ def test_sliding_store_holds_each_open_row_once():
                     or max(_grid_starts(spec, e.event_time)) >= next_open]
             assert store.open_element_count() == len(held)
     assert store.open_element_count() < len(routed) / 4
+
+
+def test_each_slice_is_walked_once_across_its_panes(monkeypatch):
+    walked = count_order_walks(monkeypatch)
+    spec = spec_sliding(5, 1)
+    rng = random.Random(9)
+    rows = [elem(at(seq * 5 + rng.uniform(-40, 0)), seq) for seq in range(600)]
+    panes, kept = _replay(spec, None, rows, timedelta(minutes=1))
+    parts = {id(part): part for p in panes for part in p.parts or ()}
+    spans = Counter(id(part) for p in panes for part in p.parts or ())
+    assert sum(1 for n in spans.values() if n == 5) > 30  # a slice lies in 5 panes
+    for part in parts.values():
+        assert walks_of(walked, part.elements) == len(part.elements)
+    assert sum(len(part.elements) for part in parts.values()) == len(kept)
