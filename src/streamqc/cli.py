@@ -41,7 +41,7 @@ from .model import (
     parse_duration,
 )
 from .monitor import MonitorEngine, ReferenceTable, SuiteState
-from .windowing import assign_sliding, assign_tumbling
+from .windowing import PaneStore, Watermark
 
 HASH_SEED_ENV = "STREAMQC_HASH_SEED"
 
@@ -194,8 +194,7 @@ def _hash_seed(cfg: SuiteConfig) -> int:
 
 def _build_engine(cfg: SuiteConfig, config_path: str,
                   references: dict[str, ReferenceTable], hash_seed: int,
-                  meta_sink: Any | None = None,
-                  collect_timings: bool = False) -> tuple[MonitorEngine, Any]:
+                  meta_sink: Any | None = None) -> tuple[MonitorEngine, Any]:
     secondary = _build_secondary(cfg, config_path) if cfg.secondary_source else None
     state = SuiteState(list(cfg.checks), list(cfg.source.schema), cfg.window,
                        references=references, detectors=cfg.detectors,
@@ -211,8 +210,7 @@ def _build_engine(cfg: SuiteConfig, config_path: str,
     engine = MonitorEngine(state,
                            watermark_delay=cfg.source.watermark_delay,
                            key_by=cfg.window_key_by,
-                           meta_sink=meta_sink, side_sink=side_sink,
-                           collect_timings=collect_timings)
+                           meta_sink=meta_sink, side_sink=side_sink)
 
     def close() -> None:
         for sink in sinks:
@@ -237,23 +235,17 @@ def _open_source(src, config_path: str, counters: SourceCounters,
 
 
 def _build_secondary(cfg: SuiteConfig, config_path: str):
-    """Pre-window the secondary source so match checks can look panes up."""
-    src = cfg.secondary_source
-    counters = SourceCounters()
-    elements = list(_open_source(src, config_path, counters, None))
-    spec = cfg.window
-    buckets: dict[tuple[datetime, datetime], list[StreamElement]] = {}
-    for element in elements:
-        if spec.kind == "tumbling":
-            bounds = [assign_tumbling(element.event_time, spec)]
-        else:
-            bounds = assign_sliding(element.event_time, spec)
-        for b in bounds:
-            buckets.setdefault(b, []).append(element)
-    panes = {
-        bounds: WindowInstance(bounds[0], bounds[1], None,
-                               tuple(sorted(group, key=lambda e: (e.event_time, e.arrival_seq))))
-        for bounds, group in buckets.items()}
+    """Pre-window the secondary source so match checks can look panes up.
+
+    Its rows go through a PaneStore whose watermark never advances, so every
+    row is assigned and none is late; flush() then closes every pane. An
+    empty pane measures like a missing one, so only non-empty panes are kept.
+    """
+    store = PaneStore(cfg.window)
+    held = Watermark()
+    for element in _open_source(cfg.secondary_source, config_path, SourceCounters(), None):
+        store.route(element, held)
+    panes = {(w.start, w.end): w for w in store.flush() if w.elements}
 
     def lookup(start: datetime, end: datetime, key) -> WindowInstance | None:
         if key is not None:
@@ -347,7 +339,15 @@ def _bench_once(cfg: SuiteConfig, config_path: str, references: dict[str, Refere
                 hash_seed: int, size: int) -> dict[str, Any]:
     counters = SourceCounters()
     engine, close_sinks = _build_engine(cfg, config_path, references, hash_seed,
-                                        meta_sink=_NullSink(), collect_timings=True)
+                                        meta_sink=_NullSink())
+    # Timed from outside: each pane's assessment, and the per-row watermark,
+    # routing and close calls, whose time is shared out over the panes.
+    nets: list[float] = []
+    routing = [0.0]
+    state, store, watermark = engine.state, engine.store, engine.watermark
+    state.on_window_close = _timed(state.on_window_close, nets.append)
+    for obj, name in ((watermark, "observe"), (store, "route"), (store, "close_ready")):
+        setattr(obj, name, _timed(getattr(obj, name), _adder(routing)))
     elements = _open_source(cfg.source, config_path, counters, size)
     t0 = time.perf_counter()
     for element in elements:
@@ -356,9 +356,9 @@ def _bench_once(cfg: SuiteConfig, config_path: str, references: dict[str, Refere
     wall = time.perf_counter() - t0
     close_sinks()
 
-    nets = sorted(engine.pane_timings)
+    nets.sort()
     panes = len(nets)
-    share = engine.routing_seconds / panes if panes else 0.0
+    share = routing[0] / panes if panes else 0.0
 
     def pct(values: list[float], q: float) -> float:
         if not values:
@@ -389,6 +389,25 @@ def _bench_once(cfg: SuiteConfig, config_path: str, references: dict[str, Refere
         "discarded": stats.discarded,
         "records_emitted": stats.records_emitted,
     }
+
+
+def _timed(f, record):
+    """f, with the seconds of each call passed to record."""
+    perf = time.perf_counter
+
+    def timed(*args, **kwargs):
+        t0 = perf()
+        try:
+            return f(*args, **kwargs)
+        finally:
+            record(perf() - t0)
+    return timed
+
+
+def _adder(total: list[float]):
+    def add(seconds: float) -> None:
+        total[0] += seconds
+    return add
 
 
 # ---------------------------------------------------------------------------

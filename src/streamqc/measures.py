@@ -5,12 +5,16 @@ an empty (or all-Null, where relevant) window, statistic-like results are
 Null. Nulls are excluded from aggregates unless a measure is explicitly about
 them (completeness, volume, ordering).
 
-The registry maps measure ids from configuration to validation, evaluation,
-and (where meaningful) a per-element checker used for per-element records and
-side-output routing.
+The registry maps measure ids from configuration to a parameter table,
+evaluation, and (where meaningful) a per-element checker used for
+per-element records and side-output routing.
 
-Each check's measure is compiled once (compile_measure) into the function
-that measures one pane, its parameters and checker resolved in advance.
+Each measure declares its parameters once, as a table of parsers and
+defaults. parse_measure runs that table over a spec once: it rejects unknown
+keys, fills in every default, decodes JSON values, compiles patterns and
+parses expressions. Everything after it (result_type, make_elem_checker,
+compile) reads only parsed values. Each check's measure is compiled once
+(compile_measure) into the function that measures one pane.
 
 Measures that merge (mean, std, completeness, distinct_count, uniqueness) are
 written once as a partial over a run of elements and a finish over the
@@ -24,17 +28,17 @@ from __future__ import annotations
 import functools
 import json
 import math
-import re
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from itertools import chain
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from . import expression
 from .model import (
     TS_MAX,
     TS_MIN,
     MeasureSpec,
+    ModelError,
     StreamElement,
     Value,
     ValueRange,
@@ -49,8 +53,8 @@ from .model import (
 )
 from .sketches import CardinalityEstimator, FrequentItemsSketch
 
-__all__ = ["MeasureResult", "EngineEnv", "MEASURES", "MeasureDef",
-           "percentile", "compile_measure"]
+__all__ = ["MeasureResult", "EngineEnv", "MEASURES", "MeasureDef", "Param", "REQUIRED",
+           "ParsedMeasure", "parse_measure", "percentile", "compile_measure"]
 
 _NUMERIC_TYPES = ("int", "float")
 _ORDERED_TYPES = ("int", "float", "timestamp")
@@ -79,20 +83,203 @@ class EngineEnv:
 
 ElemChecker = Callable[[StreamElement], "bool | None"]
 MeasureRun = Callable[[WindowInstance, EngineEnv], MeasureResult]
+# parse(raw JSON value, schema column types or None when no schema is known)
+Parser = Callable[[Any, "dict[str, str] | None"], Any]
+
+REQUIRED = object()  # the default of a parameter a spec must give
+
+
+class Param(NamedTuple):
+    """One measure parameter: its parser and its default, in JSON form. A
+    default of None makes the parameter optional (None means absent)."""
+
+    parse: Parser
+    default: Any = REQUIRED
 
 
 @dataclass(frozen=True)
 class MeasureDef:
-    """Registry entry for one measure id. compile(params, env, checker)
-    returns the function that measures one pane; checker is the spec's
-    make_elem_checker result, or None."""
+    """Registry entry for one measure id.
+
+    params is the measure's parameter table. The functions below receive
+    the parsed parameters (parse_measure): compile(params, env, checker)
+    returns the function that measures one pane, where checker is the
+    make_elem_checker result, or None. check(params, columns) returns the
+    problems that involve more than one parameter.
+    """
 
     id: str
-    params_allowed: frozenset[str]
-    validate: Callable[[dict, dict[str, str]], list[str]]
+    params: dict[str, Param]
     compile: Callable[[dict, EngineEnv, ElemChecker | None], MeasureRun]
     result_type: Callable[[dict, dict[str, str]], str | None]
     make_elem_checker: Callable[[dict, EngineEnv], ElemChecker] | None = None
+    check: Callable[[dict, dict[str, str] | None], list[str]] | None = None
+
+
+@dataclass(frozen=True)
+class ParsedMeasure:
+    """A measure spec with every parameter parsed and defaulted."""
+
+    definition: MeasureDef
+    params: dict[str, Any]
+
+
+# ---------------------------------------------------------------------------
+# Parameter parsers. Each takes the raw JSON value and the schema's column
+# types (None when no schema is known) and returns the parsed value, or
+# raises _Bad with text that follows the parameter's quoted name.
+
+
+class _Bad(Exception):
+    pass
+
+
+def _column(*types: str) -> Parser:
+    """A schema column's name; with types, the column must have one of them."""
+    def parse(raw, columns):
+        if not isinstance(raw, str) or not raw:
+            raise _Bad("must be a column name")
+        if columns is not None:
+            if raw not in columns:
+                raise _Bad(f"names column {raw!r}, which is not in the schema")
+            if types and columns[raw] not in types:
+                raise _Bad(f"names column {raw!r} of type {columns[raw]}, "
+                           f"expected one of {'/'.join(types)}")
+        return raw
+    return parse
+
+
+def _choice(*options: str) -> Parser:
+    def parse(raw, columns):
+        if raw not in options:
+            raise _Bad(f"must be one of {'/'.join(options)}")
+        return raw
+    return parse
+
+
+def _flag(raw, columns) -> bool:
+    if not isinstance(raw, bool):
+        raise _Bad("must be a boolean")
+    return raw
+
+
+def _number(what: str, ok: Callable[[float], bool], integer: bool = False) -> Parser:
+    kinds = int if integer else (int, float)
+
+    def parse(raw, columns):
+        if isinstance(raw, bool) or not isinstance(raw, kinds) or not ok(raw):
+            raise _Bad(f"must be {what}")
+        return raw
+    return parse
+
+
+def _list(item: Parser, nonempty: bool = False) -> Parser:
+    """A JSON list, each item parsed by item; returned as a tuple."""
+    def parse(raw, columns):
+        if not isinstance(raw, list) or (nonempty and not raw):
+            raise _Bad(f"must be a {'non-empty ' if nonempty else ''}list")
+        out = []
+        for i, v in enumerate(raw):
+            try:
+                out.append(item(v, columns))
+            except _Bad as exc:
+                raise _Bad(f"item {i} {exc}") from None
+        return tuple(out)
+    return parse
+
+
+def _scalar(raw, columns) -> Value:
+    """A scalar JSON value, decoded into the value domain."""
+    try:
+        return value_from_json(raw)
+    except ModelError:
+        raise _Bad(f"must be a scalar value, not {json.dumps(raw)}") from None
+
+
+def _bound(raw, columns) -> Value:
+    v = _scalar(raw, columns)
+    if value_type(v) not in _ORDERED_TYPES:
+        raise _Bad("must be a number or a timestamp")
+    return v
+
+
+def _string(raw, columns) -> str:
+    if not isinstance(raw, str):
+        raise _Bad("must be a string")
+    return raw
+
+
+def _pattern(raw, columns):
+    """A regular expression, compiled once (no backreferences)."""
+    try:
+        return expression._compile_pattern(_string(raw, columns), 0)
+    except expression.ExpressionError as exc:
+        raise _Bad(f"is invalid: {exc}") from None
+
+
+def _expression(raw, columns) -> expression.Expr:
+    """An expression over the schema's columns, parsed once."""
+    if not isinstance(raw, str) or not raw.strip():
+        raise _Bad("must be a non-empty expression")
+    try:
+        expr = expression.parse(raw)
+    except expression.ExpressionError as exc:
+        raise _Bad(f"is invalid: {exc}") from None
+    if columns is not None:
+        unknown = expr.free_names() - set(columns)
+        if unknown:
+            raise _Bad(f"references unknown columns {sorted(unknown)}")
+    return expr
+
+
+def _time_or_watermark(raw, columns) -> datetime | None:
+    """A fixed ISO-8601 timestamp, or None for "watermark"."""
+    if raw == "watermark":
+        return None
+    try:
+        return parse_ts(_string(raw, columns))
+    except (_Bad, ModelError):
+        raise _Bad("must be 'watermark' or an ISO-8601 timestamp") from None
+
+
+_ANY_COLUMN = Param(_column())
+_NUMERIC_COLUMN = Param(_column(*_NUMERIC_TYPES))
+_ORDERED_COLUMN = Param(_column(*_ORDERED_TYPES))
+
+
+def parse_measure(spec: MeasureSpec, columns: dict[str, str] | None
+                  ) -> tuple[ParsedMeasure | None, list[str]]:
+    """Run a spec through its measure's parameter table once.
+
+    Returns the parsed measure (None when anything is wrong) and every
+    problem found. columns maps schema column names to types; None skips
+    the checks that need a schema.
+    """
+    measure = MEASURES.get(spec.id)
+    if measure is None:
+        return None, [f"unknown measure {spec.id!r}"]
+    errors: list[str] = []
+    for name in spec.params:
+        if name.startswith("_"):
+            errors.append(f"parameter names starting with '_' are reserved ({name!r})")
+        elif name not in measure.params:
+            errors.append(f"unknown parameter {name!r} "
+                          f"(allowed: {', '.join(sorted(measure.params))})")
+    params: dict[str, Any] = {}
+    for name, (parse, default) in measure.params.items():
+        raw = spec.params[name] if name in spec.params else default
+        if raw is REQUIRED:
+            errors.append(f"missing parameter '{name}'")
+        elif raw is None and default is None:
+            params[name] = None
+        else:
+            try:
+                params[name] = parse(raw, columns)
+            except _Bad as exc:
+                errors.append(f"'{name}' {exc}")
+    if not errors and measure.check is not None:
+        errors.extend(measure.check(params, columns))
+    return (None if errors else ParsedMeasure(measure, params)), errors
 
 
 # ---------------------------------------------------------------------------
@@ -175,58 +362,12 @@ def _concat(lists: list[list]) -> list:
     return lists[0] if len(lists) == 1 else list(chain.from_iterable(lists))
 
 
-def _json_values(raw_list: list) -> list[Value]:
-    return [value_from_json(v) for v in raw_list]
-
-
-def _matches_any(v: Value, tokens: list[Value]) -> bool:
+def _matches_any(v: Value, tokens: Sequence[Value]) -> bool:
     return any(values_equal(v, t) is True for t in tokens)
-
-
-# Validation helpers ---------------------------------------------------------
-
-
-def _need_column(params: dict, columns: dict[str, str], errors: list[str],
-                 key: str = "column", types: tuple[str, ...] | None = None) -> str | None:
-    name = params.get(key)
-    if not isinstance(name, str) or not name:
-        errors.append(f"missing or invalid '{key}'")
-        return None
-    if name not in columns:
-        errors.append(f"column {name!r} is not in the schema")
-        return None
-    if types is not None and columns[name] not in types:
-        errors.append(f"column {name!r} has type {columns[name]}, expected one of {'/'.join(types)}")
-        return None
-    return name
-
-
-def _check_params(params: dict, allowed: frozenset[str], errors: list[str]) -> None:
-    for key in params:
-        if key.startswith("_"):
-            errors.append(f"parameter names starting with '_' are reserved ({key!r})")
-        elif key not in allowed:
-            errors.append(f"unknown parameter {key!r} (allowed: {', '.join(sorted(allowed))})")
-
-
-def _opt_bool(params: dict, key: str, default: bool, errors: list[str]) -> bool:
-    v = params.get(key, default)
-    if not isinstance(v, bool):
-        errors.append(f"'{key}' must be a boolean")
-        return default
-    return v
 
 
 # ---------------------------------------------------------------------------
 # Simple statistics
-
-
-def _stat_validate(types: tuple[str, ...]):
-    def validate(params: dict, columns: dict[str, str]) -> list[str]:
-        errors: list[str] = []
-        _need_column(params, columns, errors, types=types)
-        return errors
-    return validate
 
 
 def _apply_count(params, window, env):
@@ -256,15 +397,6 @@ def _numbers_stat(stat: Callable[[list], float]):
     return prepare
 
 
-def _validate_z_outliers(params, columns):
-    errors: list[str] = []
-    _need_column(params, columns, errors, types=_NUMERIC_TYPES)
-    z = params.get("z")
-    if isinstance(z, bool) or not isinstance(z, (int, float)) or not z > 0:
-        errors.append("'z' must be a number > 0")
-    return errors
-
-
 def _apply_z_outliers(params, window, env):
     numbers = _numbers(window.elements, params["column"])
     if not numbers:
@@ -280,20 +412,10 @@ def _apply_z_outliers(params, window, env):
 # Completeness and placeholders
 
 
-def _validate_completeness(params, columns):
-    errors: list[str] = []
-    _need_column(params, columns, errors)
-    tokens = params.get("missing_tokens", [])
-    if not isinstance(tokens, list):
-        errors.append("'missing_tokens' must be a list of values")
-    _opt_bool(params, "empty_text_missing", False, errors)
-    return errors
-
-
 def _completeness_checker(params, env) -> ElemChecker:
     column = params["column"]
-    tokens = _json_values(params.get("missing_tokens", []) or [])
-    empty_missing = bool(params.get("empty_text_missing", False))
+    tokens = params["missing_tokens"]
+    empty_missing = params["empty_text_missing"]
 
     def check(e: StreamElement) -> bool | None:
         v = e.attrs.get(column)
@@ -317,22 +439,10 @@ def _prepare_completeness(params, env, check):
     return present, finish
 
 
-def _validate_placeholders(params, columns):
-    errors: list[str] = []
-    _need_column(params, columns, errors)
-    tokens = params.get("tokens")
-    if not isinstance(tokens, list) or not tokens:
-        errors.append("'tokens' must be a non-empty list of placeholder values")
-    output = params.get("output", "distinct_present")
-    if output not in ("distinct_present", "fraction"):
-        errors.append("'output' must be 'distinct_present' or 'fraction'")
-    return errors
-
-
 def _compile_placeholders(params, env, checker):
     column = params["column"]
-    tokens = _json_values(params["tokens"])
-    as_fraction = params.get("output") == "fraction"
+    tokens = params["tokens"]
+    as_fraction = params["output"] == "fraction"
 
     def run(window, env):
         values = _non_null(window.elements, column)
@@ -354,26 +464,14 @@ def _compile_placeholders(params, env, checker):
 # Distinctness
 
 
-def _validate_distinct(params, columns):
-    errors: list[str] = []
-    _need_column(params, columns, errors)
-    mode = params.get("mode", "exact")
-    if mode not in ("exact", "approx"):
-        errors.append("'mode' must be 'exact' or 'approx'")
-    precision = params.get("precision", 14)
-    if isinstance(precision, bool) or not isinstance(precision, int) or not 4 <= precision <= 16:
-        errors.append("'precision' must be an int in [4, 16]")
-    return errors
-
-
 def _prepare_distinct(params, env, checker):
     """Partials are canonical encodings (exact), or the value count and the
     occupied registers of a sketch over the elements (approx)."""
     column = params["column"]
-    if params.get("mode", "exact") == "exact":
+    if params["mode"] == "exact":
         return (lambda elements: {canonical_bytes(v) for v in _non_null(elements, column)},
                 lambda partials, n: MeasureResult(len(set().union(*partials))))
-    precision, seed = params.get("precision", 14), env.hash_seed
+    precision, seed = params["precision"], env.hash_seed
 
     def partial(elements):
         values = _non_null(elements, column)
@@ -392,17 +490,9 @@ def _prepare_distinct(params, env, checker):
     return partial, finish
 
 
-def _validate_uniqueness(params, columns):
-    errors: list[str] = []
-    _need_column(params, columns, errors)
-    if params.get("output", "ratio") not in ("ratio", "unique_count"):
-        errors.append("'output' must be 'ratio' or 'unique_count'")
-    return errors
-
-
 def _prepare_uniqueness(params, env, checker):
     column = params["column"]
-    as_count = params.get("output") == "unique_count"
+    as_count = params["output"] == "unique_count"
 
     def counts(elements):
         out: dict[bytes, int] = {}
@@ -425,26 +515,12 @@ def _prepare_uniqueness(params, env, checker):
     return counts, finish
 
 
-def _validate_heavy_hitters(params, columns):
-    errors: list[str] = []
-    _need_column(params, columns, errors)
-    phi = params.get("phi")
-    if isinstance(phi, bool) or not isinstance(phi, (int, float)) or not 0.0 < phi <= 1.0:
-        errors.append("'phi' must be a number in (0, 1]")
-    if params.get("mode", "exact") not in ("exact", "approx"):
-        errors.append("'mode' must be 'exact' or 'approx'")
-    capacity = params.get("capacity", 256)
-    if isinstance(capacity, bool) or not isinstance(capacity, int) or capacity < 1:
-        errors.append("'capacity' must be an int >= 1")
-    return errors
-
-
 def _apply_heavy_hitters(params, window, env):
     values = _non_null(window.elements, params["column"])
     phi = params["phi"]
     n = len(values)
-    if params.get("mode", "exact") == "approx":
-        sketch = FrequentItemsSketch(params.get("capacity", 256))
+    if params["mode"] == "approx":
+        sketch = FrequentItemsSketch(params["capacity"])
         for v in values:
             sketch.add(v)
         triples = sketch.query(phi, n) if n else []
@@ -462,7 +538,7 @@ def _apply_heavy_hitters(params, window, env):
         triples.sort(key=lambda item: (-item[2], canonical_bytes(item[0])))
     detail = {"items": [{"item": value_to_json(v), "lo": lo, "hi": hi}
                         for v, lo, hi in triples],
-              "mode": params.get("mode", "exact")}
+              "mode": params["mode"]}
     return MeasureResult(len(triples), detail)
 
 
@@ -470,22 +546,9 @@ def _apply_heavy_hitters(params, window, env):
 # Distribution
 
 
-def _validate_percentiles(params, columns):
-    errors: list[str] = []
-    _need_column(params, columns, errors, types=_NUMERIC_TYPES)
-    points = params.get("points")
-    if not isinstance(points, list) or not points:
-        errors.append("'points' must be a non-empty list of fractions in [0, 1]")
-        return errors
-    for q in points:
-        if isinstance(q, bool) or not isinstance(q, (int, float)) or not 0.0 <= q <= 1.0:
-            errors.append(f"percentile point {q!r} is not in [0, 1]")
-    return errors
-
-
 def _apply_percentiles(params, window, env):
     numbers = sorted(_numbers(window.elements, params["column"]))
-    points = params["points"]
+    points = list(params["points"])
     if not numbers:
         return MeasureResult(None, {"points": points, "values": None})
     values = [percentile(numbers, q) for q in points]
@@ -493,34 +556,17 @@ def _apply_percentiles(params, window, env):
     return MeasureResult(values[0] if len(values) == 1 else None, detail)
 
 
-def _validate_length_stats(params, columns):
-    errors: list[str] = []
-    _need_column(params, columns, errors, types=("text",))
-    if params.get("statistic", "mean") not in ("min", "max", "mean", "std"):
-        errors.append("'statistic' must be one of min/max/mean/std")
-    return errors
-
-
 def _apply_length_stats(params, window, env):
     lengths = [len(v) for v in window.values(params["column"]) if isinstance(v, str)]
     if not lengths:
         return MeasureResult(None)
-    stat = params.get("statistic", "mean")
+    stat = params["statistic"]
     if stat == "min":
         return MeasureResult(min(lengths))
     if stat == "max":
         return MeasureResult(max(lengths))
     mean, std = _mean_std(lengths)
     return MeasureResult(mean if stat == "mean" else std)
-
-
-def _validate_correlation(params, columns):
-    errors: list[str] = []
-    _need_column(params, columns, errors, key="column_a", types=_NUMERIC_TYPES)
-    _need_column(params, columns, errors, key="column_b", types=_NUMERIC_TYPES)
-    if params.get("method", "pearson") not in ("pearson", "spearman"):
-        errors.append("'method' must be 'pearson' or 'spearman'")
-    return errors
 
 
 def _ranks(xs: list[float]) -> list[float]:
@@ -562,7 +608,7 @@ def _apply_correlation(params, window, env):
             ys.append(b)
     if len(xs) < 2:
         return MeasureResult(None, {"pairs": len(xs)})
-    if params.get("method", "pearson") == "spearman":
+    if params["method"] == "spearman":
         xs, ys = _ranks(xs), _ranks(ys)
     return MeasureResult(_pearson(xs, ys), {"pairs": len(xs)})
 
@@ -571,18 +617,9 @@ def _apply_correlation(params, window, env):
 # Order and interval structure
 
 
-def _validate_ordering(params, columns):
-    errors: list[str] = []
-    _need_column(params, columns, errors, types=_ORDERED_TYPES)
-    if params.get("direction", "asc") not in ("asc", "desc"):
-        errors.append("'direction' must be 'asc' or 'desc'")
-    _opt_bool(params, "strict", False, errors)
-    return errors
-
-
 def _apply_ordering(params, window, env):
-    asc = params.get("direction", "asc") == "asc"
-    strict = bool(params.get("strict", False))
+    asc = params["direction"] == "asc"
+    strict = params["strict"]
     violations = 0
     prev: Value = None
     have_prev = False
@@ -604,19 +641,14 @@ def _apply_ordering(params, window, env):
     return MeasureResult(violations)
 
 
-def _validate_intervals(params, columns):
-    errors: list[str] = []
-    a = _need_column(params, columns, errors, key="start_column", types=_ORDERED_TYPES)
-    b = _need_column(params, columns, errors, key="end_column", types=_ORDERED_TYPES)
-    if a and b and columns[a] != columns[b]:
-        errors.append("start_column and end_column must share a type")
-    if params.get("policy", "gaps_allowed") not in ("gaps_allowed", "gaps_disallowed", "gaps_required"):
-        errors.append("'policy' must be gaps_allowed, gaps_disallowed, or gaps_required")
-    return errors
+def _intervals_share_a_type(params, columns):
+    if columns is not None and columns[params["start_column"]] != columns[params["end_column"]]:
+        return ["'start_column' and 'end_column' must share a type"]
+    return []
 
 
 def _apply_intervals(params, window, env):
-    policy = params.get("policy", "gaps_allowed")
+    policy = params["policy"]
     sc, ec = params["start_column"], params["end_column"]
     violations = 0
     intervals = []
@@ -643,15 +675,8 @@ def _apply_intervals(params, window, env):
     return MeasureResult(violations)
 
 
-def _validate_out_of_order(params, columns):
-    errors: list[str] = []
-    if "column" in params and params["column"] is not None:
-        _need_column(params, columns, errors, types=_ORDERED_TYPES)
-    return errors
-
-
 def _apply_out_of_order(params, window, env):
-    column = params.get("column")
+    column = params["column"]
     by_arrival = sorted(window.elements, key=lambda e: e.arrival_seq)
     running: Value = None
     count = 0
@@ -670,23 +695,8 @@ def _apply_out_of_order(params, window, env):
 # Timeliness and volume
 
 
-def _validate_freshness(params, columns):
-    errors: list[str] = []
-    ref = params.get("reference", "watermark")
-    if ref != "watermark":
-        if not isinstance(ref, str):
-            errors.append("'reference' must be 'watermark' or an ISO-8601 timestamp")
-        else:
-            try:
-                parse_ts(ref)
-            except Exception:
-                errors.append(f"'reference' timestamp {ref!r} is invalid")
-    return errors
-
-
 def _compile_freshness(params, env, checker):
-    ref = params.get("reference", "watermark")
-    fixed = None if ref == "watermark" else parse_ts(ref)
+    fixed = params["reference"]
 
     def run(window, env):
         if not window.elements:
@@ -707,20 +717,10 @@ def _apply_volume(params, window, env):
 # Schema and types
 
 
-def _validate_schema_check(params, columns):
-    errors: list[str] = []
-    expected = params.get("expected")
-    if not isinstance(expected, list) or not expected or not all(isinstance(c, str) for c in expected):
-        errors.append("'expected' must be a non-empty list of column names")
-    if params.get("mode", "presence") not in ("presence", "presence_absence", "presence_order"):
-        errors.append("'mode' must be presence, presence_absence, or presence_order")
-    return errors
-
-
 def _schema_checker(params, env) -> ElemChecker:
     expected = list(params["expected"])
     expected_set = set(expected)
-    mode = params.get("mode", "presence")
+    mode = params["mode"]
 
     def check(e: StreamElement) -> bool | None:
         keys = list(e.attrs.keys())
@@ -745,18 +745,7 @@ def _compile_schema_check(params, env, check):
 _TYPE_CHECK_TYPES = ("int", "float", "bool", "timestamp", "text")
 
 
-def _validate_type_check(params, columns):
-    errors: list[str] = []
-    _need_column(params, columns, errors)
-    if params.get("expected") not in _TYPE_CHECK_TYPES:
-        errors.append(f"'expected' must be one of {'/'.join(_TYPE_CHECK_TYPES)}")
-    formats = params.get("formats", ["iso"])
-    if not isinstance(formats, list) or not all(isinstance(f, str) for f in formats):
-        errors.append("'formats' must be a list of strings")
-    return errors
-
-
-def _parseable(v: Value, expected: str, formats: list[str]) -> bool:
+def _parseable(v: Value, expected: str, formats: Sequence[str]) -> bool:
     kind = value_type(v)
     if expected == "text":
         return kind == "text"
@@ -816,7 +805,7 @@ def _parseable(v: Value, expected: str, formats: list[str]) -> bool:
 def _type_checker(params, env) -> ElemChecker:
     column = params["column"]
     expected = params["expected"]
-    formats = params.get("formats", ["iso"])
+    formats = params["formats"]
 
     def check(e: StreamElement) -> bool | None:
         v = e.attrs.get(column)
@@ -846,12 +835,6 @@ def _compile_type_check(params, env, check):
 # Cross-stream match
 
 
-def _validate_match_ratio(params, columns):
-    errors: list[str] = []
-    _need_column(params, columns, errors, key="on")
-    return errors
-
-
 def _apply_match_ratio(params, window, env):
     if not window.elements:
         return MeasureResult(None)
@@ -872,40 +855,38 @@ def _apply_match_ratio(params, window, env):
 # Tuple-level fraction measures
 
 
-def _validate_valid_range(params, columns):
-    errors: list[str] = []
-    name = _need_column(params, columns, errors, types=_ORDERED_TYPES)
-    lo, hi = params.get("lo"), params.get("hi")
-    if lo is None and hi is None:
-        errors.append("valid_range needs at least one of 'lo'/'hi'")
-        return errors
-    for label, bound in (("lo", lo), ("hi", hi)):
-        if bound is None:
+def _range_has_a_fitting_bound(params, columns):
+    if params["lo"] is None and params["hi"] is None:
+        return ["valid_range needs at least one of 'lo'/'hi'"]
+    errors = []
+    col_kind = columns[params["column"]] if columns is not None else None
+    for name in ("lo", "hi"):
+        bound = params[name]
+        if bound is None or col_kind is None:
             continue
-        parsed = value_from_json(bound)
-        kind = value_type(parsed)
-        if kind not in _ORDERED_TYPES:
-            errors.append(f"'{label}' must be numeric or a timestamp")
-        elif name is not None:
-            col_kind = columns[name]
-            numeric = kind in _NUMERIC_TYPES and col_kind in _NUMERIC_TYPES
-            if not numeric and kind != col_kind:
-                errors.append(f"'{label}' type {kind} does not match column type {col_kind}")
-    _opt_bool(params, "lo_inclusive", True, errors)
-    _opt_bool(params, "hi_inclusive", True, errors)
+        kind = value_type(bound)
+        if not (kind in _NUMERIC_TYPES and col_kind in _NUMERIC_TYPES) and kind != col_kind:
+            errors.append(f"'{name}' type {kind} does not match column type {col_kind}")
+    if not errors:
+        try:
+            _value_range(params)
+        except ModelError as exc:
+            errors.append(f"'lo' and 'hi' do not form a range: {exc}")
     return errors
+
+
+def _value_range(params) -> ValueRange:
+    lo = params["lo"] if params["lo"] is not None else -math.inf
+    hi = params["hi"] if params["hi"] is not None else math.inf
+    if isinstance(lo, datetime) or isinstance(hi, datetime):
+        lo = lo if isinstance(lo, datetime) else TS_MIN
+        hi = hi if isinstance(hi, datetime) else TS_MAX
+    return ValueRange(lo, hi, params["lo_inclusive"], params["hi_inclusive"])
 
 
 def _range_checker(params, env) -> ElemChecker:
     column = params["column"]
-    lo = value_from_json(params["lo"]) if params.get("lo") is not None else -math.inf
-    hi = value_from_json(params["hi"]) if params.get("hi") is not None else math.inf
-    if isinstance(lo, datetime) or isinstance(hi, datetime):
-        lo = lo if isinstance(lo, datetime) else TS_MIN
-        hi = hi if isinstance(hi, datetime) else TS_MAX
-    bounds = ValueRange(lo, hi,
-                        bool(params.get("lo_inclusive", True)),
-                        bool(params.get("hi_inclusive", True)))
+    bounds = _value_range(params)
 
     def check(e: StreamElement) -> bool | None:
         return compare_verdict(e.attrs.get(column), bounds)
@@ -913,23 +894,9 @@ def _range_checker(params, env) -> ElemChecker:
     return check
 
 
-def _validate_in_set(params, columns):
-    errors: list[str] = []
-    _need_column(params, columns, errors)
-    allowed = params.get("allowed")
-    if not isinstance(allowed, list) or not allowed:
-        errors.append("'allowed' must be a non-empty list of values")
-    else:
-        for v in allowed:
-            if isinstance(v, (dict, list)):
-                errors.append(f"allowed value {v!r} is not a scalar")
-    _opt_bool(params, "proper", False, errors)
-    return errors
-
-
 def _in_set_checker(params, env) -> ElemChecker:
     column = params["column"]
-    allowed = _json_values(params["allowed"])
+    allowed = params["allowed"]
 
     def check(e: StreamElement) -> bool | None:
         v = e.attrs.get(column)
@@ -942,10 +909,10 @@ def _in_set_checker(params, env) -> ElemChecker:
 
 def _compile_in_set(params, env, check):
     fraction = _fraction(params, env, check)
-    if not params.get("proper", False):
+    if not params["proper"]:
         return fraction
     column = params["column"]
-    allowed = _json_values(params["allowed"])
+    allowed = params["allowed"]
 
     def run(window, env):
         result = fraction(window, env)
@@ -967,23 +934,9 @@ def _compile_in_set(params, env, check):
     return run
 
 
-def _validate_matches_pattern(params, columns):
-    errors: list[str] = []
-    _need_column(params, columns, errors, types=("text",))
-    pattern = params.get("pattern")
-    if not isinstance(pattern, str):
-        errors.append("'pattern' must be a string")
-    else:
-        try:
-            expression._compile_pattern(pattern, 0)
-        except expression.ExpressionError as exc:
-            errors.append(f"invalid pattern: {exc}")
-    return errors
-
-
 def _pattern_checker(params, env) -> ElemChecker:
     column = params["column"]
-    regex = re.compile(params["pattern"])
+    regex = params["pattern"]
 
     def check(e: StreamElement) -> bool | None:
         v = e.attrs.get(column)
@@ -996,25 +949,8 @@ def _pattern_checker(params, env) -> ElemChecker:
     return check
 
 
-def _validate_conforms(params, columns):
-    errors: list[str] = []
-    text = params.get("expression")
-    if not isinstance(text, str) or not text.strip():
-        errors.append("'expression' must be a non-empty string")
-        return errors
-    try:
-        expr = expression.parse(text)
-    except expression.ExpressionError as exc:
-        errors.append(f"invalid expression: {exc}")
-        return errors
-    unknown = expr.free_names() - set(columns)
-    if unknown:
-        errors.append(f"expression references unknown columns {sorted(unknown)}")
-    return errors
-
-
 def _conforms_checker(params, env) -> ElemChecker:
-    expr = expression.parse(params["expression"])
+    expr = params["expression"]
 
     def check(e: StreamElement) -> bool | None:
         verdict = expr.evaluate(e)
@@ -1039,17 +975,12 @@ def _fraction(params, env, check):
 # Registry
 
 
-def _no_params(params, columns):
-    return []
-
-
 def _static_type(name: str | None):
     return lambda params, columns: name
 
 
 def _column_type(params, columns):
-    name = params.get("column")
-    return columns.get(name) if isinstance(name, str) else None
+    return columns[params["column"]]
 
 
 MEASURES: dict[str, MeasureDef] = {}
@@ -1059,102 +990,150 @@ def _register(measure: MeasureDef) -> None:
     MEASURES[measure.id] = measure
 
 
-_register(MeasureDef("count", frozenset({"column"}),
-                     _stat_validate(("bool", "int", "float", "text", "timestamp")),
-                     _per_pane(_apply_count), _static_type("int")))
-_register(MeasureDef("min", frozenset({"column"}), _stat_validate(_ORDERED_TYPES), _per_pane(_apply_min), _column_type))
-_register(MeasureDef("max", frozenset({"column"}), _stat_validate(_ORDERED_TYPES), _per_pane(_apply_max), _column_type))
-_register(MeasureDef("mean", frozenset({"column"}), _stat_validate(_NUMERIC_TYPES),
-                     _merged("numbers", _numbers_stat(lambda xs: math.fsum(xs) / len(xs))), _static_type("float")))
-_register(MeasureDef("std", frozenset({"column"}), _stat_validate(_NUMERIC_TYPES),
-                     _merged("numbers", _numbers_stat(lambda xs: _mean_std(xs)[1])), _static_type("float")))
-_register(MeasureDef("z_outlier_count", frozenset({"column", "z"}), _validate_z_outliers, _per_pane(_apply_z_outliers), _static_type("int")))
-_register(MeasureDef("completeness", frozenset({"column", "missing_tokens", "empty_text_missing"}),
-                     _validate_completeness, _merged("present", _prepare_completeness),
-                     _static_type("float"),
+_EXACT_OR_APPROX = _choice("exact", "approx")
+
+_register(MeasureDef("count", {"column": _ANY_COLUMN}, _per_pane(_apply_count), _static_type("int")))
+_register(MeasureDef("min", {"column": _ORDERED_COLUMN}, _per_pane(_apply_min), _column_type))
+_register(MeasureDef("max", {"column": _ORDERED_COLUMN}, _per_pane(_apply_max), _column_type))
+_register(MeasureDef("mean", {"column": _NUMERIC_COLUMN},
+                     _merged("numbers", _numbers_stat(lambda xs: math.fsum(xs) / len(xs))),
+                     _static_type("float")))
+_register(MeasureDef("std", {"column": _NUMERIC_COLUMN},
+                     _merged("numbers", _numbers_stat(lambda xs: _mean_std(xs)[1])),
+                     _static_type("float")))
+_register(MeasureDef("z_outlier_count",
+                     {"column": _NUMERIC_COLUMN,
+                      "z": Param(_number("a number > 0", lambda z: z > 0))},
+                     _per_pane(_apply_z_outliers), _static_type("int")))
+_register(MeasureDef("completeness",
+                     {"column": _ANY_COLUMN,
+                      "missing_tokens": Param(_list(_scalar), []),
+                      "empty_text_missing": Param(_flag, False)},
+                     _merged("present", _prepare_completeness), _static_type("float"),
                      _completeness_checker))
-_register(MeasureDef("placeholder_report", frozenset({"column", "tokens", "output"}),
-                     _validate_placeholders, _compile_placeholders,
-                     lambda p, c: "float" if p.get("output") == "fraction" else "int"))
-_register(MeasureDef("distinct_count", frozenset({"column", "mode", "precision"}),
-                     _validate_distinct, _merged("distinct", _prepare_distinct),
-                     lambda p, c: "float" if p.get("mode") == "approx" else "int"))
-_register(MeasureDef("uniqueness", frozenset({"column", "output"}),
-                     _validate_uniqueness, _merged("counts", _prepare_uniqueness),
-                     lambda p, c: "int" if p.get("output") == "unique_count" else "float"))
-_register(MeasureDef("heavy_hitters", frozenset({"column", "phi", "mode", "capacity"}),
-                     _validate_heavy_hitters, _per_pane(_apply_heavy_hitters), _static_type("int")))
-_register(MeasureDef("percentiles", frozenset({"column", "points"}),
-                     _validate_percentiles, _per_pane(_apply_percentiles), _static_type("float")))
-_register(MeasureDef("length_stats", frozenset({"column", "statistic"}),
-                     _validate_length_stats, _per_pane(_apply_length_stats),
-                     lambda p, c: "int" if p.get("statistic") in ("min", "max") else "float"))
-_register(MeasureDef("correlation", frozenset({"column_a", "column_b", "method"}),
-                     _validate_correlation, _per_pane(_apply_correlation), _static_type("float")))
-_register(MeasureDef("ordering_violations", frozenset({"column", "direction", "strict"}),
-                     _validate_ordering, _per_pane(_apply_ordering), _static_type("int")))
-_register(MeasureDef("interval_conflicts", frozenset({"start_column", "end_column", "policy"}),
-                     _validate_intervals, _per_pane(_apply_intervals), _static_type("int")))
-_register(MeasureDef("out_of_order_count", frozenset({"column"}),
-                     _validate_out_of_order, _per_pane(_apply_out_of_order), _static_type("int")))
-_register(MeasureDef("freshness", frozenset({"reference"}),
-                     _validate_freshness, _compile_freshness, _static_type("float")))
-_register(MeasureDef("volume", frozenset(), _no_params, _per_pane(_apply_volume), _static_type("int")))
-_register(MeasureDef("schema_check", frozenset({"expected", "mode"}),
-                     _validate_schema_check, _compile_schema_check, _static_type("bool"),
-                     _schema_checker))
-_register(MeasureDef("type_check", frozenset({"column", "expected", "formats"}),
-                     _validate_type_check, _compile_type_check, _static_type("float"),
-                     _type_checker))
-_register(MeasureDef("match_ratio", frozenset({"on"}),
-                     _validate_match_ratio, _per_pane(_apply_match_ratio), _static_type("float")))
-_register(MeasureDef("valid_range", frozenset({"column", "lo", "hi", "lo_inclusive", "hi_inclusive"}),
-                     _validate_valid_range, _fraction, _static_type("float"),
-                     _range_checker))
-_register(MeasureDef("in_set", frozenset({"column", "allowed", "proper"}),
-                     _validate_in_set, _compile_in_set, _static_type("float"),
-                     _in_set_checker))
-_register(MeasureDef("matches_pattern", frozenset({"column", "pattern"}),
-                     _validate_matches_pattern, _fraction, _static_type("float"),
-                     _pattern_checker))
-_register(MeasureDef("conforms", frozenset({"expression"}),
-                     _validate_conforms, _fraction, _static_type("float"),
-                     _conforms_checker))
+_register(MeasureDef("placeholder_report",
+                     {"column": _ANY_COLUMN,
+                      "tokens": Param(_list(_scalar, nonempty=True)),
+                      "output": Param(_choice("distinct_present", "fraction"), "distinct_present")},
+                     _compile_placeholders,
+                     lambda p, c: "float" if p["output"] == "fraction" else "int"))
+_register(MeasureDef("distinct_count",
+                     {"column": _ANY_COLUMN,
+                      "mode": Param(_EXACT_OR_APPROX, "exact"),
+                      "precision": Param(_number("an int in [4, 16]", lambda p: 4 <= p <= 16,
+                                                 integer=True), 14)},
+                     _merged("distinct", _prepare_distinct),
+                     lambda p, c: "float" if p["mode"] == "approx" else "int"))
+_register(MeasureDef("uniqueness",
+                     {"column": _ANY_COLUMN,
+                      "output": Param(_choice("ratio", "unique_count"), "ratio")},
+                     _merged("counts", _prepare_uniqueness),
+                     lambda p, c: "int" if p["output"] == "unique_count" else "float"))
+_register(MeasureDef("heavy_hitters",
+                     {"column": _ANY_COLUMN,
+                      "phi": Param(_number("a number in (0, 1]", lambda phi: 0.0 < phi <= 1.0)),
+                      "mode": Param(_EXACT_OR_APPROX, "exact"),
+                      "capacity": Param(_number("an int >= 1", lambda c: c >= 1, integer=True),
+                                        256)},
+                     _per_pane(_apply_heavy_hitters), _static_type("int")))
+_register(MeasureDef("percentiles",
+                     {"column": _NUMERIC_COLUMN,
+                      "points": Param(_list(_number("a fraction in [0, 1]",
+                                                    lambda q: 0.0 <= q <= 1.0), nonempty=True))},
+                     _per_pane(_apply_percentiles), _static_type("float")))
+_register(MeasureDef("length_stats",
+                     {"column": Param(_column("text")),
+                      "statistic": Param(_choice("min", "max", "mean", "std"), "mean")},
+                     _per_pane(_apply_length_stats),
+                     lambda p, c: "int" if p["statistic"] in ("min", "max") else "float"))
+_register(MeasureDef("correlation",
+                     {"column_a": _NUMERIC_COLUMN, "column_b": _NUMERIC_COLUMN,
+                      "method": Param(_choice("pearson", "spearman"), "pearson")},
+                     _per_pane(_apply_correlation), _static_type("float")))
+_register(MeasureDef("ordering_violations",
+                     {"column": _ORDERED_COLUMN,
+                      "direction": Param(_choice("asc", "desc"), "asc"),
+                      "strict": Param(_flag, False)},
+                     _per_pane(_apply_ordering), _static_type("int")))
+_register(MeasureDef("interval_conflicts",
+                     {"start_column": _ORDERED_COLUMN, "end_column": _ORDERED_COLUMN,
+                      "policy": Param(_choice("gaps_allowed", "gaps_disallowed", "gaps_required"),
+                                      "gaps_allowed")},
+                     _per_pane(_apply_intervals), _static_type("int"),
+                     check=_intervals_share_a_type))
+_register(MeasureDef("out_of_order_count", {"column": Param(_column(*_ORDERED_TYPES), None)},
+                     _per_pane(_apply_out_of_order), _static_type("int")))
+_register(MeasureDef("freshness", {"reference": Param(_time_or_watermark, "watermark")},
+                     _compile_freshness, _static_type("float")))
+_register(MeasureDef("volume", {}, _per_pane(_apply_volume), _static_type("int")))
+_register(MeasureDef("schema_check",
+                     {"expected": Param(_list(_string, nonempty=True)),
+                      "mode": Param(_choice("presence", "presence_absence", "presence_order"),
+                                    "presence")},
+                     _compile_schema_check, _static_type("bool"), _schema_checker))
+_register(MeasureDef("type_check",
+                     {"column": _ANY_COLUMN,
+                      "expected": Param(_choice(*_TYPE_CHECK_TYPES)),
+                      "formats": Param(_list(_string), ["iso"])},
+                     _compile_type_check, _static_type("float"), _type_checker))
+_register(MeasureDef("match_ratio", {"on": _ANY_COLUMN},
+                     _per_pane(_apply_match_ratio), _static_type("float")))
+_register(MeasureDef("valid_range",
+                     {"column": _ORDERED_COLUMN,
+                      "lo": Param(_bound, None), "hi": Param(_bound, None),
+                      "lo_inclusive": Param(_flag, True), "hi_inclusive": Param(_flag, True)},
+                     _fraction, _static_type("float"), _range_checker,
+                     check=_range_has_a_fitting_bound))
+_register(MeasureDef("in_set",
+                     {"column": _ANY_COLUMN,
+                      "allowed": Param(_list(_scalar, nonempty=True)),
+                      "proper": Param(_flag, False)},
+                     _compile_in_set, _static_type("float"), _in_set_checker))
+_register(MeasureDef("matches_pattern",
+                     {"column": Param(_column("text")), "pattern": Param(_pattern)},
+                     _fraction, _static_type("float"), _pattern_checker))
+_register(MeasureDef("conforms", {"expression": Param(_expression)},
+                     _fraction, _static_type("float"), _conforms_checker))
 
 
 def validate_measure(spec: MeasureSpec, columns: dict[str, str]) -> list[str]:
     """All configuration problems with one measure spec, as messages."""
-    measure = MEASURES.get(spec.id)
-    if measure is None:
-        return [f"unknown measure {spec.id!r}"]
-    errors: list[str] = []
-    _check_params(spec.params, measure.params_allowed, errors)
-    errors.extend(measure.validate(spec.params, columns))
-    return errors
+    return parse_measure(spec, columns)[1]
 
 
-def compile_measure(spec: MeasureSpec, env: EngineEnv, checker: ElemChecker | None) -> MeasureRun:
-    """The function that measures one pane for a (validated) spec, with its
-    parameters resolved once; checker is the spec's per-element checker
-    (elem_checker_for), which measures with a per-element form count with."""
-    return MEASURES[spec.id].compile(spec.params, env, checker)
+def _parsed(spec: MeasureSpec) -> ParsedMeasure:
+    """A spec parsed without a schema; raises ModelError when it is invalid."""
+    parsed, errors = parse_measure(spec, None)
+    if parsed is None:
+        raise ModelError(f"measure {spec.id!r}: " + "; ".join(errors))
+    return parsed
+
+
+def compile_measure(measure: ParsedMeasure, env: EngineEnv,
+                    checker: ElemChecker | None) -> MeasureRun:
+    """The function that measures one pane for a parsed measure; checker is
+    its per-element checker (elem_checker_for), which measures with a
+    per-element form count with."""
+    return measure.definition.compile(measure.params, env, checker)
 
 
 def apply_measure(spec: MeasureSpec, window: WindowInstance, env: EngineEnv,
                   run: MeasureRun | None = None) -> MeasureResult:
-    """Evaluate a (validated) measure spec against one closed pane.
+    """Evaluate a measure spec against one closed pane.
 
     run is the spec's compiled form (compile_measure), as a suite keeps it;
-    without it the spec is compiled for this one call.
+    without it the spec is parsed and compiled for this one call.
     """
     if run is None:
-        run = compile_measure(spec, env, elem_checker_for(spec, env))
+        parsed = _parsed(spec)
+        run = compile_measure(parsed, env, elem_checker_for(parsed, env))
     return run(window, env)
 
 
-def elem_checker_for(spec: MeasureSpec, env: EngineEnv) -> ElemChecker | None:
-    """Per-element checker when the measure supports one, else None."""
-    measure = MEASURES.get(spec.id)
-    if measure is None or measure.make_elem_checker is None:
-        return None
-    return measure.make_elem_checker(spec.params, env)
+def elem_checker_for(measure: ParsedMeasure | MeasureSpec, env: EngineEnv) -> ElemChecker | None:
+    """Per-element checker when the measure supports one, else None. A raw
+    spec is parsed first."""
+    if isinstance(measure, MeasureSpec):
+        measure = _parsed(measure)
+    make = measure.definition.make_elem_checker
+    return None if make is None else make(measure.params, env)

@@ -228,9 +228,11 @@ def value_to_json(v: Value) -> Any:
 def value_from_json(raw: Any) -> Value:
     """Parse the JSON form produced by value_to_json.
 
-    Strings matching the exact timestamp shape parse back as Timestamp; all
-    other strings are Text. That makes serialize-then-parse the identity for
-    every value except Text that happens to look exactly like a timestamp.
+    Strings matching the exact timestamp shape parse back as Timestamp, and
+    "Infinity"/"-Infinity" as the float infinities; all other strings are
+    Text. That makes serialize-then-parse the identity for every value except
+    Text that happens to look exactly like a timestamp or is one of those two
+    words: the wire format cannot tell them apart.
     """
     if raw is None or isinstance(raw, (bool, int)):
         return raw

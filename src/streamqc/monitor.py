@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-import time
 from collections import deque
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timedelta
@@ -25,10 +24,11 @@ from .measures import (
     ElemChecker,
     MEASURES,
     MeasureRun,
+    ParsedMeasure,
     apply_measure,
     compile_measure,
     elem_checker_for,
-    validate_measure,
+    parse_measure,
 )
 from .model import (
     CheckDefinition,
@@ -266,28 +266,30 @@ def validate_suite(checks: Iterable[CheckDefinition],
 def _check_suite(checks: Iterable[CheckDefinition], schema: Iterable[ColumnSpec],
                  window_spec: WindowSpec, references: dict[str, ReferenceTable],
                  detectors: DetectorSpecs | None, has_secondary: bool
-                 ) -> tuple[list[str], list[tuple[Any, expression.Expr | None]]]:
-    """validate_suite's messages, and each check's constraint and reference
-    key ready to evaluate (predicate texts parsed), in check order."""
+                 ) -> tuple[list[str], list[tuple[ParsedMeasure | None, Any,
+                                                  expression.Expr | None]]]:
+    """validate_suite's messages, and each check's parsed measure, and its
+    constraint and reference key ready to evaluate (predicate texts parsed),
+    in check order."""
     columns = schema_types(list(schema))
     errors: list[str] = []
-    compiled: list[tuple[Any, expression.Expr | None]] = []
+    compiled: list[tuple[ParsedMeasure | None, Any, expression.Expr | None]] = []
     seen_ids: set[str] = set()
     for check in checks:
         prefix = f"check {check.id!r}: "
         if check.id in seen_ids:
             errors.append(f"{prefix}duplicate check id")
         seen_ids.add(check.id)
-        for msg in validate_measure(check.measure, columns):
-            errors.append(prefix + msg)
+        measure, problems = parse_measure(check.measure, columns)
+        errors.extend(prefix + msg for msg in problems)
         if check.key_by is not None:
             if check.key_by not in columns:
                 errors.append(f"{prefix}key_by column {check.key_by!r} is not in the schema")
             if check.measure.id == "match_ratio":
                 errors.append(f"{prefix}match_ratio does not support key_by")
         if check.emit_per_element:
-            measure = MEASURES.get(check.measure.id)
-            if measure is not None and measure.make_elem_checker is None:
+            definition = MEASURES.get(check.measure.id)
+            if definition is not None and definition.make_elem_checker is None:
                 errors.append(f"{prefix}measure {check.measure.id!r} has no per-element form")
         if check.measure.id == "match_ratio" and not has_secondary:
             errors.append(f"{prefix}match_ratio requires a secondary source")
@@ -306,8 +308,9 @@ def _check_suite(checks: Iterable[CheckDefinition], schema: Iterable[ColumnSpec]
                 allowed_bindings.update(f"ref_{c}" for c in table.columns)
             reference_key = _parse(check.reference.key_expr, {"window_start", "window_end"},
                                    errors, f"{prefix}reference key expression: ")
-        constraint = _compile_constraint(check, columns, allowed_bindings, errors, prefix)
-        compiled.append((constraint, reference_key))
+        constraint = _compile_constraint(check, measure, columns, allowed_bindings,
+                                         errors, prefix)
+        compiled.append((measure, constraint, reference_key))
     if detectors is not None:
         if detectors.dead is not None:
             if detectors.dead.threshold <= timedelta(0):
@@ -341,16 +344,18 @@ def _parse(text: str, allowed: set[str], errors: list[str],
     return expr
 
 
-def _compile_constraint(check: CheckDefinition, columns: dict[str, str],
-                        allowed_bindings: set[str], errors: list[str], prefix: str):
+def _compile_constraint(check: CheckDefinition, measure: ParsedMeasure | None,
+                        columns: dict[str, str], allowed_bindings: set[str],
+                        errors: list[str], prefix: str):
     """The check's constraint ready to evaluate: a Threshold or ValueRange as
-    is, a Predicate parsed. Problems are appended to errors."""
+    is, a Predicate parsed. Problems are appended to errors; a bound is
+    type-checked only against a measure that parsed."""
     constraint = check.constraint
     if isinstance(constraint, Predicate):
         return _parse(constraint.text, allowed_bindings, errors,
                       f"{prefix}constraint predicate: ")
-    measure = MEASURES.get(check.measure.id)
-    result_type = measure.result_type(check.measure.params, columns) if measure else None
+    result_type = (measure.definition.result_type(measure.params, columns)
+                   if measure is not None else None)
     if isinstance(constraint, Threshold):
         bound_type = value_type(constraint.bound)
         if result_type is not None:
@@ -417,9 +422,9 @@ class SuiteState:
         self.secondary = secondary
         env = EngineEnv(hash_seed=hash_seed, secondary=secondary)
         self.plans: list[CheckPlan] = []
-        for check, (constraint, reference_key) in zip(checks, compiled):
-            checker = elem_checker_for(check.measure, env)
-            self.plans.append(CheckPlan(check, compile_measure(check.measure, env, checker),
+        for check, (measure, constraint, reference_key) in zip(checks, compiled):
+            checker = elem_checker_for(measure, env)
+            self.plans.append(CheckPlan(check, compile_measure(measure, env, checker),
                                         checker, constraint, reference_key))
         self._contexts: dict[tuple[str, bytes], ContextState] = {}
         detectors = detectors or DetectorSpecs()
@@ -618,16 +623,13 @@ class MonitorEngine:
     """Streaming loop: observe, route, close, assess, emit.
 
     Sinks are duck-typed objects with write_line(str); either may be None.
-    Pass collect_timings=True to record per-pane assessment durations for
-    benchmarking.
     """
 
     def __init__(self, state: SuiteState, *,
                  watermark_delay: timedelta = timedelta(0),
                  key_by: str | None = None,
                  meta_sink: Any = None,
-                 side_sink: Any = None,
-                 collect_timings: bool = False):
+                 side_sink: Any = None):
         self.state = state
         self.watermark = Watermark(delay=watermark_delay)
         self.store = PaneStore(state.window_spec, key_by=key_by)
@@ -637,12 +639,8 @@ class MonitorEngine:
         self.collected: list[MetaRecord] | None = None if meta_sink is not None else []
         self._discards_reported = 0
         self._routed_seqs: set[int] = set()
-        self.routing_seconds = 0.0
-        self.pane_timings: list[float] = []  # assessment seconds per pane
-        self._perf = time.perf_counter if collect_timings else None
 
     def process(self, element: StreamElement) -> None:
-        t0 = self._perf() if self._perf else 0.0
         self.stats.read += 1
         self.watermark.observe(element.event_time)
         outcome = self.store.route(element, self.watermark)
@@ -653,8 +651,6 @@ class MonitorEngine:
             if outcome is RouteOutcome.LATE:
                 self.stats.late_accepted += 1
         ready = self.store.close_ready(self.watermark.value)
-        if self._perf:
-            self.routing_seconds += self._perf() - t0
         if ready:
             self._emit_batch(ready)
 
@@ -671,7 +667,6 @@ class MonitorEngine:
         batch_records: list[MetaRecord] = []
         batch_failing: list[tuple[StreamElement, list[str]]] = []
         for index, pane in enumerate(panes):
-            t0 = self._perf() if self._perf else 0.0
             records, failing = self.state.on_window_close(pane, watermark=wm)
             records.append(self._late_discards_record(pane, first=index == 0))
             self.stats.panes_closed += 1
@@ -680,8 +675,6 @@ class MonitorEngine:
                     self._routed_seqs.add(seq)
                     batch_failing.append(failing[seq])
             batch_records.extend(records)
-            if self._perf:
-                self.pane_timings.append(self._perf() - t0)
         batch_records.sort(key=MetaRecord.order_key)
         for record in batch_records:
             self.stats.records_emitted += 1

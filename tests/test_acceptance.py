@@ -325,7 +325,7 @@ def _naive_expectations(window, sec_values):
     exp("ordering asc", "ordering_violations", {"column": "x"},
         _naive_ordering(xs))
     exp("ordering desc strict", "ordering_violations",
-        {"column": "x", "direction": "descending", "strict": True},
+        {"column": "x", "direction": "desc", "strict": True},
         _naive_ordering(xs, descending=True, strict=True))
 
     for policy in ("gaps_allowed", "gaps_disallowed", "gaps_required"):

@@ -7,7 +7,7 @@ from datetime import timedelta
 
 import pytest
 
-from streamqc import cli, connectors
+from streamqc import cli, connectors, expression
 from streamqc.cli import HASH_SEED_ENV, _hash_seed, main
 from streamqc.config import (
     ConfigError,
@@ -17,7 +17,7 @@ from streamqc.config import (
     resolve_path,
     semantic_errors,
 )
-from streamqc.model import Predicate, Threshold, ValueRange, WindowSpec, parse_ts
+from streamqc.model import Predicate, Threshold, ValueRange, WindowSpec, format_ts, parse_ts
 
 
 def base_config():
@@ -403,6 +403,81 @@ def test_cli_run_reads_each_reference_table_once(tmp_path, monkeypatch):
     assert main(["run", cfg_path, "--meta", str(meta)]) == 0
     assert sorted(loads) == ["caps", "zones"]
     assert any(json.loads(l)["check"] == "fare_mean" for l in meta.read_text().splitlines())
+
+
+@pytest.mark.parametrize("measure,param", [
+    ({"id": "completeness", "column": "fare", "missing_tokens": [[1]]}, "missing_tokens"),
+    ({"id": "placeholder_report", "column": "zone", "tokens": ["-", {"a": 1}]}, "tokens"),
+    ({"id": "valid_range", "column": "fare", "lo": {"x": 1}}, "lo"),
+])
+def test_cli_validate_and_run_reject_non_scalar_params(tmp_path, capsys, measure, param):
+    def mutate(obj):
+        obj["checks"][0]["measure"] = measure
+        obj["checks"][0]["constraint"] = {"op": ">=", "bound": 0}
+    cfg_path = cli_setup(tmp_path, mutate)
+    meta = tmp_path / "meta.jsonl"
+    for argv in (["validate", cfg_path], ["run", cfg_path, "--meta", str(meta)]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert lines and all(line.startswith("error: ") for line in lines)
+        assert any("check 'fare_mean'" in line and f"'{param}'" in line for line in lines)
+    assert not meta.exists()
+
+
+def test_cli_run_parses_a_conforms_text_twice(tmp_path, monkeypatch):
+    """Once to validate the config, once to build the suite; never per pane."""
+    text = "fare > -2.5 and zone != 'nowhere'"
+
+    def mutate(obj):
+        obj["checks"][0]["measure"] = {"id": "conforms", "expression": text}
+        obj["checks"][0]["constraint"] = {"op": ">=", "bound": 0.5}
+    cfg_path = cli_setup(tmp_path, mutate, rows=stream_rows(n=40, step_s=20))
+    calls = []
+    parse = expression.parse
+    monkeypatch.setattr(expression, "parse", lambda source: calls.append(source) or parse(source))
+    assert main(["run", cfg_path, "--meta", str(tmp_path / "meta.jsonl")]) == 0
+    assert calls.count(text) == 2
+
+
+# (pane start minute, match_ratio value, ok, secondary_volume) for the run below
+SECONDARY_PANES = [(59, 0.0, False, 0), (0, 0.5, True, 2), (1, 1.0, True, 3),
+                   (2, 0.5, True, 1), (3, 0.0, False, 0), (4, 0.0, False, 0),
+                   (5, 0.5, True, 2), (6, 0.5, True, 2), (7, 0.0, False, 0),
+                   (8, 0.0, False, 0), (9, 0.0, False, 0)]
+
+
+def test_cli_run_with_a_secondary_source(tmp_path):
+    """match_ratio over 2m/1m sliding panes. The secondary rows arrive out of
+    order; panes 11:03 and 11:04 fall in a gap of the secondary stream and
+    the first and last lie outside it, and all of them measure as empty."""
+    write_stream(tmp_path, rows=[["2015-05-07T11:01:30.000Z", "1.0", "uptown"],
+                                 ["2015-05-07T11:06:50.000Z", "2.0", "downtown"],
+                                 ["2015-05-07T11:02:10.000Z", "3.0", "airport"],
+                                 ["2015-05-07T11:06:20.000Z", "4.0", "uptown"],
+                                 ["2015-05-07T11:01:50.000Z", "5.0", "midtown"]],
+                 name="secondary.csv")
+    write_stream(tmp_path, rows=stream_rows(n=60, step_s=10))
+    obj = base_config()
+    obj["secondary_source"] = dict(obj["source"], path="secondary.csv")
+    obj["window"] = {"kind": "sliding", "duration": "2m", "slide": "1m"}
+    obj["checks"] = [{"id": "zone_match", "measure": {"id": "match_ratio", "on": "zone"},
+                      "constraint": {"op": ">=", "bound": 0.5}}]
+    meta = tmp_path / "meta.jsonl"
+    assert main(["run", write_config(tmp_path, obj), "--meta", str(meta)]) == 0
+
+    def bounds(minute):
+        start = parse_ts(f"2015-05-07T{10 if minute == 59 else 11}:{minute:02d}:00Z")
+        return (f'"window_start":"{format_ts(start)}",'
+                f'"window_end":"{format_ts(start + timedelta(minutes=2))}","key":null')
+    want = []
+    for minute, value, ok, volume in SECONDARY_PANES:
+        want.append(f'{{{bounds(minute)},"check":"_late_discards","value":0,"ok":true,'
+                    f'"detail":null}}')
+        want.append(f'{{{bounds(minute)},"check":"zone_match","value":{value},'
+                    f'"ok":{json.dumps(ok)},"detail":{{"secondary_volume":{volume}}}}}')
+    assert meta.read_text().splitlines() == want
 
 
 def test_cli_run_failures_do_not_change_exit(tmp_path):

@@ -1,15 +1,36 @@
 """Window measures against hand-computed and library oracles."""
 
+import json
 import math
 import random
+import re
 import statistics
 from datetime import timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from streamqc.measures import EngineEnv, apply_measure, elem_checker_for, validate_measure
-from streamqc.model import MeasureSpec, Slice, WindowInstance, ts
+from streamqc.measures import (
+    MEASURES,
+    REQUIRED,
+    EngineEnv,
+    apply_measure,
+    elem_checker_for,
+    validate_measure,
+)
+from streamqc.model import (
+    CheckDefinition,
+    ColumnSpec,
+    MeasureSpec,
+    ModelError,
+    Predicate,
+    Slice,
+    WindowInstance,
+    WindowSpec,
+    ts,
+)
+from streamqc.monitor import SuiteState
 
 from helpers import at, elem, elems, values_win, win
 
@@ -269,8 +290,11 @@ def test_ordering_violations_oracle():
     assert val("ordering_violations", {"column": "x", "strict": True},
                values_win([1, 2, 2, 3])) == 1
     assert val("ordering_violations", {"column": "x"}, values_win([3, 1, 2])) == 1
-    assert val("ordering_violations", {"column": "x", "direction": "descending"},
+    assert val("ordering_violations", {"column": "x", "direction": "desc"},
                values_win([3, 1, 2])) == 1
+    with pytest.raises(ModelError, match="'direction' must be one of asc/desc"):
+        val("ordering_violations", {"column": "x", "direction": "descending"},
+            values_win([3, 1, 2]))
 
 
 def test_ordering_null_breaks_chain():
@@ -517,6 +541,81 @@ def test_underscore_params_are_rejected():
                             {"fare": "float"})
 
 
+TYPED_COLUMNS = {"n": "float", "i": "int", "s": "text", "ts": "timestamp", "ts2": "timestamp",
+                 "flag": "bool"}
+
+# A valid spec for every measure that sets every declared parameter.
+FULL_SPECS = {
+    "count": {"column": "n"},
+    "min": {"column": "ts"},
+    "max": {"column": "i"},
+    "mean": {"column": "n"},
+    "std": {"column": "i"},
+    "z_outlier_count": {"column": "n", "z": 2.0},
+    "completeness": {"column": "n", "missing_tokens": [-1, "?"], "empty_text_missing": True},
+    "placeholder_report": {"column": "s", "tokens": ["-", 0], "output": "fraction"},
+    "distinct_count": {"column": "s", "mode": "approx", "precision": 10},
+    "uniqueness": {"column": "s", "output": "unique_count"},
+    "heavy_hitters": {"column": "s", "phi": 0.25, "mode": "approx", "capacity": 8},
+    "percentiles": {"column": "n", "points": [0.5, 1]},
+    "length_stats": {"column": "s", "statistic": "max"},
+    "correlation": {"column_a": "n", "column_b": "i", "method": "spearman"},
+    "ordering_violations": {"column": "ts", "direction": "desc", "strict": True},
+    "interval_conflicts": {"start_column": "ts", "end_column": "ts2", "policy": "gaps_required"},
+    "out_of_order_count": {"column": "ts"},
+    "freshness": {"reference": "2015-05-07T12:00:00.000Z"},
+    "volume": {},
+    "schema_check": {"expected": ["n", "s"], "mode": "presence_order"},
+    "type_check": {"column": "s", "expected": "timestamp", "formats": ["iso", "epoch_s"]},
+    "match_ratio": {"on": "s"},
+    "valid_range": {"column": "n", "lo": 0, "hi": 10.5, "lo_inclusive": False,
+                    "hi_inclusive": True},
+    "in_set": {"column": "s", "allowed": ["a", "b"], "proper": True},
+    "matches_pattern": {"column": "s", "pattern": "[a-z]+"},
+    "conforms": {"expression": "n > 0 and s != 'x'"},
+}
+
+# One value of each JSON type, plus lists and objects nested in a list.
+WRONG_VALUES = [[], [1], [[1]], [{"x": 1}], ["a", None], {}, {"x": 1}, True, False, "",
+                "zzz", "2015-05-07T11:00:00.000Z", 0, 3, -1.5, 1e300, None]
+
+
+def _suite_of(mid, params):
+    # A predicate constraint: it type-checks against any measure result.
+    check = CheckDefinition(id="c", measure=MeasureSpec(mid, params),
+                            constraint=Predicate("value = value"), emit_per_element=False)
+    schema = [ColumnSpec(name, kind, nullable=True) for name, kind in TYPED_COLUMNS.items()]
+    return SuiteState([check], schema, WindowSpec("tumbling", duration=timedelta(minutes=1)),
+                      secondary=lambda start, end, key: None)
+
+
+def test_full_specs_cover_every_declared_parameter():
+    assert set(FULL_SPECS) == set(MEASURES)
+    for mid, params in FULL_SPECS.items():
+        assert set(params) == set(MEASURES[mid].params), mid
+        assert validate_measure(MeasureSpec(mid, params), TYPED_COLUMNS) == [], mid
+
+
+@pytest.mark.parametrize("mid", sorted(FULL_SPECS))
+def test_wrong_json_types_are_errors_or_build_never_crash(mid):
+    """validate and run agree: a parameter value either fails validation
+    with a message naming the parameter, or the suite builds and measures."""
+    pane = win([elem(at(0), 0, n=1.0, i=2, s="a", ts=at(1), ts2=at(2), flag=True),
+                elem(at(5), 1, n=None, i=None, s="2015-05-07T11:00:00.000Z", ts=at(0),
+                     ts2=None, flag=None)])
+    for name in MEASURES[mid].params:
+        for wrong in WRONG_VALUES:
+            params = {**FULL_SPECS[mid], name: wrong}
+            errors = validate_measure(MeasureSpec(mid, params), TYPED_COLUMNS)
+            if errors:
+                assert any(f"'{name}'" in e for e in errors), (name, wrong, errors)
+                with pytest.raises(ValueError, match="invalid suite"):
+                    _suite_of(mid, params)
+            else:
+                records, _ = _suite_of(mid, params).on_window_close(pane)
+                assert [r.check_id for r in records] == ["c"], (name, wrong)
+
+
 # ---------------------------------------------------------------------------
 # Per-slice partials merged per pane
 
@@ -571,3 +670,35 @@ def test_mean_and_std_share_one_partial_per_slice():
     run("mean", {"column": "x"}, w)
     run("std", {"column": "x"}, w)
     assert len(part.memo) == 1
+
+
+# ---------------------------------------------------------------------------
+# Documentation
+
+
+def _readme_measures_table():
+    """measure id -> the backquoted items of its params cell, in order."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    rows: dict[str, list[str]] = {}
+    for line in text.split("\n## Measures\n", 1)[1].splitlines():
+        if line.startswith("| `"):
+            _, names, params, _value, _ = line.split("|")
+            for name in re.findall(r"`([^`]+)`", names):
+                assert name not in rows, name
+                rows[name] = re.findall(r"`([^`]+)`", params)
+        elif rows:
+            break  # end of the table
+    return rows
+
+
+def test_readme_measures_table_matches_the_registry():
+    def documented(name, param):
+        if param.default is REQUIRED:
+            return name
+        if param.default is None:
+            return f"{name}?"
+        return f"{name} = {json.dumps(param.default)}"
+
+    assert _readme_measures_table() == {
+        mid: [documented(name, param) for name, param in measure.params.items()]
+        for mid, measure in MEASURES.items()}

@@ -191,12 +191,22 @@ def test_timestamp_shaped_text_parses_back_as_timestamp():
     assert value_from_json("2015-05-07T11:35:00.000Z") == ts(2015, 5, 7, 11, 35)
 
 
+def test_infinity_text_parses_back_as_float_infinity():
+    # Float infinities travel as these two texts, so the texts themselves
+    # round back as floats by design; the output bytes are the same.
+    assert value_to_json("Infinity") == value_to_json(math.inf) == "Infinity"
+    assert value_to_json("-Infinity") == value_to_json(-math.inf) == "-Infinity"
+    assert value_from_json(value_to_json("Infinity")) == math.inf
+    assert value_from_json(value_to_json("-Infinity")) == -math.inf
+
+
 _scalar = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(min_value=-(2 ** 62), max_value=2 ** 62),
     st.floats(allow_nan=False, allow_infinity=False),
-    st.text(max_size=30).filter(lambda s: not (len(s) == 24 and s.endswith("Z"))),
+    st.text(max_size=30).filter(lambda s: not (len(s) == 24 and s.endswith("Z"))
+                                and s not in ("Infinity", "-Infinity")),
     st.datetimes(min_value=datetime(1900, 1, 1), max_value=datetime(2200, 1, 1))
       .map(lambda d: utc_ms(d.replace(tzinfo=timezone.utc))),
 )

@@ -813,6 +813,18 @@ def test_conforms_parses_its_expression_once_per_check(monkeypatch):
     assert many <= few < 3
 
 
+def test_suite_build_parses_each_conforms_text_once(monkeypatch):
+    calls = Counter()
+    parse = expression.parse
+    monkeypatch.setattr(expression, "parse", lambda text: calls.update([text]) or parse(text))
+    texts = ["fare > -1.25", "zone != 'q' or fare < 3.5"]
+    checks = [CheckDefinition(id=f"c{i}", measure=MeasureSpec("conforms", {"expression": text}),
+                              constraint=Threshold(">=", 0.5), emit_per_element=True)
+              for i, text in enumerate(texts)]
+    suite(checks)
+    assert calls == Counter(texts)
+
+
 def test_checks_compile_once_when_the_suite_is_built(monkeypatch):
     """Expressions are parsed and per-element checkers built while SuiteState
     is built, and not again on any pane."""
