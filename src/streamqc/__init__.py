@@ -36,7 +36,6 @@ from .monitor import (
     ReferenceTable,
     SuiteState,
     relative_volume_check,
-    validate_suite,
 )
 from .windowing import PaneStore, RouteOutcome, Watermark
 
@@ -51,6 +50,5 @@ __all__ = [
     "SuiteConfig", "SuiteState", "Threshold", "Value", "ValueRange",
     "Watermark", "WindowInstance", "WindowSpec", "apply_measure",
     "load_config", "parse_config", "parse_duration", "parse_ts",
-    "relative_volume_check", "ts", "validate_measure", "validate_suite",
-    "__version__",
+    "relative_volume_check", "ts", "validate_measure", "__version__",
 ]

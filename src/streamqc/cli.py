@@ -12,36 +12,12 @@ import os
 import sys
 import time
 from dataclasses import replace
-from datetime import datetime
-from typing import Any, Iterator
+from typing import Any
 
-from .config import (
-    ConfigError,
-    SuiteConfig,
-    check_config,
-    load_config,
-    resolve_path,
-    semantic_errors,
-)
-from .connectors import (
-    SourceCounters,
-    generate_stream,
-    iter_csv,
-    iter_jsonl,
-    iter_socket,
-    open_sink,
-    paced,
-    parse_time,
-)
-from .model import (
-    ModelError,
-    StreamElement,
-    WindowInstance,
-    WindowSpec,
-    parse_duration,
-)
-from .monitor import MonitorEngine, ReferenceTable, SuiteState
-from .windowing import PaneStore, Watermark
+from .config import ConfigError, SuiteConfig, build_suite, load_config, open_source
+from .connectors import SourceCounters, SourceError, generate_stream, open_sink, paced, parse_time
+from .model import ModelError, WindowSpec, parse_duration
+from .monitor import MonitorEngine, SuiteState
 
 HASH_SEED_ENV = "STREAMQC_HASH_SEED"
 
@@ -62,7 +38,7 @@ def main(argv: list[str] | None = None) -> int:
         for message in exc.errors:
             print(f"error: {message}", file=sys.stderr)
         return 1
-    except OSError as exc:
+    except (OSError, SourceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     raise AssertionError(f"unhandled command {args.command!r}")
@@ -106,11 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_validate(args) -> int:
     cfg = load_config(args.config)
-    errors = semantic_errors(cfg, args.config)
-    if errors:
-        for message in errors:
-            print(f"error: {message}", file=sys.stderr)
-        return 1
+    _build_suite(cfg, args.config)
     checks = len(cfg.checks)
     print(f"ok: {checks} check{'s' if checks != 1 else ''}, "
           f"{cfg.window.kind} windows", file=sys.stderr)
@@ -122,19 +94,14 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    cfg = load_config(args.config)
-    cfg = _apply_overrides(cfg, args)
-    references, errors = check_config(cfg, args.config)
-    if errors:
-        for message in errors:
-            print(f"error: {message}", file=sys.stderr)
-        return 1
+    cfg = _apply_overrides(load_config(args.config), args)
+    state = _build_suite(cfg, args.config)
     counters = SourceCounters()
-    engine, close_sinks = _build_engine(cfg, args.config, references, _hash_seed(cfg))
+    elements = open_source(cfg.source, args.config, counters, args.limit)
+    if cfg.source.replay_mode == "scaled":
+        elements = paced(elements, cfg.source.replay_factor)
+    engine, close_sinks = _build_engine(cfg, state)
     try:
-        elements = _open_source(cfg.source, args.config, counters, args.limit)
-        if cfg.source.replay_mode == "scaled":
-            elements = paced(elements, cfg.source.replay_factor)
         try:
             for element in elements:
                 engine.process(element)
@@ -192,13 +159,19 @@ def _hash_seed(cfg: SuiteConfig) -> int:
     return cfg.engine.hash_seed
 
 
-def _build_engine(cfg: SuiteConfig, config_path: str,
-                  references: dict[str, ReferenceTable], hash_seed: int,
+def _build_suite(cfg: SuiteConfig, config_path: str) -> SuiteState:
+    """build_suite under the run's hash seed. The config's own problems are
+    reported before a bad STREAMQC_HASH_SEED."""
+    try:
+        seed = _hash_seed(cfg)
+    except ConfigError:
+        build_suite(cfg, config_path, cfg.engine.hash_seed)
+        raise
+    return build_suite(cfg, config_path, seed)
+
+
+def _build_engine(cfg: SuiteConfig, state: SuiteState,
                   meta_sink: Any | None = None) -> tuple[MonitorEngine, Any]:
-    secondary = _build_secondary(cfg, config_path) if cfg.secondary_source else None
-    state = SuiteState(list(cfg.checks), list(cfg.source.schema), cfg.window,
-                       references=references, detectors=cfg.detectors,
-                       hash_seed=hash_seed, secondary=secondary)
     sinks = []
     if meta_sink is None:
         meta_sink = open_sink(cfg.sinks.meta if cfg.sinks.meta is not None else "-")
@@ -217,42 +190,6 @@ def _build_engine(cfg: SuiteConfig, config_path: str,
             sink.close()
 
     return engine, close
-
-
-def _open_source(src, config_path: str, counters: SourceCounters,
-                 limit: int | None) -> Iterator[StreamElement]:
-    schema = list(src.schema)
-    if src.kind == "csv":
-        return iter_csv(resolve_path(config_path, src.path), schema, src.event_time,
-                        src.formats, counters, limit)
-    if src.kind == "jsonl":
-        return iter_jsonl(resolve_path(config_path, src.path), schema, src.event_time,
-                          src.formats, counters, limit)
-    if src.kind == "socket":
-        return iter_socket(src.address, schema, src.event_time,
-                           src.formats, counters, limit)
-    raise ConfigError([f"source kind {src.kind!r} is not runnable"])
-
-
-def _build_secondary(cfg: SuiteConfig, config_path: str):
-    """Pre-window the secondary source so match checks can look panes up.
-
-    Its rows go through a PaneStore whose watermark never advances, so every
-    row is assigned and none is late; flush() then closes every pane. An
-    empty pane measures like a missing one, so only non-empty panes are kept.
-    """
-    store = PaneStore(cfg.window)
-    held = Watermark()
-    for element in _open_source(cfg.secondary_source, config_path, SourceCounters(), None):
-        store.route(element, held)
-    panes = {(w.start, w.end): w for w in store.flush() if w.elements}
-
-    def lookup(start: datetime, end: datetime, key) -> WindowInstance | None:
-        if key is not None:
-            return None
-        return panes.get((start, end))
-
-    return lookup
 
 
 def _print_stats(stats, as_json: bool) -> None:
@@ -284,30 +221,23 @@ class _NullSink:
 def _cmd_bench(args) -> int:
     cfg = load_config(args.config)
     if cfg.source.kind == "socket":
-        print("error: bench needs a file source", file=sys.stderr)
-        return 1
+        raise ConfigError(["bench needs a file source"])
     if cfg.source.replay_mode != "fast":
         cfg = replace(cfg, source=replace(cfg.source, replay_mode="fast"))
-    references, errors = check_config(cfg, args.config)
-    if errors:
-        for message in errors:
-            print(f"error: {message}", file=sys.stderr)
-        return 1
+    state = _build_suite(cfg, args.config)
     try:
         sizes = [int(s) for s in args.sizes.split(",") if s]
     except ValueError:
-        print(f"error: --sizes must be comma-separated integers, got {args.sizes!r}",
-              file=sys.stderr)
-        return 1
+        raise ConfigError([f"--sizes must be comma-separated integers, got {args.sizes!r}"]
+                          ) from None
     if not sizes or any(s <= 0 for s in sizes):
-        print("error: --sizes must be positive", file=sys.stderr)
-        return 1
-    hash_seed = _hash_seed(cfg)
+        raise ConfigError(["--sizes must be positive"])
 
-    _bench_once(cfg, args.config, references, hash_seed, min(sizes))  # warm-up, untimed
+    _bench_once(cfg, args.config, state, min(sizes))  # warm-up on the validated suite, untimed
     rows = []
     for size in sizes:
-        runs = [_bench_once(cfg, args.config, references, hash_seed, size)
+        # Each timed run gets a fresh suite, built untimed.
+        runs = [_bench_once(cfg, args.config, _build_suite(cfg, args.config), size)
                 for _ in range(max(1, args.repeats))]
         runs.sort(key=lambda r: r["wall_seconds"])
         rows.append(runs[len(runs) // 2])  # median wall time
@@ -335,11 +265,11 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def _bench_once(cfg: SuiteConfig, config_path: str, references: dict[str, ReferenceTable],
-                hash_seed: int, size: int) -> dict[str, Any]:
+def _bench_once(cfg: SuiteConfig, config_path: str, state: SuiteState,
+                size: int) -> dict[str, Any]:
     counters = SourceCounters()
-    engine, close_sinks = _build_engine(cfg, config_path, references, hash_seed,
-                                        meta_sink=_NullSink())
+    elements = open_source(cfg.source, config_path, counters, size)
+    engine, close_sinks = _build_engine(cfg, state, meta_sink=_NullSink())
     # Timed from outside: each pane's assessment, and the per-row watermark,
     # routing and close calls, whose time is shared out over the panes.
     nets: list[float] = []
@@ -348,7 +278,6 @@ def _bench_once(cfg: SuiteConfig, config_path: str, references: dict[str, Refere
     state.on_window_close = _timed(state.on_window_close, nets.append)
     for obj, name in ((watermark, "observe"), (store, "route"), (store, "close_ready")):
         setattr(obj, name, _timed(getattr(obj, name), _adder(routing)))
-    elements = _open_source(cfg.source, config_path, counters, size)
     t0 = time.perf_counter()
     for element in elements:
         engine.process(element)

@@ -1,19 +1,20 @@
-"""Suite configuration: strict JSON parsing, normalization, validation.
+"""Suite configuration: strict JSON parsing, normalization, the suite build.
 
 A config file is a single JSON object. Unknown keys are rejected everywhere,
 at every nesting level, so typos fail loudly instead of silently disabling a
 check. parse_config aggregates every shape problem it can find; semantic
 problems (measure parameters, constraint typing, reference wiring) are
-reported by semantic_errors, which needs the reference files on disk.
+reported by build_suite, which loads the files the config names.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
-from typing import Any
+from typing import Any, Iterator
 
 from . import connectors
 from .model import (
@@ -25,8 +26,10 @@ from .model import (
     ModelError,
     Predicate,
     ReferenceSpec,
+    StreamElement,
     Threshold,
     ValueRange,
+    WindowInstance,
     WindowSpec,
     format_duration,
     format_ts,
@@ -39,14 +42,14 @@ from .monitor import (
     DeadStreamSpec,
     DetectorSpecs,
     FrozenColumnSpec,
-    ReferenceTable,
-    validate_suite,
+    InvalidSuite,
+    SuiteState,
 )
 
 __all__ = [
     "ConfigError", "SourceConfig", "ReferenceConfig", "SinksConfig",
     "EngineConfig", "SuiteConfig", "parse_config", "load_config",
-    "dump_config", "check_config", "semantic_errors", "resolve_path",
+    "dump_config", "build_suite", "semantic_errors", "resolve_path", "open_source",
 ]
 
 
@@ -181,6 +184,11 @@ def _parse_source(raw: Any, where: str, errs: _Errors, *, secondary: bool) -> So
     path = address = None
     if kind == "socket":
         address = _string(obj.get("address"), f"{where}.address", errs)
+        if address is not None:
+            try:
+                connectors.parse_address(address)
+            except connectors.SourceError as exc:
+                errs.add(f"{where}.address", str(exc))
         if "path" in obj:
             errs.add(where, "socket sources take 'address', not 'path'")
     else:
@@ -538,9 +546,9 @@ def load_config(path: str) -> SuiteConfig:
     return parse_config(obj)
 
 
-def resolve_path(config_path: str, target: str) -> str:
+def resolve_path(config_path: str | None, target: str) -> str:
     """Paths inside a config file are relative to the file, not the cwd."""
-    if os.path.isabs(target):
+    if config_path is None or os.path.isabs(target):
         return target
     return os.path.join(os.path.dirname(os.path.abspath(config_path)), target)
 
@@ -637,31 +645,82 @@ def _dump_check(check: CheckDefinition) -> dict[str, Any]:
 
 
 # ---------------------------------------------------------------------------
-# Semantic validation (needs reference files)
+# The build: one pass from a parsed config to a runnable suite
 
 
-def semantic_errors(cfg: SuiteConfig, config_path: str | None = None) -> list[str]:
-    """Everything wrong with a structurally valid config, as messages."""
-    return check_config(cfg, config_path)[1]
-
-
-def check_config(cfg: SuiteConfig, config_path: str | None = None
-                 ) -> tuple[dict[str, ReferenceTable], list[str]]:
-    """The config's reference tables, each loaded once, and everything wrong
-    with a structurally valid config (semantic_errors)."""
+def build_suite(cfg: SuiteConfig, config_path: str | None, hash_seed: int) -> SuiteState:
+    """The config made runnable: each reference table loaded once, the
+    secondary source read once, and every check compiled into a SuiteState.
+    Raises ConfigError with every problem found."""
     errors: list[str] = []
     tables = {}
     for ref in cfg.references:
-        path = resolve_path(config_path, ref.path) if config_path else ref.path
         try:
-            tables[ref.id] = connectors.load_reference(ref.id, path, ref.key)
+            tables[ref.id] = connectors.load_reference(
+                ref.id, resolve_path(config_path, ref.path), ref.key)
         except (OSError, ValueError) as exc:
             errors.append(f"reference {ref.id!r}: {exc}")
-    errors.extend(validate_suite(
-        cfg.checks, list(cfg.source.schema), cfg.window,
-        references=tables, detectors=cfg.detectors,
-        has_secondary=cfg.secondary_source is not None))
+    secondary = None
+    if cfg.secondary_source is not None:
+        secondary = _no_pane  # until the source is read
+        if cfg.window.kind != "session":
+            try:
+                secondary = _secondary_lookup(open_source(cfg.secondary_source, config_path))
+            except (OSError, ValueError) as exc:
+                errors.append(f"secondary_source: {exc}")
+    try:
+        state = SuiteState(list(cfg.checks), list(cfg.source.schema), cfg.window,
+                           references=tables, detectors=cfg.detectors,
+                           hash_seed=hash_seed, secondary=secondary)
+    except InvalidSuite as exc:
+        errors.extend(exc.problems)
     if cfg.secondary_source is not None and cfg.window.kind == "session":
         errors.append("secondary sources require tumbling or sliding windows")
-    return tables, errors
+    if errors:
+        raise ConfigError(errors)
+    return state
 
+
+def _no_pane(start: datetime, end: datetime, key) -> None:
+    """The lookup of a secondary source that is configured but not read:
+    its checks still validate as having one."""
+    return None
+
+
+def semantic_errors(cfg: SuiteConfig, config_path: str | None = None) -> list[str]:
+    """Everything wrong with a structurally valid config: build_suite's
+    problems, under the config's own hash seed."""
+    try:
+        build_suite(cfg, config_path, cfg.engine.hash_seed)
+    except ConfigError as exc:
+        return exc.errors
+    return []
+
+
+def open_source(src: SourceConfig, config_path: str | None, counters=None,
+                limit: int | None = None) -> Iterator[StreamElement]:
+    """A source's rows in arrival order. A CSV header is checked at the call
+    (connectors.SourceError)."""
+    if src.kind == "socket":
+        return connectors.iter_socket(src.address, list(src.schema), src.event_time,
+                                      src.formats, counters, limit)
+    read = connectors.iter_csv if src.kind == "csv" else connectors.iter_jsonl
+    return read(resolve_path(config_path, src.path), list(src.schema), src.event_time,
+                src.formats, counters, limit)
+
+
+def _secondary_lookup(elements: Iterator[StreamElement]):
+    """match_ratio's view of the secondary source: its rows sorted once by
+    (event_time, arrival_seq), and the rows in [start, end) found by
+    bisection. An empty span measures like a missing pane, so it is None;
+    secondary panes are never keyed."""
+    rows = sorted(elements, key=lambda e: (e.event_time, e.arrival_seq))
+    times = [e.event_time for e in rows]
+
+    def lookup(start: datetime, end: datetime, key) -> WindowInstance | None:
+        lo, hi = bisect_left(times, start), bisect_left(times, end)
+        if key is None and lo < hi:
+            return WindowInstance(start, end, None, tuple(rows[lo:hi]))
+        return None
+
+    return lookup

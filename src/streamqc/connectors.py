@@ -39,8 +39,8 @@ from .model import (
 from .monitor import ReferenceTable
 
 __all__ = [
-    "SourceCounters", "coerce_csv_cell", "coerce_json_value", "parse_time",
-    "iter_csv", "iter_jsonl", "iter_socket", "paced",
+    "SourceError", "SourceCounters", "coerce_csv_cell", "coerce_json_value",
+    "parse_time", "parse_address", "iter_csv", "iter_jsonl", "iter_socket", "paced",
     "load_reference", "generate_stream",
     "FileSink", "StdoutSink", "SocketSink", "open_sink",
 ]
@@ -50,6 +50,11 @@ log = logging.getLogger("streamqc.connectors")
 
 # ---------------------------------------------------------------------------
 # Coercion
+
+
+class SourceError(ValueError):
+    """A source or sink that cannot be opened as configured (an empty CSV, a
+    CSV header without a schema column, a malformed socket address)."""
 
 
 @dataclass
@@ -238,51 +243,55 @@ def iter_csv(path: str, schema: list[ColumnSpec], event_time: str,
              counters: SourceCounters | None = None,
              limit: int | None = None) -> Iterator[StreamElement]:
     """Stream a CSV file in arrival order. The header row is required and
-    must contain every schema column."""
-    formats = formats or {}
-    counters = counters if counters is not None else SourceCounters()
+    must contain every schema column. It is read and checked at the call,
+    so a bad header raises SourceError before any row is read."""
+    rows = _iter_csv_rows(path, schema, event_time, formats or {},
+                          counters if counters is not None else SourceCounters(), limit)
+    next(rows)  # runs up to the check of the header
+    return rows
+
+
+def _iter_csv_rows(path, schema, event_time, formats, counters, limit
+                   ) -> Iterator[StreamElement | None]:
+    """None once the header is checked, then iter_csv's rows."""
     with open(path, "r", encoding="utf-8", newline="") as fp:
-        yield from _iter_csv_fp(fp, schema, event_time, formats, counters, limit)
-
-
-def _iter_csv_fp(fp, schema, event_time, formats, counters, limit) -> Iterator[StreamElement]:
-    reader = csv.reader(fp)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ValueError("csv source is empty (no header row)") from None
-    missing = [c.name for c in schema if c.name not in header]
-    if missing:
-        raise ValueError(f"csv header is missing schema columns: {missing}")
-    plan, extras = _csv_plan(header, schema, formats)
-    width = len(header)
-    fail = counters.fail
-    seq = 0
-    for cells in reader:
-        if limit is not None and seq >= limit:
-            return
-        if len(cells) < width:
-            cells += [""] * (width - len(cells))  # a short row's missing cells are empty
-        row: dict[str, Value] = {}
-        for name, i, coerce, nullable in plan:
-            if coerce is None:
-                row[name] = cells[i]
+        reader = csv.reader(fp)
+        header = next(reader, None)
+        if header is None:
+            raise SourceError("csv source is empty (no header row)")
+        missing = [c.name for c in schema if c.name not in header]
+        if missing:
+            raise SourceError(f"csv header is missing schema columns: {missing}")
+        plan, extras = _csv_plan(header, schema, formats)
+        width = len(header)
+        yield None
+        fail = counters.fail
+        seq = 0
+        for cells in reader:
+            if limit is not None and seq >= limit:
+                return
+            if len(cells) < width:
+                cells += [""] * (width - len(cells))  # a short row's missing cells are empty
+            row: dict[str, Value] = {}
+            for name, i, coerce, nullable in plan:
+                if coerce is None:
+                    row[name] = cells[i]
+                    continue
+                value = coerce(cells[i])
+                if value is _BAD:
+                    fail(name)
+                    value = None
+                elif value is None and not nullable:
+                    fail(name)
+                row[name] = value
+            for name, i in extras:
+                row[name] = cells[i] or None
+            t = row.get(event_time)
+            if not isinstance(t, datetime):
+                counters.skipped_bad_time += 1
                 continue
-            value = coerce(cells[i])
-            if value is _BAD:
-                fail(name)
-                value = None
-            elif value is None and not nullable:
-                fail(name)
-            row[name] = value
-        for name, i in extras:
-            row[name] = cells[i] or None
-        t = row.get(event_time)
-        if not isinstance(t, datetime):
-            counters.skipped_bad_time += 1
-            continue
-        yield StreamElement(t, seq, row)
-        seq += 1
+            yield StreamElement(t, seq, row)
+            seq += 1
 
 
 def iter_jsonl(path: str, schema: list[ColumnSpec], event_time: str,
@@ -343,12 +352,12 @@ def _iter_jsonl_lines(lines: Iterable[str], schema, event_time, formats,
         seq += 1
 
 
-def _parse_address(address: str) -> tuple[str, int]:
+def parse_address(address: str) -> tuple[str, int]:
     if address.startswith("tcp://"):
         address = address[len("tcp://"):]
     host, sep, port = address.rpartition(":")
     if not sep or not port.isdigit():
-        raise ValueError(f"socket address must be host:port, got {address!r}")
+        raise SourceError(f"socket address must be host:port, got {address!r}")
     return host or "127.0.0.1", int(port)
 
 
@@ -358,7 +367,7 @@ def iter_socket(address: str, schema: list[ColumnSpec], event_time: str,
                 limit: int | None = None) -> Iterator[StreamElement]:
     """Consume newline-delimited JSON records from a TCP endpoint until the
     peer closes the connection."""
-    host, port = _parse_address(address)
+    host, port = parse_address(address)
     with socket.create_connection((host, port)) as sock:
         with sock.makefile("r", encoding="utf-8", newline="\n") as fp:
             yield from _iter_jsonl_lines(fp, schema, event_time, formats or {},
@@ -687,7 +696,7 @@ class StdoutSink:
 
 class SocketSink:
     def __init__(self, address: str):
-        host, port = _parse_address(address)
+        host, port = parse_address(address)
         self._sock = socket.create_connection((host, port))
 
     def write_line(self, line: str) -> None:

@@ -55,7 +55,7 @@ from .windowing import PaneStore, RouteOutcome, Watermark
 
 __all__ = [
     "ReferenceTable", "ContextState", "DeadStreamSpec", "FrozenColumnSpec",
-    "DetectorSpecs", "validate_suite", "SuiteState", "MonitorEngine",
+    "DetectorSpecs", "InvalidSuite", "SuiteState", "MonitorEngine",
     "RunStats", "CheckPlan", "relative_volume_check",
 ]
 
@@ -249,18 +249,12 @@ class _FrozenDetector:
 _BINDING_NAMES = ("mu_H", "sigma_H", "count_H", "prev_value")
 
 
-def validate_suite(checks: Iterable[CheckDefinition],
-                   schema: Iterable[ColumnSpec],
-                   window_spec: WindowSpec,
-                   references: dict[str, ReferenceTable] | None = None,
-                   detectors: DetectorSpecs | None = None,
-                   has_secondary: bool = False) -> list[str]:
-    """Validate a whole suite, returning every problem found (empty = ok).
+class InvalidSuite(ValueError):
+    """The suite SuiteState refuses to build, with every problem found."""
 
-    All-or-nothing: callers must refuse to run when any message comes back.
-    """
-    return _check_suite(checks, schema, window_spec, references or {}, detectors,
-                        has_secondary)[0]
+    def __init__(self, problems: list[str]):
+        self.problems = problems
+        super().__init__("invalid suite: " + "; ".join(problems))
 
 
 def _check_suite(checks: Iterable[CheckDefinition], schema: Iterable[ColumnSpec],
@@ -268,7 +262,7 @@ def _check_suite(checks: Iterable[CheckDefinition], schema: Iterable[ColumnSpec]
                  detectors: DetectorSpecs | None, has_secondary: bool
                  ) -> tuple[list[str], list[tuple[ParsedMeasure | None, Any,
                                                   expression.Expr | None]]]:
-    """validate_suite's messages, and each check's parsed measure, and its
+    """Every problem in the suite, and each check's parsed measure, and its
     constraint and reference key ready to evaluate (predicate texts parsed),
     in check order."""
     columns = schema_types(list(schema))
@@ -402,7 +396,8 @@ class CheckPlan:
 
 class SuiteState:
     """Everything the monitor remembers across panes for one suite.
-    Construction validates each check and compiles it into a CheckPlan."""
+    Construction validates each check and compiles it into a CheckPlan; an
+    invalid suite raises InvalidSuite with every problem found."""
 
     def __init__(self, checks: list[CheckDefinition],
                  schema: list[ColumnSpec],
@@ -416,7 +411,7 @@ class SuiteState:
         problems, compiled = _check_suite(checks, schema, window_spec, self.references,
                                           detectors, has_secondary=secondary is not None)
         if problems:
-            raise ValueError("invalid suite: " + "; ".join(problems))
+            raise InvalidSuite(problems)
         self.window_spec = window_spec
         self.hash_seed = hash_seed
         self.secondary = secondary

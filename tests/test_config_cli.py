@@ -1,9 +1,15 @@
 """Config parsing, normalization round trips, and the command line."""
 
+import argparse
 import copy
 import csv
 import json
+import re
+import subprocess
+import sys
+import time
 from datetime import timedelta
+from pathlib import Path
 
 import pytest
 
@@ -426,19 +432,49 @@ def test_cli_validate_and_run_reject_non_scalar_params(tmp_path, capsys, measure
     assert not meta.exists()
 
 
-def test_cli_run_parses_a_conforms_text_twice(tmp_path, monkeypatch):
-    """Once to validate the config, once to build the suite; never per pane."""
-    text = "fare > -2.5 and zone != 'nowhere'"
+PARSED_TEXTS = ("fare > -2.5 and zone != 'nowhere'", "value >= 0.5 and value <= ref_cap",
+                "hour_of(window_start)")
+
+
+def parse_count_setup(tmp_path, monkeypatch):
+    """A suite with a conforms text, a predicate and a reference key, and the
+    list every expression.parse call appends its text to."""
+    conforms, predicate, key = PARSED_TEXTS
+    (tmp_path / "caps.csv").write_text("hour,cap\n11,10.0\n")
 
     def mutate(obj):
-        obj["checks"][0]["measure"] = {"id": "conforms", "expression": text}
-        obj["checks"][0]["constraint"] = {"op": ">=", "bound": 0.5}
+        obj["checks"][0]["measure"] = {"id": "conforms", "expression": conforms}
+        obj["checks"][0]["constraint"] = {"predicate": predicate}
+        obj["checks"][0]["reference"] = {"table": "caps", "key": key}
+        obj["references"] = [{"id": "caps", "path": "caps.csv", "key": "hour"}]
     cfg_path = cli_setup(tmp_path, mutate, rows=stream_rows(n=40, step_s=20))
     calls = []
     parse = expression.parse
     monkeypatch.setattr(expression, "parse", lambda source: calls.append(source) or parse(source))
+    return cfg_path, calls
+
+
+def test_cli_run_parses_a_conforms_text_once(tmp_path, monkeypatch):
+    """The suite is validated and compiled in one build, and a pane parses
+    nothing: each conforms, predicate and reference-key text is parsed once."""
+    cfg_path, calls = parse_count_setup(tmp_path, monkeypatch)
     assert main(["run", cfg_path, "--meta", str(tmp_path / "meta.jsonl")]) == 0
-    assert calls.count(text) == 2
+    assert [calls.count(text) for text in PARSED_TEXTS] == [1, 1, 1]
+
+
+def test_cli_validate_parses_each_text_once(tmp_path, monkeypatch):
+    cfg_path, calls = parse_count_setup(tmp_path, monkeypatch)
+    assert main(["validate", cfg_path]) == 0
+    assert [calls.count(text) for text in PARSED_TEXTS] == [1, 1, 1]
+
+
+def test_cli_bench_parses_each_text_once_per_engine(tmp_path, monkeypatch, capsys):
+    """The validated suite serves the warm-up, and each of the 6 timed runs
+    builds its own: 7 parses of each text."""
+    cfg_path, calls = parse_count_setup(tmp_path, monkeypatch)
+    assert main(["bench", cfg_path, "--sizes", "100,200", "--repeats", "3", "--json"]) == 0
+    assert [calls.count(text) for text in PARSED_TEXTS] == [7, 7, 7]
+    capsys.readouterr()
 
 
 # (pane start minute, match_ratio value, ok, secondary_volume) for the run below
@@ -478,6 +514,126 @@ def test_cli_run_with_a_secondary_source(tmp_path):
         want.append(f'{{{bounds(minute)},"check":"zone_match","value":{value},'
                     f'"ok":{json.dumps(ok)},"detail":{{"secondary_volume":{volume}}}}}')
     assert meta.read_text().splitlines() == want
+
+
+def test_cli_run_secondary_gap_builds_no_empty_panes(tmp_path):
+    """A secondary row a year after the rest costs neither time nor memory:
+    the secondary is looked up by bisection, not windowed into every pane
+    of the gap (about 527,000 one-minute panes)."""
+    write_stream(tmp_path, rows=stream_rows(n=60, step_s=10)
+                 + [["2016-05-07T11:00:00.000Z", "1.0", "uptown"]], name="secondary.csv")
+    write_stream(tmp_path, rows=stream_rows(n=60, step_s=10))
+    obj = base_config()
+    obj["secondary_source"] = dict(obj["source"], path="secondary.csv")
+    obj["checks"] = [{"id": "zone_match", "measure": {"id": "match_ratio", "on": "zone"},
+                      "constraint": {"op": ">=", "bound": 0.5}}]
+    meta = tmp_path / "meta.jsonl"
+    # The child reports the peak RSS of its own address space (Linux VmHWM).
+    # ru_maxrss would not do: it keeps the peak of the process it was
+    # spawned from, here the test runner.
+    code = ("import re, sys; from streamqc.cli import main; rc = main(sys.argv[1:]); "
+            "status = open('/proc/self/status').read(); "
+            "print(re.search(r'VmHWM:\\s*(\\d+) kB', status)[1], file=sys.stderr); "
+            "sys.exit(rc)")
+    t0 = time.monotonic()
+    proc = subprocess.run([sys.executable, "-c", code, "run", write_config(tmp_path, obj),
+                           "--meta", str(meta)], capture_output=True, text=True, timeout=120)
+    wall = time.monotonic() - t0
+    assert proc.returncode == 0, proc.stderr
+    rss_kb = int(proc.stderr.splitlines()[-1])
+    print(f"  secondary gap run: {wall:.2f}s, peak rss {rss_kb / 1024:.1f} MiB")
+    assert wall < 1.0 and rss_kb < 50 * 1024, (wall, rss_kb)
+    matches = [json.loads(l) for l in meta.read_text().splitlines()
+               if json.loads(l)["check"] == "zone_match"]
+    assert len(matches) == 10 and all(r["value"] == 1.0 for r in matches)
+
+
+MATCH_CHECK = {"id": "m", "measure": {"id": "match_ratio", "on": "zone"},
+               "constraint": {"op": ">=", "bound": 0.5}}
+
+
+def _missing_secondary(obj):
+    obj["secondary_source"] = dict(obj["source"], path="nowhere.csv")
+    obj["checks"] = [MATCH_CHECK]
+
+
+def _missing_reference(obj):
+    obj["checks"][0]["constraint"] = {"predicate": "value <= ref_cap"}
+    obj["checks"][0]["reference"] = {"table": "caps", "key": "hour_of(window_start)"}
+    obj["references"] = [{"id": "caps", "path": "nowhere.csv", "key": "hour"}]
+
+
+def _session_secondary(obj):
+    obj["secondary_source"] = dict(obj["source"])
+    obj["window"] = {"kind": "session", "gap": "1m"}
+
+
+@pytest.mark.parametrize("mutate,env,expected", [
+    (_missing_secondary, None, ["secondary_source: "]),
+    (None, "x", [f"{HASH_SEED_ENV} must be an integer, got 'x'"]),
+    (_missing_reference, None, ["reference 'caps': ", "unknown reference table 'caps'",
+                                "unknown names ['ref_cap']"]),
+    (lambda o: o.update(checks=[MATCH_CHECK]), None,
+     ["check 'm': match_ratio requires a secondary source"]),
+    (_session_secondary, None, ["secondary sources require tumbling or sliding windows"]),
+    (lambda o: o["checks"][0]["measure"].update(column="ghost"), None, ["'ghost'"]),
+], ids=["missing-secondary", "bad-hash-seed-env", "missing-reference",
+        "match-ratio-without-secondary", "session-with-secondary", "unknown-column"])
+def test_cli_validate_and_run_agree(tmp_path, capsys, monkeypatch, mutate, env, expected):
+    """What validate rejects, run rejects with the same lines, before any
+    sink is opened; and what run rejects, validate does."""
+    if env is None:
+        monkeypatch.delenv(HASH_SEED_ENV, raising=False)
+    else:
+        monkeypatch.setenv(HASH_SEED_ENV, env)
+    cfg_path = cli_setup(tmp_path, mutate)
+    meta = tmp_path / "meta.jsonl"
+    outputs = []
+    for argv in (["validate", cfg_path], ["run", cfg_path, "--meta", str(meta)]):
+        assert main(argv) == 1
+        outputs.append(capsys.readouterr().err.splitlines())
+    validate_lines, run_lines = outputs
+    assert validate_lines == run_lines
+    assert all(line.startswith("error: ") for line in validate_lines)
+    assert len(validate_lines) == len(expected)
+    assert all(want in line for want, line in zip(expected, validate_lines)), validate_lines
+    assert not meta.exists()
+
+
+def _header_without_zone(tmp_path):
+    (tmp_path / "stream.csv").write_text("t,fare\n2015-05-07T11:00:00Z,1.0\n")
+    return "csv header is missing schema columns: ['zone']"
+
+
+def _empty_csv(tmp_path):
+    (tmp_path / "stream.csv").write_text("")
+    return "csv source is empty"
+
+
+def _bad_socket_address(tmp_path):
+    obj = json.loads((tmp_path / "config.json").read_text())
+    obj["source"] = dict(obj["source"], kind="socket", address="nowhere")
+    del obj["source"]["path"]
+    write_config(tmp_path, obj)
+    return "socket address must be host:port, got 'nowhere'"
+
+
+@pytest.mark.parametrize("command", ["run", "bench"])
+@pytest.mark.parametrize("break_source", [_header_without_zone, _empty_csv,
+                                          _bad_socket_address])
+def test_cli_source_errors_are_error_lines(tmp_path, capsys, command, break_source):
+    """A source that cannot be opened as configured is an `error:` line and
+    exit 1, found before any row is processed, never a traceback."""
+    cfg_path = cli_setup(tmp_path)
+    expected = break_source(tmp_path)
+    meta = tmp_path / "meta.jsonl"
+    argv = [command, cfg_path] + (["--meta", str(meta)] if command == "run" else [])
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and expected in lines[0], lines
+    assert captured.out == ""
+    assert not meta.exists()
 
 
 def test_cli_run_failures_do_not_change_exit(tmp_path):
@@ -597,6 +753,25 @@ def test_cli_bench_json(tmp_path, capsys):
         assert row["throughput"] > 0
         assert "pane_ms" in row
     assert "wall_ratio_last_to_first" in report
+
+
+def test_readme_cli_block_matches_the_parser():
+    """The README's `## CLI` block names exactly the subcommands, and each
+    one's long flags, that the argument parser defines."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```", 2)[1]
+    documented: dict[str, set[str]] = {}
+    for line in block.strip().splitlines():
+        if line.startswith("streamqc "):
+            command = line.split()[1]
+            documented[command] = set()
+        documented[command] |= set(re.findall(r"--[a-z][a-z-]*", line))
+    subparsers = next(a for a in cli._build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    defined = {name: {flag for action in sub._actions for flag in action.option_strings
+                      if flag.startswith("--") and flag != "--help"}
+               for name, sub in subparsers.choices.items()}
+    assert documented == defined
 
 
 # ---------------------------------------------------------------------------

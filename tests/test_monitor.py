@@ -29,11 +29,11 @@ from streamqc.monitor import (
     DeadStreamSpec,
     DetectorSpecs,
     FrozenColumnSpec,
+    InvalidSuite,
     MonitorEngine,
     ReferenceTable,
     SuiteState,
     relative_volume_check,
-    validate_suite,
 )
 from streamqc.sketches import CardinalityEstimator
 from streamqc.windowing import PaneStore, Watermark
@@ -611,9 +611,14 @@ def test_stats_snapshot():
 # Suite validation
 
 
-def errs(checks, **kwargs):
-    return validate_suite(checks, kwargs.pop("schema", SCHEMA),
-                          kwargs.pop("window", TUMBLING), **kwargs)
+def errs(checks, schema=SCHEMA, window=TUMBLING, has_secondary=False, **kwargs):
+    """Every problem SuiteState reports for the suite (empty: it builds)."""
+    secondary = (lambda start, end, key: None) if has_secondary else None
+    try:
+        SuiteState(checks, schema, window, secondary=secondary, **kwargs)
+    except InvalidSuite as exc:
+        return exc.problems
+    return []
 
 
 def test_validate_clean_suite():
