@@ -699,8 +699,8 @@ def semantic_errors(cfg: SuiteConfig, config_path: str | None = None) -> list[st
 
 def open_source(src: SourceConfig, config_path: str | None, counters=None,
                 limit: int | None = None) -> Iterator[StreamElement]:
-    """A source's rows in arrival order. A CSV header is checked at the call
-    (connectors.SourceError)."""
+    """A source's rows in arrival order. A file source is opened (and a CSV
+    header checked, connectors.SourceError) at the call."""
     if src.kind == "socket":
         return connectors.iter_socket(src.address, list(src.schema), src.event_time,
                                       src.formats, counters, limit)

@@ -298,10 +298,19 @@ def iter_jsonl(path: str, schema: list[ColumnSpec], event_time: str,
                formats: dict[str, str] | None = None,
                counters: SourceCounters | None = None,
                limit: int | None = None) -> Iterator[StreamElement]:
+    """Stream a JSONL file in arrival order. The file is opened at the call,
+    so a missing file raises before any row is read."""
+    rows = _iter_jsonl_file(path, schema, event_time, formats or {},
+                            counters if counters is not None else SourceCounters(), limit)
+    next(rows)  # opens the file
+    return rows
+
+
+def _iter_jsonl_file(path, *args) -> Iterator[StreamElement | None]:
+    """None once the file is open, then iter_jsonl's rows."""
     with open(path, "r", encoding="utf-8") as fp:
-        yield from _iter_jsonl_lines(fp, schema, event_time, formats or {},
-                                     counters if counters is not None else SourceCounters(),
-                                     limit)
+        yield None
+        yield from _iter_jsonl_lines(fp, *args)
 
 
 def _iter_jsonl_lines(lines: Iterable[str], schema, event_time, formats,

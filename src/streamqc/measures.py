@@ -16,11 +16,13 @@ parses expressions. Everything after it (result_type, make_elem_checker,
 compile) reads only parsed values. Each check's measure is compiled once
 (compile_measure) into the function that measures one pane.
 
-Measures that merge (mean, std, completeness, distinct_count, uniqueness) are
-written once as a partial over a run of elements and a finish over the
-partials of a pane. Each slice of a sliding pane computes its partial once,
-memoized on the slice, so the panes that overlap on it share the work; a
-pane without slices is one part.
+Measures that merge (mean, std, distinct_count, uniqueness and every measure
+with a per-element form) are written once as a partial over a run of
+elements and a finish over the partials of a pane. Each slice of a sliding
+pane computes its partial once, memoized on the slice, so the panes that
+overlap on it share the work; a pane without slices is one part. The partial
+of a per-element measure is its checker's verdicts, so the pane's value and
+its per-element records come from one check of each element.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, replace
 from datetime import datetime, timedelta
 from itertools import chain
 from typing import Any, Callable, NamedTuple, Sequence
@@ -69,6 +72,8 @@ class MeasureResult:
     value: Value
     detail: dict[str, Any] | None = None
     force_fail: bool = False
+    # The per-element verdicts in pane order, from a measure with a per-element form.
+    verdicts: list[bool | None] | None = None
 
 
 @dataclass(frozen=True)
@@ -102,15 +107,16 @@ class MeasureDef:
     """Registry entry for one measure id.
 
     params is the measure's parameter table. The functions below receive
-    the parsed parameters (parse_measure): compile(params, env, checker)
-    returns the function that measures one pane, where checker is the
-    make_elem_checker result, or None. check(params, columns) returns the
+    the parsed parameters (parse_measure): compile(params, env) returns the
+    function that measures one pane; a measure with a per-element form
+    (make_elem_checker) is compiled as compile(params, env, checker) and
+    measures from its checker's verdicts. check(params, columns) returns the
     problems that involve more than one parameter.
     """
 
     id: str
     params: dict[str, Param]
-    compile: Callable[[dict, EngineEnv, ElemChecker | None], MeasureRun]
+    compile: Callable[..., MeasureRun]
     result_type: Callable[[dict, dict[str, str]], str | None]
     make_elem_checker: Callable[[dict, EngineEnv], ElemChecker] | None = None
     check: Callable[[dict, dict[str, str] | None], list[str]] | None = None
@@ -330,21 +336,22 @@ def percentile(sorted_values: list, q: float) -> float:
 
 def _per_pane(apply: Callable[[dict, WindowInstance, EngineEnv], MeasureResult]):
     """compile() of a measure that reads its parameters as it measures."""
-    return lambda params, env, checker: functools.partial(apply, params)
+    return lambda params, env: functools.partial(apply, params)
 
 
 def _merged(name: str, prepare):
     """compile() of a measure kept as partial state per slice.
 
-    prepare(params, env, checker) returns (partial, finish): partial(elements)
-    summarizes one run of elements, and finish(partials, n) merges a pane's
-    partials, in slice order, into the result (n is the pane's element
-    count). A slice computes each partial once and keeps it in its memo under
-    the partial's name and parameters, so checks sharing a partial share it.
+    prepare(params, env, *checker) returns (partial, finish): partial(elements)
+    summarizes one run of elements, and finish(partials, window) merges a
+    pane's partials, in slice order, into the result. A slice computes each
+    partial once and keeps it in its memo under the partial's name and
+    parameters, so checks sharing a partial share it. Only a measure with a
+    per-element form is given its checker.
     """
-    def compile(params, env, checker):
-        partial, finish = prepare(params, env, checker)
-        key = (name, json.dumps(params, sort_keys=True, default=repr), env.hash_seed)
+    def compile(params, env, *checker):
+        partial, finish = prepare(params, env, *checker)
+        key = (name, json.dumps(params, sort_keys=True, default=_memo_text), env.hash_seed)
 
         def run(window, env):
             partials = []
@@ -353,9 +360,19 @@ def _merged(name: str, prepare):
                 if key not in memo:
                     memo[key] = partial(part.elements)
                 partials.append(memo[key])
-            return finish(partials, len(window.elements))
+            return finish(partials, window)
         return run
     return compile
+
+
+def _memo_text(value) -> str:
+    """A parsed parameter as memo-key text (a pattern's repr is cut at 200 characters)."""
+    return f"{value.flags}:{value.pattern}" if isinstance(value, re.Pattern) else repr(value)
+
+
+def _share(params, verdicts, window):
+    """The share of a pane's elements whose verdict is True (Null when empty)."""
+    return MeasureResult(verdicts.count(True) / len(verdicts) if verdicts else None)
 
 
 def _concat(lists: list[list]) -> list:
@@ -386,10 +403,10 @@ def _apply_max(params, window, env):
 
 def _numbers_stat(stat: Callable[[list], float]):
     """prepare() of a statistic of a column's numbers (Null without any)."""
-    def prepare(params, env, checker):
+    def prepare(params, env):
         column = params["column"]
 
-        def finish(partials, n):
+        def finish(partials, window):
             # The concatenated lists are the pane's numbers in pane order.
             numbers = _concat(partials)
             return MeasureResult(stat(numbers) if numbers else None)
@@ -430,16 +447,7 @@ def _completeness_checker(params, env) -> ElemChecker:
     return check
 
 
-def _prepare_completeness(params, env, check):
-    def present(elements):
-        return sum(1 for e in elements if check(e) is True)
-
-    def finish(partials, n):
-        return MeasureResult(sum(partials) / n if n else None)
-    return present, finish
-
-
-def _compile_placeholders(params, env, checker):
+def _compile_placeholders(params, env):
     column = params["column"]
     tokens = params["tokens"]
     as_fraction = params["output"] == "fraction"
@@ -464,13 +472,13 @@ def _compile_placeholders(params, env, checker):
 # Distinctness
 
 
-def _prepare_distinct(params, env, checker):
+def _prepare_distinct(params, env):
     """Partials are canonical encodings (exact), or the value count and the
     occupied registers of a sketch over the elements (approx)."""
     column = params["column"]
     if params["mode"] == "exact":
         return (lambda elements: {canonical_bytes(v) for v in _non_null(elements, column)},
-                lambda partials, n: MeasureResult(len(set().union(*partials))))
+                lambda partials, window: MeasureResult(len(set().union(*partials))))
     precision, seed = params["precision"], env.hash_seed
 
     def partial(elements):
@@ -480,7 +488,7 @@ def _prepare_distinct(params, env, checker):
             est.add(v)
         return len(values), est.occupied()
 
-    def finish(partials, n):
+    def finish(partials, window):
         # Register-wise max gives the registers of one sketch over the pane.
         est = CardinalityEstimator(precision, seed)
         for _, registers in partials:
@@ -490,7 +498,7 @@ def _prepare_distinct(params, env, checker):
     return partial, finish
 
 
-def _prepare_uniqueness(params, env, checker):
+def _prepare_uniqueness(params, env):
     column = params["column"]
     as_count = params["output"] == "unique_count"
 
@@ -501,7 +509,7 @@ def _prepare_uniqueness(params, env, checker):
             out[k] = out.get(k, 0) + 1
         return out
 
-    def finish(partials, n):
+    def finish(partials, window):
         merged = partials[0]
         if len(partials) > 1:
             merged = dict(merged)  # partials are shared through the slice memo
@@ -695,7 +703,7 @@ def _apply_out_of_order(params, window, env):
 # Timeliness and volume
 
 
-def _compile_freshness(params, env, checker):
+def _compile_freshness(params, env):
     fixed = params["reference"]
 
     def run(window, env):
@@ -735,11 +743,9 @@ def _schema_checker(params, env) -> ElemChecker:
     return check
 
 
-def _compile_schema_check(params, env, check):
-    def run(window, env):
-        violations = sum(1 for e in window.elements if check(e) is not True)
-        return MeasureResult(violations == 0, {"violations": violations})
-    return run
+def _schema_tally(params, verdicts, window):
+    violations = len(verdicts) - verdicts.count(True)
+    return MeasureResult(violations == 0, {"violations": violations})
 
 
 _TYPE_CHECK_TYPES = ("int", "float", "bool", "timestamp", "text")
@@ -816,19 +822,10 @@ def _type_checker(params, env) -> ElemChecker:
     return check
 
 
-def _compile_type_check(params, env, check):
-    def run(window, env):
-        passes = 0
-        considered = 0
-        for e in window.elements:
-            verdict = check(e)
-            if verdict is None:
-                continue
-            considered += 1
-            if verdict:
-                passes += 1
-        return MeasureResult(passes / considered if considered else None)
-    return run
+def _type_tally(params, verdicts, window):
+    """The share of passes among the elements with a non-Null cell."""
+    considered = len(verdicts) - verdicts.count(None)
+    return MeasureResult(verdicts.count(True) / considered if considered else None)
 
 
 # ---------------------------------------------------------------------------
@@ -907,31 +904,20 @@ def _in_set_checker(params, env) -> ElemChecker:
     return check
 
 
-def _compile_in_set(params, env, check):
-    fraction = _fraction(params, env, check)
-    if not params["proper"]:
-        return fraction
-    column = params["column"]
+def _in_set_tally(params, verdicts, window):
+    result = _share(params, verdicts, window)
+    if not params["proper"] or result.value is None:
+        return result  # no subset demanded, or an empty pane
     allowed = params["allowed"]
-
-    def run(window, env):
-        result = fraction(window, env)
-        if result.value is None:
-            return result  # empty pane
-        observed = []
-        seen: set[bytes] = set()
-        for v in window.values(column):
-            if v is not None and canonical_bytes(v) not in seen:
-                seen.add(canonical_bytes(v))
-                observed.append(v)
-        covers = all(any(values_equal(a, o) is True for o in observed) for a in allowed)
-        subset = all(any(values_equal(o, a) is True for a in allowed) for o in observed)
-        if covers and subset:
-            # Observed set equals the allowed set: proper subset demanded.
-            result.force_fail = True
-            result.detail = {"proper_subset_violated": True}
-        return result
-    return run
+    observed = {canonical_bytes(v): v for v in window.values(params["column"])
+                if v is not None}.values()
+    covers = all(any(values_equal(a, o) is True for o in observed) for a in allowed)
+    subset = all(any(values_equal(o, a) is True for a in allowed) for o in observed)
+    if covers and subset:
+        # Observed set equals the allowed set: proper subset demanded.
+        result.force_fail = True
+        result.detail = {"proper_subset_violated": True}
+    return result
 
 
 def _pattern_checker(params, env) -> ElemChecker:
@@ -961,16 +947,6 @@ def _conforms_checker(params, env) -> ElemChecker:
     return check
 
 
-def _fraction(params, env, check):
-    """compile() of the share of a pane's elements that the checker accepts."""
-    def run(window, env):
-        n = len(window.elements)
-        if n == 0:
-            return MeasureResult(None)
-        return MeasureResult(sum(1 for e in window.elements if check(e) is True) / n)
-    return run
-
-
 # ---------------------------------------------------------------------------
 # Registry
 
@@ -990,6 +966,22 @@ def _register(measure: MeasureDef) -> None:
     MEASURES[measure.id] = measure
 
 
+def _per_element(measure_id: str, table: dict[str, Param],
+                 tally: Callable[[dict, list, WindowInstance], MeasureResult],
+                 make_checker, result_type: str = "float", check=None) -> MeasureDef:
+    """A measure with a per-element form, merged per slice under its own id.
+    A slice's partial is its elements' verdicts, one checker call each;
+    tally(params, verdicts, window) summarizes a pane's verdicts, in pane
+    order, into its result, which carries them on for per-element records."""
+    def prepare(params, env, checker):
+        def finish(partials, window):
+            verdicts = _concat(partials)
+            return replace(tally(params, verdicts, window), verdicts=verdicts)
+        return (lambda elements: list(map(checker, elements))), finish
+    return MeasureDef(measure_id, table, _merged(measure_id, prepare),
+                      _static_type(result_type), make_checker, check)
+
+
 _EXACT_OR_APPROX = _choice("exact", "approx")
 
 _register(MeasureDef("count", {"column": _ANY_COLUMN}, _per_pane(_apply_count), _static_type("int")))
@@ -1005,12 +997,11 @@ _register(MeasureDef("z_outlier_count",
                      {"column": _NUMERIC_COLUMN,
                       "z": Param(_number("a number > 0", lambda z: z > 0))},
                      _per_pane(_apply_z_outliers), _static_type("int")))
-_register(MeasureDef("completeness",
-                     {"column": _ANY_COLUMN,
-                      "missing_tokens": Param(_list(_scalar), []),
-                      "empty_text_missing": Param(_flag, False)},
-                     _merged("present", _prepare_completeness), _static_type("float"),
-                     _completeness_checker))
+_register(_per_element("completeness",
+                       {"column": _ANY_COLUMN,
+                        "missing_tokens": Param(_list(_scalar), []),
+                        "empty_text_missing": Param(_flag, False)},
+                       _share, _completeness_checker))
 _register(MeasureDef("placeholder_report",
                      {"column": _ANY_COLUMN,
                       "tokens": Param(_list(_scalar, nonempty=True)),
@@ -1066,34 +1057,33 @@ _register(MeasureDef("out_of_order_count", {"column": Param(_column(*_ORDERED_TY
 _register(MeasureDef("freshness", {"reference": Param(_time_or_watermark, "watermark")},
                      _compile_freshness, _static_type("float")))
 _register(MeasureDef("volume", {}, _per_pane(_apply_volume), _static_type("int")))
-_register(MeasureDef("schema_check",
-                     {"expected": Param(_list(_string, nonempty=True)),
-                      "mode": Param(_choice("presence", "presence_absence", "presence_order"),
-                                    "presence")},
-                     _compile_schema_check, _static_type("bool"), _schema_checker))
-_register(MeasureDef("type_check",
-                     {"column": _ANY_COLUMN,
-                      "expected": Param(_choice(*_TYPE_CHECK_TYPES)),
-                      "formats": Param(_list(_string), ["iso"])},
-                     _compile_type_check, _static_type("float"), _type_checker))
+_register(_per_element("schema_check",
+                       {"expected": Param(_list(_string, nonempty=True)),
+                        "mode": Param(_choice("presence", "presence_absence", "presence_order"),
+                                      "presence")},
+                       _schema_tally, _schema_checker, result_type="bool"))
+_register(_per_element("type_check",
+                       {"column": _ANY_COLUMN,
+                        "expected": Param(_choice(*_TYPE_CHECK_TYPES)),
+                        "formats": Param(_list(_string), ["iso"])},
+                       _type_tally, _type_checker))
 _register(MeasureDef("match_ratio", {"on": _ANY_COLUMN},
                      _per_pane(_apply_match_ratio), _static_type("float")))
-_register(MeasureDef("valid_range",
-                     {"column": _ORDERED_COLUMN,
-                      "lo": Param(_bound, None), "hi": Param(_bound, None),
-                      "lo_inclusive": Param(_flag, True), "hi_inclusive": Param(_flag, True)},
-                     _fraction, _static_type("float"), _range_checker,
-                     check=_range_has_a_fitting_bound))
-_register(MeasureDef("in_set",
-                     {"column": _ANY_COLUMN,
-                      "allowed": Param(_list(_scalar, nonempty=True)),
-                      "proper": Param(_flag, False)},
-                     _compile_in_set, _static_type("float"), _in_set_checker))
-_register(MeasureDef("matches_pattern",
-                     {"column": Param(_column("text")), "pattern": Param(_pattern)},
-                     _fraction, _static_type("float"), _pattern_checker))
-_register(MeasureDef("conforms", {"expression": Param(_expression)},
-                     _fraction, _static_type("float"), _conforms_checker))
+_register(_per_element("valid_range",
+                       {"column": _ORDERED_COLUMN,
+                        "lo": Param(_bound, None), "hi": Param(_bound, None),
+                        "lo_inclusive": Param(_flag, True), "hi_inclusive": Param(_flag, True)},
+                       _share, _range_checker, check=_range_has_a_fitting_bound))
+_register(_per_element("in_set",
+                       {"column": _ANY_COLUMN,
+                        "allowed": Param(_list(_scalar, nonempty=True)),
+                        "proper": Param(_flag, False)},
+                       _in_set_tally, _in_set_checker))
+_register(_per_element("matches_pattern",
+                       {"column": Param(_column("text")), "pattern": Param(_pattern)},
+                       _share, _pattern_checker))
+_register(_per_element("conforms", {"expression": Param(_expression)},
+                       _share, _conforms_checker))
 
 
 def validate_measure(spec: MeasureSpec, columns: dict[str, str]) -> list[str]:
@@ -1110,11 +1100,14 @@ def _parsed(spec: MeasureSpec) -> ParsedMeasure:
 
 
 def compile_measure(measure: ParsedMeasure, env: EngineEnv,
-                    checker: ElemChecker | None) -> MeasureRun:
-    """The function that measures one pane for a parsed measure; checker is
-    its per-element checker (elem_checker_for), which measures with a
-    per-element form count with."""
-    return measure.definition.compile(measure.params, env, checker)
+                    checker: ElemChecker | None = None) -> MeasureRun:
+    """The function that measures one pane for a parsed measure. A measure
+    with a per-element form measures from the verdicts of checker (its
+    elem_checker_for result, made here when not given)."""
+    definition, params = measure.definition, measure.params
+    if definition.make_elem_checker is None:
+        return definition.compile(params, env)
+    return definition.compile(params, env, checker or definition.make_elem_checker(params, env))
 
 
 def apply_measure(spec: MeasureSpec, window: WindowInstance, env: EngineEnv,
@@ -1125,8 +1118,7 @@ def apply_measure(spec: MeasureSpec, window: WindowInstance, env: EngineEnv,
     without it the spec is parsed and compiled for this one call.
     """
     if run is None:
-        parsed = _parsed(spec)
-        run = compile_measure(parsed, env, elem_checker_for(parsed, env))
+        run = compile_measure(_parsed(spec), env)
     return run(window, env)
 
 

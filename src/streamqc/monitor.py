@@ -21,7 +21,6 @@ from typing import Any, Callable, Iterable, Sequence
 from . import expression
 from .measures import (
     EngineEnv,
-    ElemChecker,
     MEASURES,
     MeasureRun,
     ParsedMeasure,
@@ -385,11 +384,11 @@ def _comparable(result_type: str, bound_type: str, op: str) -> bool:
 @dataclass(frozen=True)
 class CheckPlan:
     """One check compiled when its suite is built; panes only read it.
-    A Predicate constraint and the reference key are held parsed."""
+    A Predicate constraint and the reference key are held parsed. A measure
+    with a per-element form holds its checker and returns its verdicts."""
 
     check: CheckDefinition
     measure: MeasureRun
-    checker: ElemChecker | None
     constraint: Threshold | ValueRange | expression.Expr
     reference_key: expression.Expr | None
 
@@ -418,9 +417,8 @@ class SuiteState:
         env = EngineEnv(hash_seed=hash_seed, secondary=secondary)
         self.plans: list[CheckPlan] = []
         for check, (measure, constraint, reference_key) in zip(checks, compiled):
-            checker = elem_checker_for(measure, env)
-            self.plans.append(CheckPlan(check, compile_measure(measure, env, checker),
-                                        checker, constraint, reference_key))
+            run = compile_measure(measure, env, elem_checker_for(measure, env))
+            self.plans.append(CheckPlan(check, run, constraint, reference_key))
         self._contexts: dict[tuple[str, bytes], ContextState] = {}
         detectors = detectors or DetectorSpecs()
         self._dead = _DeadDetector(detectors.dead) if detectors.dead else None
@@ -542,9 +540,7 @@ class SuiteState:
         records = [MetaRecord(sub.start, sub.end, key, check.id, result.value,
                               ok, detail or None)]
         if check.emit_per_element:
-            checker = plan.checker
-            for e in sub.elements:
-                ev = checker(e)
+            for e, ev in zip(sub.elements, result.verdicts):
                 if ev is None and check.null_verdict == "skip":
                     continue
                 if ev is not True:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import subprocess
+import sys
+import time
 from datetime import datetime, timedelta
 
 from streamqc import model
@@ -57,3 +60,27 @@ def count_order_walks(monkeypatch) -> list:
 
 def walks_of(walked, elements) -> int:
     return sum(n for seen, n in walked if seen is elements)
+
+
+# The child reports the peak RSS of its own address space (Linux VmHWM) as
+# its last stderr line. ru_maxrss would not do: a child keeps the peak of
+# the process it was spawned from, here the test runner.
+_PEAK_RSS_CHILD = ("import re, sys; from streamqc.cli import main; rc = main(sys.argv[1:]); "
+                   "status = open('/proc/self/status').read(); "
+                   "print(re.search(r'VmHWM:\\s*(\\d+) kB', status)[1], file=sys.stderr); "
+                   "sys.exit(rc)")
+
+
+def run_cli_child(argv: list[str], timeout: float
+                  ) -> tuple[subprocess.CompletedProcess, float, int | None]:
+    """Run `streamqc` with argv in a child process. Returns the finished
+    process (its stderr without the peak line), its wall time in seconds,
+    and its own peak RSS in KiB (None when the child died before reporting)."""
+    t0 = time.monotonic()
+    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS_CHILD, *argv],
+                          capture_output=True, text=True, timeout=timeout)
+    wall = time.monotonic() - t0
+    lines = proc.stderr.splitlines()
+    rss_kb = int(lines.pop()) if lines and lines[-1].isdigit() else None
+    proc.stderr = "".join(line + "\n" for line in lines)
+    return proc, wall, rss_kb

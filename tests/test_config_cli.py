@@ -5,9 +5,6 @@ import copy
 import csv
 import json
 import re
-import subprocess
-import sys
-import time
 from datetime import timedelta
 from pathlib import Path
 
@@ -24,6 +21,8 @@ from streamqc.config import (
     semantic_errors,
 )
 from streamqc.model import Predicate, Threshold, ValueRange, WindowSpec, format_ts, parse_ts
+
+from helpers import run_cli_child
 
 
 def base_config():
@@ -528,19 +527,9 @@ def test_cli_run_secondary_gap_builds_no_empty_panes(tmp_path):
     obj["checks"] = [{"id": "zone_match", "measure": {"id": "match_ratio", "on": "zone"},
                       "constraint": {"op": ">=", "bound": 0.5}}]
     meta = tmp_path / "meta.jsonl"
-    # The child reports the peak RSS of its own address space (Linux VmHWM).
-    # ru_maxrss would not do: it keeps the peak of the process it was
-    # spawned from, here the test runner.
-    code = ("import re, sys; from streamqc.cli import main; rc = main(sys.argv[1:]); "
-            "status = open('/proc/self/status').read(); "
-            "print(re.search(r'VmHWM:\\s*(\\d+) kB', status)[1], file=sys.stderr); "
-            "sys.exit(rc)")
-    t0 = time.monotonic()
-    proc = subprocess.run([sys.executable, "-c", code, "run", write_config(tmp_path, obj),
-                           "--meta", str(meta)], capture_output=True, text=True, timeout=120)
-    wall = time.monotonic() - t0
+    proc, wall, rss_kb = run_cli_child(["run", write_config(tmp_path, obj), "--meta", str(meta)],
+                                       timeout=120)
     assert proc.returncode == 0, proc.stderr
-    rss_kb = int(proc.stderr.splitlines()[-1])
     print(f"  secondary gap run: {wall:.2f}s, peak rss {rss_kb / 1024:.1f} MiB")
     assert wall < 1.0 and rss_kb < 50 * 1024, (wall, rss_kb)
     matches = [json.loads(l) for l in meta.read_text().splitlines()
@@ -618,9 +607,21 @@ def _bad_socket_address(tmp_path):
     return "socket address must be host:port, got 'nowhere'"
 
 
+def _missing_csv(tmp_path):
+    (tmp_path / "stream.csv").unlink()
+    return "No such file or directory"
+
+
+def _missing_jsonl(tmp_path):
+    obj = json.loads((tmp_path / "config.json").read_text())
+    obj["source"] = dict(obj["source"], kind="jsonl", path="stream.jsonl")
+    write_config(tmp_path, obj)
+    return "No such file or directory"
+
+
 @pytest.mark.parametrize("command", ["run", "bench"])
-@pytest.mark.parametrize("break_source", [_header_without_zone, _empty_csv,
-                                          _bad_socket_address])
+@pytest.mark.parametrize("break_source", [_header_without_zone, _empty_csv, _missing_csv,
+                                          _missing_jsonl, _bad_socket_address])
 def test_cli_source_errors_are_error_lines(tmp_path, capsys, command, break_source):
     """A source that cannot be opened as configured is an `error:` line and
     exit 1, found before any row is processed, never a traceback."""

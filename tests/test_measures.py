@@ -676,9 +676,13 @@ def test_mean_and_std_share_one_partial_per_slice():
 # Documentation
 
 
+def _readme() -> str:
+    return (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
 def _readme_measures_table():
     """measure id -> the backquoted items of its params cell, in order."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    text = _readme()
     rows: dict[str, list[str]] = {}
     for line in text.split("\n## Measures\n", 1)[1].splitlines():
         if line.startswith("| `"):
@@ -702,3 +706,8 @@ def test_readme_measures_table_matches_the_registry():
     assert _readme_measures_table() == {
         mid: [documented(name, param) for name, param in measure.params.items()]
         for mid, measure in MEASURES.items()}
+    text = " ".join(_readme().split())
+    sentence = text.split("The measures with a per-element form are ", 1)[1].split(";", 1)[0]
+    listed = re.findall(r"`([^`]+)`", sentence)
+    assert sorted(listed) == sorted(mid for mid, measure in MEASURES.items()
+                                    if measure.make_elem_checker is not None), sentence

@@ -1,5 +1,6 @@
 """Assessment state machine: contexts, references, detectors, emission."""
 
+import hashlib
 import json
 import math
 import random
@@ -9,7 +10,7 @@ from datetime import timedelta
 
 import pytest
 
-from streamqc import expression, measures
+from streamqc import expression, measures, monitor
 from streamqc.model import (
     CheckDefinition,
     ColumnSpec,
@@ -895,3 +896,124 @@ def test_sliding_sketch_sees_each_value_once(monkeypatch):
     drive(eng, fare_elems(values, step_s=3.0))
     assert eng.stats.panes_closed == 34  # 30 minutes of rows, 5 panes over each
     assert len(adds) == sum(v is not None for v in values)
+
+
+# ---------------------------------------------------------------------------
+# Per-element measures: one verdict per element and check feeds both the
+# pane's value and its per-element records
+
+
+PER_ELEMENT = {
+    "completeness": {"column": "fare", "missing_tokens": [-1.0]},
+    "valid_range": {"column": "fare", "lo": 0.0, "hi": 40.0},
+    "in_set": {"column": "zone", "allowed": ["a", "b"], "proper": True},
+    "matches_pattern": {"column": "zone", "pattern": "[ab]"},
+    "conforms": {"expression": "fare > 1 or zone != 'c'"},
+    "schema_check": {"expected": ["fare", "zone"], "mode": "presence_absence"},
+    "type_check": {"column": "zone", "expected": "text"},
+}
+SESSIONS = WindowSpec("session", gap=timedelta(seconds=30))
+SLIDING_5_1 = WindowSpec("sliding", duration=5 * MIN, slide=MIN)
+
+
+def per_element_checks(**kwargs):
+    return [CheckDefinition(id=m, measure=MeasureSpec(m, params),
+                            constraint=Threshold("=", True) if m == "schema_check"
+                            else Threshold(">=", 0.5), **kwargs)
+            for m, params in PER_ELEMENT.items()]
+
+
+def quality_rows(n, rng, jitter_s=2.0, late=None):
+    """Rows 3 s apart with a 60 s pause every 40 rows, and Null, placeholder,
+    out-of-range, mistyped and missing cells; a row whose seq is in late is
+    pushed back by late[seq] seconds."""
+    late = late or {}
+    rows = []
+    for seq in range(n):
+        t = seq * 3 + (seq // 40) * 60 - rng.uniform(0, jitter_s) - late.get(seq, 0)
+        attrs = {"fare": rng.choice([None, -1.0, 2.0, 0.5, 50.0]),
+                 "zone": rng.choice([None, "a", "b", "c", 7])}
+        if seq % 11 == 0:
+            del attrs["zone"]
+        rows.append(elem(at(t), seq, **attrs))
+    return rows
+
+
+def count_checker_calls(monkeypatch) -> Counter:
+    """Count every call of a checker from monitor.elem_checker_for, by
+    (measure id, arrival_seq)."""
+    calls: Counter = Counter()
+    make = monitor.elem_checker_for
+
+    def counting(measure, env):
+        check = make(measure, env)
+        if check is None:
+            return None
+        measure_id = measure.definition.id
+
+        def counted(e):
+            calls[measure_id, e.arrival_seq] += 1
+            return check(e)
+        return counted
+    monkeypatch.setattr(monitor, "elem_checker_for", counting)
+    return calls
+
+
+@pytest.mark.parametrize("emit", [False, True], ids=["value-only", "per-element"])
+@pytest.mark.parametrize("key_by", [None, "zone"], ids=["unkeyed", "keyed"])
+@pytest.mark.parametrize("window", [SESSIONS, SLIDING_5_1], ids=["sessions", "sliding"])
+def test_each_element_is_checked_once_per_check(monkeypatch, window, key_by, emit):
+    """However many panes span an element (five at 5m/1m) and whether or not
+    the check emits per-element records, its checker sees the element once."""
+    calls = count_checker_calls(monkeypatch)
+    rows = quality_rows(600, random.Random(8))
+    eng = MonitorEngine(suite(per_element_checks(key_by=key_by, emit_per_element=emit),
+                              window=window), watermark_delay=MIN)
+    drive(eng, rows)
+    assert eng.stats.discarded == 0
+    if emit:
+        assert any(r.detail and "element_ref" in r.detail for r in eng.collected)
+    seqs = [e.arrival_seq for e in rows if key_by is None or e.attrs.get(key_by) is not None]
+    assert calls == Counter({(m, seq): 1 for m in PER_ELEMENT for seq in seqs})
+
+
+def test_patterns_alike_in_their_first_200_characters_keep_their_own_verdicts():
+    """Verdicts are shared through the slice memo by measure and parameters;
+    a compiled pattern's repr is cut at 200 characters, so two long patterns
+    must still be told apart."""
+    prefix = "x" * 250
+    checks = [CheckDefinition(id=f"ends_{c}", constraint=Threshold(">=", 0.5),
+                              measure=MeasureSpec("matches_pattern",
+                                                  {"column": "zone", "pattern": prefix + c}))
+              for c in "ab"]
+    eng = engine_with(checks, window=SLIDING_5_1)
+    drive(eng, [elem(at(i * 20), i, zone=prefix + "a") for i in range(60)])
+    values = Counter((r.check_id, r.value) for r in eng.collected if r.check_id != "_late_discards")
+    assert values == Counter({("ends_a", 1.0): 24, ("ends_b", 0.0): 24})
+
+
+# Pinned output of the suite below: sharing verdicts must not change a byte.
+LATE_AND_DISCARDED = (14, 10)
+META_LINES_AND_DIGEST = (8792, "538d578575785cf5b7e527edf85ea8b9967078cd09debe445f9ec2dd45f18202")
+SIDE_LINES_AND_DIGEST = (499, "3a2b2a6b5ad8e207672218846af0e9467abc08d3c017c6d76ccce9c0acc2c093")
+
+
+def test_per_element_checks_on_sliding_panes_keep_their_bytes():
+    """The meta and side bytes of the seven per-element measures over 5m/1m
+    panes, one check keyed and one lenient, with late rows accepted and
+    discarded, are pinned."""
+    window = WindowSpec("sliding", duration=5 * MIN, slide=MIN, allowed_lateness=MIN)
+    checks = [replace(c, key_by="zone" if c.id == "completeness" else None,
+                      null_verdict="skip" if c.id == "type_check" else "fail")
+              for c in per_element_checks(emit_per_element=True)]
+    rng = random.Random(21)
+    late = {seq: 75 for seq in range(50, 600, 37)} | {seq: 500 for seq in range(70, 600, 53)}
+    meta, side = ListSink(), ListSink()
+    eng = MonitorEngine(suite(checks, window=window), watermark_delay=timedelta(seconds=30),
+                        meta_sink=meta, side_sink=side)
+    eng.collected = None
+    drive(eng, quality_rows(600, rng, jitter_s=10.0, late=late))
+    assert (eng.stats.late_accepted, eng.stats.discarded) == LATE_AND_DISCARDED
+    digest = lambda lines: hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (len(meta.lines), digest(meta.lines)) == META_LINES_AND_DIGEST
+    assert (len(side.lines), digest(side.lines)) == SIDE_LINES_AND_DIGEST
