@@ -31,7 +31,7 @@ import functools
 import json
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime, timedelta
 from itertools import chain
 from typing import Any, Callable, NamedTuple, Sequence
@@ -972,11 +972,14 @@ def _per_element(measure_id: str, table: dict[str, Param],
     """A measure with a per-element form, merged per slice under its own id.
     A slice's partial is its elements' verdicts, one checker call each;
     tally(params, verdicts, window) summarizes a pane's verdicts, in pane
-    order, into its result, which carries them on for per-element records."""
+    order, into a new result, which then carries them on for per-element
+    records."""
     def prepare(params, env, checker):
         def finish(partials, window):
             verdicts = _concat(partials)
-            return replace(tally(params, verdicts, window), verdicts=verdicts)
+            result = tally(params, verdicts, window)
+            result.verdicts = verdicts
+            return result
         return (lambda elements: list(map(checker, elements))), finish
     return MeasureDef(measure_id, table, _merged(measure_id, prepare),
                       _static_type(result_type), make_checker, check)

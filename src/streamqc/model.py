@@ -396,8 +396,14 @@ class WindowInstance:
         return [e.attrs.get(column) for e in self.elements]
 
     def slices(self) -> tuple[Slice, ...]:
-        """The pane's parts, or the whole pane as one part when it has none."""
-        return self.parts if self.parts is not None else (Slice(self.elements),)
+        """The pane's parts. A pane built without parts gets the whole pane
+        as one part, made on the first call and shared by every caller, so
+        what its memo keeps is computed once per pane."""
+        if self.parts is None:
+            whole = Slice(self.elements)
+            whole.ordered = len(self.elements)  # verified at construction
+            object.__setattr__(self, "parts", (whole,))
+        return self.parts
 
 
 @dataclass(frozen=True)
@@ -624,6 +630,17 @@ def compare_verdict(value: Value, constraint: Threshold | ValueRange | Expr,
 
 _META_KEYS = ("window_start", "window_end", "key", "check", "value", "ok", "detail")
 
+# The wire encoder of meta and side lines, built once: the bytes of
+# json.dumps(obj, separators=(",", ":"), ensure_ascii=True).
+wire_json = json.JSONEncoder(separators=(",", ":"), ensure_ascii=True).encode
+
+
+def meta_line_prefix(window_start: datetime, window_end: datetime, key: Value) -> str:
+    """The head of a meta line, through the key: the fields that every record
+    of one (window_start, window_end, key) group shares, rendered once."""
+    return (f'{{"window_start":"{format_ts(window_start)}",'
+            f'"window_end":"{format_ts(window_end)}","key":{wire_json(value_to_json(key))},')
+
 
 @dataclass(frozen=True)
 class MetaRecord:
@@ -647,18 +664,15 @@ class MetaRecord:
         return (self.window_end, sort_key(self.key), self.check_id,
                 _detail_seq(self.detail))
 
-    def to_json_line(self) -> str:
-        """Fixed-shape wire form; key order is part of the contract."""
-        obj = {
-            "window_start": format_ts(self.window_start),
-            "window_end": format_ts(self.window_end),
-            "key": value_to_json(self.key),
-            "check": self.check_id,
-            "value": value_to_json(self.value),
-            "ok": self.ok,
-            "detail": self.detail,
-        }
-        return json.dumps(obj, separators=(",", ":"), ensure_ascii=True)
+    def to_json_line(self, prefix: str | None = None) -> str:
+        """Fixed-shape wire form; key order is part of the contract. prefix,
+        when given, is this record's meta_line_prefix, rendered once for
+        the records that share it; the rest is encoded per record."""
+        if prefix is None:
+            prefix = meta_line_prefix(self.window_start, self.window_end, self.key)
+        tail = wire_json({"check": self.check_id, "value": value_to_json(self.value),
+                        "ok": self.ok, "detail": self.detail})
+        return prefix + tail[1:]
 
 
 def _detail_seq(detail: dict[str, Any] | None) -> int:

@@ -10,12 +10,13 @@ reserved "_" check-id prefix.
 
 from __future__ import annotations
 
-import json
+import heapq
 import math
 from collections import deque
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timedelta
 from itertools import chain
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Sequence
 
 from . import expression
@@ -46,9 +47,12 @@ from .model import (
     canonical_bytes,
     compare_verdict,
     format_ts,
+    meta_line_prefix,
     schema_types,
+    sort_key,
     value_to_json,
     value_type,
+    wire_json,
 )
 from .windowing import PaneStore, RouteOutcome, Watermark
 
@@ -214,13 +218,14 @@ class _FrozenDetector:
         # canonical key -> [frozen value canonical, frozen value, streak, alerted]
         self._state: dict[bytes, list] = {}
 
-    def on_pane(self, w: WindowInstance, groups: list[tuple[Value, WindowInstance]]) -> list[MetaRecord]:
+    def on_pane(self, w: WindowInstance,
+                groups: list[tuple[bytes, Value, WindowInstance]]) -> list[MetaRecord]:
         out: list[MetaRecord] = []
-        for key, sub in groups:
+        for enc, key, sub in groups:
             values = [v for v in sub.values(self.spec.column) if v is not None]
             if not values:
                 continue  # empty pane or all-Null: no evidence either way
-            state = self._state.setdefault(canonical_bytes(key), [None, None, 0, False])
+            state = self._state.setdefault(enc, [None, None, 0, False])
             distinct = {canonical_bytes(v) for v in values}
             if len(distinct) == 1:
                 canon = next(iter(distinct))
@@ -426,14 +431,14 @@ class SuiteState:
 
     # -- helpers -------------------------------------------------------------
 
-    def _partition(self, w: WindowInstance, key_by: str | None) -> list[tuple[Value, WindowInstance]]:
-        """Key groups of a pane; elements with a Null key are skipped.
+    def _partition(self, w: WindowInstance, key_by: str
+                   ) -> list[tuple[bytes, Value, WindowInstance]]:
+        """Key groups of a pane, as (key encoding, key, pane), in key order;
+        elements with a Null key are skipped.
 
         Each slice of the pane is partitioned once (memoized on the slice),
         and a group's pane keeps the group's share of each slice as its parts.
         """
-        if key_by is None:
-            return [(w.key, w)]
         groups: dict[bytes, tuple[Value, list[Slice]]] = {}
         for part in w.slices():
             split = part.memo.get(("partition", key_by))
@@ -449,7 +454,7 @@ class SuiteState:
         for enc in sorted(groups):
             key, parts = groups[enc]
             elements = tuple(chain.from_iterable(sub.elements for sub in parts))
-            out.append((key, WindowInstance(w.start, w.end, key, elements, tuple(parts))))
+            out.append((enc, key, WindowInstance(w.start, w.end, key, elements, tuple(parts))))
         return out
 
     def _context_for(self, check: CheckDefinition, key: Value) -> ContextState:
@@ -463,30 +468,40 @@ class SuiteState:
     # -- assessment ----------------------------------------------------------
 
     def on_window_close(self, w: WindowInstance, watermark: datetime | None = None
-                        ) -> tuple[list[MetaRecord], dict[int, tuple[StreamElement, list[str]]]]:
+                        ) -> tuple[list[tuple[tuple, MetaRecord]],
+                                   dict[int, tuple[StreamElement, list[str]]]]:
         """Assess every check against one closed pane.
 
-        Returns the pane's meta records (sorted by (window_end, key, check))
-        and the failing elements for side-output routing, keyed by
-        arrival_seq with the check ids that rejected them.
+        Returns the pane's meta records, in the order they were made, each
+        paired with its MetaRecord.order_key (the key's encoding computed
+        once per key group), and the failing elements for side-output
+        routing, keyed by arrival_seq with the check ids that rejected them.
         """
         env = EngineEnv(hash_seed=self.hash_seed, watermark=watermark,
                         secondary=self.secondary)
-        records: list[MetaRecord] = []
+        entries: list[tuple[tuple, MetaRecord]] = []
         failing: dict[int, tuple[StreamElement, list[str]]] = {}
-        for plan in self.plans:
-            for key, sub in self._partition(w, plan.check.key_by):
-                records.extend(self._evaluate(plan, key, sub, env, failing))
-        if self._dead is not None:
-            records.extend(self._dead.on_pane(w))
-        for det in self._frozen:
-            records.extend(det.on_pane(w, self._partition(w, det.spec.key_by)))
-        records.sort(key=MetaRecord.order_key)
-        return records, failing
+        whole = [(sort_key(w.key), w.key, w)]
 
-    def _evaluate(self, plan: CheckPlan, key: Value, sub: WindowInstance,
-                  env: EngineEnv, failing: dict[int, tuple[StreamElement, list[str]]]
-                  ) -> list[MetaRecord]:
+        def groups(key_by: str | None) -> list[tuple[bytes, Value, WindowInstance]]:
+            return whole if key_by is None else self._partition(w, key_by)
+
+        for plan in self.plans:
+            for enc, key, sub in groups(plan.check.key_by):
+                self._evaluate(plan, (w.end, enc), key, sub, env, failing, entries)
+        if self._dead is not None:
+            entries.extend((r.order_key(), r) for r in self._dead.on_pane(w))
+        for det in self._frozen:
+            entries.extend((r.order_key(), r)
+                           for r in det.on_pane(w, groups(det.spec.key_by)))
+        return entries, failing
+
+    def _evaluate(self, plan: CheckPlan, head: tuple[datetime, bytes], key: Value,
+                  sub: WindowInstance, env: EngineEnv,
+                  failing: dict[int, tuple[StreamElement, list[str]]],
+                  entries: list[tuple[tuple, MetaRecord]]) -> None:
+        """Append the check's records for one key group to entries; head is
+        the group's (window_end, key encoding), the start of their order keys."""
         check = plan.check
         bindings: dict[str, Value] = {}
         warming = False
@@ -514,16 +529,17 @@ class SuiteState:
             self._context_for(check, key).fold(sub.end, result.value, len(sub.elements))
 
         detail: dict[str, Any] = dict(result.detail) if result.detail else {}
+        order = head + (check.id, -1)
         if ref_miss:
             detail["reference_miss"] = value_to_json(ref_key)
-            record = MetaRecord(sub.start, sub.end, key, check.id, None, False,
-                                detail or None)
-            return [record]
+            entries.append((order, MetaRecord(sub.start, sub.end, key, check.id, None,
+                                              False, detail or None)))
+            return
         if warming:
             detail["warming"] = True
-            record = MetaRecord(sub.start, sub.end, key, check.id, result.value,
-                                True, detail)
-            return [record]
+            entries.append((order, MetaRecord(sub.start, sub.end, key, check.id,
+                                              result.value, True, detail)))
+            return
 
         verdict = compare_verdict(result.value, plan.constraint, bindings)
         if verdict is None:
@@ -537,22 +553,23 @@ class SuiteState:
         if result.force_fail:
             ok = False
 
-        records = [MetaRecord(sub.start, sub.end, key, check.id, result.value,
-                              ok, detail or None)]
+        entries.append((order, MetaRecord(sub.start, sub.end, key, check.id,
+                                          result.value, ok, detail or None)))
         if check.emit_per_element:
+            prefix = head + (check.id,)
             for e, ev in zip(sub.elements, result.verdicts):
                 if ev is None and check.null_verdict == "skip":
                     continue
                 if ev is not True:
-                    records.append(MetaRecord(
+                    seq = e.arrival_seq
+                    entries.append((prefix + (seq,), MetaRecord(
                         sub.start, sub.end, key, check.id, False, False,
-                        {"element_ref": e.arrival_seq}))
-                    slot = failing.get(e.arrival_seq)
+                        {"element_ref": seq})))
+                    slot = failing.get(seq)
                     if slot is None:
-                        failing[e.arrival_seq] = (e, [check.id])
+                        failing[seq] = (e, [check.id])
                     elif check.id not in slot[1]:
                         slot[1].append(check.id)
-        return records
 
 
 def _split(elements: Sequence[StreamElement], key_by: str) -> dict[bytes, tuple[Value, Slice]]:
@@ -629,7 +646,9 @@ class MonitorEngine:
         self.stats = RunStats()
         self.collected: list[MetaRecord] | None = None if meta_sink is not None else []
         self._discards_reported = 0
-        self._routed_seqs: set[int] = set()
+        # Side-routed elements that an open or future pane may still hold,
+        # by arrival_seq, with their event times: each is routed once.
+        self._routed: dict[int, datetime] = {}
 
     def process(self, element: StreamElement) -> None:
         self.stats.read += 1
@@ -654,29 +673,63 @@ class MonitorEngine:
     # -- internals -----------------------------------------------------------
 
     def _emit_batch(self, panes: list[WindowInstance]) -> None:
+        """Assess closed panes and write their records in meta-stream order,
+        then the batch's side lines.
+
+        Panes come in (end, key, start) order and every record of a pane
+        carries the pane's end, so records of different panes interleave
+        only within a run of panes that share an end. Each pane's records
+        are sorted once, by the order keys assessment made, and each run is
+        written as soon as its last pane is assessed.
+        """
         wm = self.watermark.value
-        batch_records: list[MetaRecord] = []
         batch_failing: list[tuple[StreamElement, list[str]]] = []
+        run: list[list[tuple[tuple, MetaRecord]]] = []
         for index, pane in enumerate(panes):
-            records, failing = self.state.on_window_close(pane, watermark=wm)
-            records.append(self._late_discards_record(pane, first=index == 0))
+            if run and pane.end != panes[index - 1].end:
+                self._write_run(run)
+                run = []
+            entries, failing = self.state.on_window_close(pane, watermark=wm)
+            late = self._late_discards_record(pane, first=index == 0)
+            entries.append((late.order_key(), late))
+            entries.sort(key=_order)
+            run.append(entries)
             self.stats.panes_closed += 1
             for seq in sorted(failing):
-                if seq not in self._routed_seqs:
-                    self._routed_seqs.add(seq)
-                    batch_failing.append(failing[seq])
-            batch_records.extend(records)
-        batch_records.sort(key=MetaRecord.order_key)
-        for record in batch_records:
-            self.stats.records_emitted += 1
-            if self.meta_sink is not None:
-                self.meta_sink.write_line(record.to_json_line())
-            else:
-                self.collected.append(record)
+                if seq not in self._routed:
+                    slot = failing[seq]
+                    self._routed[seq] = slot[0].event_time
+                    batch_failing.append(slot)
+        if run:
+            self._write_run(run)
         if self.side_sink is not None:
             for element, check_ids in batch_failing:
                 self.side_sink.write_line(_side_line(element, check_ids))
         self.stats.side_routed += len(batch_failing)
+        if self._routed:
+            floor = self.store.closed_floor()
+            self._routed = {seq: t for seq, t in self._routed.items() if t >= floor}
+
+    def _write_run(self, run: list[list[tuple[tuple, MetaRecord]]]) -> None:
+        """Write the sorted records of panes sharing an end, merged. The merge
+        is stable, so tied records keep pane order, as one stable sort of
+        them all would. Records of one pane and key render their shared
+        head once."""
+        merged = run[0] if len(run) == 1 else heapq.merge(*run, key=_order)
+        self.stats.records_emitted += sum(map(len, run))
+        if self.meta_sink is None:
+            self.collected.extend(record for _, record in merged)
+            return
+        write = self.meta_sink.write_line
+        # By key object, not encoding: equal encodings may render apart (-0.0, 0.0).
+        prefixes: dict[tuple[int, datetime], str] = {}
+        for _, record in merged:
+            slot = (id(record.key), record.window_start)
+            prefix = prefixes.get(slot)
+            if prefix is None:
+                prefix = prefixes[slot] = meta_line_prefix(
+                    record.window_start, record.window_end, record.key)
+            write(record.to_json_line(prefix))
 
     def _late_discards_record(self, pane: WindowInstance, first: bool) -> MetaRecord:
         delta = 0
@@ -688,11 +741,13 @@ class MonitorEngine:
                           {"total": self._discards_reported} if delta else None)
 
 
+_order = itemgetter(0)
+
+
 def _side_line(element: StreamElement, check_ids: list[str]) -> str:
-    obj = {
+    return wire_json({
         "seq": element.arrival_seq,
         "event_time": format_ts(element.event_time),
-        "checks": list(check_ids),
+        "checks": check_ids,
         "attrs": {k: value_to_json(v) for k, v in element.attrs.items()},
-    }
-    return json.dumps(obj, separators=(",", ":"), ensure_ascii=True)
+    })

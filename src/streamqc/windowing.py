@@ -133,6 +133,7 @@ class PaneStore:
         if spec.kind != "session":
             micros = timedelta(microseconds=1)
             self._width = math.gcd(spec.duration // micros, spec.step // micros) * micros
+            self._hold = spec.duration + spec.allowed_lateness  # pane start to close
         self._min_start: datetime | None = None
         self._max_start: datetime | None = None
         self._cursor: datetime | None = None
@@ -233,10 +234,17 @@ class PaneStore:
 
     def close_ready(self, wm_value: datetime) -> list[WindowInstance]:
         """Emit every pane with end + allowed_lateness <= watermark, in
-        (end, key) order. Each pane is emitted exactly once."""
+        (end, key) order. Each pane is emitted exactly once. Until the
+        watermark reaches the next close instant this returns at once."""
         if self.spec.kind == "session":
+            heap = self._session_heap
+            if not heap or wm_value < heap[0][0]:
+                return []
             out = self._close_sessions(wm_value)
         else:
+            cursor = self._cursor if self._cursor is not None else self._min_start
+            if cursor is None or wm_value < _plus_clamped(cursor, self._hold):
+                return []
             out = self._close_grid(wm_value)
         out.sort(key=lambda w: (w.end, sort_key(w.key), w.start))
         return out
@@ -308,6 +316,15 @@ class PaneStore:
             end = _plus_clamped(live.max_t, self.spec.gap)
             out.append(WindowInstance(live.min_t, end, live.key, tuple(live.elements)))
         return out
+
+    def closed_floor(self) -> datetime:
+        """An element that a closed pane held, with event time before this
+        instant, lies in no open or future pane. On a grid this is the start
+        of the first pane not yet closed. A session pane holds its elements
+        alone, so for sessions every such element qualifies."""
+        if self.spec.kind == "session":
+            return TS_MAX
+        return self._cursor if self._cursor is not None else TS_MIN
 
     def open_pane_count(self) -> int:
         """Panes (per key) that hold at least one element and have not closed."""

@@ -84,3 +84,10 @@ def run_cli_child(argv: list[str], timeout: float
     rss_kb = int(lines.pop()) if lines and lines[-1].isdigit() else None
     proc.stderr = "".join(line + "\n" for line in lines)
     return proc, wall, rss_kb
+
+
+def assess(state, w: WindowInstance, watermark: datetime | None = None):
+    """A pane's records in meta-stream order, and its failing elements."""
+    entries, failing = state.on_window_close(w, watermark=watermark)
+    entries.sort(key=lambda entry: entry[0])
+    return [record for _, record in entries], failing

@@ -1,0 +1,323 @@
+"""The meta and side streams against a reference emitter.
+
+The reference sorts all of a batch's records with MetaRecord.order_key (one
+stable sort) and renders each as json.dumps of its full dict, and it routes
+each failing element once, remembering every seq it has routed. The engine
+streams each run of panes sharing a window end, renders shared fields once
+per key group, and forgets routed seqs that no open pane can hold again; its
+bytes must be the reference's.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import random
+from datetime import timedelta
+
+import pytest
+
+from streamqc import monitor
+from streamqc.model import (
+    CheckDefinition,
+    ColumnSpec,
+    MeasureSpec,
+    MetaRecord,
+    Threshold,
+    WindowSpec,
+    format_ts,
+    meta_line_prefix,
+    ts,
+    value_to_json,
+)
+from streamqc.monitor import (
+    DetectorSpecs,
+    FrozenColumnSpec,
+    MonitorEngine,
+    SuiteState,
+)
+from streamqc.windowing import PaneStore
+
+from helpers import at, elem
+
+MIN = timedelta(minutes=1)
+
+# Values that render in unusual ways: Null, NaN, the infinities, non-ASCII
+# and escaped text, timestamps, ints beyond 64 bits, and values that compare
+# equal or encode alike but render apart (-0.0 and 0.0, 1 and True and 1.0).
+ODD_VALUES = [
+    None, math.nan, math.inf, -math.inf, 0.0, -0.0, 1, True, 1.0, False,
+    2**70, -(2**64) - 1, "zoné", "東京", " ", "😀", 'quote " and \\ slash', "",
+    ts(2015, 5, 7, 11, 0, 0, 250), ts(1999, 12, 31, 23, 59, 59, 999),
+]
+
+
+def old_line(r: MetaRecord) -> str:
+    return json.dumps({
+        "window_start": format_ts(r.window_start),
+        "window_end": format_ts(r.window_end),
+        "key": value_to_json(r.key),
+        "check": r.check_id,
+        "value": value_to_json(r.value),
+        "ok": r.ok,
+        "detail": r.detail,
+    }, separators=(",", ":"), ensure_ascii=True)
+
+
+def old_side_line(e, check_ids) -> str:
+    return json.dumps({
+        "seq": e.arrival_seq,
+        "event_time": format_ts(e.event_time),
+        "checks": list(check_ids),
+        "attrs": {k: value_to_json(v) for k, v in e.attrs.items()},
+    }, separators=(",", ":"), ensure_ascii=True)
+
+
+def record_batches(engine: MonitorEngine) -> list:
+    """Keep each batch the engine's store closes, with the watermark and the
+    discard count the engine assesses it under."""
+    batches = []
+    close = engine.store.close_ready
+
+    def close_ready(wm_value):
+        panes = close(wm_value)
+        if panes:
+            batches.append((panes, engine.watermark.value, engine.stats.discarded))
+        return panes
+
+    engine.store.close_ready = close_ready
+    return batches
+
+
+def reference(state: SuiteState, batches) -> tuple[list[str], list[str], list[MetaRecord]]:
+    """Meta lines, side lines and records of the batches, one stable sort
+    per batch and every routed seq remembered."""
+    reported = 0
+    routed: set[int] = set()
+    records_out: list[MetaRecord] = []
+    side: list[str] = []
+    for panes, wm, discarded in batches:
+        records: list[MetaRecord] = []
+        routed_now = []
+        for index, pane in enumerate(panes):
+            entries, failing = state.on_window_close(pane, watermark=wm)
+            assert all(order == record.order_key() for order, record in entries)
+            records.extend(record for _, record in entries)
+            delta = 0
+            if index == 0:
+                delta, reported = discarded - reported, discarded
+            records.append(MetaRecord(pane.start, pane.end, pane.key, "_late_discards",
+                                      delta, delta == 0, {"total": reported} if delta else None))
+            for seq in sorted(failing):
+                if seq not in routed:
+                    routed.add(seq)
+                    routed_now.append(failing[seq])
+        records.sort(key=MetaRecord.order_key)
+        records_out.extend(records)
+        side.extend(old_side_line(e, ids) for e, ids in routed_now)
+    return [old_line(r) for r in records_out], side, records_out
+
+
+class ListSink:
+    def __init__(self):
+        self.lines = []
+
+    def write_line(self, line):
+        self.lines.append(line)
+
+
+SCHEMA = [
+    ColumnSpec("device", "text"),
+    ColumnSpec("zone", "text", nullable=True),
+    ColumnSpec("x", "text", nullable=True),
+    ColumnSpec("fare", "float", nullable=True),
+]
+
+
+def checks() -> list[CheckDefinition]:
+    return [
+        CheckDefinition(id="fare_mean", measure=MeasureSpec("mean", {"column": "fare"}),
+                        constraint=Threshold("<=", 10.0)),
+        CheckDefinition(id="fare_complete",
+                        measure=MeasureSpec("completeness", {"column": "fare"}),
+                        constraint=Threshold(">=", 0.9), emit_per_element=True),
+        CheckDefinition(id="zone_volume", measure=MeasureSpec("volume"),
+                        constraint=Threshold(">=", 2), key_by="zone"),
+        CheckDefinition(id="x_hitters",
+                        measure=MeasureSpec("heavy_hitters", {"column": "x", "phi": 0.3}),
+                        constraint=Threshold("<=", 1), key_by="zone"),
+        CheckDefinition(id="fare_by_x", measure=MeasureSpec("mean", {"column": "fare"}),
+                        constraint=Threshold("<=", 10.0), key_by="x"),
+        CheckDefinition(id="fare_points",
+                        measure=MeasureSpec("percentiles", {"column": "fare",
+                                                            "points": [0.5, 0.9]}),
+                        constraint=Threshold("<=", 10.0)),
+        CheckDefinition(id="x_complete", measure=MeasureSpec("completeness", {"column": "x"}),
+                        constraint=Threshold(">=", 0.5), key_by="zone",
+                        emit_per_element=True),
+    ]
+
+
+# Two frozen detectors on one column share a check id, so their records tie.
+DETECTORS = DetectorSpecs(frozen=(FrozenColumnSpec("x", 1),
+                                  FrozenColumnSpec("x", 1, key_by="zone")))
+
+WINDOWS = {
+    "tumbling": WindowSpec("tumbling", duration=MIN),
+    "sliding": WindowSpec("sliding", duration=2 * MIN, slide=MIN),
+    "session": WindowSpec("session", gap=timedelta(seconds=20)),
+}
+
+
+def stream(rng: random.Random, rows: int) -> list:
+    out = []
+    t = 0
+    for seq in range(rows):
+        t += rng.choice([0, 0, 1, 2, 5]) + (40 if rng.random() < 0.05 else 0)  # pauses close sessions
+        when = max(t - (rng.choice([0, 30, 90]) if rng.random() < 0.1 else 0), 0)
+        out.append(elem(at(when), seq,
+                        device=rng.choice(["d1", "d2", "d3", "d4"]),
+                        zone=rng.choice([None, "a", "b", "é"]),
+                        x=rng.choice(ODD_VALUES),
+                        fare=rng.choice([None, 1.0, 2.5, 12.0, math.inf])))
+    return out
+
+
+@pytest.mark.parametrize("kind", sorted(WINDOWS))
+def test_streamed_meta_and_side_match_the_batch_sort_reference(kind):
+    """Panes of different devices share a window end (keyed store, whole
+    seconds), checks keyed by zone and by odd values tie across panes, and
+    values, keys and details hold every odd value."""
+    window = WINDOWS[kind]
+    for trial in range(4):
+        rows = stream(random.Random(trial), 400)
+        meta, side = ListSink(), ListSink()
+        engine = MonitorEngine(SuiteState(checks(), SCHEMA, window, detectors=DETECTORS),
+                               watermark_delay=timedelta(seconds=10), key_by="device",
+                               meta_sink=meta, side_sink=side)
+        batches = record_batches(engine)
+        collecting = MonitorEngine(SuiteState(checks(), SCHEMA, window, detectors=DETECTORS),
+                                   watermark_delay=timedelta(seconds=10), key_by="device")
+        for e in rows:
+            engine.process(e)
+            collecting.process(e)
+        engine.finish()
+        collecting.finish()
+        want_meta, want_side, want_records = reference(
+            SuiteState(checks(), SCHEMA, window, detectors=DETECTORS), batches)
+        assert engine.stats.discarded > 0
+        assert any(len({p.key for p in panes}) > 1 and len({p.end for p in panes}) < len(panes)
+                   for panes, _, _ in batches), "no run of panes shares an end"
+        assert meta.lines == want_meta, (kind, trial)
+        assert side.lines == want_side, (kind, trial)
+        assert engine.stats.records_emitted == len(want_meta)
+        assert engine.stats.side_routed == len(want_side)
+        # The collected path keeps the same records in the same order.
+        assert [old_line(r) for r in collecting.collected] == want_meta
+        assert [r.order_key() for r in collecting.collected] == \
+            [r.order_key() for r in want_records]
+
+
+def test_to_json_line_matches_json_dumps_of_the_full_record():
+    rng = random.Random(5)
+    for _ in range(2000):
+        start = ts(2015, 5, 7, 11, rng.randrange(60), rng.randrange(60), rng.randrange(1000))
+        end = start + timedelta(milliseconds=rng.randrange(1, 10**7))
+        detail = rng.choice([
+            None, {}, {"element_ref": rng.randrange(10**6)},
+            {"items": [{"item": value_to_json(rng.choice(ODD_VALUES)), "lo": 1, "hi": 2}],
+             "mode": "exact"},
+            {"values": [rng.choice([math.nan, math.inf, 0.1, None])], "nested": {"é": [[]]}},
+        ])
+        r = MetaRecord(start, end, rng.choice(ODD_VALUES), rng.choice(["c", "_late", "é\"x"]),
+                       rng.choice(ODD_VALUES), rng.choice([True, False]), detail)
+        assert r.to_json_line() == old_line(r)
+        assert r.to_json_line(meta_line_prefix(start, end, r.key)) == old_line(r)
+
+
+# ---------------------------------------------------------------------------
+# Routed seqs stay bounded
+
+
+@pytest.mark.parametrize("kind", ["sliding", "session"])
+def test_routed_seqs_stay_within_one_pane_span(kind):
+    """Every row fails, forever: the routed set holds at most one pane
+    span of rows (none between session batches), and the side stream is
+    the reference's."""
+    window = (WindowSpec("sliding", duration=5 * MIN, slide=MIN) if kind == "sliding"
+              else WindowSpec("session", gap=timedelta(seconds=20)))
+    check = CheckDefinition(id="fare_complete",
+                            measure=MeasureSpec("completeness", {"column": "fare"}),
+                            constraint=Threshold(">=", 1.0), emit_per_element=True)
+    meta, side = ListSink(), ListSink()
+    engine = MonitorEngine(SuiteState([check], SCHEMA, window),
+                           watermark_delay=timedelta(seconds=30),
+                           key_by="device" if kind == "session" else None,
+                           meta_sink=meta, side_sink=side)
+    batches = record_batches(engine)
+    rng = random.Random(11)
+    span_rows = 5 * 60 // 5  # one row per 5 s over a 5m pane
+    held = 0
+    for seq in range(3000):
+        t = at(seq * 5 + rng.uniform(-20, 0))
+        engine.process(elem(t, seq, device=rng.choice(["d1", "d2"]), fare=None))
+        held = max(held, len(engine._routed))
+    engine.finish()
+    assert held <= (span_rows if kind == "sliding" else 0)
+    assert engine.stats.side_routed == 3000 - engine.stats.discarded
+    _, want_side, _ = reference(SuiteState([check], SCHEMA, window), batches)
+    assert side.lines == want_side
+
+
+# ---------------------------------------------------------------------------
+# Work done per closed pane
+
+
+def test_session_pane_is_split_by_key_once(monkeypatch):
+    """Three checks keyed by zone over a partless session pane share one
+    split of it."""
+    calls = []
+    split = monitor._split
+
+    def counting(elements, key_by):
+        calls.append(key_by)
+        return split(elements, key_by)
+
+    monkeypatch.setattr(monitor, "_split", counting)
+    checks = [CheckDefinition(id=f"zone_{m}", measure=MeasureSpec(m, {"column": "fare"}),
+                              key_by="zone", constraint=Threshold(">=", 0.0))
+              for m in ("mean", "std", "count")]
+    engine = MonitorEngine(SuiteState(checks, SCHEMA, WINDOWS["session"]))
+    for seq in range(600):
+        burst, i = divmod(seq, 40)  # 15 bursts of 40 rows, a minute apart
+        engine.process(elem(at(burst * 60 + i), seq, zone=["a", "b", "c"][seq % 3],
+                            fare=float(seq % 7)))
+    engine.finish()
+    assert engine.stats.panes_closed == 15
+    assert len(calls) == 15
+
+
+def test_close_ready_works_only_once_a_pane_can_close(monkeypatch):
+    """close_ready runs per row, but builds panes only when the watermark
+    has reached the next close instant, and then one closes."""
+    outcomes = []
+    close_grid = PaneStore._close_grid
+
+    def counting(self, wm_value):
+        out = close_grid(self, wm_value)
+        outcomes.append(len(out))
+        return out
+
+    monkeypatch.setattr(PaneStore, "_close_grid", counting)
+    window = WindowSpec("sliding", duration=5 * MIN, slide=MIN)
+    check = CheckDefinition(id="fare_mean", measure=MeasureSpec("mean", {"column": "fare"}),
+                            constraint=Threshold("<=", 10.0))
+    engine = MonitorEngine(SuiteState([check], SCHEMA, window),
+                           watermark_delay=timedelta(seconds=30))
+    rng = random.Random(2)
+    for seq in range(1200):
+        engine.process(elem(at(seq * 2 + rng.uniform(-20, 0)), seq, fare=1.0))
+    closed_before_flush = engine.stats.panes_closed
+    engine.finish()
+    assert closed_before_flush > 30
+    assert all(outcomes[:-1]) and len(outcomes) < 1200 / 10

@@ -32,7 +32,7 @@ from streamqc.model import (
 )
 from streamqc.monitor import SuiteState
 
-from helpers import at, elem, elems, values_win, win
+from helpers import assess, at, elem, elems, values_win, win
 
 ENV = EngineEnv()
 
@@ -612,7 +612,7 @@ def test_wrong_json_types_are_errors_or_build_never_crash(mid):
                 with pytest.raises(ValueError, match="invalid suite"):
                     _suite_of(mid, params)
             else:
-                records, _ = _suite_of(mid, params).on_window_close(pane)
+                records, _ = assess(_suite_of(mid, params), pane)
                 assert [r.check_id for r in records] == ["c"], (name, wrong)
 
 

@@ -39,7 +39,7 @@ from streamqc.monitor import (
 from streamqc.sketches import CardinalityEstimator
 from streamqc.windowing import PaneStore, Watermark
 
-from helpers import T0, at, count_order_walks, elem, elems, values_win, walks_of, win
+from helpers import T0, assess, at, count_order_walks, elem, elems, values_win, walks_of, win
 
 MIN = timedelta(minutes=1)
 
@@ -150,11 +150,11 @@ def test_simple_check_pass_fail():
     st = suite([mean_check()])
     ok_pane = pane([9.0, 9.5], at(0), at(60))
     bad_pane = pane([11.0, 12.0], at(60), at(120), seq0=2)
-    records, failing = st.on_window_close(ok_pane)
+    records, failing = assess(st, ok_pane)
     assert [r.check_id for r in records] == ["fare_mean"]
     assert records[0].ok is True and records[0].value == 9.25
     assert failing == {}
-    records, _ = st.on_window_close(bad_pane)
+    records, _ = assess(st, bad_pane)
     assert records[0].ok is False and records[0].value == 11.5
 
 
@@ -166,7 +166,7 @@ def test_range_and_predicate_constraints():
                         constraint=Predicate("value * 2 < 25")),
     ]
     st = suite(checks)
-    records, _ = st.on_window_close(pane([12.0, 12.4], at(0), at(60)))
+    records, _ = assess(st, pane([12.0, 12.4], at(0), at(60)))
     by_id = {r.check_id: r for r in records}
     assert by_id["fare_range"].ok is False
     assert by_id["fare_pred"].ok is True  # 24.4 < 25
@@ -178,7 +178,7 @@ def test_null_verdict_fail_and_skip():
         CheckDefinition(id="fare_mean_soft", measure=MeasureSpec("mean", {"column": "fare"}),
                         constraint=Threshold("<=", 10.0), null_verdict="skip"),
     ])
-    records, _ = st.on_window_close(pane([None, None], at(0), at(60)))
+    records, _ = assess(st, pane([None, None], at(0), at(60)))
     by_id = {r.check_id: r for r in records}
     assert by_id["fare_mean"].ok is False and by_id["fare_mean"].value is None
     soft = by_id["fare_mean_soft"]
@@ -195,7 +195,7 @@ def test_force_fail_overrides_satisfied_constraint():
     st = suite([check])
     w = win([elem(at(0), 0, zone="A"), elem(at(1), 1, zone="B")],
             start=at(0), end=at(60))
-    records, _ = st.on_window_close(w)
+    records, _ = assess(st, w)
     assert records[0].value == 1.0
     assert records[0].ok is False
     assert records[0].detail == {"proper_subset_violated": True}
@@ -215,7 +215,7 @@ def test_keyed_checks_emit_per_key_in_canonical_order():
         elem(at(2), 2, zone=None),  # Null key: dropped from keyed assessment
         elem(at(3), 3, zone="airport"),
     ], start=at(0), end=at(60))
-    records, _ = st.on_window_close(w)
+    records, _ = assess(st, w)
     assert [(r.key, r.value, r.ok) for r in records] == [
         ("airport", 2, True),
         ("uptown", 1, False),
@@ -233,11 +233,11 @@ def test_keyed_context_series_are_independent():
         return win([elem(start, seq0 + i, zone=z) for i, z in enumerate(zones)],
                    start=start, end=end)
 
-    r1, _ = st.on_window_close(zp(at(0), at(60), ["a", "a", "b"], 0))
+    r1, _ = assess(st, zp(at(0), at(60), ["a", "a", "b"], 0))
     assert all(r.ok and r.detail == {"warming": True} for r in r1)
-    r2, _ = st.on_window_close(zp(at(60), at(120), ["a", "a", "b"], 3))
+    r2, _ = assess(st, zp(at(60), at(120), ["a", "a", "b"], 3))
     assert all(r.ok and r.detail == {"warming": True} for r in r2)
-    r3, _ = st.on_window_close(zp(at(120), at(180), ["a", "b", "b"], 6))
+    r3, _ = assess(st, zp(at(120), at(180), ["a", "b", "b"], 6))
     by_key = {r.key: r for r in r3}
     # Context covers the prior pane only (horizon = one window).
     assert by_key["a"].ok is False  # 1 < mu_H 2 for a's own series
@@ -260,7 +260,7 @@ def test_context_warming_then_assessment():
     for i, v in enumerate(volumes):
         w = pane([1.0] * v, at(60 * i), at(60 * (i + 1)), seq0=seq)
         seq += v
-        records, _ = st.on_window_close(w)
+        records, _ = assess(st, w)
         out.append(records[0])
     # Panes 1..4 warm up (history spans < horizon at their starts).
     for r in out[:4]:
@@ -275,8 +275,8 @@ def test_window_never_sees_itself_in_context():
         constraint=Predicate("value = prev_value"),
         context=ContextSpec(horizon=MIN))
     st = suite([check])
-    st.on_window_close(pane([1.0, 2.0], at(0), at(60)))
-    records, _ = st.on_window_close(pane([3.0, 4.0], at(60), at(120), seq0=2))
+    assess(st, pane([1.0, 2.0], at(0), at(60)))
+    records, _ = assess(st, pane([3.0, 4.0], at(60), at(120), seq0=2))
     # prev_value is the prior pane's volume, not this pane's.
     assert records[0].ok is True and records[0].value == 2
 
@@ -289,7 +289,7 @@ def test_relative_volume_check_builder():
     for i, v in enumerate([4, 4, 4, 4, 1]):
         w = pane([1.0] * v, at(60 * i), at(60 * (i + 1)), seq0=seq)
         seq += v
-        records, _ = st.on_window_close(w)
+        records, _ = assess(st, w)
         results.append((records[0].ok, records[0].detail))
     # Warming until a start lies a full horizon past the first fold (11:03).
     assert results[:3] == [(True, {"warming": True})] * 3
@@ -317,16 +317,16 @@ def ref_check(key_expr="hour_of(window_start)"):
 
 def test_reference_hit_binds_row_columns():
     st = suite([ref_check()], references={"hourly": ref_table()})
-    records, _ = st.on_window_close(pane([9.0, 9.5], at(0), at(60)))
+    records, _ = assess(st, pane([9.0, 9.5], at(0), at(60)))
     assert records[0].ok is True
-    records, _ = st.on_window_close(pane([11.0, 12.0], at(60), at(120), seq0=2))
+    records, _ = assess(st, pane([11.0, 12.0], at(60), at(120), seq0=2))
     assert records[0].ok is False
 
 
 def test_reference_default_row_catches_unknown_keys():
     st = suite([ref_check()], references={"hourly": ref_table()})
     late = T0 + timedelta(hours=3)  # hour 14: no explicit row, "*" applies
-    records, _ = st.on_window_close(pane([50.0], late, late + MIN))
+    records, _ = assess(st, pane([50.0], late, late + MIN))
     assert records[0].ok is True  # 50 <= 99 from the default row
 
 
@@ -336,7 +336,7 @@ def test_reference_miss_fails_with_detail():
                            rows={canonical_bytes(11): {"hour": 11, "max_mean": 10.0}})
     st = suite([ref_check()], references={"hourly": table})
     late = T0 + timedelta(hours=3)
-    records, _ = st.on_window_close(pane([1.0], late, late + MIN))
+    records, _ = assess(st, pane([1.0], late, late + MIN))
     r = records[0]
     assert r.ok is False and r.value is None
     assert r.detail == {"reference_miss": 14}
@@ -358,7 +358,7 @@ def test_per_element_records_only_for_failures():
     w = win([elem(at(0), 0, fare=5.0), elem(at(1), 1, fare=-2.0),
              elem(at(2), 2, fare=None), elem(at(3), 3, fare=7.0)],
             start=at(0), end=at(60))
-    records, failing = st.on_window_close(w)
+    records, failing = assess(st, w)
     assert [r.detail.get("element_ref") if r.detail else None for r in records] == \
         [None, 1, 2]  # window record first, then failing elements by seq
     elem_records = records[1:]
@@ -371,7 +371,7 @@ def test_per_element_skip_nulls_when_lenient():
     st = suite([pe_check(null_verdict="skip")])
     w = win([elem(at(0), 0, fare=-1.0), elem(at(1), 1, fare=None)],
             start=at(0), end=at(60))
-    records, failing = st.on_window_close(w)
+    records, failing = assess(st, w)
     # The Null cell produces no element record under skip; -1.0 still does.
     refs = [r.detail["element_ref"] for r in records if r.detail]
     assert refs == [0]
@@ -385,7 +385,7 @@ def test_warming_suppresses_per_element_records():
         constraint=Predicate("value >= mu_H"), emit_per_element=True,
         context=ContextSpec(horizon=MIN))
     st = suite([check])
-    records, failing = st.on_window_close(pane([-5.0], at(0), at(60)))
+    records, failing = assess(st, pane([-5.0], at(0), at(60)))
     assert len(records) == 1 and records[0].detail == {"warming": True}
     assert failing == {}
 
@@ -397,7 +397,7 @@ def test_failing_element_collects_all_rejecting_checks():
         constraint=Threshold(">=", 1.0), emit_per_element=True)
     st = suite([pe_check(), second])
     w = win([elem(at(0), 0, fare=-1.0)], start=at(0), end=at(60))
-    _, failing = st.on_window_close(w)
+    _, failing = assess(st, w)
     assert failing[0][1] == ["fare_nonneg"]  # -1 is under the cap, over nothing
 
 
@@ -422,7 +422,7 @@ def test_dead_stream_alert_and_auto_recovery():
         pane([2.0], at(300), at(360), seq0=1),
     ]
     for w in panes:
-        records, _ = st.on_window_close(w)
+        records, _ = assess(st, w)
         outs.append([r for r in records if r.check_id == "_dead_stream"])
     assert outs[0] == [] and outs[1] == [] and outs[2] == []
     alert = outs[3][0]  # silence spans [11:01, 11:04) = 3 minutes: alert fires
@@ -437,8 +437,8 @@ def test_dead_stream_alert_and_auto_recovery():
 def test_dead_stream_manual_restart_skips_recovery():
     st = suite([mean_check()],
                detectors=DetectorSpecs(dead=DeadStreamSpec(threshold=MIN, restart="manual")))
-    st.on_window_close(empty_pane(at(0), at(60)))
-    records, _ = st.on_window_close(pane([1.0], at(60), at(120)))
+    assess(st, empty_pane(at(0), at(60)))
+    records, _ = assess(st, pane([1.0], at(60), at(120)))
     assert [r for r in records if r.check_id == "_dead_stream"] == []
 
 
@@ -447,7 +447,7 @@ def test_frozen_column_alert_recovery_and_null_skip():
                detectors=DetectorSpecs(frozen=(FrozenColumnSpec("fare", windows=3),)))
 
     def frozen_records(w):
-        records, _ = st.on_window_close(w)
+        records, _ = assess(st, w)
         return [r for r in records if r.check_id == "_frozen_stream.fare"]
 
     assert frozen_records(pane([5.0, 5.0], at(0), at(60))) == []
@@ -466,9 +466,9 @@ def test_frozen_column_alert_recovery_and_null_skip():
 def test_frozen_streak_resets_on_distinct_values():
     st = suite([mean_check()],
                detectors=DetectorSpecs(frozen=(FrozenColumnSpec("fare", windows=2),)))
-    st.on_window_close(pane([5.0], at(0), at(60)))
-    st.on_window_close(pane([5.0, 6.0], at(60), at(120), seq0=1))
-    records, _ = st.on_window_close(pane([5.0], at(120), at(180), seq0=3))
+    assess(st, pane([5.0], at(0), at(60)))
+    assess(st, pane([5.0, 6.0], at(60), at(120), seq0=1))
+    records, _ = assess(st, pane([5.0], at(120), at(180), seq0=3))
     assert [r for r in records if r.check_id.startswith("_frozen")] == []
 
 
@@ -481,8 +481,8 @@ def test_frozen_detector_keyed_by_sensor():
         return win([elem(start, seq0 + i, fare=f, zone=z)
                     for i, (z, f) in enumerate(rows)], start=start, end=end)
 
-    st.on_window_close(zp(at(0), at(60), [("a", 1.0), ("b", 1.0)], 0))
-    records, _ = st.on_window_close(zp(at(60), at(120), [("a", 1.0), ("b", 2.0)], 2))
+    assess(st, zp(at(0), at(60), [("a", 1.0), ("b", 1.0)], 0))
+    records, _ = assess(st, zp(at(60), at(120), [("a", 1.0), ("b", 2.0)], 2))
     frozen = [r for r in records if r.check_id == "_frozen_stream.fare"]
     assert [(r.key, r.ok) for r in frozen] == [("a", False)]
 
@@ -767,8 +767,8 @@ def test_sliced_panes_assess_like_whole_panes():
     panes.extend(store.flush())
     assert sum(1 for p in panes if p.parts is not None and len(p.parts) == 5) > 10
     for p in panes:
-        got, _ = sliced.on_window_close(p, watermark=wm.value)
-        want, _ = whole.on_window_close(replace(p, parts=None), watermark=wm.value)
+        got, _ = assess(sliced, p, watermark=wm.value)
+        want, _ = assess(whole, replace(p, parts=None), watermark=wm.value)
         assert [r.to_json_line() for r in got] == [r.to_json_line() for r in want]
 
 
@@ -792,7 +792,7 @@ def test_key_sub_slices_are_walked_once(monkeypatch):
         panes.extend(store.close_ready(wm.value))
     panes.extend(store.flush())
     for p in panes:
-        st.on_window_close(p, watermark=wm.value)
+        assess(st, p, watermark=wm.value)
     subs = [sub for p in panes for part in p.parts or ()
             for _, sub in part.memo[("partition", "zone")].values()]
     assert len({id(sub) for sub in subs}) * 4 < len(subs)  # shared by panes and checks
