@@ -13,26 +13,32 @@ Grammar (precedence low to high):
                | IDENT "(" args ")" | IDENT | "(" or_expr ")"
 
 Comparisons are non-associative: "a < b < c" is a parse error. Strings are
-single-quoted with '' escaping a quote. Identifiers name stream fields unless
-they match a builtin or a binding supplied at evaluation time (bindings win).
+single-quoted with '' escaping a quote. An identifier followed by "(" names a
+builtin; any other identifier is a name looked up when the expression is
+evaluated.
 
-Evaluation is total and three-valued: Null absorbs through strict operators,
-and/or/not follow Kleene logic, division by zero yields Null, and type
-confusion yields Null rather than an error.
+A parsed expression is compiled once (compile) into nested closures, a
+function of one name table: an element's attributes for `conforms`, the
+measured value and its bindings for a constraint predicate, or the window
+bounds for a reference key. A name the table lacks is Null. Evaluation is
+total and three-valued: Null absorbs through strict operators, and/or/not
+follow Kleene logic, and division by zero, type confusion and a NaN result
+yield Null rather than an error.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
 from datetime import datetime
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterator, Mapping
 
-from .model import StreamElement, Value, threshold_holds
+from .model import Value, comparator
 
 __all__ = [
     "ExpressionError", "Expr", "Literal", "Name", "Unary", "Binary", "Call",
-    "parse", "to_text", "evaluate", "BUILTINS",
+    "parse", "to_text", "compile", "BUILTINS",
 ]
 
 
@@ -52,10 +58,6 @@ class ExpressionError(ValueError):
 
 class Expr:
     """Base class for expression nodes."""
-
-    def evaluate(self, element: StreamElement | None,
-                 bindings: dict[str, Value] | None = None) -> Value:
-        return evaluate(self, element, bindings)
 
     def free_names(self) -> set[str]:
         """Identifiers that resolve to fields or bindings (builtins excluded)."""
@@ -182,19 +184,44 @@ def _tokenize(source: str) -> Iterator[_Token]:
 
 _RE_BACKREF = re.compile(r"\\[1-9]|\(\?P=")
 
-# name -> arity
-BUILTINS: dict[str, int] = {
-    "is_null": 1,
-    "length": 1,
-    "matches": 2,
-    "abs": 1,
-    "min": 2,
-    "max": 2,
-    "hour_of": 1,
-    "non_empty": 1,
-    "positive": 1,
-    "coords_valid": 2,
+
+def _is_num(v: Value) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _min_max(pick: Callable[[Any, Any], Any]) -> Callable[[Value, Value], Value]:
+    # Numbers widen; timestamps pick among timestamps.
+    def choose(a: Value, b: Value) -> Value:
+        if _is_num(a) and _is_num(b) or isinstance(a, datetime) and isinstance(b, datetime):
+            return pick(a, b)
+        return None
+    return choose
+
+
+def _coords_valid(lat: Value, lon: Value) -> bool | None:
+    if not (_is_num(lat) and _is_num(lon)):
+        return None
+    return -90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0
+
+
+# name -> (arity, function of the argument values). matches() receives its
+# pattern compiled at parse time in place of the pattern text.
+_BUILTINS: dict[str, tuple[int, Callable[..., Value]]] = {
+    "is_null": (1, lambda v: v is None),
+    "length": (1, lambda v: len(v) if isinstance(v, str) else None),
+    "matches": (2, lambda v, pattern: (pattern.fullmatch(v) is not None
+                                       if isinstance(v, str) else None)),
+    "abs": (1, lambda v: abs(v) if _is_num(v) else None),
+    "min": (2, _min_max(min)),
+    "max": (2, _min_max(max)),
+    "hour_of": (1, lambda v: v.hour if isinstance(v, datetime) else None),
+    "non_empty": (1, lambda v: False if v is None else len(v) > 0 if isinstance(v, str) else None),
+    "positive": (1, lambda v: v > 0 if _is_num(v) else None),
+    "coords_valid": (2, _coords_valid),
 }
+
+# name -> arity
+BUILTINS: dict[str, int] = {name: arity for name, (arity, _) in _BUILTINS.items()}
 
 
 def _compile_pattern(text: str, offset: int) -> re.Pattern:
@@ -411,133 +438,83 @@ def to_text(node: Expr) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
+# Compilation
 
-_NUM = (int, float)
+Names = Mapping[str, Value]
+Compiled = Callable[[Names], Value]
 
-
-def _is_num(v: Value) -> bool:
-    return isinstance(v, _NUM) and not isinstance(v, bool)
-
-
-def _kleene_and(a: Value, b_thunk: Callable[[], Value]) -> Value:
-    a = _as_bool(a)
-    if a is False:
-        return False
-    b = _as_bool(b_thunk())
-    if b is False:
-        return False
-    if a is None or b is None:
-        return None
-    return True
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
-def _kleene_or(a: Value, b_thunk: Callable[[], Value]) -> Value:
-    a = _as_bool(a)
-    if a is True:
-        return True
-    b = _as_bool(b_thunk())
-    if b is True:
-        return True
-    if a is None or b is None:
-        return None
-    return False
+def compile(node: Expr) -> Compiled:
+    """The expression as nested closures over one name table, built once.
 
-
-def _as_bool(v: Value) -> bool | None:
-    # Non-boolean operands of logic operators absorb to Null.
-    if isinstance(v, bool):
-        return v
-    return None
-
-
-def evaluate(node: Expr, element: StreamElement | None,
-             bindings: dict[str, Value] | None = None) -> Value:
-    """Evaluate an expression; total over the value domain, never raises.
-
-    Name resolution order: bindings, then element attributes, then Null.
+    Operators and builtins are resolved here, so evaluating is a call per
+    node and no dispatch. It never raises, and its arithmetic and builtins
+    never return NaN.
     """
     if isinstance(node, Literal):
-        return node.value
+        value = node.value
+        return lambda names: value
     if isinstance(node, Name):
-        if bindings is not None and node.ident in bindings:
-            return bindings[node.ident]
-        if element is not None:
-            return element.attrs.get(node.ident)
-        return None
-    if isinstance(node, Unary):
-        if node.op == "not":
-            v = _as_bool(evaluate(node.operand, element, bindings))
-            return None if v is None else not v
-        v = evaluate(node.operand, element, bindings)
-        return -v if _is_num(v) else None
-    if isinstance(node, Binary):
-        op = node.op
-        if op == "and":
-            return _kleene_and(evaluate(node.left, element, bindings),
-                               lambda: evaluate(node.right, element, bindings))
-        if op == "or":
-            return _kleene_or(evaluate(node.left, element, bindings),
-                              lambda: evaluate(node.right, element, bindings))
-        left = evaluate(node.left, element, bindings)
-        right = evaluate(node.right, element, bindings)
-        if op in ("<", "<=", "=", "!=", ">=", ">"):
-            return threshold_holds(left, op, right)
-        return _arith(op, left, right)
+        ident = node.ident
+        return lambda names: names.get(ident)
     if isinstance(node, Call):
-        return _call(node, element, bindings)
-    return None
+        return _call(node)
+    if isinstance(node, Unary):
+        operand = compile(node.operand)
+        if node.op == "not":
+            # Non-boolean operands of logic operators absorb to Null.
+            return lambda names: not v if (v := operand(names)) is True or v is False else None
+        return lambda names: -v if _is_num(v := operand(names)) else None
+    if not isinstance(node, Binary):
+        raise TypeError(f"not an expression node: {node!r}")
+    left, right = compile(node.left), compile(node.right)
+    if node.op in _ARITH:
+        return _arith(_ARITH[node.op], left, right)
+    if node.op not in ("and", "or"):
+        compare = comparator(node.op)
+        return lambda names: compare(left(names), right(names))
+    # Kleene logic: the deciding value (False for and, True for or) wins,
+    # then Null; the right side is skipped when the left decides.
+    decides = node.op == "or"
+    other = not decides
+
+    def logic(names: Names) -> Value:
+        a = left(names)
+        if a is decides:
+            return decides
+        b = right(names)
+        if b is decides:
+            return decides
+        return other if a is other and b is other else None
+    return logic
 
 
-def _arith(op: str, left: Value, right: Value) -> Value:
-    if not (_is_num(left) and _is_num(right)):
-        return None
-    try:
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        if right == 0:
-            return None
-        return left / right
-    except OverflowError:
-        return None
-
-
-def _call(node: Call, element: StreamElement | None,
-          bindings: dict[str, Value] | None) -> Value:
-    args = [evaluate(a, element, bindings) for a in node.args]
-    name = node.name
-    if name == "is_null":
-        return args[0] is None
-    if name == "length":
-        return len(args[0]) if isinstance(args[0], str) else None
-    if name == "matches":
-        if not isinstance(args[0], str):
-            return None
-        return node.pattern.fullmatch(args[0]) is not None
-    if name == "abs":
-        return abs(args[0]) if _is_num(args[0]) else None
-    if name in ("min", "max"):
-        a, b = args
+def _arith(apply: Callable[[Any, Any], Any], left: Compiled, right: Compiled) -> Compiled:
+    # Division by zero, overflow and a NaN result (inf - inf, inf * 0) are Null.
+    def arithmetic(names: Names) -> Value:
+        a = left(names)
+        b = right(names)
         if not (_is_num(a) and _is_num(b)):
-            if isinstance(a, datetime) and isinstance(b, datetime):
-                return (min if name == "min" else max)(a, b)
             return None
-        return (min if name == "min" else max)(a, b)
-    if name == "hour_of":
-        return args[0].hour if isinstance(args[0], datetime) else None
-    if name == "non_empty":
-        if args[0] is None:
-            return False
-        return len(args[0]) > 0 if isinstance(args[0], str) else None
-    if name == "positive":
-        return args[0] > 0 if _is_num(args[0]) else None
-    if name == "coords_valid":
-        lat, lon = args
-        if not (_is_num(lat) and _is_num(lon)):
+        try:
+            r = apply(a, b)
+        except ArithmeticError:
             return None
-        return -90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0
-    return None
+        return None if r != r else r
+    return arithmetic
+
+
+def _call(node: Call) -> Compiled:
+    # A NaN result (min or max of a NaN) is Null.
+    function = _BUILTINS[node.name][1]
+    args = [compile(arg) for arg in node.args]
+    if node.pattern is not None:
+        pattern = node.pattern
+        args[1] = lambda names: pattern
+    if len(args) == 1:
+        (only,) = args
+        return lambda names: None if (r := function(only(names))) != r else r
+    first, second = args
+    return lambda names: None if (r := function(first(names), second(names))) != r else r

@@ -47,10 +47,11 @@ from .model import (
     ValueRange,
     WindowInstance,
     canonical_bytes,
-    compare_verdict,
+    constraint_verdict,
     parse_ts,
     value_from_json,
     value_to_json,
+    value_test,
     value_type,
     values_equal,
 )
@@ -310,19 +311,42 @@ def _numbers(elements: Sequence[StreamElement], column: str) -> list[float | int
     return out
 
 
-def _mean_std(xs: list) -> tuple[float, float]:
-    """Population mean and standard deviation, two-pass with exact summation.
+def _fsum(xs: list) -> float:
+    """math.fsum made total: NaN when the values hold both infinities, and
+    the float sum in order when an exact partial sum leaves the float range."""
+    try:
+        return math.fsum(xs)
+    except ValueError:
+        return math.nan
+    except OverflowError:
+        return sum(xs, 0.0)
+
+
+def _mean(xs: list) -> float | None:
+    mean = _fsum(xs) / len(xs)
+    return None if mean != mean else mean
+
+
+def mean_std(xs: list) -> tuple[Value, Value]:
+    """Population mean and standard deviation, two-pass with exact summation;
+    each is Null where it is undefined (a NaN), and the deviation is Null
+    when the mean is infinite.
 
     math.fsum makes the result independent of input order bit for bit.
     """
-    n = len(xs)
-    mean = math.fsum(xs) / n
-    var = math.fsum((x - mean) ** 2 for x in xs) / n
+    mean = _mean(xs)
+    if mean is None or not math.isfinite(mean):
+        return mean, None
+    try:
+        var = _fsum([(x - mean) ** 2 for x in xs]) / len(xs)
+    except OverflowError:  # a deviation squared leaves the float range
+        var = math.inf
     return mean, math.sqrt(var if var > 0.0 else 0.0)
 
 
-def percentile(sorted_values: list, q: float) -> float:
-    """Linear-interpolation percentile (h = (n-1)q) over a sorted list."""
+def percentile(sorted_values: list, q: float) -> float | None:
+    """Linear-interpolation percentile (h = (n-1)q) over a sorted list; Null
+    where it is undefined (between -inf and inf)."""
     n = len(sorted_values)
     if n == 1:
         return float(sorted_values[0])
@@ -331,7 +355,8 @@ def percentile(sorted_values: list, q: float) -> float:
     frac = h - lo
     if frac == 0.0:
         return float(sorted_values[lo])
-    return float(sorted_values[lo]) + frac * (float(sorted_values[lo + 1]) - float(sorted_values[lo]))
+    p = float(sorted_values[lo]) + frac * (float(sorted_values[lo + 1]) - float(sorted_values[lo]))
+    return None if p != p else p
 
 
 def _per_pane(apply: Callable[[dict, WindowInstance, EngineEnv], MeasureResult]):
@@ -418,9 +443,9 @@ def _apply_z_outliers(params, window, env):
     numbers = _numbers(window.elements, params["column"])
     if not numbers:
         return MeasureResult(0)
-    mean, std = _mean_std(numbers)
-    if std == 0.0:
-        return MeasureResult(0)
+    mean, std = mean_std(numbers)
+    if not std:  # no z-scores around an undefined (Null) or zero spread
+        return MeasureResult(None if std is None else 0)
     cut = params["z"] * std
     return MeasureResult(sum(1 for x in numbers if abs(x - mean) > cut))
 
@@ -573,7 +598,7 @@ def _apply_length_stats(params, window, env):
         return MeasureResult(min(lengths))
     if stat == "max":
         return MeasureResult(max(lengths))
-    mean, std = _mean_std(lengths)
+    mean, std = mean_std(lengths)
     return MeasureResult(mean if stat == "mean" else std)
 
 
@@ -593,14 +618,18 @@ def _ranks(xs: list[float]) -> list[float]:
 
 
 def _pearson(xs: list[float], ys: list[float]) -> float | None:
-    mx = math.fsum(xs) / len(xs)
-    my = math.fsum(ys) / len(ys)
-    vx = math.fsum((x - mx) ** 2 for x in xs)
-    vy = math.fsum((y - my) ** 2 for y in ys)
+    """Null when undefined: a zero or overflowing spread, or a NaN result."""
+    mx = _fsum(xs) / len(xs)
+    my = _fsum(ys) / len(ys)
+    try:
+        vx = _fsum([(x - mx) ** 2 for x in xs])
+        vy = _fsum([(y - my) ** 2 for y in ys])
+    except OverflowError:
+        return None
     if vx == 0.0 or vy == 0.0:
         return None
-    cov = math.fsum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    return cov / math.sqrt(vx * vy)
+    r = _fsum([(x - mx) * (y - my) for x, y in zip(xs, ys)]) / math.sqrt(vx * vy)
+    return None if r != r else r
 
 
 def _apply_correlation(params, window, env):
@@ -883,12 +912,8 @@ def _value_range(params) -> ValueRange:
 
 def _range_checker(params, env) -> ElemChecker:
     column = params["column"]
-    bounds = _value_range(params)
-
-    def check(e: StreamElement) -> bool | None:
-        return compare_verdict(e.attrs.get(column), bounds)
-
-    return check
+    within = value_test(_value_range(params))
+    return lambda e: within(e.attrs.get(column))
 
 
 def _in_set_checker(params, env) -> ElemChecker:
@@ -936,15 +961,10 @@ def _pattern_checker(params, env) -> ElemChecker:
 
 
 def _conforms_checker(params, env) -> ElemChecker:
-    expr = params["expression"]
-
-    def check(e: StreamElement) -> bool | None:
-        verdict = expr.evaluate(e)
-        if isinstance(verdict, bool):
-            return verdict
-        return None
-
-    return check
+    """The expression compiled once, over each element's attributes; a
+    result that is not a boolean is a Null verdict."""
+    holds = constraint_verdict(expression.compile(params["expression"]))
+    return lambda e: holds(e.attrs)
 
 
 # ---------------------------------------------------------------------------
@@ -991,10 +1011,10 @@ _register(MeasureDef("count", {"column": _ANY_COLUMN}, _per_pane(_apply_count), 
 _register(MeasureDef("min", {"column": _ORDERED_COLUMN}, _per_pane(_apply_min), _column_type))
 _register(MeasureDef("max", {"column": _ORDERED_COLUMN}, _per_pane(_apply_max), _column_type))
 _register(MeasureDef("mean", {"column": _NUMERIC_COLUMN},
-                     _merged("numbers", _numbers_stat(lambda xs: math.fsum(xs) / len(xs))),
+                     _merged("numbers", _numbers_stat(_mean)),
                      _static_type("float")))
 _register(MeasureDef("std", {"column": _NUMERIC_COLUMN},
-                     _merged("numbers", _numbers_stat(lambda xs: _mean_std(xs)[1])),
+                     _merged("numbers", _numbers_stat(lambda xs: mean_std(xs)[1])),
                      _static_type("float")))
 _register(MeasureDef("z_outlier_count",
                      {"column": _NUMERIC_COLUMN,

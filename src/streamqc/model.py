@@ -9,14 +9,12 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import re
 import struct
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
-from typing import TYPE_CHECKING, Any, Literal
-
-if TYPE_CHECKING:
-    from .expression import Expr
+from typing import Any, Callable, Literal
 
 # The value domain: Null, Bool, Int (64-bit by convention), Float (IEEE 754),
 # Text (unicode), Timestamp (tz-aware UTC datetime, millisecond precision).
@@ -464,9 +462,10 @@ class ValueRange:
     hi_inclusive: bool = True
 
     def __post_init__(self) -> None:
-        if _ordered_cmp(self.lo, self.hi) is None:
+        ordered = comparator("<=")(self.lo, self.hi)
+        if ordered is None:
             raise ModelError("range endpoints must be comparable (numeric or timestamp)")
-        if _ordered_cmp(self.lo, self.hi) == 1:
+        if not ordered:
             raise ModelError("range requires lo <= hi")
 
 
@@ -474,8 +473,9 @@ class ValueRange:
 class Predicate:
     """A boolean expression over the measured value and context bindings.
 
-    text is the source; a suite parses it once, when it is built, and
-    evaluates the parsed form (see compare_verdict).
+    text is the source. A suite parses and compiles it once, when it is
+    built, into a function of one name table: `value`, and the check's
+    context and reference bindings (see constraint_verdict).
     """
 
     text: str
@@ -547,20 +547,7 @@ class CheckDefinition:
 
 _NUMERIC = (int, float)
 
-
-def _ordered_cmp(a: Value, b: Value) -> int | None:
-    """Three-way compare for ordered types; None when the pair has no order.
-
-    Int and Float widen to a common numeric compare; timestamps compare with
-    timestamps. Text and Bool support only equality, handled by the caller.
-    """
-    if isinstance(a, bool) or isinstance(b, bool):
-        return None
-    if isinstance(a, _NUMERIC) and isinstance(b, _NUMERIC):
-        return (a > b) - (a < b)
-    if isinstance(a, datetime) and isinstance(b, datetime):
-        return (a > b) - (a < b)
-    return None
+_ORDERINGS = {"<": operator.lt, "<=": operator.le, ">=": operator.ge, ">": operator.gt}
 
 
 def values_equal(a: Value, b: Value) -> bool | None:
@@ -580,49 +567,67 @@ def values_equal(a: Value, b: Value) -> bool | None:
     return None
 
 
-def threshold_holds(value: Value, op: str, bound: Value) -> bool | None:
-    """Apply one comparison operator; Null or an unordered pair yields None."""
-    if value is None or bound is None:
-        return None
-    if op in ("=", "!="):
-        eq = values_equal(value, bound)
-        if eq is None:
+def comparator(op: str) -> Callable[[Value, Value], bool | None]:
+    """The comparison `a op b` as a function of two values, its operator
+    resolved once. Int and Float widen to one numeric order, timestamps
+    order with timestamps, and Text and Bool support only = and !=. A Null
+    operand or a pair the operator does not apply to yields None."""
+    if op == "=":
+        return values_equal
+    if op == "!=":
+        return lambda a, b: None if (eq := values_equal(a, b)) is None else not eq
+    holds = _ORDERINGS.get(op)
+    if holds is None:
+        raise ModelError(f"unknown comparison operator {op!r}")
+
+    def ordered(a: Value, b: Value) -> bool | None:
+        if isinstance(a, bool) or isinstance(b, bool):
             return None
-        return eq if op == "=" else not eq
-    cmp = _ordered_cmp(value, bound)
-    if cmp is None:
+        if (isinstance(a, _NUMERIC) and isinstance(b, _NUMERIC)
+                or isinstance(a, datetime) and isinstance(b, datetime)):
+            return holds(a, b)
         return None
-    return {"<": cmp < 0, "<=": cmp <= 0, ">=": cmp >= 0, ">": cmp > 0}[op]
+    return ordered
 
 
-def compare_verdict(value: Value, constraint: Threshold | ValueRange | Expr,
-                    bindings: dict[str, Value] | None = None) -> bool | None:
-    """Evaluate a constraint against a measured value.
-
-    A predicate is given in its parsed form, an expression over `value` and
-    the bindings. Returns True/False, or None for a Null verdict (Null
-    inputs, type confusion, or a predicate that evaluates to Null). Callers
-    decide what a Null verdict means (strict fail vs lenient skip).
-    """
+def value_test(constraint: Threshold | ValueRange) -> Callable[[Value], bool | None]:
+    """A Threshold or ValueRange as a test of one value, its comparisons
+    resolved once. A range holds when both of its ends hold."""
     if isinstance(constraint, Threshold):
-        return threshold_holds(value, constraint.op, constraint.bound)
-    if isinstance(constraint, ValueRange):
-        lo_op = ">=" if constraint.lo_inclusive else ">"
-        hi_op = "<=" if constraint.hi_inclusive else "<"
-        lo = threshold_holds(value, lo_op, constraint.lo)
-        hi = threshold_holds(value, hi_op, constraint.hi)
-        if lo is False or hi is False:
-            return False
-        if lo is None or hi is None:
-            return None
-        return True
-    if not hasattr(constraint, "evaluate"):
+        holds, bound = comparator(constraint.op), constraint.bound
+        return lambda v: holds(v, bound)
+    above = comparator(">=" if constraint.lo_inclusive else ">")
+    below = comparator("<=" if constraint.hi_inclusive else "<")
+    lo, hi = constraint.lo, constraint.hi
+
+    def within(v: Value) -> bool | None:
+        # lo and hi order with each other, so v orders with both or neither.
+        low = above(v, lo)
+        return below(v, hi) if low is True else low
+    return within
+
+
+def constraint_verdict(constraint: Threshold | ValueRange | Callable[[dict[str, Value]], Value]
+                       ) -> Callable[[dict[str, Value]], bool | None]:
+    """A constraint as one verdict function of a name table that holds the
+    measured `value` and the check's bindings.
+
+    A Threshold or ValueRange tests `value`. A predicate is given compiled
+    (expression.compile), and a result that is not a boolean is a Null
+    verdict. Returns True/False, or None for a Null verdict (Null inputs,
+    type confusion, or a Null predicate); callers decide what a Null verdict
+    means (strict fail vs lenient skip).
+    """
+    if isinstance(constraint, (Threshold, ValueRange)):
+        test = value_test(constraint)
+        return lambda names: test(names["value"])
+    if not callable(constraint):
         raise ModelError(f"unknown constraint {constraint!r}")
-    merged = {"value": value}
-    if bindings:
-        merged.update(bindings)
-    result = constraint.evaluate(None, merged)
-    return result if isinstance(result, bool) else None
+
+    def verdict(names: dict[str, Value]) -> bool | None:
+        result = constraint(names)
+        return result if result is True or result is False else None
+    return verdict
 
 
 # ---------------------------------------------------------------------------

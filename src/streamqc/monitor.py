@@ -11,7 +11,6 @@ reserved "_" check-id prefix.
 from __future__ import annotations
 
 import heapq
-import math
 from collections import deque
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timedelta
@@ -28,6 +27,7 @@ from .measures import (
     apply_measure,
     compile_measure,
     elem_checker_for,
+    mean_std,
     parse_measure,
 )
 from .model import (
@@ -45,7 +45,7 @@ from .model import (
     WindowInstance,
     WindowSpec,
     canonical_bytes,
-    compare_verdict,
+    constraint_verdict,
     format_ts,
     meta_line_prefix,
     schema_types,
@@ -138,12 +138,7 @@ class ContextState:
             v = entry.value
             if v is not None and not isinstance(v, bool) and isinstance(v, (int, float)):
                 numbers.append(v)
-        mu: Value = None
-        sigma: Value = None
-        if numbers:
-            mu = math.fsum(numbers) / len(numbers)
-            var = math.fsum((x - mu) ** 2 for x in numbers) / len(numbers)
-            sigma = math.sqrt(var if var > 0.0 else 0.0)
+        mu, sigma = mean_std(numbers) if numbers else (None, None)
         return {
             "mu_H": mu,
             "sigma_H": sigma,
@@ -250,7 +245,8 @@ class _FrozenDetector:
 # ---------------------------------------------------------------------------
 # Suite validation
 
-_BINDING_NAMES = ("mu_H", "sigma_H", "count_H", "prev_value")
+# A constraint's verdict from the pane's name table: value and bindings.
+Verdict = Callable[[dict[str, Value]], bool | None]
 
 
 class InvalidSuite(ValueError):
@@ -264,14 +260,14 @@ class InvalidSuite(ValueError):
 def _check_suite(checks: Iterable[CheckDefinition], schema: Iterable[ColumnSpec],
                  window_spec: WindowSpec, references: dict[str, ReferenceTable],
                  detectors: DetectorSpecs | None, has_secondary: bool
-                 ) -> tuple[list[str], list[tuple[ParsedMeasure | None, Any,
-                                                  expression.Expr | None]]]:
-    """Every problem in the suite, and each check's parsed measure, and its
-    constraint and reference key ready to evaluate (predicate texts parsed),
-    in check order."""
+                 ) -> tuple[list[str], list[tuple[ParsedMeasure | None, Verdict | None,
+                                                  expression.Compiled | None]]]:
+    """Every problem in the suite, and each check's parsed measure, its
+    constraint's verdict function and its compiled reference key, in check
+    order."""
     columns = schema_types(list(schema))
     errors: list[str] = []
-    compiled: list[tuple[ParsedMeasure | None, Any, expression.Expr | None]] = []
+    compiled = []
     seen_ids: set[str] = set()
     for check in checks:
         prefix = f"check {check.id!r}: "
@@ -304,8 +300,8 @@ def _check_suite(checks: Iterable[CheckDefinition], schema: Iterable[ColumnSpec]
                 errors.append(f"{prefix}unknown reference table {check.reference.table!r}")
             else:
                 allowed_bindings.update(f"ref_{c}" for c in table.columns)
-            reference_key = _parse(check.reference.key_expr, {"window_start", "window_end"},
-                                   errors, f"{prefix}reference key expression: ")
+            reference_key = _compile(check.reference.key_expr, {"window_start", "window_end"},
+                                     errors, f"{prefix}reference key expression: ")
         constraint = _compile_constraint(check, measure, columns, allowed_bindings,
                                          errors, prefix)
         compiled.append((measure, constraint, reference_key))
@@ -327,8 +323,9 @@ def _check_suite(checks: Iterable[CheckDefinition], schema: Iterable[ColumnSpec]
     return errors, compiled
 
 
-def _parse(text: str, allowed: set[str], errors: list[str],
-           prefix: str) -> expression.Expr | None:
+def _compile(text: str, allowed: set[str], errors: list[str],
+             prefix: str) -> expression.Compiled | None:
+    """The text parsed, its names checked against allowed, and compiled."""
     try:
         expr = expression.parse(text)
     except expression.ExpressionError as exc:
@@ -339,19 +336,20 @@ def _parse(text: str, allowed: set[str], errors: list[str],
         errors.append(prefix + f"unknown names {sorted(unknown)} "
                                f"(allowed: {sorted(allowed)})")
         return None
-    return expr
+    return expression.compile(expr)
 
 
 def _compile_constraint(check: CheckDefinition, measure: ParsedMeasure | None,
                         columns: dict[str, str], allowed_bindings: set[str],
-                        errors: list[str], prefix: str):
-    """The check's constraint ready to evaluate: a Threshold or ValueRange as
-    is, a Predicate parsed. Problems are appended to errors; a bound is
+                        errors: list[str], prefix: str) -> Verdict | None:
+    """The check's constraint as one verdict function (constraint_verdict),
+    a Predicate compiled. Problems are appended to errors; a bound is
     type-checked only against a measure that parsed."""
     constraint = check.constraint
     if isinstance(constraint, Predicate):
-        return _parse(constraint.text, allowed_bindings, errors,
-                      f"{prefix}constraint predicate: ")
+        predicate = _compile(constraint.text, allowed_bindings, errors,
+                             f"{prefix}constraint predicate: ")
+        return None if predicate is None else constraint_verdict(predicate)
     result_type = (measure.definition.result_type(measure.params, columns)
                    if measure is not None else None)
     if isinstance(constraint, Threshold):
@@ -368,7 +366,8 @@ def _compile_constraint(check: CheckDefinition, measure: ParsedMeasure | None,
                                   f"measure result type {result_type}")
     else:
         errors.append(f"{prefix}unknown constraint type {type(constraint).__name__}")
-    return constraint
+        return None
+    return constraint_verdict(constraint)
 
 
 def _comparable(result_type: str, bound_type: str, op: str) -> bool:
@@ -389,13 +388,14 @@ def _comparable(result_type: str, bound_type: str, op: str) -> bool:
 @dataclass(frozen=True)
 class CheckPlan:
     """One check compiled when its suite is built; panes only read it.
-    A Predicate constraint and the reference key are held parsed. A measure
-    with a per-element form holds its checker and returns its verdicts."""
+    The constraint is one verdict function of the pane's name table (value
+    and bindings) and the reference key a compiled expression of the window
+    bounds. A measure with a per-element form returns its verdicts."""
 
     check: CheckDefinition
     measure: MeasureRun
-    constraint: Threshold | ValueRange | expression.Expr
-    reference_key: expression.Expr | None
+    verdict: Verdict
+    reference_key: expression.Compiled | None
 
 
 class SuiteState:
@@ -421,9 +421,9 @@ class SuiteState:
         self.secondary = secondary
         env = EngineEnv(hash_seed=hash_seed, secondary=secondary)
         self.plans: list[CheckPlan] = []
-        for check, (measure, constraint, reference_key) in zip(checks, compiled):
+        for check, (measure, verdict, reference_key) in zip(checks, compiled):
             run = compile_measure(measure, env, elem_checker_for(measure, env))
-            self.plans.append(CheckPlan(check, run, constraint, reference_key))
+            self.plans.append(CheckPlan(check, run, verdict, reference_key))
         self._contexts: dict[tuple[str, bytes], ContextState] = {}
         detectors = detectors or DetectorSpecs()
         self._dead = _DeadDetector(detectors.dead) if detectors.dead else None
@@ -513,8 +513,7 @@ class SuiteState:
         ref_key: Value = None
         if check.reference is not None:
             table = self.references[check.reference.table]
-            ref_key = plan.reference_key.evaluate(
-                None, {"window_start": sub.start, "window_end": sub.end})
+            ref_key = plan.reference_key({"window_start": sub.start, "window_end": sub.end})
             row = table.lookup(ref_key)
             if row is None:
                 ref_miss = True
@@ -541,7 +540,8 @@ class SuiteState:
                                               result.value, True, detail)))
             return
 
-        verdict = compare_verdict(result.value, plan.constraint, bindings)
+        bindings["value"] = result.value
+        verdict = plan.verdict(bindings)
         if verdict is None:
             if check.null_verdict == "skip":
                 detail["skipped_null"] = True

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timedelta
 from enum import Enum
 from itertools import chain
@@ -104,13 +104,13 @@ def assign_sliding(t: datetime, spec: WindowSpec) -> list[tuple[datetime, dateti
     return out
 
 
-@dataclass
+@dataclass(eq=False)
 class _Session:
     key: Value
     min_t: datetime
     max_t: datetime
     elements: list[StreamElement]
-    token: int  # invalidated on merge/extension for lazy heap entries
+    merged: bool = False  # bridged into another session; its heap entry is dead
 
 
 _UNKEYED = canonical_bytes(None)
@@ -138,10 +138,10 @@ class PaneStore:
         self._max_start: datetime | None = None
         self._cursor: datetime | None = None
         self._sorted_to: datetime = TS_MIN
-        # Session state: canonical key -> sessions
+        # Session state: canonical key -> sessions, and one heap entry per session,
+        # (close instant when pushed, key, id, session); id() breaks ties.
         self._sessions: dict[bytes, list[_Session]] = {}
-        self._session_heap: list[tuple[datetime, int, bytes, int]] = []
-        self._token_seq = 0
+        self._session_heap: list[tuple[datetime, bytes, int, _Session]] = []
 
     # -- routing ------------------------------------------------------------
 
@@ -193,12 +193,10 @@ class PaneStore:
         panes = assign_sliding(t, self.spec)
         return panes[0][0], panes[-1][0]
 
-    def update_session(self, key: Value, e: StreamElement) -> str:
-        """Fold an element into the per-key session set.
-
-        Returns the action taken: "open" (new session), "extend" (joined
-        one), or "merge" (bridged two or more).
-        """
+    def update_session(self, key: Value, e: StreamElement) -> None:
+        """Fold an element into the per-key session set: open a session, join
+        one, or bridge several into the first. Only an opened session is
+        pushed on the heap; a session that grows keeps its entry."""
         gap = self.spec.gap
         key_enc = canonical_bytes(key)
         sessions = self._sessions.setdefault(key_enc, [])
@@ -206,29 +204,23 @@ class PaneStore:
         touching = [s for s in sessions
                     if _minus_clamped(s.min_t, gap) <= t <= _plus_clamped(s.max_t, gap)]
         if not touching:
-            action = "open"
-            merged = _Session(key, t, t, [e], self._next_token())
-            sessions.append(merged)
-        else:
-            action = "extend" if len(touching) == 1 else "merge"
-            merged = touching[0]
-            merged.token = self._next_token()
-            merged.min_t = min(merged.min_t, t)
-            merged.max_t = max(merged.max_t, t)
-            merged.elements.append(e)
-            for other in touching[1:]:
-                merged.min_t = min(merged.min_t, other.min_t)
-                merged.max_t = max(merged.max_t, other.max_t)
-                merged.elements.extend(other.elements)
-                sessions.remove(other)
-        close_at = _plus_clamped(merged.max_t, gap + self.spec.allowed_lateness)
-        heapq.heappush(self._session_heap,
-                       (close_at, merged.token, key_enc, merged.token))
-        return action
+            opened = _Session(key, t, t, [e])
+            sessions.append(opened)
+            heapq.heappush(self._session_heap,
+                           (self._session_close(opened), key_enc, id(opened), opened))
+            return
+        merged = touching[0]
+        merged.min_t, merged.max_t = min(merged.min_t, t), max(merged.max_t, t)
+        merged.elements.append(e)
+        for other in touching[1:]:
+            merged.min_t = min(merged.min_t, other.min_t)
+            merged.max_t = max(merged.max_t, other.max_t)
+            merged.elements.extend(other.elements)
+            other.merged = True
+            sessions.remove(other)
 
-    def _next_token(self) -> int:
-        self._token_seq += 1
-        return self._token_seq
+    def _session_close(self, session: _Session) -> datetime:
+        return _plus_clamped(session.max_t, self.spec.gap + self.spec.allowed_lateness)
 
     # -- closing ------------------------------------------------------------
 
@@ -299,22 +291,25 @@ class PaneStore:
         return out
 
     def _close_sessions(self, wm_value: datetime) -> list[WindowInstance]:
+        """Pop each entry due by wm_value: skip a merged-away session, re-push
+        one that grew past its entry (never later than its close), close the rest."""
         out: list[WindowInstance] = []
         heap = self._session_heap
         while heap and heap[0][0] <= wm_value:
-            close_at, _, key_enc, token = heapq.heappop(heap)
-            sessions = self._sessions.get(key_enc)
-            if not sessions:
+            pushed_at, key_enc, _, session = heapq.heappop(heap)
+            if session.merged:
                 continue
-            live = next((s for s in sessions if s.token == token), None)
-            if live is None:
-                continue  # stale entry for a merged/extended session
-            sessions.remove(live)
+            close_at = self._session_close(session)
+            if close_at > pushed_at:
+                heapq.heappush(heap, (close_at, key_enc, id(session), session))
+                continue
+            sessions = self._sessions[key_enc]
+            sessions.remove(session)
             if not sessions:
                 del self._sessions[key_enc]
-            live.elements.sort(key=_pane_order)
-            end = _plus_clamped(live.max_t, self.spec.gap)
-            out.append(WindowInstance(live.min_t, end, live.key, tuple(live.elements)))
+            session.elements.sort(key=_pane_order)
+            end = _plus_clamped(session.max_t, self.spec.gap)
+            out.append(WindowInstance(session.min_t, end, session.key, tuple(session.elements)))
         return out
 
     def closed_floor(self) -> datetime:

@@ -27,7 +27,7 @@ from scipy import stats as scipy_stats
 
 from streamqc.cli import main
 from streamqc.connectors import generate_stream
-from streamqc.expression import ExpressionError, parse as parse_expr
+from streamqc.expression import ExpressionError, compile as compile_expr, parse as parse_expr
 from streamqc.measures import EngineEnv, apply_measure
 from streamqc.model import (
     CheckDefinition,
@@ -879,7 +879,7 @@ def test_expressions_match_reference_interpreter():
                                   round(rng.uniform(-9.0, 9.0), 3)])
                    for n in names}
             want = _ref_eval(tree, env)
-            got = parse_expr(text).evaluate(None, env)
+            got = compile_expr(parse_expr(text))(env)
             if want is None or isinstance(want, bool):
                 assert got is want, (text, env, got, want)
             else:
@@ -895,7 +895,7 @@ def test_expressions_match_reference_interpreter():
                 used = _names_in(tree)
             env = {n: rng.randint(-5, 5) for n in names}
             env[rng.choice(sorted(used))] = None
-            assert parse_expr(_render(tree)).evaluate(None, env) is None
+            assert compile_expr(parse_expr(_render(tree)))(env) is None
 
         # fuzz: the parser either succeeds or raises its own error type
         alphabet = "abxy im01239.+-*/()<>=! \"'\\,:?#~andornotu\u00e9\u03bc\n\t"
@@ -918,10 +918,10 @@ def test_expressions_match_reference_interpreter():
             except ExpressionError:
                 bad += 1
                 continue
-            good += 1  # anything parseable must also evaluate cleanly
+            good += 1  # anything parseable must also compile and evaluate cleanly
             try:
-                expr.evaluate(None, {"x": 1.0, "y": None, "z": -3, "w": 0.5,
-                                     "a": "text", "b": True})
+                compile_expr(expr)({"x": 1.0, "y": None, "z": -3, "w": 0.5,
+                                    "a": "text", "b": True})
             except ExpressionError:
                 pass
         print(f"  fuzz: {good} inputs parsed, {bad} rejected cleanly")

@@ -637,6 +637,17 @@ def test_cli_source_errors_are_error_lines(tmp_path, capsys, command, break_sour
     assert not meta.exists()
 
 
+def test_cli_run_mean_over_both_infinities_is_null(tmp_path):
+    """A pane whose float column holds inf and -inf measures a Null mean:
+    the run neither dies nor writes a NaN."""
+    rows = stream_rows(n=6, fare=lambda i: ["inf", "-inf", "1.5"][i % 3])
+    cfg_path = cli_setup(tmp_path, rows=rows)
+    meta = tmp_path / "meta.jsonl"
+    assert main(["run", cfg_path, "--meta", str(meta)]) == 0
+    records = [json.loads(line) for line in meta.read_text().splitlines()]
+    assert [(r["value"], r["ok"]) for r in records if r["check"] == "fare_mean"] == [(None, False)]
+
+
 def test_cli_run_failures_do_not_change_exit(tmp_path):
     # Means rise to 13+: the constraint fails but the run still succeeds.
     cfg_path = cli_setup(tmp_path, rows=stream_rows(fare=lambda i: 20.0))

@@ -1,17 +1,25 @@
 """Parser, printer, and three-valued evaluation of the predicate language."""
 
+import math
 import random
+import re
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from streamqc.expression import BUILTINS, ExpressionError, parse, to_text
+from streamqc.expression import (
+    BUILTINS, Binary, Call, ExpressionError, Literal, Name, Unary, compile, parse, to_text,
+)
 from streamqc.model import ts
 
+import expression_reference
 from helpers import at, elem
 
 
-def ev(text, element=None, **bindings):
-    return parse(text).evaluate(element, bindings)
+def ev(text, element=None, **names):
+    """Evaluate text over one name table: the element's attrs, or the names."""
+    return compile(parse(text))(element.attrs if element is not None else names)
 
 
 # ---------------------------------------------------------------------------
@@ -43,6 +51,22 @@ def test_int_arithmetic_stays_int():
 def test_division_by_zero_is_null():
     assert ev("1 / 0") is None
     assert ev("0.0 / 0") is None
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf])
+def test_nan_never_comes_out_of_an_expression(x):
+    # inf - inf, inf * 0 and inf / inf are NaN in IEEE arithmetic; here they
+    # are Null, so no comparison or builtin downstream sees a NaN.
+    for text in ("x - x", "x * 0", "x / x", "(x - x) <= 1", "(x - x) >= 1",
+                 "min(x - x, 1)", "max(1, x * 0)", "abs(x / x)"):
+        assert ev(text, x=x) is None, text
+    assert ev("x + x", x=x) == 2 * x
+    assert ev("min(x, 1)", x=x) == min(x, 1)
+
+
+def test_a_nan_handed_in_does_not_come_out_of_a_builtin():
+    assert ev("min(x, 1)", x=math.nan) is None
+    assert ev("abs(x)", x=math.nan) is None
 
 
 def test_null_absorbs_arithmetic():
@@ -194,9 +218,11 @@ def test_element_attribute_lookup():
     assert ev("tip > 0", element=e) is None  # absent attribute is Null
 
 
-def test_bindings_shadow_element_attrs():
-    e = elem(at(0), 0, value=1)
-    assert parse("value").evaluate(e, {"value": 99}) == 99
+def test_a_name_reads_the_one_table_it_is_given():
+    value = compile(parse("value"))
+    assert value({"value": 99}) == 99
+    assert value(elem(at(0), 0, value=1).attrs) == 1
+    assert value({}) is None
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +295,71 @@ def test_print_parse_fixpoint_random():
         tree = parse(_random_expr(rng, rng.randint(1, 4)))
         printed = to_text(tree)
         assert parse(printed) == tree, printed
+
+
+def test_readme_builtin_list_matches_the_registry():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Expression language", 1)[1].split("\n## ", 1)[0]
+    sentence = " ".join(section.split()).split("the builtins ", 1)[1].split(". ", 1)[0]
+    listed = [re.match(r"\w+", item).group() for item in re.findall(r"`([^`]+)`", sentence)]
+    assert listed == list(BUILTINS), sentence
+
+
+# ---------------------------------------------------------------------------
+# Compiled against the reference interpreter (tests/expression_reference.py)
+
+_NAMES = ("x", "y", "s", "t", "b")
+
+_values = st.one_of(
+    st.none(), st.booleans(),
+    st.sampled_from([math.inf, -math.inf]),
+    st.integers(min_value=-5, max_value=5) | st.just(10 ** 400),
+    st.sampled_from([0.0, -0.0, 0.5, -2.5, 89.5, 1e308]) | st.floats(allow_nan=False),
+    st.sampled_from(["", "a", "R12", "it's"]),
+    st.sampled_from([ts(2015, 5, 7, 11, 35), ts(2015, 5, 7, 23, 0), ts(1970, 1, 1)]),
+)
+
+_PATTERNS = ("a.*", "R[0-9]+", "")
+
+
+def _calls(children):
+    out = []
+    for name, arity in BUILTINS.items():
+        if name == "matches":
+            out.append(st.builds(lambda arg, p: Call("matches", (arg, Literal(p)), re.compile(p)),
+                                 children, st.sampled_from(_PATTERNS)))
+        else:
+            out.append(st.builds(lambda *args, name=name: Call(name, args),
+                                 *[children] * arity))
+    return out
+
+
+def _operators(ops, operands):
+    return st.builds(Binary, st.sampled_from(ops), operands, operands)
+
+
+# A third of the leaves is arithmetic over infinities and zeros, so that
+# NaN-producing forms (inf - inf, inf * 0, inf / inf) are common.
+_edges = st.builds(Literal, st.sampled_from([math.inf, -math.inf, 0, 0.0]))
+
+_trees = st.recursive(
+    st.one_of(st.builds(Literal, _values), st.builds(Name, st.sampled_from(_NAMES + ("absent",))),
+              _operators(["+", "-", "*", "/"], _edges)),
+    lambda children: st.one_of(
+        st.builds(Unary, st.sampled_from(["-", "not"]), children),
+        _operators(["and", "or"], children),
+        _operators(["<", "<=", "=", "!=", ">=", ">"], children),
+        _operators(["+", "-", "*", "/"], children),
+        st.one_of(*_calls(children))),
+    max_leaves=12)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_trees, st.fixed_dictionaries({name: _values for name in _NAMES}))
+def test_compiled_matches_the_reference_interpreter(tree, names):
+    got = compile(tree)(names)
+    want = expression_reference.evaluate(tree, names)
+    assert (type(got), repr(got)) == (type(want), repr(want)), to_text(tree)
 
 
 def test_builtin_registry_shape():

@@ -111,6 +111,45 @@ def test_z_outlier_count_zero_sigma():
 
 
 # ---------------------------------------------------------------------------
+# Non-finite values: a NaN statistic is Null, and nothing raises
+
+
+INF = math.inf
+
+
+def test_mean_over_both_infinities_is_null():
+    assert val("mean", {"column": "x"}, values_win([INF, -INF, 1.0])) is None
+    assert val("mean", {"column": "x"}, values_win([INF, 1.0])) == INF
+
+
+def test_mean_and_std_whose_exact_sums_overflow():
+    assert val("mean", {"column": "x"}, values_win([1e308, 1e308])) == INF
+    assert val("std", {"column": "x"}, values_win([1e200, -1e200])) == INF
+
+
+def test_std_around_an_infinite_mean_is_null():
+    assert val("std", {"column": "x"}, values_win([INF, 1.0])) is None
+    assert val("std", {"column": "x"}, values_win([INF, -INF])) is None
+
+
+def test_z_outlier_count_over_both_infinities_is_null():
+    assert val("z_outlier_count", {"column": "x", "z": 1.0}, values_win([INF, -INF, 1.0])) is None
+
+
+def test_correlation_over_infinities_is_null():
+    params = {"column_a": "a", "column_b": "b"}
+    assert val("correlation", params, corr_win([INF, -INF, 1.0], [1.0, 2.0, 3.0])) is None
+    assert val("correlation", params, corr_win([INF, 1.0, 2.0], [1.0, 2.0, 3.0])) is None
+
+
+def test_percentile_between_the_infinities_is_null():
+    r = run("percentiles", {"column": "x", "points": [0.5]}, values_win([-INF, INF]))
+    assert r.value is None and r.detail["values"] == [None]
+    r = run("percentiles", {"column": "x", "points": [0.0, 1.0]}, values_win([INF, -INF]))
+    assert r.detail["values"] == [-INF, INF]
+
+
+# ---------------------------------------------------------------------------
 # Completeness and placeholders
 
 

@@ -21,7 +21,8 @@ from streamqc.model import (
     WindowInstance,
     WindowSpec,
     canonical_bytes,
-    compare_verdict,
+    comparator,
+    constraint_verdict,
     epoch_millis,
     ensure_value,
     format_duration,
@@ -31,7 +32,6 @@ from streamqc.model import (
     parse_duration,
     parse_ts,
     sort_key,
-    threshold_holds,
     ts,
     utc_ms,
     value_from_json,
@@ -226,33 +226,38 @@ def test_value_json_round_trip_property(v):
 
 
 def test_threshold_holds_table():
-    assert threshold_holds(9, "<=", 10) is True
-    assert threshold_holds(10, "<", 10) is False
-    assert threshold_holds(1, "=", 1.0) is True
-    assert threshold_holds("a", "!=", "b") is True
-    assert threshold_holds(None, "<", 10) is None
-    assert threshold_holds("a", "<", 10) is None  # incomparable types
-    assert threshold_holds(True, "<", False) is None  # bools are unordered
+    assert comparator("<=")(9, 10) is True
+    assert comparator("<")(10, 10) is False
+    assert comparator("=")(1, 1.0) is True
+    assert comparator("!=")("a", "b") is True
+    assert comparator("<")(None, 10) is None
+    assert comparator("<")("a", 10) is None  # incomparable types
+    assert comparator("<")(True, False) is None  # bools are unordered
+    with pytest.raises(ModelError):
+        comparator("<>")
 
 
-def test_compare_verdict_threshold_and_range():
-    assert compare_verdict(9, Threshold("<=", 10), {}) is True
-    assert compare_verdict(None, Threshold("<=", 10), {}) is None
-    r = ValueRange(0, 10, lo_inclusive=False, hi_inclusive=True)
-    assert compare_verdict(0, r, {}) is False
-    assert compare_verdict(10, r, {}) is True
-    assert compare_verdict(0.001, r, {}) is True
+def test_constraint_verdict_threshold_and_range():
+    assert constraint_verdict(Threshold("<=", 10))({"value": 9}) is True
+    assert constraint_verdict(Threshold("<=", 10))({"value": None}) is None
+    r = constraint_verdict(ValueRange(0, 10, lo_inclusive=False, hi_inclusive=True))
+    assert r({"value": 0}) is False
+    assert r({"value": 10}) is True
+    assert r({"value": 0.001}) is True
 
 
-def test_compare_verdict_predicate_binds_value():
+def test_constraint_verdict_predicate_binds_value():
     from streamqc import expression
 
-    p = expression.parse("value > 2 * mu")  # a Predicate's compiled form
-    assert compare_verdict(7, p, {"mu": 3}) is True
-    assert compare_verdict(5, p, {"mu": 3}) is False
-    assert compare_verdict(5, p, {"mu": None}) is None
+    # A Predicate's compiled form, over value and the bindings.
+    p = constraint_verdict(expression.compile(expression.parse("value > 2 * mu")))
+    assert p({"value": 7, "mu": 3}) is True
+    assert p({"value": 5, "mu": 3}) is False
+    assert p({"value": 5, "mu": None}) is None
+    assert constraint_verdict(expression.compile(expression.parse("value + 1")))(
+        {"value": 1}) is None  # a result that is not a boolean is a Null verdict
     with pytest.raises(ModelError):  # the text alone is not evaluable
-        compare_verdict(7, Predicate("value > 2 * mu"), {"mu": 3})
+        constraint_verdict(Predicate("value > 2 * mu"))
 
 
 # ---------------------------------------------------------------------------

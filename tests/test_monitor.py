@@ -131,6 +131,33 @@ def test_context_null_values_skip_statistics_not_counts():
     assert b["prev_value"] == 8
 
 
+def test_context_over_both_infinities_binds_null_statistics():
+    ctx = ContextState(horizon=timedelta(minutes=3))
+    ctx.fold(at(60), math.inf, 1)
+    ctx.fold(at(120), -math.inf, 1)
+    b = ctx.bindings(at(180))
+    assert b["mu_H"] is None and b["sigma_H"] is None
+    assert b["count_H"] == 2 and b["prev_value"] == -math.inf
+    ctx = ContextState(horizon=timedelta(minutes=3))
+    ctx.fold(at(60), math.inf, 1)
+    ctx.fold(at(120), 1.0, 1)
+    b = ctx.bindings(at(180))
+    assert b["mu_H"] == math.inf and b["sigma_H"] is None
+
+
+def test_percentile_between_the_infinities_writes_null_on_the_meta_line():
+    check = CheckDefinition(id="fare_p50",
+                            measure=MeasureSpec("percentiles", {"column": "fare", "points": [0.5]}),
+                            constraint=Threshold(">=", 0.0))
+    sink = ListSink()
+    drive(MonitorEngine(suite([check]), meta_sink=sink),
+          fare_elems([-math.inf, math.inf]))
+    line = next(line for line in sink.lines if '"check":"fare_p50"' in line)
+    assert json.loads(line)["value"] is None
+    assert json.loads(line)["detail"] == {"points": [0.5], "values": [None]}
+    assert "NaN" not in line and "Infinity" not in line
+
+
 def test_context_empty_history_binds_nulls():
     ctx = ContextState(horizon=timedelta(minutes=3))
     assert ctx.bindings(at(0)) == {
@@ -832,11 +859,23 @@ def test_suite_build_parses_each_conforms_text_once(monkeypatch):
 
 
 def test_checks_compile_once_when_the_suite_is_built(monkeypatch):
-    """Expressions are parsed and per-element checkers built while SuiteState
-    is built, and not again on any pane."""
+    """Expressions are parsed and compiled, and per-element checkers built,
+    while SuiteState is built, and not again on any pane."""
     parses = []
     parse = expression.parse
     monkeypatch.setattr(expression, "parse", lambda text: parses.append(text) or parse(text))
+    compiles = []  # the text of each top-level expression.compile call
+    compile_, depth = expression.compile, [0]
+
+    def counting_compile(node):
+        if depth[0] == 0:
+            compiles.append(expression.to_text(node))
+        depth[0] += 1
+        try:
+            return compile_(node)
+        finally:
+            depth[0] -= 1
+    monkeypatch.setattr(expression, "compile", counting_compile)
     made = Counter()
     for measure_id, name in (("conforms", "_conforms_checker"), ("in_set", "_in_set_checker"),
                              ("valid_range", "_range_checker"),
@@ -871,6 +910,8 @@ def test_checks_compile_once_when_the_suite_is_built(monkeypatch):
     built_parses, built_made = list(parses), Counter(made)
     assert set(built_parses) == {text, "value <= mu_H + 3 * sigma_H", "value <= ref_max_mean",
                                  "hour_of(window_start)"}
+    built_compiles = list(compiles)
+    assert sorted(built_compiles) == sorted(expression.to_text(parse(t)) for t in built_parses)
     assert set(built_made) == {"conforms", "in_set", "valid_range", "completeness"}
     eng = MonitorEngine(state)
     rng = random.Random(5)
@@ -879,6 +920,7 @@ def test_checks_compile_once_when_the_suite_is_built(monkeypatch):
     assert eng.stats.panes_closed == 24
     assert any(r.detail and "element_ref" in r.detail for r in eng.collected)
     assert parses == built_parses
+    assert compiles == built_compiles
     assert made == built_made
 
 

@@ -6,6 +6,7 @@ from datetime import timedelta
 
 import pytest
 
+from streamqc import windowing
 from streamqc.model import TS_MAX, WindowSpec, ts
 from streamqc.windowing import (
     PaneStore,
@@ -307,6 +308,30 @@ def test_keyed_sessions_are_independent():
         ("u2", at(60), at(180)),
         ("u1", at(0), at(210)),
         ("u2", at(400), at(520))]
+
+
+def test_session_heap_holds_one_entry_per_session_not_yet_popped(monkeypatch):
+    """A session is pushed when it opens and not when it grows, so the heap
+    never holds more entries than sessions opened and not yet closed (a
+    session merged into another keeps its entry until it is popped)."""
+    opened = []
+    session = windowing._Session
+    monkeypatch.setattr(windowing, "_Session", lambda *args: opened.append(1) or session(*args))
+    store = PaneStore(spec_session(gap=1), key_by="device")
+    wm = Watermark(delay=30 * timedelta(seconds=1))
+    rng = random.Random(11)
+    closed = 0
+    for i in range(3000):
+        # 20 devices, one row every 2 s with up to 20 s of disorder, and a
+        # 3-minute silence every 500 rows so that sessions close.
+        t = at(i * 2 + (i // 500) * 180 - rng.uniform(0, 20))
+        wm.observe(t)
+        store.route(elem(t, i, device=rng.randrange(20)), wm)
+        assert len(store._session_heap) <= len(opened) - closed
+        closed += len(store.close_ready(wm.value))
+        assert len(store._session_heap) <= len(opened) - closed
+    closed += len(store.flush())
+    assert closed >= 6 * 20 and not store._session_heap
 
 
 def test_flush_equals_close_at_infinity():
