@@ -17,12 +17,14 @@ compile) reads only parsed values. Each check's measure is compiled once
 (compile_measure) into the function that measures one pane.
 
 Measures that merge (mean, std, distinct_count, uniqueness and every measure
-with a per-element form) are written once as a partial over a run of
-elements and a finish over the partials of a pane. Each slice of a sliding
-pane computes its partial once, memoized on the slice, so the panes that
-overlap on it share the work; a pane without slices is one part. The partial
-of a per-element measure is its checker's verdicts, so the pane's value and
-its per-element records come from one check of each element.
+with a per-element form) are written once as a partial over a slice and a
+finish over the partials of a pane. Each slice of a sliding pane computes
+its partial once, memoized on the slice, so the panes that overlap on it
+share the work; a pane without slices is one part. The partial of a
+per-element measure is its checker's verdicts, so the pane's value and its
+per-element records come from one check of each element. Distinct counts
+and uniqueness read the slice's column encodings (Slice.encodings), so
+every consumer of a column encodes each value once.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import functools
 import json
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from itertools import chain
@@ -55,7 +58,7 @@ from .model import (
     value_type,
     values_equal,
 )
-from .sketches import CardinalityEstimator, FrequentItemsSketch
+from .sketches import CardinalityEstimator, FrequentItemsSketch, registers_of
 
 __all__ = ["MeasureResult", "EngineEnv", "MEASURES", "MeasureDef", "Param", "REQUIRED",
            "ParsedMeasure", "parse_measure", "percentile", "compile_measure"]
@@ -311,15 +314,24 @@ def _numbers(elements: Sequence[StreamElement], column: str) -> list[float | int
     return out
 
 
+def _float(x: float | int) -> float:
+    """A number as a float; an int beyond the float range is the infinity of its sign."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 def _fsum(xs: list) -> float:
     """math.fsum made total: NaN when the values hold both infinities, and
-    the float sum in order when an exact partial sum leaves the float range."""
+    the float sum in order when an exact partial sum leaves the float range
+    (an int beyond it counts as an infinity)."""
     try:
         return math.fsum(xs)
     except ValueError:
         return math.nan
     except OverflowError:
-        return sum(xs, 0.0)
+        return sum(map(_float, xs), 0.0)
 
 
 def _mean(xs: list) -> float | None:
@@ -349,13 +361,14 @@ def percentile(sorted_values: list, q: float) -> float | None:
     where it is undefined (between -inf and inf)."""
     n = len(sorted_values)
     if n == 1:
-        return float(sorted_values[0])
+        return _float(sorted_values[0])
     h = (n - 1) * q
     lo = math.floor(h)
     frac = h - lo
     if frac == 0.0:
-        return float(sorted_values[lo])
-    p = float(sorted_values[lo]) + frac * (float(sorted_values[lo + 1]) - float(sorted_values[lo]))
+        return _float(sorted_values[lo])
+    below, above = _float(sorted_values[lo]), _float(sorted_values[lo + 1])
+    p = below + frac * (above - below)
     return None if p != p else p
 
 
@@ -367,9 +380,9 @@ def _per_pane(apply: Callable[[dict, WindowInstance, EngineEnv], MeasureResult])
 def _merged(name: str, prepare):
     """compile() of a measure kept as partial state per slice.
 
-    prepare(params, env, *checker) returns (partial, finish): partial(elements)
-    summarizes one run of elements, and finish(partials, window) merges a
-    pane's partials, in slice order, into the result. A slice computes each
+    prepare(params, env, *checker) returns (partial, finish): partial(part)
+    summarizes one Slice, and finish(partials, window) merges a pane's
+    partials, in slice order, into the result. A slice computes each
     partial once and keeps it in its memo under the partial's name and
     parameters, so checks sharing a partial share it. Only a measure with a
     per-element form is given its checker.
@@ -383,7 +396,7 @@ def _merged(name: str, prepare):
             for part in window.slices():
                 memo = part.memo
                 if key not in memo:
-                    memo[key] = partial(part.elements)
+                    memo[key] = partial(part)
                 partials.append(memo[key])
             return finish(partials, window)
         return run
@@ -435,7 +448,7 @@ def _numbers_stat(stat: Callable[[list], float]):
             # The concatenated lists are the pane's numbers in pane order.
             numbers = _concat(partials)
             return MeasureResult(stat(numbers) if numbers else None)
-        return (lambda elements: _numbers(elements, column)), finish
+        return (lambda part: _numbers(part.elements, column)), finish
     return prepare
 
 
@@ -498,20 +511,19 @@ def _compile_placeholders(params, env):
 
 
 def _prepare_distinct(params, env):
-    """Partials are canonical encodings (exact), or the value count and the
-    occupied registers of a sketch over the elements (approx)."""
+    """Partials are the set of a slice's encodings (exact), or its value count
+    and the occupied registers of a sketch over its encodings (approx).
+    Encodings are never empty, so filter(None, ...) drops just the Nulls."""
     column = params["column"]
     if params["mode"] == "exact":
-        return (lambda elements: {canonical_bytes(v) for v in _non_null(elements, column)},
+        return (lambda part: set(filter(None, part.encodings(column))),
                 lambda partials, window: MeasureResult(len(set().union(*partials))))
     precision, seed = params["precision"], env.hash_seed
 
-    def partial(elements):
-        values = _non_null(elements, column)
-        est = CardinalityEstimator(precision, seed)
-        for v in values:
-            est.add(v)
-        return len(values), est.occupied()
+    def partial(part):
+        encodings = part.encodings(column)
+        present = len(encodings) - encodings.count(None)
+        return present, registers_of(filter(None, encodings), precision, seed)
 
     def finish(partials, window):
         # Register-wise max gives the registers of one sketch over the pane.
@@ -527,25 +539,15 @@ def _prepare_uniqueness(params, env):
     column = params["column"]
     as_count = params["output"] == "unique_count"
 
-    def counts(elements):
-        out: dict[bytes, int] = {}
-        for v in _non_null(elements, column):
-            k = canonical_bytes(v)
-            out[k] = out.get(k, 0) + 1
-        return out
-
     def finish(partials, window):
-        merged = partials[0]
-        if len(partials) > 1:
-            merged = dict(merged)  # partials are shared through the slice memo
-            for part in partials[1:]:
-                for k, c in part.items():
-                    merged[k] = merged.get(k, 0) + c
-        total = sum(merged.values())
-        unique = sum(1 for c in merged.values() if c == 1)
+        # Each partial is a slice's encodings; None marks a Null.
+        counts = Counter(chain.from_iterable(partials))
+        counts.pop(None, None)
+        total = sum(counts.values())
+        unique = list(counts.values()).count(1)
         ratio = unique / total if total else None
         return MeasureResult(unique if as_count else ratio, {"unique_count": unique, "ratio": ratio})
-    return counts, finish
+    return (lambda part: part.encodings(column)), finish
 
 
 def _apply_heavy_hitters(params, window, env):
@@ -1000,7 +1002,7 @@ def _per_element(measure_id: str, table: dict[str, Param],
             result = tally(params, verdicts, window)
             result.verdicts = verdicts
             return result
-        return (lambda elements: list(map(checker, elements))), finish
+        return (lambda part: list(map(checker, part.elements))), finish
     return MeasureDef(measure_id, table, _merged(measure_id, prepare),
                       _static_type(result_type), make_checker, check)
 

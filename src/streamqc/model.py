@@ -214,10 +214,13 @@ def sort_key(v: Value) -> bytes:
 
 
 def value_to_json(v: Value) -> Any:
-    """JSON form of a value. Timestamps become ISO-8601 ms strings."""
+    """JSON form of a value. Timestamps become ISO-8601 ms strings, and a
+    NaN, which is not a value (ensure_value), becomes null."""
     if isinstance(v, datetime):
         return format_ts(v)
     if isinstance(v, float) and not math.isfinite(v):
+        if v != v:
+            return None
         # JSON has no Infinity; render as string so the line stays valid JSON.
         return "Infinity" if v > 0 else "-Infinity"
     return v
@@ -314,11 +317,12 @@ class Slice:
     ordered like a pane, with a memo of what was computed from them.
 
     A sliding pane is the concatenation of the slices it spans, so values
-    kept in the memo (per-slice partial aggregates, key partitions) are
-    computed once and shared by every pane over the slice. The memo lives
-    and dies with the slice. `ordered` counts the leading elements already
-    verified to be in pane order, so each element is walked once however
-    many panes span the slice.
+    kept in the memo (per-slice partial aggregates, column encodings, key
+    partitions) are computed once and shared by every pane over the slice.
+    The memo lives and dies with the slice, and is only filled once the
+    slice's elements are final. `ordered` counts the leading elements
+    already verified to be in pane order, so each element is walked once
+    however many panes span the slice.
     """
 
     __slots__ = ("elements", "memo", "ordered")
@@ -327,6 +331,18 @@ class Slice:
         self.elements = elements
         self.memo: dict[Any, Any] = {}
         self.ordered = 0
+
+    def encodings(self, column: str) -> list[bytes | None]:
+        """The canonical encoding of each element's value in a column, in
+        element order, None for a Null. Computed once per slice and column,
+        so every consumer of the column (distinct counts, uniqueness, the
+        sketch, the key split) shares one encoding of each value."""
+        key = ("encodings", column)
+        out = self.memo.get(key)
+        if out is None:
+            out = self.memo[key] = [None if (v := e.attrs.get(column)) is None
+                                    else canonical_bytes(v) for e in self.elements]
+        return out
 
 
 def _check_order(elements: list[StreamElement] | tuple[StreamElement, ...],

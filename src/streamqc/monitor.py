@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 from datetime import datetime, timedelta
 from itertools import chain
 from operator import itemgetter
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable
 
 from . import expression
 from .measures import (
@@ -443,7 +443,7 @@ class SuiteState:
         for part in w.slices():
             split = part.memo.get(("partition", key_by))
             if split is None:
-                split = part.memo[("partition", key_by)] = _split(part.elements, key_by)
+                split = part.memo[("partition", key_by)] = _split(part, key_by)
             for enc, (key, sub) in split.items():
                 slot = groups.get(enc)
                 if slot is None:
@@ -572,17 +572,16 @@ class SuiteState:
                         slot[1].append(check.id)
 
 
-def _split(elements: Sequence[StreamElement], key_by: str) -> dict[bytes, tuple[Value, Slice]]:
-    """Elements by the canonical encoding of their key, order kept; Null keys dropped."""
+def _split(part: Slice, key_by: str) -> dict[bytes, tuple[Value, Slice]]:
+    """A slice's elements by the canonical encoding of their key (read from
+    the slice's shared column encodings), order kept; Null keys dropped."""
     groups: dict[bytes, tuple[Value, Slice]] = {}
-    for e in elements:
-        key = e.attrs.get(key_by)
-        if key is None:
+    for e, enc in zip(part.elements, part.encodings(key_by)):
+        if enc is None:
             continue
-        enc = canonical_bytes(key)
         slot = groups.get(enc)
         if slot is None:
-            groups[enc] = (key, Slice([e]))
+            groups[enc] = (e.attrs[key_by], Slice([e]))
         else:
             slot[1].elements.append(e)
     return groups

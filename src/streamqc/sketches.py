@@ -12,17 +12,48 @@ import hashlib
 import heapq
 import math
 from itertools import compress
+from typing import Iterable
 
 from .model import Value, canonical_bytes
 
-__all__ = ["hash64", "CardinalityEstimator", "FrequentItemsSketch"]
+__all__ = ["hash64", "registers_of", "CardinalityEstimator", "FrequentItemsSketch"]
+
+
+def _hash_key(seed: int) -> bytes:
+    return (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "big")
 
 
 def hash64(value: Value, seed: int = 0) -> int:
     """Keyed 64-bit hash of a value's canonical encoding (blake2b, 8-byte digest)."""
-    key = (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "big")
-    digest = hashlib.blake2b(canonical_bytes(value), digest_size=8, key=key).digest()
+    digest = hashlib.blake2b(canonical_bytes(value), digest_size=8, key=_hash_key(seed)).digest()
     return int.from_bytes(digest, "big")
+
+
+def registers_of(encodings: Iterable[bytes], precision: int, seed: int = 0) -> dict[int, int]:
+    """The occupied registers, index -> value, of a cardinality sketch over
+    values given by their canonical encodings: the state CardinalityEstimator
+    reaches by adding each value (its add goes through here).
+
+    Each value's hash64 splits into a register index (the top `precision`
+    bits) and a rank: the leading-zero run of the remaining 64 - precision
+    bits, plus one. A rank is at most 65 - precision <= 61, so it always
+    fits a six-bit register. The keyed hasher is made once and copied per
+    value.
+    """
+    keyed = hashlib.blake2b(digest_size=8, key=_hash_key(seed))
+    width = 64 - precision
+    low = (1 << width) - 1
+    out: dict[int, int] = {}
+    get = out.get
+    for enc in encodings:
+        hasher = keyed.copy()
+        hasher.update(enc)
+        h = int.from_bytes(hasher.digest(), "big")
+        index = h >> width
+        rank = width + 1 - (h & low).bit_length()
+        if rank > get(index, 0):
+            out[index] = rank
+    return out
 
 
 def _alpha(m: int) -> float:
@@ -63,8 +94,6 @@ class CardinalityEstimator:
 
     __slots__ = ("precision", "seed", "_m", "_registers", "_peak")
 
-    REGISTER_MAX = 63  # six bits
-
     def __init__(self, precision: int = 14, seed: int = 0):
         if not isinstance(precision, int) or not 4 <= precision <= 16:
             raise ValueError(f"precision must be an int in [4, 16], got {precision!r}")
@@ -75,15 +104,7 @@ class CardinalityEstimator:
         self._peak = 0.0
 
     def add(self, value: Value) -> None:
-        h = hash64(value, self.seed)
-        idx = h >> (64 - self.precision)
-        rest = h & ((1 << (64 - self.precision)) - 1)
-        # Leading-zero run length within the remaining 64-p bits, plus one.
-        rho = (64 - self.precision) - rest.bit_length() + 1
-        if rho > self.REGISTER_MAX:
-            rho = self.REGISTER_MAX
-        if rho > self._registers[idx]:
-            self._registers[idx] = rho
+        self.merge(registers_of((canonical_bytes(value),), self.precision, self.seed))
 
     def occupied(self) -> dict[int, int]:
         """The non-zero registers, index -> value: all the state a merge needs."""

@@ -138,6 +138,12 @@ class PaneStore:
         self._max_start: datetime | None = None
         self._cursor: datetime | None = None
         self._sorted_to: datetime = TS_MIN
+        # The slice rows were last routed to, [start, end) and its by-key
+        # dict; a row inside it skips the grid arithmetic. Empty when unset.
+        self._open_start, self._open_end = TS_MAX, TS_MIN
+        self._open: dict[bytes, tuple[Value, Slice]] = {}
+        # When the next grid pane closes: cursor (or _min_start) + _hold.
+        self._close_at: datetime | None = None
         # Session state: canonical key -> sessions, and one heap entry per session,
         # (close instant when pushed, key, id, session); id() breaks ties.
         self._sessions: dict[bytes, list[_Session]] = {}
@@ -167,8 +173,21 @@ class PaneStore:
         return outcome
 
     def _add_grid(self, key: Value, e: StreamElement) -> None:
+        t = e.event_time
+        if not self._open_start <= t < self._open_end:
+            self._open_slice(t)
+        by_key = self._open
+        key_enc = canonical_bytes(key) if self.key_by is not None else _UNKEYED
+        slot = by_key.get(key_enc)
+        if slot is None:
+            by_key[key_enc] = (key, Slice([e]))
+        else:
+            slot[1].elements.append(e)
+
+    def _open_slice(self, t: datetime) -> None:
+        """Make the slice containing t the one rows are routed to, creating it if new."""
         origin, width = self.spec.origin, self._width
-        start = origin + (e.event_time - origin) // width * width
+        start = origin + (t - origin) // width * width
         by_key = self._slices.get(start)
         if by_key is None:
             by_key = self._slices[start] = {}
@@ -176,14 +195,12 @@ class PaneStore:
             first, last = self._pane_starts(start)
             if self._min_start is None or first < self._min_start:
                 self._min_start = first
+                if self._cursor is None:
+                    self._close_at = _plus_clamped(first, self._hold)
             if self._max_start is None or last > self._max_start:
                 self._max_start = last
-        key_enc = canonical_bytes(key) if self.key_by is not None else _UNKEYED
-        slot = by_key.get(key_enc)
-        if slot is None:
-            by_key[key_enc] = (key, Slice([e]))
-        else:
-            slot[1].elements.append(e)
+        self._open = by_key
+        self._open_start, self._open_end = start, _plus_clamped(start, width)
 
     def _pane_starts(self, t: datetime) -> tuple[datetime, datetime]:
         """First and last start of the grid panes containing t."""
@@ -234,8 +251,7 @@ class PaneStore:
                 return []
             out = self._close_sessions(wm_value)
         else:
-            cursor = self._cursor if self._cursor is not None else self._min_start
-            if cursor is None or wm_value < _plus_clamped(cursor, self._hold):
+            if self._close_at is None or wm_value < self._close_at:
                 return []
             out = self._close_grid(wm_value)
         out.sort(key=lambda w: (w.end, sort_key(w.key), w.start))
@@ -286,8 +302,11 @@ class PaneStore:
                 if start >= cursor:
                     break
                 del slices[start]
+                if start == self._open_start:
+                    self._open_start, self._open_end = TS_MAX, TS_MIN
         if cursor != first:
             self._cursor = cursor
+            self._close_at = _plus_clamped(cursor, self._hold)
         return out
 
     def _close_sessions(self, wm_value: datetime) -> list[WindowInstance]:

@@ -648,6 +648,21 @@ def test_cli_run_mean_over_both_infinities_is_null(tmp_path):
     assert [(r["value"], r["ok"]) for r in records if r["check"] == "fare_mean"] == [(None, False)]
 
 
+def test_cli_run_mean_over_an_int_beyond_the_float_range_is_infinite(tmp_path):
+    """A 401-digit int cell counts as an infinity of its sign: the mean over
+    it is Infinity, and the run neither dies nor writes a NaN."""
+    def as_int_column(obj):
+        obj["source"]["schema"][1]["type"] = "int"
+    huge = 10 ** 400
+    rows = stream_rows(n=6, fare=lambda i: [huge, 1][i % 2])
+    cfg_path = cli_setup(tmp_path, as_int_column, rows=rows)
+    meta = tmp_path / "meta.jsonl"
+    assert main(["run", cfg_path, "--meta", str(meta)]) == 0
+    records = [json.loads(line) for line in meta.read_text().splitlines()]
+    assert [(r["value"], r["ok"]) for r in records if r["check"] == "fare_mean"] == \
+        [("Infinity", False)]
+
+
 def test_cli_run_failures_do_not_change_exit(tmp_path):
     # Means rise to 13+: the constraint fails but the run still succeeds.
     cfg_path = cli_setup(tmp_path, rows=stream_rows(fare=lambda i: 20.0))

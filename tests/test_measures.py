@@ -149,6 +149,19 @@ def test_percentile_between_the_infinities_is_null():
     assert r.detail["values"] == [-INF, INF]
 
 
+def test_an_int_beyond_the_float_range_counts_as_an_infinity():
+    huge = 10 ** 400
+    assert val("mean", {"column": "x"}, values_win([huge, 1])) == INF
+    assert val("mean", {"column": "x"}, values_win([1, -huge])) == -INF
+    assert val("mean", {"column": "x"}, values_win([huge, -huge, 1])) is None
+    assert val("std", {"column": "x"}, values_win([huge, 1])) is None
+    assert val("z_outlier_count", {"column": "x", "z": 1.0}, values_win([huge, 1])) is None
+    params = {"column_a": "a", "column_b": "b"}
+    assert val("correlation", params, corr_win([huge, 1, 2], [1.0, 2.0, 3.0])) is None
+    r = run("percentiles", {"column": "x", "points": [0.0, 0.5, 1.0]}, values_win([-huge, 1]))
+    assert r.detail["values"] == [-INF, None, 1.0]  # as for the float -inf
+
+
 # ---------------------------------------------------------------------------
 # Completeness and placeholders
 

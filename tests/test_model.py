@@ -185,6 +185,11 @@ def test_value_json_infinities_use_strings():
     assert value_from_json("-Infinity") == float("-inf")
 
 
+def test_value_json_nan_is_null():
+    assert value_to_json(math.nan) is None
+    assert value_to_json(-math.nan) is None
+
+
 def test_timestamp_shaped_text_parses_back_as_timestamp():
     # The wire format cannot tell a timestamp-shaped string from a timestamp;
     # such strings round back as timestamps by design.

@@ -10,7 +10,7 @@ from datetime import timedelta
 
 import pytest
 
-from streamqc import expression, measures, monitor
+from streamqc import expression, measures, model, monitor, sketches, windowing
 from streamqc.model import (
     CheckDefinition,
     ColumnSpec,
@@ -36,7 +36,6 @@ from streamqc.monitor import (
     SuiteState,
     relative_volume_check,
 )
-from streamqc.sketches import CardinalityEstimator
 from streamqc.windowing import PaneStore, Watermark
 
 from helpers import T0, assess, at, count_order_walks, elem, elems, values_win, walks_of, win
@@ -155,6 +154,21 @@ def test_percentile_between_the_infinities_writes_null_on_the_meta_line():
     line = next(line for line in sink.lines if '"check":"fare_p50"' in line)
     assert json.loads(line)["value"] is None
     assert json.loads(line)["detail"] == {"points": [0.5], "values": [None]}
+    assert "NaN" not in line and "Infinity" not in line
+
+
+def test_max_over_a_nan_writes_null_on_the_meta_line():
+    """A NaN built through the library API is not a value: max over a pane
+    holding nan then 1.0 measures NaN, and the meta line reads null, not
+    "-Infinity"."""
+    check = CheckDefinition(id="fare_max", measure=MeasureSpec("max", {"column": "fare"}),
+                            constraint=Threshold("<=", 10.0))
+    rows = fare_elems([math.nan, 1.0])
+    assert math.isnan(measures.apply_measure(check.measure, win(rows), measures.EngineEnv()).value)
+    sink = ListSink()
+    drive(MonitorEngine(suite([check]), meta_sink=sink), rows)
+    line = next(line for line in sink.lines if '"check":"fare_max"' in line)
+    assert json.loads(line)["value"] is None
     assert "NaN" not in line and "Infinity" not in line
 
 
@@ -925,10 +939,17 @@ def test_checks_compile_once_when_the_suite_is_built(monkeypatch):
 
 
 def test_sliding_sketch_sees_each_value_once(monkeypatch):
-    adds = []
-    add = CardinalityEstimator.add
-    monkeypatch.setattr(CardinalityEstimator, "add",
-                        lambda self, v: adds.append(v) or add(self, v))
+    """The approx distinct count hashes a slice's encodings into registers
+    (sketches.registers_of) once per slice; every value reaches it once."""
+    hashed = []
+    registers_of = measures.registers_of
+
+    def counting(encodings, precision, seed):
+        encodings = list(encodings)
+        hashed.extend(encodings)
+        return registers_of(encodings, precision, seed)
+
+    monkeypatch.setattr(measures, "registers_of", counting)
     check = CheckDefinition(id="fare_distinct",
                             measure=MeasureSpec("distinct_count",
                                                 {"column": "fare", "mode": "approx"}),
@@ -937,7 +958,7 @@ def test_sliding_sketch_sees_each_value_once(monkeypatch):
     values = [None if i % 7 == 0 else float(i % 50) for i in range(600)]
     drive(eng, fare_elems(values, step_s=3.0))
     assert eng.stats.panes_closed == 34  # 30 minutes of rows, 5 panes over each
-    assert len(adds) == sum(v is not None for v in values)
+    assert Counter(hashed) == Counter(canonical_bytes(v) for v in values if v is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -1017,6 +1038,41 @@ def test_each_element_is_checked_once_per_check(monkeypatch, window, key_by, emi
         assert any(r.detail and "element_ref" in r.detail for r in eng.collected)
     seqs = [e.arrival_seq for e in rows if key_by is None or e.attrs.get(key_by) is not None]
     assert calls == Counter({(m, seq): 1 for m in PER_ELEMENT for seq in seqs})
+
+
+def test_each_value_is_encoded_once_per_row_and_column(monkeypatch):
+    """Exact and approx distinct counts, uniqueness and a key_by split over
+    the same columns share each slice's encodings: on 5m/1m panes, where a
+    row lies in five panes, each (row, column) value is encoded once."""
+    encoded = Counter()
+    encode = model.canonical_bytes
+
+    def counting(v):
+        encoded[v] += 1
+        return encode(v)
+
+    for module in (model, measures, monitor, sketches, windowing):
+        monkeypatch.setattr(module, "canonical_bytes", counting)
+    schema = SCHEMA + [ColumnSpec("ride", "text")]
+    checks = [CheckDefinition(id=cid, measure=MeasureSpec(mid, params),
+                              constraint=Threshold(">=", 0), key_by=key_by)
+              for cid, mid, params, key_by in [
+                  ("zones", "distinct_count", {"column": "zone"}, None),
+                  ("rides_unique", "uniqueness", {"column": "ride"}, None),
+                  ("rides_approx", "distinct_count", {"column": "ride", "mode": "approx"}, None),
+                  ("zone_fare", "mean", {"column": "fare"}, "zone")]]
+    eng = MonitorEngine(suite(checks, window=SLIDING_5_1, schema=schema),
+                        watermark_delay=MIN)
+    rng = random.Random(4)
+    rows = [elem(at(seq * 7 - rng.uniform(0, 30)), seq, fare=1.0, ride=f"R{seq}",
+                 zone=rng.choice(["north", "south", None]))
+            for seq in range(400)]
+    drive(eng, rows)
+    assert eng.stats.discarded == 0 and eng.stats.panes_closed > 50
+    zones = Counter(e.attrs["zone"] for e in rows if e.attrs["zone"] is not None)
+    assert {v: n for v, n in encoded.items() if v in zones} == zones
+    assert {v: n for v, n in encoded.items() if isinstance(v, str) and v[0] == "R"} == \
+        {e.attrs["ride"]: 1 for e in rows}
 
 
 def test_patterns_alike_in_their_first_200_characters_keep_their_own_verdicts():

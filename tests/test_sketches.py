@@ -3,16 +3,21 @@
 import math
 import random
 from collections import Counter
+from datetime import timedelta
 
 import pytest
 
+from streamqc.model import canonical_bytes
 from streamqc.sketches import (
     CardinalityEstimator,
     FrequentItemsSketch,
     _alpha,
     _inverse_sum,
     hash64,
+    registers_of,
 )
+
+from helpers import T0
 
 
 # ---------------------------------------------------------------------------
@@ -101,6 +106,50 @@ def test_cardinality_determinism():
         return est.estimate()
 
     assert run() == run()
+
+
+def _random_values(rng, n):
+    """Values of every type, with ints past 64 bits, both zeros and repeats."""
+    makers = [
+        lambda: rng.randint(-2 ** 200, 2 ** 200),
+        lambda: rng.choice([2 ** 63, -2 ** 63 - 1, 2 ** 64, 0, -1]),
+        lambda: rng.randint(-1000, 1000),
+        lambda: rng.choice([0.0, -0.0, math.inf, -math.inf]),
+        lambda: rng.uniform(-1e9, 1e9),
+        lambda: "".join(rng.choice("abé中") for _ in range(rng.randint(0, 6))),
+        lambda: T0 + timedelta(milliseconds=rng.randint(-10 ** 12, 10 ** 12)),
+        lambda: rng.random() < 0.5,
+    ]
+    return [rng.choice(makers)() for _ in range(n)]
+
+
+def _registers_by_hash64(values, precision, seed):
+    """The occupied registers by the textbook rule over hash64: index from
+    the top p bits, rank = leading zeros of the other 64 - p bits, plus one."""
+    out = {}
+    for v in values:
+        h = hash64(v, seed)
+        rest_bits = 64 - precision
+        index = h >> rest_bits
+        rest = h & ((1 << rest_bits) - 1)
+        rank = min(rest_bits - rest.bit_length() + 1, 63)
+        out[index] = max(out.get(index, 0), rank)
+    return out
+
+
+@pytest.mark.parametrize("precision", [4, 7, 12, 14, 16])
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 64 + 9, -5])
+def test_registers_from_encodings_equal_the_registers_add_builds(precision, seed):
+    """A sketch's registers built from a slice's encodings equal those add
+    builds value by value, and those of the textbook rule over hash64."""
+    rng = random.Random(precision * 1000 + seed % 1000)
+    for n in [0, 1, 5, 300, 3000]:
+        values = _random_values(rng, n)
+        est = CardinalityEstimator(precision, seed)
+        for v in values:
+            est.add(v)
+        from_encodings = registers_of([canonical_bytes(v) for v in values], precision, seed)
+        assert from_encodings == est.occupied() == _registers_by_hash64(values, precision, seed)
 
 
 @pytest.mark.parametrize("precision", [4, 10, 14, 16])

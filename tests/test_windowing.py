@@ -430,6 +430,57 @@ def test_late_rows_reach_the_slices_of_open_panes():
     assert sorted(got, key=lambda p: p[0]) == _brute_force(spec, None, kept)
 
 
+def test_rows_return_to_earlier_open_slices_and_panes_close_on_time(monkeypatch):
+    """A row inside the slice the store last routed to skips the grid
+    arithmetic. Out-of-order rows move that slice back to earlier open ones
+    and forward again; the panes still match the brute-force oracle, and
+    each closes at the first watermark at or past end + allowed_lateness,
+    including when an early row moves the first pane back before any close."""
+    opened = []
+    open_slice = PaneStore._open_slice
+
+    def counting(self, t):
+        opened.append(t)
+        open_slice(self, t)
+
+    monkeypatch.setattr(PaneStore, "_open_slice", counting)
+    spec = spec_sliding(10, 4, lateness=3)  # 2m slices
+    rng = random.Random(3)
+    rows = [elem(at(600), 0), elem(at(450), 1)]  # the second opens an earlier pane
+    for seq in range(2, 400):
+        back = rng.uniform(100, 400) if seq % 10 == 7 else 0.0
+        rows.append(elem(at(600 + seq * 6.0 - back), seq))
+    store, wm = PaneStore(spec), Watermark(delay=timedelta(seconds=20))
+    panes, kept, returns = [], [], 0
+    for e in rows:
+        previous = wm.value
+        wm.observe(e.event_time)
+        before = len(opened)
+        if store.route(e, wm) is not RouteOutcome.DISCARDED:
+            returns += len(opened) > before and bool(kept) and e.event_time < kept[-1].event_time
+            kept.append(e)
+        for p in store.close_ready(wm.value):
+            assert previous < p.end + spec.allowed_lateness <= wm.value
+            panes.append(p)
+    panes.extend(store.flush())
+    got = [(p.start, p.end, p.key, [e.arrival_seq for e in p.elements]) for p in panes]
+    assert sorted(got, key=lambda p: p[0]) == _brute_force(spec, None, kept)
+    assert returns > 10  # rows went back to an earlier, still open slice
+    assert len(opened) < len(kept) / 2  # most rows reused the slice of the row before
+
+
+def test_a_dropped_slice_is_never_routed_to():
+    """Once closing drops the slice rows were last routed to, a row in its
+    span goes to a new slice, not the dropped one."""
+    store = PaneStore(spec_tumbling(5))
+    wm = Watermark()
+    store.route(elem(at(10), 0), wm)
+    assert [len(p) for p in store.flush()] == [1]
+    assert store.open_element_count() == 0
+    assert store.route(elem(at(20), 1), wm) is RouteOutcome.ASSIGNED
+    assert store.open_element_count() == 1
+
+
 # ---------------------------------------------------------------------------
 # Each row is stored once
 
