@@ -1,27 +1,33 @@
 """Event-time windowing: watermarks, pane assignment, and pane lifecycle.
 
 Panes are half-open [start, end). A single watermark tracks max(event_time)
-minus a bounded delay; a pane closes once watermark >= end + allowed_lateness.
-Elements older than watermark - allowed_lateness are discarded (route says
-which; the monitor's RunStats counts them).
+minus a bounded delay; a pane closes once watermark >= end + allowed_lateness,
+and every pane still open closes at end of stream. Elements older than
+watermark - allowed_lateness are discarded (route says which; the monitor's
+RunStats counts them).
 
 Tumbling and sliding panes are built from slices: non-overlapping spans of
-width gcd(duration, slide) on the same grid. Each element is stored once, in
+width gcd(duration, slide) on the same grid. Slice k covers
+origin + [k, k+1) * width and pane p covers slices p*r to p*r + q - 1, for
+r = slide / width and q = duration / width. Each element is stored once, in
 its slice, and a pane is the concatenation of the slices it spans (a
 tumbling pane is one slice). For these specs the store materializes empty
 panes between the first and last observed event times, so downstream
 consumers see silence as zero-volume windows. Session panes are built per
-key by gap extension and are never empty.
+key by gap extension and are never empty. A pane bound beyond the datetime
+range is clamped to it.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
 from enum import Enum
 from itertools import chain
+from operator import attrgetter
 
 from .model import (
     TS_MAX,
@@ -40,20 +46,16 @@ __all__ = [
     "assign_tumbling", "assign_sliding",
 ]
 
+# The upper clamp of a pane bound: past TS_MAX, as which it renders.
+_END_OF_TIME = datetime.max.replace(tzinfo=timezone.utc)
 
-def _minus_clamped(dt: datetime, td: timedelta) -> datetime:
+
+def _shift(dt: datetime, td: timedelta) -> datetime:
+    """dt + td, clamped to [TS_MIN, _END_OF_TIME]."""
     try:
-        return dt - td
+        return dt + td
     except OverflowError:
-        return TS_MIN
-
-
-def _plus_clamped(dt: datetime, td: timedelta) -> datetime:
-    try:
-        out = dt + td
-    except OverflowError:
-        return TS_MAX
-    return min(out, TS_MAX)
+        return TS_MIN if td < timedelta(0) else _END_OF_TIME
 
 
 @dataclass
@@ -68,7 +70,10 @@ class Watermark:
             raise ValueError("watermark delay must be >= 0")
 
     def observe(self, event_time: datetime) -> None:
-        candidate = _minus_clamped(event_time, self.delay)
+        try:
+            candidate = event_time - self.delay
+        except OverflowError:
+            return  # before TS_MIN, so not past the watermark
         if candidate > self.value:
             self.value = candidate
 
@@ -79,11 +84,15 @@ class RouteOutcome(str, Enum):
     DISCARDED = "discarded"
 
 
+def _pane_bounds(spec: WindowSpec, p: int) -> tuple[datetime, datetime]:
+    """Grid pane p: [origin + p * step, that + duration), clamped."""
+    offset = p * spec.step
+    return _shift(spec.origin, offset), _shift(spec.origin, offset + spec.duration)
+
+
 def assign_tumbling(t: datetime, spec: WindowSpec) -> tuple[datetime, datetime]:
     """The unique tumbling pane [start, start+duration) containing t."""
-    periods = (t - spec.origin) // spec.duration
-    start = spec.origin + periods * spec.duration
-    return start, start + spec.duration
+    return _pane_bounds(spec, (t - spec.origin) // spec.duration)
 
 
 def assign_sliding(t: datetime, spec: WindowSpec) -> list[tuple[datetime, datetime]]:
@@ -92,16 +101,9 @@ def assign_sliding(t: datetime, spec: WindowSpec) -> list[tuple[datetime, dateti
     Starts lie on the slide grid anchored at origin; s is included when
     s <= t < s + duration.
     """
-    periods = (t - spec.origin) // spec.slide
-    latest = spec.origin + periods * spec.slide
-    out = []
-    start = latest
-    floor = t - spec.duration
-    while start > floor:
-        out.append((start, start + spec.duration))
-        start -= spec.slide
-    out.reverse()
-    return out
+    offset = t - spec.origin
+    first = (offset - spec.duration) // spec.slide + 1
+    return [_pane_bounds(spec, p) for p in range(first, offset // spec.slide + 1)]
 
 
 @dataclass(eq=False)
@@ -114,6 +116,7 @@ class _Session:
 
 
 _UNKEYED = canonical_bytes(None)
+_min_t = attrgetter("min_t")
 
 
 class PaneStore:
@@ -127,25 +130,27 @@ class PaneStore:
     def __init__(self, spec: WindowSpec, key_by: str | None = None):
         self.spec = spec
         self.key_by = key_by
-        # Grid state: slice start -> {canonical key -> (key value, slice)}.
-        # Slices before _sorted_to are sorted; before _cursor, dropped.
-        self._slices: dict[datetime, dict[bytes, tuple[Value, Slice]]] = {}
+        # Grid state: slice number -> {canonical key -> (key value, slice)},
+        # and the slice numbers in ascending order.
+        self._slices: dict[int, dict[bytes, tuple[Value, Slice]]] = {}
+        self._numbers: list[int] = []
         if spec.kind != "session":
             micros = timedelta(microseconds=1)
             self._width = math.gcd(spec.duration // micros, spec.step // micros) * micros
+            self._r, self._q = spec.step // self._width, spec.duration // self._width
             self._hold = spec.duration + spec.allowed_lateness  # pane start to close
-        self._min_start: datetime | None = None
-        self._max_start: datetime | None = None
-        self._cursor: datetime | None = None
-        self._sorted_to: datetime = TS_MIN
+        # The first pane not yet closed, when it closes, and the last pane any
+        # slice lies in; None while no slice is open.
+        self._next: int | None = None
+        self._close_at: datetime | None = None
+        self._last: int | None = None
         # The slice rows were last routed to, [start, end) and its by-key
         # dict; a row inside it skips the grid arithmetic. Empty when unset.
         self._open_start, self._open_end = TS_MAX, TS_MIN
         self._open: dict[bytes, tuple[Value, Slice]] = {}
-        # When the next grid pane closes: cursor (or _min_start) + _hold.
-        self._close_at: datetime | None = None
-        # Session state: canonical key -> sessions, and one heap entry per session,
-        # (close instant when pushed, key, id, session); id() breaks ties.
+        # Session state: canonical key -> sessions sorted by min_t, and one heap
+        # entry per session, (close instant when pushed, key, id, session); id()
+        # breaks ties.
         self._sessions: dict[bytes, list[_Session]] = {}
         self._session_heap: list[tuple[datetime, bytes, int, _Session]] = []
 
@@ -161,7 +166,7 @@ class PaneStore:
         t = e.event_time
         if t >= wm.value:
             outcome = RouteOutcome.ASSIGNED
-        elif t >= _minus_clamped(wm.value, self.spec.allowed_lateness):
+        elif wm.value - t <= self.spec.allowed_lateness:
             outcome = RouteOutcome.LATE
         else:
             return RouteOutcome.DISCARDED
@@ -187,147 +192,143 @@ class PaneStore:
     def _open_slice(self, t: datetime) -> None:
         """Make the slice containing t the one rows are routed to, creating it if new."""
         origin, width = self.spec.origin, self._width
-        start = origin + (t - origin) // width * width
-        by_key = self._slices.get(start)
+        k = (t - origin) // width
+        by_key = self._slices.get(k)
         if by_key is None:
-            by_key = self._slices[start] = {}
-            # Every element of a slice lies in the same panes, those of its start.
-            first, last = self._pane_starts(start)
-            if self._min_start is None or first < self._min_start:
-                self._min_start = first
-                if self._cursor is None:
-                    self._close_at = _plus_clamped(first, self._hold)
-            if self._max_start is None or last > self._max_start:
-                self._max_start = last
+            by_key = self._slices[k] = {}
+            insort(self._numbers, k)
+            # Every element of slice k lies in panes (k - q) // r + 1 to k // r.
+            first, last = (k - self._q) // self._r + 1, k // self._r
+            if self._next is None or first < self._next:
+                self._next = first
+                self._close_at = _shift(origin, first * self.spec.step + self._hold)
+            if self._last is None or last > self._last:
+                self._last = last
         self._open = by_key
-        self._open_start, self._open_end = start, _plus_clamped(start, width)
-
-    def _pane_starts(self, t: datetime) -> tuple[datetime, datetime]:
-        """First and last start of the grid panes containing t."""
-        if self.spec.kind == "tumbling":
-            start = assign_tumbling(t, self.spec)[0]
-            return start, start
-        panes = assign_sliding(t, self.spec)
-        return panes[0][0], panes[-1][0]
+        self._open_start = _shift(origin, k * width)
+        self._open_end = _shift(origin, (k + 1) * width)
 
     def update_session(self, key: Value, e: StreamElement) -> None:
         """Fold an element into the per-key session set: open a session, join
-        one, or bridge several into the first. Only an opened session is
-        pushed on the heap; a session that grows keeps its entry."""
+        one, or bridge its two neighbours into the left one. A key's sessions
+        lie more than gap apart, so only the sessions either side of t can
+        touch it. Only an opened session is pushed on the heap; a session
+        that grows keeps its entry."""
         gap = self.spec.gap
         key_enc = canonical_bytes(key)
         sessions = self._sessions.setdefault(key_enc, [])
         t = e.event_time
-        touching = [s for s in sessions
-                    if _minus_clamped(s.min_t, gap) <= t <= _plus_clamped(s.max_t, gap)]
-        if not touching:
+        i = bisect_right(sessions, t, key=_min_t)
+        left = sessions[i - 1] if i and t - sessions[i - 1].max_t <= gap else None
+        right = sessions[i] if i < len(sessions) and sessions[i].min_t - t <= gap else None
+        if left is None and right is None:
             opened = _Session(key, t, t, [e])
-            sessions.append(opened)
+            sessions.insert(i, opened)
             heapq.heappush(self._session_heap,
                            (self._session_close(opened), key_enc, id(opened), opened))
-            return
-        merged = touching[0]
-        merged.min_t, merged.max_t = min(merged.min_t, t), max(merged.max_t, t)
-        merged.elements.append(e)
-        for other in touching[1:]:
-            merged.min_t = min(merged.min_t, other.min_t)
-            merged.max_t = max(merged.max_t, other.max_t)
-            merged.elements.extend(other.elements)
-            other.merged = True
-            sessions.remove(other)
+        elif left is not None and right is not None:  # t bridges the two
+            left.max_t = right.max_t
+            left.elements += [e, *right.elements]
+            right.merged = True
+            del sessions[i]
+        else:
+            joined = right if left is None else left
+            joined.min_t, joined.max_t = min(joined.min_t, t), max(joined.max_t, t)
+            joined.elements.append(e)
 
     def _session_close(self, session: _Session) -> datetime:
-        return _plus_clamped(session.max_t, self.spec.gap + self.spec.allowed_lateness)
+        return _shift(session.max_t, self.spec.gap + self.spec.allowed_lateness)
 
     # -- closing ------------------------------------------------------------
 
-    def close_ready(self, wm_value: datetime) -> list[WindowInstance]:
+    def close_ready(self, wm_value: datetime | None) -> list[WindowInstance]:
         """Emit every pane with end + allowed_lateness <= watermark, in
         (end, key) order. Each pane is emitted exactly once. Until the
-        watermark reaches the next close instant this returns at once."""
+        watermark reaches the next close instant this returns at once.
+        None is the end-of-stream watermark, +inf: every pane closes, also
+        one whose close instant lies beyond TS_MAX."""
         if self.spec.kind == "session":
             heap = self._session_heap
-            if not heap or wm_value < heap[0][0]:
+            if not heap or (wm_value is not None and wm_value < heap[0][0]):
                 return []
             out = self._close_sessions(wm_value)
-        else:
+        elif wm_value is not None:
             if self._close_at is None or wm_value < self._close_at:
                 return []
-            out = self._close_grid(wm_value)
+            out = self._close_grid((wm_value - self.spec.origin - self._hold) // self.spec.step)
+        else:
+            out = self._close_grid(self._last) if self._next is not None else []
+            self._next = self._last = self._close_at = None
         out.sort(key=lambda w: (w.end, sort_key(w.key), w.start))
         return out
 
     def flush(self) -> list[WindowInstance]:
-        """Close every remaining pane (end-of-stream: watermark jumps to +inf)."""
-        return self.close_ready(TS_MAX)
+        """Close every remaining pane (end of stream)."""
+        return self.close_ready(None)
 
-    def _close_grid(self, wm_value: datetime) -> list[WindowInstance]:
-        """Build each closing pane from its slices, sorting a slice when a
-        pane first uses it and dropping it once no open pane spans it.
-
-        No element can reach a slice after a pane over it has closed: such
-        an element would lie below the lateness floor and be discarded.
-        """
-        if self._max_start is None:
-            return []
-        duration = self.spec.duration
-        threshold = _minus_clamped(wm_value, duration + self.spec.allowed_lateness)
-        first = cursor = self._cursor if self._cursor is not None else self._min_start
+    def _close_grid(self, upto: int) -> list[WindowInstance]:
+        """Close panes _next to upto (at most _last) from their slices, sorting
+        a slice when a pane first uses it and dropping it after the last. No
+        element reaches a slice after a pane over it has closed: it would lie
+        below the lateness floor and be discarded."""
+        r, q, slices, numbers = self._r, self._q, self._slices, self._numbers
         out: list[WindowInstance] = []
-        step = self.spec.step
-        slices = self._slices
-        while cursor <= self._max_start and cursor <= threshold:
-            end = cursor + duration
-            starts = sorted(s for s in slices if s < end)
+        for p in range(self._next, min(upto, self._last) + 1):
             by_key: dict[bytes, tuple[Value, list[Slice]]] = {}
-            for start in starts:
-                for key_enc, (key, part) in slices[start].items():
-                    if start >= self._sorted_to:
+            for k in numbers[:bisect_left(numbers, p * r + q)]:  # none is below p * r
+                for key_enc, (key, part) in slices[k].items():
+                    if not part.ordered:  # no pane has used it yet
                         part.elements.sort(key=_pane_order)
                     slot = by_key.get(key_enc)
                     if slot is None:
                         by_key[key_enc] = (key, [part])
                     else:
                         slot[1].append(part)
-            self._sorted_to = end  # pane ends only grow
+            start, end = _pane_bounds(self.spec, p)
             if by_key:
                 for key_enc in sorted(by_key):
                     key, parts = by_key[key_enc]
                     elements = tuple(chain.from_iterable(part.elements for part in parts))
-                    out.append(WindowInstance(cursor, end, key, elements, tuple(parts)))
+                    out.append(WindowInstance(start, end, key, elements, tuple(parts)))
             elif self.key_by is None:
-                out.append(WindowInstance(cursor, end, None, ()))
-            cursor += step
-            for start in starts:
-                if start >= cursor:
-                    break
-                del slices[start]
-                if start == self._open_start:
+                out.append(WindowInstance(start, end, None, ()))
+            done = bisect_left(numbers, p * r + r)  # slices in no later pane
+            for k in numbers[:done]:
+                if slices.pop(k) is self._open:
                     self._open_start, self._open_end = TS_MAX, TS_MIN
-        if cursor != first:
-            self._cursor = cursor
-            self._close_at = _plus_clamped(cursor, self._hold)
+            del numbers[:done]
+            self._next = p + 1
+        self._close_at = _shift(self.spec.origin, self._next * self.spec.step + self._hold)
         return out
 
-    def _close_sessions(self, wm_value: datetime) -> list[WindowInstance]:
-        """Pop each entry due by wm_value: skip a merged-away session, re-push
-        one that grew past its entry (never later than its close), close the rest."""
+    def _close_sessions(self, wm_value: datetime | None) -> list[WindowInstance]:
+        """Close each session due by wm_value, or every session when None.
+        Pop each due entry: skip a merged-away session, re-push one that grew
+        past its entry (never later than its close), close the rest."""
+        if wm_value is None:
+            closing = [s for sessions in self._sessions.values() for s in sessions]
+            self._sessions.clear()
+            self._session_heap.clear()
+        else:
+            closing = []
+            heap = self._session_heap
+            while heap and heap[0][0] <= wm_value:
+                pushed_at, key_enc, _, session = heapq.heappop(heap)
+                if session.merged:
+                    continue
+                close_at = self._session_close(session)
+                if close_at > pushed_at:
+                    heapq.heappush(heap, (close_at, key_enc, id(session), session))
+                    continue
+                sessions = self._sessions[key_enc]
+                del sessions[bisect_left(sessions, session.min_t, key=_min_t)]
+                if not sessions:
+                    del self._sessions[key_enc]
+                closing.append(session)
         out: list[WindowInstance] = []
-        heap = self._session_heap
-        while heap and heap[0][0] <= wm_value:
-            pushed_at, key_enc, _, session = heapq.heappop(heap)
-            if session.merged:
-                continue
-            close_at = self._session_close(session)
-            if close_at > pushed_at:
-                heapq.heappush(heap, (close_at, key_enc, id(session), session))
-                continue
-            sessions = self._sessions[key_enc]
-            sessions.remove(session)
-            if not sessions:
-                del self._sessions[key_enc]
+        for session in closing:
             session.elements.sort(key=_pane_order)
-            end = _plus_clamped(session.max_t, self.spec.gap)
+            end = _shift(session.max_t, self.spec.gap)
             out.append(WindowInstance(session.min_t, end, session.key, tuple(session.elements)))
         return out
 
@@ -338,20 +339,16 @@ class PaneStore:
         alone, so for sessions every such element qualifies."""
         if self.spec.kind == "session":
             return TS_MAX
-        return self._cursor if self._cursor is not None else TS_MIN
+        return _pane_bounds(self.spec, self._next)[0] if self._next is not None else TS_MIN
 
     def open_pane_count(self) -> int:
         """Panes (per key) that hold at least one element and have not closed."""
         if self.spec.kind == "session":
             return sum(len(s) for s in self._sessions.values())
-        step = self.spec.step
-        panes: set[tuple[datetime, bytes]] = set()
-        for start, by_key in self._slices.items():
-            pane, last = self._pane_starts(start)
-            while pane <= last:
-                if self._cursor is None or pane >= self._cursor:
-                    panes.update((pane, key_enc) for key_enc in by_key)
-                pane += step
+        panes: set[tuple[int, bytes]] = set()
+        for k, by_key in self._slices.items():
+            for p in range(max((k - self._q) // self._r + 1, self._next), k // self._r + 1):
+                panes.update((p, key_enc) for key_enc in by_key)
         return len(panes)
 
     def open_element_count(self) -> int:

@@ -21,6 +21,7 @@ from streamqc.config import (
     semantic_errors,
 )
 from streamqc.model import Predicate, Threshold, ValueRange, WindowSpec, format_ts, parse_ts
+from streamqc.windowing import assign_sliding, assign_tumbling
 
 from helpers import run_cli_child
 
@@ -661,6 +662,70 @@ def test_cli_run_mean_over_an_int_beyond_the_float_range_is_infinite(tmp_path):
     records = [json.loads(line) for line in meta.read_text().splitlines()]
     assert [(r["value"], r["ok"]) for r in records if r["check"] == "fare_mean"] == \
         [("Infinity", False)]
+
+
+def _run_volume(tmp_path, capsys, window, times):
+    """`streamqc run` of one volume check over one row per time: the exit
+    code, the stats and the check's (window_start, window_end, value)s."""
+    def mutate(obj):
+        obj["window"] = window
+        obj["checks"] = [{"id": "rows", "measure": {"id": "volume"},
+                          "constraint": {"op": ">=", "bound": 0}}]
+    cfg_path = cli_setup(tmp_path, mutate, rows=[[t, "1.0", "uptown"] for t in times])
+    meta = tmp_path / "meta.jsonl"
+    code = main(["run", cfg_path, "--meta", str(meta), "--json"])
+    stats = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    records = [json.loads(line) for line in meta.read_text().splitlines()]
+    return code, stats, [(r["window_start"], r["window_end"], r["value"])
+                         for r in records if r["check"] == "rows"]
+
+
+@pytest.mark.parametrize("time", [
+    "0001-01-01T00:00:30.000Z", "9999-12-31T23:59:00.000Z", "9999-12-31T23:59:59.999Z"])
+@pytest.mark.parametrize("window", [
+    {"kind": "tumbling", "duration": "5m"},
+    {"kind": "sliding", "duration": "5m", "slide": "2m"},
+    {"kind": "session", "gap": "1m"},
+])
+def test_cli_run_at_the_ends_of_time(tmp_path, capsys, window, time):
+    """A row within one pane of the first or last representable instant: the
+    run exits 0, pane bounds beyond the range render clamped, and the row
+    lies in every pane the reference assignment gives it."""
+    code, stats, got = _run_volume(tmp_path, capsys, window, [time])
+    assert code == 0 and stats["assigned"] == 1
+    t = parse_ts(time)
+    if window["kind"] == "session":
+        end = ("9999-12-31T23:59:59.999Z" if time.startswith("9999")
+               else format_ts(t + timedelta(minutes=1)))
+        assert got == [(time, end, 1)]
+        return
+    spec = WindowSpec(window["kind"], duration=timedelta(minutes=5),
+                      slide=timedelta(minutes=2) if "slide" in window else None)
+    panes = assign_sliding(t, spec) if "slide" in window else [assign_tumbling(t, spec)]
+    assert sorted(got) == sorted((format_ts(s), format_ts(e), 1) for s, e in panes)
+    assert stats["panes_closed"] == len(panes) >= 1
+    assert any("0001-01-01T00:00:00.000Z" == s or "9999-12-31T23:59:59.999Z" == e
+               for s, e, _ in got)
+
+
+def test_cli_run_pane_ending_past_the_last_instant(tmp_path, capsys):
+    """A 2015 row under a 4,000,000-day pane: its end renders clamped."""
+    code, stats, got = _run_volume(tmp_path, capsys, {"kind": "tumbling", "duration": "4000000d"},
+                                   ["2015-05-07T11:00:00.000Z"])
+    assert code == 0
+    assert got == [("1970-01-01T00:00:00.000Z", "9999-12-31T23:59:59.999Z", 1)]
+
+
+def test_cli_run_end_of_stream_closes_panes_whose_lateness_runs_past_the_last_instant(
+        tmp_path, capsys):
+    """end + allowed_lateness lies beyond the last instant, so no watermark
+    closes these panes; the end of the stream must, or both rows are lost
+    with exit 0."""
+    window = {"kind": "tumbling", "duration": "1m", "allowed_lateness": "3000000d"}
+    code, stats, got = _run_volume(tmp_path, capsys, window,
+                                   ["2015-05-07T11:00:00.000Z", "2015-05-07T11:05:00.000Z"])
+    assert code == 0 and stats["assigned"] == 2 and stats["panes_closed"] == 6
+    assert [value for _, _, value in got] == [1, 0, 0, 0, 0, 1]
 
 
 def test_cli_run_failures_do_not_change_exit(tmp_path):

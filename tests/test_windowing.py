@@ -1,13 +1,16 @@
 """Pane assignment, watermarks, lateness routing, and session merging."""
 
+import gc
 import random
+import statistics
+import time
 from collections import Counter
 from datetime import timedelta
 
 import pytest
 
 from streamqc import windowing
-from streamqc.model import TS_MAX, WindowSpec, ts
+from streamqc.model import TS_MAX, TS_MIN, WindowSpec, format_ts, ts
 from streamqc.windowing import (
     PaneStore,
     RouteOutcome,
@@ -334,6 +337,108 @@ def test_session_heap_holds_one_entry_per_session_not_yet_popped(monkeypatch):
     assert closed >= 6 * 20 and not store._session_heap
 
 
+def _session_oracle(gap, key_by, kept):
+    """Every session pane, by brute force: per key, link each two kept rows
+    at most gap apart; each connected component is one pane
+    [first row, last row + gap)."""
+    out = []
+    for key in {e.attrs[key_by] if key_by else None for e in kept}:
+        rows = [e for e in kept if key_by is None or e.attrs[key_by] == key]
+        component = list(range(len(rows)))  # a representative row per row
+
+        def find(i):
+            while component[i] != i:
+                i = component[i]
+            return i
+
+        for i, a in enumerate(rows):
+            for j, b in enumerate(rows[:i]):
+                if abs(a.event_time - b.event_time) <= gap:
+                    component[find(i)] = find(j)
+        members = {}
+        for i, e in enumerate(rows):
+            members.setdefault(find(i), []).append(e)
+        for group in members.values():
+            group.sort(key=lambda e: (e.event_time, e.arrival_seq))
+            out.append((group[0].event_time, group[-1].event_time + gap, key,
+                        [e.arrival_seq for e in group]))
+    return sorted(out, key=lambda p: (p[0], str(p[2])))
+
+
+def test_sessions_match_brute_force(monkeypatch):
+    """Random keyed streams with out-of-order rows that bridge two sessions,
+    late rows, discards and lateness: the store's panes are the oracle's
+    components of the kept rows."""
+    opened = []
+    session = windowing._Session
+    monkeypatch.setattr(windowing, "_Session",
+                        lambda *args: opened.append(session(*args)) or opened[-1])
+    rng = random.Random(808)
+    outcomes = Counter()
+    for trial in range(60):
+        gap = timedelta(seconds=rng.choice([20, 60, 150]))
+        spec = WindowSpec(kind="session", gap=gap,
+                          allowed_lateness=timedelta(seconds=rng.choice([0, 30, 200])))
+        key_by = rng.choice([None, "k"])
+        store, wm = PaneStore(spec, key_by=key_by), Watermark(
+            delay=timedelta(seconds=rng.choice([0, 30, 120])))
+        panes, kept, t = [], [], 0.0
+        for seq in range(rng.randint(1, 120)):
+            t += rng.expovariate(1 / 40.0)
+            back = rng.uniform(0, 500) if rng.random() < 0.3 else 0.0
+            e = elem(at(t - back), seq, k=rng.choice(["a", "b", "c"]))
+            wm.observe(e.event_time)
+            outcome = store.route(e, wm)
+            outcomes[outcome] += 1
+            if outcome is not RouteOutcome.DISCARDED:
+                kept.append(e)
+            panes.extend(store.close_ready(wm.value))
+        panes.extend(store.flush())
+        assert store.open_element_count() == 0
+        got = [(p.start, p.end, p.key, [e.arrival_seq for e in p.elements]) for p in panes]
+        assert sorted(got, key=lambda p: (p[0], str(p[2]))) == \
+            _session_oracle(gap, key_by, kept), (trial, spec, key_by)
+    bridges = sum(s.merged for s in opened)
+    assert bridges >= 10 and min(outcomes.values()) >= 100, (bridges, outcomes)
+
+
+def _one_device_sessions_s(n):
+    """CPU seconds to route, close and flush n rows of one device, 2 s apart,
+    on 1 s sessions under a 10 h watermark delay: every session stays open.
+
+    The objects alive before the run are frozen out of the garbage
+    collector, so a full collection that lands in the run walks what the
+    store holds, not everything the test process holds; CPU time leaves out
+    the time other processes on the host hold the CPU.
+    """
+    rows = [elem(at(2 * i), i, device="d") for i in range(n)]
+    store = PaneStore(WindowSpec(kind="session", gap=timedelta(seconds=1)), key_by="device")
+    wm = Watermark(delay=timedelta(hours=10))
+    gc.collect()
+    gc.freeze()
+    try:
+        began = time.process_time()
+        for e in rows:
+            wm.observe(e.event_time)
+            store.route(e, wm)
+            store.close_ready(wm.value)
+        panes = store.flush()
+        elapsed = time.process_time() - began
+    finally:
+        gc.unfreeze()
+    assert len(panes) == n
+    return elapsed
+
+
+def test_many_open_sessions_of_one_key_route_in_near_linear_time():
+    """A row finds the sessions it touches by bisection, not by testing
+    every open session of its key (4k rows took over 5 s that way)."""
+    half = statistics.median(_one_device_sessions_s(8_000) for _ in range(3))
+    full = statistics.median(_one_device_sessions_s(16_000) for _ in range(3))
+    assert full < 3.0
+    assert full / half <= 3.0, (half, full)
+
+
 def test_flush_equals_close_at_infinity():
     store = PaneStore(spec_tumbling(1))
     wm = Watermark(delay=0 * MIN)
@@ -345,14 +450,39 @@ def test_flush_equals_close_at_infinity():
         [p.start for p in store2.close_ready(TS_MAX)]
 
 
+@pytest.mark.parametrize("spec", [
+    WindowSpec(kind="tumbling", duration=MIN, allowed_lateness=timedelta(days=3_000_000)),
+    WindowSpec(kind="tumbling", duration=timedelta(days=4_000_000)),
+    WindowSpec(kind="sliding", duration=5 * MIN, slide=2 * MIN,
+               allowed_lateness=timedelta(days=3_000_000)),
+    WindowSpec(kind="session", gap=MIN, allowed_lateness=timedelta(days=3_000_000)),
+])
+def test_flush_closes_panes_that_close_past_ts_max(spec):
+    """When end + allowed_lateness lies beyond TS_MAX no watermark closes
+    the pane, and the end of stream still does."""
+    store, wm = PaneStore(spec), Watermark()
+    for seq, t in enumerate((at(0), at(300))):
+        wm.observe(t)
+        assert store.route(elem(t, seq), wm) is RouteOutcome.ASSIGNED
+    assert store.close_ready(TS_MAX) == []
+    panes = store.flush()
+    held = Counter(e.arrival_seq for p in panes for e in p.elements)
+    assert set(held) == {0, 1} and panes
+    assert store.open_element_count() == 0 and store.flush() == []
+
+
 # ---------------------------------------------------------------------------
 # Slices against a brute-force oracle
 
 
-def _grid_starts(spec, t):
+def _grid_panes(spec, t):
     if spec.kind == "tumbling":
-        return [assign_tumbling(t, spec)[0]]
-    return [s for s, _ in assign_sliding(t, spec)]
+        return [assign_tumbling(t, spec)]
+    return assign_sliding(t, spec)
+
+
+def _grid_starts(spec, t):
+    return [s for s, _ in _grid_panes(spec, t)]
 
 
 def _replay(spec, key_by, rows, delay):
@@ -371,19 +501,23 @@ def _replay(spec, key_by, rows, delay):
 
 
 def _brute_force(spec, key_by, kept):
-    """Every pane the store must emit, by filtering and sorting all kept rows."""
-    starts = [s for e in kept for s in _grid_starts(spec, e.event_time)]
+    """Every pane the store must emit, by filtering and sorting all kept rows.
+
+    Unkeyed, that is every pane over an instant from the first row to the
+    last; each such pane lies over the last row or over one of the instants
+    a step apart from the first. Bounds beyond the datetime range come
+    clamped from the reference assignment, so several panes may share a
+    start; they are told apart by their ends.
+    """
     if key_by is None:
-        grid, s = [], min(starts)
-        while s <= max(starts):
-            grid.append((s, None))
-            s += spec.step
+        first, last = min(e.event_time for e in kept), max(e.event_time for e in kept)
+        sweep = [first + i * spec.step for i in range((last - first) // spec.step + 1)]
+        grid = sorted({(pane, None) for t in sweep + [last] for pane in _grid_panes(spec, t)})
     else:
-        grid = sorted({(s, e.attrs[key_by]) for e in kept
-                       for s in _grid_starts(spec, e.event_time)})
+        grid = sorted({(pane, e.attrs[key_by]) for e in kept
+                       for pane in _grid_panes(spec, e.event_time)})
     out = []
-    for start, key in grid:
-        end = start + spec.duration
+    for (start, end), key in grid:
         members = [e for e in kept if start <= e.event_time < end
                    and (key_by is None or e.attrs[key_by] == key)]
         members.sort(key=lambda e: (e.event_time, e.arrival_seq))
@@ -479,6 +613,31 @@ def test_a_dropped_slice_is_never_routed_to():
     assert store.open_element_count() == 0
     assert store.route(elem(at(20), 1), wm) is RouteOutcome.ASSIGNED
     assert store.open_element_count() == 1
+
+
+@pytest.mark.parametrize("near", [TS_MIN, TS_MAX])
+@pytest.mark.parametrize("duration,slide", [(5, None), (5, 2), (10, 4)])
+def test_slice_panes_at_the_ends_of_time_match_brute_force(near, duration, slide):
+    """Rows within a few panes of TS_MIN or TS_MAX: the pane bounds beyond
+    the datetime range come out clamped, as the reference assignment clamps
+    them, and each pane holds the rows of the brute-force oracle."""
+    rng = random.Random(duration * 10 + (slide or 0) + (near == TS_MAX))
+    for trial in range(8):
+        lateness = rng.choice([0, 3])
+        spec = (spec_tumbling(duration, lateness) if slide is None
+                else spec_sliding(duration, slide, lateness))
+        key_by = rng.choice([None, "k"])
+        sign = 1 if near == TS_MIN else -1
+        rows = [elem(near, 0, k="a")]
+        rows += [elem(near + sign * timedelta(milliseconds=rng.randrange(1_200_000)), seq,
+                      k=rng.choice(["a", "b"])) for seq in range(1, 60)]
+        panes, kept = _replay(spec, key_by, rows, timedelta(seconds=rng.choice([0, 90, 1200])))
+        got = [(p.start, p.end, p.key, [e.arrival_seq for e in p.elements]) for p in panes]
+        assert sorted(got, key=lambda p: (p[0], p[1], str(p[2]))) == \
+            _brute_force(spec, key_by, kept), (trial, spec, key_by)
+        edges = {format_ts(p.start if near == TS_MIN else p.end) for p in panes}
+        assert edges >= {"0001-01-01T00:00:00.000Z" if near == TS_MIN
+                         else "9999-12-31T23:59:59.999Z"}
 
 
 # ---------------------------------------------------------------------------
