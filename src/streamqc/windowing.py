@@ -70,10 +70,7 @@ class Watermark:
             raise ValueError("watermark delay must be >= 0")
 
     def observe(self, event_time: datetime) -> None:
-        try:
-            candidate = event_time - self.delay
-        except OverflowError:
-            return  # before TS_MIN, so not past the watermark
+        candidate = _shift(event_time, -self.delay)
         if candidate > self.value:
             self.value = candidate
 
@@ -258,7 +255,6 @@ class PaneStore:
             out = self._close_grid((wm_value - self.spec.origin - self._hold) // self.spec.step)
         else:
             out = self._close_grid(self._last) if self._next is not None else []
-            self._next = self._last = self._close_at = None
         out.sort(key=lambda w: (w.end, sort_key(w.key), w.start))
         return out
 
@@ -305,28 +301,20 @@ class PaneStore:
         """Close each session due by wm_value, or every session when None.
         Pop each due entry: skip a merged-away session, re-push one that grew
         past its entry (never later than its close), close the rest."""
-        if wm_value is None:
-            closing = [s for sessions in self._sessions.values() for s in sessions]
-            self._sessions.clear()
-            self._session_heap.clear()
-        else:
-            closing = []
-            heap = self._session_heap
-            while heap and heap[0][0] <= wm_value:
-                pushed_at, key_enc, _, session = heapq.heappop(heap)
-                if session.merged:
-                    continue
-                close_at = self._session_close(session)
-                if close_at > pushed_at:
-                    heapq.heappush(heap, (close_at, key_enc, id(session), session))
-                    continue
-                sessions = self._sessions[key_enc]
-                del sessions[bisect_left(sessions, session.min_t, key=_min_t)]
-                if not sessions:
-                    del self._sessions[key_enc]
-                closing.append(session)
         out: list[WindowInstance] = []
-        for session in closing:
+        heap = self._session_heap
+        while heap and (wm_value is None or heap[0][0] <= wm_value):
+            pushed_at, key_enc, _, session = heapq.heappop(heap)
+            if session.merged:
+                continue
+            close_at = self._session_close(session)
+            if close_at > pushed_at:
+                heapq.heappush(heap, (close_at, key_enc, id(session), session))
+                continue
+            sessions = self._sessions[key_enc]
+            del sessions[bisect_left(sessions, session.min_t, key=_min_t)]
+            if not sessions:
+                del self._sessions[key_enc]
             session.elements.sort(key=_pane_order)
             end = _shift(session.max_t, self.spec.gap)
             out.append(WindowInstance(session.min_t, end, session.key, tuple(session.elements)))
