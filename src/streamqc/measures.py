@@ -921,9 +921,14 @@ def _range_checker(params, env) -> ElemChecker:
 def _in_set_checker(params, env) -> ElemChecker:
     column = params["column"]
     allowed = params["allowed"]
+    # Text equals only text, so a str value is in the set when it is one of
+    # the allowed texts.
+    texts = frozenset(a for a in allowed if isinstance(a, str))
 
     def check(e: StreamElement) -> bool | None:
         v = e.attrs.get(column)
+        if type(v) is str:
+            return v in texts
         if v is None:
             return None
         return _matches_any(v, allowed)

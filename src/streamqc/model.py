@@ -14,6 +14,7 @@ import re
 import struct
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
+from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Literal
 
 # The value domain: Null, Bool, Int (64-bit by convention), Float (IEEE 754),
@@ -29,6 +30,11 @@ _TS_WIRE_RE = re.compile(r"^\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}\.\d{3}Z$")
 _DURATION_RE = re.compile(r"(\d+(?:\.\d+)?)(ms|s|m|h|d)")
 
 VALUE_TYPE_NAMES = ("null", "bool", "int", "float", "text", "timestamp")
+
+# The longest reach of a window (its duration or gap plus allowed_lateness).
+# The engine adds up to two reaches to an offset between two timestamps, and
+# every such sum must stay a timedelta.
+MAX_REACH = (timedelta.max - (datetime.max - datetime.min)) // 2
 
 
 class ModelError(ValueError):
@@ -70,8 +76,7 @@ def from_epoch_millis(millis: int) -> datetime:
 
 def format_ts(dt: datetime) -> str:
     """Render a timestamp as ISO-8601 UTC with exactly millisecond precision."""
-    dt = utc_ms(dt)
-    return f"{dt.year:04d}-{dt.month:02d}-{dt.day:02d}T{dt.hour:02d}:{dt.minute:02d}:{dt.second:02d}.{dt.microsecond // 1000:03d}Z"
+    return utc_ms(dt).isoformat(timespec="milliseconds")[:-6] + "Z"  # cut "+00:00"
 
 
 def parse_iso(text: str) -> datetime:
@@ -105,6 +110,14 @@ def parse_duration(raw: str | int | float) -> timedelta:
     """Parse a duration such as "1h30m", "90s", "250ms", or a number of seconds."""
     if isinstance(raw, bool):
         raise ModelError(f"invalid duration {raw!r}")
+    try:
+        return _parse_duration(raw)
+    except OverflowError:
+        raise ModelError(f"invalid duration {raw!r}: longer than "
+                         f"{format_duration(timedelta.max)}") from None
+
+
+def _parse_duration(raw: str | int | float) -> timedelta:
     if isinstance(raw, (int, float)):
         if raw < 0 or not math.isfinite(raw):
             raise ModelError(f"invalid duration {raw!r}: must be finite and >= 0")
@@ -185,6 +198,8 @@ def canonical_bytes(v: Value) -> bytes:
     values here even though comparisons widen. Float -0.0 is normalized to 0.0
     so the two zeros count as one value.
     """
+    if type(v) is str:
+        return b"\x04" + v.encode("utf-8")
     if v is None:
         return b"\x00"
     if isinstance(v, bool):
@@ -300,6 +315,14 @@ class WindowSpec:
             raise ModelError(f"window spec fields do not match kind {self.kind!r}")
         if self.allowed_lateness < timedelta(0):
             raise ModelError("allowed_lateness must be >= 0")
+        span = "gap" if self.kind == "session" else "duration"
+        try:
+            reach = getattr(self, span) + self.allowed_lateness
+        except OverflowError:
+            reach = None
+        if reach is None or reach > MAX_REACH:
+            raise ModelError(f"window {span} plus allowed_lateness must be at most "
+                             f"{format_duration(MAX_REACH)}")
         object.__setattr__(self, "origin", utc_ms(self.origin))
 
     @property
@@ -565,9 +588,16 @@ _NUMERIC = (int, float)
 
 _ORDERINGS = {"<": operator.lt, "<=": operator.le, ">=": operator.ge, ">": operator.gt}
 
+# Exact operand types whose comparisons need no isinstance dispatch: two of
+# one plain type are equal by ==, and two numbers order by the operator.
+_PLAIN = frozenset({str, int, float})
+_EXACT_NUMERIC = frozenset({int, float})
+
 
 def values_equal(a: Value, b: Value) -> bool | None:
     """Equality with Int/Float widening; None when the types cannot be compared."""
+    if type(a) is type(b) and type(a) in _PLAIN:
+        return a == b
     if a is None or b is None:
         return None
     if isinstance(a, bool) or isinstance(b, bool):
@@ -597,6 +627,8 @@ def comparator(op: str) -> Callable[[Value, Value], bool | None]:
         raise ModelError(f"unknown comparison operator {op!r}")
 
     def ordered(a: Value, b: Value) -> bool | None:
+        if type(a) in _EXACT_NUMERIC and type(b) in _EXACT_NUMERIC:
+            return holds(a, b)
         if isinstance(a, bool) or isinstance(b, bool):
             return None
         if (isinstance(a, _NUMERIC) and isinstance(b, _NUMERIC)
@@ -656,11 +688,44 @@ _META_KEYS = ("window_start", "window_end", "key", "check", "value", "ok", "deta
 wire_json = json.JSONEncoder(separators=(",", ":"), ensure_ascii=True).encode
 
 
+def _float_json(v: float) -> str:
+    return float.__repr__(v) if math.isfinite(v) else wire_json(value_to_json(v))
+
+
+# The JSON text of a value by its exact type; any other type (a subclass)
+# takes the general path.
+_VALUE_JSON: dict[type, Callable[[Any], str]] = {
+    type(None): lambda v: "null",
+    bool: lambda v: "true" if v else "false",
+    int: int.__repr__,
+    float: _float_json,
+    str: encode_basestring_ascii,
+    datetime: lambda v: f'"{format_ts(v)}"',
+}
+
+
+def value_json(v: Value) -> str:
+    """The JSON text of a value on the wire: wire_json(value_to_json(v))."""
+    render = _VALUE_JSON.get(type(v))
+    return wire_json(value_to_json(v)) if render is None else render(v)
+
+
 def meta_line_prefix(window_start: datetime, window_end: datetime, key: Value) -> str:
     """The head of a meta line, through the key: the fields that every record
     of one (window_start, window_end, key) group shares, rendered once."""
     return (f'{{"window_start":"{format_ts(window_start)}",'
-            f'"window_end":"{format_ts(window_end)}","key":{wire_json(value_to_json(key))},')
+            f'"window_end":"{format_ts(window_end)}","key":{value_json(key)},')
+
+
+def check_lead(check_id: str) -> str:
+    """The start of a meta line's tail, through "value": rendered once per check."""
+    return f'"check":{encode_basestring_ascii(check_id)},"value":'
+
+
+def meta_line_tail(lead: str, value: Value, ok: bool, detail: dict[str, Any] | None) -> str:
+    """The rest of a meta line after its prefix; lead is check_lead(check id)."""
+    return (f'{lead}{value_json(value)},"ok":{"true" if ok else "false"},'
+            f'"detail":{"null" if detail is None else wire_json(detail)}}}')
 
 
 @dataclass(frozen=True)
@@ -669,7 +734,9 @@ class MetaRecord:
 
     detail carries structured extras (per-element references, warming flags,
     violation lists); None means no detail. Engine-generated records use
-    check ids with a leading underscore.
+    check ids with a leading underscore. tail, when set, is the rest of the
+    line after its prefix (meta_line_tail), rendered from the check's
+    template when the record was made; to_json_line renders from the fields.
     """
 
     window_start: datetime
@@ -679,6 +746,7 @@ class MetaRecord:
     value: Value
     ok: bool
     detail: dict[str, Any] | None = None
+    tail: str | None = field(default=None, compare=False, repr=False)
 
     def order_key(self) -> tuple:
         """Meta-stream emission order: (window_end, key, check_id)."""
@@ -688,12 +756,11 @@ class MetaRecord:
     def to_json_line(self, prefix: str | None = None) -> str:
         """Fixed-shape wire form; key order is part of the contract. prefix,
         when given, is this record's meta_line_prefix, rendered once for
-        the records that share it; the rest is encoded per record."""
+        the records that share it; the rest is rendered from the fields."""
         if prefix is None:
             prefix = meta_line_prefix(self.window_start, self.window_end, self.key)
-        tail = wire_json({"check": self.check_id, "value": value_to_json(self.value),
-                        "ok": self.ok, "detail": self.detail})
-        return prefix + tail[1:]
+        return prefix + meta_line_tail(check_lead(self.check_id), self.value, self.ok,
+                                       self.detail)
 
 
 def _detail_seq(detail: dict[str, Any] | None) -> int:

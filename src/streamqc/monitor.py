@@ -45,9 +45,11 @@ from .model import (
     WindowInstance,
     WindowSpec,
     canonical_bytes,
+    check_lead,
     constraint_verdict,
     format_ts,
     meta_line_prefix,
+    meta_line_tail,
     schema_types,
     sort_key,
     value_to_json,
@@ -59,7 +61,7 @@ from .windowing import PaneStore, RouteOutcome, Watermark
 __all__ = [
     "ReferenceTable", "ContextState", "DeadStreamSpec", "FrozenColumnSpec",
     "DetectorSpecs", "InvalidSuite", "SuiteState", "MonitorEngine",
-    "RunStats", "CheckPlan", "relative_volume_check",
+    "RunStats", "PaneCheck", "relative_volume_check",
 ]
 
 
@@ -103,6 +105,8 @@ class ContextState:
     Summaries are (window_end, measured value, element count). Statistics for
     a window starting at S cover entries with end in (S - horizon, S]; the
     current window is folded only after its own statistics were computed.
+    Instants are compared by their distance from S, so a horizon longer
+    than the timestamp range never forms an instant beyond it.
     """
 
     __slots__ = ("horizon", "_entries", "first_end")
@@ -119,12 +123,11 @@ class ContextState:
 
     def warming(self, window_start: datetime) -> bool:
         """True until observed history spans at least one full horizon."""
-        return self.first_end is None or window_start < self.first_end + self.horizon
+        return self.first_end is None or window_start - self.first_end < self.horizon
 
     def bindings(self, window_start: datetime) -> dict[str, Value]:
         """mu_H/sigma_H/count_H/prev_value over the horizon before window_start."""
-        floor = window_start - self.horizon
-        while self._entries and self._entries[0].end <= floor:
+        while self._entries and window_start - self._entries[0].end >= self.horizon:
             self._entries.popleft()
         numbers: list[float] = []
         count_h = 0
@@ -385,22 +388,18 @@ def _comparable(result_type: str, bound_type: str, op: str) -> bool:
 # Suite state (pure assessment, no I/O)
 
 
-@dataclass(frozen=True)
-class CheckPlan:
-    """One check compiled when its suite is built; panes only read it.
-    The constraint is one verdict function of the pane's name table (value
-    and bindings) and the reference key a compiled expression of the window
-    bounds. A measure with a per-element form returns its verdicts."""
-
-    check: CheckDefinition
-    measure: MeasureRun
-    verdict: Verdict
-    reference_key: expression.Compiled | None
+# One check compiled for a key group's pane: (head, key, pane, env, failing,
+# entries) appends the group's records to entries and its failing elements
+# to failing. head is the group's (window_end, key encoding), the start of
+# its records' order keys.
+PaneCheck = Callable[[tuple[datetime, bytes], Value, WindowInstance, EngineEnv,
+                      dict[int, tuple[StreamElement, list[str]]],
+                      list[tuple[tuple, MetaRecord]]], None]
 
 
 class SuiteState:
     """Everything the monitor remembers across panes for one suite.
-    Construction validates each check and compiles it into a CheckPlan; an
+    Construction validates each check and compiles it into a PaneCheck; an
     invalid suite raises InvalidSuite with every problem found."""
 
     def __init__(self, checks: list[CheckDefinition],
@@ -419,12 +418,13 @@ class SuiteState:
         self.window_spec = window_spec
         self.hash_seed = hash_seed
         self.secondary = secondary
-        env = EngineEnv(hash_seed=hash_seed, secondary=secondary)
-        self.plans: list[CheckPlan] = []
+        self._env = EngineEnv(hash_seed=hash_seed, secondary=secondary)
+        # Each check's key_by column and its compiled pane path, in check order.
+        self.pane_checks: list[tuple[str | None, PaneCheck]] = []
         for check, (measure, verdict, reference_key) in zip(checks, compiled):
-            run = compile_measure(measure, env, elem_checker_for(measure, env))
-            self.plans.append(CheckPlan(check, run, verdict, reference_key))
-        self._contexts: dict[tuple[str, bytes], ContextState] = {}
+            run = compile_measure(measure, self._env, elem_checker_for(measure, self._env))
+            self.pane_checks.append((check.key_by,
+                                     self._compile_check(check, run, verdict, reference_key)))
         detectors = detectors or DetectorSpecs()
         self._dead = _DeadDetector(detectors.dead) if detectors.dead else None
         self._frozen = [_FrozenDetector(f) for f in detectors.frozen]
@@ -457,13 +457,85 @@ class SuiteState:
             out.append((enc, key, WindowInstance(w.start, w.end, key, elements, tuple(parts))))
         return out
 
-    def _context_for(self, check: CheckDefinition, key: Value) -> ContextState:
-        slot = (check.id, canonical_bytes(key))
-        ctx = self._contexts.get(slot)
-        if ctx is None:
-            ctx = ContextState(check.context.horizon)  # type: ignore[union-attr]
-            self._contexts[slot] = ctx
-        return ctx
+    # -- compilation ---------------------------------------------------------
+
+    def _compile_check(self, check: CheckDefinition, run: MeasureRun, verdict: Verdict,
+                       reference_key: expression.Compiled | None) -> PaneCheck:
+        """The check's pane path, specialized once on what the check fixes.
+        Every record it makes carries its line tail, rendered from the
+        check's template (the check id encoded once)."""
+        spec, check_id = check.measure, check.id
+        lead = check_lead(check_id)
+        order = (check_id, -1)
+        skip_null = check.null_verdict == "skip"
+
+        def emit(head, key, sub, value, ok, detail, entries):
+            entries.append((head + order, MetaRecord(
+                sub.start, sub.end, key, check_id, value, ok, detail,
+                meta_line_tail(lead, value, ok, detail))))
+
+        def judge(head, key, sub, result, names, failing, entries):
+            # The pane's record from its measured value and the check's bindings.
+            value = names["value"] = result.value
+            ok = verdict(names)
+            detail = result.detail or None
+            if ok is None:
+                ok = skip_null
+                if skip_null:
+                    detail = {**(detail or {}), "skipped_null": True}
+            if result.force_fail:
+                ok = False
+            emit(head, key, sub, value, ok, detail, entries)
+
+        if check.emit_per_element:
+            judge = _with_element_records(check, lead, judge)
+        if check.context is None and check.reference is None:
+            def assess(head, key, sub, env, failing, entries):
+                judge(head, key, sub, apply_measure(spec, sub, env, run), {}, failing,
+                      entries)
+            return assess
+
+        # Bindings from the rolling context of the group's series and from the
+        # reference row; a warming context or a reference miss decides the
+        # record alone. A pane is folded into its context only after its own
+        # bindings were read.
+        horizon = check.context.horizon if check.context is not None else None
+        contexts: dict[bytes, ContextState] = {}
+        table = (self.references[check.reference.table]
+                 if check.reference is not None else None)
+
+        def assess_bound(head, key, sub, env, failing, entries):
+            names: dict[str, Value] = {}
+            ctx = None
+            warming = miss = False
+            if horizon is not None:
+                ctx = contexts.get(head[1])
+                if ctx is None:
+                    ctx = contexts[head[1]] = ContextState(horizon)
+                warming = ctx.warming(sub.start)
+                names.update(ctx.bindings(sub.start))
+            if table is not None:
+                ref_key = reference_key({"window_start": sub.start, "window_end": sub.end})
+                row = table.lookup(ref_key)
+                if row is None:
+                    miss = True
+                else:
+                    for col, v in row.items():
+                        names[f"ref_{col}"] = v
+            result = apply_measure(spec, sub, env, run)
+            if ctx is not None:
+                ctx.fold(sub.end, result.value, len(sub.elements))
+            if not (miss or warming):
+                judge(head, key, sub, result, names, failing, entries)
+                return
+            detail = dict(result.detail or {})
+            if miss:
+                detail["reference_miss"] = value_to_json(ref_key)
+                emit(head, key, sub, None, False, detail, entries)
+            else:
+                detail["warming"] = True
+                emit(head, key, sub, result.value, True, detail, entries)
+        return assess_bound
 
     # -- assessment ----------------------------------------------------------
 
@@ -477,8 +549,9 @@ class SuiteState:
         once per key group), and the failing elements for side-output
         routing, keyed by arrival_seq with the check ids that rejected them.
         """
-        env = EngineEnv(hash_seed=self.hash_seed, watermark=watermark,
-                        secondary=self.secondary)
+        env = self._env
+        if env.watermark != watermark:
+            env = self._env = EngineEnv(self.hash_seed, watermark, self.secondary)
         entries: list[tuple[tuple, MetaRecord]] = []
         failing: dict[int, tuple[StreamElement, list[str]]] = {}
         whole = [(sort_key(w.key), w.key, w)]
@@ -486,9 +559,9 @@ class SuiteState:
         def groups(key_by: str | None) -> list[tuple[bytes, Value, WindowInstance]]:
             return whole if key_by is None else self._partition(w, key_by)
 
-        for plan in self.plans:
-            for enc, key, sub in groups(plan.check.key_by):
-                self._evaluate(plan, (w.end, enc), key, sub, env, failing, entries)
+        for key_by, assess in self.pane_checks:
+            for enc, key, sub in groups(key_by):
+                assess((w.end, enc), key, sub, env, failing, entries)
         if self._dead is not None:
             entries.extend((r.order_key(), r) for r in self._dead.on_pane(w))
         for det in self._frozen:
@@ -496,80 +569,31 @@ class SuiteState:
                            for r in det.on_pane(w, groups(det.spec.key_by)))
         return entries, failing
 
-    def _evaluate(self, plan: CheckPlan, head: tuple[datetime, bytes], key: Value,
-                  sub: WindowInstance, env: EngineEnv,
-                  failing: dict[int, tuple[StreamElement, list[str]]],
-                  entries: list[tuple[tuple, MetaRecord]]) -> None:
-        """Append the check's records for one key group to entries; head is
-        the group's (window_end, key encoding), the start of their order keys."""
-        check = plan.check
-        bindings: dict[str, Value] = {}
-        warming = False
-        if check.context is not None:
-            ctx = self._context_for(check, key)
-            warming = ctx.warming(sub.start)
-            bindings.update(ctx.bindings(sub.start))
-        ref_miss = False
-        ref_key: Value = None
-        if check.reference is not None:
-            table = self.references[check.reference.table]
-            ref_key = plan.reference_key({"window_start": sub.start, "window_end": sub.end})
-            row = table.lookup(ref_key)
-            if row is None:
-                ref_miss = True
-            else:
-                for col, v in row.items():
-                    bindings[f"ref_{col}"] = v
 
-        result = apply_measure(check.measure, sub, env, plan.measure)
-        if check.context is not None:
-            # Fold after computing this window's bindings: a window never
-            # contributes to its own context.
-            self._context_for(check, key).fold(sub.end, result.value, len(sub.elements))
+def _with_element_records(check: CheckDefinition, lead: str, judge):
+    """judge followed by one record per element whose verdict fails the
+    check (a Null verdict fails unless the check skips Nulls), each routed
+    to the side output once per check."""
+    check_id = check.id
+    fail_null = check.null_verdict == "fail"
+    element_lead = f'{lead}false,"ok":false,"detail":{{"element_ref":'
 
-        detail: dict[str, Any] = dict(result.detail) if result.detail else {}
-        order = head + (check.id, -1)
-        if ref_miss:
-            detail["reference_miss"] = value_to_json(ref_key)
-            entries.append((order, MetaRecord(sub.start, sub.end, key, check.id, None,
-                                              False, detail or None)))
-            return
-        if warming:
-            detail["warming"] = True
-            entries.append((order, MetaRecord(sub.start, sub.end, key, check.id,
-                                              result.value, True, detail)))
-            return
-
-        bindings["value"] = result.value
-        verdict = plan.verdict(bindings)
-        if verdict is None:
-            if check.null_verdict == "skip":
-                detail["skipped_null"] = True
-                ok = True
-            else:
-                ok = False
-        else:
-            ok = verdict
-        if result.force_fail:
-            ok = False
-
-        entries.append((order, MetaRecord(sub.start, sub.end, key, check.id,
-                                          result.value, ok, detail or None)))
-        if check.emit_per_element:
-            prefix = head + (check.id,)
-            for e, ev in zip(sub.elements, result.verdicts):
-                if ev is None and check.null_verdict == "skip":
-                    continue
-                if ev is not True:
-                    seq = e.arrival_seq
-                    entries.append((prefix + (seq,), MetaRecord(
-                        sub.start, sub.end, key, check.id, False, False,
-                        {"element_ref": seq})))
-                    slot = failing.get(seq)
-                    if slot is None:
-                        failing[seq] = (e, [check.id])
-                    elif check.id not in slot[1]:
-                        slot[1].append(check.id)
+    def judge_elements(head, key, sub, result, names, failing, entries):
+        judge(head, key, sub, result, names, failing, entries)
+        start, end = sub.start, sub.end
+        prefix = head + (check_id,)
+        for e, ev in zip(sub.elements, result.verdicts):
+            if ev is not True and (fail_null or ev is not None):
+                seq = e.arrival_seq
+                entries.append((prefix + (seq,), MetaRecord(
+                    start, end, key, check_id, False, False, {"element_ref": seq},
+                    f"{element_lead}{seq}}}}}")))
+                slot = failing.get(seq)
+                if slot is None:
+                    failing[seq] = (e, [check_id])
+                elif check_id not in slot[1]:
+                    slot[1].append(check_id)
+    return judge_elements
 
 
 def _split(part: Slice, key_by: str) -> dict[bytes, tuple[Value, Slice]]:
@@ -728,16 +752,22 @@ class MonitorEngine:
             if prefix is None:
                 prefix = prefixes[slot] = meta_line_prefix(
                     record.window_start, record.window_end, record.key)
-            write(record.to_json_line(prefix))
+            tail = record.tail
+            write(prefix + tail if tail is not None else record.to_json_line(prefix))
 
     def _late_discards_record(self, pane: WindowInstance, first: bool) -> MetaRecord:
         delta = 0
         if first:
             delta = self.stats.discarded - self._discards_reported
             self._discards_reported = self.stats.discarded
-        return MetaRecord(pane.start, pane.end, pane.key, "_late_discards",
-                          delta, delta == 0,
-                          {"total": self._discards_reported} if delta else None)
+        if not delta:
+            return MetaRecord(pane.start, pane.end, pane.key, "_late_discards", 0, True,
+                              None, _NO_LATE_DISCARDS)
+        return MetaRecord(pane.start, pane.end, pane.key, "_late_discards", delta, False,
+                          {"total": self._discards_reported})
+
+
+_NO_LATE_DISCARDS = meta_line_tail(check_lead("_late_discards"), 0, True, None)
 
 
 _order = itemgetter(0)

@@ -245,8 +245,7 @@ class PaneStore:
         None is the end-of-stream watermark, +inf: every pane closes, also
         one whose close instant lies beyond TS_MAX."""
         if self.spec.kind == "session":
-            heap = self._session_heap
-            if not heap or (wm_value is not None and wm_value < heap[0][0]):
+            if self._due_session(wm_value) is None:
                 return []
             out = self._close_sessions(wm_value)
         elif wm_value is not None:
@@ -297,20 +296,31 @@ class PaneStore:
         self._close_at = _shift(self.spec.origin, self._next * self.spec.step + self._hold)
         return out
 
-    def _close_sessions(self, wm_value: datetime | None) -> list[WindowInstance]:
-        """Close each session due by wm_value, or every session when None.
-        Pop each due entry: skip a merged-away session, re-push one that grew
-        past its entry (never later than its close), close the rest."""
-        out: list[WindowInstance] = []
+    def _due_session(self, wm_value: datetime | None) -> _Session | None:
+        """The session at the heap top if it is due by wm_value (any is due
+        when None), else None. A top entry whose pushed instant is due but
+        stale is settled first: a merged-away session's entry is dropped,
+        and a session that grew past its entry is re-pushed at its live
+        close instant, so each session keeps one entry."""
         heap = self._session_heap
         while heap and (wm_value is None or heap[0][0] <= wm_value):
-            pushed_at, key_enc, _, session = heapq.heappop(heap)
+            pushed_at, key_enc, _, session = heap[0]
             if session.merged:
+                heapq.heappop(heap)
                 continue
             close_at = self._session_close(session)
             if close_at > pushed_at:
-                heapq.heappush(heap, (close_at, key_enc, id(session), session))
+                heapq.heapreplace(heap, (close_at, key_enc, id(session), session))
                 continue
+            return session
+        return None
+
+    def _close_sessions(self, wm_value: datetime | None) -> list[WindowInstance]:
+        """Close each session due by wm_value, or every session when None."""
+        out: list[WindowInstance] = []
+        heap = self._session_heap
+        while self._due_session(wm_value) is not None:
+            _, key_enc, _, session = heapq.heappop(heap)
             sessions = self._sessions[key_enc]
             del sessions[bisect_left(sessions, session.min_t, key=_min_t)]
             if not sessions:

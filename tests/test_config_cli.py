@@ -716,6 +716,51 @@ def test_cli_run_pane_ending_past_the_last_instant(tmp_path, capsys):
     assert got == [("1970-01-01T00:00:00.000Z", "9999-12-31T23:59:59.999Z", 1)]
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("window,expected", [
+    ({"kind": "tumbling", "duration": "9999999999d"},
+     "window.duration: invalid duration '9999999999d': longer than"),
+    ({"kind": "tumbling", "duration": "999999999d", "allowed_lateness": "999999999d"},
+     "window duration plus allowed_lateness must be at most"),
+    ({"kind": "sliding", "duration": "400000000d", "slide": "1d",
+      "allowed_lateness": "100000000d"},
+     "window duration plus allowed_lateness must be at most"),
+    ({"kind": "session", "gap": "999999999d", "allowed_lateness": "1d"},
+     "window gap plus allowed_lateness must be at most"),
+], ids=["duration-past-timedelta", "duration-plus-lateness-past-timedelta",
+        "sliding-reach", "session-reach"])
+def test_cli_durations_past_the_engine_range_are_config_errors(
+        tmp_path, capsys, command, window, expected):
+    """A duration, or a duration or gap plus allowed_lateness, too long for
+    the engine's time arithmetic is one `error:` line and exit 1 from both
+    validate and run, never a traceback."""
+    def mutate(obj):
+        obj["window"] = window
+    cfg_path = cli_setup(tmp_path, mutate)
+    meta = tmp_path / "meta.jsonl"
+    argv = [command, cfg_path] + (["--meta", str(meta)] if command == "run" else [])
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and expected in lines[0], lines
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not meta.exists()
+
+
+def test_cli_run_context_horizon_longer_than_the_timestamp_range(tmp_path):
+    """A context horizon reaching back past the first instant: every pane
+    is warming, and the run exits 0."""
+    def mutate(obj):
+        obj["checks"][0]["context"] = {"horizon": "999999999d"}
+        obj["checks"][0]["constraint"] = {"predicate": "value >= mu_H"}
+    cfg_path = cli_setup(tmp_path, mutate)
+    meta = tmp_path / "meta.jsonl"
+    assert main(["run", cfg_path, "--meta", str(meta)]) == 0
+    records = [json.loads(line) for line in meta.read_text().splitlines()
+               if not json.loads(line)["check"].startswith("_")]
+    assert len(records) == 2 and all(r["detail"] == {"warming": True} for r in records)
+
+
 def test_cli_run_end_of_stream_closes_panes_whose_lateness_runs_past_the_last_instant(
         tmp_path, capsys):
     """end + allowed_lateness lies beyond the last instant, so no watermark

@@ -13,27 +13,38 @@ from __future__ import annotations
 import json
 import math
 import random
+import struct
+import sys
 from datetime import timedelta
 
 import pytest
 
 from streamqc import monitor
 from streamqc.model import (
+    TS_MAX,
+    TS_MIN,
     CheckDefinition,
     ColumnSpec,
+    ContextSpec,
     MeasureSpec,
     MetaRecord,
+    Predicate,
+    ReferenceSpec,
     Threshold,
     WindowSpec,
+    canonical_bytes,
     format_ts,
     meta_line_prefix,
     ts,
+    value_json,
     value_to_json,
+    wire_json,
 )
 from streamqc.monitor import (
     DetectorSpecs,
     FrozenColumnSpec,
     MonitorEngine,
+    ReferenceTable,
     SuiteState,
 )
 from streamqc.windowing import PaneStore
@@ -233,6 +244,97 @@ def test_to_json_line_matches_json_dumps_of_the_full_record():
                        rng.choice(ODD_VALUES), rng.choice([True, False]), detail)
         assert r.to_json_line() == old_line(r)
         assert r.to_json_line(meta_line_prefix(start, end, r.key)) == old_line(r)
+
+
+# ---------------------------------------------------------------------------
+# Line templates against the encoder
+
+
+class _Int(int):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+class _Text(str):
+    pass
+
+
+def test_value_json_matches_the_encoder():
+    """The renderer by exact type is wire_json(value_to_json(v)) for every
+    kind of value, subclasses included (they take the encoder's path)."""
+    rng = random.Random(3)
+    floats = [5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1e16, -1e16, 1e22,
+              9007199254740993.0, -0.0, 0.1, 1 / 3, sys.float_info.max, -sys.float_info.max]
+    floats += [struct.unpack(">d", rng.getrandbits(64).to_bytes(8, "big"))[0]
+               for _ in range(3000)]  # every bit pattern: NaNs, infinities, subnormals
+    floats += [rng.uniform(-1e6, 1e6) for _ in range(500)]
+    ints = [0, -1, 2**63 - 1, 2**63, -(2**63), -(2**63) - 1, 2**64, 10**30, -(10**40)]
+    ints += [rng.getrandbits(rng.randrange(1, 300)) * rng.choice([1, -1]) for _ in range(300)]
+    texts = ["", "plain", "\x00\x1f\x7f", "tab\tnew\nline\r", 'quote " back \\ slash', "/",
+             "zoné", "東京", "😀", "\u2028\u2029", "\ud800 lone", "\udfff"]
+    texts += ["".join(chr(rng.randrange(0x110000)) for _ in range(rng.randrange(8)))
+              for _ in range(300)]
+    stamps = [ts(1, 1, 1), ts(1, 1, 1, 0, 0, 0, 1), ts(9999, 12, 31, 23, 59, 59, 999),
+              TS_MIN, TS_MAX, ts(2016, 2, 29, 12, 0, 0, 5)]
+    odd = [_Int(7), _Int(-(2**70)), _Float(1.5), _Float(math.inf), _Float(math.nan),
+           _Text("sub é")]
+    values = ODD_VALUES + floats + ints + texts + stamps + odd + [True, False, None]
+    for v in values:
+        assert value_json(v) == wire_json(value_to_json(v)), repr(v)
+
+
+def tail_checks() -> list[CheckDefinition]:
+    """checks() and one check for each other template path: a warming and
+    then live context, a reference hit and miss, a skipped Null verdict, a
+    per-element check that skips Nulls, and a forced failure."""
+    return checks() + [
+        CheckDefinition(id="fare_trend", measure=MeasureSpec("mean", {"column": "fare"}),
+                        constraint=Predicate("value <= mu_H + 3 * sigma_H"),
+                        key_by="zone", context=ContextSpec(horizon=2 * MIN)),
+        CheckDefinition(id="fare_vs_ref", measure=MeasureSpec("max", {"column": "fare"}),
+                        constraint=Predicate("value <= ref_cap"),
+                        reference=ReferenceSpec("caps", "window_start")),
+        CheckDefinition(id="x_max_soft", measure=MeasureSpec("max", {"column": "fare"}),
+                        constraint=Threshold("<", 100.0), null_verdict="skip"),
+        CheckDefinition(id="zone_known",
+                        measure=MeasureSpec("in_set", {"column": "zone",
+                                                       "allowed": ["a", "b", "é"],
+                                                       "proper": True}),
+                        constraint=Threshold(">=", 0.0), emit_per_element=True,
+                        null_verdict="skip"),
+    ]
+
+
+def test_every_tail_is_its_record_rendered_whole():
+    """Each record assessment makes carries the tail of its line, and the
+    prefix plus that tail is json.dumps of the whole record: pane records
+    (plain, detailed, warming, reference miss, skipped Null, forced
+    failure), per-element records, and a zero `_late_discards`."""
+    # Grid panes starting on an even minute find their row; the rest miss.
+    table = ReferenceTable("caps", "start", ("start", "cap"),
+                           {canonical_bytes(at(m * 60)): {"start": at(m * 60), "cap": 5.0}
+                            for m in range(0, 60, 2)})
+    seen = set()
+    for kind, window in sorted(WINDOWS.items()):
+        engine = MonitorEngine(SuiteState(tail_checks(), SCHEMA, window,
+                                          references={"caps": table}),
+                               watermark_delay=timedelta(seconds=10), key_by="device")
+        for e in stream(random.Random(7), 400):
+            engine.process(e)
+        engine.finish()
+        for r in engine.collected:
+            if r.check_id.startswith("_") and r.value != 0:
+                assert r.tail is None, r
+                continue
+            assert r.tail is not None, r
+            assert meta_line_prefix(r.window_start, r.window_end, r.key) + r.tail == old_line(r)
+            seen.add(r.check_id if r.check_id.startswith("_")
+                     else next(iter(r.detail)) if r.detail else "plain")
+    assert seen >= {"plain", "element_ref", "warming", "reference_miss", "skipped_null",
+                    "proper_subset_violated", "_late_discards"}, seen
 
 
 # ---------------------------------------------------------------------------

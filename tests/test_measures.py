@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from streamqc.measures import (
     MEASURES,
@@ -29,6 +30,8 @@ from streamqc.model import (
     WindowInstance,
     WindowSpec,
     ts,
+    value_from_json,
+    values_equal,
 )
 from streamqc.monitor import SuiteState
 
@@ -486,6 +489,26 @@ def test_valid_range_timestamps():
 def test_in_set_widening_membership():
     w = values_win([1, 1.0, 2])
     assert val("in_set", {"column": "x", "allowed": [1, 2]}, w) == 1.0
+
+
+# JSON forms of set members: text in two cases, widening numbers, bools, a
+# timestamp and an infinity.
+_MEMBERS = ["a", "A", "b", "é", 1, 1.0, 2, True, False, 0,
+            "2015-05-07T11:00:00.000Z", "Infinity"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_MEMBERS), min_size=1, max_size=4),
+       st.lists(st.sampled_from(_MEMBERS + [None]), max_size=12))
+def test_in_set_verdicts_follow_values_equal(allowed, values):
+    """A row is in the set when values_equal finds it among the allowed
+    values; a Null row has a Null verdict."""
+    values = [value_from_json(v) for v in values]
+    result = run("in_set", {"column": "x", "allowed": allowed}, values_win(values))
+    members = [value_from_json(a) for a in allowed]
+    assert result.verdicts == [None if v is None else
+                               any(values_equal(v, a) is True for a in members)
+                               for v in values]
 
 
 def test_in_set_proper_subset_guard():

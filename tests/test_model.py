@@ -2,10 +2,11 @@
 
 import json
 import math
+import operator
 from datetime import datetime, timedelta, timezone
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from streamqc.model import (
     EPOCH,
@@ -228,6 +229,70 @@ def test_value_json_round_trip_property(v):
 
 # ---------------------------------------------------------------------------
 # Comparisons and constraints
+
+
+def _reference_equal(a, b):
+    """values_equal by the isinstance rules alone, without the exact-type
+    fast path."""
+    if a is None or b is None:
+        return None
+    if isinstance(a, bool) or isinstance(b, bool):
+        return a is b if isinstance(a, bool) and isinstance(b, bool) else None
+    for kinds in ((int, float), (str,), (datetime,)):
+        if isinstance(a, kinds) and isinstance(b, kinds):
+            return a == b
+    return None
+
+
+def _reference_compare(op, a, b):
+    """comparator(op)(a, b) by the isinstance rules alone."""
+    if op in ("=", "!="):
+        eq = _reference_equal(a, b)
+        return eq if op == "=" or eq is None else not eq
+    if isinstance(a, bool) or isinstance(b, bool):
+        return None
+    if (isinstance(a, (int, float)) and isinstance(b, (int, float))
+            or isinstance(a, datetime) and isinstance(b, datetime)):
+        return {"<": operator.lt, "<=": operator.le, ">=": operator.ge, ">": operator.gt}[op](a, b)
+    return None
+
+
+class _Int(int):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+_operand = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-3, max_value=3),
+    st.integers(min_value=-(2 ** 70), max_value=2 ** 70),
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 1.0, 2.0, -3.0, math.inf, -math.inf, math.nan]),
+    st.text(max_size=4),
+    st.sampled_from(["", "a", "b"]),
+    st.datetimes(timezones=st.just(timezone.utc)).map(utc_ms),
+    st.sampled_from([ts(2020, 1, 1), ts(2020, 1, 2)]),
+    st.integers(min_value=-3, max_value=3).map(_Int),
+    st.sampled_from([0.0, 1.0, 2.0, math.nan]).map(_Float),
+)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(_operand, _operand)
+def test_comparisons_match_the_isinstance_rules(a, b):
+    """The exact-type fast paths of values_equal and comparator answer as
+    the isinstance rules do, for every operator and mixed operand types,
+    subclasses of int and float included."""
+    got, want = values_equal(a, b), _reference_equal(a, b)
+    assert got == want and type(got) is type(want), (a, b)
+    for op in ("<", "<=", "=", "!=", ">=", ">"):
+        got, want = comparator(op)(a, b), _reference_compare(op, a, b)
+        assert got == want and type(got) is type(want), (op, a, b)
 
 
 def test_threshold_holds_table():

@@ -337,6 +337,35 @@ def test_session_heap_holds_one_entry_per_session_not_yet_popped(monkeypatch):
     assert closed >= 6 * 20 and not store._session_heap
 
 
+def test_a_growing_session_costs_no_close_that_closes_nothing(monkeypatch):
+    """One device whose session keeps growing: each time the watermark
+    passes the session's pushed close instant the entry is stale, and the
+    store settles it without a close pass. Every close pass closes a
+    session, and every session still closes."""
+    passes = []
+    close_sessions = PaneStore._close_sessions
+
+    def counting(self, wm_value):
+        out = close_sessions(self, wm_value)
+        passes.append(len(out))
+        return out
+
+    monkeypatch.setattr(PaneStore, "_close_sessions", counting)
+    store = PaneStore(spec_session(gap=1))
+    wm = Watermark()
+    closed = 0
+    for i in range(600):
+        # A row every 10 s, and a 5-minute silence every 100 rows.
+        t = at(i * 10 + (i // 100) * 300)
+        wm.observe(t)
+        store.route(elem(t, i), wm)
+        closed += len(store.close_ready(wm.value))
+        assert len(store._session_heap) == 1
+    closed += len(store.flush())
+    assert closed == 6
+    assert passes and all(passes), passes.count(0)
+
+
 def _session_oracle(gap, key_by, kept):
     """Every session pane, by brute force: per key, link each two kept rows
     at most gap apart; each connected component is one pane
