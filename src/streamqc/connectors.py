@@ -216,26 +216,111 @@ def coerce_json_value(raw: Any, type_name: str, fmt: str = "iso") -> tuple[Value
 # ---------------------------------------------------------------------------
 # Sources
 #
-# Each source compiles its schema once into a decode plan: one
-# (column, cell index, coercer, nullable) entry per schema column, in schema
-# order, then the columns outside the schema, which ride along untyped. A
-# record's attrs are the schema columns followed by the ride-along columns
-# in source order. A cell that does not parse, or a Null in a non-nullable
-# column, becomes Null and counts as a parse failure of its column; a record
-# whose event time is not a timestamp is skipped.
+# Each source compiles its schema once into one row function, generated as
+# Python source the way dataclasses builds __init__. A record's attrs are
+# the schema columns in schema order, then the columns outside the schema,
+# which ride along untyped, in source order. A typed cell of a common shape
+# is converted inline; any cell that shape rejects goes to its column's
+# coercer. A cell that does not parse, or a Null in a non-nullable column,
+# becomes Null and counts as a parse failure of its column; a record whose
+# event time is not a timestamp is skipped.
+
+# The inline shapes, by (source, type): the conversion of the raw cell c
+# (None: c as it is) and the test its result {v} must pass. A conversion
+# that raises ValueError or TypeError, or a result that fails the test, goes
+# to the coercer. An ISO timestamp from fromisoformat is kept only when it
+# is what parse_iso makes of the text: UTC at whole milliseconds. A nonzero
+# offset, a naive or a sub-millisecond time and a lowercase z (which
+# fromisoformat rejects, as Python 3.10 rejects any Z) take parse_iso.
+_INLINE = {
+    ("csv", "float"): ("float(c)", "{v} == {v}"),  # NaN is Null: the coercer's case
+    ("csv", "int"): ("int(c)", None),
+    ("json", "float"): (None, "type({v}) is float and {v} == {v}"),
+    ("json", "int"): (None, "type({v}) is int"),
+    ("json", "text"): (None, "type({v}) is str"),
+}
+_INLINE_ISO = ("fromisoformat(c)", "{v}.tzinfo is utc and not {v}.microsecond % 1000")
 
 
-def _csv_plan(header: list[str], schema: list[ColumnSpec], formats: dict[str, str]
-              ) -> tuple[tuple, tuple]:
-    """(plan, ride-along (column, cell index) pairs in header order). A name
-    repeated in the header takes its last cell."""
-    index = {name: i for i, name in enumerate(header)}
-    plan = tuple((col.name, index[col.name],
-                  _csv_coercer(col.type, formats.get(col.name, "iso")), col.nullable)
-                 for col in schema)
-    known = {col.name for col in schema}
-    extras = tuple((name, index[name]) for name in index if name not in known)
-    return plan, extras
+def _cell_coercer(name: str, coerce: Callable[[Any], Value], nullable: bool,
+                  fail: Callable[[str], None]) -> Callable[[Any], Value]:
+    """A column's coercer with its failure rule: a cell that does not
+    parse is Null, and it or a Null in a non-nullable column is counted."""
+    def cell(raw: Any) -> Value:
+        value = coerce(raw)
+        if value is _BAD:
+            fail(name)
+            return None
+        if value is None and not nullable:
+            fail(name)
+        return value
+    return cell
+
+
+def _row_decoder(schema: list[ColumnSpec], formats: dict[str, str], event_time: str,
+                 counters: SourceCounters, header: list[str] | None = None
+                 ) -> Callable[[Any, int], StreamElement | None]:
+    """The row function of a source: (raw record, arrival seq) -> its
+    element, or None when its event time is not a timestamp.
+
+    With a header the record is a CSV row's list of cells, a name repeated
+    in the header taking its last cell; without, it is a JSON object."""
+    csv_source = header is not None
+    source = "csv" if csv_source else "json"
+    known = frozenset(col.name for col in schema)
+    namespace: dict[str, Any] = {
+        "fromisoformat": datetime.fromisoformat, "utc": timezone.utc,
+        "datetime": datetime, "Element": StreamElement, "known": known,
+        "ride_along": _ride_along}
+    index = {name: i for i, name in enumerate(header or ())}
+    lines = [] if csv_source else ["get = raw.get"]
+    fields: list[str] = []
+    for n, col in enumerate(schema):
+        fmt = formats.get(col.name, "iso")
+        cell = f"cells[{index[col.name]}]" if csv_source else f"get({col.name!r})"
+        if csv_source and col.type == "text":
+            fields.append(f"{col.name!r}: {cell}")
+            continue
+        var = f"v{n}"
+        fields.append(f"{col.name!r}: {var}")
+        coerce = (_csv_coercer if csv_source else _json_coercer)(col.type, fmt)
+        namespace[f"cell{n}"] = _cell_coercer(col.name, coerce, col.nullable, counters.fail)
+        form = (_INLINE_ISO if col.type == "timestamp" and fmt == "iso"
+                else _INLINE.get((source, col.type)))
+        if form is None:
+            lines.append(f"{var} = cell{n}({cell})")
+            continue
+        conversion, test = form
+        lines.append(f"c = {cell}")
+        if conversion is None:
+            lines.append(f"{var} = c if {test.format(v='c')} else cell{n}(c)")
+            continue
+        lines += ["try:", f"    {var} = {conversion}",
+                  "except (ValueError, TypeError):", f"    {var} = cell{n}(c)"]
+        if test is not None:
+            lines += ["else:", f"    if not ({test.format(v=var)}):", f"        {var} = cell{n}(c)"]
+    fields += [f"{name!r}: cells[{i}] or None" for name, i in index.items() if name not in known]
+    lines.append("row = {" + ", ".join(fields) + "}")
+    if not csv_source:
+        lines += ["if not raw.keys() <= known:", "    ride_along(raw, known, row)"]
+    lines += [f"t = row.get({event_time!r})", "if not isinstance(t, datetime):",
+              "    return None", "return Element(t, seq, row)"]
+    text = (f"def decode({'cells' if csv_source else 'raw'}, seq):\n"
+            + "".join(f"    {line}\n" for line in lines))
+    exec(text, namespace)
+    return namespace["decode"]
+
+
+def _ride_along(raw: dict[str, Any], known: frozenset[str], row: dict[str, Value]) -> None:
+    """Add a JSON record's fields outside the schema to its row, in record order."""
+    for name, raw_value in raw.items():
+        if name in known:
+            continue
+        if isinstance(raw_value, (list, dict)):
+            # Nested payloads are out of the value domain; keep them readable.
+            row[name] = json.dumps(raw_value, separators=(",", ":"), ensure_ascii=True)
+        else:
+            row[name] = value_from_json(raw_value)
 
 
 def iter_csv(path: str, schema: list[ColumnSpec], event_time: str,
@@ -262,35 +347,21 @@ def _iter_csv_rows(path, schema, event_time, formats, counters, limit
         missing = [c.name for c in schema if c.name not in header]
         if missing:
             raise SourceError(f"csv header is missing schema columns: {missing}")
-        plan, extras = _csv_plan(header, schema, formats)
+        decode = _row_decoder(schema, formats, event_time, counters, header)
         width = len(header)
         yield None
-        fail = counters.fail
+        stop = math.inf if limit is None else limit
         seq = 0
         for cells in reader:
-            if limit is not None and seq >= limit:
+            if seq >= stop:
                 return
             if len(cells) < width:
                 cells += [""] * (width - len(cells))  # a short row's missing cells are empty
-            row: dict[str, Value] = {}
-            for name, i, coerce, nullable in plan:
-                if coerce is None:
-                    row[name] = cells[i]
-                    continue
-                value = coerce(cells[i])
-                if value is _BAD:
-                    fail(name)
-                    value = None
-                elif value is None and not nullable:
-                    fail(name)
-                row[name] = value
-            for name, i in extras:
-                row[name] = cells[i] or None
-            t = row.get(event_time)
-            if not isinstance(t, datetime):
+            e = decode(cells, seq)
+            if e is None:
                 counters.skipped_bad_time += 1
                 continue
-            yield StreamElement(t, seq, row)
+            yield e
             seq += 1
 
 
@@ -315,49 +386,26 @@ def _iter_jsonl_file(path, *args) -> Iterator[StreamElement | None]:
 
 def _iter_jsonl_lines(lines: Iterable[str], schema, event_time, formats,
                       counters, limit) -> Iterator[StreamElement]:
-    plan = tuple((col.name, _json_coercer(col.type, formats.get(col.name, "iso")),
-                  col.nullable) for col in schema)
-    known = frozenset(col.name for col in schema)
-    fail = counters.fail
+    decode = _row_decoder(schema, formats, event_time, counters)
+    loads = json.loads
+    stop = math.inf if limit is None else limit
     seq = 0
     for line in lines:
-        if limit is not None and seq >= limit:
+        if seq >= stop:
             return
         line = line.strip()
         if not line:
             continue
         try:
-            raw = json.loads(line)
+            raw = loads(line)
         except (ValueError, RecursionError):  # also too many digits, too deep
             counters.skipped_bad_time += 1
             continue
-        if not isinstance(raw, dict):
+        e = decode(raw, seq) if type(raw) is dict else None
+        if e is None:
             counters.skipped_bad_time += 1
             continue
-        row: dict[str, Value] = {}
-        get = raw.get
-        for name, coerce, nullable in plan:
-            value = coerce(get(name))  # a missing field is Null
-            if value is _BAD:
-                fail(name)
-                value = None
-            elif value is None and not nullable:
-                fail(name)
-            row[name] = value
-        if not raw.keys() <= known:
-            for name, raw_value in raw.items():
-                if name in known:
-                    continue
-                if isinstance(raw_value, (list, dict)):
-                    # Nested payloads are out of the value domain; keep them readable.
-                    row[name] = json.dumps(raw_value, separators=(",", ":"), ensure_ascii=True)
-                else:
-                    row[name] = value_from_json(raw_value)
-        t = row.get(event_time)
-        if not isinstance(t, datetime):
-            counters.skipped_bad_time += 1
-            continue
-        yield StreamElement(t, seq, row)
+        yield e
         seq += 1
 
 

@@ -15,7 +15,7 @@ import struct
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable, Literal
+from typing import Any, Callable, Literal, Sequence
 
 # The value domain: Null, Bool, Int (64-bit by convention), Float (IEEE 754),
 # Text (unicode), Timestamp (tz-aware UTC datetime, millisecond precision).
@@ -35,6 +35,10 @@ VALUE_TYPE_NAMES = ("null", "bool", "int", "float", "text", "timestamp")
 # The engine adds up to two reaches to an offset between two timestamps, and
 # every such sum must stay a timedelta.
 MAX_REACH = (timedelta.max - (datetime.max - datetime.min)) // 2
+
+# The most sliding panes one row may lie in: the duration over the slide,
+# rounded up. Each of them is built, measured and written when it closes.
+MAX_PANES_PER_ROW = 10_000
 
 
 class ModelError(ValueError):
@@ -323,6 +327,9 @@ class WindowSpec:
         if reach is None or reach > MAX_REACH:
             raise ModelError(f"window {span} plus allowed_lateness must be at most "
                              f"{format_duration(MAX_REACH)}")
+        if self.kind == "sliding" and -(-self.duration // self.slide) > MAX_PANES_PER_ROW:
+            raise ModelError(f"sliding window duration must be at most {MAX_PANES_PER_ROW} "
+                             f"slides (each row lies in that many panes)")
         object.__setattr__(self, "origin", utc_ms(self.origin))
 
     @property
@@ -340,32 +347,56 @@ class Slice:
     ordered like a pane, with a memo of what was computed from them.
 
     A sliding pane is the concatenation of the slices it spans, so values
-    kept in the memo (per-slice partial aggregates, column encodings, key
-    partitions) are computed once and shared by every pane over the slice.
-    The memo lives and dies with the slice, and is only filled once the
+    kept in the memo (per-slice partial aggregates, key partitions) and the
+    column encodings are computed once and shared by every pane over the
+    slice. Both live and die with the slice, and are only filled once the
     slice's elements are final. `ordered` counts the leading elements
     already verified to be in pane order, so each element is walked once
-    however many panes span the slice.
+    however many panes span the slice. A key group's share of a slice keeps
+    `source`: the whole slice's encodings (`codes`, by column) and elements
+    and the positions of its own elements among them, so it reads its
+    encodings from the whole.
     """
 
-    __slots__ = ("elements", "memo", "ordered")
+    __slots__ = ("elements", "memo", "ordered", "codes", "source")
 
-    def __init__(self, elements: list[StreamElement] | tuple[StreamElement, ...]):
+    def __init__(self, elements: list[StreamElement] | tuple[StreamElement, ...],
+                 source: tuple[dict[str, list[bytes | None]],
+                               list[StreamElement] | tuple[StreamElement, ...],
+                               Sequence[int]] | None = None):
         self.elements = elements
         self.memo: dict[Any, Any] = {}
         self.ordered = 0
+        self.codes: dict[str, list[bytes | None]] | None = None  # made on first use
+        self.source = source
 
     def encodings(self, column: str) -> list[bytes | None]:
         """The canonical encoding of each element's value in a column, in
         element order, None for a Null. Computed once per slice and column,
         so every consumer of the column (distinct counts, uniqueness, the
-        sketch, the key split) shares one encoding of each value."""
-        key = ("encodings", column)
-        out = self.memo.get(key)
+        sketch, the key split) and every key group's share of the slice
+        share one encoding of each value."""
+        if self.codes is None:
+            self.codes = {}
+        if self.source is None:
+            return _encodings(self.codes, self.elements, column)
+        out = self.codes.get(column)
         if out is None:
-            out = self.memo[key] = [None if (v := e.attrs.get(column)) is None
-                                    else canonical_bytes(v) for e in self.elements]
+            codes, elements, positions = self.source
+            whole = _encodings(codes, elements, column)
+            out = self.codes[column] = [whole[i] for i in positions]
         return out
+
+
+def _encodings(codes: dict[str, list[bytes | None]],
+               elements: list[StreamElement] | tuple[StreamElement, ...],
+               column: str) -> list[bytes | None]:
+    """codes[column], computed from the elements when missing."""
+    out = codes.get(column)
+    if out is None:
+        out = codes[column] = [None if (v := e.attrs.get(column)) is None
+                               else canonical_bytes(v) for e in elements]
+    return out
 
 
 def _check_order(elements: list[StreamElement] | tuple[StreamElement, ...],

@@ -11,6 +11,7 @@ reserved "_" check-id prefix.
 from __future__ import annotations
 
 import heapq
+from array import array
 from collections import deque
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timedelta
@@ -598,17 +599,22 @@ def _with_element_records(check: CheckDefinition, lead: str, judge):
 
 def _split(part: Slice, key_by: str) -> dict[bytes, tuple[Value, Slice]]:
     """A slice's elements by the canonical encoding of their key (read from
-    the slice's shared column encodings), order kept; Null keys dropped."""
-    groups: dict[bytes, tuple[Value, Slice]] = {}
-    for e, enc in zip(part.elements, part.encodings(key_by)):
+    the slice's shared column encodings), order kept; Null keys dropped.
+    Each group's slice reads its column encodings from the whole slice."""
+    groups: dict[bytes, tuple[Value, list[StreamElement], array]] = {}
+    elements = part.elements
+    for i, enc in enumerate(part.encodings(key_by)):
         if enc is None:
             continue
         slot = groups.get(enc)
         if slot is None:
-            groups[enc] = (e.attrs[key_by], Slice([e]))
+            e = elements[i]
+            groups[enc] = (e.attrs[key_by], [e], array("I", (i,)))
         else:
-            slot[1].elements.append(e)
-    return groups
+            slot[1].append(elements[i])
+            slot[2].append(i)
+    return {enc: (key, Slice(members, (part.codes, elements, positions)))
+            for enc, (key, members, positions) in groups.items()}
 
 
 def relative_volume_check(check_id: str, lo_factor: float, hi_factor: float,
@@ -674,16 +680,16 @@ class MonitorEngine:
         self._routed: dict[int, datetime] = {}
 
     def process(self, element: StreamElement) -> None:
-        self.stats.read += 1
-        self.watermark.observe(element.event_time)
-        outcome = self.store.route(element, self.watermark)
-        if outcome is RouteOutcome.DISCARDED:
-            self.stats.discarded += 1
+        stats = self.stats
+        stats.read += 1
+        outcome, ready = self.store.push(element, self.watermark)
+        if outcome is _ASSIGNED:
+            stats.assigned += 1
+        elif outcome is _DISCARDED:
+            stats.discarded += 1
         else:
-            self.stats.assigned += 1
-            if outcome is RouteOutcome.LATE:
-                self.stats.late_accepted += 1
-        ready = self.store.close_ready(self.watermark.value)
+            stats.assigned += 1
+            stats.late_accepted += 1
         if ready:
             self._emit_batch(ready)
 
@@ -767,6 +773,7 @@ class MonitorEngine:
                           {"total": self._discards_reported})
 
 
+_ASSIGNED, _DISCARDED = RouteOutcome.ASSIGNED, RouteOutcome.DISCARDED
 _NO_LATE_DISCARDS = meta_line_tail(check_lead("_late_discards"), 0, True, None)
 
 

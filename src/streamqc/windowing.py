@@ -28,6 +28,7 @@ from datetime import datetime, timedelta, timezone
 from enum import Enum
 from itertools import chain
 from operator import attrgetter
+from typing import Sequence
 
 from .model import (
     TS_MAX,
@@ -79,6 +80,10 @@ class RouteOutcome(str, Enum):
     ASSIGNED = "assigned"
     LATE = "late"
     DISCARDED = "discarded"
+
+
+# push's answer for an on-time row that closes nothing.
+_ON_TIME = (RouteOutcome.ASSIGNED, ())
 
 
 def _pane_bounds(spec: WindowSpec, p: int) -> tuple[datetime, datetime]:
@@ -143,8 +148,11 @@ class PaneStore:
         self._last: int | None = None
         # The slice rows were last routed to, [start, end) and its by-key
         # dict; a row inside it skips the grid arithmetic. Empty when unset.
+        # An unkeyed store also keeps that slice's element list, the one push
+        # appends an on-time row to.
         self._open_start, self._open_end = TS_MAX, TS_MIN
         self._open: dict[bytes, tuple[Value, Slice]] = {}
+        self._tail: list[StreamElement] | None = None
         # Session state: canonical key -> sessions sorted by min_t, and one heap
         # entry per session, (close instant when pushed, key, id, session); id()
         # breaks ties.
@@ -152,6 +160,35 @@ class PaneStore:
         self._session_heap: list[tuple[datetime, bytes, int, _Session]] = []
 
     # -- routing ------------------------------------------------------------
+
+    def push(self, e: StreamElement, wm: Watermark
+             ) -> tuple[RouteOutcome, Sequence[WindowInstance]]:
+        """One row's whole path: advance the watermark by its event time,
+        route the row, and close the panes the watermark then reaches;
+        returns the outcome and the closed panes.
+
+        An on-time row in the open slice of an unkeyed grid store is
+        appended to it directly, and close_ready runs only once the
+        watermark reaches the next close instant. Every other row (late or
+        discarded, keyed, in a session, or one whose watermark shift
+        clamps) takes observe, route and close_ready."""
+        t = e.event_time
+        tail = self._tail
+        if tail is not None and wm.value <= t and self._open_start <= t < self._open_end:
+            try:
+                candidate = t - wm.delay
+            except OverflowError:
+                pass
+            else:
+                if candidate > wm.value:
+                    wm.value = candidate
+                tail.append(e)
+                if wm.value < self._close_at:
+                    return _ON_TIME
+                return RouteOutcome.ASSIGNED, self.close_ready(wm.value)
+        wm.observe(t)
+        outcome = self.route(e, wm)
+        return outcome, self.close_ready(wm.value)
 
     def route(self, e: StreamElement, wm: Watermark) -> RouteOutcome:
         """Assign an element to its panes, or discard it as too late.
@@ -182,9 +219,11 @@ class PaneStore:
         key_enc = canonical_bytes(key) if self.key_by is not None else _UNKEYED
         slot = by_key.get(key_enc)
         if slot is None:
-            by_key[key_enc] = (key, Slice([e]))
+            by_key[key_enc] = slot = (key, Slice([e]))
         else:
             slot[1].elements.append(e)
+        if self.key_by is None:
+            self._tail = slot[1].elements
 
     def _open_slice(self, t: datetime) -> None:
         """Make the slice containing t the one rows are routed to, creating it if new."""
@@ -291,6 +330,7 @@ class PaneStore:
             for k in numbers[:done]:
                 if slices.pop(k) is self._open:
                     self._open_start, self._open_end = TS_MAX, TS_MIN
+                    self._tail = None
             del numbers[:done]
             self._next = p + 1
         self._close_at = _shift(self.spec.origin, self._next * self.spec.step + self._hold)

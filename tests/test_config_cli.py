@@ -5,6 +5,7 @@ import copy
 import csv
 import json
 import re
+import time
 from datetime import timedelta
 from pathlib import Path
 
@@ -20,10 +21,19 @@ from streamqc.config import (
     resolve_path,
     semantic_errors,
 )
-from streamqc.model import Predicate, Threshold, ValueRange, WindowSpec, format_ts, parse_ts
+from streamqc.model import (
+    MAX_PANES_PER_ROW,
+    ModelError,
+    Predicate,
+    Threshold,
+    ValueRange,
+    WindowSpec,
+    format_ts,
+    parse_ts,
+)
 from streamqc.windowing import assign_sliding, assign_tumbling
 
-from helpers import run_cli_child
+from helpers import T0, run_cli_child
 
 
 def base_config():
@@ -745,6 +755,31 @@ def test_cli_durations_past_the_engine_range_are_config_errors(
     assert len(lines) == 1 and lines[0].startswith("error: ") and expected in lines[0], lines
     assert "Traceback" not in captured.err and captured.out == ""
     assert not meta.exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_cli_sliding_window_of_too_many_panes_per_row_is_a_config_error(
+        tmp_path, capsys, command):
+    """A sliding duration of more than MAX_PANES_PER_ROW slides would put
+    every row in that many panes (400,000,000d/1d ran without end): it is
+    one `error:` line and exit 1 from validate and run, found at once."""
+    def mutate(obj):
+        obj["window"] = {"kind": "sliding", "duration": "400000000d", "slide": "1d"}
+    cfg_path = cli_setup(tmp_path, mutate)
+    meta = tmp_path / "meta.jsonl"
+    argv = [command, cfg_path] + (["--meta", str(meta)] if command == "run" else [])
+    began = time.process_time()
+    assert main(argv) == 1
+    assert time.process_time() - began < 2.0
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and "at most 10000 slides" in lines[0], lines
+    assert not meta.exists()
+    assert MAX_PANES_PER_ROW == 10_000
+    slide = timedelta(minutes=1)
+    assert len(assign_sliding(T0, WindowSpec("sliding", duration=10_000 * slide,
+                                             slide=slide))) == 10_000
+    with pytest.raises(ModelError, match="slides"):
+        WindowSpec("sliding", duration=10_000 * slide + timedelta(seconds=1), slide=slide)
 
 
 def test_cli_run_context_horizon_longer_than_the_timestamp_range(tmp_path):

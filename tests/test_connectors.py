@@ -4,13 +4,16 @@ import csv
 import json
 import logging
 import math
+import os
 import random
 import socket
+import tempfile
 import threading
 import time
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from streamqc.connectors import (
     FileSink,
@@ -27,8 +30,9 @@ from streamqc.connectors import (
     open_sink,
     paced,
     parse_time,
+    _row_decoder,
 )
-from streamqc.model import ColumnSpec, canonical_bytes, parse_ts, ts, value_from_json
+from streamqc.model import ColumnSpec, canonical_bytes, parse_iso, parse_ts, ts, value_from_json
 
 from helpers import T0
 
@@ -400,6 +404,116 @@ def test_jsonl_plan_matches_per_field_coercion(tmp_path):
     assert list(first)[8:] == ["tags", "meta", "seen", "big"]
     assert first["fare"] == 3.0 and isinstance(first["fare"], float)
     assert first["meta"] == '{"k":1}' and first["seen"] == T0 and first["big"] == math.inf
+
+
+# ---------------------------------------------------------------------------
+# The compiled row's inline cells against the per-cell coercers
+
+
+def _iso_texts():
+    """ISO-like texts: every shape parse_iso reads, and near misses."""
+    moment = st.one_of(
+        st.datetimes(min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31, 23, 59, 59)),
+        st.sampled_from([datetime(2016, 2, 29, 23, 59, 59, 999000), datetime(2000, 2, 29),
+                         datetime(1, 1, 1), datetime(9999, 12, 31, 23, 59, 59, 999999)]))
+    fraction = st.sampled_from(["", ".000", ".123", ".999", ".5", ".123456", ".000999",
+                                ".1234567", ",250"])
+    zone = st.one_of(
+        st.sampled_from(["Z", "Z", "Z", "z", "", "+00:00", "-00:00", "+05:30", "-23:59", "+0000",
+                         "+00", "+00:00:00.000001", "ZZ", " Z"]),
+        st.builds(lambda minutes: "%s%02d:%02d" % ("+-"[minutes < 0], abs(minutes) // 60,
+                                                   abs(minutes) % 60),
+                  st.integers(-1439, 1439)))
+    pad = st.sampled_from([""] * 8 + [" ", "\t", "\n"])
+
+    def render(when, separator, fraction, zone, before, after, date_only):
+        text = f"{when.year:04d}-{when.month:02d}-{when.day:02d}"
+        if not date_only:
+            text += f"{separator}{when.hour:02d}:{when.minute:02d}:{when.second:02d}"
+            text += fraction + zone
+        return before + text + after
+
+    built = st.builds(render, moment, st.sampled_from(["T", "T", "T", " ", "t"]), fraction,
+                      zone, pad, pad, st.sampled_from([False] * 5 + [True]))
+    return st.one_of(built, st.text(max_size=30) | st.sampled_from(["", "2015", "Z"]))
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.lists(_iso_texts(), min_size=1, max_size=8))
+def test_inline_iso_cell_matches_parse_iso(texts):
+    """An ISO event-time cell is read by fromisoformat inline, and kept only
+    when it is what parse_iso makes of the text; every other text takes
+    parse_iso. In both sources the value, the failure count and the skip
+    are parse_iso's."""
+    schema = [ColumnSpec("t", "timestamp", nullable=False)]
+    csv_counters, json_counters = SourceCounters(), SourceCounters()
+    csv_row = _row_decoder(schema, {}, "t", csv_counters, header=["t"])
+    json_row = _row_decoder(schema, {}, "t", json_counters)
+    failures = 0
+    for seq, text in enumerate(texts):
+        try:
+            want = parse_iso(text)
+        except (ValueError, OverflowError):
+            want = None
+            failures += 1
+        else:
+            assert want.tzinfo is timezone.utc
+        for row in (csv_row([text], seq), json_row({"t": text}, seq)):
+            if want is None:
+                assert row is None, text
+            else:
+                assert row.event_time == want and row.attrs == {"t": want}, text
+                assert row.event_time.tzinfo is timezone.utc
+    # An empty CSV cell is a Null, a failure of the non-nullable column.
+    assert csv_counters.parse_failures.get("t", 0) == failures
+    assert json_counters.parse_failures.get("t", 0) == failures
+
+
+HOSTILE_CELLS = ["", " ", "nan", "-nan", "NaN", "inf", "-inf", "Infinity", "1e400", "-1e400",
+                 "1e-400", " 1.0", "1.0 ", "\t2\n", "+1", "-0", "-0.0", "0x10", "1_0",
+                 "1__0", "\u0661\u0662", "12" * 3000, "true", "TRUE", "t", "\x00",
+                 "2015-05-07T11:00:00Z", "2015-05-07T11:00:00.000-00:00",
+                 "2015-05-07T11:00:00.0001Z", "2015-05-07", "1431000900"]
+
+
+# JSON values beside text: Null, bools, numbers of each kind, NaN and the
+# infinities, an int past the float range, and nested values.
+HOSTILE_VALUES = [None, True, False, 0, 7, -1.5, 2.0, math.nan, math.inf, -math.inf,
+                  10 ** 400, [1], {"a": None}]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(
+    st.booleans(),
+    st.lists(st.sampled_from(HOSTILE_CELLS) | st.text(max_size=6)
+             | st.sampled_from(HOSTILE_VALUES), max_size=12)), min_size=1, max_size=12))
+def test_compiled_row_matches_per_cell_coercion_on_hostile_cells(rows):
+    """Empty, NaN, infinite and out-of-range numbers, padded numbers, short
+    and long rows and ride-along columns: the compiled CSV and JSONL rows
+    equal one coercion call per cell, with the same parse_failures and
+    skipped_bad_time. Most rows keep a good event time, so their cells are
+    compared, not skipped."""
+    header = ["note", "t", "fare", "n", "flag", "zone", "s", "ms", "d", "tail"]
+    rows = [cells[:1] + ["2015-05-07T11:00:00Z"] + cells[2:] if timed else cells
+            for timed, cells in rows]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "in.csv")
+        write_csv(path, rows, header=header)
+        with open(path, newline="") as fp:
+            reader = csv.reader(fp)
+            next(reader)
+            raws = [{name: cells[i] if i < len(cells) else "" for i, name in enumerate(header)}
+                    for cells in reader]
+        counters = SourceCounters()
+        elements = list(iter_csv(path, ORACLE_SCHEMA, "t", ORACLE_FORMATS, counters))
+        _assert_same_decoding(elements, counters, _reference_decode(raws, from_csv=True))
+        path = os.path.join(tmp, "in.jsonl")
+        objects = [{name: cell for name, cell in zip(header, cells)} for cells in rows]
+        with open(path, "w") as fp:
+            fp.writelines(json.dumps(obj) + "\n" for obj in objects)
+        counters = SourceCounters()
+        elements = list(iter_jsonl(path, ORACLE_SCHEMA, "t", ORACLE_FORMATS, counters))
+        _assert_same_decoding(elements, counters, _reference_decode(objects, from_csv=False))
 
 
 def test_iter_socket(tmp_path):

@@ -337,6 +337,45 @@ def test_every_tail_is_its_record_rendered_whole():
                     "proper_subset_violated", "_late_discards"}, seen
 
 
+def test_warming_reference_miss_and_skipped_null_lines_are_pinned():
+    """The exact bytes of a warming record, a reference miss and a skipped
+    Null verdict: `true` is no `1`, and the missed key renders as on the
+    wire. The references above render the records the engine made, so only
+    literal lines pin these details."""
+    window_start = '{"window_start":"2015-05-07T11:0%d:00.000Z","window_end":' \
+        '"2015-05-07T11:0%d:00.000Z","key":null,"check":'
+    checks = [
+        CheckDefinition(id="fare_trend", measure=MeasureSpec("mean", {"column": "fare"}),
+                        constraint=Predicate("value <= mu_H + 3 * sigma_H"),
+                        context=ContextSpec(horizon=2 * MIN)),
+        CheckDefinition(id="fare_vs_ref", measure=MeasureSpec("max", {"column": "fare"}),
+                        constraint=Predicate("value <= ref_cap"),
+                        reference=ReferenceSpec("caps", "window_start")),
+        CheckDefinition(id="fare_max_soft", measure=MeasureSpec("max", {"column": "fare"}),
+                        constraint=Threshold("<", 100.0), null_verdict="skip"),
+    ]
+    table = ReferenceTable("caps", "start", ("start", "cap"),
+                           {canonical_bytes(at(60)): {"start": at(60), "cap": 5.0}})
+    sink = ListSink()
+    engine = MonitorEngine(SuiteState(checks, SCHEMA, WindowSpec("tumbling", duration=MIN),
+                                      references={"caps": table}), meta_sink=sink)
+    for seq, (seconds, fare) in enumerate([(10, 2.5), (70, None)]):
+        engine.process(elem(at(seconds), seq, fare=fare))
+    engine.finish()
+    first, second = window_start % (0, 1), window_start % (1, 2)
+    assert sink.lines == [
+        first + '"_late_discards","value":0,"ok":true,"detail":null}',
+        first + '"fare_max_soft","value":2.5,"ok":true,"detail":null}',
+        first + '"fare_trend","value":2.5,"ok":true,"detail":{"warming":true}}',
+        first + '"fare_vs_ref","value":null,"ok":false,'
+                '"detail":{"reference_miss":"2015-05-07T11:00:00.000Z"}}',
+        second + '"_late_discards","value":0,"ok":true,"detail":null}',
+        second + '"fare_max_soft","value":null,"ok":true,"detail":{"skipped_null":true}}',
+        second + '"fare_trend","value":null,"ok":true,"detail":{"warming":true}}',
+        second + '"fare_vs_ref","value":null,"ok":false,"detail":null}',
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Routed seqs stay bounded
 
@@ -400,8 +439,8 @@ def test_session_pane_is_split_by_key_once(monkeypatch):
 
 
 def test_close_ready_works_only_once_a_pane_can_close(monkeypatch):
-    """close_ready runs per row, but builds panes only when the watermark
-    has reached the next close instant, and then one closes."""
+    """Panes are built only when the watermark has reached the next close
+    instant, and then one closes."""
     outcomes = []
     close_grid = PaneStore._close_grid
 

@@ -16,6 +16,7 @@ from streamqc.measures import (
     MEASURES,
     REQUIRED,
     EngineEnv,
+    _numbers,
     apply_measure,
     elem_checker_for,
     validate_measure,
@@ -495,6 +496,29 @@ def test_in_set_widening_membership():
 # timestamp and an infinity.
 _MEMBERS = ["a", "A", "b", "é", 1, 1.0, 2, True, False, 0,
             "2015-05-07T11:00:00.000Z", "Infinity"]
+
+
+class _Int(int):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+@settings(deadline=None)
+@given(st.lists(st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=3),
+    st.integers().map(_Int), st.floats().map(_Float), st.builds(lambda: at(0)))))
+def test_numbers_keep_the_isinstance_rule(values):
+    """The exact-type fast path of _numbers keeps what the isinstance chain
+    alone keeps: ints and floats and their subclasses, never a bool (an
+    int subclass), each as the same object and in element order."""
+    elements = [elem(at(i), i, x=v) for i, v in enumerate(values)]
+    want = [v for v in values
+            if v is not None and not isinstance(v, bool) and isinstance(v, (int, float))]
+    got = _numbers(elements, "x")
+    assert len(got) == len(want) and all(a is b for a, b in zip(got, want))
 
 
 @settings(max_examples=300, deadline=None)

@@ -1042,8 +1042,9 @@ def test_each_element_is_checked_once_per_check(monkeypatch, window, key_by, emi
 
 def test_each_value_is_encoded_once_per_row_and_column(monkeypatch):
     """Exact and approx distinct counts, uniqueness and a key_by split over
-    the same columns share each slice's encodings: on 5m/1m panes, where a
-    row lies in five panes, each (row, column) value is encoded once."""
+    the same columns share each slice's encodings, and a key group's share
+    of a slice reads them from the whole slice: on 5m/1m panes, where a row
+    lies in five panes, each (row, column) value is encoded once."""
     encoded = Counter()
     encode = model.canonical_bytes
 
@@ -1057,6 +1058,7 @@ def test_each_value_is_encoded_once_per_row_and_column(monkeypatch):
     checks = [CheckDefinition(id=cid, measure=MeasureSpec(mid, params),
                               constraint=Threshold(">=", 0), key_by=key_by)
               for cid, mid, params, key_by in [
+                  ("zone_rides", "distinct_count", {"column": "ride", "mode": "approx"}, "zone"),
                   ("zones", "distinct_count", {"column": "zone"}, None),
                   ("rides_unique", "uniqueness", {"column": "ride"}, None),
                   ("rides_approx", "distinct_count", {"column": "ride", "mode": "approx"}, None),

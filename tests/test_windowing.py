@@ -416,12 +416,11 @@ def test_sessions_match_brute_force(monkeypatch):
             t += rng.expovariate(1 / 40.0)
             back = rng.uniform(0, 500) if rng.random() < 0.3 else 0.0
             e = elem(at(t - back), seq, k=rng.choice(["a", "b", "c"]))
-            wm.observe(e.event_time)
-            outcome = store.route(e, wm)
+            outcome, closed = store.push(e, wm)
             outcomes[outcome] += 1
             if outcome is not RouteOutcome.DISCARDED:
                 kept.append(e)
-            panes.extend(store.close_ready(wm.value))
+            panes.extend(closed)
         panes.extend(store.flush())
         assert store.open_element_count() == 0
         got = [(p.start, p.end, p.key, [e.arrival_seq for e in p.elements]) for p in panes]
@@ -515,15 +514,26 @@ def _grid_starts(spec, t):
 
 
 def _replay(spec, key_by, rows, delay):
-    """Route rows through a store, closing after each; returns (panes, kept)."""
+    """Push rows through a store as the engine does; returns (panes, kept).
+    Each row's watermark and outcome are those of observe and route, and a
+    pane closes at the first row whose watermark reaches its close instant."""
     store = PaneStore(spec, key_by=key_by)
     wm = Watermark(delay=delay)
     panes, kept = [], []
     for e in rows:
-        wm.observe(e.event_time)
-        if store.route(e, wm) is not RouteOutcome.DISCARDED:
+        before = wm.value
+        outcome, closed = store.push(e, wm)
+        shifted = windowing._shift(e.event_time, -delay)
+        assert wm.value == max(before, shifted)
+        assert outcome is (RouteOutcome.ASSIGNED if e.event_time >= wm.value
+                           else RouteOutcome.LATE
+                           if wm.value - e.event_time <= spec.allowed_lateness
+                           else RouteOutcome.DISCARDED)
+        if outcome is not RouteOutcome.DISCARDED:
             kept.append(e)
-        panes.extend(store.close_ready(wm.value))
+        for p in closed:
+            assert before < windowing._shift(p.end, spec.allowed_lateness) <= wm.value
+        panes.extend(closed)
     panes.extend(store.flush())
     assert store.open_element_count() == 0
     return panes, kept
@@ -582,6 +592,80 @@ def test_slice_panes_match_brute_force(duration, slide):
         for p in panes:
             if p.parts is not None:
                 assert tuple(e for part in p.parts for e in part.elements) == p.elements
+
+
+@pytest.mark.parametrize("base", [T0, TS_MIN], ids=["2015", "ts-min"])
+@pytest.mark.parametrize("delay", [0, 30])
+@pytest.mark.parametrize("duration,slide", [(5, None), (5, 1), (10, 4)])
+def test_rows_at_slice_bounds_and_at_the_watermark_match_brute_force(
+        monkeypatch, base, delay, duration, slide):
+    """Rows exactly at a slice bound or a millisecond before one, exactly at
+    the watermark, and exactly at or just past the lateness floor, with and
+    without a watermark delay, also where the delay reaches back past
+    TS_MIN: push keeps the outcomes, watermarks and panes of observe, route
+    and close_ready (checked row by row in _replay). Rows take both its
+    paths: the open slice and the general one."""
+    routed = []
+    route = PaneStore.route
+    monkeypatch.setattr(PaneStore, "route",
+                        lambda self, e, wm: routed.append(e) or route(self, e, wm))
+    rng = random.Random(duration * 10 + (slide or 0) + delay)
+    spec = (spec_tumbling(duration, lateness=1) if slide is None
+            else spec_sliding(duration, slide, lateness=1))
+    delay, ms = timedelta(seconds=delay), timedelta(milliseconds=1)
+    for trial in range(10):
+        rows, newest = [elem(base, 0)], base
+        for seq in range(1, 200):
+            wm = max(windowing._shift(newest, -delay), TS_MIN)
+            bound = base + MIN * rng.randint(0, 2 + seq // 10)
+            t = rng.choice([bound, bound - ms if bound > TS_MIN else bound, wm, wm,
+                            windowing._shift(wm, -spec.allowed_lateness),
+                            windowing._shift(wm, -spec.allowed_lateness - ms),
+                            newest, newest + rng.choice([ms, 7 * ms, MIN / 3])])
+            rows.append(elem(max(t, TS_MIN), seq))
+            newest = max(newest, rows[-1].event_time)
+        panes, kept = _replay(spec, None, rows, delay)
+        got = [(p.start, p.end, p.key, [e.arrival_seq for e in p.elements]) for p in panes]
+        assert sorted(got, key=lambda p: (p[0], p[1])) == \
+            _brute_force(spec, None, kept), (trial, spec)
+        assert len(kept) < len(rows)  # rows past the lateness floor were discarded
+    assert 0.1 < len(routed) / (10 * 200) < 0.9, len(routed)
+
+
+@pytest.mark.parametrize("base", [T0, TS_MIN], ids=["2015", "ts-min"])
+@pytest.mark.parametrize("delay", [0, 30])
+@pytest.mark.parametrize("key_by", [None, "k"])
+@pytest.mark.parametrize("spec", [spec_tumbling(5, lateness=1), spec_sliding(10, 4, lateness=1),
+                                  spec_session(2, lateness=1)], ids=["tumbling", "sliding",
+                                                                     "session"])
+def test_push_equals_observe_route_and_close_ready(spec, key_by, delay, base):
+    """On every store kind, keyed or not, push gives each row the outcome,
+    the watermark and the closed panes that observe, route and close_ready
+    give it on a twin store, for rows at slice bounds, at the watermark and
+    at the lateness floor, with and without a delay, also near TS_MIN."""
+    rng = random.Random(delay + (key_by is None) + (base == T0))
+    delay, ms = timedelta(seconds=delay), timedelta(milliseconds=1)
+    pushed, stepped = PaneStore(spec, key_by=key_by), PaneStore(spec, key_by=key_by)
+    wm_pushed, wm_stepped = Watermark(delay=delay), Watermark(delay=delay)
+
+    def rows_of(panes):
+        return [(p.start, p.end, p.key, [e.arrival_seq for e in p.elements]) for p in panes]
+
+    newest = base
+    for seq in range(600):
+        wm = wm_stepped.value if seq else base  # the first row sets the watermark
+        t = rng.choice([base + MIN * rng.randint(0, 3 + seq // 20), wm, wm,
+                        windowing._shift(wm, -spec.allowed_lateness),
+                        windowing._shift(wm, -spec.allowed_lateness - ms),
+                        newest, newest + rng.choice([ms, 7 * ms, MIN / 3, 3 * MIN])])
+        e = elem(max(t, TS_MIN), seq, k=rng.choice(["a", "b"]))
+        newest = max(newest, e.event_time)
+        outcome, closed = pushed.push(e, wm_pushed)
+        wm_stepped.observe(e.event_time)
+        assert outcome is stepped.route(e, wm_stepped), seq
+        assert wm_pushed.value == wm_stepped.value, seq
+        assert rows_of(closed) == rows_of(stepped.close_ready(wm_stepped.value)), seq
+    assert rows_of(pushed.flush()) == rows_of(stepped.flush())
 
 
 def test_late_rows_reach_the_slices_of_open_panes():
