@@ -450,34 +450,67 @@ def compile(node: Expr) -> Compiled:
     """The expression as nested closures over one name table, built once.
 
     Operators and builtins are resolved here, so evaluating is a call per
-    node and no dispatch. It never raises, and its arithmetic and builtins
-    never return NaN.
+    node and no dispatch. A subtree that reads no name is evaluated here,
+    once, into its value, and a comparison holds such a value directly. It
+    never raises, and its arithmetic and builtins never return NaN.
     """
+    return _compile(node)[0]
+
+
+_VARIES = object()  # the value of a subtree that reads a name: none until evaluated
+
+
+def _compile(node: Expr) -> tuple[Compiled, Any]:
+    """The node's closure, and its value when it reads no name (else _VARIES)."""
     if isinstance(node, Literal):
-        value = node.value
-        return lambda names: value
+        return _constant(node.value)
     if isinstance(node, Name):
         ident = node.ident
-        return lambda names: names.get(ident)
+        return (lambda names: names.get(ident)), _VARIES
     if isinstance(node, Call):
-        return _call(node)
-    if isinstance(node, Unary):
-        operand = compile(node.operand)
-        if node.op == "not":
-            # Non-boolean operands of logic operators absorb to Null.
-            return lambda names: not v if (v := operand(names)) is True or v is False else None
-        return lambda names: -v if _is_num(v := operand(names)) else None
-    if not isinstance(node, Binary):
+        args = [_compile(arg) for arg in node.args]
+        compiled = _call(node, [fn for fn, _ in args])
+        values = [value for _, value in args]
+    elif isinstance(node, Unary):
+        operand, value = _compile(node.operand)
+        compiled = _unary(node.op, operand)
+        values = [value]
+    elif isinstance(node, Binary):
+        (left, lvalue), (right, rvalue) = _compile(node.left), _compile(node.right)
+        compiled = _binary(node.op, left, lvalue, right, rvalue)
+        values = [lvalue, rvalue]
+    else:
         raise TypeError(f"not an expression node: {node!r}")
-    left, right = compile(node.left), compile(node.right)
-    if node.op in _ARITH:
-        return _arith(_ARITH[node.op], left, right)
-    if node.op not in ("and", "or"):
-        compare = comparator(node.op)
+    if _VARIES in values:
+        return compiled, _VARIES
+    return _constant(compiled({}))
+
+
+def _constant(value: Value) -> tuple[Compiled, Value]:
+    return (lambda names: value), value
+
+
+def _unary(op: str, operand: Compiled) -> Compiled:
+    if op == "not":
+        # Non-boolean operands of logic operators absorb to Null.
+        return lambda names: not v if (v := operand(names)) is True or v is False else None
+    return lambda names: -v if _is_num(v := operand(names)) else None
+
+
+def _binary(op: str, left: Compiled, lvalue: Any, right: Compiled, rvalue: Any) -> Compiled:
+    # lvalue and rvalue are the sides' values when they read no name, else _VARIES.
+    if op in _ARITH:
+        return _arith(_ARITH[op], left, right)
+    if op not in ("and", "or"):
+        compare = comparator(op)
+        if rvalue is not _VARIES:
+            return lambda names: compare(left(names), rvalue)
+        if lvalue is not _VARIES:
+            return lambda names: compare(lvalue, right(names))
         return lambda names: compare(left(names), right(names))
     # Kleene logic: the deciding value (False for and, True for or) wins,
     # then Null; the right side is skipped when the left decides.
-    decides = node.op == "or"
+    decides = op == "or"
     other = not decides
 
     def logic(names: Names) -> Value:
@@ -506,10 +539,9 @@ def _arith(apply: Callable[[Any, Any], Any], left: Compiled, right: Compiled) ->
     return arithmetic
 
 
-def _call(node: Call) -> Compiled:
+def _call(node: Call, args: list[Compiled]) -> Compiled:
     # A NaN result (min or max of a NaN) is Null.
     function = _BUILTINS[node.name][1]
-    args = [compile(arg) for arg in node.args]
     if node.pattern is not None:
         pattern = node.pattern
         args[1] = lambda names: pattern

@@ -380,6 +380,9 @@ def _per_pane(apply: Callable[[dict, WindowInstance, EngineEnv], MeasureResult])
     return lambda params, env: functools.partial(apply, params)
 
 
+_ABSENT = object()  # a memo probe's default: no partial kept yet
+
+
 def _merged(name: str, prepare):
     """compile() of a measure kept as partial state per slice.
 
@@ -398,9 +401,10 @@ def _merged(name: str, prepare):
             partials = []
             for part in window.slices():
                 memo = part.memo
-                if key not in memo:
-                    memo[key] = partial(part)
-                partials.append(memo[key])
+                kept = memo.get(key, _ABSENT)
+                if kept is _ABSENT:
+                    kept = memo[key] = partial(part)
+                partials.append(kept)
             return finish(partials, window)
         return run
     return compile
@@ -1006,7 +1010,7 @@ def _per_element(measure_id: str, table: dict[str, Param],
     records."""
     def prepare(params, env, checker):
         def finish(partials, window):
-            verdicts = _concat(partials)
+            verdicts = partials[0] if len(partials) == 1 else _concat(partials)
             result = tally(params, verdicts, window)
             result.verdicts = verdicts
             return result

@@ -79,8 +79,18 @@ def from_epoch_millis(millis: int) -> datetime:
 
 
 def format_ts(dt: datetime) -> str:
-    """Render a timestamp as ISO-8601 UTC with exactly millisecond precision."""
-    return utc_ms(dt).isoformat(timespec="milliseconds")[:-6] + "Z"  # cut "+00:00"
+    """Render a timestamp as ISO-8601 UTC with exactly millisecond precision.
+
+    A UTC datetime at whole milliseconds, as every timestamp inside the
+    engine is, is rendered by one format; any other goes through utc_ms.
+    """
+    if dt.tzinfo is not timezone.utc or dt.microsecond % 1000:
+        dt = utc_ms(dt)
+    return _TS_FORMAT % (dt.year, dt.month, dt.day, dt.hour, dt.minute, dt.second,
+                         dt.microsecond // 1000)
+
+
+_TS_FORMAT = "%04d-%02d-%02dT%02d:%02d:%02d.%03dZ"
 
 
 def parse_iso(text: str) -> datetime:
@@ -759,7 +769,7 @@ def meta_line_tail(lead: str, value: Value, ok: bool, detail: dict[str, Any] | N
             f'"detail":{"null" if detail is None else wire_json(detail)}}}')
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MetaRecord:
     """One line of the quality meta-stream.
 
@@ -768,6 +778,8 @@ class MetaRecord:
     check ids with a leading underscore. tail, when set, is the rest of the
     line after its prefix (meta_line_tail), rendered from the check's
     template when the record was made; to_json_line renders from the fields.
+    A record is slotted and mutable, so it is cheap to build (the engine
+    builds one per meta line), and, like any mutable record, unhashable.
     """
 
     window_start: datetime

@@ -53,6 +53,7 @@ from .model import (
     meta_line_tail,
     schema_types,
     sort_key,
+    value_test,
     value_to_json,
     value_type,
     wire_json,
@@ -249,8 +250,10 @@ class _FrozenDetector:
 # ---------------------------------------------------------------------------
 # Suite validation
 
-# A constraint's verdict from the pane's name table: value and bindings.
-Verdict = Callable[[dict[str, Value]], bool | None]
+# A constraint's verdict: a Threshold or ValueRange tests the measured value
+# (model.value_test), a predicate reads the pane's name table of the value
+# and the check's bindings (model.constraint_verdict).
+Verdict = Callable[[Value], bool | None] | Callable[[dict[str, Value]], bool | None]
 
 
 class InvalidSuite(ValueError):
@@ -346,9 +349,10 @@ def _compile(text: str, allowed: set[str], errors: list[str],
 def _compile_constraint(check: CheckDefinition, measure: ParsedMeasure | None,
                         columns: dict[str, str], allowed_bindings: set[str],
                         errors: list[str], prefix: str) -> Verdict | None:
-    """The check's constraint as one verdict function (constraint_verdict),
-    a Predicate compiled. Problems are appended to errors; a bound is
-    type-checked only against a measure that parsed."""
+    """The check's constraint as one verdict function: a Predicate compiled
+    (constraint_verdict), a Threshold or ValueRange as a test of the value
+    (value_test). Problems are appended to errors; a bound is type-checked
+    only against a measure that parsed."""
     constraint = check.constraint
     if isinstance(constraint, Predicate):
         predicate = _compile(constraint.text, allowed_bindings, errors,
@@ -371,7 +375,7 @@ def _compile_constraint(check: CheckDefinition, measure: ParsedMeasure | None,
     else:
         errors.append(f"{prefix}unknown constraint type {type(constraint).__name__}")
         return None
-    return constraint_verdict(constraint)
+    return value_test(constraint)
 
 
 def _comparable(result_type: str, bound_type: str, op: str) -> bool:
@@ -469,6 +473,7 @@ class SuiteState:
         lead = check_lead(check_id)
         order = (check_id, -1)
         skip_null = check.null_verdict == "skip"
+        reads_names = isinstance(check.constraint, Predicate)
 
         def emit(head, key, sub, value, ok, detail, entries):
             entries.append((head + order, MetaRecord(
@@ -476,9 +481,14 @@ class SuiteState:
                 meta_line_tail(lead, value, ok, detail))))
 
         def judge(head, key, sub, result, names, failing, entries):
-            # The pane's record from its measured value and the check's bindings.
-            value = names["value"] = result.value
-            ok = verdict(names)
+            # The pane's record from its measured value and, for a predicate,
+            # the check's bindings.
+            value = result.value
+            if reads_names:
+                names["value"] = value
+                ok = verdict(names)
+            else:
+                ok = verdict(value)
             detail = result.detail or None
             if ok is None:
                 ok = skip_null
@@ -491,8 +501,10 @@ class SuiteState:
         if check.emit_per_element:
             judge = _with_element_records(check, lead, judge)
         if check.context is None and check.reference is None:
+            names: dict[str, Value] = {}  # holds only the value, so one serves every pane
+
             def assess(head, key, sub, env, failing, entries):
-                judge(head, key, sub, apply_measure(spec, sub, env, run), {}, failing,
+                judge(head, key, sub, apply_measure(spec, sub, env, run), names, failing,
                       entries)
             return assess
 

@@ -252,7 +252,9 @@ class PaneStore:
         that grows keeps its entry."""
         gap = self.spec.gap
         key_enc = canonical_bytes(key)
-        sessions = self._sessions.setdefault(key_enc, [])
+        sessions = self._sessions.get(key_enc)
+        if sessions is None:
+            sessions = self._sessions[key_enc] = []
         t = e.event_time
         i = bisect_right(sessions, t, key=_min_t)
         left = sessions[i - 1] if i and t - sessions[i - 1].max_t <= gap else None

@@ -225,6 +225,30 @@ def test_a_name_reads_the_one_table_it_is_given():
     assert value({}) is None
 
 
+def test_a_literal_only_subtree_is_evaluated_once_when_compiled(monkeypatch):
+    """`-20` is negated (one _is_num call) when the expression is compiled,
+    not once per element; the folded rules are the evaluated ones."""
+    from streamqc import expression
+
+    calls = []
+    is_num = expression._is_num
+    monkeypatch.setattr(expression, "_is_num", lambda v: calls.append(v) or is_num(v))
+    conforms = compile(parse("temp > -20 and temp < 60 and status != 'fail'"))
+    assert calls == [20]
+    rows = [{"temp": t, "status": s} for t in (-25.0, -20, 0.5, None, math.nan)
+            for s in ("ok", "fail", None)]
+    verdicts = [conforms(row) for row in rows]
+    assert calls == [20]
+    assert verdicts == [expression_reference.evaluate(
+        parse("temp > -20 and temp < 60 and status != 'fail'"), row) for row in rows]
+    # Folded Nulls and NaN-free arithmetic keep their rules.
+    assert compile(parse("1 / 0 > x"))({"x": 1}) is None
+    assert compile(parse("x = null"))({"x": None}) is None
+    assert compile(parse("-(1 + 2) * 2 < x"))({"x": -5}) is True
+    assert compile(parse("not (1 < 2) or x"))({"x": None}) is None
+    assert compile(parse("matches('SN-12', 'SN-[0-9]+') and x"))({"x": True}) is True
+
+
 # ---------------------------------------------------------------------------
 # Errors carry byte offsets
 

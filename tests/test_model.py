@@ -3,7 +3,7 @@
 import json
 import math
 import operator
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timedelta, timezone, tzinfo
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -88,6 +88,59 @@ def test_format_duration_round_trips():
 def test_format_ts_wire_shape():
     assert format_ts(ts(2015, 5, 7, 11, 35)) == "2015-05-07T11:35:00.000Z"
     assert format_ts(ts(2015, 5, 7, 11, 35, 0, 45)) == "2015-05-07T11:35:00.045Z"
+
+
+def _format_ts_reference(dt: datetime) -> str:
+    # The isoformat rendering that format_ts replaces.
+    return utc_ms(dt).isoformat(timespec="milliseconds")[:-6] + "Z"
+
+
+class _ZeroOffset(tzinfo):
+    """UTC by offset, but not the timezone.utc object."""
+
+    def utcoffset(self, dt):
+        return timedelta(0)
+
+    def dst(self, dt):
+        return timedelta(0)
+
+
+_OFFSETS = st.sampled_from([timezone.utc, _ZeroOffset(),
+                            timezone(timedelta(hours=5, minutes=30)),
+                            timezone(-timedelta(hours=11, minutes=45)),
+                            timezone(timedelta(hours=23, minutes=59))])
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.datetimes(min_value=datetime(1, 1, 2), max_value=datetime(9999, 12, 30),
+                    timezones=_OFFSETS))
+def test_format_ts_matches_the_isoformat_rendering(dt):
+    """Random instants at any offset and any microsecond: the converted and
+    truncated rendering is byte-identical to the isoformat one."""
+    assert format_ts(dt) == _format_ts_reference(dt)
+
+
+@pytest.mark.parametrize("dt", [
+    datetime(1, 1, 1, tzinfo=timezone.utc),
+    datetime(1, 1, 1, 23, 59, 59, 999999, tzinfo=timezone.utc),
+    datetime(9999, 12, 31, 23, 59, 59, 999000, tzinfo=timezone.utc),
+    datetime.max.replace(tzinfo=timezone.utc),  # the engine's end of time: .999
+    datetime(9999, 12, 31, 23, 0, tzinfo=timezone(-timedelta(minutes=30))),
+    datetime(1, 1, 1, 5, 30, tzinfo=timezone(timedelta(hours=5, minutes=30))),
+    datetime(2024, 2, 29, 12, 0, 0, 1, tzinfo=timezone.utc),
+    datetime(2024, 2, 29, 12, 0, 0, 999, tzinfo=timezone(timedelta(hours=-3))),
+    datetime(2024, 2, 29, 12, 0, 0, 45000, tzinfo=timezone(timedelta(hours=5, minutes=30))),
+])
+def test_format_ts_matches_the_isoformat_rendering_at_the_edges(dt):
+    assert format_ts(dt) == _format_ts_reference(dt)
+
+
+def test_format_ts_of_the_end_of_time_and_a_naive_datetime():
+    from streamqc.windowing import _END_OF_TIME
+
+    assert format_ts(_END_OF_TIME) == "9999-12-31T23:59:59.999Z"
+    with pytest.raises(ModelError):
+        format_ts(datetime(2024, 1, 1))
 
 
 def test_parse_ts_round_trip():
@@ -440,6 +493,21 @@ def test_meta_record_json_round_trip():
                    key="zone-A", check_id="c1", value=None, ok=False,
                    detail={"element_ref": 7})
     assert meta_record_from_json(r.to_json_line()) == r
+
+
+def test_meta_record_equality_and_repr_ignore_the_tail():
+    r = MetaRecord(ts(2015, 5, 7, 11, 35), ts(2015, 5, 7, 11, 40), "k", "c1", 0.5, True,
+                   None, "rendered tail")
+    assert r == MetaRecord(ts(2015, 5, 7, 11, 35), ts(2015, 5, 7, 11, 40), "k", "c1", 0.5,
+                           True)
+    assert r != MetaRecord(ts(2015, 5, 7, 11, 35), ts(2015, 5, 7, 11, 40), "k", "c1", 0.5,
+                           False)
+    assert repr(r).startswith("MetaRecord(window_start=")
+    assert repr(r).endswith("ok=True, detail=None)")
+    assert list(MetaRecord.__dataclass_fields__) == [
+        "window_start", "window_end", "key", "check_id", "value", "ok", "detail", "tail"]
+    with pytest.raises(TypeError):  # mutable, so unhashable
+        hash(r)
 
 
 def test_meta_record_from_json_rejects_wrong_keys():

@@ -242,6 +242,59 @@ def test_force_fail_overrides_satisfied_constraint():
     assert records[0].detail == {"proper_subset_violated": True}
 
 
+_DIFF_T1, _DIFF_T2 = at(10), at(20)
+_DIFF_BOUNDS = {  # a measure whose result type fits each kind of bound
+    "number": MeasureSpec("mean", {"column": "fare"}),
+    "timestamp": MeasureSpec("max", {"column": "t"}),
+    "bool": MeasureSpec("schema_check", {"expected": ["fare"]}),
+}
+_DIFF_CONSTRAINTS = [
+    *[("number", Threshold(op, bound))
+      for op in ("<", "<=", "=", "!=", ">=", ">") for bound in (2, 2.5, -math.inf)],
+    *[("timestamp", Threshold(op, _DIFF_T1)) for op in ("<", "<=", "=", "!=", ">=", ">")],
+    *[("bool", Threshold(op, True)) for op in ("=", "!=")],
+    *[("number", ValueRange(lo, hi, lo_inclusive=li, hi_inclusive=hi_in))
+      for lo, hi in ((2, 3), (2.0, 2.0), (-math.inf, 0), (0, math.inf))
+      for li in (True, False) for hi_in in (True, False)
+      if lo != hi or (li and hi_in)],
+    *[("timestamp", ValueRange(_DIFF_T1, _DIFF_T2, lo_inclusive=li, hi_inclusive=hi_in))
+      for li in (True, False) for hi_in in (True, False)],
+]
+_DIFF_VALUES = [None, True, False, 0, 2, 3, -1, 10 ** 20, 2.0, 2.5, -0.0, 3.0000001,
+                math.inf, -math.inf, "", "2", _DIFF_T1, _DIFF_T2, at(15)]
+
+
+@pytest.mark.parametrize("null_verdict", ["fail", "skip"])
+def test_value_constraints_judge_as_constraint_verdict(monkeypatch, null_verdict):
+    """A Threshold or ValueRange check tests the measured value directly;
+    its records agree with constraint_verdict over the name table, for
+    every operator, both kinds of range end and values of every type,
+    with the Null rule, force_fail and a measure's detail applied."""
+    checks = [CheckDefinition(id=f"c{i}", measure=_DIFF_BOUNDS[kind], constraint=constraint,
+                              null_verdict=null_verdict)
+              for i, (kind, constraint) in enumerate(_DIFF_CONSTRAINTS)]
+    st = suite(checks)
+    verdicts = {c.id: model.constraint_verdict(c.constraint) for c in checks}
+    result = [None]
+    monkeypatch.setattr(monitor, "apply_measure", lambda spec, w, env, run: result[0])
+    for value in _DIFF_VALUES:
+        for force_fail in (False, True):
+            for detail in (None, {}, {"n": 1}):
+                result[0] = measures.MeasureResult(value, detail, force_fail)
+                records, _ = assess(st, pane([1.0], at(0), at(60)))
+                assert sorted(r.check_id for r in records) == sorted(verdicts)
+                for record in records:
+                    verdict = verdicts[record.check_id]({"value": value})
+                    want_detail = detail or None
+                    if verdict is None and null_verdict == "skip":
+                        want_detail = {**(want_detail or {}), "skipped_null": True}
+                    want_ok = (null_verdict == "skip" if verdict is None else verdict)
+                    want_ok = want_ok and not force_fail
+                    assert record.value is value
+                    assert (record.ok, record.detail) == (want_ok, want_detail), \
+                        (record.check_id, value, force_fail, detail)
+
+
 # ---------------------------------------------------------------------------
 # Keyed checks
 
