@@ -451,8 +451,9 @@ def compile(node: Expr) -> Compiled:
 
     Operators and builtins are resolved here, so evaluating is a call per
     node and no dispatch. A subtree that reads no name is evaluated here,
-    once, into its value, and a comparison holds such a value directly. It
-    never raises, and its arithmetic and builtins never return NaN.
+    once, into its value, and a comparison holds such a value on its right
+    side directly. It never raises, and its arithmetic and builtins never
+    return NaN.
     """
     return _compile(node)[0]
 
@@ -477,7 +478,7 @@ def _compile(node: Expr) -> tuple[Compiled, Any]:
         values = [value]
     elif isinstance(node, Binary):
         (left, lvalue), (right, rvalue) = _compile(node.left), _compile(node.right)
-        compiled = _binary(node.op, left, lvalue, right, rvalue)
+        compiled = _binary(node.op, left, right, rvalue)
         values = [lvalue, rvalue]
     else:
         raise TypeError(f"not an expression node: {node!r}")
@@ -497,16 +498,14 @@ def _unary(op: str, operand: Compiled) -> Compiled:
     return lambda names: -v if _is_num(v := operand(names)) else None
 
 
-def _binary(op: str, left: Compiled, lvalue: Any, right: Compiled, rvalue: Any) -> Compiled:
-    # lvalue and rvalue are the sides' values when they read no name, else _VARIES.
+def _binary(op: str, left: Compiled, right: Compiled, rvalue: Any) -> Compiled:
+    # rvalue is the right side's value when it reads no name, else _VARIES.
     if op in _ARITH:
         return _arith(_ARITH[op], left, right)
     if op not in ("and", "or"):
         compare = comparator(op)
         if rvalue is not _VARIES:
             return lambda names: compare(left(names), rvalue)
-        if lvalue is not _VARIES:
-            return lambda names: compare(lvalue, right(names))
         return lambda names: compare(left(names), right(names))
     # Kleene logic: the deciding value (False for and, True for or) wins,
     # then Null; the right side is skipped when the left decides.

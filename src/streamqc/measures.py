@@ -1010,7 +1010,7 @@ def _per_element(measure_id: str, table: dict[str, Param],
     records."""
     def prepare(params, env, checker):
         def finish(partials, window):
-            verdicts = partials[0] if len(partials) == 1 else _concat(partials)
+            verdicts = _concat(partials)
             result = tally(params, verdicts, window)
             result.verdicts = verdicts
             return result

@@ -250,10 +250,9 @@ class _FrozenDetector:
 # ---------------------------------------------------------------------------
 # Suite validation
 
-# A constraint's verdict: a Threshold or ValueRange tests the measured value
-# (model.value_test), a predicate reads the pane's name table of the value
-# and the check's bindings (model.constraint_verdict).
-Verdict = Callable[[Value], bool | None] | Callable[[dict[str, Value]], bool | None]
+# A constraint's verdict from the measured value and the pane's name table
+# of the check's bindings; only a predicate reads the table.
+Verdict = Callable[[Value, dict[str, Value]], bool | None]
 
 
 class InvalidSuite(ValueError):
@@ -350,14 +349,22 @@ def _compile_constraint(check: CheckDefinition, measure: ParsedMeasure | None,
                         columns: dict[str, str], allowed_bindings: set[str],
                         errors: list[str], prefix: str) -> Verdict | None:
     """The check's constraint as one verdict function: a Predicate compiled
-    (constraint_verdict), a Threshold or ValueRange as a test of the value
-    (value_test). Problems are appended to errors; a bound is type-checked
-    only against a measure that parsed."""
+    and read over the name table with the value bound (constraint_verdict),
+    a Threshold or ValueRange as a test of the value alone (value_test).
+    Problems are appended to errors; a bound is type-checked only against a
+    measure that parsed."""
     constraint = check.constraint
     if isinstance(constraint, Predicate):
         predicate = _compile(constraint.text, allowed_bindings, errors,
                              f"{prefix}constraint predicate: ")
-        return None if predicate is None else constraint_verdict(predicate)
+        if predicate is None:
+            return None
+        reads = constraint_verdict(predicate)
+
+        def verdict(value: Value, names: dict[str, Value]) -> bool | None:
+            names["value"] = value
+            return reads(names)
+        return verdict
     result_type = (measure.definition.result_type(measure.params, columns)
                    if measure is not None else None)
     if isinstance(constraint, Threshold):
@@ -375,7 +382,8 @@ def _compile_constraint(check: CheckDefinition, measure: ParsedMeasure | None,
     else:
         errors.append(f"{prefix}unknown constraint type {type(constraint).__name__}")
         return None
-    return value_test(constraint)
+    test = value_test(constraint)
+    return lambda value, names: test(value)
 
 
 def _comparable(result_type: str, bound_type: str, op: str) -> bool:
@@ -473,7 +481,6 @@ class SuiteState:
         lead = check_lead(check_id)
         order = (check_id, -1)
         skip_null = check.null_verdict == "skip"
-        reads_names = isinstance(check.constraint, Predicate)
 
         def emit(head, key, sub, value, ok, detail, entries):
             entries.append((head + order, MetaRecord(
@@ -481,14 +488,9 @@ class SuiteState:
                 meta_line_tail(lead, value, ok, detail))))
 
         def judge(head, key, sub, result, names, failing, entries):
-            # The pane's record from its measured value and, for a predicate,
-            # the check's bindings.
+            # The pane's record from its measured value and the check's bindings.
             value = result.value
-            if reads_names:
-                names["value"] = value
-                ok = verdict(names)
-            else:
-                ok = verdict(value)
+            ok = verdict(value, names)
             detail = result.detail or None
             if ok is None:
                 ok = skip_null
@@ -501,7 +503,7 @@ class SuiteState:
         if check.emit_per_element:
             judge = _with_element_records(check, lead, judge)
         if check.context is None and check.reference is None:
-            names: dict[str, Value] = {}  # holds only the value, so one serves every pane
+            names: dict[str, Value] = {}  # no bindings: a predicate sets only the value
 
             def assess(head, key, sub, env, failing, entries):
                 judge(head, key, sub, apply_measure(spec, sub, env, run), names, failing,
