@@ -16,6 +16,7 @@ from typing import Any
 
 from .config import ConfigError, SuiteConfig, build_suite, load_config, open_source
 from .connectors import SourceCounters, SourceError, generate_stream, open_sink, paced, parse_time
+from .measures import percentile
 from .model import ModelError, WindowSpec, parse_duration
 from .monitor import MonitorEngine, SuiteState
 
@@ -270,14 +271,15 @@ def _bench_once(cfg: SuiteConfig, config_path: str, state: SuiteState,
     counters = SourceCounters()
     elements = open_source(cfg.source, config_path, counters, size)
     engine, close_sinks = _build_engine(cfg, state, meta_sink=_NullSink())
-    # Timed from outside: each pane's assessment, and the per-row watermark,
-    # routing and close calls, whose time is shared out over the panes.
+    # Timed from outside: each pane's assessment, and the store's per-row
+    # push (watermark, routing and the close calls it makes) and
+    # end-of-stream flush, whose time is shared out over the panes.
     nets: list[float] = []
     routing = [0.0]
-    state, store, watermark = engine.state, engine.store, engine.watermark
+    state, store = engine.state, engine.store
     state.on_window_close = _timed(state.on_window_close, nets.append)
-    for obj, name in ((watermark, "observe"), (store, "route"), (store, "close_ready")):
-        setattr(obj, name, _timed(getattr(obj, name), _adder(routing)))
+    for name in ("push", "flush"):
+        setattr(store, name, _timed(getattr(store, name), _adder(routing)))
     t0 = time.perf_counter()
     for element in elements:
         engine.process(element)
@@ -289,21 +291,13 @@ def _bench_once(cfg: SuiteConfig, config_path: str, state: SuiteState,
     panes = len(nets)
     share = routing[0] / panes if panes else 0.0
 
-    def pct(values: list[float], q: float) -> float:
-        if not values:
-            return 0.0
-        h = (len(values) - 1) * q
-        lo = int(h)
-        hi = min(lo + 1, len(values) - 1)
-        return values[lo] + (values[hi] - values[lo]) * (h - lo)
-
     def ms_stats(values: list[float], extra: float = 0.0) -> dict[str, float]:
         if not values:
             return {"mean": 0.0, "p50": 0.0, "p95": 0.0, "max": 0.0}
         return {
             "mean": (sum(values) / len(values) + extra) * 1000.0,
-            "p50": (pct(values, 0.50) + extra) * 1000.0,
-            "p95": (pct(values, 0.95) + extra) * 1000.0,
+            "p50": (percentile(values, 0.50) + extra) * 1000.0,
+            "p95": (percentile(values, 0.95) + extra) * 1000.0,
             "max": (values[-1] + extra) * 1000.0,
         }
 

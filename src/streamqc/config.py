@@ -31,6 +31,7 @@ from .model import (
     ValueRange,
     WindowInstance,
     WindowSpec,
+    element_order,
     format_duration,
     format_ts,
     parse_duration,
@@ -710,11 +711,11 @@ def open_source(src: SourceConfig, config_path: str | None, counters=None,
 
 
 def _secondary_lookup(elements: Iterator[StreamElement]):
-    """match_ratio's view of the secondary source: its rows sorted once by
-    (event_time, arrival_seq), and the rows in [start, end) found by
-    bisection. An empty span measures like a missing pane, so it is None;
-    secondary panes are never keyed."""
-    rows = sorted(elements, key=lambda e: (e.event_time, e.arrival_seq))
+    """match_ratio's view of the secondary source: its rows sorted once in
+    element_order, and the rows in [start, end) found by bisection. An
+    empty span measures like a missing pane, so it is None; secondary panes
+    are never keyed."""
+    rows = sorted(elements, key=element_order)
     times = [e.event_time for e in rows]
 
     def lookup(start: datetime, end: datetime, key) -> WindowInstance | None:

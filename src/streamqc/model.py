@@ -296,6 +296,11 @@ class StreamElement:
     attrs: dict[str, Value]
 
 
+# The order of elements within a pane and a slice: by event time, then arrival.
+element_order: Callable[[StreamElement], tuple[datetime, int]] = operator.attrgetter(
+    "event_time", "arrival_seq")
+
+
 @dataclass(frozen=True)
 class WindowSpec:
     """How event time is carved into panes.
@@ -411,58 +416,56 @@ def _encodings(codes: dict[str, list[bytes | None]],
 
 def _check_order(elements: list[StreamElement] | tuple[StreamElement, ...],
                  begin: int = 0) -> None:
-    """Raise unless elements are ordered by (event_time, arrival_seq), given
-    that the first `begin` of them are: only the rest is walked."""
-    if begin >= len(elements):
-        return
-    prev = elements[max(begin - 1, 0)]
-    pt, ps = prev.event_time, prev.arrival_seq
-    for i in range(begin, len(elements)):
-        e = elements[i]
-        t = e.event_time
-        if t < pt or (t == pt and e.arrival_seq < ps):
-            raise ModelError("window elements must be ordered by (event_time, arrival_seq)")
-        pt, ps = t, e.arrival_seq
+    """Raise unless elements are in element_order, given that the first
+    `begin` of them are: only the rest is walked."""
+    keys = list(map(element_order, elements[max(begin - 1, 0):]))
+    if not all(map(operator.le, keys, keys[1:])):
+        raise ModelError("window elements must be ordered by (event_time, arrival_seq)")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class WindowInstance:
-    """A closed pane: bounds, optional key, and its elements.
+    """A closed pane: bounds, optional key, its elements, and the slices
+    they are made of.
 
-    Elements are ordered by (event_time, arrival_seq) and every event time
-    lies in [start, end). Both are verified at construction. parts, when
-    given, are the slices whose elements concatenate to `elements`; each
-    slice is then walked once for order (see Slice.ordered), and the pane
-    checks only the ends of its parts: the bounds of each part's first and
-    last element, and the order across each boundary between parts.
+    Elements are in element_order and every event time lies in [start, end);
+    both are verified at construction. parts are the slices whose elements
+    concatenate to `elements`; a pane built without them gets its elements
+    as one slice. Each slice is walked once for order (see Slice.ordered),
+    and the pane checks only the order across each boundary between parts
+    and the bounds of its first and last element.
     """
 
     start: datetime
     end: datetime
     key: Value = None
     elements: tuple[StreamElement, ...] = ()
-    parts: tuple[Slice, ...] | None = field(default=None, compare=False, repr=False)
+    parts: tuple[Slice, ...] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.start >= self.end:
             raise ModelError(f"window bounds must satisfy start < end, got [{self.start}, {self.end})")
         if self.parts is None:
-            _check_order(self.elements)
-            runs = (self.elements,) if self.elements else ()
-        else:
-            runs = []
-            for part in self.parts:
-                elements = part.elements
-                if part.ordered < len(elements):
-                    _check_order(elements, part.ordered)
-                    part.ordered = len(elements)
-                if elements:
-                    runs.append(elements)
-            if sum(map(len, runs)) != len(self.elements):
-                raise ModelError("window parts must concatenate to its elements")
-            _check_order([e for run in runs for e in (run[0], run[-1])])
-        for run in runs:
-            for e in (run[0], run[-1]):
+            self.parts = (Slice(self.elements),)
+        first = last = None
+        count = 0
+        for part in self.parts:
+            elements = part.elements
+            if not elements:
+                continue
+            if part.ordered < len(elements):
+                _check_order(elements, part.ordered)
+                part.ordered = len(elements)
+            if last is None:
+                first = elements[0]
+            elif element_order(elements[0]) < element_order(last):
+                raise ModelError("window elements must be ordered by (event_time, arrival_seq)")
+            last = elements[-1]
+            count += len(elements)
+        if count != len(self.elements):
+            raise ModelError("window parts must concatenate to its elements")
+        if last is not None:
+            for e in (first, last):
                 if not (self.start <= e.event_time < self.end):
                     raise ModelError(f"element at {e.event_time} outside [{self.start}, {self.end})")
 
@@ -474,13 +477,8 @@ class WindowInstance:
         return [e.attrs.get(column) for e in self.elements]
 
     def slices(self) -> tuple[Slice, ...]:
-        """The pane's parts. A pane built without parts gets the whole pane
-        as one part, made on the first call and shared by every caller, so
-        what its memo keeps is computed once per pane."""
-        if self.parts is None:
-            whole = Slice(self.elements)
-            whole.ordered = len(self.elements)  # verified at construction
-            object.__setattr__(self, "parts", (whole,))
+        """The pane's parts, so what their memos keep is computed once per
+        slice, however many panes and checks read it."""
         return self.parts
 
 
@@ -769,15 +767,24 @@ def meta_line_tail(lead: str, value: Value, ok: bool, detail: dict[str, Any] | N
             f'"detail":{"null" if detail is None else wire_json(detail)}}}')
 
 
+def element_tail(check_id: str) -> Callable[[int], str]:
+    """The tail of one check's per-element record as a function of the
+    element's arrival_seq: meta_line_tail(check_lead(check_id), False,
+    False, {"element_ref": seq}), its fixed part rendered once."""
+    head = f'{check_lead(check_id)}false,"ok":false,"detail":{{"element_ref":'
+    return lambda seq: f"{head}{seq}}}}}"
+
+
 @dataclass(slots=True)
 class MetaRecord:
     """One line of the quality meta-stream.
 
     detail carries structured extras (per-element references, warming flags,
     violation lists); None means no detail. Engine-generated records use
-    check ids with a leading underscore. tail, when set, is the rest of the
-    line after its prefix (meta_line_tail), rendered from the check's
-    template when the record was made; to_json_line renders from the fields.
+    check ids with a leading underscore. tail is the rest of the line after
+    its prefix (meta_line_tail), rendered from the check's template when the
+    engine made the record (a parsed record has none); to_json_line renders
+    from the fields.
     A record is slotted and mutable, so it is cheap to build (the engine
     builds one per meta line), and, like any mutable record, unhashable.
     """

@@ -3,17 +3,18 @@
 The monitor turns closed panes into meta-stream records. Each configured
 check is measured, assessed against its constraint (optionally parameterized
 by rolling context and reference tables), and emitted as one record per
-window (or per key group for keyed checks). Engine-generated records
-(discards, dead stream, frozen columns) share the meta-stream under a
-reserved "_" check-id prefix.
+window (or per key group for keyed checks). The dead-stream and
+frozen-column detectors are pane checks too, run after the checks, and
+every pane-level record, a late-discard count included, is made by one
+emitter. Engine records share the meta-stream under a reserved "_"
+check-id prefix.
 """
 
 from __future__ import annotations
 
-import heapq
 from array import array
 from collections import deque
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timedelta
 from itertools import chain
 from operator import itemgetter
@@ -48,6 +49,7 @@ from .model import (
     canonical_bytes,
     check_lead,
     constraint_verdict,
+    element_tail,
     format_ts,
     meta_line_prefix,
     meta_line_tail,
@@ -178,73 +180,6 @@ class FrozenColumnSpec:
 class DetectorSpecs:
     dead: DeadStreamSpec | None = None
     frozen: tuple[FrozenColumnSpec, ...] = ()
-
-
-class _DeadDetector:
-    def __init__(self, spec: DeadStreamSpec):
-        self.spec = spec
-        self._run_start: datetime | None = None
-        self._run_end: datetime | None = None
-        self._alerted = False
-
-    def on_pane(self, w: WindowInstance) -> list[MetaRecord]:
-        out: list[MetaRecord] = []
-        if len(w.elements) == 0:
-            if self._run_start is None:
-                self._run_start = w.start
-            self._run_end = w.end
-            span = self._run_end - self._run_start
-            if span >= self.spec.threshold and not self._alerted:
-                self._alerted = True
-                out.append(MetaRecord(
-                    w.start, w.end, None, "_dead_stream",
-                    span / timedelta(seconds=1), False,
-                    {"silent_since": format_ts(self._run_start)}))
-        else:
-            if self._alerted and self.spec.restart == "auto":
-                span = (self._run_end - self._run_start) / timedelta(seconds=1)
-                out.append(MetaRecord(
-                    w.start, w.end, None, "_dead_stream", span, True,
-                    {"recovered": True}))
-            self._run_start = self._run_end = None
-            self._alerted = False
-        return out
-
-
-class _FrozenDetector:
-    def __init__(self, spec: FrozenColumnSpec):
-        self.spec = spec
-        self.check_id = f"_frozen_stream.{spec.column}"
-        # canonical key -> [frozen value canonical, frozen value, streak, alerted]
-        self._state: dict[bytes, list] = {}
-
-    def on_pane(self, w: WindowInstance,
-                groups: list[tuple[bytes, Value, WindowInstance]]) -> list[MetaRecord]:
-        out: list[MetaRecord] = []
-        for enc, key, sub in groups:
-            values = [v for v in sub.values(self.spec.column) if v is not None]
-            if not values:
-                continue  # empty pane or all-Null: no evidence either way
-            state = self._state.setdefault(enc, [None, None, 0, False])
-            distinct = {canonical_bytes(v) for v in values}
-            if len(distinct) == 1:
-                canon = next(iter(distinct))
-                if state[0] == canon:
-                    state[2] += 1
-                else:
-                    state[0], state[1], state[2] = canon, values[0], 1
-                if state[2] >= self.spec.windows and not state[3]:
-                    state[3] = True
-                    out.append(MetaRecord(
-                        sub.start, sub.end, key, self.check_id, values[0], False,
-                        {"column": self.spec.column, "windows": state[2]}))
-            else:
-                if state[3]:
-                    out.append(MetaRecord(
-                        sub.start, sub.end, key, self.check_id, len(distinct), True,
-                        {"column": self.spec.column, "recovered": True}))
-                state[0], state[1], state[2], state[3] = None, None, 0, False
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -404,16 +339,20 @@ def _comparable(result_type: str, bound_type: str, op: str) -> bool:
 # One check compiled for a key group's pane: (head, key, pane, env, failing,
 # entries) appends the group's records to entries and its failing elements
 # to failing. head is the group's (window_end, key encoding), the start of
-# its records' order keys.
+# its records' order keys. The engine's detectors are pane checks too.
 PaneCheck = Callable[[tuple[datetime, bytes], Value, WindowInstance, EngineEnv,
                       dict[int, tuple[StreamElement, list[str]]],
                       list[tuple[tuple, MetaRecord]]], None]
 
+# A key group's pane: (head, key, pane), head as a PaneCheck takes it.
+Group = tuple[tuple[datetime, bytes], Value, WindowInstance]
+
 
 class SuiteState:
     """Everything the monitor remembers across panes for one suite.
-    Construction validates each check and compiles it into a PaneCheck; an
-    invalid suite raises InvalidSuite with every problem found."""
+    Construction validates each check and compiles it, and then each
+    detector, into a PaneCheck; an invalid suite raises InvalidSuite with
+    every problem found."""
 
     def __init__(self, checks: list[CheckDefinition],
                  schema: list[ColumnSpec],
@@ -429,31 +368,32 @@ class SuiteState:
         if problems:
             raise InvalidSuite(problems)
         self.window_spec = window_spec
-        self.hash_seed = hash_seed
-        self.secondary = secondary
         self._env = EngineEnv(hash_seed=hash_seed, secondary=secondary)
-        # Each check's key_by column and its compiled pane path, in check order.
+        # Each pane check's key_by column and its compiled pane path: the
+        # checks in config order, then the dead-stream detector, then each
+        # frozen-column detector in config order.
         self.pane_checks: list[tuple[str | None, PaneCheck]] = []
         for check, (measure, verdict, reference_key) in zip(checks, compiled):
             run = compile_measure(measure, self._env, elem_checker_for(measure, self._env))
             self.pane_checks.append((check.key_by,
                                      self._compile_check(check, run, verdict, reference_key)))
         detectors = detectors or DetectorSpecs()
-        self._dead = _DeadDetector(detectors.dead) if detectors.dead else None
-        self._frozen = [_FrozenDetector(f) for f in detectors.frozen]
+        if detectors.dead is not None:
+            self.pane_checks.append((None, _dead_stream_check(detectors.dead)))
+        self.pane_checks.extend((spec.key_by, _frozen_column_check(spec))
+                                for spec in detectors.frozen)
 
     # -- helpers -------------------------------------------------------------
 
-    def _partition(self, w: WindowInstance, key_by: str
-                   ) -> list[tuple[bytes, Value, WindowInstance]]:
-        """Key groups of a pane, as (key encoding, key, pane), in key order;
-        elements with a Null key are skipped.
+    def _partition(self, w: WindowInstance, key_by: str) -> list[Group]:
+        """Key groups of a pane, in key order; elements with a Null key are
+        skipped.
 
         Each slice of the pane is partitioned once (memoized on the slice),
         and a group's pane keeps the group's share of each slice as its parts.
         """
         groups: dict[bytes, tuple[Value, list[Slice]]] = {}
-        for part in w.slices():
+        for part in w.parts:
             split = part.memo.get(("partition", key_by))
             if split is None:
                 split = part.memo[("partition", key_by)] = _split(part, key_by)
@@ -467,25 +407,18 @@ class SuiteState:
         for enc in sorted(groups):
             key, parts = groups[enc]
             elements = tuple(chain.from_iterable(sub.elements for sub in parts))
-            out.append((enc, key, WindowInstance(w.start, w.end, key, elements, tuple(parts))))
+            out.append(((w.end, enc), key,
+                        WindowInstance(w.start, w.end, key, elements, tuple(parts))))
         return out
 
     # -- compilation ---------------------------------------------------------
 
     def _compile_check(self, check: CheckDefinition, run: MeasureRun, verdict: Verdict,
                        reference_key: expression.Compiled | None) -> PaneCheck:
-        """The check's pane path, specialized once on what the check fixes.
-        Every record it makes carries its line tail, rendered from the
-        check's template (the check id encoded once)."""
-        spec, check_id = check.measure, check.id
-        lead = check_lead(check_id)
-        order = (check_id, -1)
+        """The check's pane path, specialized once on what the check fixes."""
+        spec = check.measure
+        emit = _emitter(check.id)
         skip_null = check.null_verdict == "skip"
-
-        def emit(head, key, sub, value, ok, detail, entries):
-            entries.append((head + order, MetaRecord(
-                sub.start, sub.end, key, check_id, value, ok, detail,
-                meta_line_tail(lead, value, ok, detail))))
 
         def judge(head, key, sub, result, names, failing, entries):
             # The pane's record from its measured value and the check's bindings.
@@ -501,7 +434,7 @@ class SuiteState:
             emit(head, key, sub, value, ok, detail, entries)
 
         if check.emit_per_element:
-            judge = _with_element_records(check, lead, judge)
+            judge = _with_element_records(check, judge)
         if check.context is None and check.reference is None:
             names: dict[str, Value] = {}  # no bindings: a predicate sets only the value
 
@@ -557,41 +490,51 @@ class SuiteState:
     def on_window_close(self, w: WindowInstance, watermark: datetime | None = None
                         ) -> tuple[list[tuple[tuple, MetaRecord]],
                                    dict[int, tuple[StreamElement, list[str]]]]:
-        """Assess every check against one closed pane.
+        """Assess every pane check against one closed pane.
 
         Returns the pane's meta records, in the order they were made, each
         paired with its MetaRecord.order_key (the key's encoding computed
         once per key group), and the failing elements for side-output
         routing, keyed by arrival_seq with the check ids that rejected them.
+        The pane is split once per key_by column, whatever reads the split.
         """
         env = self._env
         if env.watermark != watermark:
-            env = self._env = EngineEnv(self.hash_seed, watermark, self.secondary)
+            env = self._env = replace(env, watermark=watermark)
         entries: list[tuple[tuple, MetaRecord]] = []
         failing: dict[int, tuple[StreamElement, list[str]]] = {}
-        whole = [(sort_key(w.key), w.key, w)]
-
-        def groups(key_by: str | None) -> list[tuple[bytes, Value, WindowInstance]]:
-            return whole if key_by is None else self._partition(w, key_by)
-
+        groups: dict[str | None, list[Group]] = {None: [((w.end, sort_key(w.key)), w.key, w)]}
         for key_by, assess in self.pane_checks:
-            for enc, key, sub in groups(key_by):
-                assess((w.end, enc), key, sub, env, failing, entries)
-        if self._dead is not None:
-            entries.extend((r.order_key(), r) for r in self._dead.on_pane(w))
-        for det in self._frozen:
-            entries.extend((r.order_key(), r)
-                           for r in det.on_pane(w, groups(det.spec.key_by)))
+            split = groups.get(key_by)
+            if split is None:
+                split = groups[key_by] = self._partition(w, key_by)
+            for head, key, sub in split:
+                assess(head, key, sub, env, failing, entries)
         return entries, failing
 
 
-def _with_element_records(check: CheckDefinition, lead: str, judge):
+def _emitter(check_id: str):
+    """The one maker of a check's pane-level records, for checks, detectors
+    and late discards alike: each record carries its line tail, rendered
+    from the check's template (the check id encoded once), and its order
+    key is head + (check_id, -1)."""
+    lead = check_lead(check_id)
+    order = (check_id, -1)
+
+    def emit(head, key, sub, value, ok, detail, entries):
+        entries.append((head + order, MetaRecord(
+            sub.start, sub.end, key, check_id, value, ok, detail,
+            meta_line_tail(lead, value, ok, detail))))
+    return emit
+
+
+def _with_element_records(check: CheckDefinition, judge):
     """judge followed by one record per element whose verdict fails the
     check (a Null verdict fails unless the check skips Nulls), each routed
     to the side output once per check."""
     check_id = check.id
     fail_null = check.null_verdict == "fail"
-    element_lead = f'{lead}false,"ok":false,"detail":{{"element_ref":'
+    tail = element_tail(check_id)
 
     def judge_elements(head, key, sub, result, names, failing, entries):
         judge(head, key, sub, result, names, failing, entries)
@@ -601,14 +544,73 @@ def _with_element_records(check: CheckDefinition, lead: str, judge):
             if ev is not True and (fail_null or ev is not None):
                 seq = e.arrival_seq
                 entries.append((prefix + (seq,), MetaRecord(
-                    start, end, key, check_id, False, False, {"element_ref": seq},
-                    f"{element_lead}{seq}}}}}")))
+                    start, end, key, check_id, False, False, {"element_ref": seq}, tail(seq))))
                 slot = failing.get(seq)
                 if slot is None:
                     failing[seq] = (e, [check_id])
                 elif check_id not in slot[1]:
                     slot[1].append(check_id)
     return judge_elements
+
+
+def _dead_stream_check(spec: DeadStreamSpec) -> PaneCheck:
+    """The dead-stream detector as a pane check of the whole pane: one
+    alert once a run of empty panes spans the threshold, and with restart
+    "auto" one recovery record on the first pane with data after it."""
+    emit = _emitter("_dead_stream")
+    silent_since = silent_until = None  # the bounds of the current run of empty panes
+    alerted = False
+
+    def check(head, key, w, env, failing, entries):
+        nonlocal silent_since, silent_until, alerted
+        if w.elements:
+            if alerted and spec.restart == "auto":
+                emit(head, key, w, (silent_until - silent_since).total_seconds(), True,
+                     {"recovered": True}, entries)
+            silent_since, alerted = None, False
+            return
+        if silent_since is None:
+            silent_since = w.start
+        silent_until = w.end
+        if silent_until - silent_since >= spec.threshold and not alerted:
+            alerted = True
+            emit(head, key, w, (silent_until - silent_since).total_seconds(), False,
+                 {"silent_since": format_ts(silent_since)}, entries)
+    return check
+
+
+def _frozen_column_check(spec: FrozenColumnSpec) -> PaneCheck:
+    """The frozen-column detector as a pane check of each key group: one
+    alert once the column holds one value across `windows` consecutive
+    panes with a non-Null value, and one recovery record on the first pane
+    with two values after it. The streak is kept per key encoding."""
+    column = spec.column
+    emit = _emitter(f"_frozen_stream.{column}")
+    # key encoding -> [the frozen value's encoding, streak, alerted]
+    streaks: dict[bytes, list] = {}
+
+    def check(head, key, sub, env, failing, entries):
+        values = [v for v in sub.values(column) if v is not None]
+        if not values:
+            return  # empty pane or all-Null: no evidence either way
+        streak = streaks.setdefault(head[1], [None, 0, False])
+        distinct = {canonical_bytes(v) for v in values}
+        if len(distinct) == 1:
+            canon = distinct.pop()
+            if streak[0] == canon:
+                streak[1] += 1
+            else:
+                streak[0], streak[1] = canon, 1
+            if streak[1] >= spec.windows and not streak[2]:
+                streak[2] = True
+                emit(head, key, sub, values[0], False,
+                     {"column": column, "windows": streak[1]}, entries)
+        else:
+            if streak[2]:
+                emit(head, key, sub, len(distinct), True,
+                     {"column": column, "recovered": True}, entries)
+            streak[:] = None, 0, False
+    return check
 
 
 def _split(part: Slice, key_by: str) -> dict[bytes, tuple[Value, Slice]]:
@@ -721,22 +723,26 @@ class MonitorEngine:
 
         Panes come in (end, key, start) order and every record of a pane
         carries the pane's end, so records of different panes interleave
-        only within a run of panes that share an end. Each pane's records
-        are sorted once, by the order keys assessment made, and each run is
-        written as soon as its last pane is assessed.
+        only within a run of panes that share an end. Each run is written
+        as soon as its last pane is assessed. The first pane's
+        `_late_discards` record counts the rows discarded since the last
+        batch.
         """
         wm = self.watermark.value
         batch_failing: list[tuple[StreamElement, list[str]]] = []
-        run: list[list[tuple[tuple, MetaRecord]]] = []
+        run: list[tuple[tuple, MetaRecord]] = []
+        delta = self.stats.discarded - self._discards_reported
+        self._discards_reported = self.stats.discarded
         for index, pane in enumerate(panes):
             if run and pane.end != panes[index - 1].end:
                 self._write_run(run)
                 run = []
             entries, failing = self.state.on_window_close(pane, watermark=wm)
-            late = self._late_discards_record(pane, first=index == 0)
-            entries.append((late.order_key(), late))
-            entries.sort(key=_order)
-            run.append(entries)
+            run += entries
+            _emit_late_discards((pane.end, sort_key(pane.key)), pane.key, pane, delta,
+                                not delta, {"total": self._discards_reported} if delta else None,
+                                run)
+            delta = 0
             self.stats.panes_closed += 1
             for seq in sorted(failing):
                 if seq not in self._routed:
@@ -753,42 +759,30 @@ class MonitorEngine:
             floor = self.store.closed_floor()
             self._routed = {seq: t for seq, t in self._routed.items() if t >= floor}
 
-    def _write_run(self, run: list[list[tuple[tuple, MetaRecord]]]) -> None:
-        """Write the sorted records of panes sharing an end, merged. The merge
-        is stable, so tied records keep pane order, as one stable sort of
-        them all would. Records of one pane and key render their shared
-        head once."""
-        merged = run[0] if len(run) == 1 else heapq.merge(*run, key=_order)
-        self.stats.records_emitted += sum(map(len, run))
+    def _write_run(self, run: list[tuple[tuple, MetaRecord]]) -> None:
+        """Write the records of panes sharing an end, sorted once by their
+        order keys. The sort is stable, so tied records keep pane order and
+        the order they were made in. Records of one pane and key render
+        their shared head once."""
+        run.sort(key=_order)
+        self.stats.records_emitted += len(run)
         if self.meta_sink is None:
-            self.collected.extend(record for _, record in merged)
+            self.collected.extend(record for _, record in run)
             return
         write = self.meta_sink.write_line
         # By key object, not encoding: equal encodings may render apart (-0.0, 0.0).
         prefixes: dict[tuple[int, datetime], str] = {}
-        for _, record in merged:
+        for _, record in run:
             slot = (id(record.key), record.window_start)
             prefix = prefixes.get(slot)
             if prefix is None:
                 prefix = prefixes[slot] = meta_line_prefix(
                     record.window_start, record.window_end, record.key)
-            tail = record.tail
-            write(prefix + tail if tail is not None else record.to_json_line(prefix))
-
-    def _late_discards_record(self, pane: WindowInstance, first: bool) -> MetaRecord:
-        delta = 0
-        if first:
-            delta = self.stats.discarded - self._discards_reported
-            self._discards_reported = self.stats.discarded
-        if not delta:
-            return MetaRecord(pane.start, pane.end, pane.key, "_late_discards", 0, True,
-                              None, _NO_LATE_DISCARDS)
-        return MetaRecord(pane.start, pane.end, pane.key, "_late_discards", delta, False,
-                          {"total": self._discards_reported})
+            write(prefix + record.tail)
 
 
 _ASSIGNED, _DISCARDED = RouteOutcome.ASSIGNED, RouteOutcome.DISCARDED
-_NO_LATE_DISCARDS = meta_line_tail(check_lead("_late_discards"), 0, True, None)
+_emit_late_discards = _emitter("_late_discards")
 
 
 _order = itemgetter(0)

@@ -39,6 +39,7 @@ from .model import (
     WindowInstance,
     WindowSpec,
     canonical_bytes,
+    element_order,
     sort_key,
 )
 
@@ -314,7 +315,7 @@ class PaneStore:
             for k in numbers[:bisect_left(numbers, p * r + q)]:  # none is below p * r
                 for key_enc, (key, part) in slices[k].items():
                     if not part.ordered:  # no pane has used it yet
-                        part.elements.sort(key=_pane_order)
+                        part.elements.sort(key=element_order)
                     slot = by_key.get(key_enc)
                     if slot is None:
                         by_key[key_enc] = (key, [part])
@@ -367,7 +368,7 @@ class PaneStore:
             del sessions[bisect_left(sessions, session.min_t, key=_min_t)]
             if not sessions:
                 del self._sessions[key_enc]
-            session.elements.sort(key=_pane_order)
+            session.elements.sort(key=element_order)
             end = _shift(session.max_t, self.spec.gap)
             out.append(WindowInstance(session.min_t, end, session.key, tuple(session.elements)))
         return out
@@ -397,7 +398,3 @@ class PaneStore:
             return sum(len(s.elements) for ss in self._sessions.values() for s in ss)
         return sum(len(part.elements) for by_key in self._slices.values()
                    for _, part in by_key.values())
-
-
-def _pane_order(e: StreamElement) -> tuple[datetime, int]:
-    return e.event_time, e.arrival_seq

@@ -927,6 +927,29 @@ def test_cli_bench_json(tmp_path, capsys):
     assert "wall_ratio_last_to_first" in report
 
 
+def test_cli_bench_times_one_routing_call_per_record(tmp_path, monkeypatch, capsys):
+    """Every record read reaches the store through one timed push, the
+    in-order rows that push appends straight to the open slice too, so the
+    routing share of pane_total_ms misses no row."""
+    write_stream(tmp_path, rows=stream_rows(n=200, step_s=1))
+    cfg_path = write_config(tmp_path, base_config())
+    calls = []
+    timed = cli._timed
+
+    def counting(f, record):
+        def call(*args, **kwargs):
+            calls.append(f.__name__)
+            return f(*args, **kwargs)
+        return timed(call, record)
+
+    monkeypatch.setattr(cli, "_timed", counting)
+    assert main(["bench", cfg_path, "--sizes", "50,100", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    read = 50 + sum(row["records"] for row in report["sizes"])  # the warm-up reads 50
+    assert calls.count("push") == read == 200
+    assert calls.count("flush") == 3
+
+
 def test_readme_cli_block_matches_the_parser():
     """The README's `## CLI` block names exactly the subcommands, and each
     one's long flags, that the argument parser defines."""

@@ -41,6 +41,7 @@ from streamqc.model import (
     wire_json,
 )
 from streamqc.monitor import (
+    DeadStreamSpec,
     DetectorSpecs,
     FrozenColumnSpec,
     MonitorEngine,
@@ -312,29 +313,39 @@ def test_every_tail_is_its_record_rendered_whole():
     """Each record assessment makes carries the tail of its line, and the
     prefix plus that tail is json.dumps of the whole record: pane records
     (plain, detailed, warming, reference miss, skipped Null, forced
-    failure), per-element records, and a zero `_late_discards`."""
+    failure), per-element records, zero and nonzero `_late_discards`, and
+    the dead-stream and frozen-column detectors' alerts and recoveries.
+    Grid panes run keyed by device and unkeyed, where a five-minute silence
+    makes the empty panes a dead stream needs."""
     # Grid panes starting on an even minute find their row; the rest miss.
     table = ReferenceTable("caps", "start", ("start", "cap"),
                            {canonical_bytes(at(m * 60)): {"start": at(m * 60), "cap": 5.0}
                             for m in range(0, 60, 2)})
+    rows = [e if e.arrival_seq < 200 else elem(e.event_time + 5 * MIN, e.arrival_seq, **e.attrs)
+            for e in stream(random.Random(7), 400)]
     seen = set()
     for kind, window in sorted(WINDOWS.items()):
-        engine = MonitorEngine(SuiteState(tail_checks(), SCHEMA, window,
-                                          references={"caps": table}),
-                               watermark_delay=timedelta(seconds=10), key_by="device")
-        for e in stream(random.Random(7), 400):
-            engine.process(e)
-        engine.finish()
-        for r in engine.collected:
-            if r.check_id.startswith("_") and r.value != 0:
-                assert r.tail is None, r
-                continue
-            assert r.tail is not None, r
-            assert meta_line_prefix(r.window_start, r.window_end, r.key) + r.tail == old_line(r)
-            seen.add(r.check_id if r.check_id.startswith("_")
-                     else next(iter(r.detail)) if r.detail else "plain")
+        dead = DeadStreamSpec(2 * MIN) if kind != "session" else None
+        for key_by in ("device", None):
+            engine = MonitorEngine(SuiteState(tail_checks(), SCHEMA, window,
+                                              references={"caps": table},
+                                              detectors=DetectorSpecs(dead, DETECTORS.frozen)),
+                                   watermark_delay=timedelta(seconds=10), key_by=key_by)
+            for e in rows:
+                engine.process(e)
+            engine.finish()
+            for r in engine.collected:
+                assert r.tail is not None, r
+                assert meta_line_prefix(r.window_start, r.window_end, r.key) + r.tail == \
+                    old_line(r)
+                if r.check_id.startswith("_"):
+                    seen.add((r.check_id, r.ok))
+                else:
+                    seen.add(next(iter(r.detail)) if r.detail else "plain")
     assert seen >= {"plain", "element_ref", "warming", "reference_miss", "skipped_null",
-                    "proper_subset_violated", "_late_discards"}, seen
+                    "proper_subset_violated", ("_late_discards", True),
+                    ("_late_discards", False), ("_dead_stream", False), ("_dead_stream", True),
+                    ("_frozen_stream.x", False), ("_frozen_stream.x", True)}, seen
 
 
 def test_warming_reference_miss_and_skipped_null_lines_are_pinned():
@@ -415,8 +426,8 @@ def test_routed_seqs_stay_within_one_pane_span(kind):
 
 
 def test_session_pane_is_split_by_key_once(monkeypatch):
-    """Three checks keyed by zone over a partless session pane share one
-    split of it."""
+    """Three checks keyed by zone over a session pane, which is one slice,
+    share one split of it."""
     calls = []
     split = monitor._split
 

@@ -410,9 +410,15 @@ def test_window_instance_validates_bounds_and_order():
     assert good.values("x") == [1, 2]
     with pytest.raises(ModelError):
         WindowInstance(start=at(60), end=at(0))
-    with pytest.raises(ModelError):
+    with pytest.raises(ModelError, match="ordered"):
         WindowInstance(start=at(0), end=at(60),
                        elements=(elem(at(2), 0), elem(at(1), 1)))
+    with pytest.raises(ModelError, match="ordered"):  # an arrival-order tie
+        WindowInstance(at(0), at(60), None, (elem(at(1), 1), elem(at(1), 0)))
+    with pytest.raises(ModelError, match="outside"):  # first element before start
+        WindowInstance(at(0), at(60), None, (elem(at(-1), 0), elem(at(1), 1)))
+    with pytest.raises(ModelError, match="outside"):  # last element at end
+        WindowInstance(at(0), at(60), None, (elem(at(1), 0), elem(at(60), 1)))
 
 
 def _sliced(*runs, start=at(0), end=at(60)):
@@ -441,6 +447,16 @@ def test_window_instance_from_parts_keeps_the_invariant():
         _sliced(a, b, start=at(0), end=at(50))
     with pytest.raises(ModelError, match="concatenate"):
         WindowInstance(at(0), at(60), None, tuple(a), (Slice(a), Slice(b)))
+
+
+def test_window_instance_without_parts_is_one_slice():
+    a = (elem(at(1), 0, x=1), elem(at(2), 1, x=2))
+    w = WindowInstance(at(0), at(60), None, a)
+    assert len(w.parts) == 1 and w.parts[0].elements is a and w.parts[0].ordered == 2
+    assert w.slices() is w.slices() is w.parts  # one memo, shared by every reader
+    w.slices()[0].memo["k"] = 1
+    assert w.slices()[0].memo == {"k": 1}
+    assert WindowInstance(at(0), at(60)).slices()[0].elements == ()
 
 
 def test_slice_order_is_checked_once_and_again_after_it_grows():
