@@ -1,4 +1,4 @@
-"""Command line entry points: validate, run, bench, generate.
+"""Command line entry points: validate, run, generate.
 
 Exit status reflects infrastructure problems only. A run whose checks fail
 still exits 0; the verdicts live in the meta stream, not the process status.
@@ -10,13 +10,10 @@ import argparse
 import json
 import os
 import sys
-import time
 from dataclasses import replace
-from typing import Any
 
 from .config import ConfigError, SuiteConfig, build_suite, load_config, open_source
 from .connectors import SourceCounters, SourceError, generate_stream, open_sink, paced, parse_time
-from .measures import percentile
 from .model import ModelError, WindowSpec, parse_duration
 from .monitor import MonitorEngine, SuiteState
 
@@ -31,8 +28,6 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_validate(args)
         if args.command == "run":
             return _cmd_run(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
         if args.command == "generate":
             return _cmd_generate(args)
     except ConfigError as exc:
@@ -62,13 +57,6 @@ def _build_parser() -> argparse.ArgumentParser:
     r.add_argument("--slide", help="override the window slide (implies sliding windows)")
     r.add_argument("--limit", type=int, help="stop after this many source records")
     r.add_argument("--json", action="store_true", help="print run statistics as JSON")
-
-    b = sub.add_parser("bench", help="measure throughput and pane latency")
-    b.add_argument("config")
-    b.add_argument("--sizes", default="100000,500000",
-                   help="comma-separated record counts (default 100000,500000)")
-    b.add_argument("--repeats", type=int, default=1, help="timed runs per size")
-    b.add_argument("--json", action="store_true", help="print the report as JSON")
 
     g = sub.add_parser("generate", help="write a reproducible synthetic stream")
     g.add_argument("config")
@@ -101,8 +89,13 @@ def _cmd_run(args) -> int:
     elements = open_source(cfg.source, args.config, counters, args.limit)
     if cfg.source.replay_mode == "scaled":
         elements = paced(elements, cfg.source.replay_factor)
-    engine, close_sinks = _build_engine(cfg, state)
+    meta_sink = open_sink(cfg.sinks.meta if cfg.sinks.meta is not None else "-")
+    side_sink = open_sink(cfg.sinks.side) if cfg.sinks.side is not None else None
     try:
+        engine = MonitorEngine(state,
+                               watermark_delay=cfg.source.watermark_delay,
+                               key_by=cfg.window_key_by,
+                               meta_sink=meta_sink, side_sink=side_sink)
         try:
             for element in elements:
                 engine.process(element)
@@ -110,7 +103,9 @@ def _cmd_run(args) -> int:
             pass  # interactive stop: flush what closed, report, exit clean
         engine.finish()
     finally:
-        close_sinks()
+        meta_sink.close()
+        if side_sink is not None:
+            side_sink.close()
     stats = engine.stats
     stats.skipped_bad_time = counters.skipped_bad_time
     stats.parse_failures = dict(counters.parse_failures)
@@ -171,28 +166,6 @@ def _build_suite(cfg: SuiteConfig, config_path: str) -> SuiteState:
     return build_suite(cfg, config_path, seed)
 
 
-def _build_engine(cfg: SuiteConfig, state: SuiteState,
-                  meta_sink: Any | None = None) -> tuple[MonitorEngine, Any]:
-    sinks = []
-    if meta_sink is None:
-        meta_sink = open_sink(cfg.sinks.meta if cfg.sinks.meta is not None else "-")
-        sinks.append(meta_sink)
-    side_sink = None
-    if cfg.sinks.side is not None:
-        side_sink = open_sink(cfg.sinks.side)
-        sinks.append(side_sink)
-    engine = MonitorEngine(state,
-                           watermark_delay=cfg.source.watermark_delay,
-                           key_by=cfg.window_key_by,
-                           meta_sink=meta_sink, side_sink=side_sink)
-
-    def close() -> None:
-        for sink in sinks:
-            sink.close()
-
-    return engine, close
-
-
 def _print_stats(stats, as_json: bool) -> None:
     if as_json:
         print(json.dumps(stats.as_dict(), separators=(",", ":")), file=sys.stderr)
@@ -205,132 +178,6 @@ def _print_stats(stats, as_json: bool) -> None:
     if d["parse_failures"]:
         pairs = " ".join(f"{k}={v}" for k, v in sorted(d["parse_failures"].items()))
         print(f"parse_failures: {pairs}", file=sys.stderr)
-
-
-# ---------------------------------------------------------------------------
-# bench
-
-
-class _NullSink:
-    def write_line(self, line: str) -> None:
-        pass
-
-    def close(self) -> None:
-        pass
-
-
-def _cmd_bench(args) -> int:
-    cfg = load_config(args.config)
-    if cfg.source.kind == "socket":
-        raise ConfigError(["bench needs a file source"])
-    if cfg.source.replay_mode != "fast":
-        cfg = replace(cfg, source=replace(cfg.source, replay_mode="fast"))
-    state = _build_suite(cfg, args.config)
-    try:
-        sizes = [int(s) for s in args.sizes.split(",") if s]
-    except ValueError:
-        raise ConfigError([f"--sizes must be comma-separated integers, got {args.sizes!r}"]
-                          ) from None
-    if not sizes or any(s <= 0 for s in sizes):
-        raise ConfigError(["--sizes must be positive"])
-
-    _bench_once(cfg, args.config, state, min(sizes))  # warm-up on the validated suite, untimed
-    rows = []
-    for size in sizes:
-        # Each timed run gets a fresh suite, built untimed.
-        runs = [_bench_once(cfg, args.config, _build_suite(cfg, args.config), size)
-                for _ in range(max(1, args.repeats))]
-        runs.sort(key=lambda r: r["wall_seconds"])
-        rows.append(runs[len(runs) // 2])  # median wall time
-
-    report = {"sizes": rows}
-    if len(rows) >= 2 and rows[0]["wall_seconds"] > 0:
-        report["wall_ratio_last_to_first"] = round(
-            rows[-1]["wall_seconds"] / rows[0]["wall_seconds"], 3)
-        report["size_ratio_last_to_first"] = round(
-            rows[-1]["records"] / rows[0]["records"], 3)
-    if args.json:
-        print(json.dumps(report, separators=(",", ":")))
-    else:
-        for row in rows:
-            lat = row["pane_ms"]
-            print(f"records={row['records']} wall={row['wall_seconds']:.3f}s "
-                  f"throughput={row['throughput']:.0f}/s panes={row['panes']} "
-                  f"pane_ms mean={lat['mean']:.3f} p50={lat['p50']:.3f} "
-                  f"p95={lat['p95']:.3f} max={lat['max']:.3f} "
-                  f"total_ms mean={row['pane_total_ms']['mean']:.3f} "
-                  f"late_discards={row['discarded']}")
-        if "wall_ratio_last_to_first" in report:
-            print(f"wall ratio {report['wall_ratio_last_to_first']} for "
-                  f"size ratio {report['size_ratio_last_to_first']}")
-    return 0
-
-
-def _bench_once(cfg: SuiteConfig, config_path: str, state: SuiteState,
-                size: int) -> dict[str, Any]:
-    counters = SourceCounters()
-    elements = open_source(cfg.source, config_path, counters, size)
-    engine, close_sinks = _build_engine(cfg, state, meta_sink=_NullSink())
-    # Timed from outside: each pane's assessment, and the store's per-row
-    # push (watermark, routing and the close calls it makes) and
-    # end-of-stream flush, whose time is shared out over the panes.
-    nets: list[float] = []
-    routing = [0.0]
-    state, store = engine.state, engine.store
-    state.on_window_close = _timed(state.on_window_close, nets.append)
-    for name in ("push", "flush"):
-        setattr(store, name, _timed(getattr(store, name), _adder(routing)))
-    t0 = time.perf_counter()
-    for element in elements:
-        engine.process(element)
-    engine.finish()
-    wall = time.perf_counter() - t0
-    close_sinks()
-
-    nets.sort()
-    panes = len(nets)
-    share = routing[0] / panes if panes else 0.0
-
-    def ms_stats(values: list[float], extra: float = 0.0) -> dict[str, float]:
-        if not values:
-            return {"mean": 0.0, "p50": 0.0, "p95": 0.0, "max": 0.0}
-        return {
-            "mean": (sum(values) / len(values) + extra) * 1000.0,
-            "p50": (percentile(values, 0.50) + extra) * 1000.0,
-            "p95": (percentile(values, 0.95) + extra) * 1000.0,
-            "max": (values[-1] + extra) * 1000.0,
-        }
-
-    stats = engine.stats
-    return {
-        "records": stats.read,
-        "wall_seconds": round(wall, 6),
-        "throughput": round(stats.read / wall, 1) if wall > 0 else 0.0,
-        "panes": panes,
-        "pane_ms": ms_stats(nets),
-        "pane_total_ms": ms_stats(nets, extra=share),
-        "discarded": stats.discarded,
-        "records_emitted": stats.records_emitted,
-    }
-
-
-def _timed(f, record):
-    """f, with the seconds of each call passed to record."""
-    perf = time.perf_counter
-
-    def timed(*args, **kwargs):
-        t0 = perf()
-        try:
-            return f(*args, **kwargs)
-        finally:
-            record(perf() - t0)
-    return timed
-
-
-def _adder(total: list[float]):
-    def add(seconds: float) -> None:
-        total[0] += seconds
-    return add
 
 
 # ---------------------------------------------------------------------------

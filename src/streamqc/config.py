@@ -45,6 +45,7 @@ from .monitor import (
     FrozenColumnSpec,
     InvalidSuite,
     SuiteState,
+    window_key_problems,
 )
 
 __all__ = [
@@ -677,6 +678,7 @@ def build_suite(cfg: SuiteConfig, config_path: str | None, hash_seed: int) -> Su
         errors.extend(exc.problems)
     if cfg.secondary_source is not None and cfg.window.kind == "session":
         errors.append("secondary sources require tumbling or sliding windows")
+    errors.extend(window_key_problems(cfg.detectors, cfg.window_key_by))
     if errors:
         raise ConfigError(errors)
     return state

@@ -413,8 +413,10 @@ def parse_address(address: str) -> tuple[str, int]:
     if address.startswith("tcp://"):
         address = address[len("tcp://"):]
     host, sep, port = address.rpartition(":")
-    if not sep or not port.isdigit():
+    if not sep or not (port.isascii() and port.isdigit()):
         raise SourceError(f"socket address must be host:port, got {address!r}")
+    if not 1 <= int(port) <= 65535:
+        raise SourceError(f"socket port must be in 1-65535, got {address!r}")
     return host or "127.0.0.1", int(port)
 
 
@@ -624,6 +626,8 @@ def generate_stream(csv_path: str, manifest_path: str, *,
     manifest with absolute bounds, so a consumer can assert which windows
     were corrupted. Returns the number of rows written.
     """
+    if not 0 < rate_per_sec < math.inf:
+        raise ValueError(f"rate_per_sec must be finite and > 0, got {rate_per_sec!r}")
     injections = list(injections or [])
     rng = random.Random(seed)
     start = utc_ms(start)

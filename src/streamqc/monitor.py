@@ -65,7 +65,7 @@ from .windowing import PaneStore, RouteOutcome, Watermark
 __all__ = [
     "ReferenceTable", "ContextState", "DeadStreamSpec", "FrozenColumnSpec",
     "DetectorSpecs", "InvalidSuite", "SuiteState", "MonitorEngine",
-    "RunStats", "PaneCheck", "relative_volume_check",
+    "RunStats", "PaneCheck", "relative_volume_check", "window_key_problems",
 ]
 
 
@@ -191,11 +191,19 @@ Verdict = Callable[[Value, dict[str, Value]], bool | None]
 
 
 class InvalidSuite(ValueError):
-    """The suite SuiteState refuses to build, with every problem found."""
+    """A suite SuiteState or MonitorEngine refuses, with every problem found."""
 
     def __init__(self, problems: list[str]):
         self.problems = problems
         super().__init__("invalid suite: " + "; ".join(problems))
+
+
+def window_key_problems(detectors: DetectorSpecs, key_by: str | None) -> list[str]:
+    """What a window's key_by rules out: a keyed pane store makes no empty
+    pane, so a dead-stream detector over it would never fire."""
+    if key_by is not None and detectors.dead is not None:
+        return ["dead-stream detection needs an unkeyed window (window.key_by is set)"]
+    return []
 
 
 def _check_suite(checks: Iterable[CheckDefinition], schema: Iterable[ColumnSpec],
@@ -377,7 +385,7 @@ class SuiteState:
             run = compile_measure(measure, self._env, elem_checker_for(measure, self._env))
             self.pane_checks.append((check.key_by,
                                      self._compile_check(check, run, verdict, reference_key)))
-        detectors = detectors or DetectorSpecs()
+        self.detectors = detectors = detectors or DetectorSpecs()
         if detectors.dead is not None:
             self.pane_checks.append((None, _dead_stream_check(detectors.dead)))
         self.pane_checks.extend((spec.key_by, _frozen_column_check(spec))
@@ -683,6 +691,9 @@ class MonitorEngine:
                  key_by: str | None = None,
                  meta_sink: Any = None,
                  side_sink: Any = None):
+        problems = window_key_problems(state.detectors, key_by)
+        if problems:
+            raise InvalidSuite(problems)
         self.state = state
         self.watermark = Watermark(delay=watermark_delay)
         self.store = PaneStore(state.window_spec, key_by=key_by)

@@ -15,8 +15,6 @@ import math
 import random
 import re
 import statistics
-import subprocess
-import sys
 import time
 from collections import Counter
 from contextlib import contextmanager
@@ -26,6 +24,7 @@ import numpy as np
 from scipy import stats as scipy_stats
 
 from streamqc.cli import main
+from streamqc.config import build_suite, load_config, open_source
 from streamqc.connectors import generate_stream
 from streamqc.expression import ExpressionError, compile as compile_expr, parse as parse_expr
 from streamqc.measures import EngineEnv, apply_measure
@@ -929,7 +928,7 @@ def test_expressions_match_reference_interpreter():
 
 
 # ---------------------------------------------------------------------------
-# Throughput and memory, via the installed CLI
+# Throughput and memory: a CLI run in a child process, scaling through the library
 
 
 def test_throughput_and_memory(tmp_path):
@@ -993,13 +992,36 @@ def test_throughput_and_memory(tmp_path):
         assert wall < 60.0
         assert rss_kb < 1024 * 1024  # KiB
 
-        bench = subprocess.run(
-            [sys.executable, "-m", "streamqc", "bench", str(cfg),
-             "--sizes", "100000,500000", "--repeats", "3", "--json"],
-            capture_output=True, text=True, timeout=300)
-        assert bench.returncode == 0, bench.stderr
-        report = json.loads(bench.stdout)
-        assert [row["records"] for row in report["sizes"]] == [100_000, 500_000]
-        ratio = report["wall_ratio_last_to_first"]
-        print(f"  bench wall ratio 100k to 500k rows (median of 3 runs each): {ratio}")
-        assert 3.5 <= ratio <= 6.5  # near-linear scaling, no quadratic blowup
+        # Near-linear scaling, timed in this process through the library: one
+        # untimed warm-up, then the median of 3 runs per size, each on a
+        # freshly built suite. A run's time covers decode, process and finish.
+        loaded = load_config(str(cfg))
+        _replay_wall(loaded, str(cfg), 100_000)
+        walls = [statistics.median(_replay_wall(loaded, str(cfg), size) for _ in range(3))
+                 for size in (100_000, 500_000)]
+        ratio = walls[1] / walls[0]
+        reading = (f"wall 100k rows {walls[0]:.3f}s, 500k rows {walls[1]:.3f}s "
+                   f"(median of 3 runs each), ratio {ratio:.3f}")
+        print(f"  {reading}")
+        assert 3.5 <= ratio <= 6.5, reading  # near-linear scaling, no quadratic blowup
+
+
+class _DiscardSink:
+    def write_line(self, line):
+        pass
+
+
+def _replay_wall(cfg, cfg_path, size):
+    """Seconds to decode, process and finish the first `size` rows of the
+    config's source on a fresh suite, with the meta lines discarded."""
+    state = build_suite(cfg, cfg_path, cfg.engine.hash_seed)
+    elements = open_source(cfg.source, cfg_path, limit=size)
+    engine = MonitorEngine(state, watermark_delay=cfg.source.watermark_delay,
+                           meta_sink=_DiscardSink())
+    t0 = time.perf_counter()
+    for element in elements:
+        engine.process(element)
+    engine.finish()
+    wall = time.perf_counter() - t0
+    assert engine.stats.read == size
+    return wall

@@ -478,15 +478,6 @@ def test_cli_validate_parses_each_text_once(tmp_path, monkeypatch):
     assert [calls.count(text) for text in PARSED_TEXTS] == [1, 1, 1]
 
 
-def test_cli_bench_parses_each_text_once_per_engine(tmp_path, monkeypatch, capsys):
-    """The validated suite serves the warm-up, and each of the 6 timed runs
-    builds its own: 7 parses of each text."""
-    cfg_path, calls = parse_count_setup(tmp_path, monkeypatch)
-    assert main(["bench", cfg_path, "--sizes", "100,200", "--repeats", "3", "--json"]) == 0
-    assert [calls.count(text) for text in PARSED_TEXTS] == [7, 7, 7]
-    capsys.readouterr()
-
-
 # (pane start minute, match_ratio value, ok, secondary_volume) for the run below
 SECONDARY_PANES = [(59, 0.0, False, 0), (0, 0.5, True, 2), (1, 1.0, True, 3),
                    (2, 0.5, True, 1), (3, 0.0, False, 0), (4, 0.0, False, 0),
@@ -610,12 +601,26 @@ def _empty_csv(tmp_path):
     return "csv source is empty"
 
 
-def _bad_socket_address(tmp_path):
+def _socket_source(tmp_path, address):
     obj = json.loads((tmp_path / "config.json").read_text())
-    obj["source"] = dict(obj["source"], kind="socket", address="nowhere")
+    obj["source"] = dict(obj["source"], kind="socket", address=address)
     del obj["source"]["path"]
     write_config(tmp_path, obj)
+
+
+def _bad_socket_address(tmp_path):
+    _socket_source(tmp_path, "nowhere")
     return "socket address must be host:port, got 'nowhere'"
+
+
+def _socket_port_out_of_range(tmp_path):
+    _socket_source(tmp_path, "tcp://127.0.0.1:99999")  # would wrap to port 34463
+    return "socket port must be in 1-65535, got '127.0.0.1:99999'"
+
+
+def _socket_port_not_ascii_digits(tmp_path):
+    _socket_source(tmp_path, "127.0.0.1:\u00b2")  # str.isdigit, but no int
+    return "socket address must be host:port, got '127.0.0.1:\u00b2'"
 
 
 def _missing_csv(tmp_path):
@@ -630,22 +635,32 @@ def _missing_jsonl(tmp_path):
     return "No such file or directory"
 
 
-@pytest.mark.parametrize("command", ["run", "bench"])
+@pytest.mark.parametrize("command", ["run"])
 @pytest.mark.parametrize("break_source", [_header_without_zone, _empty_csv, _missing_csv,
-                                          _missing_jsonl, _bad_socket_address])
+                                          _missing_jsonl, _bad_socket_address,
+                                          _socket_port_out_of_range,
+                                          _socket_port_not_ascii_digits])
 def test_cli_source_errors_are_error_lines(tmp_path, capsys, command, break_source):
     """A source that cannot be opened as configured is an `error:` line and
     exit 1, found before any row is processed, never a traceback."""
     cfg_path = cli_setup(tmp_path)
     expected = break_source(tmp_path)
     meta = tmp_path / "meta.jsonl"
-    argv = [command, cfg_path] + (["--meta", str(meta)] if command == "run" else [])
-    assert main(argv) == 1
+    assert main([command, cfg_path, "--meta", str(meta)]) == 1
     captured = capsys.readouterr()
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and expected in lines[0], lines
     assert captured.out == ""
     assert not meta.exists()
+
+
+def test_cli_run_meta_sink_port_out_of_range_is_an_error_line(tmp_path, capsys):
+    """A sink port past 65535 is an `error:` line and exit 1, not a
+    connection to the port it wraps to."""
+    cfg_path = cli_setup(tmp_path)
+    assert main(["run", cfg_path, "--meta", "tcp://127.0.0.1:70000"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: socket port must be in 1-65535, got '127.0.0.1:70000'"]
 
 
 def test_cli_run_mean_over_both_infinities_is_null(tmp_path):
@@ -782,6 +797,24 @@ def test_cli_sliding_window_of_too_many_panes_per_row_is_a_config_error(
         WindowSpec("sliding", duration=10_000 * slide + timedelta(seconds=1), slide=slide)
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_cli_dead_stream_detector_over_a_keyed_window_is_a_config_error(
+        tmp_path, capsys, command):
+    """A keyed window makes no empty pane, so a dead-stream detector over it
+    would never fire: one `error:` line and exit 1 from validate and run."""
+    def mutate(obj):
+        obj["window"]["key_by"] = "zone"
+        obj["detectors"] = {"dead": {"threshold": "2m"}}
+    cfg_path = cli_setup(tmp_path, mutate)
+    meta = tmp_path / "meta.jsonl"
+    argv = [command, cfg_path] + (["--meta", str(meta)] if command == "run" else [])
+    assert main(argv) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["error: dead-stream detection needs an unkeyed window "
+                     "(window.key_by is set)"], lines
+    assert not meta.exists()
+
+
 def test_cli_run_context_horizon_longer_than_the_timestamp_range(tmp_path):
     """A context horizon reaching back past the first instant: every pane
     is warming, and the run exits 0."""
@@ -914,40 +947,20 @@ def test_cli_generate_rejects_unknown_keys(tmp_path, capsys):
     assert "unknown keys" in capsys.readouterr().err
 
 
-def test_cli_bench_json(tmp_path, capsys):
-    write_stream(tmp_path, rows=stream_rows(n=200, step_s=1))
-    cfg_path = write_config(tmp_path, base_config())
-    assert main(["bench", cfg_path, "--sizes", "50,100", "--json"]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert [row["records"] for row in report["sizes"]] == [50, 100]
-    for row in report["sizes"]:
-        assert row["wall_seconds"] > 0
-        assert row["throughput"] > 0
-        assert "pane_ms" in row
-    assert "wall_ratio_last_to_first" in report
-
-
-def test_cli_bench_times_one_routing_call_per_record(tmp_path, monkeypatch, capsys):
-    """Every record read reaches the store through one timed push, the
-    in-order rows that push appends straight to the open slice too, so the
-    routing share of pane_total_ms misses no row."""
-    write_stream(tmp_path, rows=stream_rows(n=200, step_s=1))
-    cfg_path = write_config(tmp_path, base_config())
-    calls = []
-    timed = cli._timed
-
-    def counting(f, record):
-        def call(*args, **kwargs):
-            calls.append(f.__name__)
-            return f(*args, **kwargs)
-        return timed(call, record)
-
-    monkeypatch.setattr(cli, "_timed", counting)
-    assert main(["bench", cfg_path, "--sizes", "50,100", "--json"]) == 0
-    report = json.loads(capsys.readouterr().out)
-    read = 50 + sum(row["records"] for row in report["sizes"])  # the warm-up reads 50
-    assert calls.count("push") == read == 200
-    assert calls.count("flush") == 3
+@pytest.mark.parametrize("rate", [0, -5, 1e400, float("nan")])
+def test_cli_generate_rejects_a_rate_not_finite_and_positive(tmp_path, capsys, rate):
+    """A rate of 0 or 1e400 (infinity) raised a traceback, and -5 wrote 0
+    rows: each is one `error:` line and exit 1, and nothing is written."""
+    gen_cfg = write_config(tmp_path, {
+        "seed": 1, "start": "2015-05-07T11:00:00Z", "rate_per_sec": rate,
+        "duration": "1m", "columns": []}, name="gen.json")
+    out = tmp_path / "o.csv"
+    assert main(["generate", gen_cfg, "--out", str(out),
+                 "--manifest", str(tmp_path / "m.jsonl")]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(
+        "error: generator config: rate_per_sec must be finite and > 0"), lines
+    assert not out.exists()
 
 
 def test_readme_cli_block_matches_the_parser():

@@ -315,8 +315,9 @@ def test_every_tail_is_its_record_rendered_whole():
     (plain, detailed, warming, reference miss, skipped Null, forced
     failure), per-element records, zero and nonzero `_late_discards`, and
     the dead-stream and frozen-column detectors' alerts and recoveries.
-    Grid panes run keyed by device and unkeyed, where a five-minute silence
-    makes the empty panes a dead stream needs."""
+    Grid panes run keyed by device and unkeyed; the dead-stream detector,
+    which a keyed window rules out, runs unkeyed, where a five-minute
+    silence makes the empty panes a dead stream needs."""
     # Grid panes starting on an even minute find their row; the rest miss.
     table = ReferenceTable("caps", "start", ("start", "cap"),
                            {canonical_bytes(at(m * 60)): {"start": at(m * 60), "cap": 5.0}
@@ -325,8 +326,8 @@ def test_every_tail_is_its_record_rendered_whole():
             for e in stream(random.Random(7), 400)]
     seen = set()
     for kind, window in sorted(WINDOWS.items()):
-        dead = DeadStreamSpec(2 * MIN) if kind != "session" else None
         for key_by in ("device", None):
+            dead = DeadStreamSpec(2 * MIN) if kind != "session" and key_by is None else None
             engine = MonitorEngine(SuiteState(tail_checks(), SCHEMA, window,
                                               references={"caps": table},
                                               detectors=DetectorSpecs(dead, DETECTORS.frozen)),

@@ -536,6 +536,24 @@ def test_dead_stream_manual_restart_skips_recovery():
     assert [r for r in records if r.check_id == "_dead_stream"] == []
 
 
+def test_engine_refuses_a_dead_stream_detector_over_a_keyed_window():
+    """A keyed grid store makes no empty pane, so a dead-stream detector
+    over a keyed window would never fire: the engine refuses the pairing.
+    Unkeyed, the same rows (0-20 s, then one 30 minutes later) close 31
+    panes and make an alert and a recovery."""
+    def dead_suite():
+        return suite([mean_check()], detectors=DetectorSpecs(dead=DeadStreamSpec(2 * MIN)))
+    engine = MonitorEngine(dead_suite())
+    for e in fare_elems([1.0, 2.0, 3.0]) + [elem(at(1800), 3, fare=4.0)]:
+        engine.process(e)
+    engine.finish()
+    assert engine.stats.panes_closed == 31
+    assert [r.ok for r in engine.collected if r.check_id == "_dead_stream"] == [False, True]
+    with pytest.raises(InvalidSuite, match="unkeyed window"):
+        MonitorEngine(dead_suite(), key_by="zone")
+    MonitorEngine(suite([mean_check()]), key_by="zone")  # no detector: fine
+
+
 def test_frozen_column_alert_recovery_and_null_skip():
     st = suite([mean_check()],
                detectors=DetectorSpecs(frozen=(FrozenColumnSpec("fare", windows=3),)))
