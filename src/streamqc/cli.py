@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import ExitStack
 from dataclasses import replace
 
 from .config import ConfigError, SuiteConfig, build_suite, load_config, open_source
@@ -89,9 +90,13 @@ def _cmd_run(args) -> int:
     elements = open_source(cfg.source, args.config, counters, args.limit)
     if cfg.source.replay_mode == "scaled":
         elements = paced(elements, cfg.source.replay_factor)
-    meta_sink = open_sink(cfg.sinks.meta if cfg.sinks.meta is not None else "-")
-    side_sink = open_sink(cfg.sinks.side) if cfg.sinks.side is not None else None
-    try:
+    with ExitStack() as opened:  # closes each sink that opened, also if the next fails
+        meta_sink = open_sink(cfg.sinks.meta if cfg.sinks.meta is not None else "-")
+        opened.callback(meta_sink.close)
+        side_sink = None
+        if cfg.sinks.side is not None:
+            side_sink = open_sink(cfg.sinks.side)
+            opened.callback(side_sink.close)
         engine = MonitorEngine(state,
                                watermark_delay=cfg.source.watermark_delay,
                                key_by=cfg.window_key_by,
@@ -102,10 +107,6 @@ def _cmd_run(args) -> int:
         except KeyboardInterrupt:
             pass  # interactive stop: flush what closed, report, exit clean
         engine.finish()
-    finally:
-        meta_sink.close()
-        if side_sink is not None:
-            side_sink.close()
     stats = engine.stats
     stats.skipped_bad_time = counters.skipped_bad_time
     stats.parse_failures = dict(counters.parse_failures)

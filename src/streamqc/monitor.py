@@ -722,46 +722,51 @@ class MonitorEngine:
 
     def finish(self) -> None:
         """End of stream: the watermark jumps to +infinity and every pane closes."""
-        remaining = self.store.flush()
+        remaining = self.store.closing(None)
         if remaining:
             self._emit_batch(remaining)
 
     # -- internals -----------------------------------------------------------
 
-    def _emit_batch(self, panes: list[WindowInstance]) -> None:
-        """Assess closed panes and write their records in meta-stream order,
-        then the batch's side lines.
+    def _emit_batch(self, panes: Iterable[WindowInstance]) -> None:
+        """Assess closed panes as the store closes them and write their
+        records in meta-stream order, then the batch's side lines.
 
         Panes come in (end, key, start) order and every record of a pane
         carries the pane's end, so records of different panes interleave
         only within a run of panes that share an end. Each run is written
-        as soon as its last pane is assessed. The first pane's
-        `_late_discards` record counts the rows discarded since the last
-        batch.
+        when the end changes, and no pane is held past its run. The first
+        pane's `_late_discards` record counts the rows discarded since the
+        last batch; a batch that closes no pane leaves that count as it is.
         """
         wm = self.watermark.value
         batch_failing: list[tuple[StreamElement, list[str]]] = []
         run: list[tuple[tuple, MetaRecord]] = []
-        delta = self.stats.discarded - self._discards_reported
-        self._discards_reported = self.stats.discarded
-        for index, pane in enumerate(panes):
-            if run and pane.end != panes[index - 1].end:
-                self._write_run(run)
-                run = []
+        end = None  # the end of the run being gathered; None before the first pane
+        for pane in panes:
+            if end is None:
+                delta = self.stats.discarded - self._discards_reported
+                self._discards_reported = self.stats.discarded
+            else:
+                delta = 0
+                if pane.end != end:
+                    self._write_run(run)
+                    run = []
+            end = pane.end
             entries, failing = self.state.on_window_close(pane, watermark=wm)
             run += entries
-            _emit_late_discards((pane.end, sort_key(pane.key)), pane.key, pane, delta,
+            _emit_late_discards((end, sort_key(pane.key)), pane.key, pane, delta,
                                 not delta, {"total": self._discards_reported} if delta else None,
                                 run)
-            delta = 0
             self.stats.panes_closed += 1
             for seq in sorted(failing):
                 if seq not in self._routed:
                     slot = failing[seq]
                     self._routed[seq] = slot[0].event_time
                     batch_failing.append(slot)
-        if run:
-            self._write_run(run)
+        if end is None:
+            return
+        self._write_run(run)
         if self.side_sink is not None:
             for element, check_ids in batch_failing:
                 self.side_sink.write_line(_side_line(element, check_ids))

@@ -16,6 +16,11 @@ panes between the first and last observed event times, so downstream
 consumers see silence as zero-volume windows. Session panes are built per
 key by gap extension and are never empty. A pane bound beyond the datetime
 range is clamped to it.
+
+Closing is streamed: PaneStore.closing yields the panes one watermark step
+closes in meta-stream order, (end, key, start), building each as it is
+drawn. Memory does not grow with the number of panes one step closes (a
+far-future row can close millions); the time to close them still does.
 """
 
 from __future__ import annotations
@@ -27,8 +32,8 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from enum import Enum
 from itertools import chain
-from operator import attrgetter
-from typing import Sequence
+from operator import attrgetter, itemgetter
+from typing import Iterable, Iterator
 
 from .model import (
     TS_MAX,
@@ -40,13 +45,9 @@ from .model import (
     WindowSpec,
     canonical_bytes,
     element_order,
-    sort_key,
 )
 
-__all__ = [
-    "Watermark", "RouteOutcome", "PaneStore",
-    "assign_tumbling", "assign_sliding",
-]
+__all__ = ["Watermark", "RouteOutcome", "PaneStore"]
 
 # The upper clamp of a pane bound: past TS_MAX, as which it renders.
 _END_OF_TIME = datetime.max.replace(tzinfo=timezone.utc)
@@ -93,23 +94,7 @@ def _pane_bounds(spec: WindowSpec, p: int) -> tuple[datetime, datetime]:
     return _shift(spec.origin, offset), _shift(spec.origin, offset + spec.duration)
 
 
-def assign_tumbling(t: datetime, spec: WindowSpec) -> tuple[datetime, datetime]:
-    """The unique tumbling pane [start, start+duration) containing t."""
-    return _pane_bounds(spec, (t - spec.origin) // spec.duration)
-
-
-def assign_sliding(t: datetime, spec: WindowSpec) -> list[tuple[datetime, datetime]]:
-    """All sliding panes containing t, earliest start first.
-
-    Starts lie on the slide grid anchored at origin; s is included when
-    s <= t < s + duration.
-    """
-    offset = t - spec.origin
-    first = (offset - spec.duration) // spec.slide + 1
-    return [_pane_bounds(spec, p) for p in range(first, offset // spec.slide + 1)]
-
-
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class _Session:
     key: Value
     min_t: datetime
@@ -127,7 +112,8 @@ class PaneStore:
 
     key_by optionally partitions the stream before windowing (sessions are
     per key; grid panes are usually unkeyed). Keyed grid stores do not
-    materialize empty panes since the key universe is unknown.
+    materialize empty panes since the key universe is unknown. Closed panes
+    are streamed (closing): the store never holds a batch of them.
     """
 
     def __init__(self, spec: WindowSpec, key_by: str | None = None):
@@ -155,24 +141,24 @@ class PaneStore:
         self._open: dict[bytes, tuple[Value, Slice]] = {}
         self._tail: list[StreamElement] | None = None
         # Session state: canonical key -> sessions sorted by min_t, and one heap
-        # entry per session, (close instant when pushed, key, id, session); id()
-        # breaks ties.
+        # entry per session, (end, key, start, id, session) as when pushed, so
+        # the heap pops in meta-stream order; id() breaks ties.
         self._sessions: dict[bytes, list[_Session]] = {}
-        self._session_heap: list[tuple[datetime, bytes, int, _Session]] = []
+        self._session_heap: list[tuple[datetime, bytes, datetime, int, _Session]] = []
 
     # -- routing ------------------------------------------------------------
 
     def push(self, e: StreamElement, wm: Watermark
-             ) -> tuple[RouteOutcome, Sequence[WindowInstance]]:
+             ) -> tuple[RouteOutcome, Iterable[WindowInstance]]:
         """One row's whole path: advance the watermark by its event time,
         route the row, and close the panes the watermark then reaches;
-        returns the outcome and the closed panes.
+        returns the outcome and closing's iterator of the closed panes.
 
         An on-time row in the open slice of an unkeyed grid store is
-        appended to it directly, and close_ready runs only once the
-        watermark reaches the next close instant. Every other row (late or
-        discarded, keyed, in a session, or one whose watermark shift
-        clamps) takes observe, route and close_ready."""
+        appended to it directly, and closing runs only once the watermark
+        reaches the next close instant. Every other row (late or discarded,
+        keyed, in a session, or one whose watermark shift clamps) takes
+        observe, route and closing."""
         t = e.event_time
         tail = self._tail
         if tail is not None and wm.value <= t and self._open_start <= t < self._open_end:
@@ -186,10 +172,10 @@ class PaneStore:
                 tail.append(e)
                 if wm.value < self._close_at:
                     return _ON_TIME
-                return RouteOutcome.ASSIGNED, self.close_ready(wm.value)
+                return RouteOutcome.ASSIGNED, self.closing(wm.value)
         wm.observe(t)
         outcome = self.route(e, wm)
-        return outcome, self.close_ready(wm.value)
+        return outcome, self.closing(wm.value)
 
     def route(self, e: StreamElement, wm: Watermark) -> RouteOutcome:
         """Assign an element to its panes, or discard it as too late.
@@ -250,7 +236,7 @@ class PaneStore:
         one, or bridge its two neighbours into the left one. A key's sessions
         lie more than gap apart, so only the sessions either side of t can
         touch it. Only an opened session is pushed on the heap; a session
-        that grows keeps its entry."""
+        that grows keeps its entry, which _due_session settles."""
         gap = self.spec.gap
         key_enc = canonical_bytes(key)
         sessions = self._sessions.get(key_enc)
@@ -264,7 +250,7 @@ class PaneStore:
             opened = _Session(key, t, t, [e])
             sessions.insert(i, opened)
             heapq.heappush(self._session_heap,
-                           (self._session_close(opened), key_enc, id(opened), opened))
+                           (_shift(t, gap), key_enc, t, id(opened), opened))
         elif left is not None and right is not None:  # t bridges the two
             left.max_t = right.max_t
             left.elements += [e, *right.elements]
@@ -275,41 +261,54 @@ class PaneStore:
             joined.min_t, joined.max_t = min(joined.min_t, t), max(joined.max_t, t)
             joined.elements.append(e)
 
-    def _session_close(self, session: _Session) -> datetime:
-        return _shift(session.max_t, self.spec.gap + self.spec.allowed_lateness)
-
     # -- closing ------------------------------------------------------------
 
-    def close_ready(self, wm_value: datetime | None) -> list[WindowInstance]:
-        """Emit every pane with end + allowed_lateness <= watermark, in
-        (end, key) order. Each pane is emitted exactly once. Until the
-        watermark reaches the next close instant this returns at once.
-        None is the end-of-stream watermark, +inf: every pane closes, also
-        one whose close instant lies beyond TS_MAX."""
+    def closing(self, wm_value: datetime | None) -> Iterable[WindowInstance]:
+        """Every pane with end + allowed_lateness <= watermark, as an iterator
+        in meta-stream order, (end, key, start). Each pane is built as it is
+        drawn and closes exactly once, so memory does not grow with the
+        panes one watermark step closes; draw the iterator to its end before
+        the store is used again. Until the watermark reaches the next close
+        instant this returns () at once. None is the end-of-stream
+        watermark, +inf: every pane closes, also one whose close instant
+        lies beyond TS_MAX."""
         if self.spec.kind == "session":
-            if self._due_session(wm_value) is None:
-                return []
-            out = self._close_sessions(wm_value)
-        elif wm_value is not None:
+            if wm_value is None:
+                last_end = _END_OF_TIME  # every end
+            else:
+                try:
+                    last_end = wm_value - self.spec.allowed_lateness
+                except OverflowError:  # no end plus lateness reaches wm_value
+                    return ()
+            if self._due_session(last_end) is None:
+                return ()
+            return self._close_sessions(last_end)
+        if wm_value is not None:
             if self._close_at is None or wm_value < self._close_at:
-                return []
-            out = self._close_grid((wm_value - self.spec.origin - self._hold) // self.spec.step)
-        else:
-            out = self._close_grid(self._last) if self._next is not None else []
-        out.sort(key=lambda w: (w.end, sort_key(w.key), w.start))
-        return out
+                return ()
+            return self._close_grid((wm_value - self.spec.origin - self._hold) // self.spec.step)
+        return self._close_grid(self._last) if self._next is not None else ()
+
+    def close_ready(self, wm_value: datetime | None) -> list[WindowInstance]:
+        """closing(wm_value), drawn into a list."""
+        return list(self.closing(wm_value))
 
     def flush(self) -> list[WindowInstance]:
         """Close every remaining pane (end of stream)."""
         return self.close_ready(None)
 
-    def _close_grid(self, upto: int) -> list[WindowInstance]:
+    def _close_grid(self, upto: int) -> Iterator[WindowInstance]:
         """Close panes _next to upto (at most _last) from their slices, sorting
         a slice when a pane first uses it and dropping it after the last. No
         element reaches a slice after a pane over it has closed: it would lie
-        below the lateness floor and be discarded."""
+        below the lateness floor and be discarded.
+
+        Pane p ends before pane p + 1, and one pane's keys come in encoding
+        order, so panes come out in meta-stream order as they are built.
+        Only panes whose ends clamp to _END_OF_TIME share an end; the few
+        a row can reach are held and put in key order last."""
         r, q, slices, numbers = self._r, self._q, self._slices, self._numbers
-        out: list[WindowInstance] = []
+        clamped: list[tuple[bytes, WindowInstance]] = []
         for p in range(self._next, min(upto, self._last) + 1):
             by_key: dict[bytes, tuple[Value, list[Slice]]] = {}
             for k in numbers[:bisect_left(numbers, p * r + q)]:  # none is below p * r
@@ -326,9 +325,13 @@ class PaneStore:
                 for key_enc in sorted(by_key):
                     key, parts = by_key[key_enc]
                     elements = tuple(chain.from_iterable(part.elements for part in parts))
-                    out.append(WindowInstance(start, end, key, elements, tuple(parts)))
+                    pane = WindowInstance(start, end, key, elements, tuple(parts))
+                    if end == _END_OF_TIME:
+                        clamped.append((key_enc, pane))
+                    else:
+                        yield pane
             elif self.key_by is None:
-                out.append(WindowInstance(start, end, None, ()))
+                yield WindowInstance(start, end, None, ())
             done = bisect_left(numbers, p * r + r)  # slices in no later pane
             for k in numbers[:done]:
                 if slices.pop(k) is self._open:
@@ -336,42 +339,47 @@ class PaneStore:
                     self._tail = None
             del numbers[:done]
             self._next = p + 1
+        for _, pane in sorted(clamped, key=itemgetter(0)):  # stable: a key's stay in start order
+            yield pane
         self._close_at = _shift(self.spec.origin, self._next * self.spec.step + self._hold)
-        return out
 
-    def _due_session(self, wm_value: datetime | None) -> _Session | None:
-        """The session at the heap top if it is due by wm_value (any is due
-        when None), else None. A top entry whose pushed instant is due but
-        stale is settled first: a merged-away session's entry is dropped,
-        and a session that grew past its entry is re-pushed at its live
-        close instant, so each session keeps one entry."""
+    def _due_session(self, last_end: datetime) -> _Session | None:
+        """The session at the heap top if it is due, its end at most
+        last_end, else None. A top entry whose pushed end is due but stale
+        is settled first: a merged-away session's entry is dropped, and a
+        session whose end or start has moved since its entry was pushed is
+        re-pushed at its live bounds, so each session keeps one entry.
+
+        An end never moves down, and two open sessions of one key never
+        share an end (a start moves down only within its end and key), so
+        an entry never sorts above a live session that its own session sorts
+        below: the heap pops live sessions in meta-stream order, and as a
+        close instant rises with the end, exactly the due ones."""
         heap = self._session_heap
-        while heap and (wm_value is None or heap[0][0] <= wm_value):
-            pushed_at, key_enc, _, session = heap[0]
+        gap = self.spec.gap
+        while heap and heap[0][0] <= last_end:
+            end, key_enc, start, _, session = heap[0]
             if session.merged:
                 heapq.heappop(heap)
                 continue
-            close_at = self._session_close(session)
-            if close_at > pushed_at:
-                heapq.heapreplace(heap, (close_at, key_enc, id(session), session))
+            live_end = _shift(session.max_t, gap)
+            if live_end != end or session.min_t != start:
+                heapq.heapreplace(heap, (live_end, key_enc, session.min_t, id(session), session))
                 continue
             return session
         return None
 
-    def _close_sessions(self, wm_value: datetime | None) -> list[WindowInstance]:
-        """Close each session due by wm_value, or every session when None."""
-        out: list[WindowInstance] = []
+    def _close_sessions(self, last_end: datetime) -> Iterator[WindowInstance]:
+        """Close each session due by last_end, building its pane as it is popped."""
         heap = self._session_heap
-        while self._due_session(wm_value) is not None:
-            _, key_enc, _, session = heapq.heappop(heap)
+        while self._due_session(last_end) is not None:
+            end, key_enc, start, _, session = heapq.heappop(heap)
             sessions = self._sessions[key_enc]
-            del sessions[bisect_left(sessions, session.min_t, key=_min_t)]
+            del sessions[bisect_left(sessions, start, key=_min_t)]
             if not sessions:
                 del self._sessions[key_enc]
             session.elements.sort(key=element_order)
-            end = _shift(session.max_t, self.spec.gap)
-            out.append(WindowInstance(session.min_t, end, session.key, tuple(session.elements)))
-        return out
+            yield WindowInstance(start, end, session.key, tuple(session.elements))
 
     def closed_floor(self) -> datetime:
         """An element that a closed pane held, with event time before this

@@ -8,7 +8,8 @@ import time
 from datetime import datetime, timedelta
 
 from streamqc import model
-from streamqc.model import StreamElement, Value, WindowInstance, ts
+from streamqc.model import StreamElement, Value, WindowInstance, WindowSpec, ts
+from streamqc.windowing import _shift
 
 T0 = ts(2015, 5, 7, 11, 0, 0)
 
@@ -20,6 +21,26 @@ def at(seconds: float) -> datetime:
 
 def elem(t: datetime, seq: int = 0, **attrs: Value) -> StreamElement:
     return StreamElement(event_time=t, arrival_seq=seq, attrs=attrs)
+
+
+def _grid_pane(spec: WindowSpec, p: int) -> tuple[datetime, datetime]:
+    """Grid pane p: [origin + p * step, that + duration), clamped to the datetime range."""
+    offset = p * spec.step
+    return _shift(spec.origin, offset), _shift(spec.origin, offset + spec.duration)
+
+
+def assign_tumbling(t: datetime, spec: WindowSpec) -> tuple[datetime, datetime]:
+    """The reference assignment: the unique tumbling pane containing t."""
+    return _grid_pane(spec, (t - spec.origin) // spec.duration)
+
+
+def assign_sliding(t: datetime, spec: WindowSpec) -> list[tuple[datetime, datetime]]:
+    """The reference assignment: every sliding pane containing t, earliest
+    start first. Starts lie on the slide grid anchored at origin; s is
+    included when s <= t < s + duration."""
+    offset = t - spec.origin
+    first = (offset - spec.duration) // spec.slide + 1
+    return [_grid_pane(spec, p) for p in range(first, offset // spec.slide + 1)]
 
 
 def elems(values, column: str = "x", start: datetime | None = None,

@@ -41,15 +41,9 @@ from streamqc.model import (
 )
 from streamqc.monitor import MonitorEngine, SuiteState
 from streamqc.sketches import CardinalityEstimator, FrequentItemsSketch
-from streamqc.windowing import (
-    PaneStore,
-    RouteOutcome,
-    Watermark,
-    assign_sliding,
-    assign_tumbling,
-)
+from streamqc.windowing import PaneStore, RouteOutcome, Watermark
 
-from helpers import T0, at, elem, run_cli_child
+from helpers import T0, assign_sliding, assign_tumbling, at, elem, run_cli_child
 
 MIN = timedelta(minutes=1)
 SEC = timedelta(seconds=1)

@@ -5,6 +5,8 @@ import copy
 import csv
 import json
 import re
+import subprocess
+import sys
 import time
 from datetime import timedelta
 from pathlib import Path
@@ -31,9 +33,8 @@ from streamqc.model import (
     format_ts,
     parse_ts,
 )
-from streamqc.windowing import assign_sliding, assign_tumbling
 
-from helpers import T0, run_cli_child
+from helpers import T0, assign_sliding, assign_tumbling, run_cli_child
 
 
 def base_config():
@@ -661,6 +662,21 @@ def test_cli_run_meta_sink_port_out_of_range_is_an_error_line(tmp_path, capsys):
     assert main(["run", cfg_path, "--meta", "tcp://127.0.0.1:70000"]) == 1
     assert capsys.readouterr().err.splitlines() == [
         "error: socket port must be in 1-65535, got '127.0.0.1:70000'"]
+
+
+def test_cli_run_side_sink_that_fails_to_open_closes_the_meta_sink(tmp_path):
+    """A side destination that cannot be opened is one `error:` line and
+    exit 1, and the meta sink that did open is closed: under -X dev an
+    unclosed file would print a ResourceWarning."""
+    cfg_path = cli_setup(tmp_path)
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-m", "streamqc", "run", cfg_path,
+         "--meta", str(tmp_path / "meta.jsonl"), "--side", str(tmp_path / "missing" / "s.jsonl")],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "s.jsonl" in lines[0], lines
+    assert "ResourceWarning" not in proc.stderr
 
 
 def test_cli_run_mean_over_both_infinities_is_null(tmp_path):

@@ -86,18 +86,21 @@ def old_side_line(e, check_ids) -> str:
 
 
 def record_batches(engine: MonitorEngine) -> list:
-    """Keep each batch the engine's store closes, with the watermark and the
-    discard count the engine assesses it under."""
+    """Keep each batch the engine's store closes, pane by pane as the engine
+    draws it, with the watermark and the discard count at its first pane."""
     batches = []
-    close = engine.store.close_ready
+    closing = engine.store.closing
 
-    def close_ready(wm_value):
-        panes = close(wm_value)
-        if panes:
-            batches.append((panes, engine.watermark.value, engine.stats.discarded))
-        return panes
+    def drawn(panes):
+        batch = None
+        for pane in panes:
+            if batch is None:
+                batch = ([], engine.watermark.value, engine.stats.discarded)
+                batches.append(batch)
+            batch[0].append(pane)
+            yield pane
 
-    engine.store.close_ready = close_ready
+    engine.store.closing = lambda wm_value: drawn(closing(wm_value))
     return batches
 
 
@@ -456,10 +459,11 @@ def test_close_ready_works_only_once_a_pane_can_close(monkeypatch):
     outcomes = []
     close_grid = PaneStore._close_grid
 
-    def counting(self, wm_value):
-        out = close_grid(self, wm_value)
-        outcomes.append(len(out))
-        return out
+    def counting(self, upto):
+        outcomes.append(0)
+        for pane in close_grid(self, upto):
+            outcomes[-1] += 1
+            yield pane
 
     monkeypatch.setattr(PaneStore, "_close_grid", counting)
     window = WindowSpec("sliding", duration=5 * MIN, slide=MIN)

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import random
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from datetime import timedelta
@@ -1188,3 +1189,48 @@ def test_per_element_checks_on_sliding_panes_keep_their_bytes():
     digest = lambda lines: hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert (len(meta.lines), digest(meta.lines)) == META_LINES_AND_DIGEST
     assert (len(side.lines), digest(side.lines)) == SIDE_LINES_AND_DIGEST
+
+
+class _HashSink:
+    """Hashes the bytes a file sink would write, holding no line."""
+
+    def __init__(self):
+        self.sha = hashlib.sha256()
+
+    def write_line(self, line):
+        self.sha.update(line.encode() + b"\n")
+
+
+def _jump_peak(days):
+    """2,000 rows at 2 rows/s on 1m tumbling panes, one row `days` ahead,
+    then 1,000 rows (all discarded). Returns the tracemalloc peak over the
+    run above what was held before it, the meta sha256 and the engine."""
+    fare = lambda i: (i % 13) * 1.5
+    rows = [elem(at(i * 0.5), i, fare=fare(i)) for i in range(2000)]
+    rows.append(elem(at(999.5) + timedelta(days=days), 2000, fare=1.0))
+    rows += [elem(at(1000 + i * 0.5), 2001 + i, fare=fare(i)) for i in range(1000)]
+    check = CheckDefinition(id="fare_mean", measure=MeasureSpec("mean", {"column": "fare"}),
+                            constraint=Threshold("<=", 10.0))
+    sink = _HashSink()
+    eng = MonitorEngine(suite([check]), meta_sink=sink)
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        drive(eng, rows)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    return peak, sink.sha.hexdigest(), eng
+
+
+def test_memory_under_an_event_time_jump_does_not_grow_with_the_panes_it_closes():
+    """One far row closes every pane up to it in one watermark step. The
+    engine draws them from the store one at a time, so a 7-day jump (10,097
+    panes, once 5.6 MiB of peak) holds no more than a 1-day jump (1,457).
+    The bytes are pinned."""
+    day_peak, day_sha, _ = _jump_peak(1)
+    week_peak, week_sha, eng = _jump_peak(7)
+    assert eng.stats.panes_closed == 10_097 and eng.stats.discarded == 1000
+    assert week_peak <= day_peak + 64 * 1024, (day_peak, week_peak)
+    assert day_sha == "c0661b6b88820caddc8c9a8f2b6847ab134600301367e004820509ec82924992"
+    assert week_sha == "f174d33ad4d1b5ecbe068ca09e185d074090cf4edb6403d9db1e870d46115b78"
