@@ -399,7 +399,7 @@ def _merged(name: str, prepare):
 
         def run(window, env):
             partials = []
-            for part in window.slices():
+            for part in window.parts:
                 memo = part.memo
                 kept = memo.get(key, _ABSENT)
                 if kept is _ABSENT:

@@ -12,6 +12,7 @@ import math
 import operator
 import re
 import struct
+from array import array
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from json.encoder import encode_basestring_ascii
@@ -237,6 +238,9 @@ def canonical_bytes(v: Value) -> bytes:
     raise ModelError(f"value {v!r} is outside the value domain")
 
 
+_NULL_CODE = canonical_bytes(None)
+
+
 def sort_key(v: Value) -> bytes:
     """Deterministic total order over values (Null first, then by type tag)."""
     return canonical_bytes(v)
@@ -358,19 +362,19 @@ class WindowSpec:
 
 
 class Slice:
-    """The elements of one key in one non-overlapping span of event time,
-    ordered like a pane, with a memo of what was computed from them.
+    """The elements of one non-overlapping span of event time, ordered like
+    a pane, with a memo of what was computed from them.
 
     A sliding pane is the concatenation of the slices it spans, so values
-    kept in the memo (per-slice partial aggregates, key partitions) and the
+    kept in the memo (per-slice partial aggregates, key splits) and the
     column encodings are computed once and shared by every pane over the
     slice. Both live and die with the slice, and are only filled once the
     slice's elements are final. `ordered` counts the leading elements
     already verified to be in pane order, so each element is walked once
-    however many panes span the slice. A key group's share of a slice keeps
-    `source`: the whole slice's encodings (`codes`, by column) and elements
-    and the positions of its own elements among them, so it reads its
-    encodings from the whole.
+    however many panes span the slice. A key group's share of a slice (see
+    split) keeps `source`: the whole slice's encodings (`codes`, by column)
+    and elements and the positions of its own elements among them, so it
+    reads its encodings from the whole.
     """
 
     __slots__ = ("elements", "memo", "ordered", "codes", "source")
@@ -400,6 +404,31 @@ class Slice:
             codes, elements, positions = self.source
             whole = _encodings(codes, elements, column)
             out = self.codes[column] = [whole[i] for i in positions]
+        return out
+
+    def split(self, column: str) -> dict[bytes, tuple[Value, Slice]]:
+        """The elements by the encoding of their value in a column (a Null
+        as canonical_bytes(None)), each group in element order with its
+        first element's value; made once per column (kept in the memo), so
+        a keyed window and the checks keyed on the column share it. Each
+        group's slice reads its encodings from this one."""
+        memo_key = ("split", column)
+        out = self.memo.get(memo_key)
+        if out is not None:
+            return out
+        groups: dict[bytes | None, tuple[Value, list[StreamElement], array]] = {}
+        elements = self.elements
+        for i, enc in enumerate(self.encodings(column)):
+            slot = groups.get(enc)
+            if slot is None:
+                e = elements[i]
+                groups[enc] = (e.attrs.get(column), [e], array("I", (i,)))
+            else:
+                slot[1].append(elements[i])
+                slot[2].append(i)
+        out = self.memo[memo_key] = {
+            _NULL_CODE if enc is None else enc: (key, Slice(members, (self.codes, elements, positions)))
+            for enc, (key, members, positions) in groups.items()}
         return out
 
 
@@ -475,11 +504,6 @@ class WindowInstance:
     def values(self, column: str) -> list[Value]:
         """Column projection in element order (Nulls included)."""
         return [e.attrs.get(column) for e in self.elements]
-
-    def slices(self) -> tuple[Slice, ...]:
-        """The pane's parts, so what their memos keep is computed once per
-        slice, however many panes and checks read it."""
-        return self.parts
 
 
 @dataclass(frozen=True)

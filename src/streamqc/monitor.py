@@ -12,7 +12,6 @@ check-id prefix.
 
 from __future__ import annotations
 
-from array import array
 from collections import deque
 from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timedelta
@@ -397,20 +396,14 @@ class SuiteState:
         """Key groups of a pane, in key order; elements with a Null key are
         skipped.
 
-        Each slice of the pane is partitioned once (memoized on the slice),
-        and a group's pane keeps the group's share of each slice as its parts.
+        Each slice of the pane is split once (Slice.split), and a group's
+        pane keeps the group's share of each slice as its parts.
         """
         groups: dict[bytes, tuple[Value, list[Slice]]] = {}
         for part in w.parts:
-            split = part.memo.get(("partition", key_by))
-            if split is None:
-                split = part.memo[("partition", key_by)] = _split(part, key_by)
-            for enc, (key, sub) in split.items():
-                slot = groups.get(enc)
-                if slot is None:
-                    groups[enc] = (key, [sub])
-                else:
-                    slot[1].append(sub)
+            for enc, (key, sub) in part.split(key_by).items():
+                if key is not None:  # the Null group is skipped
+                    groups.setdefault(enc, (key, []))[1].append(sub)
         out = []
         for enc in sorted(groups):
             key, parts = groups[enc]
@@ -619,26 +612,6 @@ def _frozen_column_check(spec: FrozenColumnSpec) -> PaneCheck:
                      {"column": column, "recovered": True}, entries)
             streak[:] = None, 0, False
     return check
-
-
-def _split(part: Slice, key_by: str) -> dict[bytes, tuple[Value, Slice]]:
-    """A slice's elements by the canonical encoding of their key (read from
-    the slice's shared column encodings), order kept; Null keys dropped.
-    Each group's slice reads its column encodings from the whole slice."""
-    groups: dict[bytes, tuple[Value, list[StreamElement], array]] = {}
-    elements = part.elements
-    for i, enc in enumerate(part.encodings(key_by)):
-        if enc is None:
-            continue
-        slot = groups.get(enc)
-        if slot is None:
-            e = elements[i]
-            groups[enc] = (e.attrs[key_by], [e], array("I", (i,)))
-        else:
-            slot[1].append(elements[i])
-            slot[2].append(i)
-    return {enc: (key, Slice(members, (part.codes, elements, positions)))
-            for enc, (key, members, positions) in groups.items()}
 
 
 def relative_volume_check(check_id: str, lo_factor: float, hi_factor: float,

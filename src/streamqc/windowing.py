@@ -11,11 +11,13 @@ width gcd(duration, slide) on the same grid. Slice k covers
 origin + [k, k+1) * width and pane p covers slices p*r to p*r + q - 1, for
 r = slide / width and q = duration / width. Each element is stored once, in
 its slice, and a pane is the concatenation of the slices it spans (a
-tumbling pane is one slice). For these specs the store materializes empty
-panes between the first and last observed event times, so downstream
-consumers see silence as zero-volume windows. Session panes are built per
-key by gap extension and are never empty. A pane bound beyond the datetime
-range is clamped to it.
+tumbling pane is one slice). A keyed store's slice holds every key's rows
+and is split by key once, when its first pane closes (Slice.split), and a
+keyed pane is its key's share of each slice. Unkeyed, the store
+materializes empty panes between the first and last observed event times,
+so downstream consumers see silence as zero-volume windows. Session panes
+are built per key by gap extension and are never empty. A pane bound
+beyond the datetime range is clamped to it.
 
 Closing is streamed: PaneStore.closing yields the panes one watermark step
 closes in meta-stream order, (end, key, start), building each as it is
@@ -105,23 +107,24 @@ class _Session:
 
 _UNKEYED = canonical_bytes(None)
 _min_t = attrgetter("min_t")
+_arrival = attrgetter("arrival_seq")
 
 
 class PaneStore:
-    """Open panes for one window spec, indexed by (key, start).
+    """Open panes for one window spec: grid slices by number, sessions by key.
 
     key_by optionally partitions the stream before windowing (sessions are
-    per key; grid panes are usually unkeyed). Keyed grid stores do not
-    materialize empty panes since the key universe is unknown. Closed panes
-    are streamed (closing): the store never holds a batch of them.
+    per key; grid panes are usually unkeyed, and keyed at close). Keyed grid
+    stores do not materialize empty panes since the key universe is unknown.
+    Closed panes are streamed (closing): the store never holds a batch of
+    them.
     """
 
     def __init__(self, spec: WindowSpec, key_by: str | None = None):
         self.spec = spec
         self.key_by = key_by
-        # Grid state: slice number -> {canonical key -> (key value, slice)},
-        # and the slice numbers in ascending order.
-        self._slices: dict[int, dict[bytes, tuple[Value, Slice]]] = {}
+        # Grid state: slice number -> slice, and the numbers in ascending order.
+        self._slices: dict[int, Slice] = {}
         self._numbers: list[int] = []
         if spec.kind != "session":
             micros = timedelta(microseconds=1)
@@ -133,12 +136,10 @@ class PaneStore:
         self._next: int | None = None
         self._close_at: datetime | None = None
         self._last: int | None = None
-        # The slice rows were last routed to, [start, end) and its by-key
-        # dict; a row inside it skips the grid arithmetic. Empty when unset.
-        # An unkeyed store also keeps that slice's element list, the one push
-        # appends an on-time row to.
+        # The slice rows were last routed to, [start, end) and its element
+        # list, which a row inside it is appended to without the grid
+        # arithmetic. Empty and None when unset.
         self._open_start, self._open_end = TS_MAX, TS_MIN
-        self._open: dict[bytes, tuple[Value, Slice]] = {}
         self._tail: list[StreamElement] | None = None
         # Session state: canonical key -> sessions sorted by min_t, and one heap
         # entry per session, (end, key, start, id, session) as when pushed, so
@@ -154,11 +155,11 @@ class PaneStore:
         route the row, and close the panes the watermark then reaches;
         returns the outcome and closing's iterator of the closed panes.
 
-        An on-time row in the open slice of an unkeyed grid store is
-        appended to it directly, and closing runs only once the watermark
-        reaches the next close instant. Every other row (late or discarded,
-        keyed, in a session, or one whose watermark shift clamps) takes
-        observe, route and closing."""
+        An on-time row in the open slice of a grid store is appended to it
+        directly, and closing runs only once the watermark reaches the next
+        close instant. Every other row (late or discarded, in a session, or
+        one whose watermark shift clamps) takes observe, route and
+        closing."""
         t = e.event_time
         tail = self._tail
         if tail is not None and wm.value <= t and self._open_start <= t < self._open_end:
@@ -191,34 +192,21 @@ class PaneStore:
             outcome = RouteOutcome.LATE
         else:
             return RouteOutcome.DISCARDED
-        key = e.attrs.get(self.key_by) if self.key_by is not None else None
         if self.spec.kind == "session":
-            self.update_session(key, e)
+            self.update_session(e.attrs.get(self.key_by) if self.key_by is not None else None, e)
         else:
-            self._add_grid(key, e)
+            if not self._open_start <= t < self._open_end:
+                self._open_slice(t)
+            self._tail.append(e)
         return outcome
-
-    def _add_grid(self, key: Value, e: StreamElement) -> None:
-        t = e.event_time
-        if not self._open_start <= t < self._open_end:
-            self._open_slice(t)
-        by_key = self._open
-        key_enc = canonical_bytes(key) if self.key_by is not None else _UNKEYED
-        slot = by_key.get(key_enc)
-        if slot is None:
-            by_key[key_enc] = slot = (key, Slice([e]))
-        else:
-            slot[1].elements.append(e)
-        if self.key_by is None:
-            self._tail = slot[1].elements
 
     def _open_slice(self, t: datetime) -> None:
         """Make the slice containing t the one rows are routed to, creating it if new."""
         origin, width = self.spec.origin, self._width
         k = (t - origin) // width
-        by_key = self._slices.get(k)
-        if by_key is None:
-            by_key = self._slices[k] = {}
+        part = self._slices.get(k)
+        if part is None:
+            part = self._slices[k] = Slice([])
             insort(self._numbers, k)
             # Every element of slice k lies in panes (k - q) // r + 1 to k // r.
             first, last = (k - self._q) // self._r + 1, k // self._r
@@ -227,7 +215,7 @@ class PaneStore:
                 self._close_at = _shift(origin, first * self.spec.step + self._hold)
             if self._last is None or last > self._last:
                 self._last = last
-        self._open = by_key
+        self._tail = part.elements
         self._open_start = _shift(origin, k * width)
         self._open_end = _shift(origin, (k + 1) * width)
 
@@ -308,33 +296,31 @@ class PaneStore:
         Only panes whose ends clamp to _END_OF_TIME share an end; the few
         a row can reach are held and put in key order last."""
         r, q, slices, numbers = self._r, self._q, self._slices, self._numbers
+        keyed = self.key_by is not None
         clamped: list[tuple[bytes, WindowInstance]] = []
         for p in range(self._next, min(upto, self._last) + 1):
-            by_key: dict[bytes, tuple[Value, list[Slice]]] = {}
-            for k in numbers[:bisect_left(numbers, p * r + q)]:  # none is below p * r
-                for key_enc, (key, part) in slices[k].items():
-                    if not part.ordered:  # no pane has used it yet
-                        part.elements.sort(key=element_order)
-                    slot = by_key.get(key_enc)
-                    if slot is None:
-                        by_key[key_enc] = (key, [part])
-                    else:
-                        slot[1].append(part)
+            # The pane's slices: none is below p * r.
+            parts = [slices[k] for k in numbers[:bisect_left(numbers, p * r + q)]]
+            for part in parts:
+                if not part.ordered:  # no pane has used it yet
+                    part.elements.sort(key=element_order)
+                    if keyed:  # only its key groups go into panes, and are walked there
+                        part.ordered = len(part.elements)
             start, end = _pane_bounds(self.spec, p)
-            if by_key:
-                for key_enc in sorted(by_key):
-                    key, parts = by_key[key_enc]
-                    elements = tuple(chain.from_iterable(part.elements for part in parts))
-                    pane = WindowInstance(start, end, key, elements, tuple(parts))
+            if parts:
+                groups = self._key_groups(parts) if keyed else [(_UNKEYED, None, parts)]
+                for key_enc, key, own in groups:
+                    elements = tuple(chain.from_iterable(part.elements for part in own))
+                    pane = WindowInstance(start, end, key, elements, tuple(own))
                     if end == _END_OF_TIME:
                         clamped.append((key_enc, pane))
                     else:
                         yield pane
-            elif self.key_by is None:
+            elif not keyed:
                 yield WindowInstance(start, end, None, ())
             done = bisect_left(numbers, p * r + r)  # slices in no later pane
             for k in numbers[:done]:
-                if slices.pop(k) is self._open:
+                if slices.pop(k).elements is self._tail:
                     self._open_start, self._open_end = TS_MAX, TS_MIN
                     self._tail = None
             del numbers[:done]
@@ -342,6 +328,20 @@ class PaneStore:
         for _, pane in sorted(clamped, key=itemgetter(0)):  # stable: a key's stay in start order
             yield pane
         self._close_at = _shift(self.spec.origin, self._next * self.spec.step + self._hold)
+
+    def _key_groups(self, parts: list[Slice]) -> list[tuple[bytes, Value, list[Slice]]]:
+        """A keyed pane's slices by key, in key encoding order: each key's
+        encoding, value and shares of the slices, from each slice's split (a
+        Null key is a group of its own). A key's value is that of its first
+        arrived row (rows arrive in arrival_seq order) in the first slice
+        holding it; equal encodings render alike except 0.0 and -0.0."""
+        key_by = self.key_by
+        by_key: dict[bytes, list[Slice]] = {}
+        for part in parts:
+            for key_enc, (_, share) in part.split(key_by).items():
+                by_key.setdefault(key_enc, []).append(share)
+        return [(key_enc, min(shares[0].elements, key=_arrival).attrs.get(key_by), shares)
+                for key_enc, shares in sorted(by_key.items())]
 
     def _due_session(self, last_end: datetime) -> _Session | None:
         """The session at the heap top if it is due, its end at most
@@ -395,14 +395,15 @@ class PaneStore:
         if self.spec.kind == "session":
             return sum(len(s) for s in self._sessions.values())
         panes: set[tuple[int, bytes]] = set()
-        for k, by_key in self._slices.items():
+        for k, part in self._slices.items():
+            keys = ({canonical_bytes(e.attrs.get(self.key_by)) for e in part.elements}
+                    if self.key_by is not None else {_UNKEYED})
             for p in range(max((k - self._q) // self._r + 1, self._next), k // self._r + 1):
-                panes.update((p, key_enc) for key_enc in by_key)
+                panes.update((p, key_enc) for key_enc in keys)
         return len(panes)
 
     def open_element_count(self) -> int:
         """Elements held for panes that have not closed, each counted once."""
         if self.spec.kind == "session":
             return sum(len(s.elements) for ss in self._sessions.values() for s in ss)
-        return sum(len(part.elements) for by_key in self._slices.values()
-                   for _, part in by_key.values())
+        return sum(len(part.elements) for part in self._slices.values())

@@ -19,7 +19,6 @@ from datetime import timedelta
 
 import pytest
 
-from streamqc import monitor
 from streamqc.model import (
     TS_MAX,
     TS_MIN,
@@ -30,6 +29,7 @@ from streamqc.model import (
     MetaRecord,
     Predicate,
     ReferenceSpec,
+    Slice,
     Threshold,
     WindowSpec,
     canonical_bytes,
@@ -425,6 +425,63 @@ def test_routed_seqs_stay_within_one_pane_span(kind):
     assert side.lines == want_side
 
 
+def test_a_zero_key_renders_as_the_row_its_group_rule_picks():
+    """0.0 and -0.0 share an encoding but render apart, so a group's key
+    renders as one chosen row's. A keyed window's pane takes the first row
+    to arrive of its key in the first slice holding the key (at 11:00-11:02
+    that is -0.0 from 11:00:30, not 0.0 from 11:01:30, which arrived
+    earlier); a check keyed on the column takes its group's first row in
+    pane order. The lines are pinned."""
+    rows = [elem(at(90), 0, fare=0.0), elem(at(30), 1, fare=-0.0), elem(at(10), 2, fare=0.0),
+            elem(at(70), 3, fare=-0.0)]
+
+    def lines(window, window_key, check_key):
+        sink = ListSink()
+        check = CheckDefinition(id="volume", measure=MeasureSpec("volume"),
+                                constraint=Threshold(">=", 0), key_by=check_key)
+        engine = MonitorEngine(SuiteState([check], SCHEMA, window), watermark_delay=2 * MIN,
+                               key_by=window_key, meta_sink=sink)
+        for e in rows:
+            engine.process(e)
+        engine.finish()
+        return sink.lines
+
+    assert lines(WINDOWS["tumbling"], "fare", None) == [
+        ('{"window_start":"2015-05-07T11:00:00.000Z","window_end":"2015-05-07T11:01:00.000Z",'
+         '"key":-0.0,"check":"_late_discards","value":0,"ok":true,"detail":null}'),
+        ('{"window_start":"2015-05-07T11:00:00.000Z","window_end":"2015-05-07T11:01:00.000Z",'
+         '"key":-0.0,"check":"volume","value":2,"ok":true,"detail":null}'),
+        ('{"window_start":"2015-05-07T11:01:00.000Z","window_end":"2015-05-07T11:02:00.000Z",'
+         '"key":0.0,"check":"_late_discards","value":0,"ok":true,"detail":null}'),
+        ('{"window_start":"2015-05-07T11:01:00.000Z","window_end":"2015-05-07T11:02:00.000Z",'
+         '"key":0.0,"check":"volume","value":2,"ok":true,"detail":null}'),
+    ]
+    assert lines(WINDOWS["sliding"], "fare", None) == [
+        ('{"window_start":"2015-05-07T10:59:00.000Z","window_end":"2015-05-07T11:01:00.000Z",'
+         '"key":-0.0,"check":"_late_discards","value":0,"ok":true,"detail":null}'),
+        ('{"window_start":"2015-05-07T10:59:00.000Z","window_end":"2015-05-07T11:01:00.000Z",'
+         '"key":-0.0,"check":"volume","value":2,"ok":true,"detail":null}'),
+        ('{"window_start":"2015-05-07T11:00:00.000Z","window_end":"2015-05-07T11:02:00.000Z",'
+         '"key":-0.0,"check":"_late_discards","value":0,"ok":true,"detail":null}'),
+        ('{"window_start":"2015-05-07T11:00:00.000Z","window_end":"2015-05-07T11:02:00.000Z",'
+         '"key":-0.0,"check":"volume","value":4,"ok":true,"detail":null}'),
+        ('{"window_start":"2015-05-07T11:01:00.000Z","window_end":"2015-05-07T11:03:00.000Z",'
+         '"key":0.0,"check":"_late_discards","value":0,"ok":true,"detail":null}'),
+        ('{"window_start":"2015-05-07T11:01:00.000Z","window_end":"2015-05-07T11:03:00.000Z",'
+         '"key":0.0,"check":"volume","value":2,"ok":true,"detail":null}'),
+    ]
+    assert lines(WINDOWS["tumbling"], None, "fare") == [
+        ('{"window_start":"2015-05-07T11:00:00.000Z","window_end":"2015-05-07T11:01:00.000Z",'
+         '"key":null,"check":"_late_discards","value":0,"ok":true,"detail":null}'),
+        ('{"window_start":"2015-05-07T11:00:00.000Z","window_end":"2015-05-07T11:01:00.000Z",'
+         '"key":0.0,"check":"volume","value":2,"ok":true,"detail":null}'),
+        ('{"window_start":"2015-05-07T11:01:00.000Z","window_end":"2015-05-07T11:02:00.000Z",'
+         '"key":null,"check":"_late_discards","value":0,"ok":true,"detail":null}'),
+        ('{"window_start":"2015-05-07T11:01:00.000Z","window_end":"2015-05-07T11:02:00.000Z",'
+         '"key":-0.0,"check":"volume","value":2,"ok":true,"detail":null}'),
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Work done per closed pane
 
@@ -433,13 +490,13 @@ def test_session_pane_is_split_by_key_once(monkeypatch):
     """Three checks keyed by zone over a session pane, which is one slice,
     share one split of it."""
     calls = []
-    split = monitor._split
+    split = Slice.split
 
-    def counting(elements, key_by):
+    def counting(part, key_by):
         calls.append(key_by)
-        return split(elements, key_by)
+        return split(part, key_by)
 
-    monkeypatch.setattr(monitor, "_split", counting)
+    monkeypatch.setattr(Slice, "split", counting)
     checks = [CheckDefinition(id=f"zone_{m}", measure=MeasureSpec(m, {"column": "fare"}),
                               key_by="zone", constraint=Threshold(">=", 0.0))
               for m in ("mean", "std", "count")]

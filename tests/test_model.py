@@ -453,10 +453,9 @@ def test_window_instance_without_parts_is_one_slice():
     a = (elem(at(1), 0, x=1), elem(at(2), 1, x=2))
     w = WindowInstance(at(0), at(60), None, a)
     assert len(w.parts) == 1 and w.parts[0].elements is a and w.parts[0].ordered == 2
-    assert w.slices() is w.slices() is w.parts  # one memo, shared by every reader
-    w.slices()[0].memo["k"] = 1
-    assert w.slices()[0].memo == {"k": 1}
-    assert WindowInstance(at(0), at(60)).slices()[0].elements == ()
+    w.parts[0].memo["k"] = 1  # one memo, shared by every reader
+    assert w.parts[0].memo == {"k": 1}
+    assert WindowInstance(at(0), at(60)).parts[0].elements == ()
 
 
 def test_slice_order_is_checked_once_and_again_after_it_grows():

@@ -907,7 +907,7 @@ def test_key_sub_slices_are_walked_once(monkeypatch):
     for p in panes:
         assess(st, p, watermark=wm.value)
     subs = [sub for p in panes for part in p.parts or ()
-            for _, sub in part.memo[("partition", "zone")].values()]
+            for key, sub in part.split("zone").values() if key is not None]
     assert len({id(sub) for sub in subs}) * 4 < len(subs)  # shared by panes and checks
     for sub in {id(sub): sub for sub in subs}.values():
         assert walks_of(walked, sub.elements) == len(sub.elements)

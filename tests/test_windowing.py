@@ -720,6 +720,29 @@ def test_push_equals_observe_route_and_close_ready(spec, key_by, delay, base):
     assert rows_of(pushed.flush()) == rows_of(stepped.flush())
 
 
+def test_on_time_rows_of_a_keyed_grid_store_take_the_append(monkeypatch):
+    """A keyed grid store's slice holds every key's rows, so an on-time row
+    in the open slice is appended by push whatever its key, Null included:
+    only the rows that open a slice reach route. Keys are split at close,
+    the Null key a group of its own, first in key order."""
+    routed = []
+    route = PaneStore.route
+    monkeypatch.setattr(PaneStore, "route",
+                        lambda self, e, wm: routed.append(e.arrival_seq) or route(self, e, wm))
+    store, wm = PaneStore(spec_tumbling(1), key_by="k"), Watermark()
+    rows = [elem(at(t), seq, k=k) for seq, (t, k) in enumerate(
+        [(0, "a"), (10, "b"), (20, "a"), (30, None), (59, "b"), (60, "a"), (61, "b")])]
+    panes = []
+    for e in rows:
+        outcome, closed = store.push(e, wm)
+        assert outcome is RouteOutcome.ASSIGNED
+        panes += closed
+    assert routed == [0, 5]  # the rows that open a slice
+    assert [(p.key, [e.arrival_seq for e in p.elements]) for p in panes] == [
+        (None, [3]), ("a", [0, 2]), ("b", [1, 4])]
+    assert store.open_pane_count() == 2 and store.open_element_count() == 2
+
+
 def test_late_rows_reach_the_slices_of_open_panes():
     spec = spec_sliding(10, 4, lateness=3)  # 2m slices
     rows = [elem(at(60 * m), i) for i, m in enumerate([1, 9, 13, 11, 10.5, 5, 17, 15])]
