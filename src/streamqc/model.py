@@ -15,6 +15,7 @@ import struct
 from array import array
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Literal, Sequence
 
@@ -29,8 +30,6 @@ TS_MAX = datetime.max.replace(tzinfo=timezone.utc, microsecond=999000)
 _TS_WIRE_RE = re.compile(r"^\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}\.\d{3}Z$")
 
 _DURATION_RE = re.compile(r"(\d+(?:\.\d+)?)(ms|s|m|h|d)")
-
-VALUE_TYPE_NAMES = ("null", "bool", "int", "float", "text", "timestamp")
 
 # The longest reach of a window (its duration or gap plus allowed_lateness).
 # The engine adds up to two reaches to an offset between two timestamps, and
@@ -238,12 +237,8 @@ def canonical_bytes(v: Value) -> bytes:
     raise ModelError(f"value {v!r} is outside the value domain")
 
 
-_NULL_CODE = canonical_bytes(None)
-
-
-def sort_key(v: Value) -> bytes:
-    """Deterministic total order over values (Null first, then by type tag)."""
-    return canonical_bytes(v)
+# The encoding of Null, and so of a Null key's group; it sorts first.
+NULL_CODE = canonical_bytes(None)
 
 
 def value_to_json(v: Value) -> Any:
@@ -386,6 +381,12 @@ class Slice:
         self.elements = elements
         self.memo: dict[Any, Any] = {}
         self.ordered = 0
+        # codes is kept apart from memo, though both are caches: a share's
+        # source holds the codes of the slice it was split from, and its
+        # split sits in that slice's memo. Were codes in memo, each split
+        # slice would be a reference cycle, freed only by the cycle collector
+        # and not when its last pane closes, and a sliding run's peak memory
+        # would grow with the slices waiting for that collector.
         self.codes: dict[str, list[bytes | None]] | None = None  # made on first use
         self.source = source
 
@@ -406,30 +407,41 @@ class Slice:
             out = self.codes[column] = [whole[i] for i in positions]
         return out
 
-    def split(self, column: str) -> dict[bytes, tuple[Value, Slice]]:
-        """The elements by the encoding of their value in a column (a Null
-        as canonical_bytes(None)), each group in element order with its
-        first element's value; made once per column (kept in the memo), so
-        a keyed window and the checks keyed on the column share it. Each
-        group's slice reads its encodings from this one."""
+    def split(self, column: str) -> dict[bytes, Slice]:
+        """Each key's share of the slice: its elements, in element order, by
+        the encoding of their value in a column (a Null as NULL_CODE). Made
+        once per column and kept in the memo, so a keyed window and the
+        checks keyed on the column share it; each share reads its encodings
+        from this slice's."""
         memo_key = ("split", column)
         out = self.memo.get(memo_key)
         if out is not None:
             return out
-        groups: dict[bytes | None, tuple[Value, list[StreamElement], array]] = {}
+        groups: dict[bytes | None, tuple[list[StreamElement], array]] = {}
         elements = self.elements
         for i, enc in enumerate(self.encodings(column)):
             slot = groups.get(enc)
             if slot is None:
-                e = elements[i]
-                groups[enc] = (e.attrs.get(column), [e], array("I", (i,)))
+                groups[enc] = ([elements[i]], array("I", (i,)))
             else:
-                slot[1].append(elements[i])
-                slot[2].append(i)
+                slot[0].append(elements[i])
+                slot[1].append(i)
         out = self.memo[memo_key] = {
-            _NULL_CODE if enc is None else enc: (key, Slice(members, (self.codes, elements, positions)))
-            for enc, (key, members, positions) in groups.items()}
+            NULL_CODE if enc is None else enc: Slice(members, (self.codes, elements, positions))
+            for enc, (members, positions) in groups.items()}
         return out
+
+
+def key_groups(parts: Sequence[Slice], column: str) -> list[tuple[bytes, list[Slice]]]:
+    """A pane's slices grouped by key: each key's encoding in a column (a
+    Null as NULL_CODE) with its shares of the slices holding it, in slice
+    order, the keys in encoding order. The one grouping by key, of keyed
+    windows and keyed checks alike; each slice is split once (Slice.split)."""
+    by_key: dict[bytes, list[Slice]] = {}
+    for part in parts:
+        for enc, share in part.split(column).items():
+            by_key.setdefault(enc, []).append(share)
+    return sorted(by_key.items())
 
 
 def _encodings(codes: dict[str, list[bytes | None]],
@@ -459,21 +471,25 @@ class WindowInstance:
 
     Elements are in element_order and every event time lies in [start, end);
     both are verified at construction. parts are the slices whose elements
-    concatenate to `elements`; a pane built without them gets its elements
-    as one slice. Each slice is walked once for order (see Slice.ordered),
-    and the pane checks only the order across each boundary between parts
-    and the bounds of its first and last element.
+    concatenate to `elements`: a pane built from parts alone joins their
+    elements here, and a pane built without them gets its elements as one
+    slice. Each slice is walked once for order (see Slice.ordered), and the
+    pane checks only the order across each boundary between parts and the
+    bounds of its first and last element.
     """
 
     start: datetime
     end: datetime
     key: Value = None
-    elements: tuple[StreamElement, ...] = ()
+    elements: tuple[StreamElement, ...] = None  # () without parts
     parts: tuple[Slice, ...] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.start >= self.end:
             raise ModelError(f"window bounds must satisfy start < end, got [{self.start}, {self.end})")
+        if self.elements is None:
+            self.elements = (() if self.parts is None
+                             else tuple(chain.from_iterable(part.elements for part in self.parts)))
         if self.parts is None:
             self.parts = (Slice(self.elements),)
         first = last = None
@@ -824,7 +840,7 @@ class MetaRecord:
 
     def order_key(self) -> tuple:
         """Meta-stream emission order: (window_end, key, check_id)."""
-        return (self.window_end, sort_key(self.key), self.check_id,
+        return (self.window_end, canonical_bytes(self.key), self.check_id,
                 _detail_seq(self.detail))
 
     def to_json_line(self, prefix: str | None = None) -> str:

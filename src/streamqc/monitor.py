@@ -15,7 +15,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timedelta
-from itertools import chain
 from operator import itemgetter
 from typing import Any, Callable, Iterable
 
@@ -32,13 +31,13 @@ from .measures import (
     parse_measure,
 )
 from .model import (
+    NULL_CODE,
     CheckDefinition,
     ColumnSpec,
     ContextSpec,
     MeasureSpec,
     MetaRecord,
     Predicate,
-    Slice,
     StreamElement,
     Threshold,
     Value,
@@ -50,10 +49,10 @@ from .model import (
     constraint_verdict,
     element_tail,
     format_ts,
+    key_groups,
     meta_line_prefix,
     meta_line_tail,
     schema_types,
-    sort_key,
     value_test,
     value_to_json,
     value_type,
@@ -393,23 +392,15 @@ class SuiteState:
     # -- helpers -------------------------------------------------------------
 
     def _partition(self, w: WindowInstance, key_by: str) -> list[Group]:
-        """Key groups of a pane, in key order; elements with a Null key are
-        skipped.
-
-        Each slice of the pane is split once (Slice.split), and a group's
-        pane keeps the group's share of each slice as its parts.
-        """
-        groups: dict[bytes, tuple[Value, list[Slice]]] = {}
-        for part in w.parts:
-            for enc, (key, sub) in part.split(key_by).items():
-                if key is not None:  # the Null group is skipped
-                    groups.setdefault(enc, (key, []))[1].append(sub)
+        """Key groups of a pane, in key order (key_groups); elements with a
+        Null key are skipped. A group's key is its first row in pane order,
+        and its pane keeps the group's share of each slice as its parts."""
         out = []
-        for enc in sorted(groups):
-            key, parts = groups[enc]
-            elements = tuple(chain.from_iterable(sub.elements for sub in parts))
-            out.append(((w.end, enc), key,
-                        WindowInstance(w.start, w.end, key, elements, tuple(parts))))
+        for enc, own in key_groups(w.parts, key_by):
+            if enc != NULL_CODE:
+                key = own[0].elements[0].attrs.get(key_by)
+                out.append(((w.end, enc), key,
+                            WindowInstance(w.start, w.end, key, parts=tuple(own))))
         return out
 
     # -- compilation ---------------------------------------------------------
@@ -504,7 +495,8 @@ class SuiteState:
             env = self._env = replace(env, watermark=watermark)
         entries: list[tuple[tuple, MetaRecord]] = []
         failing: dict[int, tuple[StreamElement, list[str]]] = {}
-        groups: dict[str | None, list[Group]] = {None: [((w.end, sort_key(w.key)), w.key, w)]}
+        groups: dict[str | None, list[Group]] = {
+            None: [((w.end, canonical_bytes(w.key)), w.key, w)]}
         for key_by, assess in self.pane_checks:
             split = groups.get(key_by)
             if split is None:
@@ -728,7 +720,7 @@ class MonitorEngine:
             end = pane.end
             entries, failing = self.state.on_window_close(pane, watermark=wm)
             run += entries
-            _emit_late_discards((end, sort_key(pane.key)), pane.key, pane, delta,
+            _emit_late_discards((end, canonical_bytes(pane.key)), pane.key, pane, delta,
                                 not delta, {"total": self._discards_reported} if delta else None,
                                 run)
             self.stats.panes_closed += 1

@@ -12,8 +12,9 @@ origin + [k, k+1) * width and pane p covers slices p*r to p*r + q - 1, for
 r = slide / width and q = duration / width. Each element is stored once, in
 its slice, and a pane is the concatenation of the slices it spans (a
 tumbling pane is one slice). A keyed store's slice holds every key's rows
-and is split by key once, when its first pane closes (Slice.split), and a
-keyed pane is its key's share of each slice. Unkeyed, the store
+and is split by key once, when its first pane closes, and a keyed pane is
+its key's share of each slice, grouped by model.key_groups, the one
+grouping by key that keyed checks use too. Unkeyed, the store
 materializes empty panes between the first and last observed event times,
 so downstream consumers see silence as zero-volume windows. Session panes
 are built per key by gap extension and are never empty. A pane bound
@@ -33,11 +34,11 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from enum import Enum
-from itertools import chain
 from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator
 
 from .model import (
+    NULL_CODE,
     TS_MAX,
     TS_MIN,
     Slice,
@@ -47,6 +48,7 @@ from .model import (
     WindowSpec,
     canonical_bytes,
     element_order,
+    key_groups,
 )
 
 __all__ = ["Watermark", "RouteOutcome", "PaneStore"]
@@ -105,7 +107,6 @@ class _Session:
     merged: bool = False  # bridged into another session; its heap entry is dead
 
 
-_UNKEYED = canonical_bytes(None)
 _min_t = attrgetter("min_t")
 _arrival = attrgetter("arrival_seq")
 
@@ -296,7 +297,8 @@ class PaneStore:
         Only panes whose ends clamp to _END_OF_TIME share an end; the few
         a row can reach are held and put in key order last."""
         r, q, slices, numbers = self._r, self._q, self._slices, self._numbers
-        keyed = self.key_by is not None
+        key_by = self.key_by
+        keyed = key_by is not None
         clamped: list[tuple[bytes, WindowInstance]] = []
         for p in range(self._next, min(upto, self._last) + 1):
             # The pane's slices: none is below p * r.
@@ -308,16 +310,18 @@ class PaneStore:
                         part.ordered = len(part.elements)
             start, end = _pane_bounds(self.spec, p)
             if parts:
-                groups = self._key_groups(parts) if keyed else [(_UNKEYED, None, parts)]
-                for key_enc, key, own in groups:
-                    elements = tuple(chain.from_iterable(part.elements for part in own))
-                    pane = WindowInstance(start, end, key, elements, tuple(own))
+                for key_enc, own in key_groups(parts, key_by) if keyed else [(NULL_CODE, parts)]:
+                    # A key's value is that of its first arrived row (rows
+                    # arrive in arrival_seq order) in the first slice holding
+                    # it; equal encodings render alike except 0.0 and -0.0.
+                    key = min(own[0].elements, key=_arrival).attrs.get(key_by) if keyed else None
+                    pane = WindowInstance(start, end, key, parts=tuple(own))
                     if end == _END_OF_TIME:
                         clamped.append((key_enc, pane))
                     else:
                         yield pane
             elif not keyed:
-                yield WindowInstance(start, end, None, ())
+                yield WindowInstance(start, end)
             done = bisect_left(numbers, p * r + r)  # slices in no later pane
             for k in numbers[:done]:
                 if slices.pop(k).elements is self._tail:
@@ -328,20 +332,6 @@ class PaneStore:
         for _, pane in sorted(clamped, key=itemgetter(0)):  # stable: a key's stay in start order
             yield pane
         self._close_at = _shift(self.spec.origin, self._next * self.spec.step + self._hold)
-
-    def _key_groups(self, parts: list[Slice]) -> list[tuple[bytes, Value, list[Slice]]]:
-        """A keyed pane's slices by key, in key encoding order: each key's
-        encoding, value and shares of the slices, from each slice's split (a
-        Null key is a group of its own). A key's value is that of its first
-        arrived row (rows arrive in arrival_seq order) in the first slice
-        holding it; equal encodings render alike except 0.0 and -0.0."""
-        key_by = self.key_by
-        by_key: dict[bytes, list[Slice]] = {}
-        for part in parts:
-            for key_enc, (_, share) in part.split(key_by).items():
-                by_key.setdefault(key_enc, []).append(share)
-        return [(key_enc, min(shares[0].elements, key=_arrival).attrs.get(key_by), shares)
-                for key_enc, shares in sorted(by_key.items())]
 
     def _due_session(self, last_end: datetime) -> _Session | None:
         """The session at the heap top if it is due, its end at most
@@ -397,7 +387,7 @@ class PaneStore:
         panes: set[tuple[int, bytes]] = set()
         for k, part in self._slices.items():
             keys = ({canonical_bytes(e.attrs.get(self.key_by)) for e in part.elements}
-                    if self.key_by is not None else {_UNKEYED})
+                    if self.key_by is not None else {NULL_CODE})
             for p in range(max((k - self._q) // self._r + 1, self._next), k // self._r + 1):
                 panes.update((p, key_enc) for key_enc in keys)
         return len(panes)

@@ -32,7 +32,6 @@ from streamqc.model import (
     meta_record_from_json,
     parse_duration,
     parse_ts,
-    sort_key,
     ts,
     utc_ms,
     value_from_json,
@@ -212,8 +211,8 @@ def test_canonical_bytes_big_ints():
 
 def test_sort_key_total_order_is_stable():
     values = [None, False, True, -2, 0, 3, -1.5, 2.5, "a", "b", ts(2020, 1, 1)]
-    once = sorted(values, key=sort_key)
-    again = sorted(list(reversed(values)), key=sort_key)
+    once = sorted(values, key=canonical_bytes)
+    again = sorted(list(reversed(values)), key=canonical_bytes)
     assert [value_to_json(v) for v in once] == [value_to_json(v) for v in again]
 
 

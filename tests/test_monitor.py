@@ -1,5 +1,6 @@
 """Assessment state machine: contexts, references, detectors, emission."""
 
+import gc
 import hashlib
 import json
 import math
@@ -13,6 +14,7 @@ import pytest
 
 from streamqc import expression, measures, model, monitor, sketches, windowing
 from streamqc.model import (
+    NULL_CODE,
     CheckDefinition,
     ColumnSpec,
     ContextSpec,
@@ -907,10 +909,65 @@ def test_key_sub_slices_are_walked_once(monkeypatch):
     for p in panes:
         assess(st, p, watermark=wm.value)
     subs = [sub for p in panes for part in p.parts or ()
-            for key, sub in part.split("zone").values() if key is not None]
+            for enc, sub in part.split("zone").items() if enc != NULL_CODE]
     assert len({id(sub) for sub in subs}) * 4 < len(subs)  # shared by panes and checks
     for sub in {id(sub): sub for sub in subs}.values():
         assert walks_of(walked, sub.elements) == len(sub.elements)
+
+
+@pytest.mark.parametrize("case", ["sliding", "sliding-keyed", "session-keyed"])
+def test_the_pane_path_leaves_no_reference_cycles(case):
+    """Closed panes, their slices and the slices' key shares are freed by
+    reference counting alone: with the cycle collector off, a replay leaves
+    no unreachable cycle behind. A share whose source reached back to the
+    memo holding it would put every split slice in a cycle, and a run's
+    memory would wait on the collector."""
+    if case.startswith("sliding"):
+        window = WindowSpec("sliding", duration=5 * MIN, slide=MIN)
+        checks = [
+            CheckDefinition(id="zone_fare_mean", measure=MeasureSpec("mean", {"column": "fare"}),
+                            key_by="zone", constraint=Threshold(">=", 0.0)),
+            CheckDefinition(id="zone_fare_distinct", key_by="zone",
+                            measure=MeasureSpec("distinct_count", {"column": "fare"}),
+                            constraint=Threshold(">=", 2)),
+            CheckDefinition(id="fare_distinct",
+                            measure=MeasureSpec("distinct_count", {"column": "fare"}),
+                            constraint=Threshold(">=", 2)),
+        ]
+    else:
+        window = WindowSpec("session", gap=timedelta(seconds=30))
+        checks = [
+            CheckDefinition(id="fare_complete", emit_per_element=True, key_by="zone",
+                            measure=MeasureSpec("completeness", {"column": "fare"}),
+                            constraint=Threshold(">=", 1.0)),
+            CheckDefinition(id="fare_ok", emit_per_element=True,
+                            measure=MeasureSpec("conforms", {"expression": "fare < 5"}),
+                            constraint=Threshold(">=", 1.0)),
+        ]
+    schema = SCHEMA + [ColumnSpec("device", "text")]
+    rng = random.Random(7)
+    rows = [elem(at(seq * 2 + seq // 25 * 60 + rng.uniform(-20, 0)), seq,  # pauses end sessions
+                 fare=rng.choice([None, 1.0, 2.5, 7.0]),
+                 zone=rng.choice([None, "a", "b", "c"]), device=rng.choice(["d1", "d2", "d3"]))
+            for seq in range(3000)]
+    meta, side = ListSink(), ListSink()
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        engine = MonitorEngine(SuiteState(checks, schema, window),
+                               watermark_delay=timedelta(seconds=30),
+                               key_by=None if case == "sliding" else "device",
+                               meta_sink=meta, side_sink=side)
+        drive(engine, rows)
+        gc.collect()
+        garbage = Counter(type(o).__name__ for o in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert engine.stats.panes_closed > 50 and meta.lines
+    assert not garbage, garbage
 
 
 def test_conforms_parses_its_expression_once_per_check(monkeypatch):

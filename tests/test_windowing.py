@@ -1,6 +1,7 @@
 """Pane assignment, watermarks, lateness routing, and session merging."""
 
 import gc
+import math
 import random
 import statistics
 import time
@@ -10,7 +11,19 @@ from datetime import timedelta
 import pytest
 
 from streamqc import windowing
-from streamqc.model import TS_MAX, TS_MIN, WindowSpec, format_ts, sort_key, ts
+from streamqc.model import (
+    TS_MAX,
+    TS_MIN,
+    CheckDefinition,
+    ColumnSpec,
+    MeasureSpec,
+    Threshold,
+    WindowSpec,
+    canonical_bytes,
+    format_ts,
+    ts,
+)
+from streamqc.monitor import SuiteState
 from streamqc.windowing import PaneStore, RouteOutcome, Watermark
 
 from helpers import (
@@ -45,7 +58,7 @@ def drawn(closed):
     """Draw one close's panes, which must come in meta-stream order,
     (end, key encoding, start), no two alike."""
     panes = list(closed)
-    order = [(p.end, sort_key(p.key), p.start) for p in panes]
+    order = [(p.end, canonical_bytes(p.key), p.start) for p in panes]
     assert order == sorted(set(order)), order
     return panes
 
@@ -591,29 +604,72 @@ def _replay(spec, key_by, rows, delay):
     return panes, kept
 
 
+def _slice_number(spec, t):
+    """The grid slice holding t: slices are gcd(duration, slide) wide."""
+    us = timedelta(microseconds=1)
+    width = math.gcd(spec.duration // us, spec.step // us) * us
+    return (t - spec.origin) // width
+
+
 def _brute_force(spec, key_by, kept):
-    """Every pane the store must emit, by filtering and sorting all kept rows.
+    """Every pane the store must emit, by filtering and sorting all kept rows,
+    in (start, end, key encoding) order.
 
     Unkeyed, that is every pane over an instant from the first row to the
     last; each such pane lies over the last row or over one of the instants
     a step apart from the first. Bounds beyond the datetime range come
     clamped from the reference assignment, so several panes may share a
-    start; they are told apart by their ends.
+    start; they are told apart by their ends. Keyed, rows group by the
+    encoding of their key (a Null key is a group of its own), and a pane's
+    key is the value of its key's first-arrived row in the first slice
+    holding the key.
     """
     if key_by is None:
         first, last = min(e.event_time for e in kept), max(e.event_time for e in kept)
         sweep = [first + i * spec.step for i in range((last - first) // spec.step + 1)]
-        grid = sorted({(pane, None) for t in sweep + [last] for pane in _grid_panes(spec, t)})
+        grid = sorted({(pane, canonical_bytes(None)) for t in sweep + [last]
+                       for pane in _grid_panes(spec, t)})
     else:
-        grid = sorted({(pane, e.attrs[key_by]) for e in kept
+        grid = sorted({(pane, canonical_bytes(e.attrs[key_by])) for e in kept
                        for pane in _grid_panes(spec, e.event_time)})
     out = []
-    for (start, end), key in grid:
+    for (start, end), enc in grid:
         members = [e for e in kept if start <= e.event_time < end
-                   and (key_by is None or e.attrs[key_by] == key)]
+                   and (key_by is None or canonical_bytes(e.attrs[key_by]) == enc)]
         members.sort(key=lambda e: (e.event_time, e.arrival_seq))
+        key = None
+        if key_by is not None:
+            lead = min(_slice_number(spec, e.event_time) for e in members)
+            key = min((e for e in members if _slice_number(spec, e.event_time) == lead),
+                      key=lambda e: e.arrival_seq).attrs[key_by]
         out.append((start, end, key, [e.arrival_seq for e in members]))
     return out
+
+
+# Keys that are hard to group: Null, two zeros that share an encoding but
+# render apart, and 1, 1.0 and True, which compare equal but encode apart.
+HARD_KEYS = [None, 0.0, -0.0, 1, 1.0, True, "a"]
+
+
+def _shown(panes):
+    """(start, end, key, seqs) rows in (start, end, key encoding) order,
+    each key by its repr, so keys that compare equal but differ show."""
+    return [(start, end, repr(key), seqs) for start, end, key, seqs
+            in sorted(panes, key=lambda p: (p[0], p[1], canonical_bytes(p[2])))]
+
+
+def _hard_rows(rng):
+    """Up to 150 rows with keys k from HARD_KEYS and w from "x" and "y",
+    some out of order, some after a silent stretch (empty panes)."""
+    rows = []
+    t = 0.0
+    for seq in range(rng.randint(1, 150)):
+        t += rng.expovariate(1 / 20.0)
+        if rng.random() < 0.1:
+            t += rng.uniform(300, 900)  # a silent stretch: empty panes
+        jitter = rng.uniform(0, 400) if rng.random() < 0.25 else 0.0
+        rows.append(elem(at(t - jitter), seq, k=rng.choice(HARD_KEYS), w=rng.choice("xy")))
+    return rows
 
 
 @pytest.mark.parametrize("duration,slide", [
@@ -628,22 +684,49 @@ def test_slice_panes_match_brute_force(duration, slide):
             spec = spec_sliding(duration, slide, lateness=lateness)
         key_by = rng.choice([None, "k"])
         delay = timedelta(seconds=rng.choice([0, 30, 90]))
-        rows = []
-        t = 0.0
-        for seq in range(rng.randint(1, 150)):
-            t += rng.expovariate(1 / 20.0)
-            if rng.random() < 0.1:
-                t += rng.uniform(300, 900)  # a silent stretch: empty panes
-            jitter = rng.uniform(0, 400) if rng.random() < 0.25 else 0.0
-            rows.append(elem(at(t - jitter), seq, k=rng.choice(["a", "b", "c"])))
-        panes, kept = _replay(spec, key_by, rows, delay)
+        panes, kept = _replay(spec, key_by, _hard_rows(rng), delay)
         got = [(p.start, p.end, p.key, [e.arrival_seq for e in p.elements])
                for p in panes]
-        assert sorted(got, key=lambda p: (p[0], str(p[2]))) == \
-            _brute_force(spec, key_by, kept), (trial, spec, key_by)
+        assert _shown(got) == _shown(_brute_force(spec, key_by, kept)), (trial, spec, key_by)
         for p in panes:
             if p.parts is not None:
                 assert tuple(e for part in p.parts for e in part.elements) == p.elements
+
+
+@pytest.mark.parametrize("window_key", [None, "k", "w"])
+@pytest.mark.parametrize("spec", [spec_tumbling(5, lateness=1), spec_sliding(7, 3),
+                                  spec_session(2, lateness=1)],
+                         ids=["tumbling", "sliding", "session"])
+def test_keyed_check_groups_match_brute_force(spec, window_key):
+    """A check keyed on k groups each closed pane's rows by the encoding of
+    their k, skips the Null group, and takes its key from the group's first
+    row in pane order; its records come in key encoding order. Checked
+    against a grouping of each pane's rows, over panes of keyed and unkeyed
+    windows."""
+    check = CheckDefinition(id="volume", measure=MeasureSpec("volume"),
+                            constraint=Threshold(">=", 0), key_by="k")
+    schema = [ColumnSpec("k", "text"), ColumnSpec("w", "text")]
+    rng = random.Random(len(spec.kind) + len(window_key or ""))
+    grouped = 0
+    for trial in range(8):
+        delay = timedelta(seconds=rng.choice([0, 30, 90]))
+        panes, _ = _replay(spec, window_key, _hard_rows(rng), delay)
+        state = SuiteState([check], schema, spec)
+        for p in panes:
+            groups = {}
+            for e in p.elements:
+                enc = canonical_bytes(e.attrs["k"])
+                if enc != canonical_bytes(None):
+                    groups.setdefault(enc, []).append(e)
+            want = [(enc, repr(members[0].attrs["k"]), len(members))
+                    for enc, members in sorted(groups.items())]
+            entries, _ = state.on_window_close(p)
+            records = [r for _, r in entries if r.check_id == "volume"]
+            assert all((r.window_start, r.window_end) == (p.start, p.end) for r in records)
+            got = [(canonical_bytes(r.key), repr(r.key), r.value) for r in records]
+            assert got == want, (trial, p.start, p.end, p.key)
+            grouped += len(want)
+    assert grouped > 50
 
 
 @pytest.mark.parametrize("base", [T0, TS_MIN], ids=["2015", "ts-min"])
