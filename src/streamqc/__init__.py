@@ -15,6 +15,7 @@ from .model import (
     ModelError,
     Predicate,
     ReferenceSpec,
+    ReferenceTable,
     StreamElement,
     Threshold,
     Value,
@@ -33,7 +34,6 @@ from .monitor import (
     DetectorSpecs,
     FrozenColumnSpec,
     MonitorEngine,
-    ReferenceTable,
     SuiteState,
     relative_volume_check,
 )

@@ -14,7 +14,8 @@ from contextlib import ExitStack
 from dataclasses import replace
 
 from .config import ConfigError, SuiteConfig, build_suite, load_config, open_source
-from .connectors import SourceCounters, SourceError, generate_stream, open_sink, paced, parse_time
+from .connectors import (SourceCounters, SourceError, generate_stream, open_sink, paced,
+                         parse_address, parse_time)
 from .model import ModelError, WindowSpec, parse_duration
 from .monitor import MonitorEngine, SuiteState
 
@@ -115,10 +116,12 @@ def _cmd_run(args) -> int:
 
 
 def _apply_overrides(cfg: SuiteConfig, args) -> SuiteConfig:
-    if getattr(args, "meta", None):
-        cfg = replace(cfg, sinks=replace(cfg.sinks, meta=args.meta))
-    if getattr(args, "side", None):
-        cfg = replace(cfg, sinks=replace(cfg.sinks, side=args.side))
+    for name in ("meta", "side"):
+        dest = getattr(args, name, None)
+        if dest:
+            if dest.startswith("tcp://"):
+                parse_address(dest)  # a bad address fails before any sink opens
+            cfg = replace(cfg, sinks=replace(cfg.sinks, **{name: dest}))
     duration_raw = getattr(args, "window_duration", None)
     slide_raw = getattr(args, "slide", None)
     if duration_raw or slide_raw:

@@ -187,10 +187,7 @@ def _parse_source(raw: Any, where: str, errs: _Errors, *, secondary: bool) -> So
     if kind == "socket":
         address = _string(obj.get("address"), f"{where}.address", errs)
         if address is not None:
-            try:
-                connectors.parse_address(address)
-            except connectors.SourceError as exc:
-                errs.add(f"{where}.address", str(exc))
+            _check_address(address, f"{where}.address", errs)
         if "path" in obj:
             errs.add(where, "socket sources take 'address', not 'path'")
     else:
@@ -466,16 +463,25 @@ def _parse_detectors(raw: Any, errs: _Errors) -> DetectorSpecs:
     return DetectorSpecs(dead=dead, frozen=tuple(frozen))
 
 
+def _check_address(address: str, where: str, errs: _Errors) -> None:
+    """Report a socket address that connectors.parse_address rejects."""
+    try:
+        connectors.parse_address(address)
+    except connectors.SourceError as exc:
+        errs.add(where, str(exc))
+
+
 def _parse_sinks(raw: Any, errs: _Errors) -> SinksConfig:
     obj = _obj(raw, "sinks", errs)
     if obj is None or not _keys(obj, "sinks", errs, optional=("meta", "side")):
         return SinksConfig()
-    meta = side = None
-    if obj.get("meta") is not None:
-        meta = _string(obj["meta"], "sinks.meta", errs)
-    if obj.get("side") is not None:
-        side = _string(obj["side"], "sinks.side", errs)
-    return SinksConfig(meta=meta, side=side)
+    dests = {}
+    for name in ("meta", "side"):
+        if obj.get(name) is not None:
+            dest = dests[name] = _string(obj[name], f"sinks.{name}", errs)
+            if dest is not None and dest.startswith("tcp://"):
+                _check_address(dest, f"sinks.{name}", errs)
+    return SinksConfig(**dests)
 
 
 def _parse_engine(raw: Any, errs: _Errors) -> EngineConfig:
@@ -678,7 +684,7 @@ def build_suite(cfg: SuiteConfig, config_path: str | None, hash_seed: int) -> Su
         errors.extend(exc.problems)
     if cfg.secondary_source is not None and cfg.window.kind == "session":
         errors.append("secondary sources require tumbling or sliding windows")
-    errors.extend(window_key_problems(cfg.detectors, cfg.window_key_by))
+    errors.extend(window_key_problems(cfg, cfg.window_key_by))
     if errors:
         raise ConfigError(errors)
     return state
@@ -715,14 +721,15 @@ def open_source(src: SourceConfig, config_path: str | None, counters=None,
 def _secondary_lookup(elements: Iterator[StreamElement]):
     """match_ratio's view of the secondary source: its rows sorted once in
     element_order, and the rows in [start, end) found by bisection. An
-    empty span measures like a missing pane, so it is None; secondary panes
-    are never keyed."""
+    empty span measures like a missing pane, so it is None. Secondary panes
+    are never keyed, and match_ratio never runs on a keyed pane
+    (window_key_problems), so the key is always None."""
     rows = sorted(elements, key=element_order)
     times = [e.event_time for e in rows]
 
     def lookup(start: datetime, end: datetime, key) -> WindowInstance | None:
         lo, hi = bisect_left(times, start), bisect_left(times, end)
-        if key is None and lo < hi:
+        if lo < hi:
             return WindowInstance(start, end, None, tuple(rows[lo:hi]))
         return None
 

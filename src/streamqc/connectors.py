@@ -4,6 +4,10 @@ Sources turn CSV/JSONL/socket lines into StreamElements under a declared
 schema. Cell coercion never raises: an unparseable cell becomes Null and
 bumps a per-column counter, while a record whose event-time cell is missing
 or unparseable is skipped entirely. Sinks are line-oriented and fail-stop.
+
+The coercers are the package's one rule for reading a cell as a type: the
+compiled source decoders, type_check (through reads_as) and the typing of
+reference CSV columns all use them. This module imports only model.
 """
 
 from __future__ import annotations
@@ -20,14 +24,14 @@ import sys
 import time
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .model import (
     ColumnSpec,
+    ReferenceTable,
     StreamElement,
     Value,
     canonical_bytes,
-    ensure_value,
     epoch_millis,
     format_ts,
     from_epoch_millis,
@@ -36,10 +40,9 @@ from .model import (
     utc_ms,
     value_from_json,
 )
-from .monitor import ReferenceTable
 
 __all__ = [
-    "SourceError", "SourceCounters", "coerce_csv_cell", "coerce_json_value",
+    "SourceError", "SourceCounters", "coerce_csv_cell", "coerce_json_value", "reads_as",
     "parse_time", "parse_address", "iter_csv", "iter_jsonl", "iter_socket", "paced",
     "load_reference", "generate_stream",
     "FileSink", "StdoutSink", "SocketSink", "open_sink",
@@ -211,6 +214,36 @@ def coerce_json_value(raw: Any, type_name: str, fmt: str = "iso") -> tuple[Value
     never silently reinterpreted; the one widening is int -> float."""
     value = _json_coercer(type_name, fmt)(raw)
     return (None, False) if value is _BAD else (value, True)
+
+
+# The Python types a value of each non-timestamp column type may have.
+_VALUE_TYPES = {"int": int, "float": (int, float), "bool": bool, "text": str}
+
+
+def reads_as(type_name: str, formats: Sequence[str]) -> Callable[[Value], bool]:
+    """The test of whether a non-Null value reads as type_name, by the rule
+    a source decodes a cell with. A value of that type passes (an int also
+    as a float), and a bool passes only as a bool. A timestamp's text or
+    number passes when parse_time reads it under one of formats; an int,
+    float or bool's text passes when its CSV coercer reads it as non-Null."""
+    if type_name == "timestamp":
+        parsers = [_time_parser(fmt) for fmt in formats]
+
+        def test(v: Value) -> bool:
+            if isinstance(v, datetime):
+                return True
+            return not isinstance(v, bool) and any(parse(v) is not None for parse in parsers)
+        return test
+    coerce = _csv_coercer(type_name, "iso")
+    kind = _VALUE_TYPES[type_name]
+
+    def test(v: Value) -> bool:
+        if isinstance(v, bool):
+            return kind is bool
+        if isinstance(v, kind):
+            return True
+        return type(v) is str and (value := coerce(v)) is not None and value is not _BAD
+    return test
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +488,8 @@ def load_reference(table_id: str, path: str, key_column: str) -> ReferenceTable:
 
     A row whose key is the literal "*" becomes the default row for lookup
     misses. Duplicate keys keep the last row and log a warning. CSV columns
-    are typed by sniffing: all-int, else all-float, else text.
+    are typed by sniffing (_sniff_caster), by the same cell rule as a CSV
+    source: all-int, else all-float, else text.
     """
     if path.endswith(".jsonl"):
         raw_rows = _read_jsonl_rows(path)
@@ -515,22 +549,15 @@ def _read_csv_rows(path: str) -> list[dict[str, Value]]:
 
 
 def _sniff_caster(cells: list[str]) -> Callable[[str], Value]:
-    """Column-wide CSV typing: int if every value is an int, else float, else text."""
+    """Column-wide CSV typing by a CSV source's cell rule: int if its
+    coercer reads every cell but "" and "*", else likewise float, else text.
+    An empty cell is Null, and "*" stays text."""
     candidates = [c for c in cells if c not in ("", "*")]
-
-    def try_all(cast) -> bool:
-        try:
-            for c in candidates:
-                cast(c)
-            return True
-        except ValueError:
-            return False
-
-    if candidates and try_all(int):
-        return lambda c: None if c == "" else (c if c == "*" else int(c))
-    if candidates and try_all(float):
-        return lambda c: None if c == "" else (c if c == "*" else ensure_value(float(c)))
-    return lambda c: None if c == "" else c
+    for type_name in ("int", "float"):
+        coerce = _csv_coercer(type_name, "iso")
+        if candidates and all(coerce(c) is not _BAD for c in candidates):
+            return lambda c: c if c == "*" else coerce(c)
+    return lambda c: c or None
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,10 @@ per-element measure is its checker's verdicts, so the pane's value and its
 per-element records come from one check of each element. Distinct counts
 and uniqueness read the slice's column encodings (Slice.encodings), so
 every consumer of a column encodes each value once.
+
+type_check reads a cell by the source decoder's own rule
+(connectors.reads_as), so it passes a value exactly when a source of the
+expected type would read it.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from itertools import chain
 from typing import Any, Callable, NamedTuple, Sequence
 
 from . import expression
+from .connectors import reads_as
 from .model import (
     TS_MAX,
     TS_MIN,
@@ -789,73 +794,15 @@ def _schema_tally(params, verdicts, window):
 _TYPE_CHECK_TYPES = ("int", "float", "bool", "timestamp", "text")
 
 
-def _parseable(v: Value, expected: str, formats: Sequence[str]) -> bool:
-    kind = value_type(v)
-    if expected == "text":
-        return kind == "text"
-    if expected == "int":
-        if kind == "int":
-            return True
-        if kind == "text":
-            try:
-                int(v)  # type: ignore[arg-type]
-                return True
-            except ValueError:
-                return False
-        return False
-    if expected == "float":
-        if kind in ("int", "float"):
-            return True
-        if kind == "text":
-            try:
-                return not math.isnan(float(v))  # type: ignore[arg-type]
-            except ValueError:
-                return False
-        return False
-    if expected == "bool":
-        if kind == "bool":
-            return True
-        return kind == "text" and v.lower() in ("true", "false")  # type: ignore[union-attr]
-    if expected == "timestamp":
-        if kind == "timestamp":
-            return True
-        if kind in ("int", "float") and not isinstance(v, bool):
-            return any(f in ("epoch_s", "epoch_ms") for f in formats)
-        if kind != "text":
-            return False
-        for fmt in formats:
-            if fmt == "iso":
-                try:
-                    parse_ts(v)  # type: ignore[arg-type]
-                    return True
-                except Exception:
-                    continue
-            elif fmt in ("epoch_s", "epoch_ms"):
-                try:
-                    float(v)  # type: ignore[arg-type]
-                    return True
-                except ValueError:
-                    continue
-            else:
-                try:
-                    datetime.strptime(v, fmt)  # type: ignore[arg-type]
-                    return True
-                except ValueError:
-                    continue
-        return False
-    return False
-
-
 def _type_checker(params, env) -> ElemChecker:
     column = params["column"]
-    expected = params["expected"]
-    formats = params["formats"]
+    reads = reads_as(params["expected"], params["formats"])
 
     def check(e: StreamElement) -> bool | None:
         v = e.attrs.get(column)
         if v is None:
             return None  # Nulls are completeness's concern, not type conformance
-        return _parseable(v, expected, formats)
+        return reads(v)
 
     return check
 

@@ -633,6 +633,25 @@ class ReferenceSpec:
     key_expr: str
 
 
+@dataclass
+class ReferenceTable:
+    """Keyed baseline rows for reference-data checks.
+
+    rows maps the canonical encoding of the key to the row; default_row (from
+    a "*" key) answers lookups that miss, when present.
+    """
+
+    table_id: str
+    key_column: str
+    columns: tuple[str, ...]
+    rows: dict[bytes, dict[str, Value]]
+    default_row: dict[str, Value] | None = None
+
+    def lookup(self, key: Value) -> dict[str, Value] | None:
+        row = self.rows.get(canonical_bytes(key))
+        return row if row is not None else self.default_row
+
+
 @dataclass(frozen=True)
 class CheckDefinition:
     """One configured quality check.

@@ -38,6 +38,7 @@ from .model import (
     MeasureSpec,
     MetaRecord,
     Predicate,
+    ReferenceTable,
     StreamElement,
     Threshold,
     Value,
@@ -65,29 +66,6 @@ __all__ = [
     "DetectorSpecs", "InvalidSuite", "SuiteState", "MonitorEngine",
     "RunStats", "PaneCheck", "relative_volume_check", "window_key_problems",
 ]
-
-
-# ---------------------------------------------------------------------------
-# Reference tables
-
-
-@dataclass
-class ReferenceTable:
-    """Keyed baseline rows for reference-data checks.
-
-    rows maps the canonical encoding of the key to the row; default_row (from
-    a "*" key) answers lookups that miss, when present.
-    """
-
-    table_id: str
-    key_column: str
-    columns: tuple[str, ...]
-    rows: dict[bytes, dict[str, Value]]
-    default_row: dict[str, Value] | None = None
-
-    def lookup(self, key: Value) -> dict[str, Value] | None:
-        row = self.rows.get(canonical_bytes(key))
-        return row if row is not None else self.default_row
 
 
 # ---------------------------------------------------------------------------
@@ -196,12 +174,19 @@ class InvalidSuite(ValueError):
         super().__init__("invalid suite: " + "; ".join(problems))
 
 
-def window_key_problems(detectors: DetectorSpecs, key_by: str | None) -> list[str]:
-    """What a window's key_by rules out: a keyed pane store makes no empty
-    pane, so a dead-stream detector over it would never fire."""
-    if key_by is not None and detectors.dead is not None:
-        return ["dead-stream detection needs an unkeyed window (window.key_by is set)"]
-    return []
+def window_key_problems(suite: Any, key_by: str | None) -> list[str]:
+    """What a window's key_by rules out of a suite's checks and detectors
+    (a SuiteState, or a parsed config, which has both). A secondary
+    source's panes are never keyed, so match_ratio over a keyed pane would
+    never find a match; a keyed pane store makes no empty pane, so a
+    dead-stream detector over it would never fire."""
+    if key_by is None:
+        return []
+    problems = [f"check {check.id!r}: match_ratio needs an unkeyed window (window.key_by is set)"
+                for check in suite.checks if check.measure.id == "match_ratio"]
+    if suite.detectors.dead is not None:
+        problems.append("dead-stream detection needs an unkeyed window (window.key_by is set)")
+    return problems
 
 
 def _check_suite(checks: Iterable[CheckDefinition], schema: Iterable[ColumnSpec],
@@ -367,7 +352,7 @@ class SuiteState:
                  detectors: DetectorSpecs | None = None,
                  hash_seed: int = 0,
                  secondary: Callable[[datetime, datetime, Value], WindowInstance | None] | None = None):
-        checks = list(checks)
+        self.checks = checks = list(checks)
         self.references = references or {}
         problems, compiled = _check_suite(checks, schema, window_spec, self.references,
                                           detectors, has_secondary=secondary is not None)
@@ -656,7 +641,7 @@ class MonitorEngine:
                  key_by: str | None = None,
                  meta_sink: Any = None,
                  side_sink: Any = None):
-        problems = window_key_problems(state.detectors, key_by)
+        problems = window_key_problems(state, key_by)
         if problems:
             raise InvalidSuite(problems)
         self.state = state

@@ -831,6 +831,50 @@ def test_cli_dead_stream_detector_over_a_keyed_window_is_a_config_error(
     assert not meta.exists()
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_cli_match_ratio_over_a_keyed_window_is_a_config_error(tmp_path, capsys, command):
+    """A secondary source's panes are never keyed, so match_ratio over a
+    keyed window would read 0.0 on every pane, even against its own
+    stream: one `error:` line and exit 1 from validate and run."""
+    def mutate(obj):
+        obj["window"]["key_by"] = "zone"
+        obj["secondary_source"] = dict(obj["source"])
+        obj["checks"] = [MATCH_CHECK]
+    cfg_path = cli_setup(tmp_path, mutate)
+    meta = tmp_path / "meta.jsonl"
+    argv = [command, cfg_path] + (["--meta", str(meta)] if command == "run" else [])
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: check 'm': match_ratio needs an unkeyed window (window.key_by is set)"]
+    assert not meta.exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("sink", ["meta", "side"])
+def test_cli_tcp_sink_address_in_the_config_is_checked_with_it(tmp_path, capsys, command, sink):
+    """A tcp:// sink address parse_address rejects is a config error, as a
+    socket source's is: one `error:` line and exit 1, and no sink opens."""
+    cfg_path = cli_setup(tmp_path, lambda o: o.update(sinks={sink: "tcp://127.0.0.1:70000"}))
+    meta = tmp_path / "meta.jsonl"
+    argv = [command, cfg_path] + (["--meta", str(meta)] if (command, sink) == ("run", "side")
+                                  else [])
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: sinks.{sink}: socket port must be in 1-65535, got '127.0.0.1:70000'"]
+    assert not meta.exists()
+
+
+def test_cli_run_side_override_with_a_bad_tcp_address_opens_no_sink(tmp_path, capsys):
+    """--side tcp://... with a port past 65535 fails before the meta sink
+    opens: one `error:` line, exit 1, and no meta file left behind."""
+    cfg_path = cli_setup(tmp_path)
+    meta = tmp_path / "meta.jsonl"
+    assert main(["run", cfg_path, "--meta", str(meta), "--side", "tcp://127.0.0.1:70000"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: socket port must be in 1-65535, got '127.0.0.1:70000'"]
+    assert not meta.exists()
+
+
 def test_cli_run_context_horizon_longer_than_the_timestamp_range(tmp_path):
     """A context horizon reaching back past the first instant: every pane
     is warming, and the run exits 0."""

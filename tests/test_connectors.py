@@ -15,6 +15,8 @@ from datetime import datetime, timedelta, timezone
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import streamqc
+from streamqc import model, monitor
 from streamqc.connectors import (
     FileSink,
     SocketSink,
@@ -563,6 +565,37 @@ def test_load_reference_csv_sniffing(tmp_path):
     assert row == {"hour": 11, "max_mean": 10.5, "label": "morning"}
     assert table.lookup(99) == {"hour": "*", "max_mean": 99.0, "label": "any"}
     assert table.lookup("11") is table.default_row  # text key misses int rows
+
+
+def test_load_reference_types_each_csv_column_by_the_cell_rule(tmp_path):
+    """A column is int when every cell but "" and "*" reads as an int, else
+    float when every such cell reads as a float (a nan one reads as Null),
+    else text. An empty cell is Null in every column, and "*" stays text."""
+    p = tmp_path / "ref.csv"
+    p.write_text("key,count,rate,ratio,blank,label\n"
+                 "1,10,1.5,nan,,x\n"
+                 "2,,2,0.5,,7\n"
+                 " 3 ,-4,inf,,,\n"
+                 "*,*,*,*,*,*\n")
+    table = load_reference("mixed", str(p), "key")
+
+    def typed(row):
+        return {name: (type(v).__name__, v) for name, v in row.items()}
+    assert [typed(row) for row in table.rows.values()] == [
+        {"key": ("int", 1), "count": ("int", 10), "rate": ("float", 1.5),
+         "ratio": ("NoneType", None), "blank": ("NoneType", None), "label": ("str", "x")},
+        {"key": ("int", 2), "count": ("NoneType", None), "rate": ("float", 2.0),
+         "ratio": ("float", 0.5), "blank": ("NoneType", None), "label": ("str", "7")},
+        {"key": ("int", 3), "count": ("int", -4), "rate": ("float", math.inf),
+         "ratio": ("NoneType", None), "blank": ("NoneType", None), "label": ("NoneType", None)}]
+    assert list(table.rows) == [canonical_bytes(1), canonical_bytes(2), canonical_bytes(3)]
+    assert typed(table.default_row) == {name: ("str", "*") for name in table.columns}
+
+
+def test_reference_table_is_one_class_under_its_three_names():
+    """The table type lives in model, below connectors, and the package
+    and monitor re-export it."""
+    assert streamqc.ReferenceTable is monitor.ReferenceTable is model.ReferenceTable
 
 
 def test_load_reference_without_default(tmp_path):

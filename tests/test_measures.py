@@ -1,10 +1,12 @@
 """Window measures against hand-computed and library oracles."""
 
+import csv
 import json
 import math
 import random
 import re
 import statistics
+import tempfile
 from datetime import timedelta
 from pathlib import Path
 
@@ -12,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from streamqc.connectors import SourceCounters, iter_csv, parse_time
 from streamqc.measures import (
     MEASURES,
     REQUIRED,
@@ -444,6 +447,99 @@ def test_type_check_timestamp_formats():
               {"column": "x", "expected": "timestamp",
                "formats": ["%Y-%m-%d %H:%M:%S"]}, w)
     assert got == 0.5
+
+
+# Cells that a CSV source rejects as timestamps under the format: padded
+# ISO text, epoch text or numbers that are not finite or lie past the
+# timestamp range, and fractional epoch_ms text.
+REJECTED_TIMESTAMPS = [(" 2015-05-07T11:00:00Z", "iso"), ("1.5", "epoch_ms"),
+                       ("1431000000.5", "epoch_ms")] + [
+    (cell, fmt) for fmt in ("epoch_s", "epoch_ms")
+    for cell in ("nan", "inf", "-inf", "1e300", math.inf, 1e300, 10 ** 30)]
+
+
+def type_verdict(cell, expected, formats=("iso",)):
+    checker = elem_checker_for(MeasureSpec("type_check", {
+        "column": "x", "expected": expected, "formats": list(formats)}), ENV)
+    return checker(elem(at(0), 0, x=cell))
+
+
+@pytest.mark.parametrize("cell,fmt", REJECTED_TIMESTAMPS)
+def test_type_check_fails_a_timestamp_the_source_rejects(cell, fmt):
+    assert parse_time(cell, fmt) is None
+    assert type_verdict(cell, "timestamp", [fmt]) is False
+    assert type_verdict(cell, "timestamp", ["%Y", fmt]) is False
+
+
+def test_type_check_passes_a_timestamp_the_source_reads():
+    for cell, fmt in [("2015-05-07T11:00:00Z", "iso"), ("1431000000.5", "epoch_s"),
+                      ("1431000000", "epoch_ms"), (1431000000, "epoch_s"),
+                      (1431000000.5, "epoch_s"), (1431000000, "epoch_ms"),
+                      (ts(2015, 5, 7), "%Y")]:
+        assert type_verdict(cell, "timestamp", [fmt]) is True, (cell, fmt)
+    assert type_verdict(" 2015-05-07T11:00:00Z", "timestamp", ["%Y", "iso", " %Y-%m-%dT%H:%M:%SZ"])
+    assert type_verdict(True, "timestamp", ["epoch_s"]) is False  # a bool is only a bool
+
+
+# The other expected types' verdicts on the edge cells, which reading a
+# cell by the source's coercers leaves as they were: the types each passes.
+TYPE_GRID = [
+    (" 2015-05-07T11:00:00Z", {"text"}), ("nan", {"text"}), ("inf", {"float", "text"}),
+    ("-inf", {"float", "text"}), ("1e300", {"float", "text"}), ("1.5", {"float", "text"}),
+    ("1431000000.5", {"float", "text"}), ("1431000000", {"int", "float", "text"}),
+    (" 7 ", {"int", "float", "text"}), ("1_000", {"int", "float", "text"}),
+    ("", {"text"}), ("true", {"bool", "text"}), ("FALSE", {"bool", "text"}), ("x", {"text"}),
+    (math.inf, {"float"}), (1e300, {"float"}), (10 ** 30, {"int", "float"}), (7, {"int", "float"}),
+    (1.5, {"float"}), (True, {"bool"}), (False, {"bool"}), (ts(2015, 5, 7), set()),
+]
+
+
+@pytest.mark.parametrize("cell,passes", TYPE_GRID)
+def test_type_check_verdicts_of_the_other_types(cell, passes):
+    for expected in ("int", "float", "bool", "text"):
+        assert type_verdict(cell, expected) is (expected in passes), expected
+
+
+DIFFERENTIAL_FORMATS = [("int", "iso"), ("float", "iso"), ("bool", "iso"), ("text", "iso")] + [
+    ("timestamp", fmt) for fmt in ("iso", "epoch_s", "epoch_ms", "%Y-%m-%d %H:%M:%S")]
+TEXT_GRID = [cell for cell, _ in REJECTED_TIMESTAMPS + TYPE_GRID if isinstance(cell, str)] + [
+    "2015-05-07T11:00:00.000Z", "2015-05-07T11:00:00.0004z", "2015-05-07T13:00:00+02:00",
+    "2015-05-07", "20150507T110000Z", "0001-01-01T00:00:00+01:00", "9999-12-31T23:59:59.999Z",
+    "2015-05-07 11:35:00", "-62135596800", "253402300800000", "1e3", "0x10", "+5"]
+
+
+def source_reads(cells, type_name, fmt, path):
+    """Per cell: whether iter_csv over a CSV holding the cells in a column
+    of that type and format yields a non-Null value with no parse failure."""
+    with open(path, "w", encoding="utf-8", newline="") as fp:
+        csv.writer(fp).writerows([["t", "c"]] + [["2015-05-07T11:00:00Z", c] for c in cells])
+    counters = SourceCounters()
+    schema = [ColumnSpec("t", "timestamp"), ColumnSpec("c", type_name, nullable=True)]
+    reads, failed = [], 0
+    for e in iter_csv(path, schema, "t", {"c": fmt}, counters):
+        now = counters.parse_failures.get("c", 0)
+        reads.append(e.attrs["c"] is not None and now == failed)
+        failed = now
+    assert len(reads) == len(cells)
+    return reads
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.one_of(
+    st.text(max_size=12),
+    st.from_regex(r"\s?[+-]?(\d{1,20}(\.\d{0,4})?|inf|nan)(e[+-]?\d{1,3})?\s?", fullmatch=True),
+    st.from_regex(r"\d{4}-\d\d-\d\d([T ]\d\d:\d\d(:\d\d(\.\d{1,6})?)?)?"
+                  r"(Z|z|[+-]\d\d:\d\d)?", fullmatch=True)), max_size=20))
+def test_type_check_agrees_with_the_csv_source(drawn):
+    """type_check's verdict on a text cell is whether a CSV source reads
+    the cell as a non-Null value of the type, under the format."""
+    cells = TEXT_GRID + drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        for type_name, fmt in DIFFERENTIAL_FORMATS:
+            reads = source_reads(cells, type_name, fmt, str(Path(tmp) / "cells.csv"))
+            verdicts = [type_verdict(cell, type_name, [fmt]) for cell in cells]
+            assert verdicts == reads, [(c, v) for c, v, r in zip(cells, verdicts, reads)
+                                       if v != r][:5]
 
 
 # ---------------------------------------------------------------------------

@@ -557,6 +557,18 @@ def test_engine_refuses_a_dead_stream_detector_over_a_keyed_window():
     MonitorEngine(suite([mean_check()]), key_by="zone")  # no detector: fine
 
 
+def test_engine_refuses_match_ratio_over_a_keyed_window():
+    """A secondary source's panes are never keyed, so match_ratio over a
+    keyed window would never find a match: the engine refuses the pairing,
+    by the rule that refuses a keyed dead-stream detector."""
+    check = CheckDefinition(id="m", measure=MeasureSpec("match_ratio", {"on": "zone"}),
+                            constraint=Threshold(">=", 1.0))
+    st = suite([check], secondary=lambda start, end, key: None)
+    with pytest.raises(InvalidSuite, match="'m': match_ratio needs an unkeyed window"):
+        MonitorEngine(st, key_by="zone")
+    MonitorEngine(st)  # unkeyed: fine
+
+
 def test_frozen_column_alert_recovery_and_null_skip():
     st = suite([mean_check()],
                detectors=DetectorSpecs(frozen=(FrozenColumnSpec("fare", windows=3),)))

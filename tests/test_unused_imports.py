@@ -1,9 +1,12 @@
-"""Every module-level import in the package is read.
+"""Every module-level import in the package is read, and goes down a layer.
 
 A deletion can leave an import that nothing reads behind; this finds it by
 walking each module's syntax tree, with the standard library only. A name
 counts as read when the module loads it anywhere, or lists it in __all__
 (a re-export). `from __future__` imports are directives, not names.
+
+The modules form layers (LAYERS), and a module imports only from modules
+of lower layers, so the package has no import cycle.
 """
 
 from __future__ import annotations
@@ -48,3 +51,50 @@ def test_every_module_level_import_is_read():
     unused = {path.name: found for path in modules
               if (found := unused_imports(path.read_text(encoding="utf-8")))}
     assert unused == {}
+
+
+# The package's modules, lowest layer first. A module of one layer imports
+# from the package only modules of the layers before it.
+LAYERS = [{"model"}, {"expression", "sketches", "windowing", "connectors"}, {"measures"},
+          {"monitor"}, {"config"}, {"cli", "__init__"}, {"__main__"}]
+
+
+def package_imports(source: str) -> list[str]:
+    """The package modules a module's top-level imports name, in order:
+    `from . import m`, `from .m import x` and `from streamqc.m import x`."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 1 and not module:
+                found += [alias.name for alias in node.names]
+            elif node.level == 1 or module.startswith("streamqc."):
+                found.append(module.rpartition(".")[2] if node.level == 0 else module)
+        elif isinstance(node, ast.Import):
+            found += [alias.name.partition(".")[2] or "__init__" for alias in node.names
+                      if alias.name.partition(".")[0] == "streamqc"]
+    return found
+
+
+def layering_problems(imports: dict[str, list[str]]) -> list[str]:
+    """Each import of a module (by name) that does not go to a lower layer."""
+    layer = {name: n for n, names in enumerate(LAYERS) for name in names}
+    return [f"{module} imports {target}" for module, targets in sorted(imports.items())
+            for target in targets if layer.get(target, len(LAYERS)) >= layer.get(module, -1)]
+
+
+def test_the_layering_check_finds_an_import_that_does_not_go_down():
+    source = ("from __future__ import annotations\nimport json\nimport streamqc.cli\n"
+              "from . import expression\nfrom .model import Value\n"
+              "from streamqc.monitor import SuiteState\n")
+    assert package_imports(source) == ["cli", "expression", "model", "monitor"]
+    imports = {"measures": package_imports(source), "model": [], "unknown": ["model"]}
+    assert layering_problems(imports) == ["measures imports cli", "measures imports monitor",
+                                          "unknown imports model"]
+
+
+def test_every_package_import_goes_to_a_lower_layer():
+    modules = {path.stem: package_imports(path.read_text(encoding="utf-8"))
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert set(modules) == set().union(*LAYERS)
+    assert layering_problems(modules) == []
