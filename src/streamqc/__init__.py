@@ -27,7 +27,7 @@ from .model import (
     ts,
 )
 from .config import ConfigError, SuiteConfig, load_config, parse_config
-from .measures import EngineEnv, MeasureResult, apply_measure, validate_measure
+from .measures import EngineEnv, MeasureResult, apply_measure
 from .monitor import (
     ContextState,
     DeadStreamSpec,
@@ -35,7 +35,6 @@ from .monitor import (
     FrozenColumnSpec,
     MonitorEngine,
     SuiteState,
-    relative_volume_check,
 )
 from .windowing import PaneStore, RouteOutcome, Watermark
 
@@ -50,5 +49,5 @@ __all__ = [
     "SuiteConfig", "SuiteState", "Threshold", "Value", "ValueRange",
     "Watermark", "WindowInstance", "WindowSpec", "apply_measure",
     "load_config", "parse_config", "parse_duration", "parse_ts",
-    "relative_volume_check", "ts", "validate_measure", "__version__",
+    "ts", "__version__",
 ]

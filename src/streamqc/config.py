@@ -10,6 +10,7 @@ reported by build_suite, which loads the files the config names.
 from __future__ import annotations
 
 import json
+import math
 import os
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -18,7 +19,6 @@ from typing import Any, Iterator
 
 from . import connectors
 from .model import (
-    EPOCH,
     CheckDefinition,
     ColumnSpec,
     ContextSpec,
@@ -32,12 +32,9 @@ from .model import (
     WindowInstance,
     WindowSpec,
     element_order,
-    format_duration,
-    format_ts,
     parse_duration,
     parse_ts,
     value_from_json,
-    value_to_json,
 )
 from .monitor import (
     DeadStreamSpec,
@@ -51,7 +48,7 @@ from .monitor import (
 __all__ = [
     "ConfigError", "SourceConfig", "ReferenceConfig", "SinksConfig",
     "EngineConfig", "SuiteConfig", "parse_config", "load_config",
-    "dump_config", "build_suite", "semantic_errors", "resolve_path", "open_source",
+    "build_suite", "semantic_errors", "resolve_path", "open_source",
 ]
 
 
@@ -250,7 +247,8 @@ def _parse_source(raw: Any, where: str, errs: _Errors, *, secondary: bool) -> So
                 else:
                     replay_mode = "scaled"
                     factor = rep.get("factor", 1.0)
-                    if not isinstance(factor, (int, float)) or isinstance(factor, bool) or factor <= 0:
+                    if not isinstance(factor, (int, float)) or isinstance(factor, bool) \
+                            or not 0 < factor < math.inf:
                         errs.add(f"{where}.replay", "factor must be a positive number")
                     else:
                         replay_factor = float(factor)
@@ -559,97 +557,6 @@ def resolve_path(config_path: str | None, target: str) -> str:
     if config_path is None or os.path.isabs(target):
         return target
     return os.path.join(os.path.dirname(os.path.abspath(config_path)), target)
-
-
-# ---------------------------------------------------------------------------
-# Normalization (dump -> parse round-trips to the same config)
-
-
-def dump_config(cfg: SuiteConfig) -> dict[str, Any]:
-    out: dict[str, Any] = {"source": _dump_source(cfg.source)}
-    window: dict[str, Any] = {"kind": cfg.window.kind}
-    for name in ("duration", "slide", "gap"):
-        value = getattr(cfg.window, name)
-        if value is not None:
-            window[name] = format_duration(value)
-    if cfg.window.allowed_lateness > timedelta(0):
-        window["allowed_lateness"] = format_duration(cfg.window.allowed_lateness)
-    if cfg.window.origin != EPOCH:
-        window["origin"] = format_ts(cfg.window.origin)
-    if cfg.window_key_by is not None:
-        window["key_by"] = cfg.window_key_by
-    out["window"] = window
-    out["checks"] = [_dump_check(c) for c in cfg.checks]
-    if cfg.secondary_source is not None:
-        out["secondary_source"] = _dump_source(cfg.secondary_source, secondary=True)
-    if cfg.references:
-        out["references"] = [{"id": r.id, "path": r.path, "key": r.key}
-                             for r in cfg.references]
-    detectors: dict[str, Any] = {}
-    if cfg.detectors.dead is not None:
-        detectors["dead"] = {"threshold": format_duration(cfg.detectors.dead.threshold),
-                             "restart": cfg.detectors.dead.restart}
-    if cfg.detectors.frozen:
-        detectors["frozen"] = [
-            {"column": f.column, "windows": f.windows,
-             **({"key_by": f.key_by} if f.key_by is not None else {})}
-            for f in cfg.detectors.frozen]
-    if detectors:
-        out["detectors"] = detectors
-    sinks: dict[str, Any] = {}
-    if cfg.sinks.meta is not None:
-        sinks["meta"] = cfg.sinks.meta
-    if cfg.sinks.side is not None:
-        sinks["side"] = cfg.sinks.side
-    if sinks:
-        out["sinks"] = sinks
-    if cfg.engine != EngineConfig():
-        out["engine"] = {"hash_seed": cfg.engine.hash_seed}
-    return out
-
-
-def _dump_source(src: SourceConfig, secondary: bool = False) -> dict[str, Any]:
-    out: dict[str, Any] = {"kind": src.kind, "event_time": src.event_time}
-    if src.path is not None:
-        out["path"] = src.path
-    if src.address is not None:
-        out["address"] = src.address
-    out["schema"] = [
-        {"name": c.name, "type": c.type, **({} if c.nullable else {"nullable": False})}
-        for c in src.schema]
-    if src.formats:
-        out["formats"] = dict(src.formats)
-    if not secondary:
-        if src.watermark_delay > timedelta(0):
-            out["watermark_delay"] = format_duration(src.watermark_delay)
-        if src.replay_mode != "fast":
-            out["replay"] = {"mode": src.replay_mode, "factor": src.replay_factor}
-    return out
-
-
-def _dump_check(check: CheckDefinition) -> dict[str, Any]:
-    out: dict[str, Any] = {"id": check.id,
-                           "measure": {"id": check.measure.id, **check.measure.params}}
-    constraint = check.constraint
-    if isinstance(constraint, Predicate):
-        out["constraint"] = {"predicate": constraint.text}
-    elif isinstance(constraint, ValueRange):
-        out["constraint"] = {"range": [value_to_json(constraint.lo), value_to_json(constraint.hi)],
-                             "inclusive": [constraint.lo_inclusive, constraint.hi_inclusive]}
-    elif isinstance(constraint, Threshold):
-        out["constraint"] = {"op": constraint.op, "bound": value_to_json(constraint.bound)}
-    if check.key_by is not None:
-        out["key_by"] = check.key_by
-    if check.context is not None:
-        out["context"] = {"horizon": format_duration(check.context.horizon),
-                          "statistics": list(check.context.statistics)}
-    if check.reference is not None:
-        out["reference"] = {"table": check.reference.table, "key": check.reference.key_expr}
-    if check.emit_per_element:
-        out["emit_per_element"] = True
-    if check.null_verdict != "fail":
-        out["null_verdict"] = check.null_verdict
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -90,12 +90,16 @@ def _time_parser(fmt: str) -> Callable[[Any], datetime | None]:
                 return None
     elif fmt == "epoch_s":
         def parse(raw: Any) -> datetime | None:
+            if isinstance(raw, bool):
+                return None
             try:
                 return from_epoch_millis(round(float(raw) * 1000.0))
             except (ValueError, TypeError, OverflowError):
                 return None
     elif fmt == "epoch_ms":
         def parse(raw: Any) -> datetime | None:
+            if isinstance(raw, bool) or isinstance(raw, float) and not raw.is_integer():
+                return None  # a JSON bool, or a number int() would cut down
             try:
                 return from_epoch_millis(int(raw))
             except (ValueError, TypeError, OverflowError):
@@ -118,7 +122,8 @@ def parse_time(raw: Any, fmt: str) -> datetime | None:
     """Parse one timestamp cell; None means unparseable.
 
     fmt is "iso", "epoch_s", "epoch_ms", or a strptime pattern. Naive results
-    are taken as UTC; everything is truncated to millisecond precision.
+    are taken as UTC; everything is truncated to millisecond precision. An
+    epoch time is a number or its text, never a bool, and whole under epoch_ms.
     """
     return _time_parser(fmt)(raw)
 
@@ -216,33 +221,26 @@ def coerce_json_value(raw: Any, type_name: str, fmt: str = "iso") -> tuple[Value
     return (None, False) if value is _BAD else (value, True)
 
 
-# The Python types a value of each non-timestamp column type may have.
-_VALUE_TYPES = {"int": int, "float": (int, float), "bool": bool, "text": str}
-
-
 def reads_as(type_name: str, formats: Sequence[str]) -> Callable[[Value], bool]:
     """The test of whether a non-Null value reads as type_name, by the rule
-    a source decodes a cell with. A value of that type passes (an int also
-    as a float), and a bool passes only as a bool. A timestamp's text or
-    number passes when parse_time reads it under one of formats; an int,
-    float or bool's text passes when its CSV coercer reads it as non-Null."""
+    a source decodes a cell with: text by its CSV coercer, any other value
+    by its JSON coercer. So an int passes as a float only within the float
+    range, and a bool passes only as a bool. A timestamp's text or number
+    passes when parse_time reads it under one of formats."""
     if type_name == "timestamp":
         parsers = [_time_parser(fmt) for fmt in formats]
 
         def test(v: Value) -> bool:
             if isinstance(v, datetime):
                 return True
-            return not isinstance(v, bool) and any(parse(v) is not None for parse in parsers)
+            return any(parse(v) is not None for parse in parsers)
         return test
-    coerce = _csv_coercer(type_name, "iso")
-    kind = _VALUE_TYPES[type_name]
+    from_value = _json_coercer(type_name, "iso")
+    from_text = _csv_coercer(type_name, "iso") or from_value
 
     def test(v: Value) -> bool:
-        if isinstance(v, bool):
-            return kind is bool
-        if isinstance(v, kind):
-            return True
-        return type(v) is str and (value := coerce(v)) is not None and value is not _BAD
+        value = (from_text if type(v) is str else from_value)(v)
+        return value is not None and value is not _BAD
     return test
 
 

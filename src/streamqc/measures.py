@@ -1070,11 +1070,6 @@ _register(_per_element("conforms", {"expression": Param(_expression)},
                        _share, _conforms_checker))
 
 
-def validate_measure(spec: MeasureSpec, columns: dict[str, str]) -> list[str]:
-    """All configuration problems with one measure spec, as messages."""
-    return parse_measure(spec, columns)[1]
-
-
 def _parsed(spec: MeasureSpec) -> ParsedMeasure:
     """A spec parsed without a schema; raises ModelError when it is invalid."""
     parsed, errors = parse_measure(spec, None)

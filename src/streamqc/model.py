@@ -190,21 +190,6 @@ def value_type(v: Value) -> str:
     raise ModelError(f"value {v!r} is outside the value domain")
 
 
-def ensure_value(v: Any) -> Value:
-    """Coerce arbitrary input into the value domain.
-
-    NaN floats become Null (NaN is not a value); timestamps are normalized to
-    UTC millisecond precision. Anything outside the domain raises.
-    """
-    if v is None or isinstance(v, (bool, int, str)):
-        return v
-    if isinstance(v, float):
-        return None if math.isnan(v) else v
-    if isinstance(v, datetime):
-        return utc_ms(v)
-    raise ModelError(f"value {v!r} is outside the value domain")
-
-
 def canonical_bytes(v: Value) -> bytes:
     """Canonical byte encoding used for hashing, dedup, and deterministic order.
 
@@ -243,7 +228,7 @@ NULL_CODE = canonical_bytes(None)
 
 def value_to_json(v: Value) -> Any:
     """JSON form of a value. Timestamps become ISO-8601 ms strings, and a
-    NaN, which is not a value (ensure_value), becomes null."""
+    NaN, which is not a value, becomes null."""
     if isinstance(v, datetime):
         return format_ts(v)
     if isinstance(v, float) and not math.isfinite(v):
@@ -779,8 +764,6 @@ def constraint_verdict(constraint: Threshold | ValueRange | Callable[[dict[str, 
 # ---------------------------------------------------------------------------
 # Meta-stream records
 
-_META_KEYS = ("window_start", "window_end", "key", "check", "value", "ok", "detail")
-
 # The wire encoder of meta and side lines, built once: the bytes of
 # json.dumps(obj, separators=(",", ":"), ensure_ascii=True).
 wire_json = json.JSONEncoder(separators=(",", ":"), ensure_ascii=True).encode
@@ -842,8 +825,7 @@ class MetaRecord:
     violation lists); None means no detail. Engine-generated records use
     check ids with a leading underscore. tail is the rest of the line after
     its prefix (meta_line_tail), rendered from the check's template when the
-    engine made the record (a parsed record has none); to_json_line renders
-    from the fields.
+    engine made the record, else None; to_json_line renders from the fields.
     A record is slotted and mutable, so it is cheap to build (the engine
     builds one per meta line), and, like any mutable record, unhashable.
     """
@@ -862,14 +844,11 @@ class MetaRecord:
         return (self.window_end, canonical_bytes(self.key), self.check_id,
                 _detail_seq(self.detail))
 
-    def to_json_line(self, prefix: str | None = None) -> str:
-        """Fixed-shape wire form; key order is part of the contract. prefix,
-        when given, is this record's meta_line_prefix, rendered once for
-        the records that share it; the rest is rendered from the fields."""
-        if prefix is None:
-            prefix = meta_line_prefix(self.window_start, self.window_end, self.key)
-        return prefix + meta_line_tail(check_lead(self.check_id), self.value, self.ok,
-                                       self.detail)
+    def to_json_line(self) -> str:
+        """Fixed-shape wire form, rendered from the fields; key order is part
+        of the contract."""
+        return (meta_line_prefix(self.window_start, self.window_end, self.key)
+                + meta_line_tail(check_lead(self.check_id), self.value, self.ok, self.detail))
 
 
 def _detail_seq(detail: dict[str, Any] | None) -> int:
@@ -877,25 +856,3 @@ def _detail_seq(detail: dict[str, Any] | None) -> int:
     if detail and isinstance(detail.get("element_ref"), int):
         return detail["element_ref"]
     return -1
-
-
-def meta_record_from_json(line: str) -> MetaRecord:
-    """Parse one wire line back into a MetaRecord (inverse of to_json_line)."""
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ModelError(f"invalid meta record line: {exc}") from None
-    if not isinstance(obj, dict) or tuple(obj.keys()) != _META_KEYS:
-        raise ModelError(f"meta record keys must be exactly {_META_KEYS}")
-    detail = obj["detail"]
-    if detail is not None and not isinstance(detail, dict):
-        raise ModelError("meta record detail must be an object or null")
-    return MetaRecord(
-        window_start=parse_ts(obj["window_start"]),
-        window_end=parse_ts(obj["window_end"]),
-        key=value_from_json(obj["key"]),
-        check_id=str(obj["check"]),
-        value=value_from_json(obj["value"]),
-        ok=bool(obj["ok"]),
-        detail=detail,
-    )

@@ -34,8 +34,6 @@ from .model import (
     NULL_CODE,
     CheckDefinition,
     ColumnSpec,
-    ContextSpec,
-    MeasureSpec,
     MetaRecord,
     Predicate,
     ReferenceTable,
@@ -64,7 +62,7 @@ from .windowing import PaneStore, RouteOutcome, Watermark
 __all__ = [
     "ReferenceTable", "ContextState", "DeadStreamSpec", "FrozenColumnSpec",
     "DetectorSpecs", "InvalidSuite", "SuiteState", "MonitorEngine",
-    "RunStats", "PaneCheck", "relative_volume_check", "window_key_problems",
+    "RunStats", "PaneCheck", "window_key_problems",
 ]
 
 
@@ -589,22 +587,6 @@ def _frozen_column_check(spec: FrozenColumnSpec) -> PaneCheck:
                      {"column": column, "recovered": True}, entries)
             streak[:] = None, 0, False
     return check
-
-
-def relative_volume_check(check_id: str, lo_factor: float, hi_factor: float,
-                          horizon: timedelta, key_by: str | None = None) -> CheckDefinition:
-    """Volume check bounded by factors of the mean pane volume over a horizon.
-
-    The first pane of a series has no history and reports ok (warming).
-    """
-    text = f"value >= {lo_factor!r} * mu_H and value <= {hi_factor!r} * mu_H"
-    return CheckDefinition(
-        id=check_id,
-        measure=MeasureSpec("volume"),
-        constraint=Predicate(text),
-        key_by=key_by,
-        context=ContextSpec(horizon=horizon),
-    )
 
 
 # ---------------------------------------------------------------------------

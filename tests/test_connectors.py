@@ -59,6 +59,9 @@ def test_parse_time_formats():
     assert parse_time("07/05/2015 11:35", "%d/%m/%Y %H:%M") == ts(2015, 5, 7, 11, 35)
     assert parse_time("not a time", "iso") is None
     assert parse_time("nan", "epoch_s") is None
+    assert parse_time(True, "epoch_s") is None and parse_time(False, "epoch_ms") is None
+    assert parse_time(1431000000.7, "epoch_ms") is None
+    assert parse_time(1431000000123.0, "epoch_ms") == parse_time(1431000000123, "epoch_ms")
 
 
 def test_parse_time_truncates_to_ms():
@@ -236,6 +239,24 @@ def test_iter_jsonl_skips_lines_json_cannot_represent(tmp_path):
     out = list(iter_jsonl(str(p), SCHEMA, "t", counters=counters))
     assert [e.attrs["fare"] for e in out] == [1.0]
     assert counters.skipped_bad_time == 2
+
+
+@pytest.mark.parametrize("fmt,kept_ms", [
+    ("epoch_s", [1431000000700, 1431000000000, 1431000000000, 1431000000000, 1431000000700]),
+    ("epoch_ms", [1431000000, 1431000000, 1431000000]),
+])
+def test_jsonl_epoch_event_time_is_never_a_bool_nor_cut_down(tmp_path, fmt, kept_ms):
+    """A JSON bool is not an epoch time, and epoch_ms does not cut a
+    fraction off a number (the CSV text 1431000000.7 does not parse either):
+    each such row is skipped. A whole number reads, as a float too."""
+    cells = [True, False, 1431000000.7, 1431000000, 1431000000.0, "1431000000", "1431000000.7"]
+    p = tmp_path / "in.jsonl"
+    p.write_text("".join(json.dumps({"t": cell}) + "\n" for cell in cells))
+    counters = SourceCounters()
+    out = list(iter_jsonl(str(p), [ColumnSpec("t", "timestamp")], "t", {"t": fmt}, counters))
+    assert [model.epoch_millis(e.event_time) for e in out] == kept_ms
+    assert counters.skipped_bad_time == len(cells) - len(kept_ms)
+    assert counters.parse_failures == {"t": len(cells) - len(kept_ms)}
 
 
 def test_lowercase_z_event_time_is_utc_in_both_sources(tmp_path):

@@ -247,7 +247,6 @@ def test_to_json_line_matches_json_dumps_of_the_full_record():
         r = MetaRecord(start, end, rng.choice(ODD_VALUES), rng.choice(["c", "_late", "é\"x"]),
                        rng.choice(ODD_VALUES), rng.choice([True, False]), detail)
         assert r.to_json_line() == old_line(r)
-        assert r.to_json_line(meta_line_prefix(start, end, r.key)) == old_line(r)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from streamqc.connectors import SourceCounters, iter_csv, parse_time
+from streamqc.connectors import SourceCounters, iter_csv, iter_jsonl, parse_time
 from streamqc.measures import (
     MEASURES,
     REQUIRED,
@@ -22,7 +22,7 @@ from streamqc.measures import (
     _numbers,
     apply_measure,
     elem_checker_for,
-    validate_measure,
+    parse_measure,
 )
 from streamqc.model import (
     CheckDefinition,
@@ -449,13 +449,13 @@ def test_type_check_timestamp_formats():
     assert got == 0.5
 
 
-# Cells that a CSV source rejects as timestamps under the format: padded
-# ISO text, epoch text or numbers that are not finite or lie past the
-# timestamp range, and fractional epoch_ms text.
+# Cells that a source rejects as timestamps under the format: padded ISO
+# text, epoch text or numbers that are not finite or lie past the timestamp
+# range, fractional epoch_ms text or numbers, and bools.
 REJECTED_TIMESTAMPS = [(" 2015-05-07T11:00:00Z", "iso"), ("1.5", "epoch_ms"),
-                       ("1431000000.5", "epoch_ms")] + [
+                       ("1431000000.5", "epoch_ms"), (1431000000.7, "epoch_ms")] + [
     (cell, fmt) for fmt in ("epoch_s", "epoch_ms")
-    for cell in ("nan", "inf", "-inf", "1e300", math.inf, 1e300, 10 ** 30)]
+    for cell in ("nan", "inf", "-inf", "1e300", math.inf, 1e300, 10 ** 30, True, False)]
 
 
 def type_verdict(cell, expected, formats=("iso",)):
@@ -491,6 +491,7 @@ TYPE_GRID = [
     ("", {"text"}), ("true", {"bool", "text"}), ("FALSE", {"bool", "text"}), ("x", {"text"}),
     (math.inf, {"float"}), (1e300, {"float"}), (10 ** 30, {"int", "float"}), (7, {"int", "float"}),
     (1.5, {"float"}), (True, {"bool"}), (False, {"bool"}), (ts(2015, 5, 7), set()),
+    (10 ** 400, {"int"}),
 ]
 
 
@@ -509,14 +510,19 @@ TEXT_GRID = [cell for cell, _ in REJECTED_TIMESTAMPS + TYPE_GRID if isinstance(c
 
 
 def source_reads(cells, type_name, fmt, path):
-    """Per cell: whether iter_csv over a CSV holding the cells in a column
-    of that type and format yields a non-Null value with no parse failure."""
+    """Per cell: whether a source holding the cells in a column of that type
+    and format yields a non-Null value with no parse failure: iter_jsonl
+    when path ends in .jsonl, else iter_csv."""
+    jsonl = path.endswith(".jsonl")
     with open(path, "w", encoding="utf-8", newline="") as fp:
-        csv.writer(fp).writerows([["t", "c"]] + [["2015-05-07T11:00:00Z", c] for c in cells])
+        if jsonl:
+            fp.writelines(json.dumps({"t": "2015-05-07T11:00:00Z", "c": c}) + "\n" for c in cells)
+        else:
+            csv.writer(fp).writerows([["t", "c"]] + [["2015-05-07T11:00:00Z", c] for c in cells])
     counters = SourceCounters()
     schema = [ColumnSpec("t", "timestamp"), ColumnSpec("c", type_name, nullable=True)]
     reads, failed = [], 0
-    for e in iter_csv(path, schema, "t", {"c": fmt}, counters):
+    for e in (iter_jsonl if jsonl else iter_csv)(path, schema, "t", {"c": fmt}, counters):
         now = counters.parse_failures.get("c", 0)
         reads.append(e.attrs["c"] is not None and now == failed)
         failed = now
@@ -537,6 +543,31 @@ def test_type_check_agrees_with_the_csv_source(drawn):
     with tempfile.TemporaryDirectory() as tmp:
         for type_name, fmt in DIFFERENTIAL_FORMATS:
             reads = source_reads(cells, type_name, fmt, str(Path(tmp) / "cells.csv"))
+            verdicts = [type_verdict(cell, type_name, [fmt]) for cell in cells]
+            assert verdicts == reads, [(c, v) for c, v, r in zip(cells, verdicts, reads)
+                                       if v != r][:5]
+
+
+# JSON values of each kind but Null, which type_check leaves to null_verdict;
+# a NaN is Null before any check sees it.
+JSON_GRID = [True, False, 0, 7, -3, 10 ** 30, 10 ** 400, 1.5, 7.0, -0.0, 1e300, math.inf,
+             -math.inf, 1431000000, 1431000000.5, 1431000000.0, 1431000000123, 253402300800000,
+             [1], {"a": 1}]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.one_of(st.booleans(), st.integers(), st.floats(allow_nan=False),
+                          st.text(max_size=12)), max_size=20))
+def test_type_check_agrees_with_the_jsonl_source(drawn):
+    """type_check's verdict on a JSON value is whether a JSONL source reads
+    the value as a non-Null value of the type, under the format. Text is
+    compared for timestamps and text only: a JSONL source reads no text as
+    an int, float or bool, while type_check reads it by the CSV rule."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for type_name, fmt in DIFFERENTIAL_FORMATS:
+            cells = [c for c in JSON_GRID + TEXT_GRID + drawn
+                     if type_name in ("timestamp", "text") or not isinstance(c, str)]
+            reads = source_reads(cells, type_name, fmt, str(Path(tmp) / "cells.jsonl"))
             verdicts = [type_verdict(cell, type_name, [fmt]) for cell in cells]
             assert verdicts == reads, [(c, v) for c, v, r in zip(cells, verdicts, reads)
                                        if v != r][:5]
@@ -714,26 +745,26 @@ def test_every_registered_measure_has_empty_expectation():
 
 def test_validate_measure_catches_problems():
     columns = {"fare": "float", "zone": "text", "t": "timestamp"}
-    assert validate_measure(MeasureSpec("mean", {"column": "fare"}), columns) == []
-    assert validate_measure(MeasureSpec("nope", {}), columns)
-    assert validate_measure(MeasureSpec("mean", {"column": "missing"}), columns)
-    assert validate_measure(MeasureSpec("mean", {"column": "fare", "bogus": 1}), columns)
-    assert validate_measure(MeasureSpec("mean", {"column": "zone"}), columns)  # not numeric
-    assert validate_measure(MeasureSpec("z_outlier_count", {"column": "fare", "z": -1}), columns)
-    assert validate_measure(MeasureSpec("heavy_hitters", {"column": "zone", "phi": 1.5}), columns)
-    assert validate_measure(MeasureSpec("percentiles", {"column": "fare", "points": []}), columns)
-    assert validate_measure(MeasureSpec("in_set", {"column": "zone", "allowed": []}), columns)
-    assert validate_measure(MeasureSpec("matches_pattern", {"column": "zone", "pattern": "("}),
-                            columns)
-    assert validate_measure(MeasureSpec("conforms", {"expression": "fare >"}), columns)
-    assert validate_measure(MeasureSpec("conforms", {"expression": "ghost > 0"}), columns)
-    assert validate_measure(MeasureSpec("valid_range", {"column": "fare"}), columns)  # no bound
-    assert validate_measure(MeasureSpec("valid_range", {"column": "fare", "lo": "low"}), columns)
+    assert parse_measure(MeasureSpec("mean", {"column": "fare"}), columns)[1] == []
+    assert parse_measure(MeasureSpec("nope", {}), columns)[1]
+    assert parse_measure(MeasureSpec("mean", {"column": "missing"}), columns)[1]
+    assert parse_measure(MeasureSpec("mean", {"column": "fare", "bogus": 1}), columns)[1]
+    assert parse_measure(MeasureSpec("mean", {"column": "zone"}), columns)[1]  # not numeric
+    assert parse_measure(MeasureSpec("z_outlier_count", {"column": "fare", "z": -1}), columns)[1]
+    assert parse_measure(MeasureSpec("heavy_hitters", {"column": "zone", "phi": 1.5}), columns)[1]
+    assert parse_measure(MeasureSpec("percentiles", {"column": "fare", "points": []}), columns)[1]
+    assert parse_measure(MeasureSpec("in_set", {"column": "zone", "allowed": []}), columns)[1]
+    assert parse_measure(MeasureSpec("matches_pattern", {"column": "zone", "pattern": "("}),
+                         columns)[1]
+    assert parse_measure(MeasureSpec("conforms", {"expression": "fare >"}), columns)[1]
+    assert parse_measure(MeasureSpec("conforms", {"expression": "ghost > 0"}), columns)[1]
+    assert parse_measure(MeasureSpec("valid_range", {"column": "fare"}), columns)[1]  # no bound
+    assert parse_measure(MeasureSpec("valid_range", {"column": "fare", "lo": "low"}), columns)[1]
 
 
 def test_underscore_params_are_rejected():
-    assert validate_measure(MeasureSpec("conforms", {"expression": "fare > 0", "_expr": 1}),
-                            {"fare": "float"})
+    assert parse_measure(MeasureSpec("conforms", {"expression": "fare > 0", "_expr": 1}),
+                         {"fare": "float"})[1]
 
 
 TYPED_COLUMNS = {"n": "float", "i": "int", "s": "text", "ts": "timestamp", "ts2": "timestamp",
@@ -788,7 +819,7 @@ def test_full_specs_cover_every_declared_parameter():
     assert set(FULL_SPECS) == set(MEASURES)
     for mid, params in FULL_SPECS.items():
         assert set(params) == set(MEASURES[mid].params), mid
-        assert validate_measure(MeasureSpec(mid, params), TYPED_COLUMNS) == [], mid
+        assert parse_measure(MeasureSpec(mid, params), TYPED_COLUMNS)[1] == [], mid
 
 
 @pytest.mark.parametrize("mid", sorted(FULL_SPECS))
@@ -801,7 +832,7 @@ def test_wrong_json_types_are_errors_or_build_never_crash(mid):
     for name in MEASURES[mid].params:
         for wrong in WRONG_VALUES:
             params = {**FULL_SPECS[mid], name: wrong}
-            errors = validate_measure(MeasureSpec(mid, params), TYPED_COLUMNS)
+            errors = parse_measure(MeasureSpec(mid, params), TYPED_COLUMNS)[1]
             if errors:
                 assert any(f"'{name}'" in e for e in errors), (name, wrong, errors)
                 with pytest.raises(ValueError, match="invalid suite"):

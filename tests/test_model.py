@@ -25,11 +25,9 @@ from streamqc.model import (
     comparator,
     constraint_verdict,
     epoch_millis,
-    ensure_value,
     format_duration,
     format_ts,
     from_epoch_millis,
-    meta_record_from_json,
     parse_duration,
     parse_ts,
     ts,
@@ -184,13 +182,6 @@ def test_value_type_names():
     assert value_type(3.0) == "float"
     assert value_type("3") == "text"
     assert value_type(ts(2020, 1, 1)) == "timestamp"
-
-
-def test_ensure_value_nan_becomes_null():
-    assert ensure_value(float("nan")) is None
-    assert ensure_value(float("inf")) == float("inf")
-    with pytest.raises(ModelError):
-        ensure_value([1, 2])
 
 
 def test_canonical_bytes_separates_types():
@@ -501,14 +492,6 @@ def test_meta_record_wire_key_order_and_shape():
     assert '"2015-05-07T11:35:00.000Z"' in line
 
 
-def test_meta_record_json_round_trip():
-    r = MetaRecord(window_start=ts(2015, 5, 7, 11, 35),
-                   window_end=ts(2015, 5, 7, 11, 40),
-                   key="zone-A", check_id="c1", value=None, ok=False,
-                   detail={"element_ref": 7})
-    assert meta_record_from_json(r.to_json_line()) == r
-
-
 def test_meta_record_equality_and_repr_ignore_the_tail():
     r = MetaRecord(ts(2015, 5, 7, 11, 35), ts(2015, 5, 7, 11, 40), "k", "c1", 0.5, True,
                    None, "rendered tail")
@@ -522,11 +505,6 @@ def test_meta_record_equality_and_repr_ignore_the_tail():
         "window_start", "window_end", "key", "check_id", "value", "ok", "detail", "tail"]
     with pytest.raises(TypeError):  # mutable, so unhashable
         hash(r)
-
-
-def test_meta_record_from_json_rejects_wrong_keys():
-    with pytest.raises(ModelError):
-        meta_record_from_json('{"window_start":"2015-05-07T11:35:00.000Z"}')
 
 
 def test_meta_record_order_key_sorts_elements_after_window():

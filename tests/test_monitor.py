@@ -37,7 +37,6 @@ from streamqc.monitor import (
     MonitorEngine,
     ReferenceTable,
     SuiteState,
-    relative_volume_check,
 )
 from streamqc.windowing import PaneStore, Watermark
 
@@ -379,7 +378,11 @@ def test_window_never_sees_itself_in_context():
 
 
 def test_relative_volume_check_builder():
-    check = relative_volume_check("vol_band", 0.5, 2.0, horizon=timedelta(minutes=2))
+    # A volume band relative to the horizon's mean pane volume, as a config writes it.
+    check = CheckDefinition(
+        id="vol_band", measure=MeasureSpec("volume"),
+        constraint=Predicate("value >= 0.5 * mu_H and value <= 2.0 * mu_H"),
+        context=ContextSpec(horizon=timedelta(minutes=2)))
     st = suite([check])
     seq = 0
     results = []

@@ -1,9 +1,11 @@
-"""Every module-level import in the package is read, and goes down a layer.
+"""Every module-level import in the package is read, and goes down a layer;
+every name a module exports is bound.
 
-A deletion can leave an import that nothing reads behind; this finds it by
-walking each module's syntax tree, with the standard library only. A name
-counts as read when the module loads it anywhere, or lists it in __all__
-(a re-export). `from __future__` imports are directives, not names.
+A deletion can leave an import that nothing reads behind, or an __all__
+entry that names nothing; this finds both by walking each module's syntax
+tree, with the standard library only. A name counts as read when the module
+loads it anywhere, or lists it in __all__ (a re-export). `from __future__`
+imports are directives, not names.
 
 The modules form layers (LAYERS), and a module imports only from modules
 of lower layers, so the package has no import cycle.
@@ -51,6 +53,40 @@ def test_every_module_level_import_is_read():
     unused = {path.name: found for path in modules
               if (found := unused_imports(path.read_text(encoding="utf-8")))}
     assert unused == {}
+
+
+def unbound_exports(source: str) -> list[str]:
+    """The names a module's __all__ lists that its top level does not bind
+    (by an import, a def, a class or an assignment), each of which breaks
+    `from module import *`."""
+    tree = ast.parse(source)
+    bound: set[str] = set()
+    exported: list[str] = []
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+            if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+                exported += ast.literal_eval(node.value)
+    return [name for name in exported if name not in bound]
+
+
+def test_the_export_check_finds_a_name_nothing_binds():
+    source = ("import os.path\nfrom json import dumps as encode\nA, (B, C) = 1, (2, 3)\n"
+              "D: int = 4\ndef f():\n    G = 1\nclass H:\n    pass\n"
+              "__all__ = ['os', 'encode', 'A', 'B', 'C', 'D', 'f', 'H', 'dumps', 'G']\n")
+    assert unbound_exports(source) == ["dumps", "G"]
+
+
+def test_every_exported_name_is_bound():
+    modules = sorted(PACKAGE.glob("*.py"))
+    unbound = {path.name: found for path in modules
+               if (found := unbound_exports(path.read_text(encoding="utf-8")))}
+    assert unbound == {}
 
 
 # The package's modules, lowest layer first. A module of one layer imports
