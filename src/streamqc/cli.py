@@ -214,7 +214,7 @@ def _cmd_generate(args) -> int:
         duration = parse_duration(obj["duration"])
         rows = generate_stream(
             args.out, args.manifest,
-            seed=int(obj["seed"]),
+            seed=obj["seed"],
             start=start,
             rate_per_sec=float(obj["rate_per_sec"]),
             duration=duration,

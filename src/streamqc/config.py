@@ -1,23 +1,44 @@
 """Suite configuration: strict JSON parsing, normalization, the suite build.
 
-A config file is a single JSON object. Unknown keys are rejected everywhere,
-at every nesting level, so typos fail loudly instead of silently disabling a
-check. parse_config aggregates every shape problem it can find; semantic
-problems (measure parameters, constraint typing, reference wiring) are
-reported by build_suite, which loads the files the config names.
+A config file is a single JSON object. Each of its sections (the root, a
+source and its schema columns, the window, a check and its constraint,
+context and reference, a reference table, the detectors, the sinks and the
+engine) is a parameter table, run through measures.parse_fields: the loop
+that parses a measure spec. So unknown keys are rejected at every nesting
+level, and typos fail loudly instead of silently disabling a check; an
+optional key given as null is absent; and every value's shape is checked.
+A table checks only shapes: a domain rule that a model constructor or the
+suite build enforces stays there. The code here keeps the rules that span
+fields.
+
+parse_config reports every problem of a level in one pass, each as
+`path: message`. A level's problems stop the levels below it, while every
+root section is still parsed. Semantic problems (measure parameters,
+constraint typing, reference wiring) are reported by build_suite, which
+loads the files the config names.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 from . import connectors
+from .measures import (
+    Param,
+    _Bad,
+    _choice,
+    _flag,
+    _list,
+    _number,
+    _scalar,
+    parse_fields,
+)
 from .model import (
     CheckDefinition,
     ColumnSpec,
@@ -34,7 +55,6 @@ from .model import (
     element_order,
     parse_duration,
     parse_ts,
-    value_from_json,
 )
 from .monitor import (
     DeadStreamSpec,
@@ -109,389 +129,230 @@ class SuiteConfig:
 
 
 # ---------------------------------------------------------------------------
-# Parsing helpers
+# Value parsers, beside the measure parameter parsers they join. Each takes
+# the raw JSON value (and the unused schema argument of a parser) and
+# returns the parsed value, or raises _Bad with text that follows the key.
 
 
-class _Errors:
-    def __init__(self):
-        self.messages: list[str] = []
-
-    def add(self, where: str, msg: str) -> None:
-        self.messages.append(f"{where}: {msg}")
-
-
-def _obj(raw: Any, where: str, errs: _Errors) -> dict | None:
-    if not isinstance(raw, dict):
-        errs.add(where, f"expected an object, got {type(raw).__name__}")
-        return None
-    return raw
-
-
-def _keys(obj: dict, where: str, errs: _Errors, *, required: tuple[str, ...] = (),
-          optional: tuple[str, ...] = ()) -> bool:
-    ok = True
-    allowed = set(required) | set(optional)
-    for key in obj:
-        if key not in allowed:
-            errs.add(where, f"unknown key {key!r} (allowed: {sorted(allowed)})")
-            ok = False
-    for key in required:
-        if key not in obj:
-            errs.add(where, f"missing required key {key!r}")
-            ok = False
-    return ok
-
-
-def _duration(raw: Any, where: str, errs: _Errors) -> timedelta | None:
-    try:
-        return parse_duration(raw)
-    except (ModelError, TypeError) as exc:
-        errs.add(where, str(exc))
-        return None
-
-
-def _string(raw: Any, where: str, errs: _Errors) -> str | None:
+def _text(raw, columns) -> str:
     if not isinstance(raw, str) or not raw:
-        errs.add(where, "expected a non-empty string")
-        return None
+        raise _Bad("must be a non-empty string")
     return raw
+
+
+def _object(raw, columns) -> dict:
+    """A JSON object; a nested section's is parsed by its table one level down."""
+    if not isinstance(raw, dict):
+        raise _Bad("must be an object")
+    return raw
+
+
+def _model(parse: Callable[[Any], Any]):
+    """A model parser as a value parser: its ModelError is the problem."""
+    def parsed(raw, columns):
+        try:
+            return parse(raw)
+        except ModelError as exc:
+            raise _Bad(str(exc)) from None
+    return parsed
+
+
+_DURATION = _model(parse_duration)
+_TIMESTAMP = _model(parse_ts)
+
+
+def _address(raw, columns) -> str:
+    """A socket address that connectors.parse_address accepts."""
+    try:
+        connectors.parse_address(_text(raw, columns))
+    except connectors.SourceError as exc:
+        raise _Bad(str(exc)) from None
+    return raw
+
+
+def _sink(raw, columns) -> str:
+    """A sink destination: a file, -, or a tcp:// socket address."""
+    return _address(raw, columns) if _text(raw, columns).startswith("tcp://") else raw
+
+
+def _formats(raw, columns) -> dict[str, str]:
+    """Timestamp formats by column name (the source checks the names)."""
+    for name, fmt in _object(raw, columns).items():
+        if not isinstance(fmt, str):
+            raise _Bad(f"format for {name!r} must be a string")
+    return dict(raw)
+
+
+def _pair(item):
+    """A two-item JSON list, each item parsed by item."""
+    items = _list(item)
+
+    def parse(raw, columns):
+        pair = items(raw, columns)
+        if len(pair) != 2:
+            raise _Bad("must be a two-item list")
+        return pair
+    return parse
+
+
+def _measure(raw, columns) -> MeasureSpec:
+    """{"id": ..., <parameters>}; the suite build parses the parameters."""
+    params = dict(_object(raw, columns))
+    measure_id = params.pop("id", None)
+    if not isinstance(measure_id, str) or not measure_id:
+        raise _Bad("needs an 'id' that is a non-empty string")
+    return MeasureSpec(measure_id, params)
+
+
+_REPLAY = {"mode": Param(_choice("scaled")),
+           "factor": Param(_number("a positive number", lambda f: 0 < f <= sys.float_info.max),
+                           1.0)}
+
+
+def _replay(raw, columns) -> tuple[str, float]:
+    """"fast", or {"mode": "scaled", "factor": ...}: the mode and the factor."""
+    if raw == "fast":
+        return "fast", 1.0
+    if not isinstance(raw, dict):
+        raise _Bad("must be 'fast' or an object {mode, factor}")
+    values, problems = parse_fields(raw, _REPLAY, columns)
+    if problems:
+        raise _Bad("; ".join(f"{key} {text}" if key else text for key, text in problems))
+    return "scaled", float(values["factor"])
 
 
 # ---------------------------------------------------------------------------
-# Section parsers
+# The sections' tables
 
 
-_SOURCE_KINDS = ("csv", "jsonl", "socket")
+_ROOT = {"source": Param(_object), "window": Param(_object),
+         "checks": Param(_list(_object, nonempty=True)),
+         "secondary_source": Param(_object, None), "references": Param(_list(_object), []),
+         "detectors": Param(_object, {}), "sinks": Param(_object, {}),
+         "engine": Param(_object, {})}
+_SOURCE = {"kind": Param(_choice("csv", "jsonl", "socket")), "event_time": Param(_text),
+           "schema": Param(_list(_object, nonempty=True)), "path": Param(_text, None),
+           "address": Param(_address, None), "formats": Param(_formats, {}),
+           "watermark_delay": Param(_DURATION, 0), "replay": Param(_replay, "fast")}
+_SECONDARY_SOURCE = {**{key: param for key, param in _SOURCE.items()
+                        if key not in ("watermark_delay", "replay")},
+                     "kind": Param(_choice("csv", "jsonl"))}
+_COLUMN = {"name": Param(_text), "type": Param(_text), "nullable": Param(_flag, True)}
+_WINDOW = {"kind": Param(_text), "duration": Param(_DURATION, None),
+           "slide": Param(_DURATION, None), "gap": Param(_DURATION, None),
+           "allowed_lateness": Param(_DURATION, 0),
+           "origin": Param(_TIMESTAMP, "1970-01-01T00:00:00Z"), "key_by": Param(_text, None)}
+_CHECK = {"id": Param(_text), "measure": Param(_measure), "constraint": Param(_object),
+          "key_by": Param(_text, None), "context": Param(_object, None),
+          "reference": Param(_object, None), "emit_per_element": Param(_flag, False),
+          "null_verdict": Param(_text, "fail")}
+_THRESHOLD = {"op": Param(_text), "bound": Param(_scalar)}
+_RANGE = {"range": Param(_pair(_scalar)), "inclusive": Param(_pair(_flag), [True, True])}
+_PREDICATE = {"predicate": Param(_text)}
+_CONTEXT = {"horizon": Param(_DURATION),
+            "statistics": Param(_list(_text), list(ContextSpec.statistics))}
+_REFERENCE = {"table": Param(_text), "key": Param(_text)}
+_REFERENCE_ITEM = {"id": Param(_text), "path": Param(_text), "key": Param(_text)}
+_DETECTORS = {"dead": Param(_object, None), "frozen": Param(_list(_object), [])}
+_DEAD = {"threshold": Param(_DURATION), "restart": Param(_text, "auto")}
+_FROZEN = {"column": Param(_text),
+           "windows": Param(_number("an integer", lambda n: True, integer=True)),
+           "key_by": Param(_text, None)}
+_SINKS = {"meta": Param(_sink, None), "side": Param(_sink, None)}
+_ENGINE = {"hash_seed": Param(_number("an integer in [0, 2^64)", lambda s: 0 <= s < 2 ** 64,
+                                      integer=True), None)}
+
+# A constraint's form, by the first of these keys it has: its table and
+# what its parsed values make.
+_CONSTRAINTS = {
+    "predicate": (_PREDICATE, lambda predicate: Predicate(predicate)),
+    "range": (_RANGE, lambda range, inclusive: ValueRange(*range, *inclusive)),
+    "op": (_THRESHOLD, Threshold),
+}
 
 
-def _parse_source(raw: Any, where: str, errs: _Errors, *, secondary: bool) -> SourceConfig | None:
-    obj = _obj(raw, where, errs)
-    if obj is None:
+# ---------------------------------------------------------------------------
+# Sections
+
+
+def _section(raw: dict, where: str, table: dict[str, Param], make: Callable[..., Any],
+             problems: list[str]) -> Any:
+    """make(**values) of raw run through table, or None. Each problem is
+    recorded as `where.key: text` or `where: text`; a level with problems
+    of its own is not made, and a ModelError of make is a problem too."""
+    values, found = parse_fields(raw, table, None)
+    problems.extend(f"{where}.{key}: {text}" if key else f"{where}: {text}"
+                    for key, text in found)
+    if found:
         return None
-    optional = ("path", "address", "formats")
-    if not secondary:
-        optional += ("watermark_delay", "replay")
-    if not _keys(obj, where, errs, required=("kind", "event_time", "schema"), optional=optional):
+    try:
+        return make(**values)
+    except ModelError as exc:
+        problems.append(f"{where}: {exc}")
         return None
-    kind = obj["kind"]
-    if kind not in _SOURCE_KINDS:
-        errs.add(where, f"kind must be one of {_SOURCE_KINDS}, got {kind!r}")
-        return None
-    if secondary and kind == "socket":
-        errs.add(where, "a secondary source cannot be a socket")
-        return None
-    path = address = None
-    if kind == "socket":
-        address = _string(obj.get("address"), f"{where}.address", errs)
-        if address is not None:
-            _check_address(address, f"{where}.address", errs)
-        if "path" in obj:
-            errs.add(where, "socket sources take 'address', not 'path'")
-    else:
-        path = _string(obj.get("path"), f"{where}.path", errs)
-        if "address" in obj:
-            errs.add(where, "file sources take 'path', not 'address'")
 
-    schema: list[ColumnSpec] = []
-    raw_schema = obj.get("schema")
-    if not isinstance(raw_schema, list) or not raw_schema:
-        errs.add(f"{where}.schema", "expected a non-empty array of column objects")
-    else:
-        for i, col in enumerate(raw_schema):
-            cwhere = f"{where}.schema[{i}]"
-            cobj = _obj(col, cwhere, errs)
-            if cobj is None:
-                continue
-            if not _keys(cobj, cwhere, errs, required=("name", "type"), optional=("nullable",)):
-                continue
-            try:
-                schema.append(ColumnSpec(name=cobj["name"], type=cobj["type"],
-                                         nullable=cobj.get("nullable", True)))
-            except (ModelError, TypeError) as exc:
-                errs.add(cwhere, str(exc))
 
-    event_time = _string(obj.get("event_time"), f"{where}.event_time", errs)
-    names = {c.name for c in schema}
-    if event_time is not None and schema:
-        col = next((c for c in schema if c.name == event_time), None)
-        if col is None:
-            errs.add(where, f"event_time column {event_time!r} is not in the schema")
-        elif col.type != "timestamp":
-            errs.add(where, f"event_time column {event_time!r} must have type timestamp")
+def _source(raw: dict, where: str, table: dict[str, Param],
+            problems: list[str]) -> SourceConfig | None:
+    def make(kind, schema, formats, replay=("fast", 1.0), **fields):
+        before = len(problems)
+        columns = [_section(col, f"{where}.schema[{i}]", _COLUMN, ColumnSpec, problems)
+                   for i, col in enumerate(schema)]
+        given, other = ("address", "path") if kind == "socket" else ("path", "address")
+        if fields[given] is None:
+            problems.append(f"{where}: missing required key {given!r} for kind {kind!r}")
+        if fields[other] is not None:
+            problems.append(f"{where}: {kind} sources take {given!r}, not {other!r}")
+        if None not in columns:
+            types = {col.name: col.type for col in columns}
+            event_time = fields["event_time"]
+            if event_time not in types:
+                problems.append(f"{where}: event_time column {event_time!r} is not in the schema")
+            elif types[event_time] != "timestamp":
+                problems.append(f"{where}: event_time column {event_time!r} "
+                                f"must have type timestamp")
+            problems.extend(f"{where}.formats: unknown column {name!r}"
+                            for name in formats if name not in types)
+        if len(problems) == before:
+            return SourceConfig(kind=kind, schema=tuple(columns), formats=formats,
+                                replay_mode=replay[0], replay_factor=replay[1], **fields)
+    return _section(raw, where, table, make, problems)
 
-    formats: dict[str, str] = {}
-    if "formats" in obj:
-        fobj = _obj(obj["formats"], f"{where}.formats", errs)
-        if fobj is not None:
-            for name, fmt in fobj.items():
-                if name not in names:
-                    errs.add(f"{where}.formats", f"unknown column {name!r}")
-                elif not isinstance(fmt, str):
-                    errs.add(f"{where}.formats", f"format for {name!r} must be a string")
-                else:
-                    formats[name] = fmt
 
-    delay = timedelta(0)
-    if "watermark_delay" in obj:
-        delay = _duration(obj["watermark_delay"], f"{where}.watermark_delay", errs) or timedelta(0)
+def _window(key_by, **spec) -> tuple[WindowSpec, str | None]:
+    return WindowSpec(**spec), key_by
 
-    replay_mode, replay_factor = "fast", 1.0
-    if "replay" in obj:
-        rep = obj["replay"]
-        if rep == "fast":
-            pass
-        elif isinstance(rep, dict):
-            if _keys(rep, f"{where}.replay", errs, required=("mode",), optional=("factor",)):
-                if rep["mode"] != "scaled":
-                    errs.add(f"{where}.replay", "mode must be 'fast' or 'scaled'")
-                else:
-                    replay_mode = "scaled"
-                    factor = rep.get("factor", 1.0)
-                    if not isinstance(factor, (int, float)) or isinstance(factor, bool) \
-                            or not 0 < factor < math.inf:
-                        errs.add(f"{where}.replay", "factor must be a positive number")
-                    else:
-                        replay_factor = float(factor)
+
+def _check(raw: dict, where: str, problems: list[str]) -> CheckDefinition | None:
+    def make(constraint, context, reference, **fields):
+        form = next((key for key in _CONSTRAINTS if key in constraint), None)
+        if form is None:
+            problems.append(f"{where}.constraint: needs 'op', 'range', or 'predicate'")
         else:
-            errs.add(f"{where}.replay", "expected 'fast' or {mode, factor}")
-
-    if errs.messages:
-        # Shape errors above may have left holes; only build a complete source.
-        if event_time is None or (path is None and address is None) or not schema:
-            return None
-    return SourceConfig(kind=kind, event_time=event_time, schema=tuple(schema),
-                        path=path, address=address, formats=formats,
-                        watermark_delay=delay, replay_mode=replay_mode,
-                        replay_factor=replay_factor)
-
-
-def _parse_window(raw: Any, errs: _Errors) -> tuple[WindowSpec | None, str | None]:
-    obj = _obj(raw, "window", errs)
-    if obj is None:
-        return None, None
-    if not _keys(obj, "window", errs, required=("kind",),
-                 optional=("duration", "slide", "gap", "allowed_lateness", "origin", "key_by")):
-        return None, None
-    kwargs: dict[str, Any] = {"kind": obj.get("kind")}
-    for name in ("duration", "slide", "gap", "allowed_lateness"):
-        if name in obj:
-            value = _duration(obj[name], f"window.{name}", errs)
-            if value is None:
-                return None, None
-            kwargs[name] = value
-    if "origin" in obj:
-        try:
-            kwargs["origin"] = parse_ts(obj["origin"])
-        except (ModelError, TypeError) as exc:
-            errs.add("window.origin", str(exc))
-            return None, None
-    key_by = None
-    if obj.get("key_by") is not None:
-        key_by = _string(obj["key_by"], "window.key_by", errs)
-    try:
-        return WindowSpec(**kwargs), key_by
-    except (ModelError, TypeError) as exc:
-        errs.add("window", str(exc))
-        return None, key_by
+            constraint = _section(constraint, f"{where}.constraint", *_CONSTRAINTS[form],
+                                  problems)
+        if context is not None:
+            context = _section(context, f"{where}.context", _CONTEXT, ContextSpec, problems)
+        if reference is not None:
+            reference = _section(reference, f"{where}.reference", _REFERENCE,
+                                 lambda table, key: ReferenceSpec(table, key), problems)
+        return CheckDefinition(constraint=constraint, context=context, reference=reference,
+                               **fields)
+    return _section(raw, where, _CHECK, make, problems)
 
 
-def _parse_constraint(raw: Any, where: str, errs: _Errors):
-    obj = _obj(raw, where, errs)
-    if obj is None:
-        return None
-    if "predicate" in obj:
-        if not _keys(obj, where, errs, required=("predicate",)):
-            return None
-        text = _string(obj["predicate"], f"{where}.predicate", errs)
-        return Predicate(text) if text is not None else None
-    if "range" in obj:
-        if not _keys(obj, where, errs, required=("range",), optional=("inclusive",)):
-            return None
-        bounds = obj["range"]
-        if not isinstance(bounds, list) or len(bounds) != 2:
-            errs.add(where, "range must be a two-element array [lo, hi]")
-            return None
-        inclusive = obj.get("inclusive", [True, True])
-        if (not isinstance(inclusive, list) or len(inclusive) != 2
-                or not all(isinstance(b, bool) for b in inclusive)):
-            errs.add(where, "inclusive must be a two-element array of booleans")
-            return None
-        try:
-            return ValueRange(value_from_json(bounds[0]), value_from_json(bounds[1]),
-                              inclusive[0], inclusive[1])
-        except (ModelError, TypeError) as exc:
-            errs.add(where, str(exc))
-            return None
-    if "op" in obj:
-        if not _keys(obj, where, errs, required=("op", "bound")):
-            return None
-        try:
-            return Threshold(obj["op"], value_from_json(obj["bound"]))
-        except (ModelError, TypeError) as exc:
-            errs.add(where, str(exc))
-            return None
-    errs.add(where, "constraint needs 'op', 'range', or 'predicate'")
-    return None
+def _detectors(raw: dict, where: str, problems: list[str]) -> DetectorSpecs | None:
+    def make(dead, frozen):
+        if dead is not None:
+            dead = _section(dead, f"{where}.dead", _DEAD, DeadStreamSpec, problems)
+        return DetectorSpecs(dead=dead, frozen=tuple(
+            _section(item, f"{where}.frozen[{i}]", _FROZEN, FrozenColumnSpec, problems)
+            for i, item in enumerate(frozen)))
+    return _section(raw, where, _DETECTORS, make, problems)
 
 
-def _parse_check(raw: Any, index: int, errs: _Errors) -> CheckDefinition | None:
-    where = f"checks[{index}]"
-    obj = _obj(raw, where, errs)
-    if obj is None:
-        return None
-    if not _keys(obj, where, errs, required=("id", "measure", "constraint"),
-                 optional=("key_by", "context", "reference", "emit_per_element", "null_verdict")):
-        return None
-    check_id = _string(obj["id"], f"{where}.id", errs)
-    mobj = _obj(obj["measure"], f"{where}.measure", errs)
-    measure = None
-    if mobj is not None:
-        mid = _string(mobj.get("id"), f"{where}.measure.id", errs)
-        if mid is not None:
-            params = {k: v for k, v in mobj.items() if k != "id"}
-            measure = MeasureSpec(id=mid, params=params)
-    constraint = _parse_constraint(obj["constraint"], f"{where}.constraint", errs)
-
-    key_by = None
-    if obj.get("key_by") is not None:
-        key_by = _string(obj["key_by"], f"{where}.key_by", errs)
-
-    context = None
-    if "context" in obj:
-        cobj = _obj(obj["context"], f"{where}.context", errs)
-        if cobj is not None and _keys(cobj, f"{where}.context", errs,
-                                      required=("horizon",), optional=("statistics",)):
-            horizon = _duration(cobj["horizon"], f"{where}.context.horizon", errs)
-            stats = cobj.get("statistics")
-            if horizon is not None:
-                try:
-                    if stats is None:
-                        context = ContextSpec(horizon=horizon)
-                    else:
-                        context = ContextSpec(horizon=horizon, statistics=tuple(stats))
-                except (ModelError, TypeError) as exc:
-                    errs.add(f"{where}.context", str(exc))
-
-    reference = None
-    if "reference" in obj:
-        robj = _obj(obj["reference"], f"{where}.reference", errs)
-        if robj is not None and _keys(robj, f"{where}.reference", errs,
-                                      required=("table", "key")):
-            table = _string(robj["table"], f"{where}.reference.table", errs)
-            key_expr = _string(robj["key"], f"{where}.reference.key", errs)
-            if table is not None and key_expr is not None:
-                reference = ReferenceSpec(table=table, key_expr=key_expr)
-
-    emit = obj.get("emit_per_element", False)
-    if not isinstance(emit, bool):
-        errs.add(where, "emit_per_element must be a boolean")
-        emit = False
-    null_verdict = obj.get("null_verdict", "fail")
-
-    if check_id is None or measure is None or constraint is None:
-        return None
-    try:
-        return CheckDefinition(id=check_id, measure=measure, constraint=constraint,
-                               key_by=key_by, context=context, reference=reference,
-                               emit_per_element=emit, null_verdict=null_verdict)
-    except (ModelError, TypeError) as exc:
-        errs.add(where, str(exc))
-        return None
-
-
-def _parse_references(raw: Any, errs: _Errors) -> tuple[ReferenceConfig, ...]:
-    if not isinstance(raw, list):
-        errs.add("references", "expected an array")
-        return ()
-    out: list[ReferenceConfig] = []
-    seen: set[str] = set()
-    for i, item in enumerate(raw):
-        where = f"references[{i}]"
-        obj = _obj(item, where, errs)
-        if obj is None or not _keys(obj, where, errs, required=("id", "path", "key")):
-            continue
-        rid = _string(obj["id"], f"{where}.id", errs)
-        path = _string(obj["path"], f"{where}.path", errs)
-        key = _string(obj["key"], f"{where}.key", errs)
-        if rid is None or path is None or key is None:
-            continue
-        if rid in seen:
-            errs.add(where, f"duplicate reference id {rid!r}")
-            continue
-        seen.add(rid)
-        out.append(ReferenceConfig(id=rid, path=path, key=key))
-    return tuple(out)
-
-
-def _parse_detectors(raw: Any, errs: _Errors) -> DetectorSpecs:
-    obj = _obj(raw, "detectors", errs)
-    if obj is None or not _keys(obj, "detectors", errs, optional=("dead", "frozen")):
-        return DetectorSpecs()
-    dead = None
-    if "dead" in obj:
-        dobj = _obj(obj["dead"], "detectors.dead", errs)
-        if dobj is not None and _keys(dobj, "detectors.dead", errs,
-                                      required=("threshold",), optional=("restart",)):
-            threshold = _duration(dobj["threshold"], "detectors.dead.threshold", errs)
-            restart = dobj.get("restart", "auto")
-            if threshold is not None:
-                dead = DeadStreamSpec(threshold=threshold, restart=restart)
-    frozen: list[FrozenColumnSpec] = []
-    if "frozen" in obj:
-        if not isinstance(obj["frozen"], list):
-            errs.add("detectors.frozen", "expected an array")
-        else:
-            for i, item in enumerate(obj["frozen"]):
-                where = f"detectors.frozen[{i}]"
-                fobj = _obj(item, where, errs)
-                if fobj is None or not _keys(fobj, where, errs,
-                                             required=("column", "windows"),
-                                             optional=("key_by",)):
-                    continue
-                column = _string(fobj["column"], f"{where}.column", errs)
-                windows = fobj["windows"]
-                if not isinstance(windows, int) or isinstance(windows, bool):
-                    errs.add(where, "windows must be an integer")
-                    continue
-                key_by = None
-                if fobj.get("key_by") is not None:
-                    key_by = _string(fobj["key_by"], f"{where}.key_by", errs)
-                if column is not None:
-                    frozen.append(FrozenColumnSpec(column=column, windows=windows, key_by=key_by))
-    return DetectorSpecs(dead=dead, frozen=tuple(frozen))
-
-
-def _check_address(address: str, where: str, errs: _Errors) -> None:
-    """Report a socket address that connectors.parse_address rejects."""
-    try:
-        connectors.parse_address(address)
-    except connectors.SourceError as exc:
-        errs.add(where, str(exc))
-
-
-def _parse_sinks(raw: Any, errs: _Errors) -> SinksConfig:
-    obj = _obj(raw, "sinks", errs)
-    if obj is None or not _keys(obj, "sinks", errs, optional=("meta", "side")):
-        return SinksConfig()
-    dests = {}
-    for name in ("meta", "side"):
-        if obj.get(name) is not None:
-            dest = dests[name] = _string(obj[name], f"sinks.{name}", errs)
-            if dest is not None and dest.startswith("tcp://"):
-                _check_address(dest, f"sinks.{name}", errs)
-    return SinksConfig(**dests)
-
-
-def _parse_engine(raw: Any, errs: _Errors) -> EngineConfig:
-    obj = _obj(raw, "engine", errs)
-    if obj is None or not _keys(obj, "engine", errs, optional=("hash_seed",)) \
-            or "hash_seed" not in obj:
-        return EngineConfig()
-    seed = obj["hash_seed"]
-    if not isinstance(seed, int) or isinstance(seed, bool) or not (0 <= seed < 2 ** 64):
-        errs.add("engine.hash_seed", "must be an integer in [0, 2^64)")
-        return EngineConfig()
-    return EngineConfig(hash_seed=seed, hash_seed_pinned=True)
+def _engine(hash_seed) -> EngineConfig:
+    return EngineConfig() if hash_seed is None else EngineConfig(hash_seed, True)
 
 
 # ---------------------------------------------------------------------------
@@ -499,47 +360,41 @@ def _parse_engine(raw: Any, errs: _Errors) -> EngineConfig:
 
 
 def parse_config(obj: Any) -> SuiteConfig:
-    errs = _Errors()
-    root = _obj(obj, "config", errs)
-    if root is None:
-        raise ConfigError(errs.messages)
-    _keys(root, "config", errs, required=("source", "window", "checks"),
-          optional=("secondary_source", "references", "detectors", "sinks", "engine"))
-    source = _parse_source(root.get("source"), "source", errs, secondary=False) \
-        if "source" in root else None
-    window, window_key_by = _parse_window(root.get("window"), errs) \
-        if "window" in root else (None, None)
+    """The config object parsed, or ConfigError with every problem found."""
+    if not isinstance(obj, dict):
+        raise ConfigError([f"config: expected an object, got {type(obj).__name__}"])
+    values, found = parse_fields(obj, _ROOT, None)
+    problems = [f"{key}: {text}" if key else f"config: {text}" for key, text in found]
 
-    checks: list[CheckDefinition] = []
-    raw_checks = root.get("checks")
-    if "checks" in root:
-        if not isinstance(raw_checks, list) or not raw_checks:
-            errs.add("checks", "expected a non-empty array")
-        else:
-            for i, item in enumerate(raw_checks):
-                check = _parse_check(item, i, errs)
-                if check is not None:
-                    checks.append(check)
+    def section(name, parse, *args):
+        raw = values.get(name)
+        return None if raw is None else parse(raw, name, *args, problems)
 
-    secondary = None
-    if "secondary_source" in root:
-        secondary = _parse_source(root["secondary_source"], "secondary_source",
-                                  errs, secondary=True)
-    references = _parse_references(root["references"], errs) if "references" in root else ()
-    detectors = _parse_detectors(root["detectors"], errs) if "detectors" in root else DetectorSpecs()
-    sinks = _parse_sinks(root["sinks"], errs) if "sinks" in root else SinksConfig()
-    engine = _parse_engine(root["engine"], errs) if "engine" in root else EngineConfig()
+    source = section("source", _source, _SOURCE)
+    window, key_by = section("window", _section, _WINDOW, _window) or (None, None)
+    checks = [_check(raw, f"checks[{i}]", problems)
+              for i, raw in enumerate(values.get("checks") or ())]
+    secondary = section("secondary_source", _source, _SECONDARY_SOURCE)
+    references: dict[str, ReferenceConfig] = {}
+    for i, raw in enumerate(values.get("references") or ()):
+        where = f"references[{i}]"
+        ref = _section(raw, where, _REFERENCE_ITEM, ReferenceConfig, problems)
+        if ref is not None and ref.id in references:
+            problems.append(f"{where}: duplicate reference id {ref.id!r}")
+        elif ref is not None:
+            references[ref.id] = ref
+    detectors = section("detectors", _detectors)
+    sinks = section("sinks", _section, _SINKS, SinksConfig)
+    engine = section("engine", _section, _ENGINE, _engine)
 
-    if window is not None and window_key_by is not None and source is not None:
-        if window_key_by not in {c.name for c in source.schema}:
-            errs.add("window.key_by", f"column {window_key_by!r} is not in the schema")
-
-    if errs.messages:
-        raise ConfigError(errs.messages)
-    assert source is not None and window is not None
+    if window is not None and key_by is not None and source is not None:
+        if key_by not in {c.name for c in source.schema}:
+            problems.append(f"window.key_by: column {key_by!r} is not in the schema")
+    if problems:
+        raise ConfigError(problems)
     return SuiteConfig(source=source, window=window, checks=tuple(checks),
-                       window_key_by=window_key_by, secondary_source=secondary,
-                       references=references, detectors=detectors,
+                       window_key_by=key_by, secondary_source=secondary,
+                       references=tuple(references.values()), detectors=detectors,
                        sinks=sinks, engine=engine)
 
 

@@ -653,7 +653,11 @@ def generate_stream(csv_path: str, manifest_path: str, *,
     """
     if not 0 < rate_per_sec < math.inf:
         raise ValueError(f"rate_per_sec must be finite and > 0, got {rate_per_sec!r}")
-    injections = list(injections or [])
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    injections = [] if injections is None else injections
+    if not isinstance(injections, list) or not all(isinstance(inj, dict) for inj in injections):
+        raise ValueError(f"injections must be a list of objects, got {injections!r}")
     rng = random.Random(seed)
     start = utc_ms(start)
     makers = [(str(c["name"]), _column_maker(c, rng)) for c in columns]

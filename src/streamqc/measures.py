@@ -10,7 +10,8 @@ evaluation, and (where meaningful) a per-element checker used for
 per-element records and side-output routing.
 
 Each measure declares its parameters once, as a table of parsers and
-defaults. parse_measure runs that table over a spec once: it rejects unknown
+defaults. parse_measure runs that table over a spec once (parse_fields, the
+loop the suite config's sections run through as well): it rejects unknown
 keys, fills in every default, decodes JSON values, compiles patterns and
 parses expressions. Everything after it (result_type, make_elem_checker,
 compile) reads only parsed values. Each check's measure is compiled once
@@ -66,7 +67,7 @@ from .model import (
 from .sketches import CardinalityEstimator, FrequentItemsSketch, registers_of
 
 __all__ = ["MeasureResult", "EngineEnv", "MEASURES", "MeasureDef", "Param", "REQUIRED",
-           "ParsedMeasure", "parse_measure", "percentile", "compile_measure"]
+           "ParsedMeasure", "parse_fields", "parse_measure", "percentile", "compile_measure"]
 
 _NUMERIC_TYPES = ("int", "float")
 _ORDERED_TYPES = ("int", "float", "timestamp")
@@ -104,8 +105,9 @@ REQUIRED = object()  # the default of a parameter a spec must give
 
 
 class Param(NamedTuple):
-    """One measure parameter: its parser and its default, in JSON form. A
-    default of None makes the parameter optional (None means absent)."""
+    """One key of a parameter table: its parser and its default, in JSON
+    form. A key with a default is optional, and a JSON null for it means
+    absent; a default of None leaves an absent key None."""
 
     parse: Parser
     default: Any = REQUIRED
@@ -262,6 +264,37 @@ _NUMERIC_COLUMN = Param(_column(*_NUMERIC_TYPES))
 _ORDERED_COLUMN = Param(_column(*_ORDERED_TYPES))
 
 
+def parse_fields(raw: dict, table: dict[str, Param], columns: dict[str, str] | None
+                 ) -> tuple[dict[str, Any], list[tuple[str | None, str]]]:
+    """Run a JSON object through a parameter table once.
+
+    Every key must be in the table and every required key given. An
+    optional key that is absent or null takes its default, and each value
+    is parsed with columns (see Parser). Returns the parsed values and
+    every problem found, as (key, text) for a value, or (None, text) for
+    the object itself.
+    """
+    problems: list[tuple[str | None, str]] = [
+        (None, f"unknown key {name!r} (allowed: {', '.join(sorted(table))})")
+        for name in raw if name not in table]
+    values: dict[str, Any] = {}
+    for name, (parse, default) in table.items():
+        value = raw.get(name)
+        if value is None and default is not REQUIRED:
+            value = default
+            if value is None:
+                values[name] = None
+                continue
+        elif name not in raw:
+            problems.append((None, f"missing required key {name!r}"))
+            continue
+        try:
+            values[name] = parse(value, columns)
+        except _Bad as exc:
+            problems.append((name, str(exc)))
+    return values, problems
+
+
 def parse_measure(spec: MeasureSpec, columns: dict[str, str] | None
                   ) -> tuple[ParsedMeasure | None, list[str]]:
     """Run a spec through its measure's parameter table once.
@@ -273,25 +306,8 @@ def parse_measure(spec: MeasureSpec, columns: dict[str, str] | None
     measure = MEASURES.get(spec.id)
     if measure is None:
         return None, [f"unknown measure {spec.id!r}"]
-    errors: list[str] = []
-    for name in spec.params:
-        if name.startswith("_"):
-            errors.append(f"parameter names starting with '_' are reserved ({name!r})")
-        elif name not in measure.params:
-            errors.append(f"unknown parameter {name!r} "
-                          f"(allowed: {', '.join(sorted(measure.params))})")
-    params: dict[str, Any] = {}
-    for name, (parse, default) in measure.params.items():
-        raw = spec.params[name] if name in spec.params else default
-        if raw is REQUIRED:
-            errors.append(f"missing parameter '{name}'")
-        elif raw is None and default is None:
-            params[name] = None
-        else:
-            try:
-                params[name] = parse(raw, columns)
-            except _Bad as exc:
-                errors.append(f"'{name}' {exc}")
+    params, problems = parse_fields(spec.params, measure.params, columns)
+    errors = [f"'{name}' {text}" if name else text for name, text in problems]
     if not errors and measure.check is not None:
         errors.extend(measure.check(params, columns))
     return (None if errors else ParsedMeasure(measure, params)), errors

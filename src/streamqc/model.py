@@ -112,8 +112,12 @@ def parse_iso(text: str) -> datetime:
 def parse_ts(text: str) -> datetime:
     """Parse an ISO-8601 timestamp given in config or wire input.
 
-    Surrounding whitespace is ignored; otherwise this is parse_iso.
+    Surrounding whitespace is ignored; otherwise this is parse_iso. Any
+    value but a string (a JSON number, bool, null, list or object) is a
+    ModelError.
     """
+    if not isinstance(text, str):
+        raise ModelError(f"invalid timestamp {text!r}: expected ISO-8601 text")
     try:
         return parse_iso(text.strip())
     except (ValueError, OverflowError) as exc:
@@ -121,8 +125,9 @@ def parse_ts(text: str) -> datetime:
 
 
 def parse_duration(raw: str | int | float) -> timedelta:
-    """Parse a duration such as "1h30m", "90s", "250ms", or a number of seconds."""
-    if isinstance(raw, bool):
+    """Parse a duration such as "1h30m", "90s", "250ms", or a number of seconds.
+    Any other value (a JSON bool, null, list or object) is a ModelError."""
+    if isinstance(raw, bool) or not isinstance(raw, (str, int, float)):
         raise ModelError(f"invalid duration {raw!r}")
     try:
         return _parse_duration(raw)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from streamqc import cli, connectors, expression
+from streamqc import cli, config, connectors, expression
 from streamqc.cli import HASH_SEED_ENV, _hash_seed, main
 from streamqc.config import (
     ConfigError,
@@ -21,6 +21,7 @@ from streamqc.config import (
     resolve_path,
     semantic_errors,
 )
+from streamqc.measures import Param
 from streamqc.model import (
     MAX_PANES_PER_ROW,
     ModelError,
@@ -265,6 +266,82 @@ def maximal_config():
     obj["sinks"] = {"meta": "meta.jsonl", "side": "side.jsonl"}
     obj["engine"] = {"hash_seed": 11}
     return obj
+
+
+# One value of each JSON kind, and the awkward ones: a value of any of
+# these in any place of a config is an answer or a ConfigError.
+FUZZ_VALUES = [None, True, 0, -1, 2.5, float("inf"), "", "x", "1m", [], [1], {}, {"a": 1}]
+
+
+def _places(node, path=()):
+    """The path of every key (and list index) of a JSON value, at every depth."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from _places(child, path + (key,))
+
+
+def _replaced(obj, path, value):
+    obj = json.loads(json.dumps(obj))
+    node = obj
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return obj
+
+
+def test_every_value_of_every_kind_in_every_place_is_an_answer_or_a_config_error(tmp_path):
+    """A wrong JSON kind anywhere in a config is a ConfigError, never an
+    AttributeError or TypeError, and semantic_errors of whatever parses is
+    a list: `streamqc validate` never prints a traceback."""
+    (tmp_path / "caps.csv").write_text("hour,cap\n11,10.0\n")
+    (tmp_path / "other.jsonl").write_text(
+        '{"t": "2015-05-07T11:00:00.000Z", "zone": "airport"}\n')
+    cfg_path = str(tmp_path / "config.json")
+    base = maximal_config()
+    places = list(_places(base))
+    assert len(places) > 80
+    parsed = 0
+    for path in places:
+        for value in FUZZ_VALUES:
+            obj = _replaced(base, path, value)
+            try:
+                cfg = parse_config(obj)
+            except ConfigError as exc:
+                assert exc.errors and all(isinstance(e, str) for e in exc.errors), (path, value)
+                continue
+            parsed += 1
+            assert isinstance(semantic_errors(cfg, cfg_path), list), (path, value)
+    assert parsed > 0
+
+
+@pytest.mark.parametrize("path,value", [
+    (("window", "origin"), 5),
+    (("checks", 0, "context", "horizon"), []),
+    (("source", "schema", 1, "name"), ["fare"]),
+], ids=["origin-number", "horizon-list", "column-name-list"])
+def test_cli_validate_of_a_wrong_json_kind_prints_only_error_lines(tmp_path, capsys, path, value):
+    cfg_path = write_config(tmp_path, _replaced(maximal_config(), path, value))
+    assert main(["validate", cfg_path]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert lines and all(line.startswith("error: ") for line in lines), lines
+    assert captured.out == ""
+
+
+def test_readme_configuration_names_every_key_of_every_config_table():
+    """Each key a config section's table accepts is named in README's
+    `## Configuration` section, as "key" or `key`."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    tables = [table for table in vars(config).values()
+              if isinstance(table, dict) and table
+              and all(isinstance(param, Param) for param in table.values())]
+    assert len(tables) >= 15
+    missing = sorted({key for table in tables for key in table
+                      if f'"{key}"' not in section and f"`{key}`" not in section})
+    assert missing == []
 
 
 def test_resolve_path():
@@ -1014,6 +1091,31 @@ def test_cli_generate_rejects_a_rate_not_finite_and_positive(tmp_path, capsys, r
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(
         "error: generator config: rate_per_sec must be finite and > 0"), lines
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("change,expected", [
+    ({"seed": "7"}, "seed must be an integer, got '7'"),
+    ({"seed": 7.9}, "seed must be an integer, got 7.9"),
+    ({"seed": True}, "seed must be an integer, got True"),
+    ({"injections": {"a": 1}}, "injections must be a list of objects"),
+    ({"injections": ["missing_burst"]}, "injections must be a list of objects"),
+    ({"duration": None}, "invalid duration None"),
+], ids=["seed-text", "seed-fraction", "seed-bool", "injections-object", "injections-text",
+        "duration-null"])
+def test_cli_generate_rejects_a_value_of_the_wrong_kind(tmp_path, capsys, change, expected):
+    """A seed that is not a JSON integer was read through int(), and an
+    injections object or a null duration raised a traceback: each is one
+    `error:` line and exit 1, and nothing is written."""
+    gen_cfg = write_config(tmp_path, {
+        "seed": 1, "start": "2015-05-07T11:00:00Z", "rate_per_sec": 1,
+        "duration": "1m", "columns": [], **change}, name="gen.json")
+    out = tmp_path / "o.csv"
+    assert main(["generate", gen_cfg, "--out", str(out),
+                 "--manifest", str(tmp_path / "m.jsonl")]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: generator config: ") \
+        and expected in lines[0], lines
     assert not out.exists()
 
 

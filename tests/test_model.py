@@ -63,7 +63,10 @@ def test_parse_duration_numeric_means_seconds():
     assert parse_duration(2.5) == timedelta(seconds=2.5)
 
 
-@pytest.mark.parametrize("bad", ["", "5x", "m5", "-10s", "1h 30m", "s"])
+# A JSON value of any kind but text or a number (null, a bool, a list, an
+# object) is a ModelError too, which a config reports, not an AttributeError.
+@pytest.mark.parametrize("bad", ["", "5x", "m5", "-10s", "1h 30m", "s",
+                                 None, True, False, [], ["5m"], {}, {"a": 1}])
 def test_parse_duration_rejects(bad):
     with pytest.raises(ModelError):
         parse_duration(bad)
@@ -152,7 +155,10 @@ def test_parse_ts_is_lenient_for_config_input():
     assert parse_ts("2015-05-07") == ts(2015, 5, 7)
 
 
-@pytest.mark.parametrize("bad", ["not a time", "2015-13-01T00:00:00Z", ""])
+# Any JSON value but text (null, a bool, a number, a list, an object) is
+# a ModelError too.
+@pytest.mark.parametrize("bad", ["not a time", "2015-13-01T00:00:00Z", "",
+                                 None, True, 0, 1431000000, 2.5, [], ["5m"], {}, {"a": 1}])
 def test_parse_ts_rejects_garbage(bad):
     with pytest.raises(ModelError):
         parse_ts(bad)
