@@ -14,9 +14,9 @@ from contextlib import ExitStack
 from dataclasses import replace
 
 from .config import ConfigError, SuiteConfig, build_suite, load_config, open_source
-from .connectors import (SourceCounters, SourceError, generate_stream, open_sink, paced,
-                         parse_address, parse_time)
-from .model import ModelError, WindowSpec, parse_duration
+from .connectors import (GENERATOR, SourceCounters, SourceError, generate_stream, open_sink,
+                         paced, parse_address)
+from .model import ModelError, WindowSpec, parse_duration, parse_fields
 from .monitor import MonitorEngine, SuiteState
 
 HASH_SEED_ENV = "STREAMQC_HASH_SEED"
@@ -130,12 +130,9 @@ def _apply_overrides(cfg: SuiteConfig, args) -> SuiteConfig:
             duration = parse_duration(duration_raw) if duration_raw else w.duration
             slide = parse_duration(slide_raw) if slide_raw else (
                 w.slide if w.kind == "sliding" else None)
-            if slide is not None:
-                spec = WindowSpec(kind="sliding", duration=duration, slide=slide,
-                                  allowed_lateness=w.allowed_lateness, origin=w.origin)
-            else:
-                spec = WindowSpec(kind="tumbling", duration=duration,
-                                  allowed_lateness=w.allowed_lateness, origin=w.origin)
+            spec = WindowSpec(kind="tumbling" if slide is None else "sliding",
+                              duration=duration, slide=slide,
+                              allowed_lateness=w.allowed_lateness, origin=w.origin)
         except ModelError as exc:
             raise ConfigError([f"window override: {exc}"]) from None
         cfg = replace(cfg, window=spec)
@@ -188,10 +185,6 @@ def _print_stats(stats, as_json: bool) -> None:
 # generate
 
 
-_GENERATE_KEYS = ("seed", "start", "rate_per_sec", "duration", "columns",
-                  "injections", "event_time")
-
-
 def _cmd_generate(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fp:
         try:
@@ -200,31 +193,15 @@ def _cmd_generate(args) -> int:
             raise ConfigError([f"generator config: invalid JSON: {exc}"]) from None
     if not isinstance(obj, dict):
         raise ConfigError(["generator config: expected an object"])
-    unknown = sorted(set(obj) - set(_GENERATE_KEYS))
-    if unknown:
-        raise ConfigError([f"generator config: unknown keys {unknown}"])
-    missing = [k for k in ("seed", "start", "rate_per_sec", "duration", "columns")
-               if k not in obj]
-    if missing:
-        raise ConfigError([f"generator config: missing keys {missing}"])
-    start = parse_time(obj["start"], "iso")
-    if start is None:
-        raise ConfigError([f"generator config: start is not a timestamp: {obj['start']!r}"])
+    spec, found = parse_fields(obj, GENERATOR, None)  # start and duration are parsed here
+    if found:
+        raise ConfigError([f"generator config: {f'{key} ' if key else ''}{message}"
+                           for key, message in found])
     try:
-        duration = parse_duration(obj["duration"])
-        rows = generate_stream(
-            args.out, args.manifest,
-            seed=obj["seed"],
-            start=start,
-            rate_per_sec=float(obj["rate_per_sec"]),
-            duration=duration,
-            columns=obj["columns"],
-            injections=obj.get("injections"),
-            event_time=obj.get("event_time", "event_time"))
-    except (ModelError, ValueError, TypeError, KeyError) as exc:
+        rows = generate_stream(args.out, args.manifest, **spec)
+    except ModelError as exc:
         raise ConfigError([f"generator config: {exc}"]) from None
-    print(f"wrote {rows} rows to {args.out} (manifest: {args.manifest})",
-          file=sys.stderr)
+    print(f"wrote {rows} rows to {args.out} (manifest: {args.manifest})", file=sys.stderr)
     return 0
 
 

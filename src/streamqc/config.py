@@ -3,7 +3,7 @@
 A config file is a single JSON object. Each of its sections (the root, a
 source and its schema columns, the window, a check and its constraint,
 context and reference, a reference table, the detectors, the sinks and the
-engine) is a parameter table, run through measures.parse_fields: the loop
+engine) is a parameter table, run through model.parse_fields: the loop
 that parses a measure spec. So unknown keys are rejected at every nesting
 level, and typos fail loudly instead of silently disabling a check; an
 optional key given as null is absent; and every value's shape is checked.
@@ -29,22 +29,14 @@ from datetime import datetime, timedelta
 from typing import Any, Callable, Iterator
 
 from . import connectors
-from .measures import (
-    Param,
-    _Bad,
-    _choice,
-    _flag,
-    _list,
-    _number,
-    _scalar,
-    parse_fields,
-)
 from .model import (
+    BadValue,
     CheckDefinition,
     ColumnSpec,
     ContextSpec,
     MeasureSpec,
     ModelError,
+    Param,
     Predicate,
     ReferenceSpec,
     StreamElement,
@@ -52,9 +44,18 @@ from .model import (
     ValueRange,
     WindowInstance,
     WindowSpec,
+    choice,
     element_order,
+    flag,
+    from_model,
+    json_object,
+    list_of,
+    number,
     parse_duration,
+    parse_fields,
     parse_ts,
+    scalar,
+    text,
 )
 from .monitor import (
     DeadStreamSpec,
@@ -129,83 +130,59 @@ class SuiteConfig:
 
 
 # ---------------------------------------------------------------------------
-# Value parsers, beside the measure parameter parsers they join. Each takes
-# the raw JSON value (and the unused schema argument of a parser) and
-# returns the parsed value, or raises _Bad with text that follows the key.
+# Value parsers, beside model's generic ones (see model.Parser; the schema
+# argument is unused here).
 
 
-def _text(raw, columns) -> str:
-    if not isinstance(raw, str) or not raw:
-        raise _Bad("must be a non-empty string")
-    return raw
-
-
-def _object(raw, columns) -> dict:
-    """A JSON object; a nested section's is parsed by its table one level down."""
-    if not isinstance(raw, dict):
-        raise _Bad("must be an object")
-    return raw
-
-
-def _model(parse: Callable[[Any], Any]):
-    """A model parser as a value parser: its ModelError is the problem."""
-    def parsed(raw, columns):
-        try:
-            return parse(raw)
-        except ModelError as exc:
-            raise _Bad(str(exc)) from None
-    return parsed
-
-
-_DURATION = _model(parse_duration)
-_TIMESTAMP = _model(parse_ts)
+_DURATION = from_model(parse_duration)
+_TIMESTAMP = from_model(parse_ts)
 
 
 def _address(raw, columns) -> str:
     """A socket address that connectors.parse_address accepts."""
     try:
-        connectors.parse_address(_text(raw, columns))
+        connectors.parse_address(text(raw, columns))
     except connectors.SourceError as exc:
-        raise _Bad(str(exc)) from None
+        raise BadValue(str(exc)) from None
     return raw
 
 
 def _sink(raw, columns) -> str:
     """A sink destination: a file, -, or a tcp:// socket address."""
-    return _address(raw, columns) if _text(raw, columns).startswith("tcp://") else raw
+    return _address(raw, columns) if text(raw, columns).startswith("tcp://") else raw
 
 
 def _formats(raw, columns) -> dict[str, str]:
     """Timestamp formats by column name (the source checks the names)."""
-    for name, fmt in _object(raw, columns).items():
+    for name, fmt in json_object(raw, columns).items():
         if not isinstance(fmt, str):
-            raise _Bad(f"format for {name!r} must be a string")
+            raise BadValue(f"format for {name!r} must be a string")
     return dict(raw)
 
 
 def _pair(item):
     """A two-item JSON list, each item parsed by item."""
-    items = _list(item)
+    items = list_of(item)
 
     def parse(raw, columns):
         pair = items(raw, columns)
         if len(pair) != 2:
-            raise _Bad("must be a two-item list")
+            raise BadValue("must be a two-item list")
         return pair
     return parse
 
 
 def _measure(raw, columns) -> MeasureSpec:
     """{"id": ..., <parameters>}; the suite build parses the parameters."""
-    params = dict(_object(raw, columns))
+    params = dict(json_object(raw, columns))
     measure_id = params.pop("id", None)
     if not isinstance(measure_id, str) or not measure_id:
-        raise _Bad("needs an 'id' that is a non-empty string")
+        raise BadValue("needs an 'id' that is a non-empty string")
     return MeasureSpec(measure_id, params)
 
 
-_REPLAY = {"mode": Param(_choice("scaled")),
-           "factor": Param(_number("a positive number", lambda f: 0 < f <= sys.float_info.max),
+_REPLAY = {"mode": Param(choice("scaled")),
+           "factor": Param(number("a positive number", lambda f: 0 < f <= sys.float_info.max),
                            1.0)}
 
 
@@ -214,10 +191,10 @@ def _replay(raw, columns) -> tuple[str, float]:
     if raw == "fast":
         return "fast", 1.0
     if not isinstance(raw, dict):
-        raise _Bad("must be 'fast' or an object {mode, factor}")
+        raise BadValue("must be 'fast' or an object {mode, factor}")
     values, problems = parse_fields(raw, _REPLAY, columns)
     if problems:
-        raise _Bad("; ".join(f"{key} {text}" if key else text for key, text in problems))
+        raise BadValue("; ".join(f"{key} {msg}" if key else msg for key, msg in problems))
     return "scaled", float(values["factor"])
 
 
@@ -225,41 +202,42 @@ def _replay(raw, columns) -> tuple[str, float]:
 # The sections' tables
 
 
-_ROOT = {"source": Param(_object), "window": Param(_object),
-         "checks": Param(_list(_object, nonempty=True)),
-         "secondary_source": Param(_object, None), "references": Param(_list(_object), []),
-         "detectors": Param(_object, {}), "sinks": Param(_object, {}),
-         "engine": Param(_object, {})}
-_SOURCE = {"kind": Param(_choice("csv", "jsonl", "socket")), "event_time": Param(_text),
-           "schema": Param(_list(_object, nonempty=True)), "path": Param(_text, None),
+_ROOT = {"source": Param(json_object), "window": Param(json_object),
+         "checks": Param(list_of(json_object, nonempty=True)),
+         "secondary_source": Param(json_object, None),
+         "references": Param(list_of(json_object), []),
+         "detectors": Param(json_object, {}), "sinks": Param(json_object, {}),
+         "engine": Param(json_object, {})}
+_SOURCE = {"kind": Param(choice("csv", "jsonl", "socket")), "event_time": Param(text),
+           "schema": Param(list_of(json_object, nonempty=True)), "path": Param(text, None),
            "address": Param(_address, None), "formats": Param(_formats, {}),
            "watermark_delay": Param(_DURATION, 0), "replay": Param(_replay, "fast")}
 _SECONDARY_SOURCE = {**{key: param for key, param in _SOURCE.items()
                         if key not in ("watermark_delay", "replay")},
-                     "kind": Param(_choice("csv", "jsonl"))}
-_COLUMN = {"name": Param(_text), "type": Param(_text), "nullable": Param(_flag, True)}
-_WINDOW = {"kind": Param(_text), "duration": Param(_DURATION, None),
+                     "kind": Param(choice("csv", "jsonl"))}
+_COLUMN = {"name": Param(text), "type": Param(text), "nullable": Param(flag, True)}
+_WINDOW = {"kind": Param(text), "duration": Param(_DURATION, None),
            "slide": Param(_DURATION, None), "gap": Param(_DURATION, None),
            "allowed_lateness": Param(_DURATION, 0),
-           "origin": Param(_TIMESTAMP, "1970-01-01T00:00:00Z"), "key_by": Param(_text, None)}
-_CHECK = {"id": Param(_text), "measure": Param(_measure), "constraint": Param(_object),
-          "key_by": Param(_text, None), "context": Param(_object, None),
-          "reference": Param(_object, None), "emit_per_element": Param(_flag, False),
-          "null_verdict": Param(_text, "fail")}
-_THRESHOLD = {"op": Param(_text), "bound": Param(_scalar)}
-_RANGE = {"range": Param(_pair(_scalar)), "inclusive": Param(_pair(_flag), [True, True])}
-_PREDICATE = {"predicate": Param(_text)}
+           "origin": Param(_TIMESTAMP, "1970-01-01T00:00:00Z"), "key_by": Param(text, None)}
+_CHECK = {"id": Param(text), "measure": Param(_measure), "constraint": Param(json_object),
+          "key_by": Param(text, None), "context": Param(json_object, None),
+          "reference": Param(json_object, None), "emit_per_element": Param(flag, False),
+          "null_verdict": Param(text, "fail")}
+_THRESHOLD = {"op": Param(text), "bound": Param(scalar)}
+_RANGE = {"range": Param(_pair(scalar)), "inclusive": Param(_pair(flag), [True, True])}
+_PREDICATE = {"predicate": Param(text)}
 _CONTEXT = {"horizon": Param(_DURATION),
-            "statistics": Param(_list(_text), list(ContextSpec.statistics))}
-_REFERENCE = {"table": Param(_text), "key": Param(_text)}
-_REFERENCE_ITEM = {"id": Param(_text), "path": Param(_text), "key": Param(_text)}
-_DETECTORS = {"dead": Param(_object, None), "frozen": Param(_list(_object), [])}
-_DEAD = {"threshold": Param(_DURATION), "restart": Param(_text, "auto")}
-_FROZEN = {"column": Param(_text),
-           "windows": Param(_number("an integer", lambda n: True, integer=True)),
-           "key_by": Param(_text, None)}
+            "statistics": Param(list_of(text), list(ContextSpec.statistics))}
+_REFERENCE = {"table": Param(text), "key": Param(text)}
+_REFERENCE_ITEM = {"id": Param(text), "path": Param(text), "key": Param(text)}
+_DETECTORS = {"dead": Param(json_object, None), "frozen": Param(list_of(json_object), [])}
+_DEAD = {"threshold": Param(_DURATION), "restart": Param(text, "auto")}
+_FROZEN = {"column": Param(text),
+           "windows": Param(number("an integer", lambda n: True, integer=True)),
+           "key_by": Param(text, None)}
 _SINKS = {"meta": Param(_sink, None), "side": Param(_sink, None)}
-_ENGINE = {"hash_seed": Param(_number("an integer in [0, 2^64)", lambda s: 0 <= s < 2 ** 64,
+_ENGINE = {"hash_seed": Param(number("an integer in [0, 2^64)", lambda s: 0 <= s < 2 ** 64,
                                       integer=True), None)}
 
 # A constraint's form, by the first of these keys it has: its table and
@@ -281,8 +259,8 @@ def _section(raw: dict, where: str, table: dict[str, Param], make: Callable[...,
     recorded as `where.key: text` or `where: text`; a level with problems
     of its own is not made, and a ModelError of make is a problem too."""
     values, found = parse_fields(raw, table, None)
-    problems.extend(f"{where}.{key}: {text}" if key else f"{where}: {text}"
-                    for key, text in found)
+    problems.extend(f"{where}.{key}: {msg}" if key else f"{where}: {msg}"
+                    for key, msg in found)
     if found:
         return None
     try:
@@ -364,7 +342,7 @@ def parse_config(obj: Any) -> SuiteConfig:
     if not isinstance(obj, dict):
         raise ConfigError([f"config: expected an object, got {type(obj).__name__}"])
     values, found = parse_fields(obj, _ROOT, None)
-    problems = [f"{key}: {text}" if key else f"config: {text}" for key, text in found]
+    problems = [f"{key}: {msg}" if key else f"config: {msg}" for key, msg in found]
 
     def section(name, parse, *args):
         raw = values.get(name)

@@ -27,7 +27,12 @@ from datetime import datetime, timedelta, timezone
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .model import (
+    TS_MAX,
+    BadValue,
     ColumnSpec,
+    ModelError,
+    Param,
+    Parser,
     ReferenceTable,
     StreamElement,
     Value,
@@ -35,8 +40,15 @@ from .model import (
     epoch_millis,
     format_ts,
     from_epoch_millis,
+    from_model,
+    list_of,
+    number,
     parse_duration,
+    parse_fields,
     parse_iso,
+    parse_ts,
+    string,
+    text,
     utc_ms,
     value_from_json,
 )
@@ -44,7 +56,7 @@ from .model import (
 __all__ = [
     "SourceError", "SourceCounters", "coerce_csv_cell", "coerce_json_value", "reads_as",
     "parse_time", "parse_address", "iter_csv", "iter_jsonl", "iter_socket", "paced",
-    "load_reference", "generate_stream",
+    "load_reference", "GENERATOR", "generate_stream",
     "FileSink", "StdoutSink", "SocketSink", "open_sink",
 ]
 
@@ -562,117 +574,138 @@ def _sniff_caster(cells: list[str]) -> Callable[[str], Value]:
 # Synthetic generator
 
 
-_COLUMN_KINDS = ("sequence", "uniform_int", "uniform_float", "normal", "choice", "pattern")
-_INJECTION_KINDS = ("missing_burst", "placeholder_burst", "duplicate_burst",
-                    "out_of_order", "frozen", "fare_spike")
+# A generator spec is parameter tables, as a suite config is: the root
+# (GENERATOR), and one table per column kind and per injection type.
+
+
+def _seed(raw, columns) -> int:
+    if isinstance(raw, bool) or not isinstance(raw, int):
+        raise BadValue(f"must be an integer, got {raw!r}")
+    return raw
+
+
+def _objects(raw, columns) -> list[dict]:
+    if not isinstance(raw, list) or not all(isinstance(item, dict) for item in raw):
+        raise BadValue("must be a list of objects")
+    return raw
+
+
+def _bound(raw, columns) -> timedelta | datetime:
+    """A span bound: an offset into the run (a duration text such as "3m"),
+    or an ISO-8601 timestamp."""
+    try:
+        return parse_duration(string(raw, columns))
+    except (BadValue, ModelError):
+        try:
+            return parse_ts(raw)
+        except ModelError:
+            raise BadValue("must be an offset such as '3m' or an ISO-8601 timestamp") from None
+
+
+def _cell(raw, columns) -> Value:  # a JSON scalar, written as _csv_cell writes it
+    if raw is not None and not isinstance(raw, (str, int, float)):
+        raise BadValue("must be a string, number, boolean or null")
+    return raw
+
+
+def _as_float(what: str, ok: Callable[[float], bool]) -> Parser:
+    """A number, as a float, so an int draws and scales as the float it equals."""
+    parse = number(what, ok)
+    return lambda raw, columns: float(parse(raw, columns))
+
+
+_FLOAT = _as_float("a finite number", lambda x: abs(x) <= sys.float_info.max)
+_INTEGER = number("an integer", lambda n: True, integer=True)
+
+GENERATOR = {"seed": Param(_seed), "start": Param(from_model(parse_ts)),
+             "rate_per_sec": Param(_as_float("finite and > 0",
+                                             lambda r: 0 < r <= sys.float_info.max)),
+             "duration": Param(from_model(parse_duration)), "columns": Param(_objects),
+             "injections": Param(_objects, []), "event_time": Param(text, "event_time")}
+# What generate_stream parses: start and duration come to it parsed.
+_RUN = {key: param for key, param in GENERATOR.items() if key not in ("start", "duration")}
+
+_COLUMNS = {kind: {"name": Param(text), "kind": Param(text), **table} for kind, table in {
+    "sequence": {"prefix": Param(string, None)},
+    "uniform_int": {"lo": Param(_INTEGER), "hi": Param(_INTEGER)},
+    "uniform_float": {"lo": Param(_FLOAT), "hi": Param(_FLOAT), "round": Param(_INTEGER, None)},
+    "normal": {"mean": Param(_FLOAT), "std": Param(_FLOAT), "round": Param(_INTEGER, None)},
+    "choice": {"values": Param(list_of(_cell, nonempty=True)),
+               "weights": Param(list_of(number("a finite number >= 0",
+                                               lambda w: 0 <= w <= sys.float_info.max)), None)},
+    "pattern": {"pattern": Param(string)},
+}.items()}
+
+# The injections that rewrite a cell of their column (a generated column).
+_REWRITES = ("missing_burst", "placeholder_burst", "frozen", "fare_spike")
+_INJECTIONS = {kind: {"type": Param(text), "start": Param(_bound, None),
+                      "end": Param(_bound, None),
+                      "column": Param(text) if kind in _REWRITES else Param(text, None),
+                      **table} for kind, table in {
+    "missing_burst": {}, "placeholder_burst": {"token": Param(_cell, "N/A")},
+    "duplicate_burst": {}, "out_of_order": {}, "frozen": {},
+    "fare_spike": {"factor": Param(_FLOAT, 10.0)},
+}.items()}
+
+
+def _picked(items: list[dict], where: str, field: str, tables: dict[str, dict[str, Param]],
+            unknown: str, problems: list[str]) -> list[dict[str, Any]]:
+    """Each object of items run through the table its field names."""
+    parsed = []
+    for i, raw in enumerate(items):
+        name = raw.get(field)
+        if not (isinstance(name, str) and name in tables):
+            problems.append(f"{where}[{i}]: {unknown} {name!r} "
+                            f"(expected one of {'/'.join(tables)})")
+            continue
+        values, found = parse_fields(raw, tables[name], None)
+        problems.extend(f"{where}[{i}].{key} {message}" if key else f"{where}[{i}]: {message}"
+                        for key, message in found)
+        parsed.append(values)
+    return parsed
 
 
 def _column_maker(spec: dict[str, Any], rng: random.Random) -> Callable[[int], Value]:
-    kind = spec.get("kind")
+    kind = spec["kind"]
     if kind == "sequence":
-        prefix = spec.get("prefix")
-        if prefix is None:
-            return lambda i: i + 1
-        return lambda i: f"{prefix}{i + 1}"
+        prefix = spec["prefix"]
+        return (lambda i: i + 1) if prefix is None else (lambda i: f"{prefix}{i + 1}")
     if kind == "uniform_int":
-        lo, hi = int(spec["lo"]), int(spec["hi"])
+        lo, hi = spec["lo"], spec["hi"]
         return lambda i: rng.randint(lo, hi)
-    if kind == "uniform_float":
-        lo, hi = float(spec["lo"]), float(spec["hi"])
-        digits = spec.get("round")
-        if digits is None:
-            return lambda i: rng.uniform(lo, hi)
-        return lambda i: round(rng.uniform(lo, hi), int(digits))
-    if kind == "normal":
-        mean, std = float(spec["mean"]), float(spec["std"])
-        digits = spec.get("round")
-        if digits is None:
-            return lambda i: rng.gauss(mean, std)
-        return lambda i: round(rng.gauss(mean, std), int(digits))
     if kind == "choice":
-        values = list(spec["values"])
-        weights = spec.get("weights")
-        if weights is None:
-            return lambda i: rng.choice(values)
-        return lambda i: rng.choices(values, weights=weights, k=1)[0]
-    if kind == "pattern":
-        pattern = str(spec["pattern"])
-
-        def fill(i: int) -> str:
-            out = []
-            for ch in pattern:
-                if ch == "#":
-                    out.append(str(rng.randint(0, 9)))
-                elif ch == "@":
-                    out.append(chr(rng.randint(ord("A"), ord("Z"))))
-                else:
-                    out.append(ch)
-            return "".join(out)
-
-        return fill
-    raise ValueError(f"unknown generator column kind {kind!r} "
-                     f"(expected one of {_COLUMN_KINDS})")
+        values, weights = spec["values"], spec["weights"]
+        return ((lambda i: rng.choice(values)) if weights is None
+                else (lambda i: rng.choices(values, weights=weights, k=1)[0]))
+    if kind == "pattern":  # each # a random digit, each @ a random capital letter
+        pattern = spec["pattern"]
+        return lambda i: "".join(str(rng.randint(0, 9)) if ch == "#" else
+                                 chr(rng.randint(ord("A"), ord("Z"))) if ch == "@" else ch
+                                 for ch in pattern)
+    draw, a, b = ((rng.uniform, spec["lo"], spec["hi"]) if kind == "uniform_float"
+                  else (rng.gauss, spec["mean"], spec["std"]))
+    digits = spec["round"]
+    if digits is None:
+        return lambda i: draw(a, b)
+    return lambda i: round(draw(a, b), digits)
 
 
-def _span(inj: dict[str, Any], start: datetime, duration: timedelta) -> tuple[datetime, datetime]:
-    """Injection span from absolute ISO bounds or offsets into the run."""
-    def bound(which: str, default: datetime) -> datetime:
-        raw = inj.get(which)
-        if raw is None:
-            return default
-        try:
-            return start + parse_duration(raw)
-        except ValueError:
-            pass
-        dt = parse_time(raw, "iso") if isinstance(raw, str) else None
-        if dt is None:
-            raise ValueError(f"injection {which} is not a duration or timestamp: {raw!r}")
-        return dt
-
-    lo = bound("start", start)
-    hi = bound("end", start + duration)
-    if hi <= lo:
-        raise ValueError("injection span must be non-empty")
-    return lo, hi
-
-
-def generate_stream(csv_path: str, manifest_path: str, *,
-                    seed: int,
-                    start: datetime,
-                    rate_per_sec: float,
-                    duration: timedelta,
-                    columns: list[dict[str, Any]],
+def generate_stream(csv_path: str, manifest_path: str, *, seed: int, start: datetime,
+                    rate_per_sec: float, duration: timedelta, columns: list[dict[str, Any]],
                     injections: list[dict[str, Any]] | None = None,
                     event_time: str = "event_time") -> int:
-    """Write a reproducible synthetic CSV stream plus an injection manifest.
-
-    Rows are evenly spaced at 1/rate seconds. Every injection is applied to
-    rows whose event time falls in [start, end) and is recorded in the
-    manifest with absolute bounds, so a consumer can assert which windows
-    were corrupted. Returns the number of rows written.
-    """
-    if not 0 < rate_per_sec < math.inf:
-        raise ValueError(f"rate_per_sec must be finite and > 0, got {rate_per_sec!r}")
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
-    injections = [] if injections is None else injections
-    if not isinstance(injections, list) or not all(isinstance(inj, dict) for inj in injections):
-        raise ValueError(f"injections must be a list of objects, got {injections!r}")
-    rng = random.Random(seed)
+    """Write a reproducible synthetic CSV stream and its injection manifest,
+    and return the rows written; a spec with any problem raises ModelError
+    before a file opens. Rows are spaced 1/rate seconds apart, and each
+    injection applies to the rows in [start, end), absolute in the manifest."""
     start = utc_ms(start)
-    makers = [(str(c["name"]), _column_maker(c, rng)) for c in columns]
+    spec, columns, spans = _parsed({"seed": seed, "rate_per_sec": rate_per_sec,
+                                    "columns": columns, "injections": injections,
+                                    "event_time": event_time}, start, duration)
+    rate_per_sec, event_time = spec["rate_per_sec"], spec["event_time"]
+    rng = random.Random(seed)
+    makers = [(c["name"], _column_maker(c, rng)) for c in columns]
     names = [name for name, _ in makers]
-    if event_time in names:
-        raise ValueError(f"column name {event_time!r} is reserved for the event time")
-    spans = []
-    for inj in injections:
-        kind = inj.get("type")
-        if kind not in _INJECTION_KINDS:
-            raise ValueError(f"unknown injection type {kind!r} "
-                             f"(expected one of {_INJECTION_KINDS})")
-        lo, hi = _span(inj, start, duration)
-        spans.append((kind, inj, lo, hi))
-
     total = int(rate_per_sec * (duration / timedelta(seconds=1)))
     step_ms = 1000.0 / rate_per_sec
     frozen_cache: dict[int, Value] = {}
@@ -681,67 +714,98 @@ def generate_stream(csv_path: str, manifest_path: str, *,
     with open(csv_path, "w", encoding="utf-8", newline="") as fp:
         writer = csv.writer(fp)
         writer.writerow([event_time] + names)
-        reorder_buf: list[list[str]] = []
-
-        def flush_reorder() -> None:
-            nonlocal written
-            for cells in reversed(reorder_buf):
-                writer.writerow(cells)
-                written += 1
-            reorder_buf.clear()
-
+        held: list[list[str]] = []  # an out_of_order span's rows, written reversed after it
         for i in range(total):
             t = from_epoch_millis(epoch_millis(start) + round(i * step_ms))
             row: dict[str, Value] = {name: maker(i) for name, maker in makers}
-            duplicate = False
-            in_reorder_span = False
-            for idx, (kind, inj, lo, hi) in enumerate(spans):
+            duplicate = in_reorder_span = False
+            for idx, (inj, lo, hi) in enumerate(spans):
                 if not (lo <= t < hi):
                     continue
-                column = inj.get("column")
+                kind, column = inj["type"], inj["column"]
                 if kind == "missing_burst":
                     row[column] = None
                 elif kind == "placeholder_burst":
-                    row[column] = inj.get("token", "N/A")
+                    row[column] = inj["token"]
                 elif kind == "frozen":
-                    if idx not in frozen_cache:
-                        frozen_cache[idx] = row[column]
-                    row[column] = frozen_cache[idx]
+                    row[column] = frozen_cache.setdefault(idx, row[column])
                 elif kind == "fare_spike":
                     base = row[column]
                     if isinstance(base, (int, float)) and not isinstance(base, bool):
-                        row[column] = round(base * float(inj.get("factor", 10.0)), 4)
+                        row[column] = round(base * inj["factor"], 4)
                 elif kind == "duplicate_burst":
                     duplicate = True
-                elif kind == "out_of_order":
+                else:
                     in_reorder_span = True
             cells = [format_ts(t)] + [_csv_cell(row[name]) for name in names]
+            copies = [cells, cells] if duplicate else [cells]
+            written += len(copies)
             if in_reorder_span:
-                reorder_buf.append(cells)
-                if duplicate:
-                    reorder_buf.append(list(cells))
+                held += copies
             else:
-                if reorder_buf:
-                    flush_reorder()
-                writer.writerow(cells)
-                written += 1
-                if duplicate:
-                    writer.writerow(cells)
-                    written += 1
-        if reorder_buf:
-            flush_reorder()
+                writer.writerows([*reversed(held), *copies])
+                held.clear()
+        writer.writerows(reversed(held))
 
+    lines = [{"type": "run", "seed": seed, "start": format_ts(start), "rate_per_sec": rate_per_sec,
+              "duration_seconds": duration / timedelta(seconds=1), "rows": written}]
+    lines += [{"type": inj["type"], "column": inj["column"], "start": format_ts(lo),
+               "end": format_ts(hi), "seed": seed} for inj, lo, hi in spans]
     with open(manifest_path, "w", encoding="utf-8") as mfp:
-        head = {"type": "run", "seed": seed, "start": format_ts(start),
-                "rate_per_sec": rate_per_sec,
-                "duration_seconds": duration / timedelta(seconds=1),
-                "rows": written}
-        mfp.write(json.dumps(head, separators=(",", ":")) + "\n")
-        for kind, inj, lo, hi in spans:
-            line = {"type": kind, "column": inj.get("column"),
-                    "start": format_ts(lo), "end": format_ts(hi), "seed": seed}
-            mfp.write(json.dumps(line, separators=(",", ":")) + "\n")
+        mfp.writelines(json.dumps(line, separators=(",", ":")) + "\n" for line in lines)
     return written
+
+
+def _parsed(raw: dict[str, Any], start: datetime, duration: timedelta) -> tuple:
+    """generate_stream's JSON values run through their tables and the rules
+    that span fields: the root's values, the columns, and each injection
+    with its span in absolute time. Every problem is raised as one
+    ModelError, a level's before the next level is read."""
+    spec, found = parse_fields(raw, _RUN, None)
+    _raise([f"{key} {message}" for key, message in found])
+    problems: list[str] = []
+    columns = _picked(spec["columns"], "columns", "kind", _COLUMNS,
+                      "unknown generator column kind", problems)
+    injections = _picked(spec["injections"], "injections", "type", _INJECTIONS,
+                         "unknown injection type", problems)
+    _raise(problems)
+    if duration > TS_MAX - start:
+        problems.append("duration runs past the last timestamp")
+    names: list[str] = []
+    for i, column in enumerate(columns):
+        where, name = f"columns[{i}]", column["name"]
+        if name == spec["event_time"]:
+            problems.append(f"{where}: column name {name!r} is reserved for the event time")
+        elif name in names:
+            problems.append(f"{where}: column name {name!r} is given twice")
+        names.append(name)
+        if "lo" in column and column["lo"] > column["hi"]:
+            problems.append(f"{where}: lo must be <= hi")
+        if column["kind"] == "choice" and column["weights"] is not None and (
+                len(column["weights"]) != len(column["values"]) or not any(column["weights"])):
+            problems.append(f"{where}: weights must be one number per value, not all 0")
+    spans = []
+    for i, inj in enumerate(injections):
+        where = f"injections[{i}]"
+        if inj["type"] in _REWRITES and inj["column"] not in names:
+            problems.append(f"{where}: column {inj['column']!r} is not a generated column")
+        try:
+            lo, hi = (start + at if isinstance(at, timedelta) else at
+                      for at in (inj["start"] or timedelta(0),
+                                 duration if inj["end"] is None else inj["end"]))
+        except OverflowError:
+            problems.append(f"{where}: span lies past the last timestamp")
+            continue
+        if hi <= lo:
+            problems.append(f"{where}: span must be non-empty")
+        spans.append((inj, lo, hi))
+    _raise(problems)
+    return spec, columns, spans
+
+
+def _raise(problems: list[str]) -> None:
+    if problems:
+        raise ModelError("; ".join(problems))
 
 
 def _csv_cell(value: Value) -> str:

@@ -38,7 +38,7 @@ from .model import Value, comparator
 
 __all__ = [
     "ExpressionError", "Expr", "Literal", "Name", "Unary", "Binary", "Call",
-    "parse", "to_text", "compile", "BUILTINS",
+    "parse", "to_text", "compile", "compile_pattern", "BUILTINS",
 ]
 
 
@@ -224,7 +224,8 @@ _BUILTINS: dict[str, tuple[int, Callable[..., Value]]] = {
 BUILTINS: dict[str, int] = {name: arity for name, (arity, _) in _BUILTINS.items()}
 
 
-def _compile_pattern(text: str, offset: int) -> re.Pattern:
+def compile_pattern(text: str, offset: int) -> re.Pattern:
+    """A regular expression without backreferences; offset places an error."""
     if _RE_BACKREF.search(text):
         raise ExpressionError("backreferences are not supported in patterns", offset)
     try:
@@ -369,7 +370,7 @@ class _Parser:
             if not (isinstance(pat, Literal) and isinstance(pat.value, str)):
                 raise ExpressionError("matches() needs a string literal pattern",
                                       close.offset)
-            pattern = _compile_pattern(pat.value, close.offset)
+            pattern = compile_pattern(pat.value, close.offset)
         return Call(name, tuple(args), pattern)
 
 

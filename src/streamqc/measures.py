@@ -10,10 +10,10 @@ evaluation, and (where meaningful) a per-element checker used for
 per-element records and side-output routing.
 
 Each measure declares its parameters once, as a table of parsers and
-defaults. parse_measure runs that table over a spec once (parse_fields, the
-loop the suite config's sections run through as well): it rejects unknown
-keys, fills in every default, decodes JSON values, compiles patterns and
-parses expressions. Everything after it (result_type, make_elem_checker,
+defaults. parse_measure runs that table over a spec once (model.parse_fields,
+the loop every JSON input runs through): it rejects unknown keys, fills in
+every default, decodes JSON values, compiles patterns and parses
+expressions. Everything after it (result_type, make_elem_checker,
 compile) reads only parsed values. Each check's measure is compiled once
 (compile_measure) into the function that measures one pane.
 
@@ -42,23 +42,32 @@ from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from itertools import chain
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, Sequence
 
 from . import expression
 from .connectors import reads_as
 from .model import (
     TS_MAX,
     TS_MIN,
+    BadValue,
     MeasureSpec,
     ModelError,
+    Param,
+    Parser,
     StreamElement,
     Value,
     ValueRange,
     WindowInstance,
     canonical_bytes,
+    choice,
     constraint_verdict,
+    flag,
+    list_of,
+    number,
+    parse_fields,
     parse_ts,
-    value_from_json,
+    scalar,
+    string,
     value_to_json,
     value_test,
     value_type,
@@ -66,8 +75,8 @@ from .model import (
 )
 from .sketches import CardinalityEstimator, FrequentItemsSketch, registers_of
 
-__all__ = ["MeasureResult", "EngineEnv", "MEASURES", "MeasureDef", "Param", "REQUIRED",
-           "ParsedMeasure", "parse_fields", "parse_measure", "percentile", "compile_measure"]
+__all__ = ["MeasureResult", "EngineEnv", "MEASURES", "MeasureDef", "ParsedMeasure",
+           "parse_measure", "percentile", "compile_measure"]
 
 _NUMERIC_TYPES = ("int", "float")
 _ORDERED_TYPES = ("int", "float", "timestamp")
@@ -98,21 +107,6 @@ class EngineEnv:
 
 ElemChecker = Callable[[StreamElement], "bool | None"]
 MeasureRun = Callable[[WindowInstance, EngineEnv], MeasureResult]
-# parse(raw JSON value, schema column types or None when no schema is known)
-Parser = Callable[[Any, "dict[str, str] | None"], Any]
-
-REQUIRED = object()  # the default of a parameter a spec must give
-
-
-class Param(NamedTuple):
-    """One key of a parameter table: its parser and its default, in JSON
-    form. A key with a default is optional, and a JSON null for it means
-    absent; a default of None leaves an absent key None."""
-
-    parse: Parser
-    default: Any = REQUIRED
-
-
 @dataclass(frozen=True)
 class MeasureDef:
     """Registry entry for one measure id.
@@ -142,110 +136,51 @@ class ParsedMeasure:
 
 
 # ---------------------------------------------------------------------------
-# Parameter parsers. Each takes the raw JSON value and the schema's column
-# types (None when no schema is known) and returns the parsed value, or
-# raises _Bad with text that follows the parameter's quoted name.
-
-
-class _Bad(Exception):
-    pass
+# Parameter parsers, beside model's generic ones (see model.Parser).
 
 
 def _column(*types: str) -> Parser:
     """A schema column's name; with types, the column must have one of them."""
     def parse(raw, columns):
         if not isinstance(raw, str) or not raw:
-            raise _Bad("must be a column name")
+            raise BadValue("must be a column name")
         if columns is not None:
             if raw not in columns:
-                raise _Bad(f"names column {raw!r}, which is not in the schema")
+                raise BadValue(f"names column {raw!r}, which is not in the schema")
             if types and columns[raw] not in types:
-                raise _Bad(f"names column {raw!r} of type {columns[raw]}, "
+                raise BadValue(f"names column {raw!r} of type {columns[raw]}, "
                            f"expected one of {'/'.join(types)}")
         return raw
     return parse
 
 
-def _choice(*options: str) -> Parser:
-    def parse(raw, columns):
-        if raw not in options:
-            raise _Bad(f"must be one of {'/'.join(options)}")
-        return raw
-    return parse
-
-
-def _flag(raw, columns) -> bool:
-    if not isinstance(raw, bool):
-        raise _Bad("must be a boolean")
-    return raw
-
-
-def _number(what: str, ok: Callable[[float], bool], integer: bool = False) -> Parser:
-    kinds = int if integer else (int, float)
-
-    def parse(raw, columns):
-        if isinstance(raw, bool) or not isinstance(raw, kinds) or not ok(raw):
-            raise _Bad(f"must be {what}")
-        return raw
-    return parse
-
-
-def _list(item: Parser, nonempty: bool = False) -> Parser:
-    """A JSON list, each item parsed by item; returned as a tuple."""
-    def parse(raw, columns):
-        if not isinstance(raw, list) or (nonempty and not raw):
-            raise _Bad(f"must be a {'non-empty ' if nonempty else ''}list")
-        out = []
-        for i, v in enumerate(raw):
-            try:
-                out.append(item(v, columns))
-            except _Bad as exc:
-                raise _Bad(f"item {i} {exc}") from None
-        return tuple(out)
-    return parse
-
-
-def _scalar(raw, columns) -> Value:
-    """A scalar JSON value, decoded into the value domain."""
-    try:
-        return value_from_json(raw)
-    except ModelError:
-        raise _Bad(f"must be a scalar value, not {json.dumps(raw)}") from None
-
-
 def _bound(raw, columns) -> Value:
-    v = _scalar(raw, columns)
+    v = scalar(raw, columns)
     if value_type(v) not in _ORDERED_TYPES:
-        raise _Bad("must be a number or a timestamp")
+        raise BadValue("must be a number or a timestamp")
     return v
-
-
-def _string(raw, columns) -> str:
-    if not isinstance(raw, str):
-        raise _Bad("must be a string")
-    return raw
 
 
 def _pattern(raw, columns):
     """A regular expression, compiled once (no backreferences)."""
     try:
-        return expression._compile_pattern(_string(raw, columns), 0)
+        return expression.compile_pattern(string(raw, columns), 0)
     except expression.ExpressionError as exc:
-        raise _Bad(f"is invalid: {exc}") from None
+        raise BadValue(f"is invalid: {exc}") from None
 
 
 def _expression(raw, columns) -> expression.Expr:
     """An expression over the schema's columns, parsed once."""
     if not isinstance(raw, str) or not raw.strip():
-        raise _Bad("must be a non-empty expression")
+        raise BadValue("must be a non-empty expression")
     try:
         expr = expression.parse(raw)
     except expression.ExpressionError as exc:
-        raise _Bad(f"is invalid: {exc}") from None
+        raise BadValue(f"is invalid: {exc}") from None
     if columns is not None:
         unknown = expr.free_names() - set(columns)
         if unknown:
-            raise _Bad(f"references unknown columns {sorted(unknown)}")
+            raise BadValue(f"references unknown columns {sorted(unknown)}")
     return expr
 
 
@@ -254,45 +189,14 @@ def _time_or_watermark(raw, columns) -> datetime | None:
     if raw == "watermark":
         return None
     try:
-        return parse_ts(_string(raw, columns))
-    except (_Bad, ModelError):
-        raise _Bad("must be 'watermark' or an ISO-8601 timestamp") from None
+        return parse_ts(string(raw, columns))
+    except (BadValue, ModelError):
+        raise BadValue("must be 'watermark' or an ISO-8601 timestamp") from None
 
 
 _ANY_COLUMN = Param(_column())
 _NUMERIC_COLUMN = Param(_column(*_NUMERIC_TYPES))
 _ORDERED_COLUMN = Param(_column(*_ORDERED_TYPES))
-
-
-def parse_fields(raw: dict, table: dict[str, Param], columns: dict[str, str] | None
-                 ) -> tuple[dict[str, Any], list[tuple[str | None, str]]]:
-    """Run a JSON object through a parameter table once.
-
-    Every key must be in the table and every required key given. An
-    optional key that is absent or null takes its default, and each value
-    is parsed with columns (see Parser). Returns the parsed values and
-    every problem found, as (key, text) for a value, or (None, text) for
-    the object itself.
-    """
-    problems: list[tuple[str | None, str]] = [
-        (None, f"unknown key {name!r} (allowed: {', '.join(sorted(table))})")
-        for name in raw if name not in table]
-    values: dict[str, Any] = {}
-    for name, (parse, default) in table.items():
-        value = raw.get(name)
-        if value is None and default is not REQUIRED:
-            value = default
-            if value is None:
-                values[name] = None
-                continue
-        elif name not in raw:
-            problems.append((None, f"missing required key {name!r}"))
-            continue
-        try:
-            values[name] = parse(value, columns)
-        except _Bad as exc:
-            problems.append((name, str(exc)))
-    return values, problems
 
 
 def parse_measure(spec: MeasureSpec, columns: dict[str, str] | None
@@ -982,7 +886,7 @@ def _per_element(measure_id: str, table: dict[str, Param],
                       _static_type(result_type), make_checker, check)
 
 
-_EXACT_OR_APPROX = _choice("exact", "approx")
+_EXACT_OR_APPROX = choice("exact", "approx")
 
 _register(MeasureDef("count", {"column": _ANY_COLUMN}, _per_pane(_apply_count), _static_type("int")))
 _register(MeasureDef("min", {"column": _ORDERED_COLUMN}, _per_pane(_apply_min), _column_type))
@@ -995,60 +899,60 @@ _register(MeasureDef("std", {"column": _NUMERIC_COLUMN},
                      _static_type("float")))
 _register(MeasureDef("z_outlier_count",
                      {"column": _NUMERIC_COLUMN,
-                      "z": Param(_number("a number > 0", lambda z: z > 0))},
+                      "z": Param(number("a number > 0", lambda z: z > 0))},
                      _per_pane(_apply_z_outliers), _static_type("int")))
 _register(_per_element("completeness",
                        {"column": _ANY_COLUMN,
-                        "missing_tokens": Param(_list(_scalar), []),
-                        "empty_text_missing": Param(_flag, False)},
+                        "missing_tokens": Param(list_of(scalar), []),
+                        "empty_text_missing": Param(flag, False)},
                        _share, _completeness_checker))
 _register(MeasureDef("placeholder_report",
                      {"column": _ANY_COLUMN,
-                      "tokens": Param(_list(_scalar, nonempty=True)),
-                      "output": Param(_choice("distinct_present", "fraction"), "distinct_present")},
+                      "tokens": Param(list_of(scalar, nonempty=True)),
+                      "output": Param(choice("distinct_present", "fraction"), "distinct_present")},
                      _compile_placeholders,
                      lambda p, c: "float" if p["output"] == "fraction" else "int"))
 _register(MeasureDef("distinct_count",
                      {"column": _ANY_COLUMN,
                       "mode": Param(_EXACT_OR_APPROX, "exact"),
-                      "precision": Param(_number("an int in [4, 16]", lambda p: 4 <= p <= 16,
+                      "precision": Param(number("an int in [4, 16]", lambda p: 4 <= p <= 16,
                                                  integer=True), 14)},
                      _merged("distinct", _prepare_distinct),
                      lambda p, c: "float" if p["mode"] == "approx" else "int"))
 _register(MeasureDef("uniqueness",
                      {"column": _ANY_COLUMN,
-                      "output": Param(_choice("ratio", "unique_count"), "ratio")},
+                      "output": Param(choice("ratio", "unique_count"), "ratio")},
                      _merged("counts", _prepare_uniqueness),
                      lambda p, c: "int" if p["output"] == "unique_count" else "float"))
 _register(MeasureDef("heavy_hitters",
                      {"column": _ANY_COLUMN,
-                      "phi": Param(_number("a number in (0, 1]", lambda phi: 0.0 < phi <= 1.0)),
+                      "phi": Param(number("a number in (0, 1]", lambda phi: 0.0 < phi <= 1.0)),
                       "mode": Param(_EXACT_OR_APPROX, "exact"),
-                      "capacity": Param(_number("an int >= 1", lambda c: c >= 1, integer=True),
+                      "capacity": Param(number("an int >= 1", lambda c: c >= 1, integer=True),
                                         256)},
                      _per_pane(_apply_heavy_hitters), _static_type("int")))
 _register(MeasureDef("percentiles",
                      {"column": _NUMERIC_COLUMN,
-                      "points": Param(_list(_number("a fraction in [0, 1]",
+                      "points": Param(list_of(number("a fraction in [0, 1]",
                                                     lambda q: 0.0 <= q <= 1.0), nonempty=True))},
                      _per_pane(_apply_percentiles), _static_type("float")))
 _register(MeasureDef("length_stats",
                      {"column": Param(_column("text")),
-                      "statistic": Param(_choice("min", "max", "mean", "std"), "mean")},
+                      "statistic": Param(choice("min", "max", "mean", "std"), "mean")},
                      _per_pane(_apply_length_stats),
                      lambda p, c: "int" if p["statistic"] in ("min", "max") else "float"))
 _register(MeasureDef("correlation",
                      {"column_a": _NUMERIC_COLUMN, "column_b": _NUMERIC_COLUMN,
-                      "method": Param(_choice("pearson", "spearman"), "pearson")},
+                      "method": Param(choice("pearson", "spearman"), "pearson")},
                      _per_pane(_apply_correlation), _static_type("float")))
 _register(MeasureDef("ordering_violations",
                      {"column": _ORDERED_COLUMN,
-                      "direction": Param(_choice("asc", "desc"), "asc"),
-                      "strict": Param(_flag, False)},
+                      "direction": Param(choice("asc", "desc"), "asc"),
+                      "strict": Param(flag, False)},
                      _per_pane(_apply_ordering), _static_type("int")))
 _register(MeasureDef("interval_conflicts",
                      {"start_column": _ORDERED_COLUMN, "end_column": _ORDERED_COLUMN,
-                      "policy": Param(_choice("gaps_allowed", "gaps_disallowed", "gaps_required"),
+                      "policy": Param(choice("gaps_allowed", "gaps_disallowed", "gaps_required"),
                                       "gaps_allowed")},
                      _per_pane(_apply_intervals), _static_type("int"),
                      check=_intervals_share_a_type))
@@ -1058,26 +962,26 @@ _register(MeasureDef("freshness", {"reference": Param(_time_or_watermark, "water
                      _compile_freshness, _static_type("float")))
 _register(MeasureDef("volume", {}, _per_pane(_apply_volume), _static_type("int")))
 _register(_per_element("schema_check",
-                       {"expected": Param(_list(_string, nonempty=True)),
-                        "mode": Param(_choice("presence", "presence_absence", "presence_order"),
+                       {"expected": Param(list_of(string, nonempty=True)),
+                        "mode": Param(choice("presence", "presence_absence", "presence_order"),
                                       "presence")},
                        _schema_tally, _schema_checker, result_type="bool"))
 _register(_per_element("type_check",
                        {"column": _ANY_COLUMN,
-                        "expected": Param(_choice(*_TYPE_CHECK_TYPES)),
-                        "formats": Param(_list(_string), ["iso"])},
+                        "expected": Param(choice(*_TYPE_CHECK_TYPES)),
+                        "formats": Param(list_of(string), ["iso"])},
                        _type_tally, _type_checker))
 _register(MeasureDef("match_ratio", {"on": _ANY_COLUMN},
                      _per_pane(_apply_match_ratio), _static_type("float")))
 _register(_per_element("valid_range",
                        {"column": _ORDERED_COLUMN,
                         "lo": Param(_bound, None), "hi": Param(_bound, None),
-                        "lo_inclusive": Param(_flag, True), "hi_inclusive": Param(_flag, True)},
+                        "lo_inclusive": Param(flag, True), "hi_inclusive": Param(flag, True)},
                        _share, _range_checker, check=_range_has_a_fitting_bound))
 _register(_per_element("in_set",
                        {"column": _ANY_COLUMN,
-                        "allowed": Param(_list(_scalar, nonempty=True)),
-                        "proper": Param(_flag, False)},
+                        "allowed": Param(list_of(scalar, nonempty=True)),
+                        "proper": Param(flag, False)},
                        _in_set_tally, _in_set_checker))
 _register(_per_element("matches_pattern",
                        {"column": Param(_column("text")), "pattern": Param(_pattern)},

@@ -1,8 +1,9 @@
 """Core domain types shared by every other module.
 
-Defines the value domain, stream elements, window specifications, check
-definitions, constraint evaluation, and the quality meta-stream record with
-its wire format. Everything here is deliberately free of I/O.
+Defines the value domain, the parameter tables every JSON input is parsed
+through, stream elements, window specifications, check definitions,
+constraint evaluation, and the quality meta-stream record with its wire
+format. Everything here is deliberately free of I/O.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable, Literal, Sequence
+from typing import Any, Callable, Literal, NamedTuple, Sequence
 
 # The value domain: Null, Bool, Int (64-bit by convention), Float (IEEE 754),
 # Text (unicode), Timestamp (tz-aware UTC datetime, millisecond precision).
@@ -266,6 +267,138 @@ def value_from_json(raw: Any) -> Value:
             return -math.inf
         return raw
     raise ModelError(f"JSON value {raw!r} is not a scalar value")
+
+
+# ---------------------------------------------------------------------------
+# Parameter tables, the one parser of JSON input (measure specs, config
+# sections, the generator's spec): each key's Param, run by parse_fields. A
+# parser takes the raw JSON value and the schema's column types (None when
+# no schema is known), and returns the value or raises BadValue with text
+# that follows the key.
+
+Parser = Callable[[Any, "dict[str, str] | None"], Any]
+
+REQUIRED = object()  # the default of a key an object must give
+
+
+class Param(NamedTuple):
+    """One key of a parameter table: its parser and its default, in JSON
+    form. A key with a default is optional, and a JSON null for it means
+    absent; a default of None leaves an absent key None."""
+
+    parse: Parser
+    default: Any = REQUIRED
+
+
+class BadValue(Exception):
+    """A parser's refusal of a value."""
+
+
+def parse_fields(raw: dict, table: dict[str, Param], columns: dict[str, str] | None
+                 ) -> tuple[dict[str, Any], list[tuple[str | None, str]]]:
+    """Run a JSON object through a parameter table once.
+
+    Every key must be in the table and every required key given. An
+    optional key that is absent or null takes its default, and each value
+    is parsed with columns (see Parser). Returns the parsed values and
+    every problem found, as (key, text) for a value, or (None, text) for
+    the object itself.
+    """
+    problems: list[tuple[str | None, str]] = [
+        (None, f"unknown key {name!r} (allowed: {', '.join(sorted(table))})")
+        for name in raw if name not in table]
+    values: dict[str, Any] = {}
+    for name, (parse, default) in table.items():
+        value = raw.get(name)
+        if value is None and default is not REQUIRED:
+            value = default
+            if value is None:
+                values[name] = None
+                continue
+        elif name not in raw:
+            problems.append((None, f"missing required key {name!r}"))
+            continue
+        try:
+            values[name] = parse(value, columns)
+        except BadValue as exc:
+            problems.append((name, str(exc)))
+    return values, problems
+
+
+def choice(*options: str) -> Parser:
+    def parse(raw, columns):
+        if raw not in options:
+            raise BadValue(f"must be one of {'/'.join(options)}")
+        return raw
+    return parse
+
+
+def flag(raw, columns) -> bool:
+    if not isinstance(raw, bool):
+        raise BadValue("must be a boolean")
+    return raw
+
+
+def number(what: str, ok: Callable[[float], bool], integer: bool = False) -> Parser:
+    kinds = int if integer else (int, float)
+
+    def parse(raw, columns):
+        if isinstance(raw, bool) or not isinstance(raw, kinds) or not ok(raw):
+            raise BadValue(f"must be {what}")
+        return raw
+    return parse
+
+
+def list_of(item: Parser, nonempty: bool = False) -> Parser:
+    """A JSON list, each item parsed by item; returned as a tuple."""
+    def parse(raw, columns):
+        if not isinstance(raw, list) or (nonempty and not raw):
+            raise BadValue(f"must be a {'non-empty ' if nonempty else ''}list")
+        out = []
+        for i, v in enumerate(raw):
+            try:
+                out.append(item(v, columns))
+            except BadValue as exc:
+                raise BadValue(f"item {i} {exc}") from None
+        return tuple(out)
+    return parse
+
+
+def scalar(raw, columns) -> Value:
+    """A scalar JSON value, decoded into the value domain."""
+    try:
+        return value_from_json(raw)
+    except ModelError:
+        raise BadValue(f"must be a scalar value, not {json.dumps(raw)}") from None
+
+
+def string(raw, columns) -> str:
+    if not isinstance(raw, str):
+        raise BadValue("must be a string")
+    return raw
+
+
+def text(raw, columns) -> str:
+    if not isinstance(raw, str) or not raw:
+        raise BadValue("must be a non-empty string")
+    return raw
+
+
+def json_object(raw, columns) -> dict:
+    """A JSON object; a nested section's is parsed by its table one level down."""
+    if not isinstance(raw, dict):
+        raise BadValue("must be an object")
+    return raw
+
+
+def from_model(parse: Callable[[Any], Any]) -> Parser:
+    """A model parser as a value parser: its ModelError is the problem."""
+    def parsed(raw, columns):
+        try:
+            return parse(raw)
+        except ModelError as exc:
+            raise BadValue(str(exc)) from None
+    return parsed
 
 
 # ---------------------------------------------------------------------------

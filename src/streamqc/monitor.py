@@ -410,18 +410,11 @@ class SuiteState:
 
         if check.emit_per_element:
             judge = _with_element_records(check, judge)
-        if check.context is None and check.reference is None:
-            names: dict[str, Value] = {}  # no bindings: a predicate sets only the value
-
-            def assess(head, key, sub, env, failing, entries):
-                judge(head, key, sub, apply_measure(spec, sub, env, run), names, failing,
-                      entries)
-            return assess
 
         # Bindings from the rolling context of the group's series and from the
-        # reference row; a warming context or a reference miss decides the
-        # record alone. A pane is folded into its context only after its own
-        # bindings were read.
+        # reference row, each looked up only when the check has one; a warming
+        # context or a reference miss decides the record alone. A pane is
+        # folded into its context only after its own bindings were read.
         horizon = check.context.horizon if check.context is not None else None
         contexts: dict[bytes, ContextState] = {}
         table = (self.references[check.reference.table]
@@ -440,11 +433,8 @@ class SuiteState:
             if table is not None:
                 ref_key = reference_key({"window_start": sub.start, "window_end": sub.end})
                 row = table.lookup(ref_key)
-                if row is None:
-                    miss = True
-                else:
-                    for col, v in row.items():
-                        names[f"ref_{col}"] = v
+                miss = row is None
+                names.update((f"ref_{col}", v) for col, v in (row or {}).items())
             result = apply_measure(spec, sub, env, run)
             if ctx is not None:
                 ctx.fold(sub.end, result.value, len(sub.elements))

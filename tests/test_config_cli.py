@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import hashlib
 import json
 import re
 import subprocess
@@ -21,10 +22,10 @@ from streamqc.config import (
     resolve_path,
     semantic_errors,
 )
-from streamqc.measures import Param
 from streamqc.model import (
     MAX_PANES_PER_ROW,
     ModelError,
+    Param,
     Predicate,
     Threshold,
     ValueRange,
@@ -1075,7 +1076,7 @@ def test_cli_generate_rejects_unknown_keys(tmp_path, capsys):
         "duration": "1m", "columns": [], "shape": "wide"}, name="gen.json")
     assert main(["generate", gen_cfg, "--out", str(tmp_path / "o.csv"),
                  "--manifest", str(tmp_path / "m.jsonl")]) == 1
-    assert "unknown keys" in capsys.readouterr().err
+    assert "unknown key 'shape'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("rate", [0, -5, 1e400, float("nan")])
@@ -1117,6 +1118,153 @@ def test_cli_generate_rejects_a_value_of_the_wrong_kind(tmp_path, capsys, change
     assert len(lines) == 1 and lines[0].startswith("error: generator config: ") \
         and expected in lines[0], lines
     assert not out.exists()
+
+
+def generator_config():
+    """A generator config that uses every column kind, every injection type
+    and every optional key: an int rate, a weighted choice over every JSON
+    scalar kind, an absolute span, overlapping reorder spans and a spike
+    of an int column."""
+    return {
+        "seed": 11, "start": "2015-05-07T11:00:00.000Z", "rate_per_sec": 4,
+        "duration": "1m", "event_time": "ts",
+        "columns": [
+            {"name": "id", "kind": "sequence", "prefix": "R"},
+            {"name": "n", "kind": "sequence"},
+            {"name": "count", "kind": "uniform_int", "lo": -3, "hi": 40},
+            {"name": "fare", "kind": "uniform_float", "lo": 1, "hi": 20.5, "round": 2},
+            {"name": "raw", "kind": "uniform_float", "lo": 0.0, "hi": 1.0},
+            {"name": "temp", "kind": "normal", "mean": 10, "std": 2.5, "round": 1},
+            {"name": "noise", "kind": "normal", "mean": 0.0, "std": 1.0},
+            {"name": "zone", "kind": "choice", "values": ["a", "b", "c"]},
+            {"name": "level", "kind": "choice", "values": ["low", 2, 3.5, True, None],
+             "weights": [5, 1, 0.5, 2, 1]},
+            {"name": "plate", "kind": "pattern", "pattern": "@@-###x"},
+        ],
+        "injections": [
+            {"type": "missing_burst", "column": "fare", "start": "5s", "end": "10s"},
+            {"type": "placeholder_burst", "column": "zone",
+             "start": "2015-05-07T11:00:12.000Z", "end": "2015-05-07T11:00:16Z"},
+            {"type": "placeholder_burst", "column": "count", "start": "17s", "end": "19s",
+             "token": 99},
+            {"type": "duplicate_burst", "column": "id", "start": "20s", "end": "24s"},
+            {"type": "out_of_order", "start": "25s", "end": "30s"},
+            {"type": "out_of_order", "column": "ts", "start": "28s", "end": "33s"},
+            {"type": "frozen", "column": "temp", "start": "35s", "end": "40s"},
+            {"type": "fare_spike", "column": "count", "start": "42s", "end": "45s"},
+            {"type": "fare_spike", "column": "fare", "start": "50s", "factor": 3},
+        ],
+    }
+
+
+def _generate(tmp_path, obj):
+    """streamqc generate of obj: its exit status and the paths it may write."""
+    out, manifest = tmp_path / "gen.csv", tmp_path / "gen.jsonl"
+    status = main(["generate", write_config(tmp_path, obj, name="gen.json"),
+                   "--out", str(out), "--manifest", str(manifest)])
+    return status, out, manifest
+
+
+def test_generate_writes_the_pinned_bytes_for_every_kind_and_type(tmp_path):
+    """The CSV and manifest of a config using every column kind and
+    injection type, pinned to the bytes the generator wrote before its spec
+    was parsed by tables."""
+    status, out, manifest = _generate(tmp_path, generator_config())
+    assert status == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GENERATED_CSV_SHA256
+    assert hashlib.sha256(manifest.read_bytes()).hexdigest() == GENERATED_MANIFEST_SHA256
+
+
+GENERATED_CSV_SHA256 = "e1bad821abff8daa803b88a64d69baf7bd5146f01975fc6efe5ea2b1c341de4c"
+GENERATED_MANIFEST_SHA256 = "9bb91ce1d0cefdfb0650b6ebaa8ce1fb7532a99b10d1ec109bd52d2aca0f1adb"
+
+
+def _typo(obj: dict, key: str, typo: str) -> None:
+    obj[typo] = obj.pop(key)
+
+
+# One-key mutations of generator_config(), each of which once wrote a CSV
+# (with wrong data, or only a header) or was read some other way.
+GENERATOR_PROBES = {
+    "column-key-typo": lambda c: _typo(c["columns"][3], "round", "rond"),
+    "values-text": lambda c: c["columns"][7].update(values="abc"),
+    "mean-text": lambda c: c["columns"][5].update(mean="10"),
+    "columns-object": lambda c: c.update(columns={"name": "fare", "kind": "sequence"}),
+    "name-number": lambda c: c["columns"][0].update(name=5),
+    "injection-on-missing-column": lambda c: c["injections"][0].update(column="ghost"),
+    "frozen-on-missing-column": lambda c: c["injections"][6].update(column="ghost"),
+    "injection-without-column": lambda c: c["injections"][0].pop("column"),
+    "injection-key-typo": lambda c: _typo(c["injections"][0], "start", "strat"),
+    "weights-length": lambda c: c["columns"][8]["weights"].pop(),
+    "lo-over-hi": lambda c: c["columns"][2].update(lo=50),
+    "round-fraction": lambda c: c["columns"][3].update(round=2.5),
+    "rate-bool": lambda c: c.update(rate_per_sec=True),
+    "rate-text": lambda c: c.update(rate_per_sec="2"),
+    "event-time-number": lambda c: c.update(event_time=5),
+    "span-start-number": lambda c: c["injections"][0].update(start=5),
+    "duplicate-column-name": lambda c: c["columns"][1].update(name="id"),
+    "factor-text": lambda c: c["injections"][8].update(factor="x"),
+    "token-list": lambda c: c["injections"][1].update(token=[1]),
+}
+
+
+@pytest.mark.parametrize("probe", GENERATOR_PROBES)
+def test_generate_rejects_each_probe_before_writing(tmp_path, capsys, probe):
+    obj = generator_config()
+    GENERATOR_PROBES[probe](obj)
+    status, out, manifest = _generate(tmp_path, obj)
+    lines = capsys.readouterr().err.splitlines()
+    assert status == 1
+    assert len(lines) == 1 and lines[0].startswith("error: generator config: "), lines
+    assert not out.exists() and not manifest.exists()
+
+
+def test_generate_of_any_value_in_any_place_writes_or_prints_only_errors(tmp_path, capsys):
+    """Each key (and list item) of generator_config(), at every depth, given
+    each value of GENERATOR_FUZZ in turn: the run succeeds, or prints only
+    `error:` lines and writes no file."""
+    base = generator_config()
+    places = list(_places(base))
+    assert len(places) > 80
+    written = 0
+    for path in places:
+        for value in GENERATOR_FUZZ:
+            status, out, manifest = _generate(tmp_path, _replaced(base, path, value))
+            lines = capsys.readouterr().err.splitlines()
+            if status == 0:
+                written += 1
+                out.unlink()
+                manifest.unlink()
+                continue
+            assert status == 1 and lines, (path, value)
+            assert all(line.startswith("error: ") for line in lines), (path, value, lines)
+            assert not out.exists() and not manifest.exists(), (path, value)
+    assert written > 0
+
+
+GENERATOR_FUZZ = [None, True, 0, -1, 2.5, "", "x", "1m", [], [1], {}, {"a": 1}]
+
+
+def test_readme_generator_names_every_key_kind_and_type():
+    """Each key of every generator table, and each column kind and injection
+    type, is named in README's `### generator` section."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n### generator\n", 1)[1].split("\n## ", 1)[0]
+
+    def is_table(value):
+        return isinstance(value, dict) and value and all(
+            isinstance(param, Param) for param in value.values())
+
+    names = set()
+    for value in vars(connectors).values():
+        if is_table(value):
+            names |= set(value)
+        elif isinstance(value, dict) and value and all(map(is_table, value.values())):
+            names |= set(value) | {key for table in value.values() for key in table}
+    assert {"seed", "sequence", "fare_spike", "weights", "token"} <= names
+    missing = sorted(name for name in names
+                     if f'"{name}"' not in section and f"`{name}`" not in section)
+    assert missing == []
 
 
 def test_readme_cli_block_matches_the_parser():

@@ -17,7 +17,6 @@ from hypothesis import given, settings, strategies as st
 from streamqc.connectors import SourceCounters, iter_csv, iter_jsonl, parse_time
 from streamqc.measures import (
     MEASURES,
-    REQUIRED,
     EngineEnv,
     _numbers,
     apply_measure,
@@ -25,6 +24,7 @@ from streamqc.measures import (
     parse_measure,
 )
 from streamqc.model import (
+    REQUIRED,
     CheckDefinition,
     ColumnSpec,
     MeasureSpec,

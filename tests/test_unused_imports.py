@@ -134,3 +134,42 @@ def test_every_package_import_goes_to_a_lower_layer():
                for path in sorted(PACKAGE.glob("*.py"))}
     assert set(modules) == set().union(*LAYERS)
     assert layering_problems(modules) == []
+
+
+def private_names_read(source: str) -> list[str]:
+    """Each `_`-prefixed name a module takes from another package module:
+    by `from .m import _x` (or `from streamqc.m import _x`), or by reading
+    `m._x` of a module m it imported with `from . import m`. Dunder names
+    are not private."""
+    def private(name: str) -> bool:
+        return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+    tree = ast.parse(source)
+    modules: set[str] = set()
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level == 1 or (node.module or "").partition(".")[0] == "streamqc"):
+            if node.module in (None, "streamqc"):
+                modules.update(alias.asname or alias.name for alias in node.names)
+            else:
+                found += [(node.lineno, alias.name) for alias in node.names if private(alias.name)]
+    found += [(node.lineno, f"{node.value.id}.{node.attr}") for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in modules and private(node.attr)]
+    return [f"{lineno}: {name}" for lineno, name in sorted(found)]
+
+
+def test_the_private_name_check_finds_each_form():
+    source = ("from . import expression, model as m\nfrom .measures import _Bad, Param\n"
+              "from streamqc.config import _text\nimport json\n"
+              "def f(x):\n    from .cli import _main\n"
+              "    return expression._compile(m.__name__, json._default_decoder, x._y)\n")
+    assert private_names_read(source) == ["2: _Bad", "3: _text", "6: _main",
+                                          "7: expression._compile"]
+
+
+def test_no_module_reads_another_modules_private_name():
+    found = {path.name: names for path in sorted(PACKAGE.glob("*.py"))
+             if (names := private_names_read(path.read_text(encoding="utf-8")))}
+    assert found == {}
