@@ -189,7 +189,7 @@ def _cmd_generate(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fp:
         try:
             obj = json.load(fp)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON text is UTF-8
             raise ConfigError([f"generator config: invalid JSON: {exc}"]) from None
     if not isinstance(obj, dict):
         raise ConfigError(["generator config: expected an object"])

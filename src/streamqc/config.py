@@ -380,7 +380,7 @@ def load_config(path: str) -> SuiteConfig:
     with open(path, "r", encoding="utf-8") as fp:
         try:
             obj = json.load(fp)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON text is UTF-8
             raise ConfigError([f"config: invalid JSON: {exc}"]) from None
     return parse_config(obj)
 

@@ -8,6 +8,13 @@ or unparseable is skipped entirely. Sinks are line-oriented and fail-stop.
 The coercers are the package's one rule for reading a cell as a type: the
 compiled source decoders, type_check (through reads_as) and the typing of
 reference CSV columns all use them. This module imports only model.
+
+A source decodes its bytes as UTF-8, and a byte that is not UTF-8 becomes a
+lone surrogate (errors="surrogateescape"), so such a cell is read, counted
+or skipped like any other: its text keeps a distinct encoding
+(canonical_bytes) and the wire form escapes it. socket and logging are
+imported where they are used, so a run that opens no socket and logs
+nothing does not load them.
 """
 
 from __future__ import annotations
@@ -16,10 +23,8 @@ import csv
 import functools
 import io
 import json
-import logging
 import math
 import random
-import socket
 import sys
 import time
 from dataclasses import dataclass, field
@@ -59,9 +64,6 @@ __all__ = [
     "load_reference", "GENERATOR", "generate_stream",
     "FileSink", "StdoutSink", "SocketSink", "open_sink",
 ]
-
-log = logging.getLogger("streamqc.connectors")
-
 
 # ---------------------------------------------------------------------------
 # Coercion
@@ -382,7 +384,7 @@ def iter_csv(path: str, schema: list[ColumnSpec], event_time: str,
 def _iter_csv_rows(path, schema, event_time, formats, counters, limit
                    ) -> Iterator[StreamElement | None]:
     """None once the header is checked, then iter_csv's rows."""
-    with open(path, "r", encoding="utf-8", newline="") as fp:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fp:
         reader = csv.reader(fp)
         header = next(reader, None)
         if header is None:
@@ -422,7 +424,7 @@ def iter_jsonl(path: str, schema: list[ColumnSpec], event_time: str,
 
 def _iter_jsonl_file(path, *args) -> Iterator[StreamElement | None]:
     """None once the file is open, then iter_jsonl's rows."""
-    with open(path, "r", encoding="utf-8") as fp:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fp:
         yield None
         yield from _iter_jsonl_lines(fp, *args)
 
@@ -469,9 +471,11 @@ def iter_socket(address: str, schema: list[ColumnSpec], event_time: str,
                 limit: int | None = None) -> Iterator[StreamElement]:
     """Consume newline-delimited JSON records from a TCP endpoint until the
     peer closes the connection."""
+    import socket
+
     host, port = parse_address(address)
     with socket.create_connection((host, port)) as sock:
-        with sock.makefile("r", encoding="utf-8", newline="\n") as fp:
+        with sock.makefile("r", encoding="utf-8", errors="surrogateescape", newline="\n") as fp:
             yield from _iter_jsonl_lines(fp, schema, event_time, formats or {},
                                          counters if counters is not None else SourceCounters(),
                                          limit)
@@ -516,15 +520,21 @@ def load_reference(table_id: str, path: str, key_column: str) -> ReferenceTable:
         key = row[key_column]
         if key == "*":
             if default_row is not None:
-                log.warning("reference %s: duplicate default row, keeping the last", table_id)
+                _warn("reference %s: duplicate default row, keeping the last", table_id)
             default_row = row
             continue
         enc = canonical_bytes(key)
         if enc in rows:
-            log.warning("reference %s: duplicate key %r, keeping the last", table_id, key)
+            _warn("reference %s: duplicate key %r, keeping the last", table_id, key)
         rows[enc] = row
     return ReferenceTable(table_id=table_id, key_column=key_column,
                           columns=tuple(columns), rows=rows, default_row=default_row)
+
+
+def _warn(message: str, *args: Any) -> None:
+    import logging
+
+    logging.getLogger("streamqc.connectors").warning(message, *args)
 
 
 def _read_jsonl_rows(path: str) -> list[dict[str, Value]]:
@@ -850,6 +860,8 @@ class StdoutSink:
 
 class SocketSink:
     def __init__(self, address: str):
+        import socket
+
         host, port = parse_address(address)
         self._sock = socket.create_connection((host, port))
 

@@ -73,7 +73,7 @@ from .model import (
     value_type,
     values_equal,
 )
-from .sketches import CardinalityEstimator, FrequentItemsSketch, registers_of
+from .sketches import FrequentItemsSketch, estimate_packed, pack, registers_of
 
 __all__ = ["MeasureResult", "EngineEnv", "MEASURES", "MeasureDef", "ParsedMeasure",
            "parse_measure", "percentile", "compile_measure"]
@@ -443,28 +443,17 @@ def _compile_placeholders(params, env):
 
 
 def _prepare_distinct(params, env):
-    """Partials are the set of a slice's encodings (exact), or its value count
-    and the occupied registers of a sketch over its encodings (approx).
-    Encodings are never empty, so filter(None, ...) drops just the Nulls."""
+    """Partials are the set of a slice's encodings (exact), or the occupied
+    registers of a sketch over its encodings, packed four bytes each
+    (approx). Encodings are never empty, so filter(None, ...) drops just the
+    Nulls."""
     column = params["column"]
     if params["mode"] == "exact":
         return (lambda part: set(filter(None, part.encodings(column))),
                 lambda partials, window: MeasureResult(len(set().union(*partials))))
     precision, seed = params["precision"], env.hash_seed
-
-    def partial(part):
-        encodings = part.encodings(column)
-        present = len(encodings) - encodings.count(None)
-        return present, registers_of(filter(None, encodings), precision, seed)
-
-    def finish(partials, window):
-        # Register-wise max gives the registers of one sketch over the pane.
-        est = CardinalityEstimator(precision, seed)
-        for _, registers in partials:
-            est.merge(registers)
-        present = any(count for count, _ in partials)
-        return MeasureResult(est.estimate() if present else 0.0)
-    return partial, finish
+    return (lambda part: pack(registers_of(filter(None, part.encodings(column)), precision, seed)),
+            lambda partials, window: MeasureResult(estimate_packed(partials, precision)))
 
 
 def _prepare_uniqueness(params, env):

@@ -201,10 +201,13 @@ def canonical_bytes(v: Value) -> bytes:
 
     Each type gets a distinct tag byte, so Int 3 and Float 3.0 are different
     values here even though comparisons widen. Float -0.0 is normalized to 0.0
-    so the two zeros count as one value.
+    so the two zeros count as one value. Text is its UTF-8 with a lone
+    surrogate (a JSON escape such as \\ud800, or an undecodable source
+    byte) encoded as UTF-8 encodes any other code point, which keeps
+    code-point order.
     """
     if type(v) is str:
-        return b"\x04" + v.encode("utf-8")
+        return b"\x04" + v.encode("utf-8", "surrogatepass")
     if v is None:
         return b"\x00"
     if isinstance(v, bool):
@@ -222,7 +225,7 @@ def canonical_bytes(v: Value) -> bytes:
             v = 0.0
         return b"\x03" + struct.pack(">d", v)
     if isinstance(v, str):
-        return b"\x04" + v.encode("utf-8")
+        return b"\x04" + v.encode("utf-8", "surrogatepass")
     if isinstance(v, datetime):
         return b"\x05" + struct.pack(">q", epoch_millis(v))
     raise ModelError(f"value {v!r} is outside the value domain")
@@ -487,12 +490,13 @@ class Slice:
     kept in the memo (per-slice partial aggregates, key splits) and the
     column encodings are computed once and shared by every pane over the
     slice. Both live and die with the slice, and are only filled once the
-    slice's elements are final. `ordered` counts the leading elements
-    already verified to be in pane order, so each element is walked once
-    however many panes span the slice. A key group's share of a slice (see
-    split) keeps `source`: the whole slice's encodings (`codes`, by column)
-    and elements and the positions of its own elements among them, so it
-    reads its encodings from the whole.
+    slice's elements are final. `ordered` counts the leading elements known
+    to be in pane order (the pane store sorted them, or a pane walked
+    them), so each element is walked at most once however many panes span
+    the slice, and the share of an ordered slice is ordered. A key group's
+    share of a slice (see split) keeps `source`: the whole slice's
+    encodings (`codes`, by column) and elements and the positions of its
+    own elements among them, so it reads its encodings from the whole.
     """
 
     __slots__ = ("elements", "memo", "ordered", "codes", "source")
@@ -552,6 +556,9 @@ class Slice:
         out = self.memo[memo_key] = {
             NULL_CODE if enc is None else enc: Slice(members, (self.codes, elements, positions))
             for enc, (members, positions) in groups.items()}
+        if self.ordered == len(elements):  # a share keeps the order of the whole
+            for share in out.values():
+                share.ordered = len(share.elements)
         return out
 
 
@@ -570,11 +577,18 @@ def key_groups(parts: Sequence[Slice], column: str) -> list[tuple[bytes, list[Sl
 def _encodings(codes: dict[str, list[bytes | None]],
                elements: list[StreamElement] | tuple[StreamElement, ...],
                column: str) -> list[bytes | None]:
-    """codes[column], computed from the elements when missing."""
+    """codes[column], computed from the elements when missing. Equal text
+    values share one encoding: a text is looked up among those already
+    encoded before it is encoded, so a slice holds one encoding of each
+    distinct text however often it repeats."""
     out = codes.get(column)
     if out is None:
-        out = codes[column] = [None if (v := e.attrs.get(column)) is None
-                               else canonical_bytes(v) for e in elements]
+        texts: dict[str, bytes] = {}
+        known = texts.get
+        out = codes[column] = [
+            None if (v := e.attrs.get(column)) is None
+            else (known(v) or texts.setdefault(v, canonical_bytes(v))) if type(v) is str
+            else canonical_bytes(v) for e in elements]
     return out
 
 
@@ -596,9 +610,9 @@ class WindowInstance:
     both are verified at construction. parts are the slices whose elements
     concatenate to `elements`: a pane built from parts alone joins their
     elements here, and a pane built without them gets its elements as one
-    slice. Each slice is walked once for order (see Slice.ordered), and the
-    pane checks only the order across each boundary between parts and the
-    bounds of its first and last element.
+    slice. Each slice is walked at most once for order (see Slice.ordered),
+    and the pane checks only the order across each boundary between parts
+    and the bounds of its first and last element.
     """
 
     start: datetime

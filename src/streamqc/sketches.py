@@ -4,6 +4,11 @@ Two sketches: a register-based cardinality estimator (distinct counts) and a
 replace-minimum frequent-items sketch (heavy hitters). Both hash values
 through their canonical byte encoding with a fixed keyed 64-bit hash, so
 results are reproducible across runs and platforms for a given seed.
+
+A cardinality sketch's state can also be kept sparse and packed, as
+HyperLogLog++ keeps small sketches: only its occupied registers, four bytes
+each (pack). estimate_packed merges such packs into the estimate of one
+sketch over all their values.
 """
 
 from __future__ import annotations
@@ -11,12 +16,14 @@ from __future__ import annotations
 import hashlib
 import heapq
 import math
+from array import array
 from itertools import compress
 from typing import Iterable
 
 from .model import Value, canonical_bytes
 
-__all__ = ["hash64", "registers_of", "CardinalityEstimator", "FrequentItemsSketch"]
+__all__ = ["hash64", "registers_of", "pack", "estimate_packed", "CardinalityEstimator",
+           "FrequentItemsSketch"]
 
 
 def _hash_key(seed: int) -> bytes:
@@ -56,6 +63,28 @@ def registers_of(encodings: Iterable[bytes], precision: int, seed: int = 0) -> d
     return out
 
 
+def pack(occupied: dict[int, int]) -> array:
+    """Occupied registers, index -> value, packed as index << 6 | value into
+    one array: four bytes a register. An index is below 2**16 and a value
+    at most 61, so each fits an unsigned 32-bit item."""
+    return array("I", [i << 6 | r for i, r in occupied.items()])
+
+
+def estimate_packed(partials: Iterable[array], precision: int) -> float:
+    """The estimate of one sketch over the values of every partial, each a
+    pack of occupied registers: the estimate a CardinalityEstimator fed all
+    those values first reports. The register-wise max is taken into one
+    temporary array of 2**precision registers, and the estimate reads its
+    occupied registers (see _inverse_sum)."""
+    registers = bytearray(1 << precision)
+    for packed in partials:
+        for x in packed:
+            i, r = x >> 6, x & 63
+            if r > registers[i]:
+                registers[i] = r
+    return _estimate(registers, precision)
+
+
 def _alpha(m: int) -> float:
     # Bias-correction constant for the harmonic-mean estimator.
     if m == 16:
@@ -67,21 +96,37 @@ def _alpha(m: int) -> float:
     return 0.7213 / (1.0 + 1.079 / m)
 
 
+# The one-byte string of each register value, for bytearray.count and `in`.
+_BYTES = [bytes((r,)) for r in range(64)]
+
+
 def _inverse_sum(registers: bytearray, precision: int) -> float:
     """The sum of 2**-r over the registers, as a left-to-right float loop gives it.
 
     Every term is a multiple of 2**-top (top = the largest register) and the
     sum is at most 2**precision, so when precision + top <= 53 every partial
     sum is exact, the order of addition cannot matter, and the sum is formed
-    from one count per register value. Otherwise the loop runs as written.
+    from the count of zero registers and a histogram of the occupied ones.
+    Otherwise the loop runs as written.
     """
-    top = max(registers)
+    occupied = registers.translate(None, b"\0")
+    top = next((r for r in range(63, 0, -1) if _BYTES[r] in occupied), 0)
     if precision + top <= 53:
-        return sum(registers.count(r) * 2.0 ** -r for r in range(top, -1, -1))
+        return sum((occupied.count(_BYTES[r]) * 2.0 ** -r for r in range(1, top + 1)),
+                   float(len(registers) - len(occupied)))
     inv_sum = 0.0
     for r in registers:
         inv_sum += 2.0 ** -r
     return inv_sum
+
+
+def _estimate(registers: bytearray, precision: int) -> float:
+    """The harmonic-mean estimate of 2**precision registers, with the
+    standard small-range linear-counting correction."""
+    m = 1 << precision
+    raw = _alpha(m) * m * m / _inverse_sum(registers, precision)
+    zeros = registers.count(b"\0")
+    return m * math.log(m / zeros) if raw <= 2.5 * m and zeros > 0 else raw
 
 
 class CardinalityEstimator:
@@ -123,17 +168,9 @@ class CardinalityEstimator:
                 registers[i] = r
 
     def estimate(self) -> float:
-        m = self._m
-        registers = self._registers
-        inv_sum = _inverse_sum(registers, self.precision)
-        zeros = registers.count(0)
-        raw = _alpha(m) * m * m / inv_sum
-        if raw <= 2.5 * m and zeros > 0:
-            est = m * math.log(m / zeros)
-        else:
-            est = raw
         # The raw estimator can dip when crossing the linear-counting handoff;
         # clamp to the high-water mark so the estimate is non-decreasing.
+        est = _estimate(self._registers, self.precision)
         if est < self._peak:
             est = self._peak
         else:

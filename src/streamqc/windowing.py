@@ -306,8 +306,7 @@ class PaneStore:
             for part in parts:
                 if not part.ordered:  # no pane has used it yet
                     part.elements.sort(key=element_order)
-                    if keyed:  # only its key groups go into panes, and are walked there
-                        part.ordered = len(part.elements)
+                    part.ordered = len(part.elements)  # sorted here, so no pane walks it
             start, end = _pane_bounds(self.spec, p)
             if parts:
                 for key_enc, own in key_groups(parts, key_by) if keyed else [(NULL_CODE, parts)]:
@@ -369,7 +368,9 @@ class PaneStore:
             if not sessions:
                 del self._sessions[key_enc]
             session.elements.sort(key=element_order)
-            yield WindowInstance(start, end, session.key, tuple(session.elements))
+            part = Slice(tuple(session.elements))
+            part.ordered = len(part.elements)  # sorted here, so the pane need not walk it
+            yield WindowInstance(start, end, session.key, part.elements, (part,))
 
     def closed_floor(self) -> datetime:
         """An element that a closed pane held, with event time before this

@@ -455,6 +455,62 @@ def test_cli_validate_invalid_json(tmp_path, capsys):
     assert "invalid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["validate", "run", "generate"])
+def test_cli_config_that_is_not_utf8_is_an_error_line(tmp_path, capsys, command):
+    p = tmp_path / "bad.json"
+    p.write_bytes(b'{"seed": "\xff"}')
+    argv = [command, str(p)]
+    if command == "generate":
+        argv += ["--out", str(tmp_path / "o.csv"), "--manifest", str(tmp_path / "m.jsonl")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "invalid JSON" in err[0]
+    assert "can't decode byte 0xff" in err[0]
+
+
+# A stream whose text cells hold bytes that are not UTF-8 (and, in JSONL, a
+# lone-surrogate escape), checked on a session key, exact and approx
+# distinct counts and uniqueness of the same column; one fare cell is a
+# byte that is not UTF-8 as well.
+HOSTILE_ROWS = [(b"11:00:00", b"\xed", b"1.0"), (b"11:00:01", b"a\xffb", b"2.0"),
+                (b"11:00:02", b"a\xffb", b"\xff"), (b"11:00:03", b"\xfe", b"3.0")]
+
+
+@pytest.mark.parametrize("kind", ["csv", "jsonl"])
+def test_cli_run_assesses_text_that_is_not_utf8(tmp_path, capsys, kind):
+    if kind == "csv":
+        body = b"t,zone,fare\n" + b"".join(b"2015-05-07T%sZ,%s,%s\n" % row for row in HOSTILE_ROWS)
+        lone = "\udced"
+    else:
+        body = b"".join(b'{"t": "2015-05-07T%sZ", "zone": "%s", "fare": %s}\n'
+                        % (t, b"\\ud800" if zone == b"\xed" else zone,
+                           fare if fare[0] != 0xff else b'"\xff"')
+                        for t, zone, fare in HOSTILE_ROWS)
+        lone = "\ud800"
+    (tmp_path / f"s.{kind}").write_bytes(body)
+    obj = base_config()
+    obj["source"].update(kind=kind, path=f"s.{kind}")
+    obj["window"] = {"kind": "session", "gap": "1m", "key_by": "zone"}
+    obj["checks"] = [{"id": cid, "measure": dict(measure, column="zone"),
+                      "constraint": {"op": ">=", "bound": 0}}
+                     for cid, measure in [("exact", {"id": "distinct_count"}),
+                                          ("approx", {"id": "distinct_count", "mode": "approx"}),
+                                          ("unique", {"id": "uniqueness"})]]
+    meta = tmp_path / "meta.jsonl"
+    assert main(["run", write_config(tmp_path, obj), "--meta", str(meta), "--json"]) == 0
+    stats = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert stats["read"] == stats["assigned"] == 4
+    assert stats["parse_failures"] == {"fare": 1}
+    records = [json.loads(line) for line in meta.read_bytes().decode("ascii").splitlines()]
+    values = {(r["key"], r["check"]): r["value"] for r in records
+              if r["check"] in ("exact", "approx", "unique")}
+    keys = (lone, "a\udcffb", "\udcfe")
+    assert {key for key, _ in values} == set(keys)
+    for key in keys:
+        assert values[key, "exact"] == 1 and round(values[key, "approx"]) == 1
+        assert values[key, "unique"] == (0.0 if key == "a\udcffb" else 1.0)
+
+
 def test_cli_run_writes_meta(tmp_path, capsys):
     cfg_path = cli_setup(tmp_path)
     meta = tmp_path / "meta.jsonl"

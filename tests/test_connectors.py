@@ -227,6 +227,56 @@ def test_iter_jsonl_out_of_range_float_is_a_parse_failure(tmp_path):
     assert counters.parse_failures == {"fare": 1}
 
 
+def test_sources_read_bytes_that_are_not_utf8_as_lone_surrogates(tmp_path):
+    """A byte that is not UTF-8 decodes to a lone surrogate (surrogateescape),
+    so its row is read, counted or skipped like any other: in a text cell it
+    is text, in a typed cell a parse failure, in a JSON number a skipped
+    line. A JSON escape of a lone surrogate is text as well."""
+    csv_path = tmp_path / "in.csv"
+    csv_path.write_bytes(b"t,fare,zone,n,flag\n"
+                         b"2015-05-07T11:00:00Z,1.5,a\xffb,1,true\n"
+                         b"2015-05-07T11:00:01Z,\xff,\xfe,\xc3,\xff\n"
+                         b"\xff2015-05-07T11:00:02Z,1.0,z,1,true\n")
+    counters = SourceCounters()
+    out = list(iter_csv(str(csv_path), SCHEMA, "t", counters=counters))
+    assert [e.attrs["zone"] for e in out] == ["a\udcffb", "\udcfe"]
+    assert out[1].attrs["fare"] is None and out[1].attrs["n"] is None
+    assert counters.parse_failures == {"t": 1, "fare": 1, "n": 1, "flag": 1}
+    assert counters.skipped_bad_time == 1
+
+    jsonl_path = tmp_path / "in.jsonl"
+    jsonl_path.write_bytes(b'{"t": "2015-05-07T11:00:00Z", "zone": "\\ud800", "fare": 1.0}\n'
+                           b'{"t": "2015-05-07T11:00:01Z", "zone": "a\xffb", "n": 2}\n'
+                           b'{"t": "2015-05-07T11:00:02Z", "fare": \xff}\n'
+                           b'{"t": "2015-05-07T11:00:03Z\xff", "zone": "z"}\n')
+    counters = SourceCounters()
+    out = list(iter_jsonl(str(jsonl_path), SCHEMA, "t", counters=counters))
+    assert [e.attrs["zone"] for e in out] == ["\ud800", "a\udcffb"]
+    assert counters.skipped_bad_time == 2  # not JSON, and not a timestamp
+    encodings = {canonical_bytes(e.attrs["zone"]) for e in out}
+    assert len(encodings) == 2 and canonical_bytes("a\udcffb") != canonical_bytes("ab")
+
+
+def test_iter_socket_reads_bytes_that_are_not_utf8(tmp_path):
+    server = socket.create_server(("127.0.0.1", 0))
+    port = server.getsockname()[1]
+
+    def serve():
+        conn, _ = server.accept()
+        with conn:
+            conn.sendall(b'{"t": "2015-05-07T11:00:00Z", "zone": "a\xffb"}\n'
+                         b'{"t": "2015-05-07T11:00:01Z", "fare": \xff}\n')
+        server.close()
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    counters = SourceCounters()
+    out = list(iter_socket(f"tcp://127.0.0.1:{port}", SCHEMA, "t", counters=counters))
+    thread.join(timeout=5)
+    assert [e.attrs["zone"] for e in out] == ["a\udcffb"]
+    assert counters.skipped_bad_time == 1
+
+
 def test_iter_jsonl_skips_lines_json_cannot_represent(tmp_path):
     p = tmp_path / "in.jsonl"
     good = json.dumps({"t": "2015-05-07T11:00:00Z", "fare": 1.0})

@@ -904,7 +904,8 @@ def test_sliced_panes_assess_like_whole_panes():
 
 def test_key_sub_slices_are_walked_once(monkeypatch):
     """Two checks keyed by zone over 5m/1m panes: each key's share of a
-    slice is checked for order once, however many panes and checks use it."""
+    slice is checked for order at most once, however many panes and checks
+    use it; the share of a slice the store sorted is not walked at all."""
     walked = count_order_walks(monkeypatch)
     window = WindowSpec("sliding", duration=5 * MIN, slide=MIN)
     checks = [CheckDefinition(id=f"zone_{m}", measure=MeasureSpec(m, {"column": "fare"}),
@@ -927,7 +928,8 @@ def test_key_sub_slices_are_walked_once(monkeypatch):
             for enc, sub in part.split("zone").items() if enc != NULL_CODE]
     assert len({id(sub) for sub in subs}) * 4 < len(subs)  # shared by panes and checks
     for sub in {id(sub): sub for sub in subs}.values():
-        assert walks_of(walked, sub.elements) == len(sub.elements)
+        assert sub.ordered == len(sub.elements)
+        assert walks_of(walked, sub.elements) == 0
 
 
 @pytest.mark.parametrize("case", ["sliding", "sliding-keyed", "session-keyed"])
@@ -1188,7 +1190,8 @@ def test_each_value_is_encoded_once_per_row_and_column(monkeypatch):
     """Exact and approx distinct counts, uniqueness and a key_by split over
     the same columns share each slice's encodings, and a key group's share
     of a slice reads them from the whole slice: on 5m/1m panes, where a row
-    lies in five panes, each (row, column) value is encoded once."""
+    lies in five panes, each (row, column) value is encoded at most once,
+    and a text repeated within a slice is encoded once for the slice."""
     encoded = Counter()
     encode = model.canonical_bytes
 
@@ -1215,8 +1218,12 @@ def test_each_value_is_encoded_once_per_row_and_column(monkeypatch):
             for seq in range(400)]
     drive(eng, rows)
     assert eng.stats.discarded == 0 and eng.stats.panes_closed > 50
-    zones = Counter(e.attrs["zone"] for e in rows if e.attrs["zone"] is not None)
+    # One encoding per zone per 1m slice that holds it.
+    zones = Counter(zone for _, zone in {(e.event_time.replace(second=0, microsecond=0),
+                                          e.attrs["zone"]) for e in rows}
+                    if zone is not None)
     assert {v: n for v, n in encoded.items() if v in zones} == zones
+    assert sum(zones.values()) * 2 < sum(1 for e in rows if e.attrs["zone"] is not None)
     assert {v: n for v, n in encoded.items() if isinstance(v, str) and v[0] == "R"} == \
         {e.attrs["ride"]: 1 for e in rows}
 

@@ -13,7 +13,9 @@ from streamqc.sketches import (
     FrequentItemsSketch,
     _alpha,
     _inverse_sum,
+    estimate_packed,
     hash64,
+    pack,
     registers_of,
 )
 
@@ -191,6 +193,66 @@ def test_estimate_matches_the_register_loop_at_every_size():
             want = m * math.log(m / zeros) if raw <= 2.5 * m and zeros > 0 else raw
             peak = max(peak, want)
             assert est.estimate() == peak
+
+
+def _packed_partials(values, cuts, precision, seed):
+    """The packed registers of each slice of values, cut at the given points."""
+    bounds = [0, *cuts, len(values)]
+    return [pack(registers_of([canonical_bytes(v) for v in values[lo:hi] if v is not None],
+                              precision, seed))
+            for lo, hi in zip(bounds, bounds[1:])]
+
+
+@pytest.mark.parametrize("precision", range(4, 17))
+@pytest.mark.parametrize("seed", [0, 7, -3])
+def test_the_estimate_of_packed_slices_equals_one_estimator_over_every_value(precision, seed):
+    """A pane's estimate from its slices' packed registers equals, bit for
+    bit, the first estimate of a CardinalityEstimator fed every value, over
+    random splits into slices (empty and all-Null slices included)."""
+    rng = random.Random(precision * 100 + seed)
+    for n in [0, 1, 40, 700, 5000]:
+        values = _random_values(rng, n) + [None] * rng.randint(0, 3)
+        rng.shuffle(values)
+        est = CardinalityEstimator(precision, seed)
+        for v in values:
+            if v is not None:
+                est.add(v)
+        want = est.estimate()
+        for _ in range(3):
+            cuts = sorted(rng.randint(0, len(values)) for _ in range(rng.randint(0, 6)))
+            got = estimate_packed(_packed_partials(values, cuts, precision, seed), precision)
+            assert got.hex() == want.hex(), (n, cuts)
+
+
+@pytest.mark.parametrize("precision", [4, 10, 16])
+def test_the_estimate_of_packed_registers_past_exact_sums_takes_the_register_loop(precision):
+    """Registers whose largest value makes precision + top > 53: the packed
+    estimate takes the float loop over the registers, in index order, and
+    equals an estimator merged from the same registers."""
+    rng = random.Random(precision)
+    m = 1 << precision
+    top = 65 - precision  # the largest rank a hash can give
+    assert precision + top > 53
+    slices = [{i: rng.randint(1, 20) for i in rng.sample(range(m), m // 3)} for _ in range(4)]
+    slices[rng.randrange(4)][rng.randrange(m)] = top
+    est = CardinalityEstimator(precision)
+    for occupied in slices:
+        est.merge(occupied)
+    loop = 0.0
+    for r in est._registers:
+        loop += 2.0 ** -r
+    zeros = est._registers.count(0)
+    raw = _alpha(m) * m * m / loop
+    want = m * math.log(m / zeros) if raw <= 2.5 * m and zeros > 0 else raw
+    got = estimate_packed([pack(occupied) for occupied in slices], precision)
+    assert got.hex() == est.estimate().hex() == want.hex()
+
+
+def test_a_packed_register_takes_four_bytes():
+    occupied = {0: 1, 2 ** 16 - 1: 61, 300: 7}
+    packed = pack(occupied)
+    assert packed.itemsize == 4
+    assert {x >> 6: x & 63 for x in packed} == occupied
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,8 @@ of lower layers, so the package has no import cycle.
 from __future__ import annotations
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "streamqc"
@@ -173,3 +175,18 @@ def test_no_module_reads_another_modules_private_name():
     found = {path.name: names for path in sorted(PACKAGE.glob("*.py"))
              if (names := private_names_read(path.read_text(encoding="utf-8")))}
     assert found == {}
+
+
+# The standard-library modules a run that opens no socket and logs nothing
+# does without; connectors imports socket and logging where it uses them.
+UNLOADED = ("socket", "selectors", "logging")
+
+
+def test_importing_the_run_path_loads_no_socket_or_logging():
+    """A fresh interpreter that imports the package, its config, sources
+    and engine has not loaded socket, selectors or logging."""
+    code = ("import sys, streamqc, streamqc.config, streamqc.connectors, streamqc.monitor; "
+            f"print(' '.join(m for m in {UNLOADED!r} if m in sys.modules))")
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           timeout=60, check=True)
+    assert child.stdout.split() == []
