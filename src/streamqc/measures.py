@@ -17,15 +17,17 @@ expressions. Everything after it (result_type, make_elem_checker,
 compile) reads only parsed values. Each check's measure is compiled once
 (compile_measure) into the function that measures one pane.
 
-Measures that merge (mean, std, distinct_count, uniqueness and every measure
-with a per-element form) are written once as a partial over a slice and a
-finish over the partials of a pane. Each slice of a sliding pane computes
-its partial once, memoized on the slice, so the panes that overlap on it
-share the work; a pane without slices is one part. The partial of a
-per-element measure is its checker's verdicts, so the pane's value and its
-per-element records come from one check of each element. Distinct counts
-and uniqueness read the slice's column encodings (Slice.encodings), so
-every consumer of a column encodes each value once.
+Measures that merge (volume, count, mean, std, distinct_count, uniqueness
+and every measure with a per-element form) are written once as a partial
+over a slice and a finish over the partials of a pane. Each slice of a
+sliding pane computes its partial once, memoized on the slice, so the panes
+that overlap on it share the work; a pane without slices is one part. The
+partial of a per-element measure is its checker's verdicts, so the pane's
+value and its per-element records come from one check of each element.
+Distinct counts and uniqueness read the slice's column encodings
+(Slice.encodings), so every consumer of a column encodes each value once.
+A merged measure reads a slice's rows only to make its partials, so once
+they are kept the slice may release its rows (MeasureDef.merged).
 
 type_check reads a cell by the source decoder's own rule
 (connectors.reads_as), so it passes a value exactly when a source of the
@@ -54,6 +56,7 @@ from .model import (
     ModelError,
     Param,
     Parser,
+    Slice,
     StreamElement,
     Value,
     ValueRange,
@@ -125,6 +128,12 @@ class MeasureDef:
     result_type: Callable[[dict, dict[str, str]], str | None]
     make_elem_checker: Callable[[dict, EngineEnv], ElemChecker] | None = None
     check: Callable[[dict, dict[str, str] | None], list[str]] | None = None
+
+    @property
+    def merged(self) -> bool:
+        """True when the measure reads a pane only through partials it keeps
+        in each slice's memo (_Merged), not through the pane's rows."""
+        return isinstance(self.compile, _Merged)
 
 
 @dataclass(frozen=True)
@@ -308,31 +317,36 @@ def _per_pane(apply: Callable[[dict, WindowInstance, EngineEnv], MeasureResult])
 _ABSENT = object()  # a memo probe's default: no partial kept yet
 
 
-def _merged(name: str, prepare):
+def _kept(part: Slice, key: tuple, partial: Callable[[Slice], Any]) -> Any:
+    """The partial a slice keeps in its memo under key, computed the first time."""
+    memo = part.memo
+    kept = memo.get(key, _ABSENT)
+    if kept is _ABSENT:
+        kept = memo[key] = partial(part)
+    return kept
+
+
+@dataclass(frozen=True)
+class _Merged:
     """compile() of a measure kept as partial state per slice.
 
     prepare(params, env, *checker) returns (partial, finish): partial(part)
     summarizes one Slice, and finish(partials, window) merges a pane's
-    partials, in slice order, into the result. A slice computes each
-    partial once and keeps it in its memo under the partial's name and
-    parameters, so checks sharing a partial share it. Only a measure with a
-    per-element form is given its checker.
+    partials, in slice order, into the result; finish reads no rows (a
+    finish that needs more of a slice keeps that in the memo too). A slice
+    computes each partial once and keeps it in its memo under the partial's
+    name and parameters, so checks sharing a partial share it. Only a
+    measure with a per-element form is given its checker.
     """
-    def compile(params, env, *checker):
-        partial, finish = prepare(params, env, *checker)
-        key = (name, json.dumps(params, sort_keys=True, default=_memo_text), env.hash_seed)
 
-        def run(window, env):
-            partials = []
-            for part in window.parts:
-                memo = part.memo
-                kept = memo.get(key, _ABSENT)
-                if kept is _ABSENT:
-                    kept = memo[key] = partial(part)
-                partials.append(kept)
-            return finish(partials, window)
-        return run
-    return compile
+    name: str
+    prepare: Callable
+
+    def __call__(self, params, env, *checker) -> MeasureRun:
+        partial, finish = self.prepare(params, env, *checker)
+        key = (self.name, json.dumps(params, sort_keys=True, default=_memo_text), env.hash_seed)
+        return lambda window, env: finish([_kept(part, key, partial) for part in window.parts],
+                                          window)
 
 
 def _memo_text(value) -> str:
@@ -357,8 +371,17 @@ def _matches_any(v: Value, tokens: Sequence[Value]) -> bool:
 # Simple statistics
 
 
-def _apply_count(params, window, env):
-    return MeasureResult(len(_non_null(window.elements, params["column"])))
+def _prepare_count(params, env):
+    """volume counts a pane's rows and count a column's non-Null cells; a
+    slice's partial is its own count."""
+    column = params.get("column")
+    if column is None:
+        return (lambda part: len(part.elements)), _total
+    return (lambda part: sum(e.attrs.get(column) is not None for e in part.elements)), _total
+
+
+def _total(partials, window):
+    return MeasureResult(sum(partials))
 
 
 def _apply_min(params, window, env):
@@ -669,10 +692,6 @@ def _compile_freshness(params, env):
     return run
 
 
-def _apply_volume(params, window, env):
-    return MeasureResult(len(window.elements))
-
-
 # ---------------------------------------------------------------------------
 # Schema and types
 
@@ -803,9 +822,14 @@ def _in_set_tally(params, verdicts, window):
     result = _share(params, verdicts, window)
     if not params["proper"] or result.value is None:
         return result  # no subset demanded, or an empty pane
-    allowed = params["allowed"]
-    observed = {canonical_bytes(v): v for v in window.values(params["column"])
-                if v is not None}.values()
+    allowed, column = params["allowed"], params["column"]
+    # Each slice keeps its observed values, one per encoding (the last), in the memo.
+    observed: dict[bytes, Value] = {}
+    for part in window.parts:
+        observed.update(_kept(part, ("observed", column), lambda part: {
+            enc: e.attrs[column] for enc, e in zip(part.encodings(column), part.elements)
+            if enc is not None}))
+    observed = observed.values()
     covers = all(any(values_equal(a, o) is True for o in observed) for a in allowed)
     subset = all(any(values_equal(o, a) is True for a in allowed) for o in observed)
     if covers and subset:
@@ -871,20 +895,21 @@ def _per_element(measure_id: str, table: dict[str, Param],
             result.verdicts = verdicts
             return result
         return (lambda part: list(map(checker, part.elements))), finish
-    return MeasureDef(measure_id, table, _merged(measure_id, prepare),
+    return MeasureDef(measure_id, table, _Merged(measure_id, prepare),
                       _static_type(result_type), make_checker, check)
 
 
 _EXACT_OR_APPROX = choice("exact", "approx")
 
-_register(MeasureDef("count", {"column": _ANY_COLUMN}, _per_pane(_apply_count), _static_type("int")))
+_register(MeasureDef("count", {"column": _ANY_COLUMN}, _Merged("count", _prepare_count),
+                     _static_type("int")))
 _register(MeasureDef("min", {"column": _ORDERED_COLUMN}, _per_pane(_apply_min), _column_type))
 _register(MeasureDef("max", {"column": _ORDERED_COLUMN}, _per_pane(_apply_max), _column_type))
 _register(MeasureDef("mean", {"column": _NUMERIC_COLUMN},
-                     _merged("numbers", _numbers_stat(_mean)),
+                     _Merged("numbers", _numbers_stat(_mean)),
                      _static_type("float")))
 _register(MeasureDef("std", {"column": _NUMERIC_COLUMN},
-                     _merged("numbers", _numbers_stat(lambda xs: mean_std(xs)[1])),
+                     _Merged("numbers", _numbers_stat(lambda xs: mean_std(xs)[1])),
                      _static_type("float")))
 _register(MeasureDef("z_outlier_count",
                      {"column": _NUMERIC_COLUMN,
@@ -906,12 +931,12 @@ _register(MeasureDef("distinct_count",
                       "mode": Param(_EXACT_OR_APPROX, "exact"),
                       "precision": Param(number("an int in [4, 16]", lambda p: 4 <= p <= 16,
                                                  integer=True), 14)},
-                     _merged("distinct", _prepare_distinct),
+                     _Merged("distinct", _prepare_distinct),
                      lambda p, c: "float" if p["mode"] == "approx" else "int"))
 _register(MeasureDef("uniqueness",
                      {"column": _ANY_COLUMN,
                       "output": Param(choice("ratio", "unique_count"), "ratio")},
-                     _merged("counts", _prepare_uniqueness),
+                     _Merged("counts", _prepare_uniqueness),
                      lambda p, c: "int" if p["output"] == "unique_count" else "float"))
 _register(MeasureDef("heavy_hitters",
                      {"column": _ANY_COLUMN,
@@ -949,7 +974,7 @@ _register(MeasureDef("out_of_order_count", {"column": Param(_column(*_ORDERED_TY
                      _per_pane(_apply_out_of_order), _static_type("int")))
 _register(MeasureDef("freshness", {"reference": Param(_time_or_watermark, "watermark")},
                      _compile_freshness, _static_type("float")))
-_register(MeasureDef("volume", {}, _per_pane(_apply_volume), _static_type("int")))
+_register(MeasureDef("volume", {}, _Merged("volume", _prepare_count), _static_type("int")))
 _register(_per_element("schema_check",
                        {"expected": Param(list_of(string, nonempty=True)),
                         "mode": Param(choice("presence", "presence_absence", "presence_order"),

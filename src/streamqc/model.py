@@ -424,6 +424,7 @@ class StreamElement:
 # The order of elements within a pane and a slice: by event time, then arrival.
 element_order: Callable[[StreamElement], tuple[datetime, int]] = operator.attrgetter(
     "event_time", "arrival_seq")
+_arrival = operator.attrgetter("arrival_seq")
 
 
 @dataclass(frozen=True)
@@ -482,6 +483,26 @@ class WindowSpec:
         raise ModelError("session windows have no grid step")
 
 
+class ReleasedRows:
+    """Stands for the rows of a slice, or of a pane over one, that gave them
+    up (Slice.release): its len is their count, and reading a row raises
+    ModelError, so a reader of released rows fails rather than sees none."""
+
+    __slots__ = ("count",)
+
+    def __init__(self, count: int):
+        self.count = count
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __getitem__(self, index):
+        raise ModelError(f"these {self.count} rows were released; only their partials are kept")
+
+    def __iter__(self):
+        return self[0]  # raises, as every read does
+
+
 class Slice:
     """The elements of one non-overlapping span of event time, ordered like
     a pane, with a memo of what was computed from them.
@@ -489,17 +510,23 @@ class Slice:
     A sliding pane is the concatenation of the slices it spans, so values
     kept in the memo (per-slice partial aggregates, key splits) and the
     column encodings are computed once and shared by every pane over the
-    slice. Both live and die with the slice, and are only filled once the
-    slice's elements are final. `ordered` counts the leading elements known
-    to be in pane order (the pane store sorted them, or a pane walked
-    them), so each element is walked at most once however many panes span
-    the slice, and the share of an ordered slice is ordered. A key group's
-    share of a slice (see split) keeps `source`: the whole slice's
-    encodings (`codes`, by column) and elements and the positions of its
-    own elements among them, so it reads its encodings from the whole.
+    slice. They are only filled once the slice's elements are final.
+    `ordered` counts the leading elements known to be in pane order (the
+    pane store sorted them, or a pane walked them), so each element is
+    walked at most once however many panes span the slice, and the share of
+    an ordered slice is ordered. A key group's share of a slice (see split)
+    keeps `source`: the whole slice's encodings (`codes`, by column) and
+    elements and the positions of its own elements among them, so it reads
+    its encodings from the whole; and its key in the split column, as
+    `key` (its first element's value) and `arrived_key` (its first to
+    arrive's).
+
+    Once every pane over a slice that reads its rows has read them, release
+    gives them up: the slice keeps its memo and its row count, and its
+    elements become ReleasedRows.
     """
 
-    __slots__ = ("elements", "memo", "ordered", "codes", "source")
+    __slots__ = ("elements", "memo", "ordered", "codes", "source", "key", "arrived_key")
 
     def __init__(self, elements: list[StreamElement] | tuple[StreamElement, ...],
                  source: tuple[dict[str, list[bytes | None]],
@@ -516,6 +543,25 @@ class Slice:
         # would grow with the slices waiting for that collector.
         self.codes: dict[str, list[bytes | None]] | None = None  # made on first use
         self.source = source
+        self.key: Value = None
+        self.arrived_key: Value = None
+
+    @property
+    def released(self) -> bool:
+        return type(self.elements) is ReleasedRows
+
+    def release(self) -> None:
+        """Give up the rows and what only they need: the elements become
+        their count, and the encodings (a list kept as a partial stays in the
+        memo) and a share's source go. The memo stays, and each share of a
+        key split is released too. Only for a slice that no row can still
+        reach, once every partial a later pane reads is in the memo."""
+        self.elements = ReleasedRows(len(self.elements))
+        self.codes = self.source = None
+        for memo_key, kept in self.memo.items():
+            if memo_key[0] == "split":
+                for share in kept.values():
+                    share.release()
 
     def encodings(self, column: str) -> list[bytes | None]:
         """The canonical encoding of each element's value in a column, in
@@ -537,9 +583,9 @@ class Slice:
     def split(self, column: str) -> dict[bytes, Slice]:
         """Each key's share of the slice: its elements, in element order, by
         the encoding of their value in a column (a Null as NULL_CODE). Made
-        once per column and kept in the memo, so a keyed window and the
-        checks keyed on the column share it; each share reads its encodings
-        from this slice's."""
+        once per column and kept in the memo under ("split", column), so a
+        keyed window and the checks keyed on the column share it; each share
+        reads its encodings from this slice's and keeps its key."""
         memo_key = ("split", column)
         out = self.memo.get(memo_key)
         if out is not None:
@@ -553,9 +599,12 @@ class Slice:
             else:
                 slot[0].append(elements[i])
                 slot[1].append(i)
-        out = self.memo[memo_key] = {
-            NULL_CODE if enc is None else enc: Slice(members, (self.codes, elements, positions))
-            for enc, (members, positions) in groups.items()}
+        out = self.memo[memo_key] = {}
+        for enc, (members, positions) in groups.items():
+            share = out[NULL_CODE if enc is None else enc] = Slice(
+                members, (self.codes, elements, positions))
+            share.key = members[0].attrs.get(column)
+            share.arrived_key = min(members, key=_arrival).attrs.get(column)
         if self.ordered == len(elements):  # a share keeps the order of the whole
             for share in out.values():
                 share.ordered = len(share.elements)
@@ -612,28 +661,35 @@ class WindowInstance:
     elements here, and a pane built without them gets its elements as one
     slice. Each slice is walked at most once for order (see Slice.ordered),
     and the pane checks only the order across each boundary between parts
-    and the bounds of its first and last element.
+    and the bounds of its first and last element. A released slice was
+    checked when a pane first used it and is not walked again: a pane over
+    one joins no rows, and its elements are ReleasedRows, their count.
     """
 
     start: datetime
     end: datetime
     key: Value = None
-    elements: tuple[StreamElement, ...] = None  # () without parts
+    elements: tuple[StreamElement, ...] | ReleasedRows = None  # () without parts
     parts: tuple[Slice, ...] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.start >= self.end:
             raise ModelError(f"window bounds must satisfy start < end, got [{self.start}, {self.end})")
         if self.elements is None:
-            self.elements = (() if self.parts is None
-                             else tuple(chain.from_iterable(part.elements for part in self.parts)))
+            if self.parts is None:
+                self.elements = ()
+            elif any(part.released for part in self.parts):
+                self.elements = ReleasedRows(sum(len(part.elements) for part in self.parts))
+            else:
+                self.elements = tuple(chain.from_iterable(part.elements for part in self.parts))
         if self.parts is None:
             self.parts = (Slice(self.elements),)
         first = last = None
         count = 0
         for part in self.parts:
             elements = part.elements
-            if not elements:
+            count += len(elements)
+            if not elements or part.released:
                 continue
             if part.ordered < len(elements):
                 _check_order(elements, part.ordered)
@@ -643,7 +699,6 @@ class WindowInstance:
             elif element_order(elements[0]) < element_order(last):
                 raise ModelError("window elements must be ordered by (event_time, arrival_seq)")
             last = elements[-1]
-            count += len(elements)
         if count != len(self.elements):
             raise ModelError("window parts must concatenate to its elements")
         if last is not None:

@@ -341,7 +341,13 @@ class SuiteState:
     """Everything the monitor remembers across panes for one suite.
     Construction validates each check and compiles it, and then each
     detector, into a PaneCheck; an invalid suite raises InvalidSuite with
-    every problem found."""
+    every problem found.
+
+    releases_rows is True when no pane check reads a pane's rows, only the
+    partials each slice keeps from the first pane over it: every measure is
+    merged, no check emits per-element records, and there is no detector.
+    A slice's rows may then go after its first close (PaneStore.release_rows).
+    """
 
     def __init__(self, checks: list[CheckDefinition],
                  schema: list[ColumnSpec],
@@ -371,17 +377,21 @@ class SuiteState:
             self.pane_checks.append((None, _dead_stream_check(detectors.dead)))
         self.pane_checks.extend((spec.key_by, _frozen_column_check(spec))
                                 for spec in detectors.frozen)
+        self.releases_rows = detectors.dead is None and not detectors.frozen and all(
+            measure.definition.merged and not check.emit_per_element
+            for check, (measure, _, _) in zip(checks, compiled))
 
     # -- helpers -------------------------------------------------------------
 
     def _partition(self, w: WindowInstance, key_by: str) -> list[Group]:
         """Key groups of a pane, in key order (key_groups); elements with a
-        Null key are skipped. A group's key is its first row in pane order,
-        and its pane keeps the group's share of each slice as its parts."""
+        Null key are skipped. A group's key is its first row's in pane order
+        (the key of its first share), and its pane keeps the group's share
+        of each slice as its parts."""
         out = []
         for enc, own in key_groups(w.parts, key_by):
             if enc != NULL_CODE:
-                key = own[0].elements[0].attrs.get(key_by)
+                key = own[0].key
                 out.append(((w.end, enc), key,
                             WindowInstance(w.start, w.end, key, parts=tuple(own))))
         return out
@@ -437,7 +447,7 @@ class SuiteState:
                 names.update((f"ref_{col}", v) for col, v in (row or {}).items())
             result = apply_measure(spec, sub, env, run)
             if ctx is not None:
-                ctx.fold(sub.end, result.value, len(sub.elements))
+                ctx.fold(sub.end, result.value, len(sub))
             if not (miss or warming):
                 judge(head, key, sub, result, names, failing, entries)
                 return
@@ -619,6 +629,7 @@ class MonitorEngine:
         self.state = state
         self.watermark = Watermark(delay=watermark_delay)
         self.store = PaneStore(state.window_spec, key_by=key_by)
+        self.store.release_rows = state.releases_rows
         self.meta_sink = meta_sink
         self.side_sink = side_sink
         self.stats = RunStats()

@@ -14,7 +14,10 @@ its slice, and a pane is the concatenation of the slices it spans (a
 tumbling pane is one slice). A keyed store's slice holds every key's rows
 and is split by key once, when its first pane closes, and a keyed pane is
 its key's share of each slice, grouped by model.key_groups, the one
-grouping by key that keyed checks use too. Unkeyed, the store
+grouping by key that keyed checks use too. A slice holds its rows until its
+last pane closes; with release_rows set, only until its first pane has been
+drawn and assessed, and then just its partials, row count and key split
+(Slice.release). Unkeyed, the store
 materializes empty panes between the first and last observed event times,
 so downstream consumers see silence as zero-volume windows. Session panes
 are built per key by gap extension and are never empty. A pane bound
@@ -108,7 +111,6 @@ class _Session:
 
 
 _min_t = attrgetter("min_t")
-_arrival = attrgetter("arrival_seq")
 
 
 class PaneStore:
@@ -119,11 +121,18 @@ class PaneStore:
     stores do not materialize empty panes since the key universe is unknown.
     Closed panes are streamed (closing): the store never holds a batch of
     them.
+
+    release_rows, off unless set, is for a consumer that reads each pane as
+    it is drawn and, after a slice's first pane, only the partials that pane
+    left in its memo (MonitorEngine sets it from its SuiteState): a grid
+    slice then releases its rows once its first pane has been drawn and
+    assessed.
     """
 
     def __init__(self, spec: WindowSpec, key_by: str | None = None):
         self.spec = spec
         self.key_by = key_by
+        self.release_rows = False
         # Grid state: slice number -> slice, and the numbers in ascending order.
         self._slices: dict[int, Slice] = {}
         self._numbers: list[int] = []
@@ -290,7 +299,9 @@ class PaneStore:
         """Close panes _next to upto (at most _last) from their slices, sorting
         a slice when a pane first uses it and dropping it after the last. No
         element reaches a slice after a pane over it has closed: it would lie
-        below the lateness floor and be discarded.
+        below the lateness floor and be discarded. So with release_rows, once
+        the consumer has drawn (and assessed) pane p, for every key, each
+        slice of it that a later pane spans releases its rows.
 
         Pane p ends before pane p + 1, and one pane's keys come in encoding
         order, so panes come out in meta-stream order as they are built.
@@ -313,7 +324,7 @@ class PaneStore:
                     # A key's value is that of its first arrived row (rows
                     # arrive in arrival_seq order) in the first slice holding
                     # it; equal encodings render alike except 0.0 and -0.0.
-                    key = min(own[0].elements, key=_arrival).attrs.get(key_by) if keyed else None
+                    key = own[0].arrived_key if keyed else None
                     pane = WindowInstance(start, end, key, parts=tuple(own))
                     if end == _END_OF_TIME:
                         clamped.append((key_enc, pane))
@@ -323,14 +334,23 @@ class PaneStore:
                 yield WindowInstance(start, end)
             done = bisect_left(numbers, p * r + r)  # slices in no later pane
             for k in numbers[:done]:
-                if slices.pop(k).elements is self._tail:
-                    self._open_start, self._open_end = TS_MAX, TS_MIN
-                    self._tail = None
+                self._unroute(slices.pop(k))
             del numbers[:done]
+            if self.release_rows and end != _END_OF_TIME:  # a clamped pane is drawn after the loop
+                for part in parts[done:]:
+                    if not part.released:
+                        self._unroute(part)
+                        part.release()
             self._next = p + 1
         for _, pane in sorted(clamped, key=itemgetter(0)):  # stable: a key's stay in start order
             yield pane
         self._close_at = _shift(self.spec.origin, self._next * self.spec.step + self._hold)
+
+    def _unroute(self, part: Slice) -> None:
+        """Forget the slice rows were last routed to if it is part."""
+        if part.elements is self._tail:
+            self._open_start, self._open_end = TS_MAX, TS_MIN
+            self._tail = None
 
     def _due_session(self, last_end: datetime) -> _Session | None:
         """The session at the heap top if it is due, its end at most
@@ -382,19 +402,22 @@ class PaneStore:
         return _pane_bounds(self.spec, self._next)[0] if self._next is not None else TS_MIN
 
     def open_pane_count(self) -> int:
-        """Panes (per key) that hold at least one element and have not closed."""
+        """Panes (per key) that hold at least one element and have not closed.
+        A released slice's keys are those of its key split."""
         if self.spec.kind == "session":
             return sum(len(s) for s in self._sessions.values())
         panes: set[tuple[int, bytes]] = set()
         for k, part in self._slices.items():
-            keys = ({canonical_bytes(e.attrs.get(self.key_by)) for e in part.elements}
-                    if self.key_by is not None else {NULL_CODE})
+            keys = ({NULL_CODE} if self.key_by is None
+                    else part.split(self.key_by).keys() if part.released
+                    else {canonical_bytes(e.attrs.get(self.key_by)) for e in part.elements})
             for p in range(max((k - self._q) // self._r + 1, self._next), k // self._r + 1):
                 panes.update((p, key_enc) for key_enc in keys)
         return len(panes)
 
     def open_element_count(self) -> int:
-        """Elements held for panes that have not closed, each counted once."""
+        """Elements still held for panes that have not closed, each counted
+        once; a released slice holds none."""
         if self.spec.kind == "session":
             return sum(len(s.elements) for ss in self._sessions.values() for s in ss)
-        return sum(len(part.elements) for part in self._slices.values())
+        return sum(len(part.elements) for part in self._slices.values() if not part.released)

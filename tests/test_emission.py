@@ -233,6 +233,63 @@ def test_streamed_meta_and_side_match_the_batch_sort_reference(kind):
             [r.order_key() for r in want_records]
 
 
+def merged_checks() -> list[CheckDefinition]:
+    """Checks of merged measures only, keyed by plain and by odd values."""
+    return [
+        CheckDefinition(id="fare_mean", measure=MeasureSpec("mean", {"column": "fare"}),
+                        constraint=Threshold("<=", 10.0)),
+        CheckDefinition(id="fare_trend", measure=MeasureSpec("mean", {"column": "fare"}),
+                        constraint=Predicate("value <= mu_H + 2 * sigma_H"), key_by="zone",
+                        context=ContextSpec(horizon=10 * MIN)),
+        CheckDefinition(id="fare_complete",
+                        measure=MeasureSpec("completeness", {"column": "fare"}),
+                        constraint=Threshold(">=", 0.9), key_by="x"),
+        CheckDefinition(id="zone_volume", measure=MeasureSpec("volume"),
+                        constraint=Threshold(">=", 2), key_by="zone"),
+        CheckDefinition(id="x_count", measure=MeasureSpec("count", {"column": "x"}),
+                        constraint=Threshold(">=", 1), key_by="zone"),
+        CheckDefinition(id="x_distinct", measure=MeasureSpec("distinct_count", {"column": "x"}),
+                        constraint=Threshold(">=", 1)),
+        CheckDefinition(id="x_approx", measure=MeasureSpec("distinct_count",
+                                                           {"column": "x", "mode": "approx"}),
+                        constraint=Threshold(">=", 1), key_by="zone"),
+        CheckDefinition(id="x_unique", measure=MeasureSpec("uniqueness", {"column": "x"}),
+                        constraint=Threshold(">=", 0.5), key_by="x"),
+        CheckDefinition(id="zone_known",
+                        measure=MeasureSpec("in_set", {"column": "zone", "allowed": ["a", "b"],
+                                                       "proper": True}),
+                        constraint=Threshold(">=", 0.5)),
+    ]
+
+
+@pytest.mark.parametrize("window_key", [None, "device"])
+def test_released_slices_write_the_bytes_of_kept_ones(monkeypatch, window_key):
+    """A suite of merged measures over sliding panes with lateness, keyed
+    by odd values and with context, writes the same meta lines whether each
+    slice releases its rows at its first close or keeps them to its last."""
+    released = []
+    release = Slice.release
+    monkeypatch.setattr(Slice, "release", lambda part: released.append(1) or release(part))
+    window = WindowSpec("sliding", duration=5 * MIN, slide=MIN, allowed_lateness=MIN // 2)
+    for trial in range(3):
+        rows = stream(random.Random(100 + trial), 600)
+        lines = []
+        for release_rows in (True, False):
+            meta = ListSink()
+            engine = MonitorEngine(SuiteState(merged_checks(), SCHEMA, window),
+                                   watermark_delay=timedelta(seconds=10), key_by=window_key,
+                                   meta_sink=meta)
+            assert engine.store.release_rows
+            engine.store.release_rows = release_rows
+            for e in rows:
+                engine.process(e)
+            engine.finish()
+            assert engine.stats.late_accepted > 0
+            lines.append(meta.lines)
+        assert lines[0] == lines[1], (window_key, trial)
+    assert len(released) > 100
+
+
 def test_to_json_line_matches_json_dumps_of_the_full_record():
     rng = random.Random(5)
     for _ in range(2000):

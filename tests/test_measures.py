@@ -856,7 +856,23 @@ MERGED_SPECS = [
     ("distinct_count", {"column": "x", "mode": "approx", "precision": 6}),
     ("uniqueness", {"column": "x"}),
     ("uniqueness", {"column": "x", "output": "unique_count"}),
+    ("volume", {}),
+    ("count", {"column": "x"}),
+    ("valid_range", {"column": "x", "lo": -40, "hi": 1000.5, "hi_inclusive": False}),
+    ("in_set", {"column": "x", "allowed": [-1, "?", 3, 7.5]}),
+    ("in_set", {"column": "x", "allowed": [-1, "?", ""], "proper": True}),
+    ("matches_pattern", {"column": "x", "pattern": "[?]?"}),
+    ("conforms", {"expression": "x > 0 or x = -1"}),
+    ("schema_check", {"expected": ["x"]}),
+    ("type_check", {"column": "x", "expected": "int"}),
 ]
+
+
+def test_every_merged_measure_has_a_partial_oracle_case():
+    """MERGED_SPECS covers exactly the merged measures, whose slices may
+    release their rows once their partials are kept."""
+    assert {mid for mid, measure in MEASURES.items() if measure.merged} == \
+        {mid for mid, _ in MERGED_SPECS}
 
 
 def _random_value(rng):
@@ -884,9 +900,15 @@ def test_partials_over_random_splits_equal_the_whole_pane(mid, params):
             parts = tuple(Slice(list(whole.elements[a:b])) for a, b in zip(bounds, bounds[1:]))
             split = WindowInstance(whole.start, whole.end, None, whole.elements, parts)
             assert apply_measure(spec, split, env) == want, (mid, params, size, bounds)
-            # A second pane over the same slices reads the memoized partials.
+            # A second pane over the same slices reads the memoized partials,
+            # also once the slices have released their rows.
             assert all(part.memo for part in parts)
             assert apply_measure(spec, split, env) == want
+            for part in parts:
+                part.release()
+            again = WindowInstance(whole.start, whole.end, None, parts=parts)
+            assert len(again) == size
+            assert apply_measure(spec, again, env) == want, (mid, params, size, bounds)
 
 
 def test_mean_and_std_share_one_partial_per_slice():

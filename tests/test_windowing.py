@@ -941,6 +941,55 @@ def test_sliding_store_holds_each_open_row_once():
     assert store.open_element_count() < len(routed) / 4
 
 
+@pytest.mark.parametrize("key_by", [None, "k"])
+@pytest.mark.parametrize("lateness", [0, 3])
+def test_released_slices_keep_their_counts_and_keys_and_get_no_rows(monkeypatch, key_by,
+                                                                     lateness):
+    """With release_rows, each slice gives up its rows once its first pane
+    is drawn. Replayed beside a store that keeps them, every pane has the
+    bounds, key and row count of the brute-force oracle, open_pane_count is
+    the same (a released slice's keys come from its split), and
+    open_element_count counts exactly the rows whose first pane is still
+    open. No released slice's rows grow: no row is routed to one."""
+    released = []  # (a released slice's rows, their count then)
+    release = Slice.release
+
+    def recording(self):
+        released.append((self.elements, len(self.elements)))
+        release(self)
+
+    monkeypatch.setattr(Slice, "release", recording)
+    spec = spec_sliding(10, 4, lateness=lateness)  # 2m slices, each in up to 5 panes
+    rng = random.Random(11 + lateness + (key_by is not None))
+    rows = [elem(at(seq * 3 - rng.uniform(0, 400 if seq % 9 == 4 else 20)), seq,
+                 k=rng.choice(HARD_KEYS)) for seq in range(600)]
+    stores = [PaneStore(spec, key_by=key_by) for _ in range(2)]
+    stores[1].release_rows = True
+    marks = [Watermark(delay=timedelta(seconds=30)) for _ in range(2)]
+    panes: list[list] = [[], []]
+    kept = []
+    for e in rows:
+        outcomes = set()
+        for store, wm, out in zip(stores, marks, panes):
+            outcome, closed = store.push(e, wm)
+            outcomes.add(outcome)
+            out += [(p.start, p.end, p.key, len(p)) for p in closed]  # each as it is drawn
+        (outcome,) = outcomes
+        if outcome is not RouteOutcome.DISCARDED:
+            kept.append(e)
+        assert stores[1].open_pane_count() == stores[0].open_pane_count()
+        floor = stores[1].closed_floor()  # the start of the first pane not closed
+        assert stores[1].open_element_count() == sum(
+            1 for e in kept if min(_grid_starts(spec, e.event_time)) >= floor)
+    for store, out in zip(stores, panes):
+        out += [(p.start, p.end, p.key, len(p)) for p in store.closing(None)]
+    want = [(start, end, key, len(seqs))
+            for start, end, key, seqs in _shown(_brute_force(spec, key_by, kept))]
+    assert _shown(panes[0]) == _shown(panes[1]) == want
+    assert len(released) >= 10 and all(len(elements) == n for elements, n in released)
+    assert sum(1 for r in rows if r not in kept) > 10  # some rows came too late
+
+
 def test_each_slice_is_walked_once_across_its_panes(monkeypatch):
     """A slice the store sorted is never walked for order; the same slices
     given to panes unverified are walked once each, however many panes
