@@ -22,8 +22,13 @@ and every measure with a per-element form) are written once as a partial
 over a slice and a finish over the partials of a pane. Each slice of a
 sliding pane computes its partial once, memoized on the slice, so the panes
 that overlap on it share the work; a pane without slices is one part. The
-partial of a per-element measure is its checker's verdicts, so the pane's
-value and its per-element records come from one check of each element.
+partial of a per-element measure is a Tally of its checker's verdicts: how
+many rows, how many verdicts were Null and how many failed, and the rows
+whose verdict was not True. So the pane's value and its per-element records
+come from one check of each element, and the records walk only the rows
+that did not pass. A slice of rows judged on arrival (model.JudgedRows)
+already holds those counts and rows, and its Tally is read from them, so no
+checker runs when its panes close.
 Distinct counts and uniqueness read the slice's column encodings
 (Slice.encodings), so every consumer of a column encodes each value once.
 A merged measure reads a slice's rows only to make its partials, so once
@@ -54,6 +59,7 @@ from .model import (
     BadValue,
     MeasureSpec,
     ModelError,
+    JudgedRows,
     Param,
     Parser,
     Slice,
@@ -94,8 +100,9 @@ class MeasureResult:
     value: Value
     detail: dict[str, Any] | None = None
     force_fail: bool = False
-    # The per-element verdicts in pane order, from a measure with a per-element form.
-    verdicts: list[bool | None] | None = None
+    # From a measure with a per-element form: each row of the pane whose
+    # verdict is not True, with that verdict (Tally.misses).
+    misses: list[tuple[StreamElement, bool | None]] | None = None
 
 
 @dataclass(frozen=True)
@@ -119,7 +126,9 @@ class MeasureDef:
     function that measures one pane; a measure with a per-element form
     (make_elem_checker) is compiled as compile(params, env, checker) and
     measures from its checker's verdicts. check(params, columns) returns the
-    problems that involve more than one parameter.
+    problems that involve more than one parameter. reads_rows(params) is
+    True when a per-element measure's value needs more of a pane than its
+    verdicts (in_set's proper-subset guard reads the values seen).
     """
 
     id: str
@@ -128,6 +137,7 @@ class MeasureDef:
     result_type: Callable[[dict, dict[str, str]], str | None]
     make_elem_checker: Callable[[dict, EngineEnv], ElemChecker] | None = None
     check: Callable[[dict, dict[str, str] | None], list[str]] | None = None
+    reads_rows: Callable[[dict], bool] | None = None
 
     @property
     def merged(self) -> bool:
@@ -142,6 +152,14 @@ class ParsedMeasure:
 
     definition: MeasureDef
     params: dict[str, Any]
+
+    @property
+    def tallied(self) -> bool:
+        """True when the measure's value follows from its per-element
+        verdicts alone, so its rows may be judged as they arrive."""
+        definition = self.definition
+        return definition.make_elem_checker is not None and not (
+            definition.reads_rows is not None and definition.reads_rows(self.params))
 
 
 # ---------------------------------------------------------------------------
@@ -344,9 +362,13 @@ class _Merged:
 
     def __call__(self, params, env, *checker) -> MeasureRun:
         partial, finish = self.prepare(params, env, *checker)
-        key = (self.name, json.dumps(params, sort_keys=True, default=_memo_text), env.hash_seed)
+        key = self.key(params, env)
         return lambda window, env: finish([_kept(part, key, partial) for part in window.parts],
                                           window)
+
+    def key(self, params, env) -> tuple:
+        """The memo key of the measure's partial: its name and parameters."""
+        return self.name, json.dumps(params, sort_keys=True, default=_memo_text), env.hash_seed
 
 
 def _memo_text(value) -> str:
@@ -354,9 +376,52 @@ def _memo_text(value) -> str:
     return f"{value.flags}:{value.pattern}" if isinstance(value, re.Pattern) else repr(value)
 
 
-def _share(params, verdicts, window):
+class Tally:
+    """The partial of a per-element measure over some rows: their count,
+    how many verdicts were Null, how many failed (neither True nor Null),
+    and the misses, each row whose verdict was not True with that verdict.
+    Over rows judged on arrival (model.JudgedRows), the misses are only the
+    rows some check of the suite fails; a row left out passes every check
+    that reads the misses."""
+
+    __slots__ = ("rows", "nulls", "failed", "misses")
+
+    def __init__(self, rows: int, nulls: int, failed: int,
+                 misses: list[tuple[StreamElement, bool | None]]):
+        self.rows, self.nulls, self.failed, self.misses = rows, nulls, failed, misses
+
+    @property
+    def passed(self) -> int:
+        return self.rows - self.nulls - self.failed
+
+
+def _tally_of(checker: ElemChecker, rows) -> Tally:
+    """A slice's Tally: read from rows judged on arrival, else made by one
+    checker call per row."""
+    if type(rows) is JudgedRows:
+        j = rows.judge.checkers.index(checker)
+        if rows.counts is None:
+            return Tally(rows.count, 0, 0, [])
+        return Tally(rows.count, rows.counts[2 * j], rows.counts[2 * j + 1],
+                     [(e, verdicts[j]) for e, verdicts in rows.failing or ()
+                      if verdicts[j] is not True])
+    verdicts = list(map(checker, rows))
+    nulls = verdicts.count(None)
+    return Tally(len(verdicts), nulls, len(verdicts) - nulls - verdicts.count(True),
+                 [(e, v) for e, v in zip(rows, verdicts) if v is not True])
+
+
+def _merge_tallies(tallies: list[Tally]) -> Tally:
+    """One Tally of a pane's slices, the misses in slice order."""
+    if len(tallies) == 1:
+        return tallies[0]
+    return Tally(sum(t.rows for t in tallies), sum(t.nulls for t in tallies),
+                 sum(t.failed for t in tallies), _concat([t.misses for t in tallies]))
+
+
+def _share(params, tally, window):
     """The share of a pane's elements whose verdict is True (Null when empty)."""
-    return MeasureResult(verdicts.count(True) / len(verdicts) if verdicts else None)
+    return MeasureResult(tally.passed / tally.rows if tally.rows else None)
 
 
 def _concat(lists: list[list]) -> list:
@@ -714,8 +779,8 @@ def _schema_checker(params, env) -> ElemChecker:
     return check
 
 
-def _schema_tally(params, verdicts, window):
-    violations = len(verdicts) - verdicts.count(True)
+def _schema_tally(params, tally, window):
+    violations = tally.rows - tally.passed
     return MeasureResult(violations == 0, {"violations": violations})
 
 
@@ -735,10 +800,10 @@ def _type_checker(params, env) -> ElemChecker:
     return check
 
 
-def _type_tally(params, verdicts, window):
+def _type_tally(params, tally, window):
     """The share of passes among the elements with a non-Null cell."""
-    considered = len(verdicts) - verdicts.count(None)
-    return MeasureResult(verdicts.count(True) / considered if considered else None)
+    considered = tally.rows - tally.nulls
+    return MeasureResult(tally.passed / considered if considered else None)
 
 
 # ---------------------------------------------------------------------------
@@ -818,8 +883,8 @@ def _in_set_checker(params, env) -> ElemChecker:
     return check
 
 
-def _in_set_tally(params, verdicts, window):
-    result = _share(params, verdicts, window)
+def _in_set_tally(params, tally, window):
+    result = _share(params, tally, window)
     if not params["proper"] or result.value is None:
         return result  # no subset demanded, or an empty pane
     allowed, column = params["allowed"], params["column"]
@@ -881,22 +946,22 @@ def _register(measure: MeasureDef) -> None:
 
 
 def _per_element(measure_id: str, table: dict[str, Param],
-                 tally: Callable[[dict, list, WindowInstance], MeasureResult],
-                 make_checker, result_type: str = "float", check=None) -> MeasureDef:
+                 tally: Callable[[dict, Tally, WindowInstance], MeasureResult],
+                 make_checker, result_type: str = "float", check=None,
+                 reads_rows=None) -> MeasureDef:
     """A measure with a per-element form, merged per slice under its own id.
-    A slice's partial is its elements' verdicts, one checker call each;
-    tally(params, verdicts, window) summarizes a pane's verdicts, in pane
-    order, into a new result, which then carries them on for per-element
-    records."""
+    A slice's partial is the Tally of its elements' verdicts (_tally_of);
+    tally(params, tally, window) summarizes a pane's merged Tally into a new
+    result, which then carries its misses on for per-element records."""
     def prepare(params, env, checker):
         def finish(partials, window):
-            verdicts = _concat(partials)
-            result = tally(params, verdicts, window)
-            result.verdicts = verdicts
+            merged = _merge_tallies(partials)
+            result = tally(params, merged, window)
+            result.misses = merged.misses
             return result
-        return (lambda part: list(map(checker, part.elements))), finish
+        return (lambda part: _tally_of(checker, part.elements)), finish
     return MeasureDef(measure_id, table, _Merged(measure_id, prepare),
-                      _static_type(result_type), make_checker, check)
+                      _static_type(result_type), make_checker, check, reads_rows)
 
 
 _EXACT_OR_APPROX = choice("exact", "approx")
@@ -996,7 +1061,8 @@ _register(_per_element("in_set",
                        {"column": _ANY_COLUMN,
                         "allowed": Param(list_of(scalar, nonempty=True)),
                         "proper": Param(flag, False)},
-                       _in_set_tally, _in_set_checker))
+                       _in_set_tally, _in_set_checker,
+                       reads_rows=lambda params: params["proper"]))
 _register(_per_element("matches_pattern",
                        {"column": Param(_column("text")), "pattern": Param(_pattern)},
                        _share, _pattern_checker))
@@ -1033,6 +1099,14 @@ def apply_measure(spec: MeasureSpec, window: WindowInstance, env: EngineEnv,
     if run is None:
         run = compile_measure(_parsed(spec), env)
     return run(window, env)
+
+
+def partial_key(measure: ParsedMeasure, env: EngineEnv) -> tuple | None:
+    """The key under which a merged measure keeps its partial in a slice's
+    memo, so that checks whose keys are equal share one partial; None for a
+    measure that is not merged."""
+    compile = measure.definition.compile
+    return compile.key(measure.params, env) if isinstance(compile, _Merged) else None
 
 
 def elem_checker_for(measure: ParsedMeasure | MeasureSpec, env: EngineEnv) -> ElemChecker | None:

@@ -408,12 +408,15 @@ def from_model(parse: Callable[[Any], Any]) -> Parser:
 # Stream elements and windows
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class StreamElement:
     """One record of the stream: event time, arrival order, and attributes.
 
     attrs preserves source column order, which the schema-order check relies
     on. arrival_seq is the source-assigned arrival position (line number).
+    Nothing assigns a field after construction; the class is not frozen
+    because a frozen dataclass sets each field through object.__setattr__,
+    which costs more than the rest of the construction.
     """
 
     event_time: datetime
@@ -502,6 +505,84 @@ class ReleasedRows:
     def __iter__(self):
         return self[0]  # raises, as every read does
 
+    @property
+    def held(self) -> int:
+        """How many of the rows are still held: none."""
+        return 0
+
+
+class JudgedRows(ReleasedRows):
+    """The rows routed to one slice or session of a suite that judges each
+    row as it arrives (windowing.Retention.FAILING), in place of the rows: a
+    store appends a row to it (and a bridged session's rows extend it) as
+    it would to a list. Each row is judged once, by each of the judge's
+    checkers, one per distinct per-element measure. Kept are the row count
+    (its len), per checker how many verdicts were Null and how many failed
+    (neither True nor Null), and the rows that some check fails, each with
+    its verdicts (`failing`). A row every checker passes is counted and
+    dropped. Reading a row raises, as for any released rows."""
+
+    __slots__ = ("judge", "counts", "failing")
+
+    def __init__(self, judge: Judge):
+        self.count = 0
+        self.judge = judge
+        # Null and failed counts of each checker in turn, and the failing
+        # rows; None until the first row that some checker does not pass.
+        self.counts: list[int] | None = None
+        self.failing: list[tuple[StreamElement, list[bool | None]]] | None = None
+
+    def append(self, e: StreamElement) -> None:
+        self.count += 1
+        judge = self.judge
+        verdicts = [check(e) for check in judge.checkers]
+        if verdicts.count(True) == len(verdicts):
+            return
+        counts = self.counts
+        if counts is None:
+            counts = self.counts = [0] * (2 * len(verdicts))
+        fails = False
+        for j, v in enumerate(verdicts):
+            if v is None:
+                counts[2 * j] += 1
+                fails = fails or judge.null_fails[j]
+            elif v is not True:
+                counts[2 * j + 1] += 1
+                fails = True
+        if fails:
+            if self.failing is None:
+                self.failing = []
+            self.failing.append((e, verdicts))
+
+    def extend(self, other: JudgedRows) -> None:
+        """Take in the rows another holder of the same judge judged."""
+        self.count += other.count
+        if other.counts is not None:
+            self.counts = (other.counts if self.counts is None
+                           else list(map(operator.add, self.counts, other.counts)))
+        if other.failing is not None:
+            if self.failing is None:
+                self.failing = []
+            self.failing += other.failing
+
+    @property
+    def held(self) -> int:
+        """How many rows are still held: those some check fails."""
+        return len(self.failing) if self.failing is not None else 0
+
+
+class Judge(NamedTuple):
+    """How a suite judges a row on arrival (JudgedRows): one checker per
+    distinct per-element measure, and for each whether a Null verdict fails
+    some check over that measure (its null_verdict is "fail")."""
+
+    checkers: tuple[Callable[[StreamElement], bool | None], ...]
+    null_fails: tuple[bool, ...]
+
+    def rows(self) -> JudgedRows:
+        """A new, empty holder of rows judged by this judge."""
+        return JudgedRows(self)
+
 
 class Slice:
     """The elements of one non-overlapping span of event time, ordered like
@@ -548,7 +629,9 @@ class Slice:
 
     @property
     def released(self) -> bool:
-        return type(self.elements) is ReleasedRows
+        """True when the slice holds no readable rows: they were released,
+        or judged on arrival (JudgedRows)."""
+        return isinstance(self.elements, ReleasedRows)
 
     def release(self) -> None:
         """Give up the rows and what only they need: the elements become

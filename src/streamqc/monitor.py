@@ -29,11 +29,13 @@ from .measures import (
     elem_checker_for,
     mean_std,
     parse_measure,
+    partial_key,
 )
 from .model import (
     NULL_CODE,
     CheckDefinition,
     ColumnSpec,
+    Judge,
     MetaRecord,
     Predicate,
     ReferenceTable,
@@ -57,7 +59,7 @@ from .model import (
     value_type,
     wire_json,
 )
-from .windowing import PaneStore, RouteOutcome, Watermark
+from .windowing import PaneStore, Retention, RouteOutcome, Watermark
 
 __all__ = [
     "ReferenceTable", "ContextState", "DeadStreamSpec", "FrozenColumnSpec",
@@ -343,10 +345,21 @@ class SuiteState:
     detector, into a PaneCheck; an invalid suite raises InvalidSuite with
     every problem found.
 
-    releases_rows is True when no pane check reads a pane's rows, only the
-    partials each slice keeps from the first pane over it: every measure is
-    merged, no check emits per-element records, and there is no detector.
-    A slice's rows may then go after its first close (PaneStore.release_rows).
+    retention is what the engine's store keeps of the rows (Retention),
+    decided here once from what the pane checks read:
+    - FAILING when every check's measure follows from its per-element
+      verdicts alone (ParsedMeasure.tallied), no check is keyed and there is
+      no detector. Each row is then judged once, as it is routed, by judge:
+      one checker per distinct measure (checks with equal measures share
+      one). A pane's values and its per-element records and side lines come
+      from the verdict counts and the rows some check fails.
+    - PARTIALS when every measure is merged and there is no detector: no
+      pane check reads a pane's rows, only the partials each slice keeps
+      from the first pane over it (per-element records read the rows a
+      check missed from its partial, measures.Tally), so a slice's rows may
+      go after its first close.
+    - ROWS otherwise.
+    judge is None unless retention is FAILING.
     """
 
     def __init__(self, checks: list[CheckDefinition],
@@ -368,8 +381,18 @@ class SuiteState:
         # checks in config order, then the dead-stream detector, then each
         # frozen-column detector in config order.
         self.pane_checks: list[tuple[str | None, PaneCheck]] = []
+        # One checker per distinct per-element measure, by its partial's memo
+        # key, and whether a Null verdict fails some check over it.
+        checkers: dict[tuple, list] = {}
         for check, (measure, verdict, reference_key) in zip(checks, compiled):
-            run = compile_measure(measure, self._env, elem_checker_for(measure, self._env))
+            checker = None
+            if measure.definition.make_elem_checker is not None:
+                slot = checkers.get(key := partial_key(measure, self._env))
+                if slot is None:
+                    slot = checkers[key] = [elem_checker_for(measure, self._env), False]
+                checker = slot[0]
+                slot[1] = slot[1] or check.null_verdict == "fail"
+            run = compile_measure(measure, self._env, checker)
             self.pane_checks.append((check.key_by,
                                      self._compile_check(check, run, verdict, reference_key)))
         self.detectors = detectors = detectors or DetectorSpecs()
@@ -377,9 +400,18 @@ class SuiteState:
             self.pane_checks.append((None, _dead_stream_check(detectors.dead)))
         self.pane_checks.extend((spec.key_by, _frozen_column_check(spec))
                                 for spec in detectors.frozen)
-        self.releases_rows = detectors.dead is None and not detectors.frozen and all(
-            measure.definition.merged and not check.emit_per_element
-            for check, (measure, _, _) in zip(checks, compiled))
+        parsed = [measure for measure, _, _ in compiled]
+        self.judge = None
+        if detectors.dead is not None or detectors.frozen:
+            self.retention = Retention.ROWS
+        elif all(m.tallied for m in parsed) and all(c.key_by is None for c in checks):
+            self.retention = Retention.FAILING
+            self.judge = Judge(tuple(checker for checker, _ in checkers.values()),
+                               tuple(null_fails for _, null_fails in checkers.values()))
+        elif all(m.definition.merged for m in parsed):
+            self.retention = Retention.PARTIALS
+        else:
+            self.retention = Retention.ROWS
 
     # -- helpers -------------------------------------------------------------
 
@@ -507,7 +539,8 @@ def _emitter(check_id: str):
 def _with_element_records(check: CheckDefinition, judge):
     """judge followed by one record per element whose verdict fails the
     check (a Null verdict fails unless the check skips Nulls), each routed
-    to the side output once per check."""
+    to the side output once per check. Only the rows whose verdict was not
+    True (MeasureResult.misses) are walked."""
     check_id = check.id
     fail_null = check.null_verdict == "fail"
     tail = element_tail(check_id)
@@ -516,8 +549,8 @@ def _with_element_records(check: CheckDefinition, judge):
         judge(head, key, sub, result, names, failing, entries)
         start, end = sub.start, sub.end
         prefix = head + (check_id,)
-        for e, ev in zip(sub.elements, result.verdicts):
-            if ev is not True and (fail_null or ev is not None):
+        for e, ev in result.misses:
+            if fail_null or ev is not None:
                 seq = e.arrival_seq
                 entries.append((prefix + (seq,), MetaRecord(
                     start, end, key, check_id, False, False, {"element_ref": seq}, tail(seq))))
@@ -628,8 +661,8 @@ class MonitorEngine:
             raise InvalidSuite(problems)
         self.state = state
         self.watermark = Watermark(delay=watermark_delay)
-        self.store = PaneStore(state.window_spec, key_by=key_by)
-        self.store.release_rows = state.releases_rows
+        self.store = PaneStore(state.window_spec, key_by=key_by,
+                               retention=state.retention, judge=state.judge)
         self.meta_sink = meta_sink
         self.side_sink = side_sink
         self.stats = RunStats()
@@ -640,6 +673,9 @@ class MonitorEngine:
         self._routed: dict[int, datetime] = {}
 
     def process(self, element: StreamElement) -> None:
+        """One row: route it, judging it as it is stored when the suite's
+        retention is FAILING (model.JudgedRows), then assess and write the
+        panes its watermark step closes."""
         stats = self.stats
         stats.read += 1
         outcome, ready = self.store.push(element, self.watermark)

@@ -14,10 +14,12 @@ its slice, and a pane is the concatenation of the slices it spans (a
 tumbling pane is one slice). A keyed store's slice holds every key's rows
 and is split by key once, when its first pane closes, and a keyed pane is
 its key's share of each slice, grouped by model.key_groups, the one
-grouping by key that keyed checks use too. A slice holds its rows until its
-last pane closes; with release_rows set, only until its first pane has been
-drawn and assessed, and then just its partials, row count and key split
-(Slice.release). Unkeyed, the store
+grouping by key that keyed checks use too. What a slice or session keeps
+of its rows is the store's Retention: every row until its last pane
+closes; or, for a grid slice, its rows until its first pane has been drawn
+and assessed, and then just its partials, row count and key split
+(Slice.release); or, from the start, only a judgement of each row
+(model.JudgedRows). Unkeyed, the store
 materializes empty panes between the first and last observed event times,
 so downstream consumers see silence as zero-volume windows. Session panes
 are built per key by gap extension and are never empty. A pane bound
@@ -44,6 +46,9 @@ from .model import (
     NULL_CODE,
     TS_MAX,
     TS_MIN,
+    Judge,
+    JudgedRows,
+    ReleasedRows,
     Slice,
     StreamElement,
     Value,
@@ -54,7 +59,7 @@ from .model import (
     key_groups,
 )
 
-__all__ = ["Watermark", "RouteOutcome", "PaneStore"]
+__all__ = ["Watermark", "RouteOutcome", "Retention", "PaneStore"]
 
 # The upper clamp of a pane bound: past TS_MAX, as which it renders.
 _END_OF_TIME = datetime.max.replace(tzinfo=timezone.utc)
@@ -91,6 +96,27 @@ class RouteOutcome(str, Enum):
     DISCARDED = "discarded"
 
 
+class Retention(Enum):
+    """What a store keeps of the rows routed to it, for a consumer that
+    reads each pane as it is drawn (MonitorEngine takes its SuiteState's).
+
+    ROWS: every row, until the last pane over it has closed.
+    PARTIALS: a grid slice releases its rows once its first pane has been
+    drawn and assessed; later panes over it read only the partials that
+    pane left in its memo. A session pane is drawn once, so its rows go
+    with it.
+    FAILING: each row is judged as it is routed (model.JudgedRows), and a
+    slice or session keeps its row count, its verdict counts and the rows
+    some check fails. A keyed grid store splits a slice by its rows when
+    the slice's first pane closes, so it keeps them until then, as under
+    PARTIALS.
+    """
+
+    ROWS = "rows"
+    PARTIALS = "partials"
+    FAILING = "failing"
+
+
 # push's answer for an on-time row that closes nothing.
 _ON_TIME = (RouteOutcome.ASSIGNED, ())
 
@@ -106,7 +132,7 @@ class _Session:
     key: Value
     min_t: datetime
     max_t: datetime
-    elements: list[StreamElement]
+    elements: list[StreamElement] | JudgedRows
     merged: bool = False  # bridged into another session; its heap entry is dead
 
 
@@ -122,17 +148,19 @@ class PaneStore:
     Closed panes are streamed (closing): the store never holds a batch of
     them.
 
-    release_rows, off unless set, is for a consumer that reads each pane as
-    it is drawn and, after a slice's first pane, only the partials that pane
-    left in its memo (MonitorEngine sets it from its SuiteState): a grid
-    slice then releases its rows once its first pane has been drawn and
-    assessed.
+    retention says what each slice and session keeps of its rows
+    (Retention); FAILING needs the judge that judges them.
     """
 
-    def __init__(self, spec: WindowSpec, key_by: str | None = None):
+    def __init__(self, spec: WindowSpec, key_by: str | None = None,
+                 retention: Retention = Retention.ROWS, judge: Judge | None = None):
         self.spec = spec
         self.key_by = key_by
-        self.release_rows = False
+        if retention is Retention.FAILING and key_by is not None and spec.kind != "session":
+            retention = Retention.PARTIALS
+        self.retention = retention
+        # A new slice's or session's row holder.
+        self._rows = judge.rows if retention is Retention.FAILING else list
         # Grid state: slice number -> slice, and the numbers in ascending order.
         self._slices: dict[int, Slice] = {}
         self._numbers: list[int] = []
@@ -146,11 +174,11 @@ class PaneStore:
         self._next: int | None = None
         self._close_at: datetime | None = None
         self._last: int | None = None
-        # The slice rows were last routed to, [start, end) and its element
-        # list, which a row inside it is appended to without the grid
+        # The slice rows were last routed to, [start, end) and its row
+        # holder, which a row inside it is appended to without the grid
         # arithmetic. Empty and None when unset.
         self._open_start, self._open_end = TS_MAX, TS_MIN
-        self._tail: list[StreamElement] | None = None
+        self._tail: list[StreamElement] | JudgedRows | None = None
         # Session state: canonical key -> sessions sorted by min_t, and one heap
         # entry per session, (end, key, start, id, session) as when pushed, so
         # the heap pops in meta-stream order; id() breaks ties.
@@ -216,7 +244,7 @@ class PaneStore:
         k = (t - origin) // width
         part = self._slices.get(k)
         if part is None:
-            part = self._slices[k] = Slice([])
+            part = self._slices[k] = Slice(self._rows())
             insort(self._numbers, k)
             # Every element of slice k lies in panes (k - q) // r + 1 to k // r.
             first, last = (k - self._q) // self._r + 1, k // self._r
@@ -245,13 +273,15 @@ class PaneStore:
         left = sessions[i - 1] if i and t - sessions[i - 1].max_t <= gap else None
         right = sessions[i] if i < len(sessions) and sessions[i].min_t - t <= gap else None
         if left is None and right is None:
-            opened = _Session(key, t, t, [e])
+            opened = _Session(key, t, t, self._rows())
+            opened.elements.append(e)
             sessions.insert(i, opened)
             heapq.heappush(self._session_heap,
                            (_shift(t, gap), key_enc, t, id(opened), opened))
         elif left is not None and right is not None:  # t bridges the two
             left.max_t = right.max_t
-            left.elements += [e, *right.elements]
+            left.elements.append(e)
+            left.elements.extend(right.elements)
             right.merged = True
             del sessions[i]
         else:
@@ -299,7 +329,7 @@ class PaneStore:
         """Close panes _next to upto (at most _last) from their slices, sorting
         a slice when a pane first uses it and dropping it after the last. No
         element reaches a slice after a pane over it has closed: it would lie
-        below the lateness floor and be discarded. So with release_rows, once
+        below the lateness floor and be discarded. So under PARTIALS, once
         the consumer has drawn (and assessed) pane p, for every key, each
         slice of it that a later pane spans releases its rows.
 
@@ -310,12 +340,13 @@ class PaneStore:
         r, q, slices, numbers = self._r, self._q, self._slices, self._numbers
         key_by = self.key_by
         keyed = key_by is not None
+        release = self.retention is Retention.PARTIALS
         clamped: list[tuple[bytes, WindowInstance]] = []
         for p in range(self._next, min(upto, self._last) + 1):
             # The pane's slices: none is below p * r.
             parts = [slices[k] for k in numbers[:bisect_left(numbers, p * r + q)]]
             for part in parts:
-                if not part.ordered:  # no pane has used it yet
+                if not part.ordered and not part.released:  # no pane has used it yet
                     part.elements.sort(key=element_order)
                     part.ordered = len(part.elements)  # sorted here, so no pane walks it
             start, end = _pane_bounds(self.spec, p)
@@ -336,7 +367,7 @@ class PaneStore:
             for k in numbers[:done]:
                 self._unroute(slices.pop(k))
             del numbers[:done]
-            if self.release_rows and end != _END_OF_TIME:  # a clamped pane is drawn after the loop
+            if release and end != _END_OF_TIME:  # a clamped pane is drawn after the loop
                 for part in parts[done:]:
                     if not part.released:
                         self._unroute(part)
@@ -387,10 +418,13 @@ class PaneStore:
             del sessions[bisect_left(sessions, start, key=_min_t)]
             if not sessions:
                 del self._sessions[key_enc]
-            session.elements.sort(key=element_order)
-            part = Slice(tuple(session.elements))
-            part.ordered = len(part.elements)  # sorted here, so the pane need not walk it
-            yield WindowInstance(start, end, session.key, part.elements, (part,))
+            rows = session.elements
+            if type(rows) is list:
+                rows.sort(key=element_order)
+                rows = tuple(rows)
+            part = Slice(rows)
+            part.ordered = len(rows)  # sorted here, so the pane need not walk it
+            yield WindowInstance(start, end, session.key, None if part.released else rows, (part,))
 
     def closed_floor(self) -> datetime:
         """An element that a closed pane held, with event time before this
@@ -417,7 +451,13 @@ class PaneStore:
 
     def open_element_count(self) -> int:
         """Elements still held for panes that have not closed, each counted
-        once; a released slice holds none."""
+        once. Under FAILING these are the rows that some check fails; a
+        released slice holds none (a per-element partial in its memo may
+        still hold the rows it missed, Tally.misses)."""
         if self.spec.kind == "session":
-            return sum(len(s.elements) for ss in self._sessions.values() for s in ss)
-        return sum(len(part.elements) for part in self._slices.values() if not part.released)
+            return sum(_held(s.elements) for ss in self._sessions.values() for s in ss)
+        return sum(_held(part.elements) for part in self._slices.values())
+
+
+def _held(rows: list[StreamElement] | ReleasedRows) -> int:
+    return rows.held if isinstance(rows, ReleasedRows) else len(rows)

@@ -48,7 +48,7 @@ from streamqc.monitor import (
     ReferenceTable,
     SuiteState,
 )
-from streamqc.windowing import PaneStore
+from streamqc.windowing import PaneStore, Retention
 
 from helpers import at, elem
 
@@ -274,13 +274,13 @@ def test_released_slices_write_the_bytes_of_kept_ones(monkeypatch, window_key):
     for trial in range(3):
         rows = stream(random.Random(100 + trial), 600)
         lines = []
-        for release_rows in (True, False):
+        for retention in (Retention.PARTIALS, Retention.ROWS):
             meta = ListSink()
             engine = MonitorEngine(SuiteState(merged_checks(), SCHEMA, window),
                                    watermark_delay=timedelta(seconds=10), key_by=window_key,
                                    meta_sink=meta)
-            assert engine.store.release_rows
-            engine.store.release_rows = release_rows
+            assert engine.store.retention is Retention.PARTIALS
+            engine.store.retention = retention
             for e in rows:
                 engine.process(e)
             engine.finish()

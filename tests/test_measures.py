@@ -653,13 +653,17 @@ def test_numbers_keep_the_isinstance_rule(values):
        st.lists(st.sampled_from(_MEMBERS + [None]), max_size=12))
 def test_in_set_verdicts_follow_values_equal(allowed, values):
     """A row is in the set when values_equal finds it among the allowed
-    values; a Null row has a Null verdict."""
+    values; a Null row has a Null verdict. The result's misses are the rows
+    whose verdict is not True, with it, in pane order."""
     values = [value_from_json(v) for v in values]
-    result = run("in_set", {"column": "x", "allowed": allowed}, values_win(values))
+    window = values_win(values)
+    result = run("in_set", {"column": "x", "allowed": allowed}, window)
     members = [value_from_json(a) for a in allowed]
-    assert result.verdicts == [None if v is None else
-                               any(values_equal(v, a) is True for a in members)
-                               for v in values]
+    verdicts = [None if v is None else any(values_equal(v, a) is True for a in members)
+                for v in values]
+    assert [(e.arrival_seq, v) for e, v in result.misses] == \
+        [(e.arrival_seq, v) for e, v in zip(window.elements, verdicts) if v is not True]
+    assert result.value == (verdicts.count(True) / len(values) if values else None)
 
 
 def test_in_set_proper_subset_guard():

@@ -39,7 +39,7 @@ from streamqc.monitor import (
     ReferenceTable,
     SuiteState,
 )
-from streamqc.windowing import PaneStore, Watermark
+from streamqc.windowing import PaneStore, Retention, Watermark
 
 from helpers import T0, assess, at, count_order_walks, elem, elems, values_win, walks_of, win
 
@@ -1342,17 +1342,17 @@ def _ride_rows():
                    zone="abcde"[i % 5], ride=f"R{i:07d}")
 
 
-def _sliding_peak(checks, minutes, release=None):
+def _sliding_peak(checks, minutes, retention=None):
     """The tracemalloc peak of a replay of _ride_rows over minutes/1m
     sliding panes, above what was held before it, the meta sha256, the
-    engine and the last pane it assessed. release, when given, overrides
-    the store's release_rows."""
+    engine and the last pane it assessed. retention, when given, overrides
+    the store's."""
     window = WindowSpec("sliding", duration=minutes * MIN, slide=MIN)
     sink = _HashSink()
     eng = MonitorEngine(suite(checks, window=window, schema=_RIDES),
                         watermark_delay=timedelta(seconds=10), meta_sink=sink)
-    if release is not None:
-        eng.store.release_rows = release
+    if retention is not None:
+        eng.store.retention = retention
     assessed = []
     assess = eng.state.on_window_close
 
@@ -1376,9 +1376,10 @@ def test_a_partial_suite_holds_its_partials_not_its_rows():
     its first close. Ten more minutes of open panes (3,000 more rows) then
     cost about 150 bytes of peak per row on this suite (about 570 when each
     slice kept its rows to its last pane), and the meta bytes match a
-    replay that keeps the rows. A suite with a check that reads rows keeps
-    them, and their bytes. A released pane's rows cannot be read, only
-    counted."""
+    replay that keeps the rows. Per-element records read the rows a check
+    missed from its partial, so a check that emits them releases rows too.
+    A suite with a check that reads rows keeps them, and their bytes. A
+    released pane's rows cannot be read, only counted."""
     extra_rows = 10 * 60 * 5
 
     def per_row(checks):
@@ -1387,22 +1388,26 @@ def test_a_partial_suite_holds_its_partials_not_its_rows():
         return (long - short) / extra_rows, long_sha, eng, last
 
     partial, sha, eng, last = per_row(_PARTIAL_CHECKS)
-    assert eng.state.releases_rows and eng.store.release_rows
+    assert eng.state.retention is eng.store.retention is Retention.PARTIALS
     assert partial < 300, partial
-    assert _sliding_peak(_PARTIAL_CHECKS, 15, release=False)[1] == sha
+    assert _sliding_peak(_PARTIAL_CHECKS, 15, retention=Retention.ROWS)[1] == sha
     assert len(last.elements) == len(last) > 0
     with pytest.raises(ModelError, match="released"):
         list(last.elements)
     with pytest.raises(ModelError, match="released"):
         last.values("fare")
 
-    for reads_rows in (
-            CheckDefinition(id="p", measure=MeasureSpec("percentiles", {"column": "fare",
-                                                                         "points": [0.5]}),
-                            constraint=Threshold(">=", 0)),
-            CheckDefinition(id="e", measure=MeasureSpec("completeness", {"column": "fare"}),
-                            constraint=Threshold(">=", 0), emit_per_element=True)):
-        kept, _, eng, last = per_row(_PARTIAL_CHECKS + [reads_rows])
-        assert not eng.state.releases_rows and not eng.store.release_rows
-        assert len(list(last.elements)) == len(last) > 0
-        assert kept > 450, (reads_rows.id, kept)
+    emitting = CheckDefinition(id="e", measure=MeasureSpec("completeness", {"column": "fare"}),
+                               constraint=Threshold(">=", 0), emit_per_element=True)
+    released, sha, eng, _ = per_row(_PARTIAL_CHECKS + [emitting])
+    assert eng.state.retention is Retention.PARTIALS
+    assert released < 300, released
+    assert _sliding_peak(_PARTIAL_CHECKS + [emitting], 15, retention=Retention.ROWS)[1] == sha
+
+    reads_rows = CheckDefinition(id="p", measure=MeasureSpec("percentiles", {"column": "fare",
+                                                                              "points": [0.5]}),
+                                 constraint=Threshold(">=", 0))
+    kept, _, eng, last = per_row(_PARTIAL_CHECKS + [reads_rows])
+    assert eng.state.retention is eng.store.retention is Retention.ROWS
+    assert len(list(last.elements)) == len(last) > 0
+    assert kept > 450, kept

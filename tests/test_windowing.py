@@ -26,7 +26,7 @@ from streamqc.model import (
     ts,
 )
 from streamqc.monitor import SuiteState
-from streamqc.windowing import PaneStore, RouteOutcome, Watermark
+from streamqc.windowing import PaneStore, Retention, RouteOutcome, Watermark
 
 from helpers import (
     T0,
@@ -945,7 +945,7 @@ def test_sliding_store_holds_each_open_row_once():
 @pytest.mark.parametrize("lateness", [0, 3])
 def test_released_slices_keep_their_counts_and_keys_and_get_no_rows(monkeypatch, key_by,
                                                                      lateness):
-    """With release_rows, each slice gives up its rows once its first pane
+    """Under PARTIALS, each slice gives up its rows once its first pane
     is drawn. Replayed beside a store that keeps them, every pane has the
     bounds, key and row count of the brute-force oracle, open_pane_count is
     the same (a released slice's keys come from its split), and
@@ -963,8 +963,8 @@ def test_released_slices_keep_their_counts_and_keys_and_get_no_rows(monkeypatch,
     rng = random.Random(11 + lateness + (key_by is not None))
     rows = [elem(at(seq * 3 - rng.uniform(0, 400 if seq % 9 == 4 else 20)), seq,
                  k=rng.choice(HARD_KEYS)) for seq in range(600)]
-    stores = [PaneStore(spec, key_by=key_by) for _ in range(2)]
-    stores[1].release_rows = True
+    stores = [PaneStore(spec, key_by=key_by, retention=retention)
+              for retention in (Retention.ROWS, Retention.PARTIALS)]
     marks = [Watermark(delay=timedelta(seconds=30)) for _ in range(2)]
     panes: list[list] = [[], []]
     kept = []
