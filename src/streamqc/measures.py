@@ -1,38 +1,32 @@
-"""Window measurements: pure functions from a closed pane to a value.
+"""Window measurements: a closed pane's value, merged from its slices.
 
 Every measure follows the empty-window contract: count-like results are 0 on
 an empty (or all-Null, where relevant) window, statistic-like results are
 Null. Nulls are excluded from aggregates unless a measure is explicitly about
 them (completeness, volume, ordering).
 
-The registry maps measure ids from configuration to a parameter table,
-evaluation, and (where meaningful) a per-element checker used for
-per-element records and side-output routing.
+The registry maps measure ids from configuration to a parameter table, a
+compiled form, and (where meaningful) a per-element checker used for
+per-element records and side-output routing. parse_measure runs a spec
+through its table once (model.parse_fields, the loop every JSON input runs
+through): it rejects unknown keys, fills in every default, decodes JSON
+values, compiles patterns and parses expressions, so everything after it
+reads only parsed values.
 
-Each measure declares its parameters once, as a table of parsers and
-defaults. parse_measure runs that table over a spec once (model.parse_fields,
-the loop every JSON input runs through): it rejects unknown keys, fills in
-every default, decodes JSON values, compiles patterns and parses
-expressions. Everything after it (result_type, make_elem_checker,
-compile) reads only parsed values. Each check's measure is compiled once
-(compile_measure) into the function that measures one pane.
-
-Measures that merge (volume, count, mean, std, distinct_count, uniqueness
-and every measure with a per-element form) are written once as a partial
-over a slice and a finish over the partials of a pane. Each slice of a
-sliding pane computes its partial once, memoized on the slice, so the panes
-that overlap on it share the work; a pane without slices is one part. The
-partial of a per-element measure is a Tally of its checker's verdicts: how
-many rows, how many verdicts were Null and how many failed, and the rows
-whose verdict was not True. So the pane's value and its per-element records
-come from one check of each element, and the records walk only the rows
-that did not pass. A slice of rows judged on arrival (model.JudgedRows)
-already holds those counts and rows, and its Tally is read from them, so no
-checker runs when its panes close.
-Distinct counts and uniqueness read the slice's column encodings
-(Slice.encodings), so every consumer of a column encodes each value once.
-A merged measure reads a slice's rows only to make its partials, so once
-they are kept the slice may release its rows (MeasureDef.merged).
+Every measure is written once as a partial over a slice and a finish that
+merges the partials of a pane in slice order (_Merged); a pane without
+slices is one part. A slice computes each partial once, memoized on the
+slice, so the panes that overlap on it share the work, and once they are
+kept the slice may release its rows. A partial is as small as the measure
+allows: a count, an extremum, a set, count or sketch of the slice's column
+encodings (Slice.encodings, so each value is encoded once), or, where a
+measure reads its rows in pane order, the slice's projection of them,
+concatenated at finish. The partial of a per-element measure is a Tally of
+its checker's verdicts: how many rows, how many verdicts were Null and how
+many failed, and the rows whose verdict was not True; the pane's value and
+its per-element records come from one check of each element. A slice of
+rows judged on arrival (model.JudgedRows) already holds those counts and
+rows, so no checker runs when its panes close.
 
 type_check reads a cell by the source decoder's own rule
 (connectors.reads_as), so it passes a value exactly when a source of the
@@ -41,15 +35,15 @@ expected type would read it.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
+import operator
 import re
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from itertools import chain
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from . import expression
 from .connectors import reads_as
@@ -62,7 +56,6 @@ from .model import (
     JudgedRows,
     Param,
     Parser,
-    Slice,
     StreamElement,
     Value,
     ValueRange,
@@ -133,17 +126,11 @@ class MeasureDef:
 
     id: str
     params: dict[str, Param]
-    compile: Callable[..., MeasureRun]
+    compile: _Merged
     result_type: Callable[[dict, dict[str, str]], str | None]
     make_elem_checker: Callable[[dict, EngineEnv], ElemChecker] | None = None
     check: Callable[[dict, dict[str, str] | None], list[str]] | None = None
     reads_rows: Callable[[dict], bool] | None = None
-
-    @property
-    def merged(self) -> bool:
-        """True when the measure reads a pane only through partials it keeps
-        in each slice's memo (_Merged), not through the pane's rows."""
-        return isinstance(self.compile, _Merged)
 
 
 @dataclass(frozen=True)
@@ -327,47 +314,33 @@ def percentile(sorted_values: list, q: float) -> float | None:
     return None if p != p else p
 
 
-def _per_pane(apply: Callable[[dict, WindowInstance, EngineEnv], MeasureResult]):
-    """compile() of a measure that reads its parameters as it measures."""
-    return lambda params, env: functools.partial(apply, params)
-
-
-_ABSENT = object()  # a memo probe's default: no partial kept yet
-
-
-def _kept(part: Slice, key: tuple, partial: Callable[[Slice], Any]) -> Any:
-    """The partial a slice keeps in its memo under key, computed the first time."""
-    memo = part.memo
-    kept = memo.get(key, _ABSENT)
-    if kept is _ABSENT:
-        kept = memo[key] = partial(part)
-    return kept
-
-
 @dataclass(frozen=True)
 class _Merged:
-    """compile() of a measure kept as partial state per slice.
+    """compile() of a measure, kept as partial state per slice.
 
     prepare(params, env, *checker) returns (partial, finish): partial(part)
-    summarizes one Slice, and finish(partials, window) merges a pane's
-    partials, in slice order, into the result; finish reads no rows (a
-    finish that needs more of a slice keeps that in the memo too). A slice
-    computes each partial once and keeps it in its memo under the partial's
-    name and parameters, so checks sharing a partial share it. Only a
-    measure with a per-element form is given its checker.
-    """
+    summarizes one Slice, and finish(partials, window, env) merges a pane's
+    partials, in slice order, into the result; it reads no rows, only the
+    pane's bounds, key and row count and the env of its close. A slice keeps
+    each partial in its memo (Slice.kept) under the partial's name and the
+    parameters it reads (all of them when reads is None), so checks that
+    share a partial compute it once. Only a per-element measure gets its
+    checker."""
 
     name: str
     prepare: Callable
+    reads: tuple[str, ...] | None = None
 
     def __call__(self, params, env, *checker) -> MeasureRun:
         partial, finish = self.prepare(params, env, *checker)
         key = self.key(params, env)
-        return lambda window, env: finish([_kept(part, key, partial) for part in window.parts],
-                                          window)
+        return lambda window, env: finish([part.kept(key, partial) for part in window.parts],
+                                          window, env)
 
     def key(self, params, env) -> tuple:
-        """The memo key of the measure's partial: its name and parameters."""
+        """The memo key of the measure's partial: its name and the parameters it reads."""
+        if self.reads is not None:
+            params = {name: params[name] for name in self.reads}
         return self.name, json.dumps(params, sort_keys=True, default=_memo_text), env.hash_seed
 
 
@@ -376,7 +349,7 @@ def _memo_text(value) -> str:
     return f"{value.flags}:{value.pattern}" if isinstance(value, re.Pattern) else repr(value)
 
 
-class Tally:
+class Tally(NamedTuple):
     """The partial of a per-element measure over some rows: their count,
     how many verdicts were Null, how many failed (neither True nor Null),
     and the misses, each row whose verdict was not True with that verdict.
@@ -384,11 +357,10 @@ class Tally:
     rows some check of the suite fails; a row left out passes every check
     that reads the misses."""
 
-    __slots__ = ("rows", "nulls", "failed", "misses")
-
-    def __init__(self, rows: int, nulls: int, failed: int,
-                 misses: list[tuple[StreamElement, bool | None]]):
-        self.rows, self.nulls, self.failed, self.misses = rows, nulls, failed, misses
+    rows: int
+    nulls: int
+    failed: int
+    misses: list[tuple[StreamElement, bool | None]]
 
     @property
     def passed(self) -> int:
@@ -419,13 +391,24 @@ def _merge_tallies(tallies: list[Tally]) -> Tally:
                  sum(t.failed for t in tallies), _concat([t.misses for t in tallies]))
 
 
-def _share(params, tally, window):
+def _share(params, tally, window, env):
     """The share of a pane's elements whose verdict is True (Null when empty)."""
     return MeasureResult(tally.passed / tally.rows if tally.rows else None)
 
 
 def _concat(lists: list[list]) -> list:
     return lists[0] if len(lists) == 1 else list(chain.from_iterable(lists))
+
+
+def _concatenated(project: Callable[[dict, Sequence[StreamElement]], list],
+                  measure: Callable[[dict, list], MeasureResult]):
+    """prepare() of a measure of a pane's rows in pane order: a slice's partial
+    is project(params, its elements), a list, and measure(params, rows) reads
+    the pane's lists concatenated."""
+    def prepare(params, env):
+        return (lambda part: project(params, part.elements),
+                lambda partials, window, env: measure(params, _concat(partials)))
+    return prepare
 
 
 def _matches_any(v: Value, tokens: Sequence[Value]) -> bool:
@@ -445,35 +428,32 @@ def _prepare_count(params, env):
     return (lambda part: sum(e.attrs.get(column) is not None for e in part.elements)), _total
 
 
-def _total(partials, window):
+def _total(partials, window, env):
     return MeasureResult(sum(partials))
 
 
-def _apply_min(params, window, env):
-    values = _non_null(window.elements, params["column"])
-    return MeasureResult(min(values) if values else None)
-
-
-def _apply_max(params, window, env):
-    values = _non_null(window.elements, params["column"])
-    return MeasureResult(max(values) if values else None)
-
-
-def _numbers_stat(stat: Callable[[list], float]):
-    """prepare() of a statistic of a column's numbers (Null without any)."""
+def _prepare_extremum(pick: Callable):
+    """prepare() of min or max. pick keeps the first of equal values, and a
+    NaN only when it comes first. So a slice's partial is its first non-Null
+    value and the pick of its values that are not NaN."""
     def prepare(params, env):
         column = params["column"]
 
-        def finish(partials, window):
-            # The concatenated lists are the pane's numbers in pane order.
-            numbers = _concat(partials)
-            return MeasureResult(stat(numbers) if numbers else None)
-        return (lambda part: _numbers(part.elements, column)), finish
+        def partial(part):
+            values = _non_null(part.elements, column)
+            numbers = [v for v in values if v == v]
+            return (values[0], pick(numbers) if numbers else None) if values else None
+
+        def finish(partials, window, env):
+            kept = [p for p in partials if p is not None]
+            if not kept or kept[0][0] != kept[0][0]:
+                return MeasureResult(kept[0][0] if kept else None)
+            return MeasureResult(pick(p[1] for p in kept if p[1] is not None))
+        return partial, finish
     return prepare
 
 
-def _apply_z_outliers(params, window, env):
-    numbers = _numbers(window.elements, params["column"])
+def _z_outliers(params, numbers):
     if not numbers:
         return MeasureResult(0)
     mean, std = mean_std(numbers)
@@ -505,25 +485,26 @@ def _completeness_checker(params, env) -> ElemChecker:
     return check
 
 
-def _compile_placeholders(params, env):
-    column = params["column"]
-    tokens = params["tokens"]
+def _prepare_placeholders(params, env):
+    """A slice's partial: its non-Null count, and how many of those values
+    first equal each token, by the token's encoding (None: no token)."""
+    column, tokens = params["column"], params["tokens"]
     as_fraction = params["output"] == "fraction"
 
-    def run(window, env):
-        values = _non_null(window.elements, column)
-        seen: set[bytes] = set()
-        hits = 0
-        for v in values:
-            for t in tokens:
-                if values_equal(v, t) is True:
-                    hits += 1
-                    seen.add(canonical_bytes(t))
-                    break
-        fraction = hits / len(values) if values else None
+    def partial(part):
+        values = _non_null(part.elements, column)
+        return len(values), Counter(next((canonical_bytes(t) for t in tokens
+                                          if values_equal(v, t) is True), None) for v in values)
+
+    def finish(partials, window, env):
+        count = sum(p[0] for p in partials)
+        seen = sum((p[1] for p in partials), Counter())
+        seen.pop(None, None)
+        hits = seen.total()
+        fraction = hits / count if count else None
         detail = {"distinct_placeholders_present": len(seen), "placeholder_fraction": fraction}
         return MeasureResult(fraction if as_fraction else len(seen), detail)
-    return run
+    return partial, finish
 
 
 # ---------------------------------------------------------------------------
@@ -538,17 +519,17 @@ def _prepare_distinct(params, env):
     column = params["column"]
     if params["mode"] == "exact":
         return (lambda part: set(filter(None, part.encodings(column))),
-                lambda partials, window: MeasureResult(len(set().union(*partials))))
+                lambda partials, window, env: MeasureResult(len(set().union(*partials))))
     precision, seed = params["precision"], env.hash_seed
     return (lambda part: pack(registers_of(filter(None, part.encodings(column)), precision, seed)),
-            lambda partials, window: MeasureResult(estimate_packed(partials, precision)))
+            lambda partials, window, env: MeasureResult(estimate_packed(partials, precision)))
 
 
 def _prepare_uniqueness(params, env):
     column = params["column"]
     as_count = params["output"] == "unique_count"
 
-    def finish(partials, window):
+    def finish(partials, window, env):
         # Each partial is a slice's encodings; None marks a Null.
         counts = Counter(chain.from_iterable(partials))
         counts.pop(None, None)
@@ -559,39 +540,49 @@ def _prepare_uniqueness(params, env):
     return (lambda part: part.encodings(column)), finish
 
 
-def _apply_heavy_hitters(params, window, env):
-    values = _non_null(window.elements, params["column"])
-    phi = params["phi"]
-    n = len(values)
+def _prepare_heavy_hitters(params, env):
+    """Approx: a slice's partial is its non-Null values, which the sketch
+    reads in pane order. Exact: it counts the encodings of its non-Null
+    values and keeps the first value of each; a pane keeps the first."""
+    column, phi = params["column"], params["phi"]
+
+    def hitters(triples):
+        return MeasureResult(len(triples), {"items": [{"item": value_to_json(v), "lo": lo, "hi": hi}
+                                                      for v, lo, hi in triples],
+                                            "mode": params["mode"]})
+
     if params["mode"] == "approx":
-        sketch = FrequentItemsSketch(params["capacity"])
-        for v in values:
-            sketch.add(v)
-        triples = sketch.query(phi, n) if n else []
-    else:
-        counts: dict[bytes, list] = {}
-        for v in values:
-            k = canonical_bytes(v)
-            slot = counts.get(k)
-            if slot is None:
-                counts[k] = [1, v]
-            else:
-                slot[0] += 1
-        cut = phi * n
-        triples = [(v, c, c) for c, v in counts.values() if c >= cut]
-        triples.sort(key=lambda item: (-item[2], canonical_bytes(item[0])))
-    detail = {"items": [{"item": value_to_json(v), "lo": lo, "hi": hi}
-                        for v, lo, hi in triples],
-              "mode": params["mode"]}
-    return MeasureResult(len(triples), detail)
+        def approx(partials, window, env):
+            values = _concat(partials)
+            sketch = FrequentItemsSketch(params["capacity"])
+            for v in values:
+                sketch.add(v)
+            return hitters(sketch.query(phi, len(values)) if values else [])
+        return (lambda part: _non_null(part.elements, column)), approx
+
+    def partial(part):
+        codes = part.encodings(column)  # read backwards, so the first value of each stays
+        firsts = {enc: e.attrs.get(column) for enc, e in reversed(tuple(zip(codes, part.elements)))}
+        firsts.pop(None, None)
+        return Counter(filter(None, codes)), firsts
+
+    def exact(partials, window, env):
+        counts, firsts = Counter(), {}
+        for part_counts, part_firsts in partials:
+            counts.update(part_counts)
+            firsts = part_firsts | firsts  # an earlier slice's first value stays
+        cut = phi * counts.total()
+        return hitters([(firsts[enc], -c, -c) for c, enc in
+                        sorted((-c, enc) for enc, c in counts.items() if c >= cut)])
+    return partial, exact
 
 
 # ---------------------------------------------------------------------------
 # Distribution
 
 
-def _apply_percentiles(params, window, env):
-    numbers = sorted(_numbers(window.elements, params["column"]))
+def _percentiles(params, numbers):
+    numbers = sorted(numbers)
     points = list(params["points"])
     if not numbers:
         return MeasureResult(None, {"points": points, "values": None})
@@ -600,8 +591,7 @@ def _apply_percentiles(params, window, env):
     return MeasureResult(values[0] if len(values) == 1 else None, detail)
 
 
-def _apply_length_stats(params, window, env):
-    lengths = [len(v) for v in window.values(params["column"]) if isinstance(v, str)]
+def _length_stats(params, lengths):
     if not lengths:
         return MeasureResult(None)
     stat = params["statistic"]
@@ -643,17 +633,19 @@ def _pearson(xs: list[float], ys: list[float]) -> float | None:
     return None if r != r else r
 
 
-def _apply_correlation(params, window, env):
-    xs: list[float] = []
-    ys: list[float] = []
+def _number_pairs(params, elements) -> list[tuple[float | int, float | int]]:
+    """The rows whose cells in both columns are ints or floats (not bools)."""
     ca, cb = params["column_a"], params["column_b"]
-    for e in window.elements:
-        a, b = e.attrs.get(ca), e.attrs.get(cb)
-        if a is None or b is None or isinstance(a, bool) or isinstance(b, bool):
-            continue
-        if isinstance(a, (int, float)) and isinstance(b, (int, float)):
-            xs.append(a)
-            ys.append(b)
+    return [(a, b) for e in elements
+            if _is_number(a := e.attrs.get(ca)) and _is_number(b := e.attrs.get(cb))]
+
+
+def _is_number(v: Value) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _correlation(params, pairs):
+    xs, ys = [a for a, _ in pairs], [b for _, b in pairs]
     if len(xs) < 2:
         return MeasureResult(None, {"pairs": len(xs)})
     if params["method"] == "spearman":
@@ -665,27 +657,21 @@ def _apply_correlation(params, window, env):
 # Order and interval structure
 
 
-def _apply_ordering(params, window, env):
-    asc = params["direction"] == "asc"
-    strict = params["strict"]
+def _cells(params, elements) -> list[Value]:
+    """The column's cell of each row, Nulls included."""
+    return [e.attrs.get(params["column"]) for e in elements]
+
+
+def _ordering(params, cells):
+    ordered = {("asc", True): operator.lt, ("asc", False): operator.le,
+               ("desc", True): operator.gt, ("desc", False): operator.ge}[
+        params["direction"], params["strict"]]
     violations = 0
-    prev: Value = None
-    have_prev = False
-    for v in window.values(params["column"]):
-        if v is None:
-            # A Null breaks the chain and is itself one violation.
+    prev: Value = None  # None after a Null, which breaks the chain and is one violation
+    for v in cells:
+        if v is None or (prev is not None and not ordered(prev, v)):
             violations += 1
-            have_prev = False
-            continue
-        if have_prev:
-            if asc:
-                ok = prev < v if strict else prev <= v
-            else:
-                ok = prev > v if strict else prev >= v
-            if not ok:
-                violations += 1
         prev = v
-        have_prev = True
     return MeasureResult(violations)
 
 
@@ -695,43 +681,37 @@ def _intervals_share_a_type(params, columns):
     return []
 
 
-def _apply_intervals(params, window, env):
-    policy = params["policy"]
+def _intervals(params, elements) -> list[tuple[Value, Value] | None]:
+    """Each row's interval, None for a malformed one (a Null endpoint or end < start)."""
     sc, ec = params["start_column"], params["end_column"]
-    violations = 0
-    intervals = []
-    for e in window.elements:
-        s, t = e.attrs.get(sc), e.attrs.get(ec)
-        # Malformed intervals (Null endpoint or end < start) are one violation each.
-        if s is None or t is None or t < s:
-            violations += 1
-            continue
-        intervals.append((s, t))
-    intervals.sort()
+    return [None if s is None or t is None or t < s else (s, t)
+            for s, t in ((e.attrs.get(sc), e.attrs.get(ec)) for e in elements)]
+
+
+def _interval_conflicts(params, intervals):
+    policy = params["policy"]
+    violations = intervals.count(None)  # one for each malformed interval
     max_end = None
-    for s, t in intervals:
-        if max_end is not None:
-            if s < max_end:
-                violations += 1  # overlap, bad under every policy
-            elif s == max_end:
-                if policy == "gaps_required":
-                    violations += 1
-            else:
-                if policy == "gaps_disallowed":
-                    violations += 1
+    for s, t in sorted(filter(None, intervals)):
+        if max_end is not None:  # an overlap is bad under every policy
+            violations += (s < max_end or (policy == "gaps_required" if s == max_end
+                                           else policy == "gaps_disallowed"))
         max_end = t if max_end is None else max(max_end, t)
     return MeasureResult(violations)
 
 
-def _apply_out_of_order(params, window, env):
+def _arrivals(params, elements) -> list[tuple[int, Value]]:
+    """(arrival_seq, value) of each row with a non-Null value; the value is
+    the event time without a column."""
     column = params["column"]
-    by_arrival = sorted(window.elements, key=lambda e: e.arrival_seq)
+    return [(e.arrival_seq, v) for e in elements
+            if (v := e.event_time if column is None else e.attrs.get(column)) is not None]
+
+
+def _out_of_order(params, arrivals):
     running: Value = None
     count = 0
-    for e in by_arrival:
-        v = e.event_time if column is None else e.attrs.get(column)
-        if v is None:
-            continue
+    for _, v in sorted(arrivals, key=operator.itemgetter(0)):  # stable: pane order on ties
         if running is not None and v < running:
             count += 1
         elif running is None or v > running:
@@ -743,18 +723,19 @@ def _apply_out_of_order(params, window, env):
 # Timeliness and volume
 
 
-def _compile_freshness(params, env):
+def _prepare_freshness(params, env):
+    """A slice's partial is its newest event time."""
     fixed = params["reference"]
 
-    def run(window, env):
-        if not window.elements:
+    def finish(partials, window, env):
+        newest = max(filter(None, partials), default=None)
+        if newest is None:
             return MeasureResult(None)
-        newest = max(e.event_time for e in window.elements)
         ref_ts = fixed if fixed is not None else env.watermark
         if ref_ts is None:
             return MeasureResult(None, {"reference": "watermark", "missing": True})
         return MeasureResult((ref_ts - newest) / timedelta(seconds=1))
-    return run
+    return (lambda part: max((e.event_time for e in part.elements), default=None)), finish
 
 
 # ---------------------------------------------------------------------------
@@ -779,7 +760,7 @@ def _schema_checker(params, env) -> ElemChecker:
     return check
 
 
-def _schema_tally(params, tally, window):
+def _schema_tally(params, tally, window, env):
     violations = tally.rows - tally.passed
     return MeasureResult(violations == 0, {"violations": violations})
 
@@ -800,7 +781,7 @@ def _type_checker(params, env) -> ElemChecker:
     return check
 
 
-def _type_tally(params, tally, window):
+def _type_tally(params, tally, window, env):
     """The share of passes among the elements with a non-Null cell."""
     considered = tally.rows - tally.nulls
     return MeasureResult(tally.passed / considered if considered else None)
@@ -810,20 +791,23 @@ def _type_tally(params, tally, window):
 # Cross-stream match
 
 
-def _apply_match_ratio(params, window, env):
-    if not window.elements:
-        return MeasureResult(None)
-    if env.secondary is None:
-        return MeasureResult(None, {"secondary": "missing"})
-    other = env.secondary(window.start, window.end, window.key)
+def _prepare_match_ratio(params, env):
+    """A slice's partial counts the encodings of its non-Null values; a
+    pane's rows match where the aligned secondary pane holds the encoding."""
     column = params["on"]
-    keys = set()
-    if other is not None:
-        keys = {canonical_bytes(v) for v in other.values(column) if v is not None}
-    matched = sum(1 for v in window.values(column)
-                  if v is not None and canonical_bytes(v) in keys)
-    detail = {"secondary_volume": len(other.elements) if other is not None else 0}
-    return MeasureResult(matched / len(window.elements), detail)
+
+    def finish(partials, window, env):
+        if not len(window):
+            return MeasureResult(None)
+        if env.secondary is None:
+            return MeasureResult(None, {"secondary": "missing"})
+        other = env.secondary(window.start, window.end, window.key)
+        keys = (set() if other is None
+                else set(chain.from_iterable(part.encodings(column) for part in other.parts)))
+        matched = sum(n for counts in partials for enc, n in counts.items() if enc in keys)
+        detail = {"secondary_volume": len(other) if other is not None else 0}
+        return MeasureResult(matched / len(window), detail)
+    return (lambda part: Counter(filter(None, part.encodings(column)))), finish
 
 
 # ---------------------------------------------------------------------------
@@ -883,15 +867,15 @@ def _in_set_checker(params, env) -> ElemChecker:
     return check
 
 
-def _in_set_tally(params, tally, window):
-    result = _share(params, tally, window)
+def _in_set_tally(params, tally, window, env):
+    result = _share(params, tally, window, env)
     if not params["proper"] or result.value is None:
         return result  # no subset demanded, or an empty pane
     allowed, column = params["allowed"], params["column"]
     # Each slice keeps its observed values, one per encoding (the last), in the memo.
     observed: dict[bytes, Value] = {}
     for part in window.parts:
-        observed.update(_kept(part, ("observed", column), lambda part: {
+        observed.update(part.kept(("observed", column), lambda part: {
             enc: e.attrs[column] for enc, e in zip(part.encodings(column), part.elements)
             if enc is not None}))
     observed = observed.values()
@@ -938,25 +922,18 @@ def _column_type(params, columns):
     return columns[params["column"]]
 
 
-MEASURES: dict[str, MeasureDef] = {}
-
-
-def _register(measure: MeasureDef) -> None:
-    MEASURES[measure.id] = measure
-
-
 def _per_element(measure_id: str, table: dict[str, Param],
-                 tally: Callable[[dict, Tally, WindowInstance], MeasureResult],
+                 tally: Callable[[dict, Tally, WindowInstance, EngineEnv], MeasureResult],
                  make_checker, result_type: str = "float", check=None,
                  reads_rows=None) -> MeasureDef:
     """A measure with a per-element form, merged per slice under its own id.
     A slice's partial is the Tally of its elements' verdicts (_tally_of);
-    tally(params, tally, window) summarizes a pane's merged Tally into a new
-    result, which then carries its misses on for per-element records."""
+    tally(params, tally, window, env) summarizes a pane's merged Tally into a
+    new result, which then carries its misses on for per-element records."""
     def prepare(params, env, checker):
-        def finish(partials, window):
+        def finish(partials, window, env):
             merged = _merge_tallies(partials)
-            result = tally(params, merged, window)
+            result = tally(params, merged, window, env)
             result.misses = merged.misses
             return result
         return (lambda part: _tally_of(checker, part.elements)), finish
@@ -965,109 +942,131 @@ def _per_element(measure_id: str, table: dict[str, Param],
 
 
 _EXACT_OR_APPROX = choice("exact", "approx")
+_COLUMN = ("column",)  # a partial that reads only the column
 
-_register(MeasureDef("count", {"column": _ANY_COLUMN}, _Merged("count", _prepare_count),
-                     _static_type("int")))
-_register(MeasureDef("min", {"column": _ORDERED_COLUMN}, _per_pane(_apply_min), _column_type))
-_register(MeasureDef("max", {"column": _ORDERED_COLUMN}, _per_pane(_apply_max), _column_type))
-_register(MeasureDef("mean", {"column": _NUMERIC_COLUMN},
-                     _Merged("numbers", _numbers_stat(_mean)),
-                     _static_type("float")))
-_register(MeasureDef("std", {"column": _NUMERIC_COLUMN},
-                     _Merged("numbers", _numbers_stat(lambda xs: mean_std(xs)[1])),
-                     _static_type("float")))
-_register(MeasureDef("z_outlier_count",
-                     {"column": _NUMERIC_COLUMN,
-                      "z": Param(number("a number > 0", lambda z: z > 0))},
-                     _per_pane(_apply_z_outliers), _static_type("int")))
-_register(_per_element("completeness",
-                       {"column": _ANY_COLUMN,
-                        "missing_tokens": Param(list_of(scalar), []),
-                        "empty_text_missing": Param(flag, False)},
-                       _share, _completeness_checker))
-_register(MeasureDef("placeholder_report",
-                     {"column": _ANY_COLUMN,
-                      "tokens": Param(list_of(scalar, nonempty=True)),
-                      "output": Param(choice("distinct_present", "fraction"), "distinct_present")},
-                     _compile_placeholders,
-                     lambda p, c: "float" if p["output"] == "fraction" else "int"))
-_register(MeasureDef("distinct_count",
-                     {"column": _ANY_COLUMN,
-                      "mode": Param(_EXACT_OR_APPROX, "exact"),
-                      "precision": Param(number("an int in [4, 16]", lambda p: 4 <= p <= 16,
-                                                 integer=True), 14)},
-                     _Merged("distinct", _prepare_distinct),
-                     lambda p, c: "float" if p["mode"] == "approx" else "int"))
-_register(MeasureDef("uniqueness",
-                     {"column": _ANY_COLUMN,
-                      "output": Param(choice("ratio", "unique_count"), "ratio")},
-                     _Merged("counts", _prepare_uniqueness),
-                     lambda p, c: "int" if p["output"] == "unique_count" else "float"))
-_register(MeasureDef("heavy_hitters",
-                     {"column": _ANY_COLUMN,
-                      "phi": Param(number("a number in (0, 1]", lambda phi: 0.0 < phi <= 1.0)),
-                      "mode": Param(_EXACT_OR_APPROX, "exact"),
-                      "capacity": Param(number("an int >= 1", lambda c: c >= 1, integer=True),
-                                        256)},
-                     _per_pane(_apply_heavy_hitters), _static_type("int")))
-_register(MeasureDef("percentiles",
-                     {"column": _NUMERIC_COLUMN,
-                      "points": Param(list_of(number("a fraction in [0, 1]",
-                                                    lambda q: 0.0 <= q <= 1.0), nonempty=True))},
-                     _per_pane(_apply_percentiles), _static_type("float")))
-_register(MeasureDef("length_stats",
-                     {"column": Param(_column("text")),
-                      "statistic": Param(choice("min", "max", "mean", "std"), "mean")},
-                     _per_pane(_apply_length_stats),
-                     lambda p, c: "int" if p["statistic"] in ("min", "max") else "float"))
-_register(MeasureDef("correlation",
-                     {"column_a": _NUMERIC_COLUMN, "column_b": _NUMERIC_COLUMN,
-                      "method": Param(choice("pearson", "spearman"), "pearson")},
-                     _per_pane(_apply_correlation), _static_type("float")))
-_register(MeasureDef("ordering_violations",
-                     {"column": _ORDERED_COLUMN,
-                      "direction": Param(choice("asc", "desc"), "asc"),
-                      "strict": Param(flag, False)},
-                     _per_pane(_apply_ordering), _static_type("int")))
-_register(MeasureDef("interval_conflicts",
-                     {"start_column": _ORDERED_COLUMN, "end_column": _ORDERED_COLUMN,
-                      "policy": Param(choice("gaps_allowed", "gaps_disallowed", "gaps_required"),
-                                      "gaps_allowed")},
-                     _per_pane(_apply_intervals), _static_type("int"),
-                     check=_intervals_share_a_type))
-_register(MeasureDef("out_of_order_count", {"column": Param(_column(*_ORDERED_TYPES), None)},
-                     _per_pane(_apply_out_of_order), _static_type("int")))
-_register(MeasureDef("freshness", {"reference": Param(_time_or_watermark, "watermark")},
-                     _compile_freshness, _static_type("float")))
-_register(MeasureDef("volume", {}, _Merged("volume", _prepare_count), _static_type("int")))
-_register(_per_element("schema_check",
-                       {"expected": Param(list_of(string, nonempty=True)),
-                        "mode": Param(choice("presence", "presence_absence", "presence_order"),
-                                      "presence")},
-                       _schema_tally, _schema_checker, result_type="bool"))
-_register(_per_element("type_check",
-                       {"column": _ANY_COLUMN,
-                        "expected": Param(choice(*_TYPE_CHECK_TYPES)),
-                        "formats": Param(list_of(string), ["iso"])},
-                       _type_tally, _type_checker))
-_register(MeasureDef("match_ratio", {"on": _ANY_COLUMN},
-                     _per_pane(_apply_match_ratio), _static_type("float")))
-_register(_per_element("valid_range",
-                       {"column": _ORDERED_COLUMN,
-                        "lo": Param(_bound, None), "hi": Param(_bound, None),
-                        "lo_inclusive": Param(flag, True), "hi_inclusive": Param(flag, True)},
-                       _share, _range_checker, check=_range_has_a_fitting_bound))
-_register(_per_element("in_set",
-                       {"column": _ANY_COLUMN,
-                        "allowed": Param(list_of(scalar, nonempty=True)),
-                        "proper": Param(flag, False)},
-                       _in_set_tally, _in_set_checker,
-                       reads_rows=lambda params: params["proper"]))
-_register(_per_element("matches_pattern",
-                       {"column": Param(_column("text")), "pattern": Param(_pattern)},
-                       _share, _pattern_checker))
-_register(_per_element("conforms", {"expression": Param(_expression)},
-                       _share, _conforms_checker))
+
+def _over_numbers(measure: Callable[[dict, list], MeasureResult]) -> _Merged:
+    """A measure of a column's numbers in pane order, which such measures share."""
+    return _Merged("numbers", _concatenated(lambda params, rows: _numbers(rows, params["column"]),
+                                            measure), _COLUMN)
+
+
+MEASURES: dict[str, MeasureDef] = {measure.id: measure for measure in [
+    MeasureDef("count", {"column": _ANY_COLUMN}, _Merged("count", _prepare_count),
+               _static_type("int")),
+    MeasureDef("min", {"column": _ORDERED_COLUMN},
+               _Merged("min", _prepare_extremum(min), _COLUMN), _column_type),
+    MeasureDef("max", {"column": _ORDERED_COLUMN},
+               _Merged("max", _prepare_extremum(max), _COLUMN), _column_type),
+    MeasureDef("mean", {"column": _NUMERIC_COLUMN},
+               _over_numbers(lambda p, xs: MeasureResult(_mean(xs) if xs else None)),
+               _static_type("float")),
+    MeasureDef("std", {"column": _NUMERIC_COLUMN},
+               _over_numbers(lambda p, xs: MeasureResult(mean_std(xs)[1] if xs else None)),
+               _static_type("float")),
+    MeasureDef("z_outlier_count",
+               {"column": _NUMERIC_COLUMN,
+                "z": Param(number("a number > 0", lambda z: z > 0))},
+               _over_numbers(_z_outliers), _static_type("int")),
+    _per_element("completeness",
+                 {"column": _ANY_COLUMN,
+                  "missing_tokens": Param(list_of(scalar), []),
+                  "empty_text_missing": Param(flag, False)},
+                 _share, _completeness_checker),
+    MeasureDef("placeholder_report",
+               {"column": _ANY_COLUMN,
+                "tokens": Param(list_of(scalar, nonempty=True)),
+                "output": Param(choice("distinct_present", "fraction"), "distinct_present")},
+               _Merged("placeholders", _prepare_placeholders, ("column", "tokens")),
+               lambda p, c: "float" if p["output"] == "fraction" else "int"),
+    MeasureDef("distinct_count",
+               {"column": _ANY_COLUMN,
+                "mode": Param(_EXACT_OR_APPROX, "exact"),
+                "precision": Param(number("an int in [4, 16]", lambda p: 4 <= p <= 16,
+                                           integer=True), 14)},
+               _Merged("distinct", _prepare_distinct),
+               lambda p, c: "float" if p["mode"] == "approx" else "int"),
+    MeasureDef("uniqueness",
+               {"column": _ANY_COLUMN,
+                "output": Param(choice("ratio", "unique_count"), "ratio")},
+               _Merged("counts", _prepare_uniqueness, _COLUMN),
+               lambda p, c: "int" if p["output"] == "unique_count" else "float"),
+    MeasureDef("heavy_hitters",
+               {"column": _ANY_COLUMN,
+                "phi": Param(number("a number in (0, 1]", lambda phi: 0.0 < phi <= 1.0)),
+                "mode": Param(_EXACT_OR_APPROX, "exact"),
+                "capacity": Param(number("an int >= 1", lambda c: c >= 1, integer=True),
+                                  256)},
+               _Merged("hitters", _prepare_heavy_hitters, ("column", "mode")),
+               _static_type("int")),
+    MeasureDef("percentiles",
+               {"column": _NUMERIC_COLUMN,
+                "points": Param(list_of(number("a fraction in [0, 1]",
+                                              lambda q: 0.0 <= q <= 1.0), nonempty=True))},
+               _over_numbers(_percentiles), _static_type("float")),
+    MeasureDef("length_stats",
+               {"column": Param(_column("text")),
+                "statistic": Param(choice("min", "max", "mean", "std"), "mean")},
+               _Merged("lengths", _concatenated(
+                   lambda params, rows: [len(v) for v in _cells(params, rows) if isinstance(v, str)],
+                   _length_stats), _COLUMN),
+               lambda p, c: "int" if p["statistic"] in ("min", "max") else "float"),
+    MeasureDef("correlation",
+               {"column_a": _NUMERIC_COLUMN, "column_b": _NUMERIC_COLUMN,
+                "method": Param(choice("pearson", "spearman"), "pearson")},
+               _Merged("pairs", _concatenated(_number_pairs, _correlation),
+                       ("column_a", "column_b")),
+               _static_type("float")),
+    MeasureDef("ordering_violations",
+               {"column": _ORDERED_COLUMN,
+                "direction": Param(choice("asc", "desc"), "asc"),
+                "strict": Param(flag, False)},
+               _Merged("cells", _concatenated(_cells, _ordering), _COLUMN),
+               _static_type("int")),
+    MeasureDef("interval_conflicts",
+               {"start_column": _ORDERED_COLUMN, "end_column": _ORDERED_COLUMN,
+                "policy": Param(choice("gaps_allowed", "gaps_disallowed", "gaps_required"),
+                                "gaps_allowed")},
+               _Merged("intervals", _concatenated(_intervals, _interval_conflicts),
+                       ("start_column", "end_column")),
+               _static_type("int"),
+               check=_intervals_share_a_type),
+    MeasureDef("out_of_order_count", {"column": Param(_column(*_ORDERED_TYPES), None)},
+               _Merged("arrivals", _concatenated(_arrivals, _out_of_order), _COLUMN),
+               _static_type("int")),
+    MeasureDef("freshness", {"reference": Param(_time_or_watermark, "watermark")},
+               _Merged("newest", _prepare_freshness, ()), _static_type("float")),
+    MeasureDef("volume", {}, _Merged("volume", _prepare_count), _static_type("int")),
+    _per_element("schema_check",
+                 {"expected": Param(list_of(string, nonempty=True)),
+                  "mode": Param(choice("presence", "presence_absence", "presence_order"),
+                                "presence")},
+                 _schema_tally, _schema_checker, result_type="bool"),
+    _per_element("type_check",
+                 {"column": _ANY_COLUMN,
+                  "expected": Param(choice(*_TYPE_CHECK_TYPES)),
+                  "formats": Param(list_of(string), ["iso"])},
+                 _type_tally, _type_checker),
+    MeasureDef("match_ratio", {"on": _ANY_COLUMN},
+               _Merged("encodings", _prepare_match_ratio, ("on",)),
+               _static_type("float")),
+    _per_element("valid_range",
+                 {"column": _ORDERED_COLUMN,
+                  "lo": Param(_bound, None), "hi": Param(_bound, None),
+                  "lo_inclusive": Param(flag, True), "hi_inclusive": Param(flag, True)},
+                 _share, _range_checker, check=_range_has_a_fitting_bound),
+    _per_element("in_set",
+                 {"column": _ANY_COLUMN,
+                  "allowed": Param(list_of(scalar, nonempty=True)),
+                  "proper": Param(flag, False)},
+                 _in_set_tally, _in_set_checker,
+                 reads_rows=lambda params: params["proper"]),
+    _per_element("matches_pattern",
+                 {"column": Param(_column("text")), "pattern": Param(_pattern)},
+                 _share, _pattern_checker),
+    _per_element("conforms", {"expression": Param(_expression)},
+                 _share, _conforms_checker),
+]}
 
 
 def _parsed(spec: MeasureSpec) -> ParsedMeasure:
@@ -1101,12 +1100,10 @@ def apply_measure(spec: MeasureSpec, window: WindowInstance, env: EngineEnv,
     return run(window, env)
 
 
-def partial_key(measure: ParsedMeasure, env: EngineEnv) -> tuple | None:
-    """The key under which a merged measure keeps its partial in a slice's
-    memo, so that checks whose keys are equal share one partial; None for a
-    measure that is not merged."""
-    compile = measure.definition.compile
-    return compile.key(measure.params, env) if isinstance(compile, _Merged) else None
+def partial_key(measure: ParsedMeasure, env: EngineEnv) -> tuple:
+    """The key under which a measure keeps its partial in a slice's memo,
+    so that checks whose keys are equal share one partial."""
+    return measure.definition.compile.key(measure.params, env)
 
 
 def elem_checker_for(measure: ParsedMeasure | MeasureSpec, env: EngineEnv) -> ElemChecker | None:

@@ -584,6 +584,9 @@ class Judge(NamedTuple):
         return JudgedRows(self)
 
 
+_ABSENT = object()  # a memo probe's default: nothing kept yet
+
+
 class Slice:
     """The elements of one non-overlapping span of event time, ordered like
     a pane, with a memo of what was computed from them.
@@ -645,6 +648,13 @@ class Slice:
             if memo_key[0] == "split":
                 for share in kept.values():
                     share.release()
+
+    def kept(self, key: Any, partial: Callable[[Slice], Any]) -> Any:
+        """The partial kept in the memo under key, computed the first time."""
+        value = self.memo.get(key, _ABSENT)
+        if value is _ABSENT:
+            value = self.memo[key] = partial(self)
+        return value
 
     def encodings(self, column: str) -> list[bytes | None]:
         """The canonical encoding of each element's value in a column, in
@@ -791,10 +801,6 @@ class WindowInstance:
 
     def __len__(self) -> int:
         return len(self.elements)
-
-    def values(self, column: str) -> list[Value]:
-        """Column projection in element order (Nulls included)."""
-        return [e.attrs.get(column) for e in self.elements]
 
 
 @dataclass(frozen=True)

@@ -346,20 +346,15 @@ class SuiteState:
     every problem found.
 
     retention is what the engine's store keeps of the rows (Retention),
-    decided here once from what the pane checks read:
-    - FAILING when every check's measure follows from its per-element
-      verdicts alone (ParsedMeasure.tallied), no check is keyed and there is
-      no detector. Each row is then judged once, as it is routed, by judge:
-      one checker per distinct measure (checks with equal measures share
-      one). A pane's values and its per-element records and side lines come
-      from the verdict counts and the rows some check fails.
-    - PARTIALS when every measure is merged and there is no detector: no
-      pane check reads a pane's rows, only the partials each slice keeps
-      from the first pane over it (per-element records read the rows a
-      check missed from its partial, measures.Tally), so a slice's rows may
-      go after its first close.
-    - ROWS otherwise.
-    judge is None unless retention is FAILING.
+    decided here once. No pane check reads a pane's rows: the measures and
+    the frozen-column detector read the partials each slice keeps in its
+    memo from the first pane over it (per-element records read the rows a
+    check missed, measures.Tally), and the dead-stream detector counts rows.
+    So a slice's rows go after its first close (PARTIALS); or, when every
+    check's measure follows from its per-element verdicts alone
+    (ParsedMeasure.tallied), no check is keyed and there is no frozen-column
+    detector, each row is judged as it is routed, by judge (one checker per
+    distinct measure), and only the rows some check fails stay (FAILING).
     """
 
     def __init__(self, checks: list[CheckDefinition],
@@ -400,18 +395,12 @@ class SuiteState:
             self.pane_checks.append((None, _dead_stream_check(detectors.dead)))
         self.pane_checks.extend((spec.key_by, _frozen_column_check(spec))
                                 for spec in detectors.frozen)
-        parsed = [measure for measure, _, _ in compiled]
-        self.judge = None
-        if detectors.dead is not None or detectors.frozen:
-            self.retention = Retention.ROWS
-        elif all(m.tallied for m in parsed) and all(c.key_by is None for c in checks):
+        self.retention, self.judge = Retention.PARTIALS, None
+        if (not detectors.frozen and all(c.key_by is None for c in checks)
+                and all(measure.tallied for measure, _, _ in compiled)):
             self.retention = Retention.FAILING
             self.judge = Judge(tuple(checker for checker, _ in checkers.values()),
                                tuple(null_fails for _, null_fails in checkers.values()))
-        elif all(m.definition.merged for m in parsed):
-            self.retention = Retention.PARTIALS
-        else:
-            self.retention = Retention.ROWS
 
     # -- helpers -------------------------------------------------------------
 
@@ -572,7 +561,7 @@ def _dead_stream_check(spec: DeadStreamSpec) -> PaneCheck:
 
     def check(head, key, w, env, failing, entries):
         nonlocal silent_since, silent_until, alerted
-        if w.elements:
+        if len(w):
             if alerted and spec.restart == "auto":
                 emit(head, key, w, (silent_until - silent_since).total_seconds(), True,
                      {"recovered": True}, entries)
@@ -592,18 +581,25 @@ def _frozen_column_check(spec: FrozenColumnSpec) -> PaneCheck:
     """The frozen-column detector as a pane check of each key group: one
     alert once the column holds one value across `windows` consecutive
     panes with a non-Null value, and one recovery record on the first pane
-    with two values after it. The streak is kept per key encoding."""
+    with two values after it. The streak is kept per key encoding. A pane
+    reads its slices' first non-Null values and sets of non-Null encodings."""
     column = spec.column
     emit = _emitter(f"_frozen_stream.{column}")
     # key encoding -> [the frozen value's encoding, streak, alerted]
     streaks: dict[bytes, list] = {}
 
+    def partial(part):
+        codes = part.encodings(column)
+        i = next((i for i, enc in enumerate(codes) if enc is not None), None)
+        return None if i is None else (part.elements[i].attrs[column], set(filter(None, codes)))
+
     def check(head, key, sub, env, failing, entries):
-        values = [v for v in sub.values(column) if v is not None]
-        if not values:
+        seen = [kept for part in sub.parts
+                if (kept := part.kept(("frozen", column), partial)) is not None]
+        if not seen:
             return  # empty pane or all-Null: no evidence either way
         streak = streaks.setdefault(head[1], [None, 0, False])
-        distinct = {canonical_bytes(v) for v in values}
+        distinct = set().union(*(codes for _, codes in seen))
         if len(distinct) == 1:
             canon = distinct.pop()
             if streak[0] == canon:
@@ -612,7 +608,7 @@ def _frozen_column_check(spec: FrozenColumnSpec) -> PaneCheck:
                 streak[0], streak[1] = canon, 1
             if streak[1] >= spec.windows and not streak[2]:
                 streak[2] = True
-                emit(head, key, sub, values[0], False,
+                emit(head, key, sub, seen[0][0], False,
                      {"column": column, "windows": streak[1]}, entries)
         else:
             if streak[2]:

@@ -100,7 +100,8 @@ class Retention(Enum):
     """What a store keeps of the rows routed to it, for a consumer that
     reads each pane as it is drawn (MonitorEngine takes its SuiteState's).
 
-    ROWS: every row, until the last pane over it has closed.
+    ROWS: every row, until the last pane over it has closed: the default, for
+    a library caller that reads panes' rows (a suite reads slice partials).
     PARTIALS: a grid slice releases its rows once its first pane has been
     drawn and assessed; later panes over it read only the partials that
     pane left in its memo. A session pane is drawn once, so its rows go

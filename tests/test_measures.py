@@ -869,14 +869,35 @@ MERGED_SPECS = [
     ("conforms", {"expression": "x > 0 or x = -1"}),
     ("schema_check", {"expected": ["x"]}),
     ("type_check", {"column": "x", "expected": "int"}),
+    ("min", {"column": "x"}),
+    ("max", {"column": "x"}),
+    ("z_outlier_count", {"column": "x", "z": 1.5}),
+    ("placeholder_report", {"column": "x", "tokens": [-1, "?", ""]}),
+    ("placeholder_report", {"column": "x", "tokens": [-1, 7.5], "output": "fraction"}),
+    ("heavy_hitters", {"column": "x", "phi": 0.02}),
+    ("heavy_hitters", {"column": "x", "phi": 0.05, "mode": "approx", "capacity": 6}),
+    ("percentiles", {"column": "x", "points": [0, 0.3, 0.5, 1]}),
+    ("length_stats", {"column": "x", "statistic": "std"}),
+    ("length_stats", {"column": "x", "statistic": "min"}),
+    ("correlation", {"column_a": "x", "column_b": "y"}),
+    ("correlation", {"column_a": "x", "column_b": "y", "method": "spearman"}),
+    ("ordering_violations", {"column": "x"}),
+    ("ordering_violations", {"column": "x", "direction": "desc", "strict": True}),
+    ("interval_conflicts", {"start_column": "x", "end_column": "y",
+                            "policy": "gaps_disallowed"}),
+    ("out_of_order_count", {"column": "x"}),
+    ("out_of_order_count", {}),
+    ("freshness", {"reference": "2015-05-07T12:00:00.000Z"}),
+    ("freshness", {}),
+    ("match_ratio", {"on": "x"}),
 ]
 
 
-def test_every_merged_measure_has_a_partial_oracle_case():
-    """MERGED_SPECS covers exactly the merged measures, whose slices may
-    release their rows once their partials are kept."""
-    assert {mid for mid, measure in MEASURES.items() if measure.merged} == \
-        {mid for mid, _ in MERGED_SPECS}
+def test_every_measure_has_a_partial_oracle_case():
+    """MERGED_SPECS covers every measure: each reads a pane only through
+    the partials its slices keep, so a slice may release its rows once
+    they are kept."""
+    assert set(MEASURES) == {mid for mid, _ in MERGED_SPECS}
 
 
 def _random_value(rng):
@@ -890,13 +911,58 @@ def _random_value(rng):
     return round(rng.uniform(-1e6, 1e6), rng.randint(0, 9))
 
 
+def _random_number(rng):
+    """A number in a small range, so that ties are common, among them equal
+    values that render apart (1 and 1.0, 0.0 and -0.0); a few are Null,
+    NaN or infinite."""
+    roll = rng.random()
+    if roll < 0.1:
+        return None
+    if roll < 0.13:
+        return rng.choice([math.nan, math.inf, -math.inf])
+    if roll < 0.5:
+        return rng.randint(-5, 5)
+    if roll < 0.8:
+        return float(rng.randint(-5, 5)) * rng.choice([1, -1])
+    return round(rng.uniform(-5, 5), 2)
+
+
+def _random_text(rng):
+    return None if rng.random() < 0.1 else "ab"[:rng.randint(0, 2)] * rng.randint(1, 3)
+
+
+# The values of each measure's rows, by its columns, where _random_value
+# does not fit: ordered measures read one column type.
+_ROW_VALUES = {
+    "min": {"x": _random_number}, "max": {"x": _random_number},
+    "z_outlier_count": {"x": _random_number}, "percentiles": {"x": _random_number},
+    "ordering_violations": {"x": _random_number}, "out_of_order_count": {"x": _random_number},
+    "heavy_hitters": {"x": _random_number},
+    "length_stats": {"x": _random_text},
+    "correlation": {"x": _random_number, "y": _random_number},
+    "interval_conflicts": {"x": _random_number, "y": _random_number},
+}
+# match_ratio's secondary pane, and the watermark freshness reads.
+_SECONDARY = values_win([-1, "?", 3, 2.0, 0, None, 7.5, -38])
+_ORACLE_WATERMARK = at(4000)
+
+
+def _random_pane(rng, mid, size):
+    """A pane of size rows, a second apart, that arrived in a random order."""
+    columns = _ROW_VALUES.get(mid, {"x": _random_value})
+    seqs = rng.sample(range(size), size)
+    return win([elem(at(i), seqs[i], **{c: value(rng) for c, value in columns.items()})
+                for i in range(size)])
+
+
 @pytest.mark.parametrize("mid,params", MERGED_SPECS)
 def test_partials_over_random_splits_equal_the_whole_pane(mid, params):
     rng = random.Random(f"{mid}{sorted(params.items())}")
-    env = EngineEnv(hash_seed=rng.randint(0, 1 << 30))
+    env = EngineEnv(hash_seed=rng.randint(0, 1 << 30), watermark=_ORACLE_WATERMARK,
+                    secondary=lambda start, end, key: _SECONDARY)
     spec = MeasureSpec(mid, params)
     for size in [0, 1, 2, 7, 60, 400, 3000]:
-        whole = win(elems([_random_value(rng) for _ in range(size)]))
+        whole = _random_pane(rng, mid, size)
         want = apply_measure(spec, whole, env)
         for _ in range(4):
             cuts = sorted(rng.randint(0, size) for _ in range(rng.randint(0, 6)))
@@ -913,6 +979,25 @@ def test_partials_over_random_splits_equal_the_whole_pane(mid, params):
             again = WindowInstance(whole.start, whole.end, None, parts=parts)
             assert len(again) == size
             assert apply_measure(spec, again, env) == want, (mid, params, size, bounds)
+
+
+def test_min_and_max_over_slices_are_the_builtins_over_the_pane():
+    """Over any split into slices, min and max report what Python's min and
+    max report over the pane's non-Null values: the first of equal values
+    (1 or 1.0, 0.0 or -0.0), and a NaN only when it comes first."""
+    rng = random.Random(17)
+    for _ in range(400):
+        values = [_random_number(rng) for _ in range(rng.randint(1, 8))]
+        whole = values_win(values)
+        present = [v for v in values if v is not None]
+        cuts = sorted(rng.randint(0, len(values)) for _ in range(rng.randint(0, 3)))
+        bounds = [0] + cuts + [len(values)]
+        parts = tuple(Slice(list(whole.elements[a:b])) for a, b in zip(bounds, bounds[1:]))
+        split = WindowInstance(whole.start, whole.end, None, whole.elements, parts)
+        for mid, builtin in (("min", min), ("max", max)):
+            got = run(mid, {"column": "x"}, split).value
+            want = builtin(present) if present else None
+            assert repr(got) == repr(want) and type(got) is type(want), (values, bounds, mid)
 
 
 def test_mean_and_std_share_one_partial_per_slice():

@@ -403,7 +403,7 @@ def test_window_spec_field_rules():
 def test_window_instance_validates_bounds_and_order():
     good = win([elem(at(1), 0, x=1), elem(at(2), 1, x=2)], start=at(0), end=at(60))
     assert len(good) == 2
-    assert good.values("x") == [1, 2]
+    assert [e.attrs["x"] for e in good.elements] == [1, 2]
     with pytest.raises(ModelError):
         WindowInstance(start=at(60), end=at(0))
     with pytest.raises(ModelError, match="ordered"):
