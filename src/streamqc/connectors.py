@@ -46,6 +46,7 @@ from .model import (
     format_ts,
     from_epoch_millis,
     from_model,
+    is_number,
     list_of,
     number,
     parse_duration,
@@ -198,7 +199,7 @@ def _json_coercer(type_name: str, fmt: str) -> Callable[[Any], Value]:
             return None if raw is None else _BAD
     elif type_name == "float":
         def coerce(raw: Any) -> Value:
-            if isinstance(raw, (int, float)) and not isinstance(raw, bool):
+            if is_number(raw):
                 try:
                     value = float(raw)
                 except OverflowError:  # an int beyond the float range
@@ -741,7 +742,7 @@ def generate_stream(csv_path: str, manifest_path: str, *, seed: int, start: date
                     row[column] = frozen_cache.setdefault(idx, row[column])
                 elif kind == "fare_spike":
                     base = row[column]
-                    if isinstance(base, (int, float)) and not isinstance(base, bool):
+                    if is_number(base):
                         row[column] = round(base * inj["factor"], 4)
                 elif kind == "duplicate_burst":
                     duplicate = True

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from datetime import datetime
 from typing import Any, Callable, Iterator, Mapping
 
-from .model import Value, comparator
+from .model import Value, comparator, is_number
 
 __all__ = [
     "ExpressionError", "Expr", "Literal", "Name", "Unary", "Binary", "Call",
@@ -185,21 +185,17 @@ def _tokenize(source: str) -> Iterator[_Token]:
 _RE_BACKREF = re.compile(r"\\[1-9]|\(\?P=")
 
 
-def _is_num(v: Value) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
 def _min_max(pick: Callable[[Any, Any], Any]) -> Callable[[Value, Value], Value]:
     # Numbers widen; timestamps pick among timestamps.
     def choose(a: Value, b: Value) -> Value:
-        if _is_num(a) and _is_num(b) or isinstance(a, datetime) and isinstance(b, datetime):
+        if is_number(a) and is_number(b) or isinstance(a, datetime) and isinstance(b, datetime):
             return pick(a, b)
         return None
     return choose
 
 
 def _coords_valid(lat: Value, lon: Value) -> bool | None:
-    if not (_is_num(lat) and _is_num(lon)):
+    if not (is_number(lat) and is_number(lon)):
         return None
     return -90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0
 
@@ -211,12 +207,12 @@ _BUILTINS: dict[str, tuple[int, Callable[..., Value]]] = {
     "length": (1, lambda v: len(v) if isinstance(v, str) else None),
     "matches": (2, lambda v, pattern: (pattern.fullmatch(v) is not None
                                        if isinstance(v, str) else None)),
-    "abs": (1, lambda v: abs(v) if _is_num(v) else None),
+    "abs": (1, lambda v: abs(v) if is_number(v) else None),
     "min": (2, _min_max(min)),
     "max": (2, _min_max(max)),
     "hour_of": (1, lambda v: v.hour if isinstance(v, datetime) else None),
     "non_empty": (1, lambda v: False if v is None else len(v) > 0 if isinstance(v, str) else None),
-    "positive": (1, lambda v: v > 0 if _is_num(v) else None),
+    "positive": (1, lambda v: v > 0 if is_number(v) else None),
     "coords_valid": (2, _coords_valid),
 }
 
@@ -496,7 +492,7 @@ def _unary(op: str, operand: Compiled) -> Compiled:
     if op == "not":
         # Non-boolean operands of logic operators absorb to Null.
         return lambda names: not v if (v := operand(names)) is True or v is False else None
-    return lambda names: -v if _is_num(v := operand(names)) else None
+    return lambda names: -v if is_number(v := operand(names)) else None
 
 
 def _binary(op: str, left: Compiled, right: Compiled, rvalue: Any) -> Compiled:
@@ -529,7 +525,7 @@ def _arith(apply: Callable[[Any, Any], Any], left: Compiled, right: Compiled) ->
     def arithmetic(names: Names) -> Value:
         a = left(names)
         b = right(names)
-        if not (_is_num(a) and _is_num(b)):
+        if not (is_number(a) and is_number(b)):
             return None
         try:
             r = apply(a, b)

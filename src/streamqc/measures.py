@@ -64,6 +64,7 @@ from .model import (
     choice,
     constraint_verdict,
     flag,
+    is_number,
     list_of,
     number,
     parse_fields,
@@ -251,7 +252,7 @@ def _numbers(elements: Sequence[StreamElement], column: str) -> list[float | int
         v = e.attrs.get(column)
         if (t := type(v)) is float or t is int:  # the common case, ahead of the isinstance chain
             out.append(v)
-        elif v is not None and not isinstance(v, bool) and isinstance(v, (int, float)):
+        elif is_number(v):
             out.append(v)
     return out
 
@@ -637,11 +638,7 @@ def _number_pairs(params, elements) -> list[tuple[float | int, float | int]]:
     """The rows whose cells in both columns are ints or floats (not bools)."""
     ca, cb = params["column_a"], params["column_b"]
     return [(a, b) for e in elements
-            if _is_number(a := e.attrs.get(ca)) and _is_number(b := e.attrs.get(cb))]
-
-
-def _is_number(v: Value) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+            if is_number(a := e.attrs.get(ca)) and is_number(b := e.attrs.get(cb))]
 
 
 def _correlation(params, pairs):

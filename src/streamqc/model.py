@@ -196,6 +196,11 @@ def value_type(v: Value) -> str:
     raise ModelError(f"value {v!r} is outside the value domain")
 
 
+def is_number(v: Value) -> bool:
+    """True for an int or a float, not a bool."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def canonical_bytes(v: Value) -> bytes:
     """Canonical byte encoding used for hashing, dedup, and deterministic order.
 
@@ -757,6 +762,10 @@ class WindowInstance:
     and the bounds of its first and last element. A released slice was
     checked when a pane first used it and is not walked again: a pane over
     one joins no rows, and its elements are ReleasedRows, their count.
+
+    new_from is the first instant of the rows no earlier pane held: a row
+    of this pane before it lay in an earlier pane of the same store. A
+    store's grid pane sets it (PaneStore); any other pane is new in full.
     """
 
     start: datetime
@@ -764,6 +773,7 @@ class WindowInstance:
     key: Value = None
     elements: tuple[StreamElement, ...] | ReleasedRows = None  # () without parts
     parts: tuple[Slice, ...] = field(default=None, compare=False, repr=False)
+    new_from: datetime = field(default=TS_MIN, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.start >= self.end:

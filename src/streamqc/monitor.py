@@ -50,6 +50,7 @@ from .model import (
     constraint_verdict,
     element_tail,
     format_ts,
+    is_number,
     key_groups,
     meta_line_prefix,
     meta_line_tail,
@@ -118,9 +119,8 @@ class ContextState:
             count_h += entry.count
             if prev is None or entry.end > prev.end:
                 prev = entry
-            v = entry.value
-            if v is not None and not isinstance(v, bool) and isinstance(v, (int, float)):
-                numbers.append(v)
+            if is_number(entry.value):
+                numbers.append(entry.value)
         mu, sigma = mean_std(numbers) if numbers else (None, None)
         return {
             "mu_H": mu,
@@ -664,9 +664,6 @@ class MonitorEngine:
         self.stats = RunStats()
         self.collected: list[MetaRecord] | None = None if meta_sink is not None else []
         self._discards_reported = 0
-        # Side-routed elements that an open or future pane may still hold,
-        # by arrival_seq, with their event times: each is routed once.
-        self._routed: dict[int, datetime] = {}
 
     def process(self, element: StreamElement) -> None:
         """One row: route it, judging it as it is stored when the suite's
@@ -703,6 +700,8 @@ class MonitorEngine:
         when the end changes, and no pane is held past its run. The first
         pane's `_late_discards` record counts the rows discarded since the
         last batch; a batch that closes no pane leaves that count as it is.
+        A failing row is routed to the side output from the first pane that
+        holds it, the one whose new_from its event time is at or past.
         """
         wm = self.watermark.value
         batch_failing: list[tuple[StreamElement, list[str]]] = []
@@ -724,11 +723,9 @@ class MonitorEngine:
                                 not delta, {"total": self._discards_reported} if delta else None,
                                 run)
             self.stats.panes_closed += 1
-            for seq in sorted(failing):
-                if seq not in self._routed:
-                    slot = failing[seq]
-                    self._routed[seq] = slot[0].event_time
-                    batch_failing.append(slot)
+            new_from = pane.new_from
+            batch_failing += [slot for _, slot in sorted(failing.items())
+                              if slot[0].event_time >= new_from]
         if end is None:
             return
         self._write_run(run)
@@ -736,9 +733,6 @@ class MonitorEngine:
             for element, check_ids in batch_failing:
                 self.side_sink.write_line(_side_line(element, check_ids))
         self.stats.side_routed += len(batch_failing)
-        if self._routed:
-            floor = self.store.closed_floor()
-            self._routed = {seq: t for seq, t in self._routed.items() if t >= floor}
 
     def _write_run(self, run: list[tuple[tuple, MetaRecord]]) -> None:
         """Write the records of panes sharing an end, sorted once by their

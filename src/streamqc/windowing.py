@@ -25,6 +25,12 @@ so downstream consumers see silence as zero-volume windows. Session panes
 are built per key by gap extension and are never empty. A pane bound
 beyond the datetime range is clamped to it.
 
+Each row lies in one slice, so which pane first holds it is a fact of the
+grid: a grid pane's rows from the end of the pane before it on are those
+no earlier pane held (WindowInstance.new_from), since panes close in
+number order and no row reaches a slice once a pane over it has closed.
+A session pane holds its rows alone, so all of them are new.
+
 Closing is streamed: PaneStore.closing yields the panes one watermark step
 closes in meta-stream order, (end, key, start), building each as it is
 drawn. Memory does not grow with the number of panes one step closes (a
@@ -151,6 +157,11 @@ class PaneStore:
 
     retention says what each slice and session keeps of its rows
     (Retention); FAILING needs the judge that judges them.
+
+    Grid pane p's new_from is the end of pane p - 1 (the start of slice
+    (p - 1) * r + q; a slide is at most the duration): pane p - 1 closed
+    just before pane p, or, when p is the first pane closed, holds no row,
+    since p is then the first pane any slice lies in.
     """
 
     def __init__(self, spec: WindowSpec, key_by: str | None = None,
@@ -322,10 +333,6 @@ class PaneStore:
         """closing(wm_value), drawn into a list."""
         return list(self.closing(wm_value))
 
-    def flush(self) -> list[WindowInstance]:
-        """Close every remaining pane (end of stream)."""
-        return self.close_ready(None)
-
     def _close_grid(self, upto: int) -> Iterator[WindowInstance]:
         """Close panes _next to upto (at most _last) from their slices, sorting
         a slice when a pane first uses it and dropping it after the last. No
@@ -343,6 +350,7 @@ class PaneStore:
         keyed = key_by is not None
         release = self.retention is Retention.PARTIALS
         clamped: list[tuple[bytes, WindowInstance]] = []
+        prev_end = _pane_bounds(self.spec, self._next - 1)[1]
         for p in range(self._next, min(upto, self._last) + 1):
             # The pane's slices: none is below p * r.
             parts = [slices[k] for k in numbers[:bisect_left(numbers, p * r + q)]]
@@ -357,7 +365,7 @@ class PaneStore:
                     # arrive in arrival_seq order) in the first slice holding
                     # it; equal encodings render alike except 0.0 and -0.0.
                     key = own[0].arrived_key if keyed else None
-                    pane = WindowInstance(start, end, key, parts=tuple(own))
+                    pane = WindowInstance(start, end, key, parts=tuple(own), new_from=prev_end)
                     if end == _END_OF_TIME:
                         clamped.append((key_enc, pane))
                     else:
@@ -374,6 +382,7 @@ class PaneStore:
                         self._unroute(part)
                         part.release()
             self._next = p + 1
+            prev_end = end
         for _, pane in sorted(clamped, key=itemgetter(0)):  # stable: a key's stay in start order
             yield pane
         self._close_at = _shift(self.spec.origin, self._next * self.spec.step + self._hold)
@@ -426,15 +435,6 @@ class PaneStore:
             part = Slice(rows)
             part.ordered = len(rows)  # sorted here, so the pane need not walk it
             yield WindowInstance(start, end, session.key, None if part.released else rows, (part,))
-
-    def closed_floor(self) -> datetime:
-        """An element that a closed pane held, with event time before this
-        instant, lies in no open or future pane. On a grid this is the start
-        of the first pane not yet closed. A session pane holds its elements
-        alone, so for sessions every such element qualifies."""
-        if self.spec.kind == "session":
-            return TS_MAX
-        return _pane_bounds(self.spec, self._next)[0] if self._next is not None else TS_MIN
 
     def open_pane_count(self) -> int:
         """Panes (per key) that hold at least one element and have not closed.

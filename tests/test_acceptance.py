@@ -499,7 +499,7 @@ def test_window_assignment_matches_brute_force():
                         StreamElement(event_time=t, arrival_seq=i, attrs={}), wm)
                     assert out is RouteOutcome.ASSIGNED
                 got = sorted((p.start, p.end, len(p.elements))
-                             for p in store.flush())
+                             for p in store.close_ready(None))
                 assert got == want
 
         elapsed = time.monotonic() - t_start

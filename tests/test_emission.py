@@ -4,17 +4,19 @@ The reference sorts all of a batch's records with MetaRecord.order_key (one
 stable sort) and renders each as json.dumps of its full dict, and it routes
 each failing element once, remembering every seq it has routed. The engine
 streams each run of panes sharing a window end, renders shared fields once
-per key group, and forgets routed seqs that no open pane can hold again; its
-bytes must be the reference's.
+per key group, and routes each failing element from the first pane that
+holds it, remembering none; its bytes must be the reference's.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import random
 import struct
 import sys
+from collections import deque
 from datetime import timedelta
 
 import pytest
@@ -453,9 +455,9 @@ def test_warming_reference_miss_and_skipped_null_lines_are_pinned():
 
 @pytest.mark.parametrize("kind", ["sliding", "session"])
 def test_routed_seqs_stay_within_one_pane_span(kind):
-    """Every row fails, forever: the routed set holds at most one pane
-    span of rows (none between session batches), and the side stream is
-    the reference's."""
+    """Every row fails, forever: the engine holds no per-row routing state
+    (no container among its own fields), and the side stream is the
+    reference's, which remembers every routed seq."""
     window = (WindowSpec("sliding", duration=5 * MIN, slide=MIN) if kind == "sliding"
               else WindowSpec("session", gap=timedelta(seconds=20)))
     check = CheckDefinition(id="fare_complete",
@@ -468,14 +470,13 @@ def test_routed_seqs_stay_within_one_pane_span(kind):
                            meta_sink=meta, side_sink=side)
     batches = record_batches(engine)
     rng = random.Random(11)
-    span_rows = 5 * 60 // 5  # one row per 5 s over a 5m pane
-    held = 0
+    containers = (dict, list, set, frozenset, tuple, deque)
     for seq in range(3000):
         t = at(seq * 5 + rng.uniform(-20, 0))
         engine.process(elem(t, seq, device=rng.choice(["d1", "d2"]), fare=None))
-        held = max(held, len(engine._routed))
+        assert not [name for name, value in vars(engine).items()
+                    if isinstance(value, containers)]
     engine.finish()
-    assert held <= (span_rows if kind == "sliding" else 0)
     assert engine.stats.side_routed == 3000 - engine.stats.discarded
     _, want_side, _ = reference(SuiteState([check], SCHEMA, window), batches)
     assert side.lines == want_side
@@ -591,3 +592,246 @@ def test_close_ready_works_only_once_a_pane_can_close(monkeypatch):
     engine.finish()
     assert closed_before_flush > 30
     assert all(outcomes[:-1]) and len(outcomes) < 1200 / 10
+
+
+# ---------------------------------------------------------------------------
+# Each failing row is routed from the first pane that holds it: pinned bytes
+
+ROUTING_WINDOWS = {
+    "sliding5m": WindowSpec("sliding", duration=5 * MIN, slide=MIN, allowed_lateness=MIN),
+    "sliding7m": WindowSpec("sliding", duration=7 * MIN, slide=2 * MIN),
+    "tumbling3m": WindowSpec("tumbling", duration=3 * MIN, allowed_lateness=MIN),
+    "session40s": WindowSpec("session", gap=timedelta(seconds=40),
+                             allowed_lateness=timedelta(seconds=10)),
+}
+
+
+def routing_checks(suite: str) -> list[CheckDefinition]:
+    """Per-element checks only ("elements": judged on arrival wherever the
+    store allows it), then with a keyed conforms check ("keyed"), then with
+    a merged mean as well ("mean")."""
+    out = [
+        CheckDefinition(id="fare_complete",
+                        measure=MeasureSpec("completeness", {"column": "fare"}),
+                        constraint=Threshold(">=", 0.9), emit_per_element=True),
+        CheckDefinition(id="zone_known",
+                        measure=MeasureSpec("in_set", {"column": "zone", "allowed": ["a", "b"]}),
+                        constraint=Threshold(">=", 0.5), emit_per_element=True,
+                        null_verdict="skip"),
+        CheckDefinition(id="fare_sane",
+                        measure=MeasureSpec("conforms", {"expression": "fare >= 0 and fare < 100"}),
+                        constraint=Threshold(">=", 0.8), emit_per_element=True),
+    ]
+    if suite != "elements":
+        out.append(CheckDefinition(id="x_by_zone",
+                                   measure=MeasureSpec("conforms", {"expression": "x != 'bad'"}),
+                                   constraint=Threshold(">=", 0.9), key_by="zone",
+                                   emit_per_element=True))
+    if suite == "mean":
+        out.append(CheckDefinition(id="fare_mean",
+                                   measure=MeasureSpec("mean", {"column": "fare"}),
+                                   constraint=Threshold("<=", 10.0)))
+    return out
+
+
+def routing_stream(near_end: bool) -> list:
+    """1,500 rows over at most 40 minutes, a tenth of them 5 s to 400 s late
+    and some pauses a minute long; near_end puts the newest at TS_MAX, so
+    the panes over the last minutes end past the datetime range."""
+    rng = random.Random(29)
+    offsets, attrs, now = [], [], 0
+    for _ in range(1500):
+        now += rng.choice([0, 1, 1, 1]) + (60 if rng.random() < 0.01 else 0)
+        offsets.append(now - (rng.choice([5, 20, 50, 100, 400]) if rng.random() < 0.1 else 0))
+        attrs.append({"device": rng.choice(["d1", "d2", "d3"]),
+                      "zone": rng.choice([None, "a", "b", "c"]),
+                      "x": rng.choice(["ok", "ok", "bad", None]),
+                      "fare": rng.choice([None, 1.0, 2.5, 12.0, -3.0, 150.0])})
+    span = max(offsets)
+    assert span <= 40 * 60
+    return [elem(TS_MAX - timedelta(seconds=span - offset) if near_end else at(offset),
+                 seq, **row) for seq, (offset, row) in enumerate(zip(offsets, attrs))]
+
+
+ROUTING_CASES = [f"{window}-{key}-{suite}-{era}" for window in ROUTING_WINDOWS
+                 for key in ("unkeyed", "device") for suite in ("elements", "keyed", "mean")
+                 for era in ("2015", "ts_max")]
+
+# (meta sha256, side sha256) of each case, as written before the engine
+# routed by pane bounds, when it remembered every routed row instead.
+ROUTING_PINS = {
+    "sliding5m-unkeyed-elements-2015": (
+        "237b783e4f5d3092471297ab141d2bf2dce489ce947ef84dbfb2f465a43d11bd",
+        "f74956fc54758c9e4d14ec073a2c194c15b7e5a552451d5ddfefe745f2ea9a4a"),
+    "sliding5m-unkeyed-elements-ts_max": (
+        "c6ac8ae615e39499bd4437f03e10adcdb86f9c21c7a4187dbad60fc89b9d5729",
+        "b3ad9ec75503a9cbb2534602f98d536450ac026943640ee766228031bdd96535"),
+    "sliding5m-unkeyed-keyed-2015": (
+        "2c780e08fd46373ff6bcb0adc6aa3dacedfab4c16fb36d1b981e9fc1a2b7a84d",
+        "931dd00037de4d5872069c26c42cd4526072eac934d909b3d21465b43f4d9e52"),
+    "sliding5m-unkeyed-keyed-ts_max": (
+        "d5b2a923338aaaeb2499b9615ae0085a4c1f8dcd561fd214c4a26f7db17ad23e",
+        "bb5d5b3b2edc3906eb45837f1378168ecf601efb8ce678a6fd8bcfdc57103156"),
+    "sliding5m-unkeyed-mean-2015": (
+        "b23811cb59c38b62e760872145ca6857adca18964e26eb075ae33285e315ce42",
+        "931dd00037de4d5872069c26c42cd4526072eac934d909b3d21465b43f4d9e52"),
+    "sliding5m-unkeyed-mean-ts_max": (
+        "3272bbfff398b47b404cb3e7ae89f3242c2a64ad957a5c62415925553af7af83",
+        "bb5d5b3b2edc3906eb45837f1378168ecf601efb8ce678a6fd8bcfdc57103156"),
+    "sliding5m-device-elements-2015": (
+        "0ae754b2769b3e8d2713ac858f85b94b97df986bbe2b8894c2c4c43de88993af",
+        "4f0f70bf5d43494e469b13bcaac878bc3043ab72b1ea9ee70d9716776d35534a"),
+    "sliding5m-device-elements-ts_max": (
+        "60fab347758eb947afbb32981257fcb1ab0eae6e13cfe4cb05218236f792dad1",
+        "7f1c533fb60de7d87d04abebaf0173c65234d53e9ddb5e0cd8d7cbacc9ed8e95"),
+    "sliding5m-device-keyed-2015": (
+        "735c5acd5a315f00be065bc10b2551377d71edb929097c30f906222fad2bcf54",
+        "8840d9b717f4f0d8efe418254649f25967e34cc23c433e9d12fea3721a10e88a"),
+    "sliding5m-device-keyed-ts_max": (
+        "3596f6ab5f0cdb0026e14e61e6adf3fffdfe8d4ac14ba4244039b95bc6080d7f",
+        "da8f6cd19e7a391d267054a24c0d05ca5bbef171ec4105d99bf54a94335a6244"),
+    "sliding5m-device-mean-2015": (
+        "b32641ac4edec84aad407cd20d4aa7dab26df1570fa7ee5c4a3535adfdff99c3",
+        "8840d9b717f4f0d8efe418254649f25967e34cc23c433e9d12fea3721a10e88a"),
+    "sliding5m-device-mean-ts_max": (
+        "8a5c5c75523ec022be0aed5dc71aa6b33700ea6b8f4a98cfa47134c0dad41a82",
+        "da8f6cd19e7a391d267054a24c0d05ca5bbef171ec4105d99bf54a94335a6244"),
+    "sliding7m-unkeyed-elements-2015": (
+        "315f6eda631ae16ca458906152937c4ead56411f901b58ac19ff89997f9afb15",
+        "2e652dd7f85ab19256e44052c53a9caa4d97efbdfb321cf38adefff4310f5c7c"),
+    "sliding7m-unkeyed-elements-ts_max": (
+        "fc9ac746637ec946655501807a4b5556f6792eb2bc94ad38be6aaf49b0b62e36",
+        "d293c1f367eddf7c9e4f9daad7ee447bd46d47e6ca597b2832495ac7aababa7b"),
+    "sliding7m-unkeyed-keyed-2015": (
+        "5a054cae0e870b90c52ce022e7bfb349d1233e0402c7e621ac4f70f060b96202",
+        "45be68d04bcfcd65c5df43e4f0db0b582f35acc4aa085e82be4d528f14c5ab95"),
+    "sliding7m-unkeyed-keyed-ts_max": (
+        "7e86006aec792f446519380c882b1fdf45e1413fcf0e3ce8af5c591c2611be63",
+        "cc3636ecec81e9d1e6ca04f3c3245e0fa00beac60f7850672469740c052d1a63"),
+    "sliding7m-unkeyed-mean-2015": (
+        "a0767ddddbc2ba1e27a98754f672dbd60fc153c7cd9b16b9174db7768914f90f",
+        "45be68d04bcfcd65c5df43e4f0db0b582f35acc4aa085e82be4d528f14c5ab95"),
+    "sliding7m-unkeyed-mean-ts_max": (
+        "74ba34813d41b7b61bef9f5674c7a7ce2eb40afa7cb37829d993ccbeb221a915",
+        "cc3636ecec81e9d1e6ca04f3c3245e0fa00beac60f7850672469740c052d1a63"),
+    "sliding7m-device-elements-2015": (
+        "c1261cd2ea3377e3e108ca306205acc4d2694a1091266a6a32d4584f434ff985",
+        "9c572c194bf08d39abc2135e78d6e00f171e2c6d907ed55ec20d123dfc6a499a"),
+    "sliding7m-device-elements-ts_max": (
+        "f924c118c08bf10dddd7d8a971462607fc424ae6ac46c01acdf458a77e1c07d8",
+        "1153d831b62ef7cd657927730ceab94e48bddf2934f6a5b45242c1d9d7e0b46b"),
+    "sliding7m-device-keyed-2015": (
+        "a3e258626fb01dff3fd20000ed01b4671bb63d62013256977f3f9898ee15a132",
+        "1e0ed34be1a43f1eb3f30e9f5a3b767df16ae376c3f266ff6eb59e732e7bcc70"),
+    "sliding7m-device-keyed-ts_max": (
+        "17d87b2fc21fd1c58e13f52dd9da51ff27c62f4b3ecadc69c148d8366227b92a",
+        "e9134f978e8190784517d37c3e3a9097cfd185a54993194c64e14c076e5954d6"),
+    "sliding7m-device-mean-2015": (
+        "cb80f55eeaa036261b85b25565ff7cd00381f6f574058e17bba72826db16b8ee",
+        "1e0ed34be1a43f1eb3f30e9f5a3b767df16ae376c3f266ff6eb59e732e7bcc70"),
+    "sliding7m-device-mean-ts_max": (
+        "674ab82ea0bbb3d3e5920771f5e418fc39b36737d268ece4d6df849b50a4009e",
+        "e9134f978e8190784517d37c3e3a9097cfd185a54993194c64e14c076e5954d6"),
+    "tumbling3m-unkeyed-elements-2015": (
+        "1780bcc2c67d384fbc8798009f86fb83def601464590a9ef70150517543a31d7",
+        "4d1e00e9348bef2b8d8ea8bf37c49c38138f00608e01181d9f6b39eac3739a1e"),
+    "tumbling3m-unkeyed-elements-ts_max": (
+        "4b0e491c7a418abc3abedb47a7498e7405a11b7831114dddbca2dc53eaf7b051",
+        "3c08845dc3e393c67ec68dad02368e2e5449484a31c42bd67c5022f5c83b1a9a"),
+    "tumbling3m-unkeyed-keyed-2015": (
+        "b6ee859405e876102c470ea9ff37d620a1bbdda73c667e6bcd13552e8a3c8fc9",
+        "729eefe76a482a6a62b2f61308fd8cf486e5392d219f781c2a7d43d13a726e60"),
+    "tumbling3m-unkeyed-keyed-ts_max": (
+        "6e25f20ce69acf409dc9737e78b98e5209bd482178e87429e4a6e2e1d9b49b18",
+        "bf642d59144e1011c3ccf0fc1d0e3e26169fdce7ada6ac2796bbdb084526b1cb"),
+    "tumbling3m-unkeyed-mean-2015": (
+        "9de655e57d79dac98a93f08b3845a6e1e5daf4c043d02cc10d43d005a3188497",
+        "729eefe76a482a6a62b2f61308fd8cf486e5392d219f781c2a7d43d13a726e60"),
+    "tumbling3m-unkeyed-mean-ts_max": (
+        "9fcddeac054155374ff6962147ea6ca33242f3a4c5b86317776b8a0d1e5d94fd",
+        "bf642d59144e1011c3ccf0fc1d0e3e26169fdce7ada6ac2796bbdb084526b1cb"),
+    "tumbling3m-device-elements-2015": (
+        "b38607bf242d55db5dfd2d7f223596783cb1f489b9a4d4b09924de80704ba401",
+        "b5dd709bc8a291d77828b7764f9867c86cb77493f34b864e39fbde1624f8cffd"),
+    "tumbling3m-device-elements-ts_max": (
+        "6eb678c0d2e7043459acb72457e0c9b8c92265d4f0f5de3da104f6208116e27e",
+        "05d2cccea65b16ef916c8aa38c7b5bdeb9e17cd08dd5a2c882dfe27d5912868c"),
+    "tumbling3m-device-keyed-2015": (
+        "cfa2f9f625882d6f17e629584995c8a7de56216b53ea627816a14c819219d230",
+        "6452c9c92ee91fcd5614ec435f8e8ac5754c1c6b34418ab541d8f6d8edb83346"),
+    "tumbling3m-device-keyed-ts_max": (
+        "a8bc0d5cbcef7adde298f8158b053aee0e36b17f7be8416b2e8dd4492f24988c",
+        "6c70e0cdbfd38c20b2f0b2f19820fff009ed181599161e9c766f0cfcc8593c37"),
+    "tumbling3m-device-mean-2015": (
+        "ee2d0d0ca65291323b23c243650d28fb3945d3d36136094ae54fbea9c8031a20",
+        "6452c9c92ee91fcd5614ec435f8e8ac5754c1c6b34418ab541d8f6d8edb83346"),
+    "tumbling3m-device-mean-ts_max": (
+        "6d13d4938c7dafa568d4b02b8e5e7e2c66550be5da2195e1b5bb935a8b4a7fbf",
+        "6c70e0cdbfd38c20b2f0b2f19820fff009ed181599161e9c766f0cfcc8593c37"),
+    "session40s-unkeyed-elements-2015": (
+        "b9f56fb34fed843ed3e043ec5e3f31232b70a1996ecc4ed4edd52d65e94e5768",
+        "4fce53a672fd5bb381144fa3b58a71210e4555be3d49660048d5bb58c4993189"),
+    "session40s-unkeyed-elements-ts_max": (
+        "e72fd94fefb7ba9434bf1a0a5e80ac5ec03a2eabf04fdb07f083d8727dcc4d39",
+        "c1ae97401512a543478ca4a08366fff42eff4a0499e2a840455d9d85921d051d"),
+    "session40s-unkeyed-keyed-2015": (
+        "25ffb81479296a538a39927a0a4f5256aeadb7097ff39a5114dde35841e02d38",
+        "23127808e14ac9ce66e07937e5704824abb379ba7dc68c499ce99357a011f516"),
+    "session40s-unkeyed-keyed-ts_max": (
+        "a08dc0906a79e50b3b1e8ca73446bd4e195424656b372e9de700c3a8b1cf631a",
+        "8ae8bb6bc04b33382efb5569f5db21431ac71fd9f3b06635382d58e689edc937"),
+    "session40s-unkeyed-mean-2015": (
+        "fe23adc0ae15f29dcee9412e6a879c8c135839d45c373095a7fced524adbe347",
+        "23127808e14ac9ce66e07937e5704824abb379ba7dc68c499ce99357a011f516"),
+    "session40s-unkeyed-mean-ts_max": (
+        "c8fb5411982aa7a96eab98b1fb63270eca53740ff9783c3cbb67531d3d0cfd78",
+        "8ae8bb6bc04b33382efb5569f5db21431ac71fd9f3b06635382d58e689edc937"),
+    "session40s-device-elements-2015": (
+        "204f6035d28c2f0478c5bccfa12cec632252cfa2947702874ce80366c6d9227f",
+        "118d8bbbdbe45cb1d64adfef998535b4269ce72cf22e9f390545ca81ec472c91"),
+    "session40s-device-elements-ts_max": (
+        "691993cdf51acef012e11faa735543b5034035c3dc29f315d00ef234ea46536b",
+        "4b69157fe7291843ad1cf4041ae844b41f7fac33cf46b6c230d08e4b300076b6"),
+    "session40s-device-keyed-2015": (
+        "14f53d871f8ebd09b6c09adc150f5214e8e9605a58c7145539fff4f8c6ec250c",
+        "3325207659b538cf0bc610f2b8c18bcc5cbcd502f85935d3534bac9066bf60a3"),
+    "session40s-device-keyed-ts_max": (
+        "0638b64b6dcebf16adb56adb8665968eaaa0befc2c2f58e40fb67c325233d78a",
+        "1ac89e353ecb12f15ae44380a09b2a139c6e5ac20c27bc9be6e84c2f213904a7"),
+    "session40s-device-mean-2015": (
+        "a6fd1b85d8bf8b1d830a32cf9b986f69a45fcbb8ae0d913ecf06653f4f89d451",
+        "3325207659b538cf0bc610f2b8c18bcc5cbcd502f85935d3534bac9066bf60a3"),
+    "session40s-device-mean-ts_max": (
+        "17fd4641969c3549c49b8d1b0a83a4e7bf2e6a15363ad596f7a0e9f5f17ac087",
+        "1ac89e353ecb12f15ae44380a09b2a139c6e5ac20c27bc9be6e84c2f213904a7"),
+}
+
+
+def _sha(lines: list[str]) -> str:
+    return hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()
+
+
+def routing_digests(case: str) -> tuple[str, str]:
+    window, key, suite, era = case.split("-")
+    meta, side = ListSink(), ListSink()
+    engine = MonitorEngine(SuiteState(routing_checks(suite), SCHEMA, ROUTING_WINDOWS[window]),
+                           watermark_delay=timedelta(seconds=10),
+                           key_by=None if key == "unkeyed" else key,
+                           meta_sink=meta, side_sink=side)
+    for e in routing_stream(era == "ts_max"):
+        engine.process(e)
+    engine.finish()
+    assert engine.stats.discarded > 0
+    assert (engine.stats.late_accepted > 0) == (window != "sliding7m")  # the one without lateness
+    assert engine.stats.side_routed == len(side.lines) > 0
+    if era == "ts_max":
+        assert any('"window_end":"9999-12-31T23:59:59.999Z"' in line for line in meta.lines)
+    return _sha(meta.lines), _sha(side.lines)
+
+
+@pytest.mark.parametrize("case", ROUTING_CASES)
+def test_failing_rows_route_from_the_first_pane_holding_them(case):
+    """Overlapping, tumbling and session panes, unkeyed and keyed, judged
+    on arrival or not, with late and discarded rows, near 2015 and with
+    pane ends clamped at TS_MAX: the meta and side bytes are pinned."""
+    assert routing_digests(case) == ROUTING_PINS[case]

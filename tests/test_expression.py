@@ -226,13 +226,13 @@ def test_a_name_reads_the_one_table_it_is_given():
 
 
 def test_a_literal_only_subtree_is_evaluated_once_when_compiled(monkeypatch):
-    """`-20` is negated (one _is_num call) when the expression is compiled,
+    """`-20` is negated (one is_number call) when the expression is compiled,
     not once per element; the folded rules are the evaluated ones."""
     from streamqc import expression
 
     calls = []
-    is_num = expression._is_num
-    monkeypatch.setattr(expression, "_is_num", lambda v: calls.append(v) or is_num(v))
+    is_number = expression.is_number
+    monkeypatch.setattr(expression, "is_number", lambda v: calls.append(v) or is_number(v))
     conforms = compile(parse("temp > -20 and temp < 60 and status != 'fail'"))
     assert calls == [20]
     rows = [{"temp": t, "status": s} for t in (-25.0, -20, 0.5, None, math.nan)

@@ -895,7 +895,7 @@ def test_sliced_panes_assess_like_whole_panes():
         wm.observe(t)
         store.route(e, wm)
         panes.extend(store.close_ready(wm.value))
-    panes.extend(store.flush())
+    panes.extend(store.close_ready(None))
     assert sum(1 for p in panes if p.parts is not None and len(p.parts) == 5) > 10
     for p in panes:
         got, _ = assess(sliced, p, watermark=wm.value)
@@ -922,7 +922,7 @@ def test_key_sub_slices_are_walked_once(monkeypatch):
         wm.observe(t)
         store.route(elem(t, seq, fare=float(seq % 7), zone=rng.choice([None, "a", "b"])), wm)
         panes.extend(store.close_ready(wm.value))
-    panes.extend(store.flush())
+    panes.extend(store.close_ready(None))
     for p in panes:
         assess(st, p, watermark=wm.value)
     subs = [sub for p in panes for part in p.parts or ()

@@ -138,14 +138,15 @@ def test_every_package_import_goes_to_a_lower_layer():
     assert layering_problems(modules) == []
 
 
-def private_names_read(source: str) -> list[str]:
-    """Each `_`-prefixed name a module takes from another package module:
-    by `from .m import _x` (or `from streamqc.m import _x`), or by reading
-    `m._x` of a module m it imported with `from . import m`. Dunder names
-    are not private."""
-    def private(name: str) -> bool:
-        return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+def private(name: str) -> bool:
+    """A `_`-prefixed name; dunder names are not private."""
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 
+
+def private_names_read(source: str) -> list[str]:
+    """Each private name a module takes from another package module: by
+    `from .m import _x` (or `from streamqc.m import _x`), or by reading
+    `m._x` of a module m it imported with `from . import m`."""
     tree = ast.parse(source)
     modules: set[str] = set()
     found = []
@@ -174,6 +175,42 @@ def test_the_private_name_check_finds_each_form():
 def test_no_module_reads_another_modules_private_name():
     found = {path.name: names for path in sorted(PACKAGE.glob("*.py"))
              if (names := private_names_read(path.read_text(encoding="utf-8")))}
+    assert found == {}
+
+
+def unread_private_names(source: str) -> list[str]:
+    """The private names a module's top level binds by a def, a class or an
+    assignment that the module never reads: no other module may read them
+    (test_no_module_reads_another_modules_private_name), so nothing does.
+    An unread import is unused_imports' to find."""
+    tree = ast.parse(source)
+    bound: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if private(name):
+                bound.setdefault(name, node.lineno)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [f"{lineno}: {name}" for name, lineno in bound.items() if name not in read]
+
+
+def test_the_unread_private_name_check_finds_each_form():
+    source = ("import _thread\n__version__ = '1'\n_A, (_B, c) = 1, (2, 3)\n_D: int = 4\n"
+              "def _f():\n    _g = _A\n    return _g\nclass _C:\n    _e = 5\n"
+              "async def _h():\n    pass\nprint(_f, _C)\n")
+    assert unread_private_names(source) == ["3: _B", "4: _D", "10: _h"]
+
+
+def test_every_module_level_private_name_is_read_in_its_module():
+    found = {path.name: names for path in sorted(PACKAGE.glob("*.py"))
+             if (names := unread_private_names(path.read_text(encoding="utf-8")))}
     assert found == {}
 
 
