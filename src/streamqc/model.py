@@ -762,10 +762,6 @@ class WindowInstance:
     and the bounds of its first and last element. A released slice was
     checked when a pane first used it and is not walked again: a pane over
     one joins no rows, and its elements are ReleasedRows, their count.
-
-    new_from is the first instant of the rows no earlier pane held: a row
-    of this pane before it lay in an earlier pane of the same store. A
-    store's grid pane sets it (PaneStore); any other pane is new in full.
     """
 
     start: datetime
@@ -773,7 +769,6 @@ class WindowInstance:
     key: Value = None
     elements: tuple[StreamElement, ...] | ReleasedRows = None  # () without parts
     parts: tuple[Slice, ...] = field(default=None, compare=False, repr=False)
-    new_from: datetime = field(default=TS_MIN, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.start >= self.end:

@@ -33,6 +33,7 @@ from .measures import (
 )
 from .model import (
     NULL_CODE,
+    TS_MIN,
     CheckDefinition,
     ColumnSpec,
     Judge,
@@ -60,7 +61,7 @@ from .model import (
     value_type,
     wire_json,
 )
-from .windowing import PaneStore, Retention, RouteOutcome, Watermark
+from .windowing import PaneStore, Retention, RouteOutcome, Watermark, earlier_panes
 
 __all__ = [
     "ReferenceTable", "ContextState", "DeadStreamSpec", "FrozenColumnSpec",
@@ -372,6 +373,7 @@ class SuiteState:
             raise InvalidSuite(problems)
         self.window_spec = window_spec
         self._env = EngineEnv(hash_seed=hash_seed, secondary=secondary)
+        self.failed_earlier: set[int] = set()  # of the pane assessed last (on_window_close)
         # Each pane check's key_by column and its compiled pane path: the
         # checks in config order, then the dead-stream detector, then each
         # frozen-column detector in config order.
@@ -425,60 +427,60 @@ class SuiteState:
         spec = check.measure
         emit = _emitter(check.id)
         skip_null = check.null_verdict == "skip"
-
-        def judge(head, key, sub, result, names, failing, entries):
-            # The pane's record from its measured value and the check's bindings.
-            value = result.value
-            ok = verdict(value, names)
-            detail = result.detail or None
-            if ok is None:
-                ok = skip_null
-                if skip_null:
-                    detail = {**(detail or {}), "skipped_null": True}
-            if result.force_fail:
-                ok = False
-            emit(head, key, sub, value, ok, detail, entries)
-
-        if check.emit_per_element:
-            judge = _with_element_records(check, judge)
+        elements = _element_records(check) if check.emit_per_element else None
+        window_spec = self.window_spec
 
         # Bindings from the rolling context of the group's series and from the
         # reference row, each looked up only when the check has one; a warming
-        # context or a reference miss decides the record alone. A pane is
-        # folded into its context only after its own bindings were read.
+        # context or a reference miss decides the record alone, and the check
+        # judges no row of the pane. A pane is folded into its context only
+        # after its own bindings were read (which leaves warming as it was).
         horizon = check.context.horizon if check.context is not None else None
         contexts: dict[bytes, ContextState] = {}
         table = (self.references[check.reference.table]
                  if check.reference is not None else None)
 
+        def unjudged(ctx, start, end):
+            return ctx is not None and ctx.warming(start) or table is not None and table.lookup(
+                reference_key({"window_start": start, "window_end": end})) is None
+
         def assess_bound(head, key, sub, env, failing, entries):
             names: dict[str, Value] = {}
-            ctx = None
-            warming = miss = False
+            ctx = row = None
             if horizon is not None:
                 ctx = contexts.get(head[1])
                 if ctx is None:
                     ctx = contexts[head[1]] = ContextState(horizon)
-                warming = ctx.warming(sub.start)
                 names.update(ctx.bindings(sub.start))
             if table is not None:
                 ref_key = reference_key({"window_start": sub.start, "window_end": sub.end})
                 row = table.lookup(ref_key)
-                miss = row is None
                 names.update((f"ref_{col}", v) for col, v in (row or {}).items())
             result = apply_measure(spec, sub, env, run)
+            value, detail, judged = result.value, result.detail or None, False
             if ctx is not None:
-                ctx.fold(sub.end, result.value, len(sub))
-            if not (miss or warming):
-                judge(head, key, sub, result, names, failing, entries)
-                return
-            detail = dict(result.detail or {})
-            if miss:
-                detail["reference_miss"] = value_to_json(ref_key)
-                emit(head, key, sub, None, False, detail, entries)
+                ctx.fold(sub.end, value, len(sub))
+            if table is not None and row is None:
+                value, ok = None, False
+                detail = {**(detail or {}), "reference_miss": value_to_json(ref_key)}
+            elif ctx is not None and ctx.warming(sub.start):
+                ok, detail = True, {**(detail or {}), "warming": True}
             else:
-                detail["warming"] = True
-                emit(head, key, sub, result.value, True, detail, entries)
+                judged, ok = True, verdict(value, names)
+                if ok is None:
+                    ok = skip_null
+                    if skip_null:
+                        detail = {**(detail or {}), "skipped_null": True}
+                if result.force_fail:
+                    ok = False
+            emit(head, key, sub, value, ok, detail, entries)
+            if elements is not None and result.misses:
+                # The group's rows up to the end of the last earlier pane
+                # this check judged were failed there, if they fail it.
+                seen = next((end for start, end in earlier_panes(window_spec, sub)
+                             if not unjudged(ctx, start, end)), TS_MIN)
+                elements(head, key, sub, result.misses, judged, seen,
+                         failing, self.failed_earlier, entries)
         return assess_bound
 
     # -- assessment ----------------------------------------------------------
@@ -493,10 +495,15 @@ class SuiteState:
         once per key group), and the failing elements for side-output
         routing, keyed by arrival_seq with the check ids that rejected them.
         The pane is split once per key_by column, whatever reads the split.
+        failed_earlier is then the seqs of the rows that some check failed
+        in one of the earlier_panes of the pane, where it judged them: a
+        verdict on a row is the same in every pane, so the engine routes
+        each row from the first pane that fails it.
         """
         env = self._env
         if env.watermark != watermark:
             env = self._env = replace(env, watermark=watermark)
+        self.failed_earlier = set()
         entries: list[tuple[tuple, MetaRecord]] = []
         failing: dict[int, tuple[StreamElement, list[str]]] = {}
         groups: dict[str | None, list[Group]] = {
@@ -525,22 +532,26 @@ def _emitter(check_id: str):
     return emit
 
 
-def _with_element_records(check: CheckDefinition, judge):
-    """judge followed by one record per element whose verdict fails the
-    check (a Null verdict fails unless the check skips Nulls), each routed
-    to the side output once per check. Only the rows whose verdict was not
-    True (MeasureResult.misses) are walked."""
+def _element_records(check: CheckDefinition):
+    """One record per row whose verdict fails the check (a Null verdict
+    fails unless the check skips Nulls) in a pane the check judged, each a
+    failing row with the check's id; such a row up to seen, which an earlier
+    pane failed, goes into failed_earlier. Only the rows whose verdict was
+    not True (MeasureResult.misses) are walked."""
     check_id = check.id
     fail_null = check.null_verdict == "fail"
     tail = element_tail(check_id)
 
-    def judge_elements(head, key, sub, result, names, failing, entries):
-        judge(head, key, sub, result, names, failing, entries)
+    def records(head, key, sub, misses, judged, seen, failing, failed_earlier, entries):
         start, end = sub.start, sub.end
         prefix = head + (check_id,)
-        for e, ev in result.misses:
+        for e, ev in misses:
             if fail_null or ev is not None:
                 seq = e.arrival_seq
+                if e.event_time < seen:
+                    failed_earlier.add(seq)
+                if not judged:
+                    continue
                 entries.append((prefix + (seq,), MetaRecord(
                     start, end, key, check_id, False, False, {"element_ref": seq}, tail(seq))))
                 slot = failing.get(seq)
@@ -548,7 +559,7 @@ def _with_element_records(check: CheckDefinition, judge):
                     failing[seq] = (e, [check_id])
                 elif check_id not in slot[1]:
                     slot[1].append(check_id)
-    return judge_elements
+    return records
 
 
 def _dead_stream_check(spec: DeadStreamSpec) -> PaneCheck:
@@ -701,7 +712,7 @@ class MonitorEngine:
         pane's `_late_discards` record counts the rows discarded since the
         last batch; a batch that closes no pane leaves that count as it is.
         A failing row is routed to the side output from the first pane that
-        holds it, the one whose new_from its event time is at or past.
+        fails it, the one whose SuiteState.failed_earlier does not hold it.
         """
         wm = self.watermark.value
         batch_failing: list[tuple[StreamElement, list[str]]] = []
@@ -723,9 +734,9 @@ class MonitorEngine:
                                 not delta, {"total": self._discards_reported} if delta else None,
                                 run)
             self.stats.panes_closed += 1
-            new_from = pane.new_from
-            batch_failing += [slot for _, slot in sorted(failing.items())
-                              if slot[0].event_time >= new_from]
+            failed_earlier = self.state.failed_earlier
+            batch_failing += [slot for seq, slot in sorted(failing.items())
+                              if seq not in failed_earlier]
         if end is None:
             return
         self._write_run(run)

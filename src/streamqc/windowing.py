@@ -25,11 +25,10 @@ so downstream consumers see silence as zero-volume windows. Session panes
 are built per key by gap extension and are never empty. A pane bound
 beyond the datetime range is clamped to it.
 
-Each row lies in one slice, so which pane first holds it is a fact of the
-grid: a grid pane's rows from the end of the pane before it on are those
-no earlier pane held (WindowInstance.new_from), since panes close in
-number order and no row reaches a slice once a pane over it has closed.
-A session pane holds its rows alone, so all of them are new.
+A row of a grid pane lay in each pane before it that overlaps it and ends
+after the row (earlier_panes): a key's panes close in number order, and no
+row reaches a slice once a pane over it has closed. A session pane holds
+its rows alone.
 
 Closing is streamed: PaneStore.closing yields the panes one watermark step
 closes in meta-stream order, (end, key, start), building each as it is
@@ -65,7 +64,7 @@ from .model import (
     key_groups,
 )
 
-__all__ = ["Watermark", "RouteOutcome", "Retention", "PaneStore"]
+__all__ = ["Watermark", "RouteOutcome", "Retention", "PaneStore", "earlier_panes"]
 
 # The upper clamp of a pane bound: past TS_MAX, as which it renders.
 _END_OF_TIME = datetime.max.replace(tzinfo=timezone.utc)
@@ -134,6 +133,17 @@ def _pane_bounds(spec: WindowSpec, p: int) -> tuple[datetime, datetime]:
     return _shift(spec.origin, offset), _shift(spec.origin, offset + spec.duration)
 
 
+def earlier_panes(spec: WindowSpec, pane: WindowInstance) -> list[tuple[datetime, datetime]]:
+    """The bounds of the grid panes before pane that overlap it, latest
+    first; none for a session pane. The number of pane is read from a
+    bound the datetime range did not clamp."""
+    if spec.kind == "session":
+        return []
+    p = (pane.start - spec.origin if pane.end == _END_OF_TIME
+         else pane.end - spec.origin - spec.duration) // spec.step
+    return [_pane_bounds(spec, n) for n in range(p - 1, p + (-spec.duration // spec.step), -1)]
+
+
 @dataclass(eq=False, slots=True)
 class _Session:
     key: Value
@@ -158,10 +168,8 @@ class PaneStore:
     retention says what each slice and session keeps of its rows
     (Retention); FAILING needs the judge that judges them.
 
-    Grid pane p's new_from is the end of pane p - 1 (the start of slice
-    (p - 1) * r + q; a slide is at most the duration): pane p - 1 closed
-    just before pane p, or, when p is the first pane closed, holds no row,
-    since p is then the first pane any slice lies in.
+    A key's grid panes close in number order: those of earlier_panes(spec,
+    pane) that held rows of the key closed before pane.
     """
 
     def __init__(self, spec: WindowSpec, key_by: str | None = None,
@@ -350,7 +358,6 @@ class PaneStore:
         keyed = key_by is not None
         release = self.retention is Retention.PARTIALS
         clamped: list[tuple[bytes, WindowInstance]] = []
-        prev_end = _pane_bounds(self.spec, self._next - 1)[1]
         for p in range(self._next, min(upto, self._last) + 1):
             # The pane's slices: none is below p * r.
             parts = [slices[k] for k in numbers[:bisect_left(numbers, p * r + q)]]
@@ -365,7 +372,7 @@ class PaneStore:
                     # arrive in arrival_seq order) in the first slice holding
                     # it; equal encodings render alike except 0.0 and -0.0.
                     key = own[0].arrived_key if keyed else None
-                    pane = WindowInstance(start, end, key, parts=tuple(own), new_from=prev_end)
+                    pane = WindowInstance(start, end, key, parts=tuple(own))
                     if end == _END_OF_TIME:
                         clamped.append((key_enc, pane))
                     else:
@@ -382,7 +389,6 @@ class PaneStore:
                         self._unroute(part)
                         part.release()
             self._next = p + 1
-            prev_end = end
         for _, pane in sorted(clamped, key=itemgetter(0)):  # stable: a key's stay in start order
             yield pane
         self._close_at = _shift(self.spec.origin, self._next * self.spec.step + self._hold)

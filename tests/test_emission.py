@@ -5,7 +5,7 @@ stable sort) and renders each as json.dumps of its full dict, and it routes
 each failing element once, remembering every seq it has routed. The engine
 streams each run of panes sharing a window end, renders shared fields once
 per key group, and routes each failing element from the first pane that
-holds it, remembering none; its bytes must be the reference's.
+fails it, remembering none; its bytes must be the reference's.
 """
 
 from __future__ import annotations
@@ -17,11 +17,13 @@ import random
 import struct
 import sys
 from collections import deque
+from dataclasses import replace
 from datetime import timedelta
 
 import pytest
 
 from streamqc.model import (
+    EPOCH,
     TS_MAX,
     TS_MIN,
     CheckDefinition,
@@ -450,19 +452,23 @@ def test_warming_reference_miss_and_skipped_null_lines_are_pinned():
 
 
 # ---------------------------------------------------------------------------
-# Routed seqs stay bounded
+# Routing keeps no per-row memory
 
 
-@pytest.mark.parametrize("kind", ["sliding", "session"])
-def test_routed_seqs_stay_within_one_pane_span(kind):
-    """Every row fails, forever: the engine holds no per-row routing state
-    (no container among its own fields), and the side stream is the
-    reference's, which remembers every routed seq."""
-    window = (WindowSpec("sliding", duration=5 * MIN, slide=MIN) if kind == "sliding"
-              else WindowSpec("session", gap=timedelta(seconds=20)))
+@pytest.mark.parametrize("kind", ["sliding", "session", "warming"])
+def test_the_engine_keeps_no_routing_state(kind):
+    """Every row fails, forever: the engine holds no container among its
+    own fields, the suite's marks of rows failed by earlier panes hold at
+    most one pane span of rows (none for sessions), and the side stream is
+    the reference's, which remembers every routed seq. "warming" gives the
+    check a context, so the rows of the first panes are routed only from
+    the first pane that judges them, and those only in warming panes never."""
+    window = (WindowSpec("session", gap=timedelta(seconds=20)) if kind == "session"
+              else WindowSpec("sliding", duration=5 * MIN, slide=MIN))
     check = CheckDefinition(id="fare_complete",
                             measure=MeasureSpec("completeness", {"column": "fare"}),
-                            constraint=Threshold(">=", 1.0), emit_per_element=True)
+                            constraint=Threshold(">=", 1.0), emit_per_element=True,
+                            context=ContextSpec(horizon=10 * MIN) if kind == "warming" else None)
     meta, side = ListSink(), ListSink()
     engine = MonitorEngine(SuiteState([check], SCHEMA, window),
                            watermark_delay=timedelta(seconds=30),
@@ -470,14 +476,21 @@ def test_routed_seqs_stay_within_one_pane_span(kind):
                            meta_sink=meta, side_sink=side)
     batches = record_batches(engine)
     rng = random.Random(11)
+    span_rows = 5 * 60 // 5  # one row per 5 s over a 5m pane
     containers = (dict, list, set, frozenset, tuple, deque)
+    held = 0
     for seq in range(3000):
         t = at(seq * 5 + rng.uniform(-20, 0))
         engine.process(elem(t, seq, device=rng.choice(["d1", "d2"]), fare=None))
         assert not [name for name, value in vars(engine).items()
                     if isinstance(value, containers)]
+        held = max(held, len(engine.state.failed_earlier))
     engine.finish()
-    assert engine.stats.side_routed == 3000 - engine.stats.discarded
+    assert held <= (0 if kind == "session" else span_rows)
+    if kind == "warming":
+        assert 0 < engine.stats.side_routed < 3000 - engine.stats.discarded - span_rows
+    else:
+        assert engine.stats.side_routed == 3000 - engine.stats.discarded
     _, want_side, _ = reference(SuiteState([check], SCHEMA, window), batches)
     assert side.lines == want_side
 
@@ -595,7 +608,7 @@ def test_close_ready_works_only_once_a_pane_can_close(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Each failing row is routed from the first pane that holds it: pinned bytes
+# Each failing row is routed from the first pane that fails it: pinned bytes
 
 ROUTING_WINDOWS = {
     "sliding5m": WindowSpec("sliding", duration=5 * MIN, slide=MIN, allowed_lateness=MIN),
@@ -609,7 +622,10 @@ ROUTING_WINDOWS = {
 def routing_checks(suite: str) -> list[CheckDefinition]:
     """Per-element checks only ("elements": judged on arrival wherever the
     store allows it), then with a keyed conforms check ("keyed"), then with
-    a merged mean as well ("mean")."""
+    a merged mean as well ("mean"). "context" and "reference" give the keyed
+    suite's first, third and fourth checks a rolling context, or a reference
+    row keyed by window_start, so a pane may judge none of a row's checks
+    and a later pane over it some."""
     out = [
         CheckDefinition(id="fare_complete",
                         measure=MeasureSpec("completeness", {"column": "fare"}),
@@ -631,7 +647,23 @@ def routing_checks(suite: str) -> list[CheckDefinition]:
         out.append(CheckDefinition(id="fare_mean",
                                    measure=MeasureSpec("mean", {"column": "fare"}),
                                    constraint=Threshold("<=", 10.0)))
+    if suite == "context":
+        out[0::2] = [replace(c, context=ContextSpec(horizon=10 * MIN)) for c in out[0::2]]
+    if suite == "reference":
+        out[0::2] = [replace(c, constraint=Predicate("value >= ref_floor"),
+                             reference=ReferenceSpec("floors", "window_start")) for c in out[0::2]]
     return out
+
+
+def floors(rows: list) -> ReferenceTable:
+    """A floor for two of every five whole minutes the rows span, and the
+    ten minutes before them: a pane starting on another instant misses."""
+    first = min(e.event_time for e in rows) - 10 * MIN
+    minutes = (max(e.event_time for e in rows) - first) // MIN
+    starts = [first - (first - EPOCH) % MIN + m * MIN for m in range(minutes + 1)]
+    return ReferenceTable("floors", "start", ("start", "floor"), {
+        canonical_bytes(t): {"start": t, "floor": 0.5}
+        for t in starts if (t - EPOCH) // MIN % 5 < 2})
 
 
 def routing_stream(near_end: bool) -> list:
@@ -654,7 +686,8 @@ def routing_stream(near_end: bool) -> list:
 
 
 ROUTING_CASES = [f"{window}-{key}-{suite}-{era}" for window in ROUTING_WINDOWS
-                 for key in ("unkeyed", "device") for suite in ("elements", "keyed", "mean")
+                 for key in ("unkeyed", "device")
+                 for suite in ("elements", "keyed", "mean", "context", "reference")
                  for era in ("2015", "ts_max")]
 
 # (meta sha256, side sha256) of each case, as written before the engine
@@ -678,6 +711,18 @@ ROUTING_PINS = {
     "sliding5m-unkeyed-mean-ts_max": (
         "3272bbfff398b47b404cb3e7ae89f3242c2a64ad957a5c62415925553af7af83",
         "bb5d5b3b2edc3906eb45837f1378168ecf601efb8ce678a6fd8bcfdc57103156"),
+    "sliding5m-unkeyed-context-2015": (
+        "d1aee87a85351cc8aa18aea3733555bd71959140b0ac4bc2a0bc1ea11672dc23",
+        "d0d5d4784a0b8b470717e1c8975dd94a6449c5cc7c6f1d4a7e2b45a4efd31100"),
+    "sliding5m-unkeyed-context-ts_max": (
+        "d7043ea47ad5cc73be3fa0694579191fdbb259f72183cb86f779906b928fd412",
+        "54ae2758a13ba127a42249bb3177a6fb99d5aa4ed48f8da9c85cbfef26eaeb9d"),
+    "sliding5m-unkeyed-reference-2015": (
+        "e33e1e083540c6755f20e2f38e482341e1438bdb47a448888afa2b34c2e84cc5",
+        "3099a22c1fc1ff0dddf5476fe16f361a40ad0da376006bad5fda1f44b01e7323"),
+    "sliding5m-unkeyed-reference-ts_max": (
+        "f69ad7a13dcb6cbdf5a69cfc1ec6778d25d911de3e6d8da3bb5ddc7cb37da531",
+        "496a498aae6c301fd2b11a04d3ff7baa4880f87842d0994de53ea8155e90db0d"),
     "sliding5m-device-elements-2015": (
         "0ae754b2769b3e8d2713ac858f85b94b97df986bbe2b8894c2c4c43de88993af",
         "4f0f70bf5d43494e469b13bcaac878bc3043ab72b1ea9ee70d9716776d35534a"),
@@ -696,6 +741,18 @@ ROUTING_PINS = {
     "sliding5m-device-mean-ts_max": (
         "8a5c5c75523ec022be0aed5dc71aa6b33700ea6b8f4a98cfa47134c0dad41a82",
         "da8f6cd19e7a391d267054a24c0d05ca5bbef171ec4105d99bf54a94335a6244"),
+    "sliding5m-device-context-2015": (
+        "a2913f6621b24048f45c47138964d04bed8eea92f90d1948416932fa4e30ad04",
+        "69527ea712bb4bf7d66c26966093e756995bcb4030bbf8fc362e0d235705af1d"),
+    "sliding5m-device-context-ts_max": (
+        "ae582325b906e7958827295bc8f04f53c73efeae50bbb805b80317e542a6d08d",
+        "c94c526ddc4ebd63dd70d9a7746269484208c2f3036aba10a340dd27f3ecfe1f"),
+    "sliding5m-device-reference-2015": (
+        "dbd73459f80f155f5f3d0bec622fdd1e8e64881432ee46b00ac81796e0bedf07",
+        "227ee280c8ff1516911e2231b7789350bbd040bd740c0992c0c1f470c45a4430"),
+    "sliding5m-device-reference-ts_max": (
+        "1010a7a076bdd4c8ca87d12e6a3281d396873834e0c9bd541bc3d634da2d1bf1",
+        "a5502a09869236342b6f6c16173c5df1e08508a3ee4d7afb2bdf210a79a397ad"),
     "sliding7m-unkeyed-elements-2015": (
         "315f6eda631ae16ca458906152937c4ead56411f901b58ac19ff89997f9afb15",
         "2e652dd7f85ab19256e44052c53a9caa4d97efbdfb321cf38adefff4310f5c7c"),
@@ -714,6 +771,18 @@ ROUTING_PINS = {
     "sliding7m-unkeyed-mean-ts_max": (
         "74ba34813d41b7b61bef9f5674c7a7ce2eb40afa7cb37829d993ccbeb221a915",
         "cc3636ecec81e9d1e6ca04f3c3245e0fa00beac60f7850672469740c052d1a63"),
+    "sliding7m-unkeyed-context-2015": (
+        "2f12b502f0d4813024ab0ebfcb68713edeab356c7d90a6e2dbfedef2fc7563fd",
+        "9112bb5e8363fedb496dbe3858d859f0e36c5866858db286f0d3722f06873bea"),
+    "sliding7m-unkeyed-context-ts_max": (
+        "2d9e15d28270d29eabcf616190b236d2baf0559b2f2d02435b44010e20bf8717",
+        "6648f700fd1c7d7f173311909251a1f4b524c0de4b8f6532f738bd2e175a57d1"),
+    "sliding7m-unkeyed-reference-2015": (
+        "4e24279cdba0c543dada1126366eb83ef2f0459d15ce799598c346b50fe863d6",
+        "7b0f43920c1a5274e445bfcc51e5dd9ec020ae013ddfb1160a921f9cdf0c50ee"),
+    "sliding7m-unkeyed-reference-ts_max": (
+        "3653467c430bcd3dd1b3c3be73e67c3cdf419568931a143f4c63989c1b4a82f7",
+        "9b23b6a678866fe8c9b2c9e82341368706cebef1cc442a39073f6897b1c42cf3"),
     "sliding7m-device-elements-2015": (
         "c1261cd2ea3377e3e108ca306205acc4d2694a1091266a6a32d4584f434ff985",
         "9c572c194bf08d39abc2135e78d6e00f171e2c6d907ed55ec20d123dfc6a499a"),
@@ -732,6 +801,18 @@ ROUTING_PINS = {
     "sliding7m-device-mean-ts_max": (
         "674ab82ea0bbb3d3e5920771f5e418fc39b36737d268ece4d6df849b50a4009e",
         "e9134f978e8190784517d37c3e3a9097cfd185a54993194c64e14c076e5954d6"),
+    "sliding7m-device-context-2015": (
+        "bd9e5887da571e0c1ce8ab049f5c54ddfff27640fa579e23593053125f54ccf7",
+        "35a8b856db69e56ce3a52dd4ca91bccbedff33ede4ece74947557c72c9eb3417"),
+    "sliding7m-device-context-ts_max": (
+        "30917dc5bcd5178771cce5882b36a78e58042651e4f66caa34f1f535b8e3c139",
+        "962db7b31d52565de4cef31e09804d977cfb7ce48a1cac69b9e6d49b85ab9e88"),
+    "sliding7m-device-reference-2015": (
+        "a849ee44dd94ca538e078d130ab3bd0801fff6ad92f147296680b3a7e95d5c04",
+        "f6b068b821047b609e2bb7db83db9980eb433256ec014ac01dd985ff17351fad"),
+    "sliding7m-device-reference-ts_max": (
+        "3b9275b67a019f2a382505356c5e5869a66d68667299c18b959566fc20efc235",
+        "ac7395602e8ae949b3482f5084cfa83df11ad6a1b44bb537572b7e7337be91bb"),
     "tumbling3m-unkeyed-elements-2015": (
         "1780bcc2c67d384fbc8798009f86fb83def601464590a9ef70150517543a31d7",
         "4d1e00e9348bef2b8d8ea8bf37c49c38138f00608e01181d9f6b39eac3739a1e"),
@@ -750,6 +831,18 @@ ROUTING_PINS = {
     "tumbling3m-unkeyed-mean-ts_max": (
         "9fcddeac054155374ff6962147ea6ca33242f3a4c5b86317776b8a0d1e5d94fd",
         "bf642d59144e1011c3ccf0fc1d0e3e26169fdce7ada6ac2796bbdb084526b1cb"),
+    "tumbling3m-unkeyed-context-2015": (
+        "74297a6f1b2ad28f3e5764771e3d48dc562f6c8cd5159ed189215135b13816eb",
+        "a12720ccb9c7c3ec58a47b0c459caa08cfedce50b6226cbfd5e715190e85779a"),
+    "tumbling3m-unkeyed-context-ts_max": (
+        "ac9251dfbe58f187037680afd42ef5c6e7d5f0770154b22be5c2ccb38f6a0bef",
+        "60bbbf78f8610bad9726a3596004e5db3bff9d8d099719213ed151d1cbec7517"),
+    "tumbling3m-unkeyed-reference-2015": (
+        "6c967c88d86f8849f07c51747b3671b16ad8f8e84aaab7fcb5f876b70f2bb850",
+        "40e4929ceab29d7c2019c12c4459ffa75d44a9876078e6626bf8ea960e767f7a"),
+    "tumbling3m-unkeyed-reference-ts_max": (
+        "aa1798aa43d52e0401e3e2b188cfda22b53ca4509e29b5ebcc9f8f41b6494321",
+        "25c18e3d289c67813f0d156930bcab622f0a871d6b2c8dfdd48cfb186fa68dc5"),
     "tumbling3m-device-elements-2015": (
         "b38607bf242d55db5dfd2d7f223596783cb1f489b9a4d4b09924de80704ba401",
         "b5dd709bc8a291d77828b7764f9867c86cb77493f34b864e39fbde1624f8cffd"),
@@ -768,6 +861,18 @@ ROUTING_PINS = {
     "tumbling3m-device-mean-ts_max": (
         "6d13d4938c7dafa568d4b02b8e5e7e2c66550be5da2195e1b5bb935a8b4a7fbf",
         "6c70e0cdbfd38c20b2f0b2f19820fff009ed181599161e9c766f0cfcc8593c37"),
+    "tumbling3m-device-context-2015": (
+        "6f2e5a3a184248b7927f91611e009fad0645b1633d13fc9bc0aaff210e8c0f1f",
+        "3150e331dd1f21e08ee0911fe49b3c57ba4c421e447d27a2e563a965f0750d34"),
+    "tumbling3m-device-context-ts_max": (
+        "dc3379852c0e2fc518fe6769b7d7c97ac5d552b38d795c2ea21d0fda36294c21",
+        "7d1b38cfa0123fee7edf4f741ff69e786aa83d763ff96811f86c7c090013d9db"),
+    "tumbling3m-device-reference-2015": (
+        "d81fd747d8c328499281207661673b31ae2f3a26af082d3c0aa195cfa328e20c",
+        "6eb4b8ec7afe8c176989e7aef1e8d5ef0236254d1fffaa3ecf8c418d36e483f4"),
+    "tumbling3m-device-reference-ts_max": (
+        "4361873f8ed70f915b14ff2a1355a58d26ba40fb22ae535d335191f4d4907c35",
+        "e604626d3f0319e5946609d4fcde8e3ba4e1ce3035ffb14ecc0641ea97b2b592"),
     "session40s-unkeyed-elements-2015": (
         "b9f56fb34fed843ed3e043ec5e3f31232b70a1996ecc4ed4edd52d65e94e5768",
         "4fce53a672fd5bb381144fa3b58a71210e4555be3d49660048d5bb58c4993189"),
@@ -786,6 +891,18 @@ ROUTING_PINS = {
     "session40s-unkeyed-mean-ts_max": (
         "c8fb5411982aa7a96eab98b1fb63270eca53740ff9783c3cbb67531d3d0cfd78",
         "8ae8bb6bc04b33382efb5569f5db21431ac71fd9f3b06635382d58e689edc937"),
+    "session40s-unkeyed-context-2015": (
+        "3ab6ff4115f970885a4e70697e1b6cfbe8e2c997326fc7d44ec62236e4b7a6ab",
+        "b89836a636509091c663536aa7a25a8e4466cc0ee97e242d4e7d733fac50a21b"),
+    "session40s-unkeyed-context-ts_max": (
+        "5a6dbcf026156ee1977bd1175be01bb18bf694b2d7ca8d4bb8f4f454712cbd7d",
+        "e8739cff84e2f7c8fd9ec0e49f2b48a53879deec4e7c8a6813b6367e48546ee0"),
+    "session40s-unkeyed-reference-2015": (
+        "c738b623323bc52165d41863d9257b874fbdfc5f8805914b8a23a18a75b15098",
+        "c4ec20a31ef58bc2b36ba26a35662a10f062ec939ec962351df8214f3ad474c7"),
+    "session40s-unkeyed-reference-ts_max": (
+        "98185be143ccd61b1fae5a030071d26a2ddf7ef95686ff2b05cb145e609a89da",
+        "1d2ea5108b7f016ce36b3d92a8dc674612075fd85cead4fd2eb2cc242803845b"),
     "session40s-device-elements-2015": (
         "204f6035d28c2f0478c5bccfa12cec632252cfa2947702874ce80366c6d9227f",
         "118d8bbbdbe45cb1d64adfef998535b4269ce72cf22e9f390545ca81ec472c91"),
@@ -804,6 +921,18 @@ ROUTING_PINS = {
     "session40s-device-mean-ts_max": (
         "17fd4641969c3549c49b8d1b0a83a4e7bf2e6a15363ad596f7a0e9f5f17ac087",
         "1ac89e353ecb12f15ae44380a09b2a139c6e5ac20c27bc9be6e84c2f213904a7"),
+    "session40s-device-context-2015": (
+        "f5d484ebba1136be067939e12102ca07b0fdb2d60df996330535e484bcdef24f",
+        "c47866661c47e262a6c6bab4ef16c8d2caeb808f993779e09669f687d6b3f665"),
+    "session40s-device-context-ts_max": (
+        "c747ee90193709ce783525cf66b129acae0689c99e9f35256cb3b0fa01621f18",
+        "a5fcd88245f5189c450ec700254186889346bf209f6cf0ed4f1fabf06c6a6c5b"),
+    "session40s-device-reference-2015": (
+        "2bc23508a5fac3a66391c1c6c2c4d5e9beb0c6ba418ded1a7fe35be027f6cafb",
+        "0b3e6c7e749334a6fe528ef8c5f9ddd58c7abaf38de97bbd597e4f991233dd58"),
+    "session40s-device-reference-ts_max": (
+        "7517f1eb0dac3cc8b7342253cde561cfb1a944a05b3bdf66ce373b976f88e742",
+        "1c4790de025415ce192ec9731d687a273b92eaf227f34b253b0a79e4623b51f5"),
 }
 
 
@@ -813,12 +942,19 @@ def _sha(lines: list[str]) -> str:
 
 def routing_digests(case: str) -> tuple[str, str]:
     window, key, suite, era = case.split("-")
+    rows = routing_stream(era == "ts_max")
+    if suite in ("context", "reference"):
+        # A zone and a device first seen halfway: their contexts warm then.
+        renamed = {"c": "d", "d3": "d4"}
+        rows = rows[:750] + [elem(e.event_time, e.arrival_seq, **{
+            column: renamed.get(v, v) for column, v in e.attrs.items()}) for e in rows[750:]]
     meta, side = ListSink(), ListSink()
-    engine = MonitorEngine(SuiteState(routing_checks(suite), SCHEMA, ROUTING_WINDOWS[window]),
-                           watermark_delay=timedelta(seconds=10),
+    state = SuiteState(routing_checks(suite), SCHEMA, ROUTING_WINDOWS[window],
+                       references={"floors": floors(rows)})
+    engine = MonitorEngine(state, watermark_delay=timedelta(seconds=10),
                            key_by=None if key == "unkeyed" else key,
                            meta_sink=meta, side_sink=side)
-    for e in routing_stream(era == "ts_max"):
+    for e in rows:
         engine.process(e)
     engine.finish()
     assert engine.stats.discarded > 0
@@ -826,12 +962,17 @@ def routing_digests(case: str) -> tuple[str, str]:
     assert engine.stats.side_routed == len(side.lines) > 0
     if era == "ts_max":
         assert any('"window_end":"9999-12-31T23:59:59.999Z"' in line for line in meta.lines)
+    if suite in ("context", "reference"):  # some panes are not judged, and some are
+        skipped = '"warming":true' if suite == "context" else '"reference_miss"'
+        assert any(skipped in line for line in meta.lines)
+        assert any('"element_ref"' in line for line in meta.lines)
     return _sha(meta.lines), _sha(side.lines)
 
 
 @pytest.mark.parametrize("case", ROUTING_CASES)
-def test_failing_rows_route_from_the_first_pane_holding_them(case):
+def test_failing_rows_route_from_the_first_pane_failing_them(case):
     """Overlapping, tumbling and session panes, unkeyed and keyed, judged
     on arrival or not, with late and discarded rows, near 2015 and with
-    pane ends clamped at TS_MAX: the meta and side bytes are pinned."""
+    pane ends clamped at TS_MAX, with checks that warm or miss their
+    reference in some panes: the meta and side bytes are pinned."""
     assert routing_digests(case) == ROUTING_PINS[case]
