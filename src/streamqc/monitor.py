@@ -477,8 +477,9 @@ class SuiteState:
             if elements is not None and result.misses:
                 # The group's rows up to the end of the last earlier pane
                 # this check judged were failed there, if they fail it.
-                seen = next((end for start, end in earlier_panes(window_spec, sub)
-                             if not unjudged(ctx, start, end)), TS_MIN)
+                earlier = earlier_panes(window_spec, sub)
+                seen = next((end for start, end in earlier
+                             if not unjudged(ctx, start, end)), TS_MIN) if earlier else TS_MIN
                 elements(head, key, sub, result.misses, judged, seen,
                          failing, self.failed_earlier, entries)
         return assess_bound

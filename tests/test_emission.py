@@ -647,11 +647,12 @@ def routing_checks(suite: str) -> list[CheckDefinition]:
         out.append(CheckDefinition(id="fare_mean",
                                    measure=MeasureSpec("mean", {"column": "fare"}),
                                    constraint=Threshold("<=", 10.0)))
-    if suite == "context":
-        out[0::2] = [replace(c, context=ContextSpec(horizon=10 * MIN)) for c in out[0::2]]
-    if suite == "reference":
-        out[0::2] = [replace(c, constraint=Predicate("value >= ref_floor"),
-                             reference=ReferenceSpec("floors", "window_start")) for c in out[0::2]]
+    warm = {"context": {"context": ContextSpec(horizon=10 * MIN)},
+            "reference": {"constraint": Predicate("value >= ref_floor"),
+                          "reference": ReferenceSpec("floors", "window_start")}}.get(suite)
+    if warm is not None:
+        for i in (0, 2, 3):
+            out[i] = replace(out[i], **warm)
     return out
 
 
@@ -712,17 +713,17 @@ ROUTING_PINS = {
         "3272bbfff398b47b404cb3e7ae89f3242c2a64ad957a5c62415925553af7af83",
         "bb5d5b3b2edc3906eb45837f1378168ecf601efb8ce678a6fd8bcfdc57103156"),
     "sliding5m-unkeyed-context-2015": (
-        "d1aee87a85351cc8aa18aea3733555bd71959140b0ac4bc2a0bc1ea11672dc23",
-        "d0d5d4784a0b8b470717e1c8975dd94a6449c5cc7c6f1d4a7e2b45a4efd31100"),
+        "cc3474bada14675c7997d2bbb09590363e5e900309de0ed416c7e235dba30a25",
+        "f9d63bad8e0fefd0d79555c168c65715d7e90659649dda684e1d94ece9f31970"),
     "sliding5m-unkeyed-context-ts_max": (
-        "d7043ea47ad5cc73be3fa0694579191fdbb259f72183cb86f779906b928fd412",
-        "54ae2758a13ba127a42249bb3177a6fb99d5aa4ed48f8da9c85cbfef26eaeb9d"),
+        "c0f05228637b4c42139cad8a98e8a436c920f8bcc991767c6a5d616314017081",
+        "81f7481672c486885e365ac3a9e648b48dd1e299957375eabb6046ae21adcfe0"),
     "sliding5m-unkeyed-reference-2015": (
-        "e33e1e083540c6755f20e2f38e482341e1438bdb47a448888afa2b34c2e84cc5",
-        "3099a22c1fc1ff0dddf5476fe16f361a40ad0da376006bad5fda1f44b01e7323"),
+        "c0fe328ab189bcdff36194f335bc173d9f022a42f385113d67d2c8fcc190803b",
+        "4318347db15d98d22cce84466871832c09107c575fac49ce7c1430f0b8146931"),
     "sliding5m-unkeyed-reference-ts_max": (
-        "f69ad7a13dcb6cbdf5a69cfc1ec6778d25d911de3e6d8da3bb5ddc7cb37da531",
-        "496a498aae6c301fd2b11a04d3ff7baa4880f87842d0994de53ea8155e90db0d"),
+        "76a68068d7e51dd96a7319928eec2e1abfdafb60a01b61773e94803571c00663",
+        "496c14c41ff51fa46ae670bf3fe07f6b10faf31812bf6114d722ae53d13584e0"),
     "sliding5m-device-elements-2015": (
         "0ae754b2769b3e8d2713ac858f85b94b97df986bbe2b8894c2c4c43de88993af",
         "4f0f70bf5d43494e469b13bcaac878bc3043ab72b1ea9ee70d9716776d35534a"),
@@ -742,17 +743,17 @@ ROUTING_PINS = {
         "8a5c5c75523ec022be0aed5dc71aa6b33700ea6b8f4a98cfa47134c0dad41a82",
         "da8f6cd19e7a391d267054a24c0d05ca5bbef171ec4105d99bf54a94335a6244"),
     "sliding5m-device-context-2015": (
-        "a2913f6621b24048f45c47138964d04bed8eea92f90d1948416932fa4e30ad04",
-        "69527ea712bb4bf7d66c26966093e756995bcb4030bbf8fc362e0d235705af1d"),
+        "5a0b12b96d2ddc14ad0130c1d9bfa640ddf394f71f35f8b68c4190a582ee8627",
+        "94f619b5cbdebcad2a640a6de4efad53b0a2ea3e9b426c6ffa254cf9b4cd91e7"),
     "sliding5m-device-context-ts_max": (
-        "ae582325b906e7958827295bc8f04f53c73efeae50bbb805b80317e542a6d08d",
-        "c94c526ddc4ebd63dd70d9a7746269484208c2f3036aba10a340dd27f3ecfe1f"),
+        "01558e2e48c2000544a3a15062cd21c937c4e38674cc58c0a3bc619507ee4a29",
+        "bb9aa87ee3eab1ba13fd7073d42f5f7279464d1eeb5be76b857b1b6052166d50"),
     "sliding5m-device-reference-2015": (
-        "dbd73459f80f155f5f3d0bec622fdd1e8e64881432ee46b00ac81796e0bedf07",
-        "227ee280c8ff1516911e2231b7789350bbd040bd740c0992c0c1f470c45a4430"),
+        "edb5812a1d56b18fe04c84a9450e75f598c512d4fb382de3c108806d4b1e0610",
+        "6bb8dc264041c25f8125eed30f90d56d1fd62fbfa6e2f86229dd971f83ba1e2c"),
     "sliding5m-device-reference-ts_max": (
-        "1010a7a076bdd4c8ca87d12e6a3281d396873834e0c9bd541bc3d634da2d1bf1",
-        "a5502a09869236342b6f6c16173c5df1e08508a3ee4d7afb2bdf210a79a397ad"),
+        "af2be7d55dc52bfb628e5fdcdcec6037167a7ebfc6b5580e582f032cea1b5c41",
+        "a034292b4ecdb1cec30a1fbc6ad005a7c73785e34e59dae2b2c61c992bc7c898"),
     "sliding7m-unkeyed-elements-2015": (
         "315f6eda631ae16ca458906152937c4ead56411f901b58ac19ff89997f9afb15",
         "2e652dd7f85ab19256e44052c53a9caa4d97efbdfb321cf38adefff4310f5c7c"),
@@ -772,17 +773,17 @@ ROUTING_PINS = {
         "74ba34813d41b7b61bef9f5674c7a7ce2eb40afa7cb37829d993ccbeb221a915",
         "cc3636ecec81e9d1e6ca04f3c3245e0fa00beac60f7850672469740c052d1a63"),
     "sliding7m-unkeyed-context-2015": (
-        "2f12b502f0d4813024ab0ebfcb68713edeab356c7d90a6e2dbfedef2fc7563fd",
-        "9112bb5e8363fedb496dbe3858d859f0e36c5866858db286f0d3722f06873bea"),
+        "31713d87f413b6874e6d1a95efd638d2d78263479d86417563cf94c1360b4460",
+        "dbeb1d89744eeaadec00a5b25a7407c83a02c01efdceb0386f0cd56a185d01a5"),
     "sliding7m-unkeyed-context-ts_max": (
-        "2d9e15d28270d29eabcf616190b236d2baf0559b2f2d02435b44010e20bf8717",
-        "6648f700fd1c7d7f173311909251a1f4b524c0de4b8f6532f738bd2e175a57d1"),
+        "9ad7a9cc3cfbdd0928d77289e4cbf97cbbac7fb81f5e72457fa0ad16f9b01a9a",
+        "c16fff9eef3da947a7757504302546bc7e7a504af66da12ab2d32be6d40d8eef"),
     "sliding7m-unkeyed-reference-2015": (
-        "4e24279cdba0c543dada1126366eb83ef2f0459d15ce799598c346b50fe863d6",
-        "7b0f43920c1a5274e445bfcc51e5dd9ec020ae013ddfb1160a921f9cdf0c50ee"),
+        "b9c036ce7a8ca08fbecf8a5e74350da835fdf968fab82fa8cfc854a0da171263",
+        "dddc80cdb12830e2a4c80293b958022981ffe6d95677efcc8c61afbba0831365"),
     "sliding7m-unkeyed-reference-ts_max": (
-        "3653467c430bcd3dd1b3c3be73e67c3cdf419568931a143f4c63989c1b4a82f7",
-        "9b23b6a678866fe8c9b2c9e82341368706cebef1cc442a39073f6897b1c42cf3"),
+        "c5fce42fd80e9945745c6d2c3ad353c7648aee7e13e18f7df6a95a32b52c4e30",
+        "f79e761d2254c2284135d08d82cebd2fb19be0cb7117dcbf6527a2bb80469a34"),
     "sliding7m-device-elements-2015": (
         "c1261cd2ea3377e3e108ca306205acc4d2694a1091266a6a32d4584f434ff985",
         "9c572c194bf08d39abc2135e78d6e00f171e2c6d907ed55ec20d123dfc6a499a"),
@@ -802,17 +803,17 @@ ROUTING_PINS = {
         "674ab82ea0bbb3d3e5920771f5e418fc39b36737d268ece4d6df849b50a4009e",
         "e9134f978e8190784517d37c3e3a9097cfd185a54993194c64e14c076e5954d6"),
     "sliding7m-device-context-2015": (
-        "bd9e5887da571e0c1ce8ab049f5c54ddfff27640fa579e23593053125f54ccf7",
-        "35a8b856db69e56ce3a52dd4ca91bccbedff33ede4ece74947557c72c9eb3417"),
+        "c128ac8a136419d9e6456d9f4e244393629095fbcd63bc825c6b5b74061ce5cc",
+        "45bfeca0a4e8dbf565a0d91f4492a8dee2fc0147916a319fa10a63dd1495c504"),
     "sliding7m-device-context-ts_max": (
-        "30917dc5bcd5178771cce5882b36a78e58042651e4f66caa34f1f535b8e3c139",
-        "962db7b31d52565de4cef31e09804d977cfb7ce48a1cac69b9e6d49b85ab9e88"),
+        "d96d66e7e37269e97e272eef7752bf1ab1d818644b9b241a114ff238bbf8bd13",
+        "f6af05c72951e4670b1ed1eab88f8857dfd2f9697b2999eba34592ea0f7c42e2"),
     "sliding7m-device-reference-2015": (
-        "a849ee44dd94ca538e078d130ab3bd0801fff6ad92f147296680b3a7e95d5c04",
-        "f6b068b821047b609e2bb7db83db9980eb433256ec014ac01dd985ff17351fad"),
+        "a7f53e1d79a7e89135de15635754bb62779002929ad577f41dc81dfcf2dee4b1",
+        "74ec3d1025d42569c03c85cbd0fba789676116e030f183f4b0159d17ccbef0cb"),
     "sliding7m-device-reference-ts_max": (
-        "3b9275b67a019f2a382505356c5e5869a66d68667299c18b959566fc20efc235",
-        "ac7395602e8ae949b3482f5084cfa83df11ad6a1b44bb537572b7e7337be91bb"),
+        "43e03ebc8d61863efd414f5c915e7bf2e99ef740a3559a48e17ec1d726f589a4",
+        "e3e4eae60c83cfcfb6607c67a6f025bf974733ba47a736c4cd0df3adfa02894e"),
     "tumbling3m-unkeyed-elements-2015": (
         "1780bcc2c67d384fbc8798009f86fb83def601464590a9ef70150517543a31d7",
         "4d1e00e9348bef2b8d8ea8bf37c49c38138f00608e01181d9f6b39eac3739a1e"),
@@ -832,17 +833,17 @@ ROUTING_PINS = {
         "9fcddeac054155374ff6962147ea6ca33242f3a4c5b86317776b8a0d1e5d94fd",
         "bf642d59144e1011c3ccf0fc1d0e3e26169fdce7ada6ac2796bbdb084526b1cb"),
     "tumbling3m-unkeyed-context-2015": (
-        "74297a6f1b2ad28f3e5764771e3d48dc562f6c8cd5159ed189215135b13816eb",
-        "a12720ccb9c7c3ec58a47b0c459caa08cfedce50b6226cbfd5e715190e85779a"),
+        "6af78a30ffbd035e43cac1639f9a8f2a2012257fbf3783cf020feeeadeaea1b7",
+        "a9357ffb7f8d64f1f7e85da4e178f44ccf837fdf93bc5653ecc8c3e5b506009e"),
     "tumbling3m-unkeyed-context-ts_max": (
-        "ac9251dfbe58f187037680afd42ef5c6e7d5f0770154b22be5c2ccb38f6a0bef",
-        "60bbbf78f8610bad9726a3596004e5db3bff9d8d099719213ed151d1cbec7517"),
+        "6b203244ab264945b626c1850a9ed7c5b9e86a3d5f4cc92f5abb184bd1179c74",
+        "83528dfa11def203b87703f5bdd9a24108ed0380839780d97a22517374f71dbf"),
     "tumbling3m-unkeyed-reference-2015": (
-        "6c967c88d86f8849f07c51747b3671b16ad8f8e84aaab7fcb5f876b70f2bb850",
-        "40e4929ceab29d7c2019c12c4459ffa75d44a9876078e6626bf8ea960e767f7a"),
+        "e54f90d535cd2bcf5afc88126c2a8872fe0c212b03c9a05a4846668af41850b3",
+        "fc4c74aa4c0f8e32321142f1fd9169bf83e1cc3489d19d45d412a1e5f20d897c"),
     "tumbling3m-unkeyed-reference-ts_max": (
-        "aa1798aa43d52e0401e3e2b188cfda22b53ca4509e29b5ebcc9f8f41b6494321",
-        "25c18e3d289c67813f0d156930bcab622f0a871d6b2c8dfdd48cfb186fa68dc5"),
+        "35e855e8bfd5d5dadef9025927f3426f2b2384ffeb2954e5c19bf45baadec20f",
+        "bac55a1cd7618dd1aa71ed18e35425a58c0f0c671c78252ab15fb1708e58b532"),
     "tumbling3m-device-elements-2015": (
         "b38607bf242d55db5dfd2d7f223596783cb1f489b9a4d4b09924de80704ba401",
         "b5dd709bc8a291d77828b7764f9867c86cb77493f34b864e39fbde1624f8cffd"),
@@ -862,17 +863,17 @@ ROUTING_PINS = {
         "6d13d4938c7dafa568d4b02b8e5e7e2c66550be5da2195e1b5bb935a8b4a7fbf",
         "6c70e0cdbfd38c20b2f0b2f19820fff009ed181599161e9c766f0cfcc8593c37"),
     "tumbling3m-device-context-2015": (
-        "6f2e5a3a184248b7927f91611e009fad0645b1633d13fc9bc0aaff210e8c0f1f",
-        "3150e331dd1f21e08ee0911fe49b3c57ba4c421e447d27a2e563a965f0750d34"),
+        "6618aa2c45aa8539ed0b9ee1c17f1c9bc70410cb596aed78e4a800a406431a3b",
+        "6b3793f7ae355da240dd7a81d370a551b3b6133d713797831d25a2b294f4aab8"),
     "tumbling3m-device-context-ts_max": (
-        "dc3379852c0e2fc518fe6769b7d7c97ac5d552b38d795c2ea21d0fda36294c21",
-        "7d1b38cfa0123fee7edf4f741ff69e786aa83d763ff96811f86c7c090013d9db"),
+        "2b1c6fbc5ee757f4c8e1c10d54e0e934c1aa1b4c913e8ee483465b06e7c50154",
+        "1bccef093e42912f164b86623d1f41067fee46dd7e45fc27d908644f46ae10a5"),
     "tumbling3m-device-reference-2015": (
-        "d81fd747d8c328499281207661673b31ae2f3a26af082d3c0aa195cfa328e20c",
-        "6eb4b8ec7afe8c176989e7aef1e8d5ef0236254d1fffaa3ecf8c418d36e483f4"),
+        "404a8c74ffa6d166ce0d356f00ef8ffadadc83d68764759560b1a0e16fa5656f",
+        "598802941de78eb50aafc9b042a5ae8b78891679c8f9e168fbaeb2877cde1611"),
     "tumbling3m-device-reference-ts_max": (
-        "4361873f8ed70f915b14ff2a1355a58d26ba40fb22ae535d335191f4d4907c35",
-        "e604626d3f0319e5946609d4fcde8e3ba4e1ce3035ffb14ecc0641ea97b2b592"),
+        "3fd719fb906833811b9d4c247201050861befce2a2a04cbaeb3eda12e0916f18",
+        "1b3af5548dff9ce9f93ca1a1d1ea04c81820ee0710f286c0de96745775ae83c1"),
     "session40s-unkeyed-elements-2015": (
         "b9f56fb34fed843ed3e043ec5e3f31232b70a1996ecc4ed4edd52d65e94e5768",
         "4fce53a672fd5bb381144fa3b58a71210e4555be3d49660048d5bb58c4993189"),
@@ -892,17 +893,17 @@ ROUTING_PINS = {
         "c8fb5411982aa7a96eab98b1fb63270eca53740ff9783c3cbb67531d3d0cfd78",
         "8ae8bb6bc04b33382efb5569f5db21431ac71fd9f3b06635382d58e689edc937"),
     "session40s-unkeyed-context-2015": (
-        "3ab6ff4115f970885a4e70697e1b6cfbe8e2c997326fc7d44ec62236e4b7a6ab",
-        "b89836a636509091c663536aa7a25a8e4466cc0ee97e242d4e7d733fac50a21b"),
+        "79cf0a0949746bddcd6bf069b4b090eb5fcb3686c64c557e664a2c83c8f81d90",
+        "cad7f63c97c9ead0dfcc2f73896f3caadc5f429304137ac9b65354d903c3517c"),
     "session40s-unkeyed-context-ts_max": (
-        "5a6dbcf026156ee1977bd1175be01bb18bf694b2d7ca8d4bb8f4f454712cbd7d",
-        "e8739cff84e2f7c8fd9ec0e49f2b48a53879deec4e7c8a6813b6367e48546ee0"),
+        "85cffac106e8f9e3fc75df571c8b2011ebd71dc22e7615eeb77e7d76c019349c",
+        "baa6794e97081c3be5affc5233bf64dc090401e0a78f9c653568434d46f9a23c"),
     "session40s-unkeyed-reference-2015": (
-        "c738b623323bc52165d41863d9257b874fbdfc5f8805914b8a23a18a75b15098",
-        "c4ec20a31ef58bc2b36ba26a35662a10f062ec939ec962351df8214f3ad474c7"),
+        "022200b870c9dc8b7fbcfae4f3f55c7576b5349768797e831fbcdf02ca0f4a6b",
+        "2b2de290d3918fdaeb3186686ac3c4c513973539a606e872823a078e8e7c6366"),
     "session40s-unkeyed-reference-ts_max": (
-        "98185be143ccd61b1fae5a030071d26a2ddf7ef95686ff2b05cb145e609a89da",
-        "1d2ea5108b7f016ce36b3d92a8dc674612075fd85cead4fd2eb2cc242803845b"),
+        "fbc80e14c87b2380124ebf5c370d8ff9d59df37cba5d149d564605d90b79af7e",
+        "aafc2debc35977dd00f0aa33768acf0de4e9977befcb6634c43d9e36ea8cbd17"),
     "session40s-device-elements-2015": (
         "204f6035d28c2f0478c5bccfa12cec632252cfa2947702874ce80366c6d9227f",
         "118d8bbbdbe45cb1d64adfef998535b4269ce72cf22e9f390545ca81ec472c91"),
@@ -922,17 +923,17 @@ ROUTING_PINS = {
         "17fd4641969c3549c49b8d1b0a83a4e7bf2e6a15363ad596f7a0e9f5f17ac087",
         "1ac89e353ecb12f15ae44380a09b2a139c6e5ac20c27bc9be6e84c2f213904a7"),
     "session40s-device-context-2015": (
-        "f5d484ebba1136be067939e12102ca07b0fdb2d60df996330535e484bcdef24f",
-        "c47866661c47e262a6c6bab4ef16c8d2caeb808f993779e09669f687d6b3f665"),
+        "5178ea80b837d45064d3edc1c73a0200908be3cb53ef753d51543da52dd9a85a",
+        "3bc4b21e35debbd5784e003ab6784c939a77a4aef3181f501e8d3af492e0d97a"),
     "session40s-device-context-ts_max": (
-        "c747ee90193709ce783525cf66b129acae0689c99e9f35256cb3b0fa01621f18",
-        "a5fcd88245f5189c450ec700254186889346bf209f6cf0ed4f1fabf06c6a6c5b"),
+        "1152db94958eff27cdb370cef15cd637bf99f7c2ebaec9d46ad874f600be2878",
+        "9b434e90bd7d268dece3b86590632f72e13c8c9ddc0f9e93ea9a4c0c804fc218"),
     "session40s-device-reference-2015": (
-        "2bc23508a5fac3a66391c1c6c2c4d5e9beb0c6ba418ded1a7fe35be027f6cafb",
-        "0b3e6c7e749334a6fe528ef8c5f9ddd58c7abaf38de97bbd597e4f991233dd58"),
+        "8466ad006383dde81c464bb948c5717fc2ce5088ef344a2026b904991228cf77",
+        "66fff1fdb1e7d78e6b8e690a167fa92ce41e27af5ce78a4c7977285611895dde"),
     "session40s-device-reference-ts_max": (
-        "7517f1eb0dac3cc8b7342253cde561cfb1a944a05b3bdf66ce373b976f88e742",
-        "1c4790de025415ce192ec9731d687a273b92eaf227f34b253b0a79e4623b51f5"),
+        "a4fa315f34336fde8eb32a9671cc0d1cc575373ec8a4d74cd701172100cea88d",
+        "f2196a15c74e1f9eed00eeacdffb1d93d3759c6d059b87d162e1e34d80752b8c"),
 }
 
 

@@ -580,6 +580,29 @@ def _grid_starts(spec, t):
     return [s for s, _ in _grid_panes(spec, t)]
 
 
+@pytest.mark.parametrize("spec", [spec_sliding(5, 1), spec_sliding(7, 2), spec_tumbling(3)],
+                         ids=["5m-1m", "7m-2m", "3m"])
+def test_earlier_panes_are_the_panes_before_a_pane_that_overlap_it(spec):
+    """By pane number, near 2015 and at both ends of the datetime range,
+    where a pane's start or end clamps; a session pane has none."""
+    def bounds(n):
+        return (windowing._shift(spec.origin, n * spec.step),
+                windowing._shift(spec.origin, n * spec.step + spec.duration))
+    clamped = 0
+    for t in (at(0), TS_MIN, TS_MAX):
+        base = (t - spec.origin) // spec.step
+        for p in range(base - 8, base + 8):
+            start, end = bounds(p)
+            if start >= end:
+                continue  # past the datetime range
+            clamped += start == TS_MIN or end == windowing._END_OF_TIME
+            want = [bounds(n) for n in range(p - 1, p - 8, -1)
+                    if n * spec.step + spec.duration > p * spec.step]
+            assert windowing.earlier_panes(spec, WindowInstance(start, end)) == want, p
+    assert clamped >= 2  # a start at TS_MIN and an end past TS_MAX
+    assert windowing.earlier_panes(spec_session(), WindowInstance(at(0), at(60))) == []
+
+
 def _replay(spec, key_by, rows, delay):
     """Push rows through a store as the engine does; returns (panes, kept).
     Each row's watermark and outcome are those of observe and route, and a
