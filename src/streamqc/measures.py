@@ -94,9 +94,9 @@ class MeasureResult:
     value: Value
     detail: dict[str, Any] | None = None
     force_fail: bool = False
-    # From a measure with a per-element form: each row of the pane whose
-    # verdict is not True, with that verdict (Tally.misses).
-    misses: list[tuple[StreamElement, bool | None]] | None = None
+    # From a measure with a per-element form whose pane holds a Null or a
+    # failed verdict: the Tally of each of the pane's slices, in part order.
+    misses: list[Tally] | None = None
 
 
 @dataclass(frozen=True)
@@ -385,11 +385,11 @@ def _tally_of(checker: ElemChecker, rows) -> Tally:
 
 
 def _merge_tallies(tallies: list[Tally]) -> Tally:
-    """One Tally of a pane's slices, the misses in slice order."""
+    """One Tally of a pane's slices; the misses stay in the slices' own."""
     if len(tallies) == 1:
         return tallies[0]
     return Tally(sum(t.rows for t in tallies), sum(t.nulls for t in tallies),
-                 sum(t.failed for t in tallies), _concat([t.misses for t in tallies]))
+                 sum(t.failed for t in tallies), [])
 
 
 def _share(params, tally, window, env):
@@ -926,12 +926,14 @@ def _per_element(measure_id: str, table: dict[str, Param],
     """A measure with a per-element form, merged per slice under its own id.
     A slice's partial is the Tally of its elements' verdicts (_tally_of);
     tally(params, tally, window, env) summarizes a pane's merged Tally into a
-    new result, which then carries its misses on for per-element records."""
+    new result, which then carries the slices' Tallies on for per-element
+    records when some verdict was not True."""
     def prepare(params, env, checker):
         def finish(partials, window, env):
             merged = _merge_tallies(partials)
             result = tally(params, merged, window, env)
-            result.misses = merged.misses
+            if merged.nulls or merged.failed:
+                result.misses = partials
             return result
         return (lambda part: _tally_of(checker, part.elements)), finish
     return MeasureDef(measure_id, table, _Merged(measure_id, prepare),

@@ -33,7 +33,6 @@ from .measures import (
 )
 from .model import (
     NULL_CODE,
-    TS_MIN,
     CheckDefinition,
     ColumnSpec,
     Judge,
@@ -61,7 +60,7 @@ from .model import (
     value_type,
     wire_json,
 )
-from .windowing import PaneStore, Retention, RouteOutcome, Watermark, earlier_panes
+from .windowing import PaneStore, Retention, RouteOutcome, Watermark
 
 __all__ = [
     "ReferenceTable", "ContextState", "DeadStreamSpec", "FrozenColumnSpec",
@@ -373,7 +372,6 @@ class SuiteState:
             raise InvalidSuite(problems)
         self.window_spec = window_spec
         self._env = EngineEnv(hash_seed=hash_seed, secondary=secondary)
-        self.failed_earlier: set[int] = set()  # of the pane assessed last (on_window_close)
         # Each pane check's key_by column and its compiled pane path: the
         # checks in config order, then the dead-stream detector, then each
         # frozen-column detector in config order.
@@ -427,8 +425,9 @@ class SuiteState:
         spec = check.measure
         emit = _emitter(check.id)
         skip_null = check.null_verdict == "skip"
-        elements = _element_records(check) if check.emit_per_element else None
-        window_spec = self.window_spec
+        # Only sliding panes share a slice, so only they mark one (_element_records).
+        elements = (_element_records(check, self.window_spec.kind == "sliding")
+                    if check.emit_per_element else None)
 
         # Bindings from the rolling context of the group's series and from the
         # reference row, each looked up only when the check has one; a warming
@@ -439,10 +438,6 @@ class SuiteState:
         contexts: dict[bytes, ContextState] = {}
         table = (self.references[check.reference.table]
                  if check.reference is not None else None)
-
-        def unjudged(ctx, start, end):
-            return ctx is not None and ctx.warming(start) or table is not None and table.lookup(
-                reference_key({"window_start": start, "window_end": end})) is None
 
         def assess_bound(head, key, sub, env, failing, entries):
             names: dict[str, Value] = {}
@@ -475,13 +470,7 @@ class SuiteState:
                     ok = False
             emit(head, key, sub, value, ok, detail, entries)
             if elements is not None and result.misses:
-                # The group's rows up to the end of the last earlier pane
-                # this check judged were failed there, if they fail it.
-                earlier = earlier_panes(window_spec, sub)
-                seen = next((end for start, end in earlier
-                             if not unjudged(ctx, start, end)), TS_MIN) if earlier else TS_MIN
-                elements(head, key, sub, result.misses, judged, seen,
-                         failing, self.failed_earlier, entries)
+                elements(head, key, sub, result.misses, judged, failing, entries)
         return assess_bound
 
     # -- assessment ----------------------------------------------------------
@@ -496,15 +485,14 @@ class SuiteState:
         once per key group), and the failing elements for side-output
         routing, keyed by arrival_seq with the check ids that rejected them.
         The pane is split once per key_by column, whatever reads the split.
-        failed_earlier is then the seqs of the rows that some check failed
-        in one of the earlier_panes of the pane, where it judged them: a
-        verdict on a row is the same in every pane, so the engine routes
-        each row from the first pane that fails it.
+        A verdict on a row is the same in every pane, so a row some check
+        failed in an earlier pane, where it judged the row, was routed from
+        that pane: such a row is not in failing (_element_records finds it
+        by the check's mark on its slice).
         """
         env = self._env
         if env.watermark != watermark:
             env = self._env = replace(env, watermark=watermark)
-        self.failed_earlier = set()
         entries: list[tuple[tuple, MetaRecord]] = []
         failing: dict[int, tuple[StreamElement, list[str]]] = {}
         groups: dict[str | None, list[Group]] = {
@@ -515,7 +503,7 @@ class SuiteState:
                 split = groups[key_by] = self._partition(w, key_by)
             for head, key, sub in split:
                 assess(head, key, sub, env, failing, entries)
-        return entries, failing
+        return entries, {seq: slot for seq, slot in failing.items() if slot is not None}
 
 
 def _emitter(check_id: str):
@@ -533,33 +521,47 @@ def _emitter(check_id: str):
     return emit
 
 
-def _element_records(check: CheckDefinition):
+def _element_records(check: CheckDefinition, marks: bool):
     """One record per row whose verdict fails the check (a Null verdict
     fails unless the check skips Nulls) in a pane the check judged, each a
-    failing row with the check's id; such a row up to seen, which an earlier
-    pane failed, goes into failed_earlier. Only the rows whose verdict was
-    not True (MeasureResult.misses) are walked."""
+    failing row with the check's id. Only the rows whose verdict was not
+    True are walked, one slice (or key share) at a time (MeasureResult.misses).
+
+    With marks, a pane the check judged marks each of its slices that holds
+    a row the check fails, in the slice's memo under ("judged", check id).
+    A pane holds a row exactly when it spans the row's slice, and a verdict
+    is the same in every pane, so a failing row in a marked slice was failed
+    by an earlier pane that judged it, and routed from there: it maps to
+    None in failing, whichever check fails it here."""
     check_id = check.id
     fail_null = check.null_verdict == "fail"
     tail = element_tail(check_id)
+    mark = ("judged", check_id)
 
-    def records(head, key, sub, misses, judged, seen, failing, failed_earlier, entries):
+    def records(head, key, sub, tallies, judged, failing, entries):
         start, end = sub.start, sub.end
         prefix = head + (check_id,)
-        for e, ev in misses:
-            if fail_null or ev is not None:
-                seq = e.arrival_seq
-                if e.event_time < seen:
-                    failed_earlier.add(seq)
-                if not judged:
-                    continue
-                entries.append((prefix + (seq,), MetaRecord(
-                    start, end, key, check_id, False, False, {"element_ref": seq}, tail(seq))))
-                slot = failing.get(seq)
-                if slot is None:
-                    failing[seq] = (e, [check_id])
-                elif check_id not in slot[1]:
-                    slot[1].append(check_id)
+        for part, tally in zip(sub.parts, tallies):
+            routed = mark in part.memo
+            if not (judged or routed):
+                continue
+            fails = False
+            for e, ev in tally.misses:
+                if fail_null or ev is not None:
+                    fails = True
+                    seq = e.arrival_seq
+                    if routed:
+                        failing[seq] = None
+                    if not judged:
+                        continue
+                    entries.append((prefix + (seq,), MetaRecord(
+                        start, end, key, check_id, False, False, {"element_ref": seq}, tail(seq))))
+                    if seq not in failing:
+                        failing[seq] = (e, [check_id])
+                    elif (slot := failing[seq]) is not None and check_id not in slot[1]:
+                        slot[1].append(check_id)
+            if marks and judged and fails:
+                part.memo[mark] = True
     return records
 
 
@@ -713,7 +715,7 @@ class MonitorEngine:
         pane's `_late_discards` record counts the rows discarded since the
         last batch; a batch that closes no pane leaves that count as it is.
         A failing row is routed to the side output from the first pane that
-        fails it, the one whose SuiteState.failed_earlier does not hold it.
+        fails it: a later pane's SuiteState.on_window_close leaves it out.
         """
         wm = self.watermark.value
         batch_failing: list[tuple[StreamElement, list[str]]] = []
@@ -735,9 +737,7 @@ class MonitorEngine:
                                 not delta, {"total": self._discards_reported} if delta else None,
                                 run)
             self.stats.panes_closed += 1
-            failed_earlier = self.state.failed_earlier
-            batch_failing += [slot for seq, slot in sorted(failing.items())
-                              if seq not in failed_earlier]
+            batch_failing += [failing[seq] for seq in sorted(failing)]
         if end is None:
             return
         self._write_run(run)

@@ -25,11 +25,6 @@ so downstream consumers see silence as zero-volume windows. Session panes
 are built per key by gap extension and are never empty. A pane bound
 beyond the datetime range is clamped to it.
 
-A row of a grid pane lay in each pane before it that overlaps it and ends
-after the row (earlier_panes): a key's panes close in number order, and no
-row reaches a slice once a pane over it has closed. A session pane holds
-its rows alone.
-
 Closing is streamed: PaneStore.closing yields the panes one watermark step
 closes in meta-stream order, (end, key, start), building each as it is
 drawn. Memory does not grow with the number of panes one step closes (a
@@ -64,7 +59,7 @@ from .model import (
     key_groups,
 )
 
-__all__ = ["Watermark", "RouteOutcome", "Retention", "PaneStore", "earlier_panes"]
+__all__ = ["Watermark", "RouteOutcome", "Retention", "PaneStore"]
 
 # The upper clamp of a pane bound: past TS_MAX, as which it renders.
 _END_OF_TIME = datetime.max.replace(tzinfo=timezone.utc)
@@ -133,17 +128,6 @@ def _pane_bounds(spec: WindowSpec, p: int) -> tuple[datetime, datetime]:
     return _shift(spec.origin, offset), _shift(spec.origin, offset + spec.duration)
 
 
-def earlier_panes(spec: WindowSpec, pane: WindowInstance) -> list[tuple[datetime, datetime]]:
-    """The bounds of the grid panes before pane that overlap it, latest
-    first; none for a session pane. The number of pane is read from a
-    bound the datetime range did not clamp."""
-    if spec.kind == "session":
-        return []
-    p = (pane.start - spec.origin if pane.end == _END_OF_TIME
-         else pane.end - spec.origin - spec.duration) // spec.step
-    return [_pane_bounds(spec, n) for n in range(p - 1, p + (-spec.duration // spec.step), -1)]
-
-
 @dataclass(eq=False, slots=True)
 class _Session:
     key: Value
@@ -168,8 +152,10 @@ class PaneStore:
     retention says what each slice and session keeps of its rows
     (Retention); FAILING needs the judge that judges them.
 
-    A key's grid panes close in number order: those of earlier_panes(spec,
-    pane) that held rows of the key closed before pane.
+    A key's grid panes close in number order, each over the same slice
+    objects (a keyed pane over the same key shares), and no row reaches a
+    slice once a pane over it has closed: what a pane leaves in a slice's
+    memo is there, and final, for every later pane over it.
     """
 
     def __init__(self, spec: WindowSpec, key_by: str | None = None,

@@ -108,6 +108,29 @@ def record_batches(engine: MonitorEngine) -> list:
     return batches
 
 
+def memos(parts):
+    """The memo of each slice and, in turn, of each of its key shares."""
+    for part in parts:
+        yield part.memo
+        for memo_key, kept in list(part.memo.items()):
+            if memo_key[0] == "split":
+                yield from memos(kept.values())
+
+
+def marks(parts) -> int:
+    """The ("judged", check id) marks in the memos of slices and their shares."""
+    return sum(memo_key[0] == "judged" for memo in memos(parts) for memo_key in memo)
+
+
+def unmarked(parts) -> None:
+    """Drop the marks that assessing these slices left in their memos, so a
+    pane assessed again reads as the first time: the reference routes by
+    the seqs it remembers."""
+    for memo in memos(parts):
+        for memo_key in [k for k in memo if k[0] == "judged"]:
+            del memo[memo_key]
+
+
 def reference(state: SuiteState, batches) -> tuple[list[str], list[str], list[MetaRecord]]:
     """Meta lines, side lines and records of the batches, one stable sort
     per batch and every routed seq remembered."""
@@ -119,6 +142,7 @@ def reference(state: SuiteState, batches) -> tuple[list[str], list[str], list[Me
         records: list[MetaRecord] = []
         routed_now = []
         for index, pane in enumerate(panes):
+            unmarked(pane.parts)
             entries, failing = state.on_window_close(pane, watermark=wm)
             assert all(order == record.order_key() for order, record in entries)
             records.extend(record for _, record in entries)
@@ -458,11 +482,11 @@ def test_warming_reference_miss_and_skipped_null_lines_are_pinned():
 @pytest.mark.parametrize("kind", ["sliding", "session", "warming"])
 def test_the_engine_keeps_no_routing_state(kind):
     """Every row fails, forever: the engine holds no container among its
-    own fields, the suite's marks of rows failed by earlier panes hold at
-    most one pane span of rows (none for sessions), and the side stream is
-    the reference's, which remembers every routed seq. "warming" gives the
-    check a context, so the rows of the first panes are routed only from
-    the first pane that judges them, and those only in warming panes never."""
+    own fields, the suite's containers keep the sizes they were built with,
+    and the side stream is the reference's, which remembers every routed
+    seq. "warming" gives the check a context, so the rows of the first
+    panes are routed only from the first pane that judges them, and those
+    only in warming panes never."""
     window = (WindowSpec("session", gap=timedelta(seconds=20)) if kind == "session"
               else WindowSpec("sliding", duration=5 * MIN, slide=MIN))
     check = CheckDefinition(id="fare_complete",
@@ -478,21 +502,53 @@ def test_the_engine_keeps_no_routing_state(kind):
     rng = random.Random(11)
     span_rows = 5 * 60 // 5  # one row per 5 s over a 5m pane
     containers = (dict, list, set, frozenset, tuple, deque)
-    held = 0
+
+    def suite_containers():
+        return {name: len(value) for name, value in vars(engine.state).items()
+                if isinstance(value, containers)}
+    built = suite_containers()
     for seq in range(3000):
         t = at(seq * 5 + rng.uniform(-20, 0))
         engine.process(elem(t, seq, device=rng.choice(["d1", "d2"]), fare=None))
         assert not [name for name, value in vars(engine).items()
                     if isinstance(value, containers)]
-        held = max(held, len(engine.state.failed_earlier))
+        assert suite_containers() == built
     engine.finish()
-    assert held <= (0 if kind == "session" else span_rows)
     if kind == "warming":
         assert 0 < engine.stats.side_routed < 3000 - engine.stats.discarded - span_rows
     else:
         assert engine.stats.side_routed == 3000 - engine.stats.discarded
     _, want_side, _ = reference(SuiteState([check], SCHEMA, window), batches)
     assert side.lines == want_side
+
+
+@pytest.mark.parametrize("kind", ["sliding", "tumbling", "session"])
+def test_only_sliding_panes_mark_the_slices_they_judged(kind):
+    """Only a sliding pane's slices can be read by a later pane, so only
+    they carry marks, at most one per per-element check and open slice."""
+    window = {"sliding": WindowSpec("sliding", duration=5 * MIN, slide=MIN),
+              "tumbling": WindowSpec("tumbling", duration=MIN),
+              "session": WindowSpec("session", gap=timedelta(seconds=20))}[kind]
+    suite = routing_checks("elements")
+    engine = MonitorEngine(SuiteState(suite, SCHEMA, window),
+                           watermark_delay=timedelta(seconds=30))
+    batches = record_batches(engine)
+    rng = random.Random(5)
+    most = 0
+    for seq in range(1500):
+        engine.process(elem(at(seq * 2 + rng.uniform(-20, 0)), seq,
+                            zone=rng.choice([None, "a", "c"]), fare=rng.choice([None, 1.0, -3.0])))
+        if kind == "sliding":
+            held = engine.store._slices.values()
+            assert marks(held) <= len(suite) * len(held)
+            most = max(most, marks(held))
+    engine.finish()
+    drawn = marks(part for panes, _, _ in batches for pane in panes for part in pane.parts)
+    assert engine.stats.side_routed > 0
+    if kind == "sliding":
+        assert most > 0 and drawn > 0
+    else:
+        assert drawn == 0
 
 
 def test_a_zero_key_renders_as_the_row_its_group_rule_picks():
@@ -941,7 +997,9 @@ def _sha(lines: list[str]) -> str:
     return hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()
 
 
-def routing_digests(case: str) -> tuple[str, str]:
+def routing_run(case: str, meta_sink) -> tuple[list, list[CheckDefinition], MonitorEngine, ListSink]:
+    """A case's rows driven through a new engine (window-key-suite-era);
+    returns the rows, the checks, the engine and its side sink."""
     window, key, suite, era = case.split("-")
     rows = routing_stream(era == "ts_max")
     if suite in ("context", "reference"):
@@ -949,15 +1007,23 @@ def routing_digests(case: str) -> tuple[str, str]:
         renamed = {"c": "d", "d3": "d4"}
         rows = rows[:750] + [elem(e.event_time, e.arrival_seq, **{
             column: renamed.get(v, v) for column, v in e.attrs.items()}) for e in rows[750:]]
-    meta, side = ListSink(), ListSink()
-    state = SuiteState(routing_checks(suite), SCHEMA, ROUTING_WINDOWS[window],
+    side = ListSink()
+    suite_checks = routing_checks(suite)
+    state = SuiteState(suite_checks, SCHEMA, ROUTING_WINDOWS[window],
                        references={"floors": floors(rows)})
     engine = MonitorEngine(state, watermark_delay=timedelta(seconds=10),
                            key_by=None if key == "unkeyed" else key,
-                           meta_sink=meta, side_sink=side)
+                           meta_sink=meta_sink, side_sink=side)
     for e in rows:
         engine.process(e)
     engine.finish()
+    return rows, suite_checks, engine, side
+
+
+def routing_digests(case: str) -> tuple[str, str]:
+    window, key, suite, era = case.split("-")
+    meta = ListSink()
+    _, _, engine, side = routing_run(case, meta)
     assert engine.stats.discarded > 0
     assert (engine.stats.late_accepted > 0) == (window != "sliding7m")  # the one without lateness
     assert engine.stats.side_routed == len(side.lines) > 0
@@ -977,3 +1043,29 @@ def test_failing_rows_route_from_the_first_pane_failing_them(case):
     pane ends clamped at TS_MAX, with checks that warm or miss their
     reference in some panes: the meta and side bytes are pinned."""
     assert routing_digests(case) == ROUTING_PINS[case]
+
+
+# A session store keyed by a nullable column, with a keyed check that warms.
+ORACLE_CASES = ROUTING_CASES + ["session40s-zone-context-2015"]
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_side_lines_are_each_failing_rows_first_records(case):
+    """An oracle from the meta records alone: each row with per-element
+    records has one side line, from its pane with the smallest (end,
+    start), listing the checks of its records there in config order."""
+    rows, suite_checks, engine, side = routing_run(case, None)
+    by_seq = {e.arrival_seq: e for e in rows}
+    order = {check.id: i for i, check in enumerate(suite_checks)}
+    first: dict[int, tuple] = {}
+    for r in engine.collected:
+        if r.detail is not None and "element_ref" in r.detail:
+            seq, bounds = r.detail["element_ref"], (r.window_end, r.window_start)
+            if seq not in first or bounds < first[seq][0]:
+                first[seq] = (bounds, set())
+            if bounds == first[seq][0]:
+                first[seq][1].add(r.check_id)
+    want = [old_side_line(by_seq[seq], sorted(ids, key=order.get))
+            for seq, (_, ids) in first.items()]
+    assert want
+    assert sorted(side.lines) == sorted(want)

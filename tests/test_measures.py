@@ -52,6 +52,15 @@ def val(mid, params, w, env=ENV):
     return run(mid, params, w, env).value
 
 
+def outcome(result):
+    """A result's value, detail and force_fail, and its misses (the rows
+    whose verdict was not True, with it) flattened in slice order. The
+    misses are given exactly when some verdict was not True."""
+    misses = [(e, v) for tally in result.misses or () for e, v in tally.misses]
+    assert (result.misses is None) == (not misses)
+    return result.value, result.detail, result.force_fail, misses
+
+
 # ---------------------------------------------------------------------------
 # Basic statistics
 
@@ -661,7 +670,7 @@ def test_in_set_verdicts_follow_values_equal(allowed, values):
     members = [value_from_json(a) for a in allowed]
     verdicts = [None if v is None else any(values_equal(v, a) is True for a in members)
                 for v in values]
-    assert [(e.arrival_seq, v) for e, v in result.misses] == \
+    assert [(e.arrival_seq, v) for e, v in outcome(result)[3]] == \
         [(e.arrival_seq, v) for e, v in zip(window.elements, verdicts) if v is not True]
     assert result.value == (verdicts.count(True) / len(values) if values else None)
 
@@ -963,22 +972,22 @@ def test_partials_over_random_splits_equal_the_whole_pane(mid, params):
     spec = MeasureSpec(mid, params)
     for size in [0, 1, 2, 7, 60, 400, 3000]:
         whole = _random_pane(rng, mid, size)
-        want = apply_measure(spec, whole, env)
+        want = outcome(apply_measure(spec, whole, env))
         for _ in range(4):
             cuts = sorted(rng.randint(0, size) for _ in range(rng.randint(0, 6)))
             bounds = [0] + cuts + [size]
             parts = tuple(Slice(list(whole.elements[a:b])) for a, b in zip(bounds, bounds[1:]))
             split = WindowInstance(whole.start, whole.end, None, whole.elements, parts)
-            assert apply_measure(spec, split, env) == want, (mid, params, size, bounds)
+            assert outcome(apply_measure(spec, split, env)) == want, (mid, params, size, bounds)
             # A second pane over the same slices reads the memoized partials,
             # also once the slices have released their rows.
             assert all(part.memo for part in parts)
-            assert apply_measure(spec, split, env) == want
+            assert outcome(apply_measure(spec, split, env)) == want
             for part in parts:
                 part.release()
             again = WindowInstance(whole.start, whole.end, None, parts=parts)
             assert len(again) == size
-            assert apply_measure(spec, again, env) == want, (mid, params, size, bounds)
+            assert outcome(apply_measure(spec, again, env)) == want, (mid, params, size, bounds)
 
 
 def test_min_and_max_over_slices_are_the_builtins_over_the_pane():
