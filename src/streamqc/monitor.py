@@ -327,16 +327,19 @@ def _comparable(result_type: str, bound_type: str, op: str) -> bool:
 # Suite state (pure assessment, no I/O)
 
 
-# One check compiled for a key group's pane: (head, key, pane, env, failing,
-# entries) appends the group's records to entries and its failing elements
-# to failing. head is the group's (window_end, key encoding), the start of
-# its records' order keys. The engine's detectors are pane checks too.
-PaneCheck = Callable[[tuple[datetime, bytes], Value, WindowInstance, EngineEnv,
+# One check compiled for a key group's pane: (head, series, pane, env,
+# failing, entries) appends the group's records to entries and its failing
+# elements to failing. head is the group's (window_end, key encoding), the
+# start of its records' order keys; series names the group's run of panes
+# that rolling state (a context, a frozen-column streak) follows: the
+# window key's encoding and, in a keyed check's group, the group key's. The
+# group's key is the pane's. The engine's detectors are pane checks too.
+PaneCheck = Callable[[tuple[datetime, bytes], Any, WindowInstance, EngineEnv,
                       dict[int, tuple[StreamElement, list[str]]],
                       list[tuple[tuple, MetaRecord]]], None]
 
-# A key group's pane: (head, key, pane), head as a PaneCheck takes it.
-Group = tuple[tuple[datetime, bytes], Value, WindowInstance]
+# A key group's pane: (head, series, pane), as a PaneCheck takes them.
+Group = tuple[tuple[datetime, bytes], Any, WindowInstance]
 
 
 class SuiteState:
@@ -404,18 +407,14 @@ class SuiteState:
 
     # -- helpers -------------------------------------------------------------
 
-    def _partition(self, w: WindowInstance, key_by: str) -> list[Group]:
-        """Key groups of a pane, in key order (key_groups); elements with a
-        Null key are skipped. A group's key is its first row's in pane order
-        (the key of its first share), and its pane keeps the group's share
-        of each slice as its parts."""
-        out = []
-        for enc, own in key_groups(w.parts, key_by):
-            if enc != NULL_CODE:
-                key = own[0].key
-                out.append(((w.end, enc), key,
-                            WindowInstance(w.start, w.end, key, parts=tuple(own))))
-        return out
+    def _partition(self, w: WindowInstance, window_enc: bytes, key_by: str) -> list[Group]:
+        """Key groups of a pane whose key encodes as window_enc, in key
+        order (key_groups); elements with a Null key are skipped. A group's
+        key is its first row's in pane order (the key of its first share),
+        and its pane keeps the group's share of each slice as its parts."""
+        return [((w.end, enc), (window_enc, enc),
+                 WindowInstance(w.start, w.end, own[0].key, parts=tuple(own)))
+                for enc, own in key_groups(w.parts, key_by) if enc != NULL_CODE]
 
     # -- compilation ---------------------------------------------------------
 
@@ -435,17 +434,17 @@ class SuiteState:
         # judges no row of the pane. A pane is folded into its context only
         # after its own bindings were read (which leaves warming as it was).
         horizon = check.context.horizon if check.context is not None else None
-        contexts: dict[bytes, ContextState] = {}
+        contexts: dict[Any, ContextState] = {}
         table = (self.references[check.reference.table]
                  if check.reference is not None else None)
 
-        def assess_bound(head, key, sub, env, failing, entries):
+        def assess_bound(head, series, sub, env, failing, entries):
             names: dict[str, Value] = {}
             ctx = row = None
             if horizon is not None:
-                ctx = contexts.get(head[1])
+                ctx = contexts.get(series)
                 if ctx is None:
-                    ctx = contexts[head[1]] = ContextState(horizon)
+                    ctx = contexts[series] = ContextState(horizon)
                 names.update(ctx.bindings(sub.start))
             if table is not None:
                 ref_key = reference_key({"window_start": sub.start, "window_end": sub.end})
@@ -468,9 +467,9 @@ class SuiteState:
                         detail = {**(detail or {}), "skipped_null": True}
                 if result.force_fail:
                     ok = False
-            emit(head, key, sub, value, ok, detail, entries)
+            emit(head, sub, value, ok, detail, entries)
             if elements is not None and result.misses:
-                elements(head, key, sub, result.misses, judged, failing, entries)
+                elements(head, sub, result.misses, judged, failing, entries)
         return assess_bound
 
     # -- assessment ----------------------------------------------------------
@@ -495,14 +494,14 @@ class SuiteState:
             env = self._env = replace(env, watermark=watermark)
         entries: list[tuple[tuple, MetaRecord]] = []
         failing: dict[int, tuple[StreamElement, list[str]]] = {}
-        groups: dict[str | None, list[Group]] = {
-            None: [((w.end, canonical_bytes(w.key)), w.key, w)]}
+        window_enc = canonical_bytes(w.key)
+        groups: dict[str | None, list[Group]] = {None: [((w.end, window_enc), window_enc, w)]}
         for key_by, assess in self.pane_checks:
             split = groups.get(key_by)
             if split is None:
-                split = groups[key_by] = self._partition(w, key_by)
-            for head, key, sub in split:
-                assess(head, key, sub, env, failing, entries)
+                split = groups[key_by] = self._partition(w, window_enc, key_by)
+            for head, series, sub in split:
+                assess(head, series, sub, env, failing, entries)
         return entries, {seq: slot for seq, slot in failing.items() if slot is not None}
 
 
@@ -514,9 +513,9 @@ def _emitter(check_id: str):
     lead = check_lead(check_id)
     order = (check_id, -1)
 
-    def emit(head, key, sub, value, ok, detail, entries):
+    def emit(head, sub, value, ok, detail, entries):
         entries.append((head + order, MetaRecord(
-            sub.start, sub.end, key, check_id, value, ok, detail,
+            sub.start, sub.end, sub.key, check_id, value, ok, detail,
             meta_line_tail(lead, value, ok, detail))))
     return emit
 
@@ -538,8 +537,8 @@ def _element_records(check: CheckDefinition, marks: bool):
     tail = element_tail(check_id)
     mark = ("judged", check_id)
 
-    def records(head, key, sub, tallies, judged, failing, entries):
-        start, end = sub.start, sub.end
+    def records(head, sub, tallies, judged, failing, entries):
+        start, end, key = sub.start, sub.end, sub.key
         prefix = head + (check_id,)
         for part, tally in zip(sub.parts, tallies):
             routed = mark in part.memo
@@ -573,11 +572,11 @@ def _dead_stream_check(spec: DeadStreamSpec) -> PaneCheck:
     silent_since = silent_until = None  # the bounds of the current run of empty panes
     alerted = False
 
-    def check(head, key, w, env, failing, entries):
+    def check(head, series, w, env, failing, entries):
         nonlocal silent_since, silent_until, alerted
         if len(w):
             if alerted and spec.restart == "auto":
-                emit(head, key, w, (silent_until - silent_since).total_seconds(), True,
+                emit(head, w, (silent_until - silent_since).total_seconds(), True,
                      {"recovered": True}, entries)
             silent_since, alerted = None, False
             return
@@ -586,7 +585,7 @@ def _dead_stream_check(spec: DeadStreamSpec) -> PaneCheck:
         silent_until = w.end
         if silent_until - silent_since >= spec.threshold and not alerted:
             alerted = True
-            emit(head, key, w, (silent_until - silent_since).total_seconds(), False,
+            emit(head, w, (silent_until - silent_since).total_seconds(), False,
                  {"silent_since": format_ts(silent_since)}, entries)
     return check
 
@@ -595,24 +594,25 @@ def _frozen_column_check(spec: FrozenColumnSpec) -> PaneCheck:
     """The frozen-column detector as a pane check of each key group: one
     alert once the column holds one value across `windows` consecutive
     panes with a non-Null value, and one recovery record on the first pane
-    with two values after it. The streak is kept per key encoding. A pane
-    reads its slices' first non-Null values and sets of non-Null encodings."""
+    with two values after it. The streak is kept per series (PaneCheck).
+    A pane reads its slices' first non-Null values and sets of non-Null
+    encodings."""
     column = spec.column
     emit = _emitter(f"_frozen_stream.{column}")
-    # key encoding -> [the frozen value's encoding, streak, alerted]
-    streaks: dict[bytes, list] = {}
+    # series -> [the frozen value's encoding, streak, alerted]
+    streaks: dict[Any, list] = {}
 
     def partial(part):
         codes = part.encodings(column)
         i = next((i for i, enc in enumerate(codes) if enc is not None), None)
         return None if i is None else (part.elements[i].attrs[column], set(filter(None, codes)))
 
-    def check(head, key, sub, env, failing, entries):
+    def check(head, series, sub, env, failing, entries):
         seen = [kept for part in sub.parts
                 if (kept := part.kept(("frozen", column), partial)) is not None]
         if not seen:
             return  # empty pane or all-Null: no evidence either way
-        streak = streaks.setdefault(head[1], [None, 0, False])
+        streak = streaks.setdefault(series, [None, 0, False])
         distinct = set().union(*(codes for _, codes in seen))
         if len(distinct) == 1:
             canon = distinct.pop()
@@ -622,11 +622,11 @@ def _frozen_column_check(spec: FrozenColumnSpec) -> PaneCheck:
                 streak[0], streak[1] = canon, 1
             if streak[1] >= spec.windows and not streak[2]:
                 streak[2] = True
-                emit(head, key, sub, seen[0][0], False,
+                emit(head, sub, seen[0][0], False,
                      {"column": column, "windows": streak[1]}, entries)
         else:
             if streak[2]:
-                emit(head, key, sub, len(distinct), True,
+                emit(head, sub, len(distinct), True,
                      {"column": column, "recovered": True}, entries)
             streak[:] = None, 0, False
     return check
@@ -733,7 +733,7 @@ class MonitorEngine:
             end = pane.end
             entries, failing = self.state.on_window_close(pane, watermark=wm)
             run += entries
-            _emit_late_discards((end, canonical_bytes(pane.key)), pane.key, pane, delta,
+            _emit_late_discards((end, canonical_bytes(pane.key)), pane, delta,
                                 not delta, {"total": self._discards_reported} if delta else None,
                                 run)
             self.stats.panes_closed += 1

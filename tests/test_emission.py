@@ -747,8 +747,10 @@ ROUTING_CASES = [f"{window}-{key}-{suite}-{era}" for window in ROUTING_WINDOWS
                  for suite in ("elements", "keyed", "mean", "context", "reference")
                  for era in ("2015", "ts_max")]
 
-# (meta sha256, side sha256) of each case, as written before the engine
-# routed by pane bounds, when it remembered every routed row instead.
+# (meta sha256, side sha256) of each case, as written when the engine
+# remembered every routed row. The eight device-context cases were
+# pinned again when a keyed check's context came to be kept per window
+# key as well as per check key: their zone contexts no longer mix devices.
 ROUTING_PINS = {
     "sliding5m-unkeyed-elements-2015": (
         "237b783e4f5d3092471297ab141d2bf2dce489ce947ef84dbfb2f465a43d11bd",
@@ -799,11 +801,11 @@ ROUTING_PINS = {
         "8a5c5c75523ec022be0aed5dc71aa6b33700ea6b8f4a98cfa47134c0dad41a82",
         "da8f6cd19e7a391d267054a24c0d05ca5bbef171ec4105d99bf54a94335a6244"),
     "sliding5m-device-context-2015": (
-        "5a0b12b96d2ddc14ad0130c1d9bfa640ddf394f71f35f8b68c4190a582ee8627",
-        "94f619b5cbdebcad2a640a6de4efad53b0a2ea3e9b426c6ffa254cf9b4cd91e7"),
+        "eed03d3939b12bc7c8fe9c8692dbfd10e8a59a978a2be844a7c683bf784d4cd6",
+        "9cec79bef750115c9c603d9e1cf8672d307cf0946e686a73dc230e4bae9a2c30"),
     "sliding5m-device-context-ts_max": (
-        "01558e2e48c2000544a3a15062cd21c937c4e38674cc58c0a3bc619507ee4a29",
-        "bb9aa87ee3eab1ba13fd7073d42f5f7279464d1eeb5be76b857b1b6052166d50"),
+        "ffa974b809ef6706ca4e36689aa72231db912e2fbd635eb937ababbc88b331dd",
+        "c62d23aae384d9efd4c465e2a3a84a2be2eda98f262d6c36fce3eeed7ef7d8ee"),
     "sliding5m-device-reference-2015": (
         "edb5812a1d56b18fe04c84a9450e75f598c512d4fb382de3c108806d4b1e0610",
         "6bb8dc264041c25f8125eed30f90d56d1fd62fbfa6e2f86229dd971f83ba1e2c"),
@@ -859,11 +861,11 @@ ROUTING_PINS = {
         "674ab82ea0bbb3d3e5920771f5e418fc39b36737d268ece4d6df849b50a4009e",
         "e9134f978e8190784517d37c3e3a9097cfd185a54993194c64e14c076e5954d6"),
     "sliding7m-device-context-2015": (
-        "c128ac8a136419d9e6456d9f4e244393629095fbcd63bc825c6b5b74061ce5cc",
-        "45bfeca0a4e8dbf565a0d91f4492a8dee2fc0147916a319fa10a63dd1495c504"),
+        "e1c658573d8d611c9d0517eccfd195468352ed692530d23c40adae0ffcc0378d",
+        "130c950234daaebf4c6cd7f976156d818512393796a46e3547042f062689fea7"),
     "sliding7m-device-context-ts_max": (
-        "d96d66e7e37269e97e272eef7752bf1ab1d818644b9b241a114ff238bbf8bd13",
-        "f6af05c72951e4670b1ed1eab88f8857dfd2f9697b2999eba34592ea0f7c42e2"),
+        "4c7e07a73bebf8e07e3a7bcb81aac8fe463dc205d3740be57adc62a8d5163108",
+        "30b14d9109d4148f064f9e1f16d5a9a4798722bb149da3b028b7082072b6b09f"),
     "sliding7m-device-reference-2015": (
         "a7f53e1d79a7e89135de15635754bb62779002929ad577f41dc81dfcf2dee4b1",
         "74ec3d1025d42569c03c85cbd0fba789676116e030f183f4b0159d17ccbef0cb"),
@@ -919,11 +921,11 @@ ROUTING_PINS = {
         "6d13d4938c7dafa568d4b02b8e5e7e2c66550be5da2195e1b5bb935a8b4a7fbf",
         "6c70e0cdbfd38c20b2f0b2f19820fff009ed181599161e9c766f0cfcc8593c37"),
     "tumbling3m-device-context-2015": (
-        "6618aa2c45aa8539ed0b9ee1c17f1c9bc70410cb596aed78e4a800a406431a3b",
-        "6b3793f7ae355da240dd7a81d370a551b3b6133d713797831d25a2b294f4aab8"),
+        "3d14fc3acd54ae19add8152942e0dd37b0b63f6fc4a99cda46c27c199e0d9ba0",
+        "b9d3e80bded067e7e438c324a543af4124cb3e3eabc1c048a8f1f159f849089f"),
     "tumbling3m-device-context-ts_max": (
-        "2b1c6fbc5ee757f4c8e1c10d54e0e934c1aa1b4c913e8ee483465b06e7c50154",
-        "1bccef093e42912f164b86623d1f41067fee46dd7e45fc27d908644f46ae10a5"),
+        "e9b2abe22ef115a3c8c3e74b3711e2493ddf19802b32d74558c496b6593f73f9",
+        "c97c4c9ada1a9ca4cf8f20255d1c2104c81834797a434f0e756702f975c365cf"),
     "tumbling3m-device-reference-2015": (
         "404a8c74ffa6d166ce0d356f00ef8ffadadc83d68764759560b1a0e16fa5656f",
         "598802941de78eb50aafc9b042a5ae8b78891679c8f9e168fbaeb2877cde1611"),
@@ -979,11 +981,11 @@ ROUTING_PINS = {
         "17fd4641969c3549c49b8d1b0a83a4e7bf2e6a15363ad596f7a0e9f5f17ac087",
         "1ac89e353ecb12f15ae44380a09b2a139c6e5ac20c27bc9be6e84c2f213904a7"),
     "session40s-device-context-2015": (
-        "5178ea80b837d45064d3edc1c73a0200908be3cb53ef753d51543da52dd9a85a",
-        "3bc4b21e35debbd5784e003ab6784c939a77a4aef3181f501e8d3af492e0d97a"),
+        "5ea6dd819adc353d78a17106308d566a571f8bc3da772b312846a8e6770cfc1b",
+        "4f26768658ecb9a3b106c27db663adb4e5c1ff2be145d0302b3f757b7adb94b2"),
     "session40s-device-context-ts_max": (
-        "1152db94958eff27cdb370cef15cd637bf99f7c2ebaec9d46ad874f600be2878",
-        "9b434e90bd7d268dece3b86590632f72e13c8c9ddc0f9e93ea9a4c0c804fc218"),
+        "12537dc869676c334a3b9cfe5fb241e20860c160a14c5c73a5783160e6c1ef04",
+        "3a9be721d8799c63c45e4070b3130a687e9b663e2d29945e75678f59849817f9"),
     "session40s-device-reference-2015": (
         "8466ad006383dde81c464bb948c5717fc2ce5088ef344a2026b904991228cf77",
         "66fff1fdb1e7d78e6b8e690a167fa92ce41e27af5ce78a4c7977285611895dde"),

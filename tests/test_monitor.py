@@ -341,6 +341,49 @@ def test_keyed_context_series_are_independent():
     assert by_key["b"].ok is True   # 2 >= 1
 
 
+DEVICE_SCHEMA = SCHEMA + [ColumnSpec("device", "text")]
+
+
+def device_rows(minutes, d2_value=lambda minute: "p"):
+    """Over 1m panes in zone a, d1 sends one row a minute with fare 1.0, and
+    d2 five, whose fare is d2_value(minute)."""
+    rows = []
+    for minute in range(minutes):
+        rows.append(elem(at(60 * minute), len(rows), device="d1", zone="a", fare=1.0))
+        rows += [elem(at(60 * minute + 10 * i + 5), len(rows) + i, device="d2", zone="a",
+                      fare=d2_value(minute)) for i in range(5)]
+    return rows
+
+
+def test_a_keyed_context_is_kept_per_window_key_as_well():
+    """A check keyed by zone over panes keyed by device keeps one context
+    per (device, zone): once warm, d1's count_H is its own 3 rows, and d2's
+    its own 15, not both devices' 18."""
+    check = CheckDefinition(
+        id="zone_volume", measure=MeasureSpec("volume"), constraint=Predicate("count_H <= 3"),
+        key_by="zone", context=ContextSpec(horizon=3 * MIN))
+    engine = MonitorEngine(suite([check], schema=DEVICE_SCHEMA), key_by="device")
+    drive(engine, device_rows(8))
+    judged = [(r.window_start, r.value, r.ok) for r in engine.collected
+              if r.check_id == "zone_volume" and r.detail is None]
+    # Panes from 11:04 on are warm: their context's first end is 11:01.
+    assert judged == [(at(60 * m), volume, volume == 1)
+                      for m in range(4, 8) for volume in (1, 5)]
+
+
+def test_a_keyed_frozen_streak_is_kept_per_window_key_as_well():
+    """A frozen-column detector keyed by zone over panes keyed by device
+    keeps one streak per (device, zone): d1's fare never changes and
+    alerts, while d2's changes every minute, which does not reset d1's."""
+    spec = FrozenColumnSpec("fare", windows=2, key_by="zone")
+    engine = MonitorEngine(suite([mean_check()], schema=DEVICE_SCHEMA,
+                                 detectors=DetectorSpecs(frozen=(spec,))), key_by="device")
+    drive(engine, device_rows(4, d2_value=lambda minute: 2.0 + minute))
+    alerts = [(r.window_start, r.key, r.value, r.ok, r.detail) for r in engine.collected
+              if r.check_id == "_frozen_stream.fare"]
+    assert alerts == [(at(60), "a", 1.0, False, {"column": "fare", "windows": 2})]
+
+
 # ---------------------------------------------------------------------------
 # Context through the suite (warming, fold-after-bindings)
 
