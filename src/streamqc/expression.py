@@ -38,7 +38,7 @@ from .model import Value, comparator, is_number
 
 __all__ = [
     "ExpressionError", "Expr", "Literal", "Name", "Unary", "Binary", "Call",
-    "parse", "to_text", "compile", "compile_pattern", "BUILTINS",
+    "parse", "compile", "compile_pattern", "BUILTINS",
 ]
 
 
@@ -373,65 +373,6 @@ class _Parser:
 def parse(source: str) -> Expr:
     """Parse an expression; raises ExpressionError with a byte offset on failure."""
     return _Parser(source).parse()
-
-
-# ---------------------------------------------------------------------------
-# Printing (parse(to_text(e)) == e)
-
-_PREC = {"or": 1, "and": 2, "not": 3, "cmp": 4, "add": 5, "mul": 6, "neg": 7}
-
-
-def _prec(node: Expr) -> int:
-    if isinstance(node, Binary):
-        if node.op in ("or", "and"):
-            return _PREC[node.op]
-        if node.op in ("<", "<=", "=", "!=", ">=", ">"):
-            return _PREC["cmp"]
-        if node.op in ("+", "-"):
-            return _PREC["add"]
-        return _PREC["mul"]
-    if isinstance(node, Unary):
-        return _PREC["not"] if node.op == "not" else _PREC["neg"]
-    return 99
-
-
-def to_text(node: Expr) -> str:
-    """Render an expression; round-trips through parse to an equal tree."""
-    if isinstance(node, Literal):
-        v = node.value
-        if v is None:
-            return "null"
-        if isinstance(v, bool):
-            return "true" if v else "false"
-        if isinstance(v, str):
-            return "'" + v.replace("'", "''") + "'"
-        return repr(v)
-    if isinstance(node, Name):
-        return node.ident
-    if isinstance(node, Unary):
-        inner = to_text(node.operand)
-        if _prec(node.operand) < _prec(node):
-            inner = f"({inner})"
-        if node.op == "not":
-            return f"not {inner}"
-        # "--x" would not re-tokenize as two negations.
-        if isinstance(node.operand, Unary) and node.operand.op == "-":
-            inner = f"({inner})"
-        return f"-{inner}"
-    if isinstance(node, Binary):
-        me = _prec(node)
-        left = to_text(node.left)
-        right = to_text(node.right)
-        # Left-associative chains keep the left child unparenthesized at equal
-        # precedence; comparisons are non-associative so both sides bind tighter.
-        if _prec(node.left) < me or (me == _PREC["cmp"] and _prec(node.left) == me):
-            left = f"({left})"
-        if _prec(node.right) <= me:
-            right = f"({right})"
-        return f"{left} {node.op} {right}"
-    if isinstance(node, Call):
-        return f"{node.name}({', '.join(to_text(a) for a in node.args)})"
-    raise TypeError(f"not an expression node: {node!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -932,8 +932,7 @@ def _per_element(measure_id: str, table: dict[str, Param],
         def finish(partials, window, env):
             merged = _merge_tallies(partials)
             result = tally(params, merged, window, env)
-            if merged.nulls or merged.failed:
-                result.misses = partials
+            result.misses = partials if merged.nulls or merged.failed else None
             return result
         return (lambda part: _tally_of(checker, part.elements)), finish
     return MeasureDef(measure_id, table, _Merged(measure_id, prepare),

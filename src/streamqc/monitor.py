@@ -329,13 +329,14 @@ def _comparable(result_type: str, bound_type: str, op: str) -> bool:
 
 # One check compiled for a key group's pane: (head, series, pane, env,
 # failing, entries) appends the group's records to entries and its failing
-# elements to failing. head is the group's (window_end, key encoding), the
+# elements to failing (None for a row already routed from an earlier pane,
+# _element_records). head is the group's (window_end, key encoding), the
 # start of its records' order keys; series names the group's run of panes
 # that rolling state (a context, a frozen-column streak) follows: the
 # window key's encoding and, in a keyed check's group, the group key's. The
 # group's key is the pane's. The engine's detectors are pane checks too.
 PaneCheck = Callable[[tuple[datetime, bytes], Any, WindowInstance, EngineEnv,
-                      dict[int, tuple[StreamElement, list[str]]],
+                      dict[int, tuple[StreamElement, list[str]] | None],
                       list[tuple[tuple, MetaRecord]]], None]
 
 # A key group's pane: (head, series, pane), as a PaneCheck takes them.
@@ -493,7 +494,7 @@ class SuiteState:
         if env.watermark != watermark:
             env = self._env = replace(env, watermark=watermark)
         entries: list[tuple[tuple, MetaRecord]] = []
-        failing: dict[int, tuple[StreamElement, list[str]]] = {}
+        failing: dict[int, tuple[StreamElement, list[str]] | None] = {}
         window_enc = canonical_bytes(w.key)
         groups: dict[str | None, list[Group]] = {None: [((w.end, window_enc), window_enc, w)]}
         for key_by, assess in self.pane_checks:

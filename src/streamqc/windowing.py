@@ -152,10 +152,9 @@ class PaneStore:
     retention says what each slice and session keeps of its rows
     (Retention); FAILING needs the judge that judges them.
 
-    A key's grid panes close in number order, each over the same slice
-    objects (a keyed pane over the same key shares), and no row reaches a
-    slice once a pane over it has closed: what a pane leaves in a slice's
-    memo is there, and final, for every later pane over it.
+    A key's grid panes close in number order over the same slices (a keyed
+    pane over its key's shares), whose rows are final once a pane over
+    them closes: what a pane leaves in a slice's memo serves later panes.
     """
 
     def __init__(self, spec: WindowSpec, key_by: str | None = None,

@@ -5,7 +5,8 @@ tested against, written straight from the documented semantics and sharing
 no evaluation code with the package: Null absorbs through strict operators,
 and/or/not follow Kleene logic over booleans, Int and Float widen, Text and
 Bool only compare for equality, and division by zero, overflow, type
-confusion and a NaN result are Null.
+confusion and a NaN result are Null. It also prints a tree as text
+(to_text) that parses back to an equal tree.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import math
 from datetime import datetime
 
-from streamqc.expression import Binary, Call, Literal, Name, Unary
+from streamqc.expression import Binary, Call, Expr, Literal, Name, Unary
 
 
 def evaluate(node, names: dict):
@@ -119,3 +120,62 @@ def _builtin(node: Call, args: list):
     if not (_number(lat) and _number(lon)):
         return None
     return -90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0
+
+
+# ---------------------------------------------------------------------------
+# Printing (parse(to_text(e)) == e): the tests print trees with it
+
+_PREC = {"or": 1, "and": 2, "not": 3, "cmp": 4, "add": 5, "mul": 6, "neg": 7}
+
+
+def _prec(node: Expr) -> int:
+    if isinstance(node, Binary):
+        if node.op in ("or", "and"):
+            return _PREC[node.op]
+        if node.op in ("<", "<=", "=", "!=", ">=", ">"):
+            return _PREC["cmp"]
+        if node.op in ("+", "-"):
+            return _PREC["add"]
+        return _PREC["mul"]
+    if isinstance(node, Unary):
+        return _PREC["not"] if node.op == "not" else _PREC["neg"]
+    return 99
+
+
+def to_text(node: Expr) -> str:
+    """Render an expression; round-trips through parse to an equal tree."""
+    if isinstance(node, Literal):
+        v = node.value
+        if v is None:
+            return "null"
+        if isinstance(v, bool):
+            return "true" if v else "false"
+        if isinstance(v, str):
+            return "'" + v.replace("'", "''") + "'"
+        return repr(v)
+    if isinstance(node, Name):
+        return node.ident
+    if isinstance(node, Unary):
+        inner = to_text(node.operand)
+        if _prec(node.operand) < _prec(node):
+            inner = f"({inner})"
+        if node.op == "not":
+            return f"not {inner}"
+        # "--x" would not re-tokenize as two negations.
+        if isinstance(node.operand, Unary) and node.operand.op == "-":
+            inner = f"({inner})"
+        return f"-{inner}"
+    if isinstance(node, Binary):
+        me = _prec(node)
+        left = to_text(node.left)
+        right = to_text(node.right)
+        # Left-associative chains keep the left child unparenthesized at equal
+        # precedence; comparisons are non-associative so both sides bind tighter.
+        if _prec(node.left) < me or (me == _PREC["cmp"] and _prec(node.left) == me):
+            left = f"({left})"
+        if _prec(node.right) <= me:
+            right = f"({right})"
+        return f"{left} {node.op} {right}"
+    if isinstance(node, Call):
+        return f"{node.name}({', '.join(to_text(a) for a in node.args)})"
+    raise TypeError(f"not an expression node: {node!r}")

@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from streamqc.expression import (
-    BUILTINS, Binary, Call, ExpressionError, Literal, Name, Unary, compile, parse, to_text,
+    BUILTINS, Binary, Call, ExpressionError, Literal, Name, Unary, compile, parse,
 )
 from streamqc.model import ts
 
 import expression_reference
+from expression_reference import to_text
 from helpers import at, elem
 
 

@@ -41,6 +41,7 @@ from streamqc.monitor import (
 )
 from streamqc.windowing import PaneStore, Retention, Watermark
 
+from expression_reference import to_text
 from helpers import T0, assess, at, count_order_walks, elem, elems, values_win, walks_of, win
 
 MIN = timedelta(minutes=1)
@@ -1073,7 +1074,7 @@ def test_checks_compile_once_when_the_suite_is_built(monkeypatch):
 
     def counting_compile(node):
         if depth[0] == 0:
-            compiles.append(expression.to_text(node))
+            compiles.append(to_text(node))
         depth[0] += 1
         try:
             return compile_(node)
@@ -1115,7 +1116,7 @@ def test_checks_compile_once_when_the_suite_is_built(monkeypatch):
     assert set(built_parses) == {text, "value <= mu_H + 3 * sigma_H", "value <= ref_max_mean",
                                  "hour_of(window_start)"}
     built_compiles = list(compiles)
-    assert sorted(built_compiles) == sorted(expression.to_text(parse(t)) for t in built_parses)
+    assert sorted(built_compiles) == sorted(to_text(parse(t)) for t in built_parses)
     assert set(built_made) == {"conforms", "in_set", "valid_range", "completeness"}
     eng = MonitorEngine(state)
     rng = random.Random(5)
