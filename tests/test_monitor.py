@@ -345,7 +345,7 @@ def test_keyed_context_series_are_independent():
 DEVICE_SCHEMA = SCHEMA + [ColumnSpec("device", "text")]
 
 
-def device_rows(minutes, d2_value=lambda minute: "p"):
+def device_rows(minutes, d2_value=lambda minute: 1.0):
     """Over 1m panes in zone a, d1 sends one row a minute with fare 1.0, and
     d2 five, whose fare is d2_value(minute)."""
     rows = []
